@@ -44,3 +44,29 @@ pub use synth::{
     taccl_like_allgather, taccl_like_allreduce, teccl_like_allgather, teccl_like_allreduce,
 };
 pub use tree::dbtree_allreduce;
+
+use rescc_lang::AlgoSpec;
+
+/// The seed algorithm library for one `nodes × g` shape: the HM family,
+/// the flat rings, NCCL's two-ring AllReduce, and — when the rank count
+/// is a power of two — the recursive algorithms and the double binary
+/// tree. `rescc-lint --all` checks it on every Table-3 topology.
+pub fn seed_suite(nodes: u32, g: u32) -> Vec<AlgoSpec> {
+    let n = nodes * g;
+    let mut suite = vec![
+        hm_allgather(nodes, g),
+        hm_reduce_scatter(nodes, g),
+        hm_allreduce(nodes, g),
+        ring_allgather(n),
+        ring_reduce_scatter(n),
+        ring_allreduce(n),
+        nccl_rings_allreduce(nodes, g, 2),
+    ];
+    if n.is_power_of_two() {
+        suite.push(recursive_doubling_allgather(n));
+        suite.push(recursive_halving_reduce_scatter(n));
+        suite.push(recursive_halving_doubling_allreduce(n));
+        suite.push(dbtree_allreduce(n));
+    }
+    suite
+}

@@ -122,28 +122,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The seed algorithm library for one topology shape.
-fn seed_suite(nodes: u32, g: u32) -> Vec<AlgoSpec> {
-    use rescc_algos as algos;
-    let n = nodes * g;
-    let mut suite = vec![
-        algos::hm_allgather(nodes, g),
-        algos::hm_reduce_scatter(nodes, g),
-        algos::hm_allreduce(nodes, g),
-        algos::ring_allgather(n),
-        algos::ring_reduce_scatter(n),
-        algos::ring_allreduce(n),
-        algos::nccl_rings_allreduce(nodes, g, 2),
-    ];
-    if n.is_power_of_two() {
-        suite.push(algos::recursive_doubling_allgather(n));
-        suite.push(algos::recursive_halving_reduce_scatter(n));
-        suite.push(algos::recursive_halving_doubling_allreduce(n));
-        suite.push(algos::dbtree_allreduce(n));
-    }
-    suite
-}
-
 /// One linted plan, ready for rendering. The whole plan is kept (not just
 /// its report) so `--explain` can resolve counterexample path nodes back
 /// to their task tuples.
@@ -292,7 +270,7 @@ fn main() -> ExitCode {
         for i in 1..=4 {
             let topo = Topology::table3_topo(i).expect("table 3 preset");
             let spec = topo.spec();
-            for algo in seed_suite(spec.n_nodes, spec.gpus_per_node) {
+            for algo in rescc_algos::seed_suite(spec.n_nodes, spec.gpus_per_node) {
                 outcomes.push(lint_spec(&compiler, &algo, &topo));
             }
         }
