@@ -12,7 +12,11 @@
 //! * **cold** — full pipeline per iteration: compile the spec, then
 //!   simulate.
 //! * **warm** — the plan compiled once up front, per-iteration cost is
-//!   simulation only.
+//!   simulation only; `ns_per_invocation` divides its median by the
+//!   invocations the run executed.
+//!
+//! `table3-16x8` is the dispatch benchmark's cold-start shape: a
+//! single-micro-batch HM AllGather over 128 ranks.
 //!
 //! Large 1024-rank stress scenarios take minutes and are gated behind
 //! `RESCC_BENCH_STRESS=1`; when the gate is off that is logged, not
@@ -20,7 +24,7 @@
 
 use super::observability::median_min_max;
 use crate::{print_table, MB};
-use rescc_algos::{hm_allreduce, ring_allgather};
+use rescc_algos::{hm_allgather, hm_allreduce, ring_allgather};
 use rescc_core::Compiler;
 use rescc_lang::AlgoSpec;
 use rescc_sim::SimConfig;
@@ -83,6 +87,13 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             spec: hm_allreduce(4, 8),
             buffer: 32 * MB,
         },
+        Scenario {
+            name: "table3-16x8",
+            topo: Topology::a100(16, 8),
+            spec: hm_allgather(16, 8),
+            // One chunk per logical chunk: a single micro-batch.
+            buffer: 128 * MB,
+        },
     ];
     if stress {
         out.push(Scenario {
@@ -133,6 +144,7 @@ pub fn run() {
 
         let (cold_med, cold_min, cold_max) = median_min_max(&mut cold_s);
         let (warm_med, warm_min, warm_max) = median_min_max(&mut warm_s);
+        let ns_per_invocation = warm_med * 1e9 / reference.n_invocations as f64;
         // The regression this file guards against: warm skips the whole
         // compile pipeline, so its median can never legitimately exceed
         // the cold median.
@@ -159,12 +171,14 @@ pub fn run() {
                 warm_max * 1e3
             ),
             format!("{:.2}x", cold_med / warm_med),
+            format!("{ns_per_invocation:.0}"),
         ]);
         json_rows.push(format!(
             "    {{\"name\": \"{}\", \"ranks\": {}, \"invocations\": {}, \
              \"cold_s\": {{\"median\": {cold_med:.6}, \"min\": {cold_min:.6}, \"max\": {cold_max:.6}}}, \
              \"warm_s\": {{\"median\": {warm_med:.6}, \"min\": {warm_min:.6}, \"max\": {warm_max:.6}}}, \
-             \"cold_over_warm\": {:.3}, \"identical\": true}}",
+             \"cold_over_warm\": {:.3}, \"ns_per_invocation\": {ns_per_invocation:.1}, \
+             \"identical\": true}}",
             sc.name,
             sc.topo.n_ranks(),
             reference.n_invocations,
@@ -181,6 +195,7 @@ pub fn run() {
             "cold",
             "warm",
             "cold/warm",
+            "warm ns/inv",
         ],
         &rows,
     );

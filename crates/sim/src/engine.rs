@@ -20,6 +20,11 @@
 //! at transfer start (the FIFO-slot semantics of real CCL buffers), and the
 //! receiver applies copy/reduce at completion, so the final buffers can be
 //! checked against the collective's contract.
+//!
+//! Events run in `(t, seq)` order, `seq` counting scheduled events. Each
+//! in-flight transfer owns exactly one live event — its startup latency,
+//! then its projected drain finish — held in an indexed heap that moves
+//! the key when a re-projection changes it (DESIGN.md §14).
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -36,9 +41,8 @@ use rand::{Rng, SeedableRng};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
 use rescc_kernel::{KernelProgram, LoopOrder};
 use rescc_lang::{CommType, OpType};
-use rescc_topology::{LinkParams, ResourceId, Topology};
+use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Run one collective call end to end.
 pub fn simulate(
@@ -54,41 +58,119 @@ pub fn simulate(
 
 const NONE: u32 = u32::MAX;
 
-#[derive(Clone, Copy, Debug)]
-enum EvKind {
-    LatencyDone(u32),
-    DrainDone(u32, u64),
-    /// A scheduled fault transition (index into the sorted schedule).
-    Fault(u32),
-    /// The watchdog deadline.
-    Deadline,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Ev {
+/// One queued event: fire `id` at time `t`; `seq` breaks ties in
+/// scheduling order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Event {
     t: f64,
     seq: u64,
-    kind: EvKind,
+    id: u32,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
+impl Event {
+    fn before(&self, other: &Self) -> bool {
+        match self.t.total_cmp(&other.t) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => self.seq < other.seq,
+        }
     }
 }
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Indexed 4-ary min-heap of events keyed by `(t, seq)`, holding at most
+/// one event per id. Scheduling a queued id moves its key in place, so a
+/// superseded projection never lingers in the queue.
+#[derive(Default)]
+struct EventQueue {
+    heap: Vec<Event>,
+    /// Heap slot of each id, `NONE` while the id has no queued event.
+    pos: Vec<u32>,
+    /// Events scheduled so far; the next one gets `seq + 1`.
+    seq: u64,
 }
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap: smaller time first; stable tie-break on sequence.
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.seq.cmp(&self.seq))
+
+impl EventQueue {
+    /// Schedule `id` at time `t` with the next sequence number, replacing
+    /// its queued event if it has one.
+    fn schedule(&mut self, id: u32, t: f64) {
+        self.seq += 1;
+        let ev = Event {
+            t,
+            seq: self.seq,
+            id,
+        };
+        let i = id as usize;
+        if i >= self.pos.len() {
+            self.pos.resize(i + 1, NONE);
+        }
+        match self.pos[i] {
+            NONE => {
+                self.heap.push(ev);
+                self.sift_up(self.heap.len() - 1, ev);
+            }
+            slot => {
+                let slot = slot as usize;
+                // A re-projection carries a fresh `seq`, so the key moves
+                // later unless the time moved earlier.
+                if ev.before(&self.heap[slot]) {
+                    self.sift_up(slot, ev);
+                } else {
+                    self.sift_down(slot, ev);
+                }
+            }
+        }
+    }
+
+    /// Remove and return the earliest event.
+    fn pop(&mut self) -> Option<Event> {
+        let top = *self.heap.first()?;
+        self.pos[top.id as usize] = NONE;
+        let last = self.heap.pop().expect("heap is non-empty");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
+        Some(top)
+    }
+
+    fn place(&mut self, i: usize, ev: Event) {
+        self.heap[i] = ev;
+        self.pos[ev.id as usize] = i as u32;
+    }
+
+    /// Settle `ev` into slot `i` or above.
+    fn sift_up(&mut self, mut i: usize, ev: Event) {
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if !ev.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, ev);
+    }
+
+    /// Settle `ev` into slot `i` or below.
+    fn sift_down(&mut self, mut i: usize, ev: Event) {
+        let n = self.heap.len();
+        loop {
+            let first = 4 * i + 1;
+            if first >= n {
+                break;
+            }
+            let mut child = first;
+            for c in first + 1..(first + 4).min(n) {
+                if self.heap[c].before(&self.heap[child]) {
+                    child = c;
+                }
+            }
+            if !self.heap[child].before(&ev) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, ev);
     }
 }
 
@@ -137,12 +219,18 @@ struct InvState {
 
 struct Transfer {
     task: TaskId,
+    /// The task's capacity resources, copied out of the task arena.
+    path: ResourceSet,
     mb: u32,
     bytes: u64,
     remaining: f64,
     rate: f64,
     last_update: f64,
-    gen: u64,
+    /// The last `Engine::epoch` that collected this transfer into
+    /// `Engine::affected`.
+    seen: u64,
+    /// Latency done, bytes draining: the queued event is the drain finish,
+    /// not the startup latency.
     draining: bool,
     send_tb: u32,
     recv_tb: u32,
@@ -191,6 +279,17 @@ struct ResState {
     up: bool,
     /// Fault state: brownout bandwidth multiplier (1.0 = nominal).
     factor: f64,
+    /// One drain's fair share, `effective_bandwidth(load) * factor / load`
+    /// — the momentary capacity, brownout included, split evenly. Read
+    /// only while `load > 0`; refreshed on every change of `load` or
+    /// `factor`.
+    share: f64,
+}
+
+impl ResState {
+    fn refresh_share(&mut self) {
+        self.share = self.params.effective_bandwidth(self.load) * self.factor / self.load as f64;
+    }
 }
 
 struct Engine<'a> {
@@ -202,12 +301,18 @@ struct Engine<'a> {
     n_mb: u32,
     n_ranks: u32,
     now: f64,
-    seq: u64,
     tbs: Vec<TbState>,
     invs: Vec<InvState>,
     transfers: Vec<Transfer>,
     resources: Vec<ResState>,
-    heap: BinaryHeap<Ev>,
+    /// Event ids: fault transition `i` is `i`, the deadline is
+    /// `fault_sched.len()`, transfer `x` is `fault_sched.len() + 1 + x`.
+    events: EventQueue,
+    /// Transfers whose rate a load change touched, in first-seen order
+    /// (that order assigns their `seq`); reused across events.
+    affected: Vec<u32>,
+    /// Stamp of the current `affected` collection.
+    epoch: u64,
     /// Buffer values: `buffers[mb][rank * n_chunks + chunk]`.
     buffers: Vec<Vec<ChunkValue>>,
     rng: StdRng,
@@ -277,6 +382,7 @@ impl<'a> Engine<'a> {
                     draining: Vec::new(),
                     up: true,
                     factor: 1.0,
+                    share: 0.0,
                 })
             })
             .collect::<SimResult<_>>()?;
@@ -500,12 +606,13 @@ impl<'a> Engine<'a> {
             n_mb,
             n_ranks,
             now: 0.0,
-            seq: 0,
             tbs,
             invs,
             transfers: Vec::new(),
             resources,
-            heap: BinaryHeap::new(),
+            events: EventQueue::default(),
+            affected: Vec::new(),
+            epoch: 0,
             buffers,
             rng: StdRng::seed_from_u64(config.seed),
             inv_done: inv_done_init,
@@ -546,22 +653,23 @@ impl<'a> Engine<'a> {
         // Fault schedule: stable-sort by timestamp. Transitions at or
         // before t = 0 — already in the past, e.g. after a retry shifted
         // the timeline with [`FaultTimeline::advanced`] — apply before
-        // launch; the rest enter the event heap. Fault events are pushed
-        // before any transfer event, so at equal timestamps they fire
-        // first (stable `seq` tie-break) — replay is deterministic.
+        // launch; the rest enter the event queue. Fault events are
+        // scheduled before any transfer event, so at equal timestamps they
+        // fire first (stable `seq` tie-break) — replay is deterministic.
         let mut sched = self.config.faults.events().to_vec();
         sched.sort_by(|a, b| a.at_ns.total_cmp(&b.at_ns));
         self.fault_sched = sched;
-        for i in 0..self.fault_sched.len() as u32 {
+        let deadline_event = self.fault_sched.len() as u32;
+        for i in 0..deadline_event {
             let at = self.fault_sched[i as usize].at_ns;
             if at <= 0.0 {
                 self.apply_fault(i);
             } else {
-                self.push_event(at, EvKind::Fault(i));
+                self.events.schedule(i, at);
             }
         }
         if let Some(d) = self.config.deadline_ns {
-            self.push_event(d, EvKind::Deadline);
+            self.events.schedule(deadline_event, d);
         }
 
         // Kernel launch: every TB arrives at its first invocation at t = 0.
@@ -572,7 +680,7 @@ impl<'a> Engine<'a> {
             return Err(err);
         }
 
-        while let Some(ev) = self.heap.pop() {
+        while let Some(ev) = self.events.pop() {
             // Monotonicity tolerance must scale with the clock: at f64 ns
             // magnitudes a second-long run sits near 1e9, where rounding
             // noise dwarfs any fixed absolute epsilon. Allow one part in
@@ -585,21 +693,23 @@ impl<'a> Engine<'a> {
                 self.now
             );
             self.now = ev.t.max(self.now);
-            match ev.kind {
-                EvKind::LatencyDone(x) => self.on_latency_done(x),
-                EvKind::DrainDone(x, gen) => {
-                    if self.transfers[x as usize].gen == gen {
-                        self.on_drain_done(x);
-                    }
-                }
-                EvKind::Fault(i) => self.apply_fault(i),
-                EvKind::Deadline => {
+            match ev.id.cmp(&deadline_event) {
+                Ordering::Less => self.apply_fault(ev.id),
+                Ordering::Equal => {
                     if self.inv_done < self.inv_total {
                         self.fatal.get_or_insert(SimError::DeadlineExceeded {
                             deadline_ns: self.config.deadline_ns.unwrap_or(self.now).round() as u64,
                             completed: self.inv_done,
                             total: self.inv_total,
                         });
+                    }
+                }
+                Ordering::Greater => {
+                    let x = ev.id - deadline_event - 1;
+                    if self.transfers[x as usize].draining {
+                        self.on_drain_done(x);
+                    } else {
+                        self.on_latency_done(x);
                     }
                 }
             }
@@ -797,34 +907,33 @@ impl<'a> Engine<'a> {
                 }
             }
             Fault::LinkUp(r) => self.resources[r.index()].up = true,
-            Fault::Brownout(r, f) => {
-                self.resources[r.index()].factor = f;
-                self.reproject_resource(r);
-            }
-            Fault::BrownoutEnd(r) => {
-                self.resources[r.index()].factor = 1.0;
-                self.reproject_resource(r);
-            }
+            Fault::Brownout(r, f) => self.set_factor(r, f),
+            Fault::BrownoutEnd(r) => self.set_factor(r, 1.0),
             Fault::Straggler(rank, m) => self.straggle[rank as usize] = m,
         }
     }
 
-    /// Re-project every transfer draining on `r` after its capacity
-    /// changed (brownout start/end).
-    fn reproject_resource(&mut self, r: ResourceId) {
-        let draining = self.resources[r.index()].draining.clone();
-        for x in draining {
+    /// Change `r`'s brownout factor and re-project every transfer draining
+    /// on it.
+    fn set_factor(&mut self, r: ResourceId, factor: f64) {
+        let rs = &mut self.resources[r.index()];
+        rs.factor = factor;
+        rs.refresh_share();
+        // Re-projection never changes a drain list.
+        for i in 0..self.resources[r.index()].draining.len() {
+            let x = self.resources[r.index()].draining[i];
             self.reproject(x);
         }
     }
 
-    /// The first dead resource on a task's path, if any.
-    fn dead_on_path(&self, task: TaskId) -> Option<ResourceId> {
-        self.dag
-            .task(task)
-            .path
-            .iter()
-            .find(|r| !self.resources[r.index()].up)
+    /// The first dead resource on `path`, if any.
+    fn dead_on(&self, path: ResourceSet) -> Option<ResourceId> {
+        path.iter().find(|r| !self.resources[r.index()].up)
+    }
+
+    /// The event id of transfer `x`.
+    fn transfer_event(&self, x: u32) -> u32 {
+        self.fault_sched.len() as u32 + 1 + x
     }
 
     /// Record a typed [`SimError::ResourceDown`] for `task` hitting dead
@@ -966,7 +1075,8 @@ impl<'a> Engine<'a> {
         }
         // A transfer cannot cross a dead resource: surface the typed
         // failure so the Communicator's watchdog can retry or recompile.
-        if let Some(r) = self.dead_on_path(task) {
+        let t = self.dag.task(task);
+        if let Some(r) = self.dead_on(t.path) {
             self.fail_on_dead(task, r);
             return;
         }
@@ -988,7 +1098,6 @@ impl<'a> Engine<'a> {
             self.record_wait(inv.recv_tb, inv.recv_arrival, inv.send_arrival, task, mb);
         }
 
-        let t = self.dag.task(task);
         let bytes = self.plan.invocation_bytes(mb);
         // Fused forwards capture at completion instead (their payload is
         // the feeder's freshly-delivered value, applied by then).
@@ -1018,12 +1127,13 @@ impl<'a> Engine<'a> {
         let x = self.transfers.len() as u32;
         self.transfers.push(Transfer {
             task,
+            path: t.path,
             mb,
             bytes,
             remaining: bytes as f64,
             rate: 0.0,
             last_update: now,
-            gen: 0,
+            seen: 0,
             draining: false,
             send_tb: inv.send_tb,
             recv_tb: inv.recv_tb,
@@ -1033,7 +1143,7 @@ impl<'a> Engine<'a> {
             pending_complete: false,
         });
         self.invs[idx].transfer = x;
-        self.push_event(now + latency, EvKind::LatencyDone(x));
+        self.events.schedule(self.transfer_event(x), now + latency);
 
         // Wake fused followers gated on this start.
         let followers = self.fused_next[task.index()].clone();
@@ -1048,35 +1158,54 @@ impl<'a> Engine<'a> {
 
     fn on_latency_done(&mut self, x: u32) {
         let now = self.now;
-        let task = self.transfers[x as usize].task;
+        let (task, path) = {
+            let t = &self.transfers[x as usize];
+            (t.task, t.path)
+        };
         // The resource may have died during the startup latency: fail the
         // transfer before it registers on the path.
-        if let Some(r) = self.dead_on_path(task) {
+        if let Some(r) = self.dead_on(path) {
             self.fail_on_dead(task, r);
             return;
         }
-        let path = self.dag.task(task).path;
-        self.transfers[x as usize].draining = true;
-        self.transfers[x as usize].last_update = now;
-        self.transfers[x as usize].drain_start = now;
-        let mut affected: Vec<u32> = Vec::new();
+        let t = &mut self.transfers[x as usize];
+        t.draining = true;
+        t.last_update = now;
+        t.drain_start = now;
+        self.start_affected();
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             if rs.load == 0 {
                 rs.active_since = now;
             }
             rs.load += 1;
+            rs.refresh_share();
             for &other in &rs.draining {
-                if !affected.contains(&other) {
-                    affected.push(other);
+                let seen = &mut self.transfers[other as usize].seen;
+                if *seen != self.epoch {
+                    *seen = self.epoch;
+                    self.affected.push(other);
                 }
             }
             rs.draining.push(x);
         }
         self.reproject(x);
-        for other in affected {
-            self.reproject(other);
+        self.reproject_affected();
+    }
+
+    /// Begin collecting a fresh `affected` set.
+    fn start_affected(&mut self) {
+        self.epoch += 1;
+        self.affected.clear();
+    }
+
+    /// Re-project every collected transfer, in first-seen order.
+    fn reproject_affected(&mut self) {
+        let affected = std::mem::take(&mut self.affected);
+        for &x in &affected {
+            self.reproject(x);
         }
+        self.affected = affected;
     }
 
     /// Settle a draining transfer's progress and re-project its finish.
@@ -1087,45 +1216,35 @@ impl<'a> Engine<'a> {
         t.remaining -= t.rate * (now - t.last_update);
         t.remaining = t.remaining.max(0.0);
         t.last_update = now;
-        let path = self.dag.task(t.task).path;
-        let mut rate = f64::INFINITY;
-        for r in path.iter() {
-            let rs = &self.resources[r.index()];
-            // Brownout factor scales the momentary capacity.
-            let share = rs.params.effective_bandwidth(rs.load) * rs.factor / rs.load as f64;
-            rate = rate.min(share);
-        }
+        let rate = t
+            .path
+            .iter()
+            .map(|r| self.resources[r.index()].share)
+            .fold(f64::INFINITY, f64::min);
         debug_assert!(rate.is_finite() && rate > 0.0);
-        let t = &mut self.transfers[x as usize];
         t.rate = rate;
-        t.gen += 1;
-        let gen = t.gen;
         let finish = now + t.remaining / rate;
-        self.push_event(finish, EvKind::DrainDone(x, gen));
+        self.events.schedule(self.transfer_event(x), finish);
     }
 
     fn on_drain_done(&mut self, x: u32) {
         let now = self.now;
-        let (task, mb, bytes) = {
+        let (task, path, mb, bytes) = {
             let t = &self.transfers[x as usize];
-            (t.task, t.mb, t.bytes)
+            (t.task, t.path, t.mb, t.bytes)
         };
 
         // Free resources and settle peers.
-        let path = self.dag.task(task).path;
-        let mut affected: Vec<u32> = Vec::new();
-        let observing = self.obs.is_some();
-        // Busy intervals closed on this event ((resource, open time));
-        // stays unallocated unless attribution is on.
-        let mut closed: Vec<(usize, f64)> = Vec::new();
+        self.start_affected();
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             rs.load -= 1;
+            rs.refresh_share();
             rs.bytes += bytes;
             if rs.load == 0 {
                 rs.active_ns += now - rs.active_since;
-                if observing {
-                    closed.push((r.index(), rs.active_since));
+                if let Some(obs) = self.obs.as_mut() {
+                    obs.res_intervals[r.index()].push((rs.active_since, now));
                 }
             }
             match rs.draining.iter().position(|&o| o == x) {
@@ -1145,20 +1264,15 @@ impl<'a> Engine<'a> {
                 }
             }
             for &other in &rs.draining {
-                if !affected.contains(&other) {
-                    affected.push(other);
+                let seen = &mut self.transfers[other as usize].seen;
+                if *seen != self.epoch {
+                    *seen = self.epoch;
+                    self.affected.push(other);
                 }
             }
         }
         self.transfers[x as usize].draining = false;
-        if let Some(obs) = self.obs.as_mut() {
-            for (ri, since) in closed {
-                obs.res_intervals[ri].push((since, now));
-            }
-        }
-        for other in affected {
-            self.reproject(other);
-        }
+        self.reproject_affected();
 
         // Cut-through causality: a fused forward cannot complete before the
         // receive that feeds it.
@@ -1241,8 +1355,8 @@ impl<'a> Engine<'a> {
         self.invs[idx].done = true;
         self.inv_done += 1;
         self.completion = self.completion.max(now);
-        let succs: Vec<TaskId> = self.dag.succs(task).to_vec();
-        for s in succs {
+        let dag = self.dag;
+        for &s in dag.succs(task) {
             // The fused forward's dependency on this feeder was lifted at
             // initialization; everything else decrements normally.
             if self.fused_pred[s.index()] == task.0 {
@@ -1360,15 +1474,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn push_event(&mut self, t: f64, kind: EvKind) {
-        self.seq += 1;
-        self.heap.push(Ev {
-            t,
-            seq: self.seq,
-            kind,
-        });
-    }
-
     fn check_data(&self) -> SimResult<bool> {
         let n_chunks = self.dag.n_chunks();
         for mb in 0..self.n_mb {
@@ -1396,7 +1501,7 @@ impl<'a> Engine<'a> {
         let mut detail = String::new();
         for (i, inv) in self.invs.iter().enumerate() {
             if !inv.done && inv.started {
-                continue; // in flight — impossible here (heap empty)
+                continue; // in flight — impossible here (queue empty)
             }
             if !inv.done {
                 let task = TaskId::new((i / self.n_mb as usize) as u32);
@@ -1452,5 +1557,100 @@ impl<'a> Engine<'a> {
             "deadlock: {}/{} invocations completed; {detail}{heads}",
             self.inv_done, self.inv_total
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A `BinaryHeap` with generation-based lazy deletion: every
+    /// scheduling pushes a fresh entry stamped with its id's new
+    /// generation, and pops skip entries a later scheduling superseded.
+    #[derive(Default)]
+    struct LazyHeap {
+        heap: BinaryHeap<Reverse<Stamped>>,
+        generation: Vec<u64>,
+        seq: u64,
+    }
+
+    struct Stamped {
+        ev: Event,
+        generation: u64,
+    }
+
+    impl PartialEq for Stamped {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Stamped {}
+    impl PartialOrd for Stamped {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Stamped {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.ev
+                .t
+                .total_cmp(&other.ev.t)
+                .then_with(|| self.ev.seq.cmp(&other.ev.seq))
+        }
+    }
+
+    impl LazyHeap {
+        fn schedule(&mut self, id: u32, t: f64) {
+            self.seq += 1;
+            if id as usize >= self.generation.len() {
+                self.generation.resize(id as usize + 1, 0);
+            }
+            self.generation[id as usize] += 1;
+            self.heap.push(Reverse(Stamped {
+                ev: Event {
+                    t,
+                    seq: self.seq,
+                    id,
+                },
+                generation: self.generation[id as usize],
+            }));
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            while let Some(Reverse(s)) = self.heap.pop() {
+                if s.generation == self.generation[s.ev.id as usize] {
+                    return Some(s.ev);
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn indexed_queue_pops_like_lazy_deletion() {
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_ids = 1 + rng.gen_range(0..64);
+            let mut queue = EventQueue::default();
+            let mut reference = LazyHeap::default();
+            for _ in 0..4_000 {
+                if rng.gen_range(0..3) < 2 {
+                    // Rescheduling a queued id moves its key up or down;
+                    // coarse times force `seq` tie-breaks.
+                    let id = rng.gen_range(0..n_ids) as u32;
+                    let t = rng.gen_range(0..40) as f64 * 0.5;
+                    queue.schedule(id, t);
+                    reference.schedule(id, t);
+                } else {
+                    assert_eq!(queue.pop(), reference.pop(), "seed {seed}");
+                }
+            }
+            while let Some(ev) = reference.pop() {
+                assert_eq!(queue.pop(), Some(ev), "seed {seed}");
+            }
+            assert_eq!(queue.pop(), None, "seed {seed}");
+        }
     }
 }
