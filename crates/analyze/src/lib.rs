@@ -93,8 +93,9 @@ pub struct AnalysisInput<'a> {
 }
 
 /// What a residual plan was carved out of: the context
-/// [`analyze_residual`] needs to replay provenance from the fault
-/// frontier (lint RA008).
+/// [`Incremental::Residual`] analysis needs to replay provenance from the
+/// fault frontier (lint RA008).
+#[derive(Clone, Copy)]
 pub struct ResidualContext<'a> {
     /// The original (pre-fault) dependency DAG the residual was pruned
     /// from.
@@ -108,122 +109,101 @@ pub struct ResidualContext<'a> {
     pub completed: &'a [bool],
 }
 
-/// Run every lint over one compiled plan and collect the diagnostics.
-///
-/// The report is deterministic: diagnostics are sorted by
-/// `(code, site, message)` regardless of discovery order, and carries the
-/// RA007 makespan certificate.
-pub fn analyze(input: &AnalysisInput, config: &AnalysisConfig) -> AnalysisReport {
-    let order = CombinedOrder::build(input.dag, input.program);
-    let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
-    let mut out = Vec::new();
-    match HbOracle::build(&order, &chunk_of) {
-        // A cycle poisons reachability queries; report only the deadlock
-        // and let the user re-run once it is fixed.
-        Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),
-        Ok(mut oracle) => {
-            lints::ra002_buffer_race(input, &order, &mut oracle, &mut out);
-            lints::ra006_lifetime_overlap(input, &order, &mut oracle, &mut out);
-        }
-    }
-    lints::ra003_oversubscription(input, config, &mut out);
-    lints::ra004_dead_transfer(input, &mut out);
-    lints::ra005_degraded_soundness(input, &mut out);
-    let certificate = lints::ra007_cost_feasibility(input, &mut out);
-    AnalysisReport::new(out).with_certificate(certificate)
+/// What the caller already knows about the plan under analysis, which
+/// decides the lints [`analyze`] runs.
+#[derive(Clone, Copy)]
+pub enum Incremental<'a> {
+    /// A fresh plan: every lint runs (RA001–RA007).
+    Fresh,
+    /// A plan whose *routing* changed but whose structure did not — the
+    /// incremental-recompile splice path.
+    ///
+    /// The caller asserts that relative to the plan `cached` was produced
+    /// from, the DAG adjacency, every task's `(src, dst, chunk, step,
+    /// comm)` tuple, the schedule, and the kernel program are all
+    /// identical; only the per-task `path`/`conflict` resource sets and
+    /// the topology health overlay differ. Routing is not among the
+    /// inputs of RA001 (combined order), RA002 (combined order plus
+    /// `(dst, chunk, comm)`), RA004 (the transfer tuples) or RA006
+    /// (combined order plus `(src, dst, chunk)`), so their diagnostics
+    /// splice through from `cached`. RA003's load check re-runs only over
+    /// `dirty`, the sub-pipelines that contain a rerouted task; its
+    /// cached verdicts elsewhere splice through, as do the TB-budget
+    /// warnings (the allocation is untouched). RA005 and RA007 re-run in
+    /// full, with a fresh certificate: both read routes, and both are
+    /// linear scans that never touch the combined order.
+    Rerouted {
+        /// The report of the plan that was rerouted.
+        cached: &'a AnalysisReport,
+        /// Sub-pipelines that contain a rerouted task.
+        dirty: &'a [u32],
+    },
+    /// A *residual* plan — the pruned remainder a partial-progress
+    /// recovery compiles from a fault frontier.
+    ///
+    /// The completed prefix's transfers are gone but their buffer
+    /// contributions already landed. Every structural, routing and cost
+    /// lint applies to the remainder as to a fresh plan. Dead-transfer
+    /// coverage comes from RA008 instead of RA004: RA004's replay assumes
+    /// each chunk starts from the spec's precondition, which the completed
+    /// prefix has already advanced past, so RA008 replays provenance
+    /// *from the fault frontier* and flags surviving tasks that no longer
+    /// contribute to the postcondition.
+    Residual(ResidualContext<'a>),
 }
 
-/// Re-analyze a plan whose *routing* changed but whose structure did not.
+/// Run the lints over one compiled plan and collect the diagnostics.
 ///
-/// The caller asserts that relative to the plan `cached` was produced
-/// from, the DAG adjacency, every task's `(src, dst, chunk, step, comm)`
-/// tuple, the schedule, and the kernel program are all identical — only
-/// the per-task `path`/`conflict` resource sets and the topology health
-/// overlay differ (the incremental-recompile splice path: the router
-/// re-resolved routes around masked resources and the old schedule stayed
-/// feasible). Under those invariants four lints cannot change verdicts,
-/// because routing is not among their inputs:
-///
-/// * RA001 reads DAG edges ∪ per-TB slot order ∪ fusion gates — unchanged;
-/// * RA002 reads the same combined order plus `(dst, chunk, comm)` — unchanged;
-/// * RA004 replays `(src, dst, chunk, step, comm)` — unchanged;
-/// * RA006 reads the combined order plus `(src, dst, chunk)` — unchanged.
-///
-/// Their diagnostics are spliced through from `cached`. RA003's load
-/// check re-runs only over `dirty_sub_pipelines`, the sub-pipelines that
-/// contain a rerouted task (loads elsewhere are unchanged, so their
-/// cached verdicts splice through too, as do the TB-budget warnings: the
-/// allocation is untouched). RA005 (routes vs. the health overlay) and
-/// RA007 (route occupancy, windowed demand, and the makespan certificate
-/// — reroutes move bytes onto different links) re-run in full; both are
-/// linear scans that never touch the combined order. The result is a
-/// full RA001–RA007 report, with a fresh certificate, at a cost
-/// proportional to the dirty region plus two linear scans.
-pub fn analyze_rerouted(
-    input: &AnalysisInput,
-    _config: &AnalysisConfig,
-    cached: &AnalysisReport,
-    dirty_sub_pipelines: &[u32],
-) -> AnalysisReport {
-    let mut out: Vec<Diagnostic> = cached
-        .diagnostics()
-        .iter()
-        .filter(|d| match d.code {
-            LintCode::RA001 | LintCode::RA002 | LintCode::RA004 | LintCode::RA006 => true,
-            // RA003 splices through except for load findings inside a
-            // dirty sub-pipeline, which are superseded by the re-run
-            // below. Budget warnings carry no sub-pipeline site.
-            LintCode::RA003 => match d.site.sub_pipeline {
-                Some(sp) => !dirty_sub_pipelines.contains(&sp),
-                None => true,
-            },
-            // RA005 and RA007 re-run in full against the new routes.
-            LintCode::RA005 | LintCode::RA007 => false,
-            // RA008 only ever appears on residual plans, which never take
-            // the reroute-splice path; drop defensively.
-            LintCode::RA008 => false,
-        })
-        .cloned()
-        .collect();
-    lints::ra003_sub_pipeline_loads(input, dirty_sub_pipelines, &mut out);
-    lints::ra005_degraded_soundness(input, &mut out);
-    let certificate = lints::ra007_cost_feasibility(input, &mut out);
-    AnalysisReport::new(out).with_certificate(certificate)
-}
-
-/// Analyze a *residual* plan — the pruned remainder a partial-progress
-/// recovery compiles from a fault frontier.
-///
-/// A residual DAG keeps only the tasks with unfinished invocations; the
-/// completed prefix's transfers are gone, but their buffer contributions
-/// already landed (and are reconstructed by the resume replay). Every
-/// structural, routing, and cost lint applies to the remainder exactly
-/// as to a fresh plan (RA001, RA002, RA003, RA005, RA006, RA007 — with a
-/// fresh makespan certificate for the residual work). Dead-transfer
-/// coverage comes from RA008 instead of RA004: RA004's replay assumes
-/// each chunk starts from the spec's precondition, which the completed
-/// prefix has already advanced past, so RA008 replays provenance *from
-/// the fault frontier* (`ctx`) — completed tasks first, surviving tasks
-/// after — and flags surviving tasks that no longer contribute to the
-/// postcondition.
-pub fn analyze_residual(
+/// `incremental` says which lints must run ([`Incremental`]); the
+/// order-sensitive ones share one [`HbOracle`]. The report is
+/// deterministic: diagnostics are sorted by `(code, site, message)`
+/// regardless of discovery order, and it carries the RA007 makespan
+/// certificate.
+pub fn analyze(
     input: &AnalysisInput,
     config: &AnalysisConfig,
-    ctx: &ResidualContext,
+    incremental: Incremental,
 ) -> AnalysisReport {
-    let order = CombinedOrder::build(input.dag, input.program);
-    let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
     let mut out = Vec::new();
-    match HbOracle::build(&order, &chunk_of) {
-        Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),
-        Ok(mut oracle) => {
-            lints::ra002_buffer_race(input, &order, &mut oracle, &mut out);
-            lints::ra006_lifetime_overlap(input, &order, &mut oracle, &mut out);
+    if let Incremental::Rerouted { cached, dirty } = incremental {
+        out.extend(
+            cached
+                .diagnostics()
+                .iter()
+                .filter(|d| match d.code {
+                    LintCode::RA001 | LintCode::RA002 | LintCode::RA004 | LintCode::RA006 => true,
+                    // Load findings inside a dirty sub-pipeline are
+                    // superseded by the re-run below. Budget warnings
+                    // carry no sub-pipeline site.
+                    LintCode::RA003 => !d.site.sub_pipeline.is_some_and(|sp| dirty.contains(&sp)),
+                    // RA005 and RA007 re-run in full; RA008 only ever
+                    // appears on residual plans.
+                    LintCode::RA005 | LintCode::RA007 | LintCode::RA008 => false,
+                })
+                .cloned(),
+        );
+        lints::ra003_sub_pipeline_loads(input, dirty, &mut out);
+    } else {
+        let order = CombinedOrder::build(input.dag, input.program);
+        let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
+        match HbOracle::build(&order, &chunk_of) {
+            // A cycle poisons reachability queries; report only the
+            // deadlock and let the user re-run once it is fixed.
+            Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),
+            Ok(mut oracle) => {
+                lints::ra002_buffer_race(input, &order, &mut oracle, &mut out);
+                lints::ra006_lifetime_overlap(input, &order, &mut oracle, &mut out);
+            }
+        }
+        lints::ra003_oversubscription(input, config, &mut out);
+        if let Incremental::Fresh = incremental {
+            lints::ra004_dead_transfer(input, &mut out);
         }
     }
-    lints::ra003_oversubscription(input, config, &mut out);
     lints::ra005_degraded_soundness(input, &mut out);
-    lints::ra008_residual_dead_transfer(input, ctx, &mut out);
+    if let Incremental::Residual(ctx) = &incremental {
+        lints::ra008_residual_dead_transfer(input, ctx, &mut out);
+    }
     let certificate = lints::ra007_cost_feasibility(input, &mut out);
     AnalysisReport::new(out).with_certificate(certificate)
 }
@@ -266,6 +246,7 @@ mod tests {
                 topo: &topo,
             },
             &AnalysisConfig::default(),
+            Incremental::Fresh,
         );
         assert!(report.is_clean(), "unexpected: {}", report.render_human());
         let cert = report.certificate().expect("certificate attached");
@@ -289,6 +270,7 @@ mod tests {
                 topo: &topo,
             },
             &AnalysisConfig::default(),
+            Incremental::Fresh,
         );
         assert!(report.is_clean(), "unexpected: {}", report.render_human());
         assert!(report.certificate().is_some());

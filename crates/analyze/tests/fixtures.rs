@@ -14,8 +14,8 @@
 
 use rescc_alloc::TbAllocation;
 use rescc_analyze::{
-    analyze, analyze_residual, AnalysisConfig, AnalysisInput, AnalysisReport, LintCode,
-    ResidualContext, Severity,
+    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental, LintCode, ResidualContext,
+    Severity,
 };
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, KernelSlot, LoopOrder, Primitive, TbProgram};
@@ -58,6 +58,7 @@ fn run(
             topo,
         },
         config,
+        Incremental::Fresh,
     )
 }
 
@@ -432,7 +433,7 @@ fn ra007_fixture_zero_bandwidth_link() {
 /// ring completed and only the two extras survive. Replaying provenance
 /// from that frontier shows task A's delivery overwritten by B before
 /// any read — a dead transfer in the residual that pre-RA008
-/// `analyze_residual` (which skipped dead-transfer analysis entirely)
+/// residual analysis (which skipped dead-transfer analysis entirely)
 /// silently admitted.
 #[test]
 fn ra008_fixture_residual_dead_transfer() {
@@ -468,7 +469,7 @@ fn ra008_fixture_residual_dead_transfer() {
         LoopOrder::SlotMajor,
         ExecMode::DirectKernel,
     );
-    let report = analyze_residual(
+    let report = analyze(
         &AnalysisInput {
             spec: &spec,
             dag: &dag,
@@ -478,11 +479,11 @@ fn ra008_fixture_residual_dead_transfer() {
             topo: &topo,
         },
         &AnalysisConfig::default(),
-        &ResidualContext {
+        Incremental::Residual(ResidualContext {
             orig_dag: &orig_dag,
             orig_ids: &orig_ids,
             completed: &completed,
-        },
+        }),
     );
     assert_only(&report, LintCode::RA008, Severity::Warn);
     assert_eq!(report.diagnostics().len(), 1, "only A is dead, B survives");

@@ -14,7 +14,9 @@
 //! `analyze-bench` experiment.
 
 use rescc_alloc::TbAllocation;
-use rescc_analyze::{analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle};
+use rescc_analyze::{
+    analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, Incremental,
+};
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
@@ -55,7 +57,7 @@ fn main() {
     let mut best_subset = f64::MAX;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let report = analyze(&input, &config);
+        let report = analyze(&input, &config, Incremental::Fresh);
         best_full = best_full.min(t0.elapsed().as_secs_f64());
         if !report.is_clean() {
             failures.push(format!(

@@ -16,7 +16,7 @@
 //!   bound that keeps the oracle honest: RA006/RA007 ride on shared
 //!   structures instead of rebuilding their own;
 //! * the incremental path: a post-fault delta recompile's sanitize phase
-//!   (`analyze_rerouted` splice) vs the full compile's sanitize phase.
+//!   (`Incremental::Rerouted` splice) vs the full compile's sanitize phase.
 //!
 //! It also cross-checks the RA007 cost certificate against the engine on
 //! Table-3 seed plans: no simulated run may finish below its plan's
@@ -28,7 +28,8 @@ use crate::{print_table, MB};
 use rescc_algos::{hm_allreduce, ring_allgather};
 use rescc_alloc::TbAllocation;
 use rescc_analyze::{
-    analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, OracleStats,
+    analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, Incremental,
+    OracleStats,
 };
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
@@ -93,7 +94,7 @@ fn measure(input: &AnalysisInput, config: &AnalysisConfig) -> Sample {
         lints::ra005_degraded_soundness(input, &mut out);
         assert!(out.is_empty());
     });
-    let (full_s, report) = time(|| analyze(input, config));
+    let (full_s, report) = time(|| analyze(input, config, Incremental::Fresh));
     assert!(report.is_clean() && report.certificate().is_some());
 
     Sample {
@@ -227,7 +228,7 @@ pub fn run() {
     );
 
     // Incremental path: sanitize cost of a post-fault delta recompile
-    // (analyze_rerouted splice) vs the full compile's sanitize phase.
+    // (rerouted splice) vs the full compile's sanitize phase.
     let (nodes, g) = (128u32, 8u32);
     let topo = Topology::a100(nodes, g);
     let compiler = Compiler::new();

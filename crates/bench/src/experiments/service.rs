@@ -13,7 +13,7 @@
 //!   cache: most dispatches hit, a steady trickle of never-seen
 //!   fingerprints compiles, and eviction pressure runs throughout.
 //! * **singleflight** — K threads race one cold fingerprint per round;
-//!   the process-wide `phase_counters` prove exactly one compile ran per
+//!   a counter in the compile closure proves exactly one compile ran per
 //!   round (hard-asserted — this is the dedup guarantee, independent of
 //!   scheduling), and the same race against the reference cache reports
 //!   how many duplicate compiles the old design admits.
@@ -31,7 +31,7 @@
 
 use crate::{print_table, MB};
 use rescc_algos::hm_allreduce;
-use rescc_core::{phase_counters, plan_fingerprint, Compiler, PlanCache, SingleMutexPlanCache};
+use rescc_core::{plan_fingerprint, Compiler, PlanCache, SingleMutexPlanCache};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
@@ -191,28 +191,30 @@ fn prewarm(cache: &PlanCache, compiler: &Compiler, hot: &[Req]) {
 }
 
 /// The singleflight race: `RACERS` threads dispatch one cold fingerprint
-/// simultaneously. Returns (compiles observed via phase counters,
-/// coalesced serves). The sharded cache must observe exactly 1 compile;
-/// callers assert.
+/// simultaneously. Returns (compile closures run, coalesced serves). The
+/// sharded cache must run exactly 1 compile; callers assert.
 fn race_once(cache: &PlanCache, compiler: &Compiler, salt: u64) -> (u64, u64) {
     let req = cold_req(compiler, salt);
     let before_stats = cache.stats();
-    let before = phase_counters::snapshot();
+    let compiles = AtomicU64::new(0);
     let start = Barrier::new(RACERS);
     thread::scope(|s| {
         for _ in 0..RACERS {
-            let (cache, compiler, req, start) = (cache, compiler, &req, &start);
+            let (cache, compiler, req, start, compiles) =
+                (cache, compiler, &req, &start, &compiles);
             s.spawn(move || {
                 start.wait();
                 cache
-                    .get_or_compile_keyed(req.key, || compiler.compile_spec(&req.spec, &req.topo))
+                    .get_or_compile_keyed(req.key, || {
+                        compiles.fetch_add(1, Ordering::SeqCst);
+                        compiler.compile_spec(&req.spec, &req.topo)
+                    })
                     .expect("race dispatch");
             });
         }
     });
-    let ran = phase_counters::snapshot().since(&before);
     (
-        ran.scheduling,
+        compiles.load(Ordering::SeqCst),
         cache.stats().coalesced - before_stats.coalesced,
     )
 }

@@ -11,7 +11,7 @@
 //!    surviving chains at the frontier.
 //! 2. **Recompile** — scheduling and lowering re-run on the residual DAG
 //!    (the pruned shape changes priorities and TB shapes), and the
-//!    sanitize lints re-run via [`rescc_analyze::analyze_residual`].
+//!    sanitize lints re-run as [`Incremental::Residual`] analysis.
 //!    Dead-transfer coverage comes from RA008, which replays the
 //!    completed prefix from the fault frontier before judging the
 //!    surviving transfers (plain RA004 would mis-replay a plan whose
@@ -24,13 +24,10 @@
 //!    reaches the collective's postcondition in every micro-batch, i.e.
 //!    that resuming is byte-equivalent to a fault-free run.
 
-use crate::{phase_counters, CompiledPlan, Compiler, LintGate, PhaseTimings, SchedulerChoice};
-use rescc_alloc::TbAllocation;
-use rescc_analyze::{analyze_residual, AnalysisInput, AnalysisReport, ResidualContext};
+use crate::{CompiledPlan, Compiler, PhaseTimings};
+use rescc_analyze::{Incremental, ResidualContext};
 use rescc_ir::{DepDag, TaskId};
-use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::CommType;
-use rescc_sched::{hpds_with_threads, round_robin_with_threads};
 use rescc_sim::{
     expected_final, initial_value, ChunkValue, FaultFrontier, ReplayOp, ResumeState, SimError,
     SimResult,
@@ -101,7 +98,6 @@ impl Compiler {
         cached: &CompiledPlan,
         frontier: &FaultFrontier,
     ) -> SimResult<ResidualPlan> {
-        let threads = self.threads.max(1);
         let mut timings = PhaseTimings::default();
         let n_tasks = cached.dag.len() as u32;
         if frontier.n_tasks != n_tasks {
@@ -117,7 +113,6 @@ impl Compiler {
             .dag
             .residual(&keep, &cached.topo)
             .map_err(|e| SimError::new(e.to_string()))?;
-        phase_counters::bump(&phase_counters::ANALYSIS);
         timings.analysis = t0.elapsed();
 
         // Resume state: completed micro-batches of surviving tasks in the
@@ -152,80 +147,27 @@ impl Compiler {
             }
         }
 
-        let t0 = Instant::now();
-        let schedule = match self.scheduler {
-            SchedulerChoice::Hpds => hpds_with_threads(&dag, threads),
-            SchedulerChoice::RoundRobin => round_robin_with_threads(&dag, threads),
-        };
-        schedule.validate(&dag).map_err(SimError::SchedulerBug)?;
-        phase_counters::bump(&phase_counters::SCHEDULING);
-        timings.scheduling = t0.elapsed();
-
-        let t0 = Instant::now();
-        let alloc = TbAllocation::state_based_with_threads(&dag, &schedule, threads);
-        alloc
-            .validate(&dag, &schedule)
-            .map_err(SimError::AllocationBug)?;
-        let program = KernelProgram::generate_with_threads(
-            cached.spec.name(),
-            &dag,
-            &alloc,
-            LoopOrder::SlotMajor,
-            ExecMode::DirectKernel,
-            threads,
+        let lowered = self.schedule_and_lower(cached.spec.name(), &dag, &mut timings)?;
+        let plan = CompiledPlan::unsanitized(
+            cached.topo.clone(),
+            cached.spec.clone(),
+            dag,
+            lowered,
+            timings,
         );
-        program.validate(&dag).map_err(SimError::LoweringBug)?;
-        phase_counters::bump(&phase_counters::LOWERING);
-        timings.lowering = t0.elapsed();
-
-        let t0 = Instant::now();
-        let diagnostics = if self.lint_gate == LintGate::Off {
-            AnalysisReport::default()
-        } else {
-            let completed: Vec<bool> = keep.iter().map(|&k| !k).collect();
-            let report = analyze_residual(
-                &AnalysisInput {
-                    spec: &cached.spec,
-                    dag: &dag,
-                    schedule: &schedule,
-                    alloc: &alloc,
-                    program: &program,
-                    topo: &cached.topo,
-                },
-                &self.lint_config,
-                &ResidualContext {
-                    orig_dag: &cached.dag,
-                    orig_ids: &orig_ids,
-                    completed: &completed,
-                },
-            );
-            phase_counters::bump(&phase_counters::SANITIZE);
-            if self.lint_gate == LintGate::Deny && report.has_errors() {
-                return Err(SimError::new(format!(
-                    "sanitize: residual plan rejected by lint gate\n{}",
-                    report.render_human()
-                )));
-            }
-            report
-        };
-        timings.sanitize = t0.elapsed();
+        let completed: Vec<bool> = keep.iter().map(|&k| !k).collect();
+        let plan = self.sanitize(
+            plan,
+            Incremental::Residual(ResidualContext {
+                orig_dag: &cached.dag,
+                orig_ids: &orig_ids,
+                completed: &completed,
+            }),
+        )?;
 
         if self.verify && cached.spec.n_ranks() <= 256 {
-            verify_provenance(cached, &dag, &resume)?;
+            verify_provenance(cached, &plan.dag, &resume)?;
         }
-
-        let plan = CompiledPlan {
-            topo: cached.topo.clone(),
-            spec: cached.spec.clone(),
-            op: cached.op,
-            n_chunks: cached.n_chunks,
-            dag,
-            schedule,
-            alloc,
-            program,
-            timings,
-            diagnostics,
-        };
         Ok(ResidualPlan {
             plan,
             resume,

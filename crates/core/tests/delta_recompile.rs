@@ -6,10 +6,12 @@
 //! deltas must be byte-equivalent to the cached plan without re-running
 //! any phase.
 
-use rescc_core::{phase_counters, Compiler};
+use rescc_core::Compiler;
 use rescc_ir::DepDag;
 use rescc_lang::AlgoSpec;
+use rescc_sim::{LintRefusal, SimError};
 use rescc_topology::{NicId, Rank, Topology, TopologyHealth};
+use std::time::Duration;
 
 const MB: u64 = 1 << 20;
 
@@ -50,6 +52,18 @@ fn fault_sites(topo: &Topology) -> Vec<(String, TopologyHealth)> {
     sites
 }
 
+/// Whether `err` is the sanitize gate refusing a plan with an RA005
+/// finding in its report.
+fn is_ra005_refusal(err: &SimError) -> bool {
+    match err {
+        SimError::LintRejected {
+            refusal: LintRefusal::Plan,
+            report,
+        } => report.contains("RA005"),
+        _ => false,
+    }
+}
+
 #[test]
 fn unchanged_mask_is_byte_equivalent_across_grid() {
     let compiler = Compiler::new();
@@ -57,7 +71,6 @@ fn unchanged_mask_is_byte_equivalent_across_grid() {
         let topo = Topology::table3_topo(i).unwrap();
         for (name, spec) in workloads(&topo) {
             let plan = compiler.compile_spec(&spec, &topo).unwrap();
-            let before = phase_counters::snapshot();
             let delta = compiler.recompile_delta(&plan, plan.topo.health()).unwrap();
             assert!(
                 delta.semantic_eq(&plan),
@@ -65,8 +78,8 @@ fn unchanged_mask_is_byte_equivalent_across_grid() {
                 topo.name()
             );
             assert_eq!(
-                phase_counters::snapshot().since(&before).total(),
-                0,
+                delta.timings.total(),
+                Duration::ZERO,
                 "{name} on {}: identity delta re-ran a phase",
                 topo.name()
             );
@@ -137,14 +150,12 @@ fn delta_plans_are_valid_or_denied_with_ra005() {
                             .unwrap_or_else(|e| panic!("{ctx}: sim failed: {e}"));
                         assert_eq!(report.data_valid, Some(true), "{ctx}: wrong data");
                     }
-                    Err(e) => {
-                        // The only legitimate refusal is the lint gate
-                        // catching a route over a masked resource.
-                        assert!(
-                            e.to_string().contains("RA005"),
-                            "{ctx}: denied without an RA005 finding: {e}"
-                        );
-                    }
+                    // The only legitimate refusal is the lint gate
+                    // catching a route over a masked resource.
+                    Err(e) => assert!(
+                        is_ra005_refusal(&e),
+                        "{ctx}: denied without an RA005 finding: {e}"
+                    ),
                 }
             }
         }
@@ -191,7 +202,7 @@ fn masking_every_nic_tx_on_a_node_is_denied() {
             .recompile_delta(&plan, &health)
             .expect_err("a node with no transmit NIC cannot host inter-node transfers");
         assert!(
-            err.to_string().contains("RA005"),
+            is_ra005_refusal(&err),
             "{}: expected an RA005 denial, got: {err}",
             topo.name()
         );

@@ -157,24 +157,10 @@ pub struct ObsStats {
     /// (singleflight coalescing in a shared plan cache).
     #[serde(default)]
     pub cache_coalesced: u64,
-    /// Watchdog retry attempts (excludes the first attempt).
-    pub retries: u64,
-    /// Watchdog mask+recompile cycles after permanent resource loss.
-    pub recompiles: u64,
-    /// The subset of [`recompiles`](Self::recompiles) served incrementally:
-    /// the cached plan was rerouted and spliced
-    /// (`Compiler::recompile_delta`) instead of recompiled from scratch.
-    pub delta_recompiles: u64,
-    /// Total simulated time spent in watchdog backoff waits, ns.
+    /// Total simulated time spent in watchdog backoff waits, ns. (The
+    /// watchdog's retry, recompile, resume and heal counts live on
+    /// `RunReport::recovery`.)
     pub backoff_ns: f64,
-    /// Watchdog attempts resumed from a fault frontier (only the residual
-    /// work re-ran) instead of restarted from scratch.
-    #[serde(default)]
-    pub resumes: u64,
-    /// Healing events: a previously-masked resource was restored and the
-    /// watchdog failed back to the healthier plan at a collective boundary.
-    #[serde(default)]
-    pub heals: u64,
     /// Every span recorded during the run, in emission order.
     pub spans: Vec<Span>,
 }
@@ -256,7 +242,6 @@ impl ObsStats {
 
     /// Record a watchdog retry attempt as a sim-time recovery span.
     pub fn add_retry(&mut self, attempt: u64, start_ns: f64, dur_ns: f64) {
-        self.retries += 1;
         self.spans.push(Span::new(
             "watchdog",
             format!("retry#{attempt}"),
@@ -284,7 +269,6 @@ impl ObsStats {
     /// wall-clock compile cost is tracked separately via
     /// [`add_compile`](Self::add_compile)).
     pub fn add_recompile(&mut self, start_ns: f64, dur_ns: f64) {
-        self.recompiles += 1;
         self.spans.push(Span::new(
             "watchdog",
             "mask+recompile",
@@ -298,11 +282,10 @@ impl ObsStats {
     /// Record that a mask+recompile cycle was served incrementally — the
     /// watchdog rerouted and spliced the cached plan rather than running a
     /// full compile. Rides alongside [`add_recompile`](Self::add_recompile)
-    /// (which counts the cycle itself); the splice's wall-clock phase cost
+    /// (which spans the cycle itself); the splice's wall-clock phase cost
     /// is folded in via [`add_compile`](Self::add_compile) like any other
     /// compile.
     pub fn add_delta_recompile(&mut self, start_ns: f64, dur_ns: f64) {
-        self.delta_recompiles += 1;
         self.spans.push(Span::new(
             "watchdog",
             "splice-delta",
@@ -317,7 +300,6 @@ impl ObsStats {
     /// span: instead of restarting from scratch, the attempt replayed the
     /// fault frontier and re-ran only the residual work.
     pub fn add_resume(&mut self, attempt: u64, start_ns: f64, dur_ns: f64) {
-        self.resumes += 1;
         self.spans.push(Span::new(
             "watchdog",
             format!("resume#{attempt}"),
@@ -331,7 +313,6 @@ impl ObsStats {
     /// Record a healing event: a masked resource was restored and the
     /// watchdog failed back to the healthier plan at a collective boundary.
     pub fn add_heal(&mut self, start_ns: f64, dur_ns: f64) {
-        self.heals += 1;
         self.spans.push(Span::new(
             "watchdog",
             "heal",
@@ -341,35 +322,6 @@ impl ObsStats {
             dur_ns,
         ));
     }
-
-    /// Merge another run's stats into this one (used when a harness
-    /// aggregates several collective calls).
-    pub fn merge(&mut self, other: &ObsStats) {
-        self.parsing_ns += other.parsing_ns;
-        self.analysis_ns += other.analysis_ns;
-        self.scheduling_ns += other.scheduling_ns;
-        self.lowering_ns += other.lowering_ns;
-        self.sanitize_ns += other.sanitize_ns;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_coalesced += other.cache_coalesced;
-        self.retries += other.retries;
-        self.recompiles += other.recompiles;
-        self.delta_recompiles += other.delta_recompiles;
-        self.backoff_ns += other.backoff_ns;
-        self.resumes += other.resumes;
-        self.heals += other.heals;
-        self.spans.extend(other.spans.iter().cloned());
-    }
-}
-
-/// One wall-time span per non-empty compiler phase, laid end-to-end
-/// from `start_ns` on `track`. Free-standing flavor of
-/// [`ObsStats::add_compile`] for consumers that only want the spans.
-pub fn phase_spans(timings: &PhaseTimings, track: &str, start_ns: f64) -> Vec<Span> {
-    let mut stats = ObsStats::default();
-    stats.add_compile(timings, track, start_ns);
-    stats.spans
 }
 
 /// Convert one attributed TB idle interval into a sim-time span on its
@@ -420,17 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_helpers_count_and_span() {
+    fn recovery_helpers_span() {
         let mut stats = ObsStats::default();
         stats.add_retry(1, 0.0, 50.0);
         stats.add_backoff(50.0, 25.0);
         stats.add_recompile(75.0, 10.0);
         stats.add_resume(1, 85.0, 0.0);
         stats.add_heal(95.0, 0.0);
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.recompiles, 1);
-        assert_eq!(stats.resumes, 1);
-        assert_eq!(stats.heals, 1);
         assert!((stats.backoff_ns - 25.0).abs() < 1e-12);
         assert_eq!(stats.spans.len(), 5);
         assert!(stats.spans.iter().any(|s| s.name == "resume#1"));
@@ -441,21 +389,35 @@ mod tests {
             .all(|s| s.domain == TimeDomain::Sim && s.track == "watchdog"));
     }
 
+    /// Compiles with the lint gate off and on, racing on two threads:
+    /// each thread judges only its own plans. A gate-`Off` plan ran no
+    /// sanitize phase, so its timing is exactly zero, it carries no
+    /// certificate and its compile renders no "sanitize" span; a
+    /// gate-`Deny` plan has all three.
     #[test]
-    fn merge_accumulates_everything() {
-        let mut a = ObsStats::default();
-        a.add_compile(&timings(), "compiler", 0.0);
-        let mut b = ObsStats::default();
-        b.add_retry(1, 0.0, 5.0);
-        b.add_resume(1, 5.0, 0.0);
-        b.add_heal(6.0, 0.0);
-        b.cache_hits = 3;
-        a.merge(&b);
-        assert_eq!(a.cache_hits, 3);
-        assert_eq!(a.retries, 1);
-        assert_eq!(a.resumes, 1);
-        assert_eq!(a.heals, 1);
-        assert_eq!(a.spans.len(), 7);
+    fn sanitize_span_appears_only_when_the_phase_ran() {
+        use rescc_core::{Compiler, LintGate};
+        use rescc_topology::Topology;
+        let compile = |gate: LintGate| {
+            let topo = Topology::a100(2, 4);
+            let spec = rescc_algos::hm_allreduce(2, 4);
+            let compiler = Compiler::new().with_lint_gate(gate);
+            for _ in 0..4 {
+                let plan = compiler.compile_spec(&spec, &topo).unwrap();
+                let mut stats = ObsStats::default();
+                stats.add_compile(&plan.timings, "compiler", 0.0);
+                let spanned = stats.spans.iter().any(|s| s.name == "sanitize");
+                let ran = gate != LintGate::Off;
+                assert_eq!(plan.timings.sanitize > Duration::ZERO, ran, "{gate:?}");
+                assert_eq!(plan.diagnostics.certificate().is_some(), ran, "{gate:?}");
+                assert_eq!(spanned, ran, "{gate:?}");
+                assert_eq!(stats.sanitize_ns > 0.0, ran, "{gate:?}");
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| compile(LintGate::Off));
+            s.spawn(|| compile(LintGate::Deny));
+        });
     }
 
     #[test]

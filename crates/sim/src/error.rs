@@ -59,6 +59,37 @@ pub enum SimError {
     /// fraction outside `[0, 1]`, degradation factor outside `(0, 1]`,
     /// fault event out of range, …).
     InvalidConfig(String),
+    /// Static analysis found `Error`-severity diagnostics in a plan and a
+    /// gate refused it.
+    LintRejected {
+        /// Which gate refused the plan.
+        refusal: LintRefusal,
+        /// The analysis report, rendered human-readable: one line per
+        /// diagnostic, each naming its lint code (e.g. `RA005`).
+        report: String,
+    },
+}
+
+/// The gate that refused a plan on static-analysis grounds
+/// ([`SimError::LintRejected`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LintRefusal {
+    /// The compiler's sanitize phase denied a compiled or recompiled plan.
+    Plan,
+    /// The compiler's sanitize phase denied a residual (resume) plan.
+    ResidualPlan,
+    /// The communicator's watchdog refused to resume on a degraded plan.
+    Recovery,
+}
+
+impl fmt::Display for LintRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Plan => "sanitize: plan rejected by lint gate",
+            Self::ResidualPlan => "sanitize: residual plan rejected by lint gate",
+            Self::Recovery => "recovery: degraded plan rejected by static analysis",
+        })
+    }
 }
 
 impl SimError {
@@ -148,6 +179,7 @@ impl fmt::Display for SimError {
                  invocations complete"
             ),
             Self::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
+            Self::LintRejected { refusal, report } => write!(f, "{refusal}\n{report}"),
         }
     }
 }
@@ -190,6 +222,10 @@ mod tests {
             SimError::SchedulerBug(IrError::new("task 3 scheduled twice")),
             SimError::AllocationBug(IrError::new("slot missing")),
             SimError::LoweringBug(IrError::new("bad rendezvous")),
+            SimError::LintRejected {
+                refusal: LintRefusal::Plan,
+                report: "error[RA005] at t0: routed over a masked resource".into(),
+            },
         ];
         for e in &errors {
             assert!(e.to_string().starts_with("simulation error: "), "{e}");

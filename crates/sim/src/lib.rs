@@ -53,7 +53,7 @@ mod value;
 
 pub use config::SimConfig;
 pub use engine::simulate;
-pub use error::{SimError, SimResult};
+pub use error::{LintRefusal, SimError, SimResult};
 pub use fault::{Fault, FaultEvent, FaultTimeline};
 pub use frontier::{FaultFrontier, ReplayOp, ResumeState};
 pub use metrics::{ResourceStat, SimReport, TbStat};
