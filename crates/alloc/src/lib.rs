@@ -25,11 +25,10 @@
 use rescc_ir::{DepDag, IrError, TaskId};
 use rescc_sched::Schedule;
 use rescc_topology::Rank;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Which side of a transfer a primitive implements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// The sender primitive, running on the task's source rank.
     Send,
@@ -40,7 +39,7 @@ pub enum Direction {
 
 /// One primitive slot inside a TB's program: a task side plus the
 /// sub-pipeline index that orders it on the global timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrimSlot {
     /// The transmission task.
     pub task: TaskId,
@@ -54,7 +53,7 @@ pub struct PrimSlot {
 /// owns. A channel TB with `mb_stride = k, mb_offset = c` executes only the
 /// invocations of micro-batches `mb ≡ c (mod k)` — this is how NCCL-style
 /// channels split a connection's data across parallel TBs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TbPlan {
     /// Ordered primitive slots.
     pub slots: Vec<PrimSlot>,
@@ -81,14 +80,14 @@ impl TbPlan {
 }
 
 /// The TB plan of one rank.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankTbPlan {
     /// The TBs launched on this rank.
     pub tbs: Vec<TbPlan>,
 }
 
 /// A complete TB allocation across all ranks.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TbAllocation {
     /// Per-rank plans, indexed by rank.
     pub per_rank: Vec<RankTbPlan>,
@@ -166,7 +165,7 @@ impl TbAllocation {
     /// `recvCopySend`/`recvReduceSend` fusion pass (`rescc_kernel::fuse`)
     /// to find adjacent pairs.
     pub fn state_based_chained(dag: &DepDag, schedule: &Schedule) -> Self {
-        let mut alloc = Self::state_based_inner(dag, schedule, true, 1);
+        let mut alloc = Self::state_based_inner(dag, schedule, true);
         alloc.strategy = "state-chained".into();
         alloc
     }
@@ -174,25 +173,18 @@ impl TbAllocation {
     /// ResCCL's state-based allocation: endpoints whose active intervals on
     /// the sub-pipeline timeline never overlap are merged onto one TB.
     pub fn state_based(dag: &DepDag, schedule: &Schedule) -> Self {
-        Self::state_based_inner(dag, schedule, false, 1)
+        Self::state_based_inner(dag, schedule, false)
     }
 
-    /// [`TbAllocation::state_based`] with the per-rank interval analysis
-    /// fanned out over `threads` worker threads. Each rank's TB plan is a
-    /// pure function of that rank's slots plus the global schedule order,
-    /// so ranks allocate independently; output is identical for any thread
-    /// count.
-    pub fn state_based_with_threads(dag: &DepDag, schedule: &Schedule, threads: usize) -> Self {
-        Self::state_based_inner(dag, schedule, false, threads)
+    /// [`TbAllocation::state_based`]; `threads` is ignored. Kept only
+    /// because the dispatch benchmark's cold-start replay calls this
+    /// signature.
+    #[doc(hidden)]
+    pub fn state_based_with_threads(dag: &DepDag, schedule: &Schedule, _threads: usize) -> Self {
+        Self::state_based(dag, schedule)
     }
 
-    fn state_based_inner(
-        dag: &DepDag,
-        schedule: &Schedule,
-        chain_merge: bool,
-        threads: usize,
-    ) -> Self {
-        let n_ranks = infer_n_ranks(dag);
+    fn state_based_inner(dag: &DepDag, schedule: &Schedule, chain_merge: bool) -> Self {
         let slots = collect_slots(dag, schedule);
         // Global schedule position of each task: within a sub-pipeline the
         // scheduler's insertion order already respects data dependencies,
@@ -228,47 +220,19 @@ impl TbAllocation {
             }
         }
 
-        let mut per_rank: Vec<RankTbPlan> = vec![RankTbPlan::default(); n_ranks];
-        let workers = threads.max(1).min(n_ranks.max(1));
-        if workers > 1 {
-            let stride = n_ranks.div_ceil(workers);
-            let (base_pos, chain_feed) = (&base_pos, &chain_feed);
-            std::thread::scope(|scope| {
-                let mut slots = slots;
-                for (i, plans) in per_rank.chunks_mut(stride).enumerate() {
-                    let batch: Vec<Vec<PrimSlot>> =
-                        slots.drain(..plans.len().min(slots.len())).collect();
-                    let first = i * stride;
-                    scope.spawn(move || {
-                        for (k, (plan, rank_slots)) in plans.iter_mut().zip(batch).enumerate() {
-                            plan.tbs = lower_one_rank(
-                                dag,
-                                base_pos,
-                                chain_feed,
-                                chain_merge,
-                                first + k,
-                                rank_slots,
-                            );
-                        }
-                    });
-                }
-            });
-            return Self {
-                per_rank,
-                strategy: "state".into(),
-                n_channels: 1,
-            };
-        }
-        for (rank, rank_slots) in slots.into_iter().enumerate() {
-            per_rank[rank].tbs =
-                lower_one_rank(dag, &base_pos, &chain_feed, chain_merge, rank, rank_slots);
-        }
+        let per_rank = slots
+            .into_iter()
+            .map(|rank_slots| RankTbPlan {
+                tbs: lower_one_rank(dag, &base_pos, &chain_feed, chain_merge, rank_slots),
+            })
+            .collect();
         Self {
             per_rank,
             strategy: "state".into(),
             n_channels: 1,
         }
     }
+
     /// Total number of TBs across all ranks.
     pub fn total_tbs(&self) -> usize {
         self.per_rank.iter().map(|r| r.tbs.len()).sum()
@@ -382,15 +346,12 @@ enum ChainFeed {
 }
 
 /// Build one rank's TB list: interval analysis, optional chain merging,
-/// greedy interval partitioning, and the in-TB slot sort. Pure in
-/// `(dag, base_pos, chain_feed, rank_slots)`, which is what lets
-/// [`TbAllocation::state_based_with_threads`] fan ranks out.
+/// greedy interval partitioning, and the in-TB slot sort.
 fn lower_one_rank(
     dag: &DepDag,
     base_pos: &[u32],
     chain_feed: &[ChainFeed],
     chain_merge: bool,
-    _rank: usize,
     rank_slots: Vec<PrimSlot>,
 ) -> Vec<TbPlan> {
     // Active interval per endpoint: [min_sp, max_sp] of its slots.

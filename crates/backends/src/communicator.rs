@@ -174,13 +174,6 @@ impl Communicator {
         &self.health
     }
 
-    /// Fan compilation out over `threads` worker threads (the compiled
-    /// plans are bit-identical to serial compilation for any value).
-    pub fn with_compile_threads(mut self, threads: usize) -> Self {
-        self.compiler = self.compiler.with_threads(threads);
-        self
-    }
-
     /// The topology this communicator serves.
     pub fn topology(&self) -> &Topology {
         &self.topo

@@ -119,13 +119,3 @@ fn concurrent_tenants_attribute_their_own_dispatch() {
         "racing tenants must share one compile"
     );
 }
-
-#[test]
-fn parallel_compilation_serves_identical_plans() {
-    let mut serial = Communicator::new(Topology::a100(2, 4));
-    let mut parallel = Communicator::new(Topology::a100(2, 4)).with_compile_threads(4);
-    let a = serial.reduce_scatter(128 * MB).unwrap();
-    let b = parallel.reduce_scatter(128 * MB).unwrap();
-    assert_eq!(a.sim, b.sim);
-    assert_eq!(a.total_tbs, b.total_tbs);
-}

@@ -31,23 +31,6 @@ fn bench_compile(c: &mut Criterion) {
             },
         );
     }
-    // The same pipeline with the chunked phases fanned out over worker
-    // threads — on a single hardware thread this matches the serial row.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for t in [2usize, 4, threads] {
-        let topo = Topology::a100(8, 8);
-        let spec = hm_allreduce(8, 8);
-        group.bench_with_input(
-            BenchmarkId::new("full-pipeline-parallel/hm-ar-8x8", format!("{t}t")),
-            &(&spec, &topo),
-            |b, (spec, topo)| {
-                let compiler = Compiler::new().with_threads(t);
-                b.iter(|| compiler.compile_spec(spec, topo).unwrap())
-            },
-        );
-    }
     group.finish();
 }
 

@@ -13,7 +13,7 @@
 use rescc_algos::{hm_allreduce, nccl_rings_allgather};
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
-use rescc_sched::{hpds_reference, hpds_with_threads};
+use rescc_sched::{hpds, hpds_reference};
 use rescc_topology::{Rank, Topology, TopologyHealth};
 use std::time::Instant;
 
@@ -21,9 +21,6 @@ fn main() {
     let mut failures = Vec::new();
     let (nodes, g) = (16u32, 8u32);
     let topo = Topology::a100(nodes, g);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     // Guard 1: scheduler rearchitecture. Best-of-3 on both sides to shrug
     // off CI timer jitter.
@@ -37,13 +34,13 @@ fn main() {
         let reference = hpds_reference(&dag);
         best_ref = best_ref.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        let flat = hpds_with_threads(&dag, threads);
+        let flat = hpds(&dag);
         best_flat = best_flat.min(t0.elapsed().as_secs_f64());
         identical &= reference == flat;
     }
     let parallel_speedup = best_ref / best_flat;
     println!(
-        "scheduler: reference {:.2}ms, flat {:.2}ms ({threads} threads), \
+        "scheduler: reference {:.2}ms, flat {:.2}ms, \
          parallel_speedup {parallel_speedup:.2}x, byte-identical {identical}",
         best_ref * 1e3,
         best_flat * 1e3,
@@ -60,7 +57,7 @@ fn main() {
 
     // Guard 2: delta recompile. The 2-ring workload leaves routing slack,
     // so a single dead channel must splice, not reschedule.
-    let compiler = Compiler::new().with_threads(threads);
+    let compiler = Compiler::new();
     let delta_spec = nccl_rings_allgather(nodes, g, 2);
     let plan = compiler
         .compile_spec(&delta_spec, &topo)

@@ -15,13 +15,13 @@ use rescc_algos::{
 use rescc_backends::{Backend, RescclBackend};
 use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
-use rescc_sched::{hpds_reference, hpds_with_threads};
+use rescc_sched::{hpds, hpds_reference};
 use rescc_topology::{Rank, Topology, TopologyHealth};
 use std::time::Instant;
 
 /// Regenerate Figure 10(a): compile-phase breakdown vs scale, the
-/// scheduler-rearchitecture speedup and cold/parallel/warm comparison at
-/// 1,024 emulated GPUs, the incremental (delta) recompile comparison, and
+/// scheduler-rearchitecture speedup and cold/warm comparison at 1,024
+/// emulated GPUs, the incremental (delta) recompile comparison, and
 /// a 4,096-GPU compile point. Writes machine-readable results to
 /// `BENCH_compile.json`.
 pub fn run_a() {
@@ -63,23 +63,19 @@ pub fn run_a() {
     // Scheduler rearchitecture at the largest sweep scale: the reference
     // scheduler (the pre-rearchitecture pointer-chasing implementation,
     // kept verbatim in `rescc_sched::reference`) against the flat CSR
-    // pipeline. This is the honest regression-fix measure on a box with
-    // however few cores it has — the flat pipeline wins on data layout
-    // alone at 1 thread, and additionally with threads where available.
+    // pipeline. Both are serial, so the flat pipeline wins on data layout
+    // alone.
     let (nodes, g) = (128u32, 8u32);
     let ranks = nodes * g;
     let topo = Topology::a100(nodes, g);
     let spec = hm_allreduce(nodes, g);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     let dag = DepDag::build(&spec, &topo).expect("figure10a dag");
     let t0 = Instant::now();
     let ref_schedule = hpds_reference(&dag);
     let sched_reference = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let flat_schedule = hpds_with_threads(&dag, threads);
+    let flat_schedule = hpds(&dag);
     let sched_flat = t0.elapsed().as_secs_f64();
     let sched_identical = ref_schedule == flat_schedule;
     let parallel_speedup = sched_reference / sched_flat;
@@ -87,24 +83,15 @@ pub fn run_a() {
     drop(flat_schedule);
     drop(dag);
 
+    let compiler = Compiler::new();
     let t0 = Instant::now();
-    let serial_plan = Compiler::new()
+    let serial_plan = compiler
         .compile_spec(&spec, &topo)
         .expect("figure10a serial compile");
     let cold_serial = t0.elapsed().as_secs_f64();
 
-    let t0 = Instant::now();
-    let parallel_plan = Compiler::new()
-        .with_threads(threads)
-        .compile_spec(&spec, &topo)
-        .expect("figure10a parallel compile");
-    let cold_parallel = t0.elapsed().as_secs_f64();
-    let identical = serial_plan.semantic_eq(&parallel_plan);
-    drop(parallel_plan);
-
     let cache = PlanCache::new();
     let mb = MicroBatchPlan::plan(256 * MB, spec.n_chunks(), MB);
-    let compiler = Compiler::new().with_threads(threads);
     cache
         .get_or_compile(&compiler, &spec, &topo, &mb)
         .expect("figure10a cache prime");
@@ -124,7 +111,7 @@ pub fn run_a() {
                 "1.0x".into(),
             ],
             vec![
-                format!("scheduler, flat ({threads} threads)"),
+                "scheduler, flat".into(),
                 format!("{sched_flat:.3}s"),
                 format!("{parallel_speedup:.2}x"),
             ],
@@ -132,11 +119,6 @@ pub fn run_a() {
                 "cold compile, serial".into(),
                 format!("{cold_serial:.3}s"),
                 "1.0x".into(),
-            ],
-            vec![
-                format!("cold compile, {threads} threads"),
-                format!("{cold_parallel:.3}s"),
-                format!("{:.2}x", cold_serial / cold_parallel),
             ],
             vec![
                 "warm cache".into(),
@@ -147,7 +129,6 @@ pub fn run_a() {
     );
     println!(
         "flat scheduler byte-identical to reference: {sched_identical}; \
-         parallel compile byte-identical to serial: {identical}; \
          warm dispatch skips all five compile phases via the plan cache."
     );
 
@@ -244,14 +225,12 @@ pub fn run_a() {
     let t = serial_plan.timings;
     let json = format!(
         "{{\n  \"workload\": \"hm_allreduce\",\n  \"ranks\": {ranks},\n  \
-         \"tasks\": {tasks},\n  \"threads\": {threads},\n  \
+         \"tasks\": {tasks},\n  \
          \"sched_reference_s\": {sched_reference:.6},\n  \
          \"sched_flat_s\": {sched_flat:.6},\n  \
          \"parallel_speedup\": {parallel_speedup:.3},\n  \
          \"sched_byte_identical\": {sched_identical},\n  \
          \"cold_serial_s\": {cold_serial:.6},\n  \
-         \"cold_parallel_s\": {cold_parallel:.6},\n  \
-         \"parallel_byte_identical\": {identical},\n  \
          \"warm_cache_s\": {warm:.9},\n  \
          \"phases_serial_ms\": {{\"parsing\": {p:.3}, \"analysis\": {a:.3}, \
          \"scheduling\": {s:.3}, \"lowering\": {l:.3}, \"sanitize\": {sa:.3}}},\n  \

@@ -47,8 +47,7 @@
 //!   bytes, invocation count) — buffer sizes that produce the same shape
 //!   share an entry,
 //! * the compiler options that change output (scheduler choice and the
-//!   verify flag). The thread count is deliberately excluded: parallel
-//!   compilation is bit-identical to serial, so it must not split entries.
+//!   verify flag).
 //!
 //! Anything that changes one of these — a different chunking, another
 //! topology, a tweaked fabric parameter — changes the key and misses.
@@ -1139,19 +1138,6 @@ mod tests {
         assert_eq!(
             stats.entries as u64,
             stats.misses + stats.inserts - stats.evictions
-        );
-    }
-
-    #[test]
-    fn fingerprint_ignores_thread_count() {
-        let topo = Topology::a100(2, 4);
-        let spec = hm_allreduce(2, 4);
-        let plan = mb(64 << 20, spec.n_chunks());
-        let serial = Compiler::new();
-        let parallel = Compiler::new().with_threads(8);
-        assert_eq!(
-            plan_fingerprint(&serial, &spec, &topo, &plan),
-            plan_fingerprint(&parallel, &spec, &topo, &plan)
         );
     }
 

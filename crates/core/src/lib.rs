@@ -46,8 +46,8 @@ use rescc_alloc::TbAllocation;
 use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
-use rescc_lang::{eval, parse, verify_collective_with_threads, AlgoSpec, OpType};
-use rescc_sched::{hpds_with_threads, round_robin_with_threads, Schedule};
+use rescc_lang::{eval, parse, verify_collective, AlgoSpec, OpType};
+use rescc_sched::{hpds, round_robin, Schedule};
 use rescc_sim::{simulate, LintRefusal, SimConfig, SimError, SimReport, SimResult};
 use rescc_topology::{Topology, TopologyHealth};
 use std::time::{Duration, Instant};
@@ -123,14 +123,11 @@ pub struct Compiler {
     pub scheduler: SchedulerChoice,
     /// Statically verify the algorithm implements its declared collective
     /// during the Analysis phase. On by default; automatically skipped
-    /// above 256 ranks, where the symbolic state (O(ranks³)) would dominate
-    /// compile memory — the simulator's runtime check still covers those.
+    /// above 256 ranks to bound compile time — the simulator's runtime
+    /// check still covers those. Verification replays one chunk at a
+    /// time, so its symbolic state is O(ranks²); its time grows with
+    /// transfers × ranks (about 205 ms at 512 ranks on a 2-vCPU host).
     pub verify: bool,
-    /// Worker threads for the embarrassingly-parallel phases: per-chunk
-    /// static verification, per-chunk dependency analysis, and per-rank
-    /// kernel lowering. The output is bit-identical for any value; 1
-    /// (the default) compiles fully serially.
-    pub threads: usize,
     /// What to do with the sanitize phase's findings (deny by default).
     pub lint_gate: LintGate,
     /// Tunables for the sanitize phase's lints.
@@ -142,7 +139,6 @@ impl Default for Compiler {
         Self {
             scheduler: SchedulerChoice::default(),
             verify: true,
-            threads: 1,
             lint_gate: LintGate::default(),
             lint_config: AnalysisConfig::default(),
         }
@@ -158,13 +154,6 @@ impl Compiler {
     /// Use the round-robin scheduler instead of HPDS.
     pub fn with_round_robin(mut self) -> Self {
         self.scheduler = SchedulerChoice::RoundRobin;
-        self
-    }
-
-    /// Fan the parallel compile phases out over `threads` worker threads
-    /// (0 is treated as 1). Output is identical for any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -188,15 +177,12 @@ impl Compiler {
     /// Compile a validated algorithm spec for `topo`.
     pub fn compile_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
         let mut timings = PhaseTimings::default();
-        let threads = self.threads.max(1);
 
         let t0 = Instant::now();
         if self.verify && spec.n_ranks() <= 256 {
-            verify_collective_with_threads(spec, threads)
-                .map_err(|e| SimError::new(e.to_string()))?;
+            verify_collective(spec).map_err(|e| SimError::new(e.to_string()))?;
         }
-        let dag = DepDag::build_with_threads(spec, topo, threads)
-            .map_err(|e| SimError::new(e.to_string()))?;
+        let dag = DepDag::build(spec, topo).map_err(|e| SimError::new(e.to_string()))?;
         timings.analysis = t0.elapsed();
 
         let lowered = self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
@@ -226,8 +212,7 @@ impl Compiler {
     ///    endpoints and chunk — never its route — so the cached allocation
     ///    and program are byte-valid as-is and are spliced unchanged.
     /// 4. **Reschedule (slow path)** — otherwise scheduling and lowering
-    ///    re-run (threaded, per [`Self::with_threads`]) on the rerouted
-    ///    DAG.
+    ///    re-run on the rerouted DAG.
     ///
     /// The sanitize phase re-runs in **every** non-identity case (subject
     /// to [`LintGate::Off`]): splicing must not skip the lints, or a
@@ -306,28 +291,25 @@ impl Compiler {
         dag: &DepDag,
         timings: &mut PhaseTimings,
     ) -> SimResult<Lowered> {
-        let threads = self.threads.max(1);
-
         let t0 = Instant::now();
         let schedule = match self.scheduler {
-            SchedulerChoice::Hpds => hpds_with_threads(dag, threads),
-            SchedulerChoice::RoundRobin => round_robin_with_threads(dag, threads),
+            SchedulerChoice::Hpds => hpds(dag),
+            SchedulerChoice::RoundRobin => round_robin(dag),
         };
         schedule.validate(dag).map_err(SimError::SchedulerBug)?;
         timings.scheduling = t0.elapsed();
 
         let t0 = Instant::now();
-        let alloc = TbAllocation::state_based_with_threads(dag, &schedule, threads);
+        let alloc = TbAllocation::state_based(dag, &schedule);
         alloc
             .validate(dag, &schedule)
             .map_err(SimError::AllocationBug)?;
-        let program = KernelProgram::generate_with_threads(
+        let program = KernelProgram::generate(
             name,
             dag,
             &alloc,
             LoopOrder::SlotMajor,
             ExecMode::DirectKernel,
-            threads,
         );
         program.validate(dag).map_err(SimError::LoweringBug)?;
         timings.lowering = t0.elapsed();
@@ -476,7 +458,8 @@ impl CompiledPlan {
     /// schedule, TB allocation and kernel program for the same operator,
     /// chunking, and topology shape. Phase timings are deliberately
     /// ignored — they are measurement metadata, not part of the artifact.
-    /// Used to assert that parallel compilation is bit-identical to serial.
+    /// Used to assert that cached, delta and replayed compiles reproduce a
+    /// fresh one.
     pub fn semantic_eq(&self, other: &Self) -> bool {
         self.op == other.op
             && self.n_chunks == other.n_chunks

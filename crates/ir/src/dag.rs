@@ -113,18 +113,6 @@ impl DepDag {
     /// Fails if the spec's rank count does not match the topology, or if
     /// (defensively) a dependency cycle is detected.
     pub fn build(spec: &AlgoSpec, topo: &Topology) -> Result<Self> {
-        Self::build_with_threads(spec, topo, 1)
-    }
-
-    /// [`DepDag::build`] with per-chunk dependency analysis fanned out over
-    /// `threads` worker threads.
-    ///
-    /// Every data-dependency edge connects two tasks of the same chunk, so
-    /// the per-chunk edge lists are disjoint and can be computed
-    /// independently; they are then applied in ascending chunk order, which
-    /// reproduces the serial construction exactly — the result is identical
-    /// for any thread count.
-    pub fn build_with_threads(spec: &AlgoSpec, topo: &Topology, threads: usize) -> Result<Self> {
         if spec.n_ranks() != topo.n_ranks() {
             return Err(IrError::new(format!(
                 "algorithm `{}` is for {} ranks but topology `{}` has {}",
@@ -164,36 +152,13 @@ impl DepDag {
         }
 
         // Data dependencies, per chunk: track the latest delivery into each
-        // rank's slot of this chunk, step by step. The per-chunk edge lists
-        // are disjoint (both endpoints of every edge move the same chunk),
-        // so chunks can be analysed in parallel; applying the lists in
-        // ascending chunk order keeps preds/succs bit-identical to the
-        // serial construction.
-        let chunk_edges: Vec<Vec<(TaskId, TaskId)>> = if threads <= 1 || by_chunk.len() <= 1 {
-            by_chunk
-                .iter()
-                .map(|chunk_tasks| edges_for_chunk(&tasks, chunk_tasks))
-                .collect()
-        } else {
-            let mut out: Vec<Vec<(TaskId, TaskId)>> = vec![Vec::new(); by_chunk.len()];
-            let workers = threads.min(by_chunk.len());
-            let stride = by_chunk.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (slots, chunks) in out.chunks_mut(stride).zip(by_chunk.chunks(stride)) {
-                    let tasks = &tasks;
-                    scope.spawn(move || {
-                        for (slot, chunk_tasks) in slots.iter_mut().zip(chunks) {
-                            *slot = edges_for_chunk(tasks, chunk_tasks);
-                        }
-                    });
-                }
-            });
-            out
-        };
+        // rank's slot of this chunk, step by step. Both endpoints of every
+        // edge move the same chunk, so each chunk's edges are derived on
+        // their own and applied in ascending chunk order.
         let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for edges in &chunk_edges {
-            for &(from, to) in edges {
+        for chunk_tasks in &by_chunk {
+            for (from, to) in edges_for_chunk(&tasks, chunk_tasks) {
                 add_edge(&mut preds, &mut succs, from, to);
             }
         }
@@ -217,6 +182,13 @@ impl DepDag {
         // construction — but validate anyway (defence in depth).
         dag.topo_order()?;
         Ok(dag)
+    }
+
+    /// [`DepDag::build`]; `threads` is ignored. Kept only because the
+    /// dispatch benchmark's cold-start replay calls this signature.
+    #[doc(hidden)]
+    pub fn build_with_threads(spec: &AlgoSpec, topo: &Topology, _threads: usize) -> Result<Self> {
+        Self::build(spec, topo)
     }
 
     /// Re-resolve every task's route against `topo` (same shape, possibly

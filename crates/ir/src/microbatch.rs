@@ -7,10 +7,8 @@
 //! micro-batches interleave — is what distinguishes algorithm-level,
 //! stage-level and ResCCL's task-level execution.
 
-use serde::{Deserialize, Serialize};
-
 /// The micro-batch decomposition of one collective call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MicroBatchPlan {
     /// Bytes of the whole per-rank buffer being synchronized.
     pub buffer_bytes: u64,

@@ -2,11 +2,10 @@
 
 use rescc_lang::{CommType, TransferRec};
 use rescc_topology::{ChunkId, ConnectionId, Rank, ResourceSet, Step};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a task inside its [`DepDag`](crate::DepDag).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -36,7 +35,7 @@ impl fmt::Display for TaskId {
 /// A transmission task `t(e, d)` of §3: one chunk transfer between GPU
 /// peers, annotated with the connection it uses and the contention
 /// resources of that connection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Task {
     /// Task index in the DAG.
     pub id: TaskId,

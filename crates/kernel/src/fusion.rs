@@ -23,10 +23,9 @@
 
 use crate::program::{KernelProgram, Primitive};
 use rescc_ir::DepDag;
-use serde::{Deserialize, Serialize};
 
 /// What the fusion pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// `recv + send` pairs fused into `recvCopySend`.
     pub copy_send: u32,

@@ -22,10 +22,9 @@ use rescc_alloc::{Direction, TbAllocation};
 use rescc_ir::{DepDag, IrError, TaskId};
 use rescc_lang::CommType;
 use rescc_topology::{ChunkId, Rank};
-use serde::{Deserialize, Serialize};
 
 /// A communication primitive, NCCL-style.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Primitive {
     /// Push a chunk to the peer.
     Send,
@@ -57,7 +56,7 @@ impl Primitive {
 }
 
 /// How a TB iterates its slots against micro-batches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
     /// Task-level execution (ResCCL): each slot runs *all* micro-batch
     /// invocations before the TB advances to the next slot.
@@ -68,7 +67,7 @@ pub enum LoopOrder {
 }
 
 /// Runtime execution engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ExecMode {
     /// Directly generated lightweight kernel: no per-invocation control
     /// overhead beyond the transfer itself.
@@ -103,7 +102,7 @@ impl ExecMode {
 }
 
 /// One pipeline slot of a TB: a primitive, its task, peer and chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelSlot {
     /// The transmission task this slot implements one side of.
     pub task: TaskId,
@@ -163,7 +162,7 @@ fn lower_rank(dag: &DepDag, r: usize, plan: &rescc_alloc::RankTbPlan) -> RankPro
 }
 
 /// The program of one TB.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TbProgram {
     /// Ordered pipeline slots.
     pub slots: Vec<KernelSlot>,
@@ -181,7 +180,7 @@ impl TbProgram {
 }
 
 /// The program of one rank: all of its TBs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankProgram {
     /// The rank this program runs on.
     pub rank: Rank,
@@ -190,7 +189,7 @@ pub struct RankProgram {
 }
 
 /// A complete generated kernel program for the whole collective.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelProgram {
     /// Algorithm name (for reports and codegen headers).
     pub algo_name: String,
@@ -227,52 +226,12 @@ impl KernelProgram {
         loop_order: LoopOrder,
         exec: ExecMode,
     ) -> Self {
-        Self::generate_with_threads(algo_name, dag, alloc, loop_order, exec, 1)
-    }
-
-    /// [`KernelProgram::generate`] with per-rank lowering fanned out over
-    /// `threads` worker threads.
-    ///
-    /// Each rank's program is a pure function of that rank's TB plan, so
-    /// ranks lower independently; collecting them in rank order makes the
-    /// output identical for any thread count.
-    pub fn generate_with_threads(
-        algo_name: impl Into<String>,
-        dag: &DepDag,
-        alloc: &TbAllocation,
-        loop_order: LoopOrder,
-        exec: ExecMode,
-        threads: usize,
-    ) -> Self {
-        let n_ranks = alloc.per_rank.len();
-        let ranks: Vec<RankProgram> = if threads <= 1 || n_ranks <= 1 {
-            alloc
-                .per_rank
-                .iter()
-                .enumerate()
-                .map(|(r, plan)| lower_rank(dag, r, plan))
-                .collect()
-        } else {
-            let workers = threads.min(n_ranks);
-            let stride = n_ranks.div_ceil(workers);
-            let mut out: Vec<Option<RankProgram>> = (0..n_ranks).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                for (base, (slots, plans)) in out
-                    .chunks_mut(stride)
-                    .zip(alloc.per_rank.chunks(stride))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        for (k, (slot, plan)) in slots.iter_mut().zip(plans).enumerate() {
-                            *slot = Some(lower_rank(dag, base * stride + k, plan));
-                        }
-                    });
-                }
-            });
-            out.into_iter()
-                .map(|r| r.expect("all ranks lowered"))
-                .collect()
-        };
+        let ranks = alloc
+            .per_rank
+            .iter()
+            .enumerate()
+            .map(|(r, plan)| lower_rank(dag, r, plan))
+            .collect();
         Self {
             algo_name: algo_name.into(),
             ranks,
@@ -281,6 +240,20 @@ impl KernelProgram {
             barrier_groups: None,
             barrier_stride: 1,
         }
+    }
+
+    /// [`KernelProgram::generate`]; `threads` is ignored. Kept only because
+    /// the dispatch benchmark's cold-start replay calls this signature.
+    #[doc(hidden)]
+    pub fn generate_with_threads(
+        algo_name: impl Into<String>,
+        dag: &DepDag,
+        alloc: &TbAllocation,
+        loop_order: LoopOrder,
+        exec: ExecMode,
+        _threads: usize,
+    ) -> Self {
+        Self::generate(algo_name, dag, alloc, loop_order, exec)
     }
 
     /// Attach micro-batch barrier groups (see [`KernelProgram::barrier_groups`]).

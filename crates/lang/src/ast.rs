@@ -1,11 +1,10 @@
 //! Abstract syntax tree of ResCCLang, mirroring the BNF of Appendix B.
 
 use crate::error::{LangError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Collective operator implemented by an algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpType {
     /// Every rank ends with every rank's chunk.
     AllGather,
@@ -46,7 +45,7 @@ impl fmt::Display for OpType {
 
 /// Communication type of one transfer: plain receive-copy or
 /// receive-reduce-copy (the reducing variant used by ReduceScatter phases).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CommType {
     /// Receive and copy into the destination buffer slot.
     Recv,
@@ -72,7 +71,7 @@ impl fmt::Display for CommType {
 }
 
 /// Binary arithmetic operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -100,7 +99,7 @@ impl BinOp {
 }
 
 /// Expressions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Exp {
     /// Integer literal.
     Int(i64),
@@ -134,7 +133,7 @@ impl Exp {
 }
 
 /// Statements.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stat {
     /// `name = exp`
     Assign {
@@ -163,7 +162,7 @@ pub enum Stat {
 }
 
 /// Value of a header parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// Integer parameter (nRanks, nChannels, nWarps, GPUPerNode, NICPerNode).
     Int(i64),
@@ -172,7 +171,7 @@ pub enum ParamValue {
 }
 
 /// One `name = value` entry in the `def ResCCLAlgo(...)` header.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -182,7 +181,7 @@ pub struct Param {
 
 /// A complete ResCCLang program: the `def ResCCLAlgo(params...):` header and
 /// the statement body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// Function name (always `ResCCLAlgo` in well-formed programs).
     pub func_name: String,

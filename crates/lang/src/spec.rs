@@ -9,12 +9,11 @@
 use crate::ast::{CommType, OpType};
 use crate::error::{LangError, Result};
 use rescc_topology::{ChunkId, Rank, Step};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One transmission task declared by the algorithm: move `chunk` from
 /// `src` to `dst` at logical time `step`, applying `comm` at the receiver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TransferRec {
     /// Sending rank.
     pub src: Rank,
@@ -29,7 +28,7 @@ pub struct TransferRec {
 }
 
 /// A validated collective algorithm specification.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlgoSpec {
     name: String,
     op: OpType,

@@ -6,8 +6,8 @@
 //! metadata (`"ph":"M"`) events. Timestamps are microseconds; all adder
 //! methods here take nanoseconds and convert.
 //!
-//! The workspace is air-gapped (the serde shim is a no-op), so the JSON
-//! is written by hand with proper string escaping.
+//! The workspace has no serialization dependency, so the JSON is written
+//! by hand with proper string escaping.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

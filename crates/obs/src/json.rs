@@ -1,6 +1,6 @@
 //! Minimal JSON parsing and Chrome-trace validation.
 //!
-//! The workspace is air-gapped (the serde shim is a no-op), so the
+//! The workspace has no JSON dependency, so the
 //! `rescc-obs-validate` CLI and the CI observability job need an
 //! in-tree way to check that emitted trace files actually parse and
 //! obey the trace-event invariants. This module implements a small

@@ -33,10 +33,9 @@ pub use json::{
 
 use rescc_core::PhaseTimings;
 use rescc_sim::BubbleInterval;
-use serde::{Deserialize, Serialize};
 
 /// Which clock a span's `start_ns`/`dur_ns` are measured on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeDomain {
     /// Host wall-clock time (compiler phases, cache lookups).
     Wall,
@@ -56,7 +55,7 @@ impl TimeDomain {
 
 /// Coarse classification of a span, mapped to the Chrome trace-event
 /// `cat` field so Perfetto can filter by layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanCategory {
     /// A compiler phase (parsing, analysis, scheduling, lowering,
     /// sanitize).
@@ -88,7 +87,7 @@ impl SpanCategory {
 }
 
 /// One named interval on a named track.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Span {
     /// Track the span renders on (e.g. `"compiler"`, `"watchdog"`,
     /// `"r0/tb2"`).
@@ -135,7 +134,7 @@ impl Span {
 /// cache traffic, and watchdog activity. Carried on
 /// `RunReport::obs` when the `Communicator` runs with observability
 /// enabled.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsStats {
     /// Wall-clock nanoseconds spent in each compiler phase, summed over
     /// every compile this run performed (initial + recompiles).
@@ -155,7 +154,6 @@ pub struct ObsStats {
     /// The subset of [`cache_hits`](Self::cache_hits) served by waiting on
     /// another thread's in-flight compile of the same fingerprint
     /// (singleflight coalescing in a shared plan cache).
-    #[serde(default)]
     pub cache_coalesced: u64,
     /// Total simulated time spent in watchdog backoff waits, ns. (The
     /// watchdog's retry, recompile, resume and heal counts live on

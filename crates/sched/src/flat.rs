@@ -12,29 +12,18 @@
 //!   them — so a visit is `O(free)` instead of `O(pending)`;
 //! * per-resource sub-pipeline load is a `Vec<u32>` indexed by the DAG's
 //!   dense resource index — conflict checks are array reads;
-//! * chunk visits are grouped into **waves** that the caller derives from
-//!   its selection rule (HPDS: all flagged chunks at the current maximum
-//!   priority, ascending id; RR: one full pass). Within a wave, chunks are
-//!   *speculatively* gathered in parallel against the load state frozen at
-//!   wave start, then committed serially in wave order. A commit is valid
-//!   iff none of the accepted tasks' resources were loaded by an earlier
-//!   commit of the same wave — loads only grow, so rejections can never
-//!   flip back — and an invalidated chunk is simply re-gathered serially
-//!   against the live state. The result is bit-identical to the serial
-//!   visit order for any thread count (property-tested against the
-//!   reference implementations).
+//! * a chunk visit gathers against the live loads and commits at once,
+//!   so the callers' visit order is the reference visit order.
 //!
 //! Data-dependency edges always connect tasks of the *same* chunk, so a
-//! commit only ever frees tasks in the committed chunk itself — wave
-//! members cannot change each other's eligibility, only their resource
-//! loads, which is exactly what commit validation checks.
+//! visit only ever frees tasks in the visited chunk itself.
+//!
+//! The state is deliberately serial. A speculative variant that gathered
+//! a whole priority wave on worker threads and revalidated the commits
+//! was slower than this loop at every measured size (DESIGN.md §10).
 
 use rescc_ir::{DepDag, TaskId};
 use rescc_topology::ChunkId;
-
-/// Minimum wave width before speculation is worth a round of thread
-/// spawns; below this the serial visit loop wins.
-const MIN_PARALLEL_WAVE: usize = 16;
 
 /// Mutable scheduling state over a [`DepDag`], flattened onto the dense
 /// resource index.
@@ -50,10 +39,6 @@ pub(crate) struct FlatState<'a> {
     pc_load: Vec<u32>,
     /// Saturation limit per dense resource (cached from the DAG).
     limit: Vec<u32>,
-    /// Wave stamp per dense resource: `dirty[d] == wave_id` iff an earlier
-    /// commit of the current wave loaded `d`.
-    dirty: Vec<u64>,
-    wave_id: u64,
     /// Per-visit claim scratch (dense-indexed) and its touched list.
     claim: Vec<u32>,
     claim_touched: Vec<u32>,
@@ -93,8 +78,6 @@ impl<'a> FlatState<'a> {
             limit: (0..n_res as u32)
                 .map(|d| dag.conflict_limit_at(d))
                 .collect(),
-            dirty: vec![0; n_res],
-            wave_id: 0,
             claim: vec![0; n_res],
             claim_touched: Vec::new(),
             remaining: n,
@@ -111,62 +94,41 @@ impl<'a> FlatState<'a> {
         self.pc_load.fill(0);
     }
 
-    /// Gather chunk `c`'s schedulable tasks against `loads` (the reference
-    /// algorithm's lines 10–15): every free task whose conflict resources
-    /// all stay below saturation given `loads` plus the claims of tasks
+    /// Gather chunk `c`'s schedulable tasks (the reference algorithm's
+    /// lines 10–15): every free task whose conflict resources all stay
+    /// below saturation given the live loads plus the claims of tasks
     /// accepted earlier in this same gather.
-    fn gather(
-        free: &[TaskId],
-        dag: &DepDag,
-        loads: &[u32],
-        limit: &[u32],
-        claim: &mut [u32],
-        claim_touched: &mut Vec<u32>,
-    ) -> Vec<TaskId> {
+    fn gather(&mut self, c: usize) -> Vec<TaskId> {
         let mut node_list = Vec::new();
-        for &tid in free {
-            let res = dag.conflict_dense(tid);
-            let conflict = res
-                .as_slice()
-                .iter()
-                .any(|&d| loads[d as usize] + claim[d as usize] >= limit[d as usize]);
+        for &tid in &self.free[c] {
+            let res = self.dag.conflict_dense(tid);
+            let conflict = res.as_slice().iter().any(|&d| {
+                self.pc_load[d as usize] + self.claim[d as usize] >= self.limit[d as usize]
+            });
             if !conflict {
                 node_list.push(tid);
                 for &d in res.as_slice() {
-                    if claim[d as usize] == 0 {
-                        claim_touched.push(d);
+                    if self.claim[d as usize] == 0 {
+                        self.claim_touched.push(d);
                     }
-                    claim[d as usize] += 1;
+                    self.claim[d as usize] += 1;
                 }
             }
         }
-        for &d in claim_touched.iter() {
-            claim[d as usize] = 0;
+        for &d in &self.claim_touched {
+            self.claim[d as usize] = 0;
         }
-        claim_touched.clear();
+        self.claim_touched.clear();
         node_list
     }
 
-    /// Gather chunk `c` against the live load state (exact, serial).
-    fn gather_live(&mut self, c: usize) -> Vec<TaskId> {
-        Self::gather(
-            &self.free[c],
-            self.dag,
-            &self.pc_load,
-            &self.limit,
-            &mut self.claim,
-            &mut self.claim_touched,
-        )
-    }
-
-    /// Apply an exact gather result: load resources, pop accepted tasks
+    /// Apply a gather result: load resources, pop accepted tasks
     /// from the free list, release successors, append to `pc`.
     fn apply(&mut self, c: usize, node_list: &[TaskId], pc: &mut Vec<TaskId>) {
         debug_assert!(!node_list.is_empty());
         for &tid in node_list {
             for &d in self.dag.conflict_dense(tid).as_slice() {
                 self.pc_load[d as usize] += 1;
-                self.dirty[d as usize] = self.wave_id;
             }
         }
         // `node_list` is an ordered subsequence of `free[c]`: drop its
@@ -199,94 +161,17 @@ impl<'a> FlatState<'a> {
         pc.extend_from_slice(node_list);
     }
 
-    /// Visit one chunk exactly (serial path): gather against live loads
-    /// and apply. Returns whether the chunk contributed anything.
+    /// Visit one chunk: gather against the live loads and apply. Returns
+    /// whether the chunk contributed anything.
     pub(crate) fn visit(&mut self, c: usize, pc: &mut Vec<TaskId>) -> bool {
         if self.free[c].is_empty() {
             return false;
         }
-        let node_list = self.gather_live(c);
+        let node_list = self.gather(c);
         if node_list.is_empty() {
             return false;
         }
         self.apply(c, &node_list, pc);
         true
-    }
-
-    /// Visit every chunk of `wave` in order, speculating in parallel when
-    /// `threads > 1` and the wave is wide enough. `contributed[i]` is set
-    /// iff `wave[i]` added at least one task. Bit-identical to calling
-    /// [`Self::visit`] serially over `wave`.
-    pub(crate) fn process_wave(
-        &mut self,
-        wave: &[u32],
-        threads: usize,
-        pc: &mut Vec<TaskId>,
-        contributed: &mut Vec<bool>,
-    ) {
-        contributed.clear();
-        contributed.resize(wave.len(), false);
-        let workers = threads.min(wave.len() / (MIN_PARALLEL_WAVE / 2).max(1));
-        if workers <= 1 || wave.len() < MIN_PARALLEL_WAVE {
-            for (i, &c) in wave.iter().enumerate() {
-                contributed[i] = self.visit(c as usize, pc);
-            }
-            return;
-        }
-
-        // Speculation phase: gather every wave member against the load
-        // state frozen at wave start. Workers share the immutable state;
-        // each has its own claim scratch.
-        let mut spec: Vec<Vec<TaskId>> = vec![Vec::new(); wave.len()];
-        let stride = wave.len().div_ceil(workers);
-        let (dag, free, loads, limit) = (self.dag, &self.free, &self.pc_load, &self.limit);
-        std::thread::scope(|scope| {
-            for (slot, chunk_ids) in spec.chunks_mut(stride).zip(wave.chunks(stride)) {
-                scope.spawn(move || {
-                    let mut claim = vec![0u32; loads.len()];
-                    let mut touched = Vec::new();
-                    for (out, &c) in slot.iter_mut().zip(chunk_ids) {
-                        *out = Self::gather(
-                            &free[c as usize],
-                            dag,
-                            loads,
-                            limit,
-                            &mut claim,
-                            &mut touched,
-                        );
-                    }
-                });
-            }
-        });
-
-        // Commit phase, in wave order. A speculative gather is exact iff
-        // none of its accepted tasks' resources were loaded by an earlier
-        // commit of this wave (loads are monotone within a sub-pipeline,
-        // so speculative *rejections* can never become acceptances).
-        self.wave_id += 1;
-        for (i, &c) in wave.iter().enumerate() {
-            let c = c as usize;
-            let mut node_list = std::mem::take(&mut spec[i]);
-            if node_list.is_empty() {
-                // Free list was empty or everything conflicted against the
-                // frozen loads; live loads are only higher.
-                continue;
-            }
-            let stale = node_list.iter().any(|&tid| {
-                self.dag
-                    .conflict_dense(tid)
-                    .as_slice()
-                    .iter()
-                    .any(|&d| self.dirty[d as usize] == self.wave_id)
-            });
-            if stale {
-                node_list = self.gather_live(c);
-                if node_list.is_empty() {
-                    continue;
-                }
-            }
-            self.apply(c, &node_list, pc);
-            contributed[i] = true;
-        }
     }
 }

@@ -39,6 +39,6 @@ pub use analytic::{
 };
 pub use hpds::{hpds, hpds_with_threads};
 pub use reference::{hpds_reference, round_robin_reference};
-pub use rr::{round_robin, round_robin_with_threads};
+pub use rr::round_robin;
 pub use schedule::Schedule;
 pub use stage::StagePartition;

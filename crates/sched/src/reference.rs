@@ -8,10 +8,10 @@
 //!
 //! 1. **Oracle for byte-identity property tests** — the rearchitected
 //!    schedulers in [`crate::hpds`]/[`crate::rr`] must reproduce these
-//!    schedules bit-for-bit on every input, for every thread count.
-//! 2. **Serial baseline for the compile-time benchmarks** — the
-//!    `parallel_speedup` column of `BENCH_compile.json` measures the
-//!    rearchitected pipeline against these.
+//!    schedules bit-for-bit on every input.
+//! 2. **Baseline for the compile-time benchmarks** — the
+//!    `parallel_speedup` column of `BENCH_compile.json` and the
+//!    `compile-smoke` gate measure the flat schedulers against these.
 //!
 //! Do not optimize this module; its value is being obviously correct.
 

@@ -7,10 +7,8 @@
 //! ignores load balance, so frequently-conflicting chunks pile into late
 //! sub-pipelines and leave more bubbles.
 //!
-//! A full pass over the chunks is already a wave in the sense of
-//! [`crate::flat`], so RR shares the flat state and the speculative wave
-//! parallelism with HPDS. Output is bit-identical to
-//! [`crate::round_robin_reference`] for every thread count.
+//! RR shares the flat state of [`crate::flat`] with HPDS. Output is
+//! bit-identical to [`crate::round_robin_reference`] (property-tested).
 
 use crate::flat::FlatState;
 use crate::schedule::Schedule;
@@ -18,18 +16,9 @@ use rescc_ir::{DepDag, TaskId};
 
 /// Run the round-robin scheduler.
 pub fn round_robin(dag: &DepDag) -> Schedule {
-    round_robin_with_threads(dag, 1)
-}
-
-/// [`round_robin`] with chunk gathering fanned out over `threads` worker
-/// threads (speculative wave execution; identical output for any thread
-/// count).
-pub fn round_robin_with_threads(dag: &DepDag, threads: usize) -> Schedule {
     let n_chunks = dag.n_chunks() as usize;
     let mut st = FlatState::new(dag);
     let mut sub_pipelines: Vec<Vec<TaskId>> = Vec::new();
-    let mut wave: Vec<u32> = Vec::new();
-    let mut contributed: Vec<bool> = Vec::new();
 
     while st.remaining > 0 {
         let mut pc: Vec<TaskId> = Vec::new();
@@ -38,10 +27,10 @@ pub fn round_robin_with_threads(dag: &DepDag, threads: usize) -> Schedule {
         // nothing; then seal the sub-pipeline.
         let mut progressed = true;
         while progressed {
-            wave.clear();
-            wave.extend((0..n_chunks as u32).filter(|&c| st.has_pending(c as usize)));
-            st.process_wave(&wave, threads, &mut pc, &mut contributed);
-            progressed = contributed.iter().any(|&b| b);
+            progressed = false;
+            for c in 0..n_chunks {
+                progressed |= st.visit(c, &mut pc);
+            }
         }
         debug_assert!(!pc.is_empty(), "RR sub-pipeline made no progress");
         sub_pipelines.push(pc);
@@ -91,15 +80,11 @@ mod tests {
         for (nodes, gpus, ranks) in [(1, 8, 8), (2, 4, 8), (2, 8, 16), (4, 8, 32)] {
             let topo = Topology::a100(nodes, gpus);
             let dag = DepDag::build(&ring_ag(ranks), &topo).unwrap();
-            let want = round_robin_reference(&dag);
-            assert_eq!(round_robin(&dag), want, "serial flat vs reference @{ranks}");
-            for threads in [2, 3, 8] {
-                assert_eq!(
-                    round_robin_with_threads(&dag, threads),
-                    want,
-                    "{threads}-thread vs reference @{ranks}"
-                );
-            }
+            assert_eq!(
+                round_robin(&dag),
+                round_robin_reference(&dag),
+                "flat vs reference @{ranks}"
+            );
         }
     }
 }

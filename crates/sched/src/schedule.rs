@@ -17,11 +17,10 @@
 //! earlier sub-pipeline.
 
 use rescc_ir::{DepDag, IrError, TaskId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A scheduled execution pipeline.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
     /// Sub-pipelines in execution order. Within a sub-pipeline, tasks are
     /// listed in scheduling order (which respects data dependencies).

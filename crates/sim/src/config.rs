@@ -4,10 +4,9 @@ use crate::error::{SimError, SimResult};
 use crate::fault::FaultTimeline;
 use crate::frontier::ResumeState;
 use rescc_topology::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Track buffer values and verify the collective's result
     /// (machine-checked correctness). Costs memory proportional to
@@ -52,7 +51,6 @@ pub struct SimConfig {
     /// aborted attempt (plus the buffer replay reconstructing their
     /// effects). `None` — the default — runs from scratch and is
     /// byte-identical to configurations predating this field.
-    #[serde(default)]
     pub resume: Option<ResumeState>,
 }
 

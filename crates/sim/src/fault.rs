@@ -28,10 +28,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rescc_topology::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// A primitive fault transition at one instant of sim time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Fault {
     /// The resource stops carrying traffic. In-flight transfers on it fail.
     LinkDown(ResourceId),
@@ -64,7 +63,7 @@ impl Fault {
 /// Negative times are legal — they mean "already happened before this
 /// attempt started" (produced by [`FaultTimeline::advanced`]) and are
 /// applied during engine initialization, in timeline order.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// Sim time of the transition, ns.
     pub at_ns: f64,
@@ -77,7 +76,7 @@ pub struct FaultEvent {
 /// Builder methods append compound events (a flap becomes `cycles` pairs of
 /// down/up transitions); the engine sorts stably by timestamp, so two
 /// transitions at the same instant apply in insertion order.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
 }

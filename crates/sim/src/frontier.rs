@@ -14,11 +14,9 @@
 //! at initialization and retires completed invocations instantly, so a
 //! resumed run charges only the remaining work's sim time.
 
-use serde::{Deserialize, Serialize};
-
 /// The deterministic set of completed `(task, micro-batch)` invocations at
 /// the instant a fault aborted a run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultFrontier {
     /// Number of tasks in the DAG the frontier indexes.
     pub n_tasks: u32,
@@ -103,7 +101,7 @@ impl FaultFrontier {
 /// resumed run starts: the source slot's current value is applied to the
 /// destination slot with copy (`recv`) or reduce (`recvReduceCopy`)
 /// semantics. Replay order must respect each chunk's dependency order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayOp {
     /// Source rank.
     pub src: u32,
@@ -120,7 +118,7 @@ pub struct ReplayOp {
 /// Everything the engine needs to resume a run from a [`FaultFrontier`]:
 /// which invocations of the (residual) plan are already complete, and the
 /// ordered replay that reconstructs the buffer state they produced.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResumeState {
     /// Number of tasks in the DAG this state indexes (the residual DAG
     /// when the recovery layer pruned fully-complete tasks).

@@ -6,10 +6,8 @@
 //! counts, communication time, average/max idle), and the bandwidth numbers
 //! of Figs. 6–9 and 11.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-thread-block accounting.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TbStat {
     /// Rank the TB runs on.
     pub rank: u32,
@@ -48,7 +46,7 @@ impl TbStat {
 }
 
 /// Per-resource accounting.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResourceStat {
     /// Resource index.
     pub resource: u32,
@@ -80,7 +78,7 @@ impl ResourceStat {
 }
 
 /// The complete result of one simulated collective call.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Wall-clock completion time of the collective, ns.
     pub completion_ns: f64,

@@ -23,10 +23,8 @@
 //! non-observability fields of [`SimReport`](crate::SimReport) are
 //! bit-identical to a run with it off.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a TB interval carried no useful line-rate traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BubbleCause {
     /// Blocked on the peer TB of the transfer, which had not arrived at
     /// the invocation yet (the rendezvous half of `sync_ns`).
@@ -71,7 +69,7 @@ impl BubbleCause {
 
 /// One classified idle interval of one TB. Every interval carries exactly
 /// one cause; intervals of one TB never overlap within a cause class.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BubbleInterval {
     /// Index into [`SimReport::tb_stats`](crate::SimReport) (engine TB id).
     pub tb_index: u32,
@@ -101,7 +99,7 @@ impl BubbleInterval {
 /// Time-bucketed activity decomposition of one TB. Each vector has
 /// [`SimObservability::n_buckets`] entries; entry `i` is the time (ns)
 /// the TB spent in that state during bucket `i`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TbTimeline {
     /// Rank the TB runs on.
     pub rank: u32,
@@ -123,7 +121,7 @@ pub struct TbTimeline {
 /// (ns) during bucket `i` that at least one transfer was draining on the
 /// resource; the bucket sum equals
 /// [`ResourceStat::active_ns`](crate::ResourceStat).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkTimeline {
     /// Resource index (matches `ResourceStat::resource`).
     pub resource: u32,
@@ -135,7 +133,7 @@ pub struct LinkTimeline {
 /// bucketed per-TB and per-link timelines. Attached to
 /// [`SimReport::obs`](crate::SimReport) when
 /// [`SimConfig::attribute_bubbles`](crate::SimConfig) is set.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimObservability {
     /// Number of timeline buckets (the configured `obs_buckets`).
     pub n_buckets: u32,

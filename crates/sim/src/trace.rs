@@ -10,12 +10,11 @@
 
 use crate::fault::Fault;
 use crate::metrics::SimReport;
-use serde::{Deserialize, Serialize};
 
 /// A fault transition the engine applied during the run, kept in the
 /// report so post-mortems can line failures up against the transfer
 /// timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultRecord {
     /// Sim time at which the transition was applied, ns. Negative for
     /// transitions that predate a retried run's start (the timeline was
@@ -26,7 +25,7 @@ pub struct FaultRecord {
 }
 
 /// One transfer invocation's lifecycle on the timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Task index (into the DAG).
     pub task: u32,
@@ -147,7 +146,7 @@ pub fn render_gantt_directed(
 }
 
 /// Which resources bound the run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BottleneckReport {
     /// Resources sorted by active-time ratio, busiest first:
     /// `(resource index, active ratio, bytes)`.

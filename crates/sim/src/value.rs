@@ -9,11 +9,10 @@
 //! bitmask would miss.
 
 use rescc_lang::OpType;
-use serde::{Deserialize, Serialize};
 
 /// Contribution counts per source rank: `counts[r]` is how many times rank
 /// `r`'s original data has been folded into this buffer slot.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkValue {
     counts: Vec<u8>,
 }

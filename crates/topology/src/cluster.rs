@@ -25,7 +25,6 @@ use crate::health::TopologyHealth;
 use crate::ids::{ConnectionId, NicId, NodeId, Rank, ResourceId};
 use crate::params::{FabricParams, LinkParams};
 use crate::resset::ResourceSet;
-use serde::{Deserialize, Serialize};
 
 /// Error produced when constructing a topology from an invalid preset
 /// selector (e.g. a Table 3 index outside 1..=4) or when decoding an
@@ -76,7 +75,7 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Whether a connection stays inside a server or crosses the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PathKind {
     /// NVLink/NVSwitch path inside one server.
     Intra,
@@ -88,7 +87,7 @@ pub enum PathKind {
 }
 
 /// What a [`ResourceId`] denotes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Aggregate NVLink egress port of a GPU (capacity resource).
     GpuTx(Rank),
@@ -105,7 +104,7 @@ pub enum ResourceKind {
 
 /// A logical connection between an ordered pair of GPUs, together with the
 /// contention resources it occupies and the cost parameters of its path.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Connection {
     /// Dense id: `src.index() * n_ranks + dst.index()`.
     pub id: ConnectionId,
@@ -140,7 +139,7 @@ impl Connection {
 }
 
 /// Shape of a cluster: how many servers, GPUs and NICs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Number of servers.
     pub n_nodes: u32,
@@ -158,14 +157,13 @@ impl ClusterSpec {
 }
 
 /// A fully-resolved cluster topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     spec: ClusterSpec,
     fabric: FabricParams,
     /// Human-readable name ("a100-2x8", …) used in reports.
     name: String,
     /// Dead resources to route around (degraded-topology recovery).
-    #[serde(default)]
     health: TopologyHealth,
 }
 

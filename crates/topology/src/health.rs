@@ -10,11 +10,10 @@
 //! healthy and a degraded fabric never alias.
 
 use crate::ids::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// The set of dead resources, kept sorted and duplicate-free so that equal
 /// masks are structurally equal (and hash/fingerprint identically).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TopologyHealth {
     dead: Vec<ResourceId>,
 }

@@ -19,8 +19,6 @@
 //! with TB count until `saturation_tbs` TBs jointly match the link capacity
 //! (the peak at 4 TBs in Fig. 4 of the paper) and degrades past it.
 
-use serde::{Deserialize, Serialize};
-
 /// Nanoseconds — the simulator's time unit.
 pub type Nanos = u64;
 
@@ -32,7 +30,7 @@ pub const fn gbps_to_bytes_per_ns(gb_per_s: f64) -> f64 {
 }
 
 /// Cost-model parameters of one contention resource (link / NIC direction).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkParams {
     /// Startup overhead α of a transmission task on this link, in ns.
     pub alpha_ns: f64,
@@ -151,7 +149,7 @@ impl LinkParams {
 /// * **capacity resources** (the GPU's aggregate NVLink egress/ingress
 ///   port) only fluid-share bandwidth across many peers and never apply a
 ///   contention penalty (`saturation_tbs` set high).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FabricParams {
     /// Per-pair NVLink/NVSwitch channel parameters for intra-node
     /// GPU↔GPU transfers (conflict resource).

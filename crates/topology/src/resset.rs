@@ -5,13 +5,12 @@
 //! and downstream task types `Copy` and allocation-free.
 
 use crate::ids::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// Maximum resources a path can traverse.
 pub const MAX_PATH_RESOURCES: usize = 4;
 
 /// An inline, ordered set of up to [`MAX_PATH_RESOURCES`] resources.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct ResourceSet {
     items: [ResourceId; MAX_PATH_RESOURCES],
     len: u8,

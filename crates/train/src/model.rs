@@ -2,8 +2,6 @@
 //! (§5.5): GPT-3 variants trained with tensor parallelism and T5 variants
 //! trained with data parallelism, exactly the Fig. 13 matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// Error produced when a model preset selector is not one of the Fig. 13
 /// configurations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,7 +31,7 @@ impl std::fmt::Display for UnknownModelSize {
 impl std::error::Error for UnknownModelSize {}
 
 /// Model family — determines the parallelism strategy of §5.5.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// GPT-3 decoder models, trained with tensor parallelism.
     Gpt3,
@@ -42,7 +40,7 @@ pub enum Family {
 }
 
 /// A transformer model configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelConfig {
     /// Display name ("GPT-3 6.7B").
     pub name: String,
@@ -115,7 +113,7 @@ impl ModelConfig {
 }
 
 /// Distributed parallelism configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Tensor-parallel group size (GPUs inside one node).
     pub tp: u32,

@@ -21,7 +21,6 @@ use rescc_ir::MicroBatchPlan;
 use rescc_lang::AlgoSpec;
 use rescc_sim::{SimConfig, SimResult};
 use rescc_topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Process-global compiled-plan cache for the ResCCL path. A training loop
@@ -70,7 +69,7 @@ fn resccl_cached_run(
 }
 
 /// Which CCL backend Megatron links against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CclChoice {
     /// Native Megatron: NCCL with ring algorithms.
     Nccl,
@@ -92,7 +91,7 @@ impl CclChoice {
 }
 
 /// Hardware and overlap assumptions.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainConfig {
     /// Effective per-GPU compute throughput (FLOP/s) after kernel
     /// efficiency — A100 bf16 peak 312 TFLOP/s at ≈45% MFU.
@@ -142,7 +141,7 @@ fn pipeline_terms(model: &ModelConfig, par: &ParallelConfig, compute_s: f64) -> 
 }
 
 /// Breakdown of one training iteration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainReport {
     /// Model name.
     pub model: String,

@@ -1,20 +1,21 @@
 //! Property-based tests (proptest) on the core invariants:
 //!
 //! * schedules cover the DAG, respect data deps, never co-locate
-//!   conflicting tasks,
+//!   conflicting tasks, and the flat schedulers reproduce the reference
+//!   schedulers exactly,
 //! * allocations cover every task side exactly once per micro-batch slice,
 //! * randomly generated broadcast-tree AllGathers and reduction-tree
 //!   collectives are executed correctly by the full pipeline,
 //! * pretty-printed DSL reparses to the same AST.
 
 use proptest::prelude::*;
-use rescc::algos::{compose_allreduce, reverse_allgather};
+use rescc::algos::{compose_allreduce, reverse_allgather, seed_suite};
 use rescc::alloc::TbAllocation;
 use rescc::core::Compiler;
 use rescc::ir::DepDag;
 use rescc::lang::verify_collective;
 use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, OpType};
-use rescc::sched::{hpds, round_robin};
+use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference};
 use rescc::topology::Topology;
 
 const MB: u64 = 1 << 20;
@@ -101,6 +102,9 @@ proptest! {
         // Both schedulers schedule exactly the DAG, once.
         prop_assert_eq!(h.n_tasks(), dag.len());
         prop_assert_eq!(rr.n_tasks(), dag.len());
+        // The flat schedulers reproduce the reference ones exactly.
+        prop_assert_eq!(h, hpds_reference(&dag));
+        prop_assert_eq!(rr, round_robin_reference(&dag));
     }
 
     #[test]
@@ -178,25 +182,18 @@ proptest! {
         let dag = DepDag::build(&spec, &topo).unwrap();
         prop_assert_eq!(hpds(&dag), hpds(&dag));
     }
+}
 
-    #[test]
-    fn parallel_compile_matches_serial(
-        shape_idx in 0usize..4,
-        threads in 2usize..8,
-        seed in prop::collection::vec(0u32..1000, 8..24),
-    ) {
-        // The chunked compile phases (verification, DAG construction,
-        // kernel lowering) must produce the same artifact at any thread
-        // count as the serial pipeline — scheduling stays sequential, so
-        // the whole plan is deterministic.
-        let (nodes, g) = [(1u32, 4u32), (2, 2), (2, 4), (4, 2)][shape_idx];
-        let topo = Topology::a100(nodes, g);
-        let spec = random_allgather(nodes * g, &seed);
-        let serial = Compiler::new().compile_spec(&spec, &topo).unwrap();
-        let parallel = Compiler::new()
-            .with_threads(threads)
-            .compile_spec(&spec, &topo)
-            .unwrap();
-        prop_assert!(serial.semantic_eq(&parallel), "thread count changed the plan");
+#[test]
+fn flat_schedulers_match_reference_on_seed_suite() {
+    for i in 1..=4 {
+        let topo = Topology::table3_topo(i).unwrap();
+        let shape = topo.spec();
+        for spec in seed_suite(shape.n_nodes, shape.gpus_per_node) {
+            let dag = DepDag::build(&spec, &topo).unwrap();
+            let at = format!("{} on Topo{i}", spec.name());
+            assert_eq!(hpds(&dag), hpds_reference(&dag), "hpds: {at}");
+            assert_eq!(round_robin(&dag), round_robin_reference(&dag), "rr: {at}");
+        }
     }
 }
