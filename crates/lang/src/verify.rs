@@ -13,8 +13,10 @@
 //! * AllReduce — every slot holds every rank's data exactly once.
 //!
 //! It additionally rejects two silent-corruption hazards the runtime check
-//! can mask: sending an uninitialized (empty) value, and two same-step
-//! plain-copy writes racing into one slot (nondeterministic result).
+//! can mask: sending an uninitialized (empty) value, and same-step races
+//! whose outcome depends on arrival order — a plain copy racing any other
+//! write into one slot (only reductions commute), and a read of a slot
+//! that another transfer of the same step writes.
 //!
 //! This is the compile-time twin of the simulator's runtime data check —
 //! the compiler runs it during the Analysis phase so broken algorithms
@@ -109,24 +111,44 @@ fn verify_chunk(spec: &AlgoSpec, c: usize, transfers: &[&crate::spec::TransferRe
             })
             .collect::<Result<_>>()?;
 
-        // Same-step plain copies into one slot race nondeterministically.
-        let mut copy_targets: Vec<u32> = group
+        // Same-step writes into one slot race unless all of them reduce:
+        // reductions commute, a plain copy does not.
+        let mut targets: Vec<(u32, bool)> = group
             .iter()
-            .filter(|t| t.comm == CommType::Recv)
-            .map(|t| t.dst.0)
+            .map(|t| (t.dst.0, t.comm == CommType::Recv))
             .collect();
-        copy_targets.sort_unstable();
-        for w in copy_targets.windows(2) {
-            if w[0] == w[1] {
+        targets.sort_unstable();
+        for w in targets.windows(2) {
+            if w[0].0 == w[1].0 && (w[0].1 || w[1].1) {
                 return Err(LangError::eval(format!(
-                    "`{}`: step {} has two racing copies into rank r{} chunk c{} — \
-                     the result would be nondeterministic",
+                    "`{}`: step {} has racing writes into rank r{} chunk c{} — a copy \
+                     and another same-step write land in one slot, so the result \
+                     would be nondeterministic",
                     spec.name(),
                     step,
-                    w[0],
+                    w[0].0,
                     c
                 )));
             }
+        }
+
+        // A slot one transfer reads while another writes it in the same
+        // step: nothing orders the read before the write at run time.
+        let mut written: Vec<u32> = group.iter().map(|t| t.dst.0).collect();
+        written.sort_unstable();
+        if let Some(t) = group
+            .iter()
+            .find(|t| written.binary_search(&t.src.0).is_ok())
+        {
+            return Err(LangError::eval(format!(
+                "`{}`: step {} reads rank {} chunk c{} while another transfer of the \
+                 same step writes it — the read could observe either value, so the \
+                 result would be nondeterministic",
+                spec.name(),
+                step,
+                t.src,
+                c
+            )));
         }
 
         // Commit writes.
@@ -250,7 +272,45 @@ mod tests {
         // Both rank 1 and rank 2 *copy* into rank 0 chunk 0 at step 0.
         b.recv(1, 0, 0, 0).recv(2, 0, 0, 0);
         let err = verify_collective(&b.build().unwrap()).unwrap_err();
-        assert!(err.to_string().contains("racing copies"), "{err}");
+        assert!(err.to_string().contains("racing writes"), "{err}");
+    }
+
+    #[test]
+    fn rejects_copy_racing_a_reduction_in_either_order() {
+        // Chunk 0 of a 3-rank AllReduce: reduce rank 0 into rank 1, then
+        // rank 0's slot takes a copy from rank 1 and a reduction from rank
+        // 2 in the same step, then rank 0 broadcasts. Whether the copy
+        // lands before or after the reduction decides the result, so both
+        // declaration orders must be rejected.
+        for copy_first in [true, false] {
+            let mut b = AlgoBuilder::new("copy-vs-rrc", OpType::AllReduce, 3);
+            b.rrc(0, 1, 0, 0);
+            if copy_first {
+                b.recv(1, 0, 1, 0).rrc(2, 0, 1, 0);
+            } else {
+                b.rrc(2, 0, 1, 0).recv(1, 0, 1, 0);
+            }
+            b.recv(0, 1, 2, 0).recv(0, 2, 2, 0);
+            for c in 1..3 {
+                b.rrc((c + 1) % 3, c, 0, c).rrc((c + 2) % 3, c, 0, c);
+                b.recv(c, (c + 1) % 3, 1, c).recv(c, (c + 2) % 3, 1, c);
+            }
+            let err = verify_collective(&b.build().unwrap()).unwrap_err();
+            assert!(err.to_string().contains("racing writes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_same_step_read_of_a_written_slot() {
+        // Rank 1 forwards chunk 0 to rank 2 in the step in which rank 0
+        // reduces into rank 1's slot: the forward may carry either value.
+        let mut b = AlgoBuilder::new("raw", OpType::ReduceScatter, 3);
+        b.rrc(1, 0, 0, 0).rrc(2, 1, 0, 1).rrc(0, 2, 0, 2);
+        b.rrc(2, 0, 1, 0).rrc(0, 1, 1, 1).rrc(1, 2, 1, 2);
+        verify_collective(&b.build().unwrap()).unwrap();
+        b.rrc(0, 1, 1, 0);
+        let err = verify_collective(&b.build().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("same step writes it"), "{err}");
     }
 
     #[test]
