@@ -9,7 +9,9 @@ use crate::diag::{CostCertificate, Diagnostic, LintCode, Severity, Site};
 use crate::graph::CombinedOrder;
 use crate::oracle::HbOracle;
 use crate::{AnalysisConfig, AnalysisInput, ResidualContext};
-use rescc_lang::{CommType, OpType};
+use rescc_ir::{DepDag, Task, TaskId};
+use rescc_lang::provenance::{required, step_groups, Move, Provenance, Slots};
+use rescc_lang::CommType;
 use rescc_topology::{ChunkId, LinkParams};
 use std::collections::HashMap;
 
@@ -97,9 +99,9 @@ fn find_cycle(order: &CombinedOrder, stuck: &[u32]) -> Vec<u32> {
 /// no happens-before path between them in the combined order, where at
 /// least one is a plain copy (`recv`). Two unordered reductions commute;
 /// an unordered copy does not — the slot's final value depends on arrival
-/// order. The front-end verifier only rejects same-*step* copy pairs; TB
-/// allocation and fusion can leave *cross-step* writes unordered too, and
-/// those are invisible at spec level.
+/// order. The front-end verifier applies the same rule, but only within
+/// one *step*; TB allocation and fusion can leave *cross-step* writes
+/// unordered too, and those are invisible at spec level.
 ///
 /// Reachability queries go through the shared [`HbOracle`]. Reachability
 /// is transitive, so the group of same-slot writers is ordered by topo
@@ -271,103 +273,93 @@ pub fn ra003_sub_pipeline_loads(
 /// verifier's step semantics: reads observe the pre-step state, writes
 /// commit per step). A task whose contribution reaches no slot the
 /// operator's postcondition reads — e.g. it was overwritten before anyone
-/// forwarded it — moves bytes for nothing.
+/// forwarded it — moves bytes for nothing. This is RA008's replay with an
+/// empty fault frontier.
 pub fn ra004_dead_transfer(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
-    let n_ranks = input.spec.n_ranks() as usize;
-    let n_tasks = input.dag.len();
-    // Provenance bits are indexed *within* the chunk: every task writes
-    // exactly one chunk's slots, so bitsets sized to the chunk (not the
-    // whole DAG) carry the same information at a fraction of the footprint.
-    let mut local: Vec<u32> = vec![u32::MAX; n_tasks];
+    let nothing_completed = vec![false; input.dag.len()];
+    dead_transfers(input, input.dag, &nothing_completed, out, |t, task| {
+        let message = format!(
+            "dead transfer: task t{} ({} -> {} chunk c{}) never \
+             contributes to the operator's postcondition — its delivery \
+             is overwritten before any required slot reads it",
+            t.0, task.src, task.dst, task.chunk.0
+        );
+        (LintCode::RA004, Some(t.0), message)
+    });
+}
 
-    for chunk in 0..input.dag.n_chunks() {
-        let chunk_tasks = input.dag.chunk_tasks(ChunkId::new(chunk));
-        if chunk_tasks.is_empty() {
+/// The dead-transfer replay behind RA004 and RA008. Per chunk of `dag`,
+/// replay task provenance over the ranks' slots: first the `completed`
+/// tasks one at a time in per-chunk order (exactly the resume-state
+/// replay the residual compiler hands the engine), then the other tasks
+/// step group by step group. Every other task whose bit reaches no slot
+/// the operator's postcondition reads is reported, in chunk order, as the
+/// `(code, site task, message)` that `describe` gives it.
+fn dead_transfers(
+    input: &AnalysisInput,
+    dag: &DepDag,
+    completed: &[bool],
+    out: &mut Vec<Diagnostic>,
+    describe: impl Fn(TaskId, &Task) -> (LintCode, Option<u32>, String),
+) {
+    let n_ranks = input.spec.n_ranks() as usize;
+    for chunk in 0..dag.n_chunks() {
+        let tasks = dag.chunk_tasks(ChunkId::new(chunk));
+        if tasks.is_empty() {
             continue;
         }
-        for (li, &t) in chunk_tasks.iter().enumerate() {
-            local[t.index()] = li as u32;
+        // Provenance bits index tasks *within* the chunk: every task writes
+        // exactly one chunk's slots, so bitsets sized to the chunk (not the
+        // whole DAG) carry the same information at a fraction of the
+        // footprint. Slot `r` is rank `r`'s copy of the chunk.
+        let words = tasks.len().div_ceil(64);
+        let mut prov = Slots::<Provenance>::new(n_ranks, words);
+        let done = |li: usize| completed[tasks[li].index()];
+        let mv = |li: usize| {
+            let t = dag.task(tasks[li]);
+            Move {
+                src: t.src.index(),
+                dst: t.dst.index(),
+                comm: t.comm,
+                writer: li,
+            }
+        };
+        for li in (0..tasks.len()).filter(|&li| done(li)) {
+            prov.apply(mv(li));
         }
-        let words = chunk_tasks.len().div_ceil(64);
-        // prov[rank] = bitset of chunk tasks contributing to the slot's
-        // value, flattened to one allocation.
-        let mut prov: Vec<u64> = vec![0u64; n_ranks * words];
-
-        let mut i = 0;
-        while i < chunk_tasks.len() {
-            let step = input.dag.task(chunk_tasks[i]).step;
-            let mut j = i;
-            while j < chunk_tasks.len() && input.dag.task(chunk_tasks[j]).step == step {
-                j += 1;
-            }
-            let group = &chunk_tasks[i..j];
-            // Reads observe the pre-step state.
-            let reads: Vec<Vec<u64>> = group
-                .iter()
-                .map(|&t| {
-                    let r = input.dag.task(t).src.index();
-                    prov[r * words..(r + 1) * words].to_vec()
-                })
-                .collect();
-            for (&t, read) in group.iter().zip(&reads) {
-                let task = input.dag.task(t);
-                let d = task.dst.index();
-                let slot = &mut prov[d * words..(d + 1) * words];
-                match task.comm {
-                    CommType::Recv => slot.copy_from_slice(read),
-                    CommType::Rrc => {
-                        for (a, b) in slot.iter_mut().zip(read) {
-                            *a |= b;
-                        }
-                    }
-                }
-                let li = local[t.index()] as usize;
-                slot[li / 64] |= 1u64 << (li % 64);
-            }
-            i = j;
+        let mut start = 0;
+        for group in step_groups(tasks, |t| dag.task(*t).step) {
+            let range = start..start + group.len();
+            start = range.end;
+            prov.apply_group(range.filter(|&li| !done(li)).map(mv));
         }
 
         // Union the provenance of every slot the postcondition reads.
         let mut useful = vec![0u64; words];
-        for r in 0..n_ranks {
-            let required = match input.spec.op() {
-                OpType::AllGather | OpType::AllReduce => true,
-                OpType::ReduceScatter => r as u32 == chunk,
-            };
-            if required {
-                for (u, s) in useful.iter_mut().zip(&prov[r * words..(r + 1) * words]) {
-                    *u |= s;
-                }
+        for r in (0..n_ranks).filter(|&r| required(input.spec.op(), r as u32, chunk)) {
+            for (u, s) in useful.iter_mut().zip(prov.slot(r)) {
+                *u |= s;
             }
         }
-
-        for &t in chunk_tasks {
-            let li = local[t.index()] as usize;
-            if useful[li / 64] & (1u64 << (li % 64)) == 0 {
-                let task = input.dag.task(t);
-                out.push(Diagnostic {
-                    code: LintCode::RA004,
-                    severity: Severity::Warn,
-                    message: format!(
-                        "dead transfer: task t{} ({} -> {} chunk c{chunk}) never \
-                         contributes to the operator's postcondition — its delivery \
-                         is overwritten before any required slot reads it",
-                        t.0, task.src, task.dst
-                    ),
-                    site: Site {
-                        task: Some(t.0),
-                        rank: Some(task.dst.0),
-                        step: Some(task.step.0),
-                        chunk: Some(chunk),
-                        ..Site::default()
-                    },
-                    path: Vec::new(),
-                });
+        for (li, &t) in tasks.iter().enumerate() {
+            if done(li) || useful[li / 64] & (1 << (li % 64)) != 0 {
+                continue;
             }
-        }
-
-        for &t in chunk_tasks {
-            local[t.index()] = u32::MAX;
+            let task = dag.task(t);
+            let (code, site_task, message) = describe(t, task);
+            out.push(Diagnostic {
+                code,
+                severity: Severity::Warn,
+                message,
+                site: Site {
+                    task: site_task,
+                    rank: Some(task.dst.0),
+                    step: Some(task.step.0),
+                    chunk: Some(chunk),
+                    ..Site::default()
+                },
+                path: Vec::new(),
+            });
         }
     }
 }
@@ -744,136 +736,23 @@ pub fn ra008_residual_dead_transfer(
     ctx: &ResidualContext,
     out: &mut Vec<Diagnostic>,
 ) {
-    let n_ranks = input.spec.n_ranks() as usize;
     let orig = ctx.orig_dag;
-    debug_assert_eq!(ctx.completed.len(), orig.len());
     // Map original → residual id to anchor diagnostics on the plan under
     // analysis.
     let mut residual_of: Vec<u32> = vec![u32::MAX; orig.len()];
     for (ri, &oid) in ctx.orig_ids.iter().enumerate() {
         residual_of[oid.index()] = ri as u32;
     }
-
-    let mut local: Vec<u32> = vec![u32::MAX; orig.len()];
-    for chunk in 0..orig.n_chunks() {
-        let chunk_tasks = orig.chunk_tasks(ChunkId::new(chunk));
-        if chunk_tasks.is_empty() {
-            continue;
-        }
-        for (li, &t) in chunk_tasks.iter().enumerate() {
-            local[t.index()] = li as u32;
-        }
-        let words = chunk_tasks.len().div_ceil(64);
-        let mut prov: Vec<u64> = vec![0u64; n_ranks * words];
-
-        // Phase 1 — the fault frontier: completed tasks applied
-        // sequentially in per-chunk order, mirroring the resume-state
-        // replay (`ReplayOp`) the residual compiler hands the engine.
-        for &t in chunk_tasks {
-            if !ctx.completed[t.index()] {
-                continue;
-            }
-            let task = orig.task(t);
-            let read = prov[task.src.index() * words..(task.src.index() + 1) * words].to_vec();
-            let d = task.dst.index();
-            let slot = &mut prov[d * words..(d + 1) * words];
-            match task.comm {
-                CommType::Recv => slot.copy_from_slice(&read),
-                CommType::Rrc => {
-                    for (a, b) in slot.iter_mut().zip(&read) {
-                        *a |= b;
-                    }
-                }
-            }
-            let li = local[t.index()] as usize;
-            slot[li / 64] |= 1u64 << (li % 64);
-        }
-
-        // Phase 2 — the surviving tasks, with RA004's step semantics
-        // (reads observe the pre-step state).
-        let mut i = 0;
-        while i < chunk_tasks.len() {
-            let step = orig.task(chunk_tasks[i]).step;
-            let mut j = i;
-            while j < chunk_tasks.len() && orig.task(chunk_tasks[j]).step == step {
-                j += 1;
-            }
-            let group: Vec<rescc_ir::TaskId> = chunk_tasks[i..j]
-                .iter()
-                .copied()
-                .filter(|t| !ctx.completed[t.index()])
-                .collect();
-            let reads: Vec<Vec<u64>> = group
-                .iter()
-                .map(|&t| {
-                    let r = orig.task(t).src.index();
-                    prov[r * words..(r + 1) * words].to_vec()
-                })
-                .collect();
-            for (&t, read) in group.iter().zip(&reads) {
-                let task = orig.task(t);
-                let d = task.dst.index();
-                let slot = &mut prov[d * words..(d + 1) * words];
-                match task.comm {
-                    CommType::Recv => slot.copy_from_slice(read),
-                    CommType::Rrc => {
-                        for (a, b) in slot.iter_mut().zip(read) {
-                            *a |= b;
-                        }
-                    }
-                }
-                let li = local[t.index()] as usize;
-                slot[li / 64] |= 1u64 << (li % 64);
-            }
-            i = j;
-        }
-
-        let mut useful = vec![0u64; words];
-        for r in 0..n_ranks {
-            let required = match input.spec.op() {
-                OpType::AllGather | OpType::AllReduce => true,
-                OpType::ReduceScatter => r as u32 == chunk,
-            };
-            if required {
-                for (u, s) in useful.iter_mut().zip(&prov[r * words..(r + 1) * words]) {
-                    *u |= s;
-                }
-            }
-        }
-
-        for &t in chunk_tasks {
-            if ctx.completed[t.index()] {
-                continue;
-            }
-            let li = local[t.index()] as usize;
-            if useful[li / 64] & (1u64 << (li % 64)) == 0 {
-                let task = orig.task(t);
-                let rid = residual_of[t.index()];
-                out.push(Diagnostic {
-                    code: LintCode::RA008,
-                    severity: Severity::Warn,
-                    message: format!(
-                        "dead transfer in residual: task t{rid} (original t{}, \
-                         {} -> {} chunk c{chunk}) never contributes to the \
-                         operator's postcondition once provenance is replayed from \
-                         the fault frontier — the resumed run moves its bytes for \
-                         nothing",
-                        t.0, task.src, task.dst
-                    ),
-                    site: Site {
-                        task: if rid == u32::MAX { None } else { Some(rid) },
-                        rank: Some(task.dst.0),
-                        step: Some(task.step.0),
-                        chunk: Some(chunk),
-                        ..Site::default()
-                    },
-                    path: Vec::new(),
-                });
-            }
-        }
-
-        for &t in chunk_tasks {
-            local[t.index()] = u32::MAX;
-        }
-    }
+    dead_transfers(input, orig, ctx.completed, out, |t, task| {
+        let rid = residual_of[t.index()];
+        let message = format!(
+            "dead transfer in residual: task t{rid} (original t{}, \
+             {} -> {} chunk c{}) never contributes to the \
+             operator's postcondition once provenance is replayed from \
+             the fault frontier — the resumed run moves its bytes for \
+             nothing",
+            t.0, task.src, task.dst, task.chunk.0
+        );
+        (LintCode::RA008, (rid != u32::MAX).then_some(rid), message)
+    });
 }

@@ -27,11 +27,8 @@
 use crate::{CompiledPlan, Compiler, PhaseTimings};
 use rescc_analyze::{Incremental, ResidualContext};
 use rescc_ir::{DepDag, TaskId};
-use rescc_lang::CommType;
-use rescc_sim::{
-    expected_final, initial_value, ChunkValue, FaultFrontier, ReplayOp, ResumeState, SimError,
-    SimResult,
-};
+use rescc_lang::provenance::{Move, Slots};
+use rescc_sim::{FaultFrontier, ReplayOp, ResumeState, SimError, SimResult};
 use rescc_topology::ChunkId;
 use std::time::Instant;
 
@@ -138,7 +135,7 @@ impl Compiler {
                         dst: task.dst.0,
                         chunk: task.chunk.0,
                         mb,
-                        reduce: task.comm == CommType::Rrc,
+                        comm: task.comm,
                     });
                     if new_id[tid.index()] != u32::MAX {
                         resume.mark_done(new_id[tid.index()], mb);
@@ -177,61 +174,40 @@ impl Compiler {
 }
 
 /// Statically prove frontier + residual ≡ full run: per micro-batch,
-/// replay the completed prefix's buffer effects and then the residual
-/// tasks' (in per-chunk dependency order) over the collective's initial
-/// values, and check every rank/chunk slot reaches the postcondition.
+/// replay the completed prefix's buffer effects (the engine's own resume
+/// replay) and then the residual tasks' (one at a time, in per-chunk
+/// dependency order) over the collective's initial values, and check every
+/// rank/chunk slot reaches the postcondition.
 fn verify_provenance(
     cached: &CompiledPlan,
     residual: &DepDag,
     resume: &ResumeState,
 ) -> SimResult<()> {
-    let n_ranks = cached.spec.n_ranks();
     let n_chunks = cached.dag.n_chunks();
-    let op = cached.op;
+    let initial = Slots::initial(cached.op, cached.spec.n_ranks(), 0..n_chunks);
     for mb in 0..resume.n_mb {
-        let mut buf: Vec<ChunkValue> = (0..n_ranks)
-            .flat_map(|r| (0..n_chunks).map(move |c| initial_value(op, n_ranks, r, c)))
-            .collect();
-        let apply = |src: u32, dst: u32, chunk: u32, reduce: bool, buf: &mut Vec<ChunkValue>| {
-            let s = (src * n_chunks + chunk) as usize;
-            let d = (dst * n_chunks + chunk) as usize;
-            let v = buf[s].clone();
-            if reduce {
-                buf[d].reduce_from(&v);
-            } else {
-                buf[d].copy_from(&v);
-            }
-        };
-        for rop in resume.replay.iter().filter(|o| o.mb == mb) {
-            apply(rop.src, rop.dst, rop.chunk, rop.reduce, &mut buf);
-        }
+        let mut buf = initial.clone();
+        resume.replay_into(mb..mb + 1, std::slice::from_mut(&mut buf), n_chunks);
         for c in 0..n_chunks {
             for &tid in residual.chunk_tasks(ChunkId::new(c)) {
                 if resume.is_done(tid.0, mb) {
                     continue;
                 }
                 let t = residual.task(tid);
-                apply(
-                    t.src.0,
-                    t.dst.0,
-                    t.chunk.0,
-                    t.comm == CommType::Rrc,
-                    &mut buf,
-                );
+                buf.apply(Move {
+                    src: (t.src.0 * n_chunks + c) as usize,
+                    dst: (t.dst.0 * n_chunks + c) as usize,
+                    comm: t.comm,
+                    writer: 0,
+                });
             }
         }
-        for r in 0..n_ranks {
-            for c in 0..n_chunks {
-                if let Some(exp) = expected_final(op, n_ranks, r, c) {
-                    if buf[(r * n_chunks + c) as usize] != exp {
-                        return Err(SimError::new(format!(
-                            "residual provenance violated: rank {r} chunk {c} \
-                             micro-batch {mb} would not reach the collective's \
-                             final value — frontier and residual disagree"
-                        )));
-                    }
-                }
-            }
+        if let Some((r, c, _, _)) = buf.contract_violation(cached.op, 0..n_chunks) {
+            return Err(SimError::Validation(format!(
+                "residual provenance violated: rank {r} chunk {c} \
+                 micro-batch {mb} would not reach the collective's \
+                 final value — frontier and residual disagree"
+            )));
         }
     }
     Ok(())
@@ -288,6 +264,25 @@ mod tests {
             "residual {} must finish sooner than full {}",
             rep.completion_ns,
             base.completion_ns
+        );
+    }
+
+    #[test]
+    fn provenance_violation_is_a_validation_error() {
+        let topo = Topology::a100(1, 4);
+        let compiler = Compiler::new();
+        let plan = compiler
+            .compile_spec(&rescc_algos::ring_allgather(4), &topo)
+            .unwrap();
+        let frontier = frontier_at(&plan, 2, 0.5);
+        let mut residual = compiler.residual_plan(&plan, &frontier).unwrap();
+        verify_provenance(&plan, &residual.plan.dag, &residual.resume).unwrap();
+        // Forget one completed delivery: its slot never gets the data.
+        residual.resume.replay.remove(0);
+        let err = verify_provenance(&plan, &residual.plan.dag, &residual.resume).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Validation(m) if m.contains("residual provenance violated")),
+            "{err:?}"
         );
     }
 

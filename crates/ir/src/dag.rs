@@ -23,6 +23,7 @@
 
 use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
+use rescc_lang::provenance::step_groups;
 use rescc_lang::AlgoSpec;
 use rescc_topology::{
     ChunkId, LinkParams, PathKind, Rank, ResourceId, Topology, MAX_PATH_RESOURCES,
@@ -544,14 +545,7 @@ fn add_edge(preds: &mut [Vec<TaskId>], succs: &mut [Vec<TaskId>], from: TaskId, 
 fn edges_for_chunk(tasks: &[Task], chunk_tasks: &[TaskId]) -> Vec<(TaskId, TaskId)> {
     let mut edges = Vec::new();
     let mut last_write: HashMap<Rank, Vec<TaskId>> = HashMap::new();
-    let mut i = 0;
-    while i < chunk_tasks.len() {
-        let step = tasks[chunk_tasks[i].index()].step;
-        let mut j = i;
-        while j < chunk_tasks.len() && tasks[chunk_tasks[j].index()].step == step {
-            j += 1;
-        }
-        let group = &chunk_tasks[i..j];
+    for group in step_groups(chunk_tasks, |t| tasks[t.index()].step) {
         // Reads (the send side) and overwrites both depend on every latest
         // earlier-step write.
         for &tid in group {
@@ -578,7 +572,6 @@ fn edges_for_chunk(tasks: &[Task], chunk_tasks: &[TaskId]) -> Vec<(TaskId, TaskI
         for (rank, writers) in fresh {
             last_write.insert(rank, writers);
         }
-        i = j;
     }
     edges
 }

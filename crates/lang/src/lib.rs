@@ -11,7 +11,9 @@
 //!   indentation, recursive-descent parser for the Appendix B BNF),
 //! * [`eval`] / [`eval_source`] — AST → validated [`AlgoSpec`],
 //! * [`AlgoBuilder`] — the same [`AlgoSpec`] built from Rust,
-//! * [`pretty`] — AST → canonical text (roundtrip-safe).
+//! * [`pretty`] — AST → canonical text (roundtrip-safe),
+//! * [`verify_collective`] — static proof that a spec implements its
+//!   operator, on the shared [`provenance`] kernel.
 //!
 //! ```
 //! use rescc_lang::{eval_source, OpType};
@@ -39,6 +41,7 @@ mod eval;
 mod lexer;
 mod parser;
 mod pretty;
+pub mod provenance;
 mod spec;
 mod token;
 mod verify;

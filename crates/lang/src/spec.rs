@@ -135,18 +135,6 @@ impl AlgoSpec {
             .unwrap_or(Step::new(0))
     }
 
-    /// Transfers of one chunk, ordered by step (ties keep declaration order).
-    pub fn chunk_transfers(&self, chunk: ChunkId) -> Vec<TransferRec> {
-        let mut v: Vec<TransferRec> = self
-            .transfers
-            .iter()
-            .copied()
-            .filter(|t| t.chunk == chunk)
-            .collect();
-        v.sort_by_key(|t| t.step);
-        v
-    }
-
     /// The distinct ordered GPU pairs (connections) the algorithm uses.
     pub fn connections(&self) -> Vec<(Rank, Rank)> {
         let mut set: Vec<(Rank, Rank)> = self
@@ -230,19 +218,5 @@ mod tests {
     fn rejects_empty() {
         let e = AlgoSpec::new("t", OpType::AllGather, 2, vec![]).unwrap_err();
         assert!(e.to_string().contains("no transfers"));
-    }
-
-    #[test]
-    fn chunk_transfers_sorted_by_step() {
-        let s = AlgoSpec::new(
-            "t",
-            OpType::AllGather,
-            4,
-            vec![rec(2, 3, 2, 0), rec(0, 1, 0, 0), rec(1, 2, 1, 0)],
-        )
-        .unwrap();
-        let c0 = s.chunk_transfers(ChunkId::new(0));
-        assert_eq!(c0.len(), 3);
-        assert!(c0[0].step < c0[1].step && c0[1].step < c0[2].step);
     }
 }

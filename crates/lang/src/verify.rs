@@ -1,9 +1,9 @@
 //! Static collective verification: prove, without running anything, that
 //! an [`AlgoSpec`] implements its declared operator.
 //!
-//! The verifier symbolically executes the transfers in step order over
-//! per-slot contribution vectors (`state[rank][chunk][source] = how many
-//! times source's data has been folded in`), with the same step semantics
+//! The verifier replays the transfers in step order over per-slot
+//! contribution counts ([`Counts`](crate::provenance::Counts)) on the shared
+//! [provenance kernel](crate::provenance), with the same step semantics
 //! the dependency DAG uses: all reads of a step observe the pre-step
 //! state, writes commit together at the end of the step. It then checks
 //! the final state against the operator's contract:
@@ -22,30 +22,27 @@
 //! the compiler runs it during the Analysis phase so broken algorithms
 //! fail before any scheduling work happens.
 
-use crate::ast::{CommType, OpType};
+use crate::ast::CommType;
 use crate::error::{LangError, Result};
-use crate::spec::AlgoSpec;
-
-/// One buffer slot's symbolic value: per-source contribution counts.
-type Val = Vec<u16>;
+use crate::provenance::{step_groups, Move, Slots};
+use crate::spec::{AlgoSpec, TransferRec};
 
 /// Statically verify that `spec` implements its declared operator.
 ///
 /// Every transfer reads and writes only its own chunk's buffer slots, so
-/// the symbolic execution decomposes exactly into one independent run per
-/// chunk, which caps the symbolic state at O(ranks²) instead of
-/// O(ranks³). When several chunks are broken, the error reported is the
-/// lowest-numbered chunk's.
+/// the replay decomposes exactly into one independent run per chunk,
+/// which caps the symbolic state at O(ranks²) instead of O(ranks³). When
+/// several chunks are broken, the error reported is the lowest-numbered
+/// chunk's.
 pub fn verify_collective(spec: &AlgoSpec) -> Result<()> {
-    // Transfers bucketed per chunk, in declaration order (the per-step
-    // stable sort happens inside `verify_chunk`).
-    let mut by_chunk: Vec<Vec<&crate::spec::TransferRec>> =
-        vec![Vec::new(); spec.n_chunks() as usize];
+    let mut by_chunk: Vec<Vec<&TransferRec>> = vec![Vec::new(); spec.n_chunks() as usize];
     for t in spec.transfers() {
         by_chunk[t.chunk.index()].push(t);
     }
-    for (c, transfers) in by_chunk.iter().enumerate() {
-        verify_chunk(spec, c, transfers)?;
+    for (c, transfers) in by_chunk.iter_mut().enumerate() {
+        // Stable: same-step transfers keep declaration order.
+        transfers.sort_by_key(|t| t.step);
+        verify_chunk(spec, c as u32, transfers)?;
     }
     Ok(())
 }
@@ -57,59 +54,27 @@ pub fn verify_collective_with_threads(spec: &AlgoSpec, _threads: usize) -> Resul
     verify_collective(spec)
 }
 
-/// Symbolically execute one chunk's transfers and check its slice of the
-/// operator contract.
-fn verify_chunk(spec: &AlgoSpec, c: usize, transfers: &[&crate::spec::TransferRec]) -> Result<()> {
-    let n = spec.n_ranks() as usize;
-
-    // Initial per-rank state of this chunk's slot, mirroring the
-    // operator's input contract.
-    let mut state: Vec<Val> = (0..n)
-        .map(|r| {
-            let mut v = vec![0u16; n];
-            match spec.op() {
-                OpType::AllGather => {
-                    if r == c {
-                        v[r] = 1;
-                    }
-                }
-                OpType::AllReduce | OpType::ReduceScatter => v[r] = 1,
-            }
-            v
-        })
-        .collect();
-
-    // Transfers grouped by step.
-    let mut transfers = transfers.to_vec();
-    transfers.sort_by_key(|t| t.step);
-    let mut i = 0;
-    while i < transfers.len() {
-        let step = transfers[i].step;
-        let mut j = i;
-        while j < transfers.len() && transfers[j].step == step {
-            j += 1;
-        }
-        let group = &transfers[i..j];
-
+/// Replay one chunk's step-sorted transfers and check its slice of the
+/// operator contract. Slot `r` is rank `r`'s copy of chunk `c`.
+fn verify_chunk(spec: &AlgoSpec, c: u32, transfers: &[&TransferRec]) -> Result<()> {
+    let mut state = Slots::initial(spec.op(), spec.n_ranks(), c..c + 1);
+    for group in step_groups(transfers, |t| t.step) {
+        let step = group[0].step;
         // Reads observe the pre-step state.
-        let reads: Vec<Val> = group
+        if let Some(t) = group
             .iter()
-            .map(|t| {
-                let v = state[t.src.index()].clone();
-                if v.iter().all(|&c| c == 0) {
-                    return Err(LangError::eval(format!(
-                        "`{}`: step {} sends uninitialized data — transfer {}->{} of chunk {} \
-                         reads an empty buffer slot",
-                        spec.name(),
-                        step,
-                        t.src,
-                        t.dst,
-                        t.chunk
-                    )));
-                }
-                Ok(v)
-            })
-            .collect::<Result<_>>()?;
+            .find(|t| state.slot(t.src.index()).iter().all(|&n| n == 0))
+        {
+            return Err(LangError::eval(format!(
+                "`{}`: step {} sends uninitialized data — transfer {}->{} of chunk {} \
+                 reads an empty buffer slot",
+                spec.name(),
+                step,
+                t.src,
+                t.dst,
+                t.chunk
+            )));
+        }
 
         // Same-step writes into one slot race unless all of them reduce:
         // reductions commute, a plain copy does not.
@@ -134,12 +99,11 @@ fn verify_chunk(spec: &AlgoSpec, c: usize, transfers: &[&crate::spec::TransferRe
 
         // A slot one transfer reads while another writes it in the same
         // step: nothing orders the read before the write at run time.
-        let mut written: Vec<u32> = group.iter().map(|t| t.dst.0).collect();
-        written.sort_unstable();
-        if let Some(t) = group
-            .iter()
-            .find(|t| written.binary_search(&t.src.0).is_ok())
-        {
+        if let Some(t) = group.iter().find(|t| {
+            targets
+                .binary_search_by_key(&t.src.0, |&(dst, _)| dst)
+                .is_ok()
+        }) {
             return Err(LangError::eval(format!(
                 "`{}`: step {} reads rank {} chunk c{} while another transfer of the \
                  same step writes it — the read could observe either value, so the \
@@ -151,55 +115,30 @@ fn verify_chunk(spec: &AlgoSpec, c: usize, transfers: &[&crate::spec::TransferRe
             )));
         }
 
-        // Commit writes.
-        for (t, val) in group.iter().zip(reads) {
-            let slot = &mut state[t.dst.index()];
-            match t.comm {
-                CommType::Recv => slot.copy_from_slice(&val),
-                CommType::Rrc => {
-                    for (a, b) in slot.iter_mut().zip(&val) {
-                        *a = a.saturating_add(*b);
-                    }
-                }
-            }
-        }
-        i = j;
+        state.apply_group(group.iter().map(|t| Move {
+            src: t.src.index(),
+            dst: t.dst.index(),
+            comm: t.comm,
+            writer: 0,
+        }));
     }
 
-    // Final contract for this chunk's column.
-    for (r, got) in state.iter().enumerate() {
-        let want: Option<Val> = match spec.op() {
-            OpType::AllGather => {
-                let mut v = vec![0u16; n];
-                v[c] = 1;
-                Some(v)
-            }
-            OpType::AllReduce => Some(vec![1u16; n]),
-            OpType::ReduceScatter => {
-                if r == c {
-                    Some(vec![1u16; n])
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(want) = want {
-            if *got != want {
-                return Err(LangError::eval(format!(
-                    "`{}` does not implement {}: rank r{r} chunk c{c} ends with \
-                     contributions {got:?}, expected {want:?}",
-                    spec.name(),
-                    spec.op()
-                )));
-            }
-        }
+    match state.contract_violation(spec.op(), c..c + 1) {
+        None => Ok(()),
+        Some((r, _, got, want)) => Err(LangError::eval(format!(
+            "`{}` does not implement {}: rank r{r} chunk c{c} ends with \
+             contributions {got:?}, expected {:?}",
+            spec.name(),
+            spec.op(),
+            want.counts()
+        ))),
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::OpType;
     use crate::builder::AlgoBuilder;
 
     fn ring_ag(n: u32) -> AlgoSpec {

@@ -19,7 +19,8 @@
 //! is accounted as sync; transfer time as busy. Source values are captured
 //! at transfer start (the FIFO-slot semantics of real CCL buffers), and the
 //! receiver applies copy/reduce at completion, so the final buffers can be
-//! checked against the collective's contract.
+//! checked against the collective's contract. Buffers, copy/reduce and the
+//! contract are the shared provenance kernel's (`rescc_lang::provenance`).
 //!
 //! Events run in `(t, seq)` order, `seq` counting scheduled events. Each
 //! in-flight transfer owns exactly one live event — its startup latency,
@@ -35,12 +36,12 @@ use crate::obs::{
     add_interval, BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTimeline,
 };
 use crate::trace::{FaultRecord, TraceEvent};
-use crate::value::{expected_final, initial_value, ChunkValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
 use rescc_kernel::{KernelProgram, LoopOrder};
-use rescc_lang::{CommType, OpType};
+use rescc_lang::provenance::{Counts, Move, Slots};
+use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
 use std::cmp::Ordering;
 
@@ -236,7 +237,7 @@ struct Transfer {
     recv_tb: u32,
     start: f64,
     drain_start: f64,
-    captured: Option<ChunkValue>,
+    captured: Option<Vec<u8>>,
     /// A fused forward that finished draining before its feeding receive
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
@@ -299,7 +300,6 @@ struct Engine<'a> {
     op: OpType,
     config: &'a SimConfig,
     n_mb: u32,
-    n_ranks: u32,
     now: f64,
     tbs: Vec<TbState>,
     invs: Vec<InvState>,
@@ -313,8 +313,8 @@ struct Engine<'a> {
     affected: Vec<u32>,
     /// Stamp of the current `affected` collection.
     epoch: u64,
-    /// Buffer values: `buffers[mb][rank * n_chunks + chunk]`.
-    buffers: Vec<Vec<ChunkValue>>,
+    /// Buffer values per micro-batch, slot `rank * n_chunks + chunk`.
+    buffers: Vec<Slots<Counts>>,
     rng: StdRng,
     inv_done: u64,
     inv_total: u64,
@@ -538,14 +538,8 @@ impl<'a> Engine<'a> {
 
         // Buffers.
         let n_chunks = dag.n_chunks();
-        let mut buffers: Vec<Vec<ChunkValue>> = if config.validate_data {
-            (0..n_mb)
-                .map(|_| {
-                    (0..n_ranks)
-                        .flat_map(|r| (0..n_chunks).map(move |c| initial_value(op, n_ranks, r, c)))
-                        .collect()
-                })
-                .collect()
+        let mut buffers = if config.validate_data {
+            vec![Slots::initial(op, n_ranks, 0..n_chunks); n_mb as usize]
         } else {
             Vec::new()
         };
@@ -560,17 +554,7 @@ impl<'a> Engine<'a> {
             rs.validate(n_tasks as u32, n_mb, n_ranks, n_chunks)
                 .map_err(SimError::InvalidConfig)?;
             if config.validate_data {
-                for op_ in &rs.replay {
-                    let src = (op_.src * n_chunks + op_.chunk) as usize;
-                    let dst = (op_.dst * n_chunks + op_.chunk) as usize;
-                    let v = buffers[op_.mb as usize][src].clone();
-                    let slot = &mut buffers[op_.mb as usize][dst];
-                    if op_.reduce {
-                        slot.reduce_from(&v);
-                    } else {
-                        slot.copy_from(&v);
-                    }
-                }
+                rs.replay_into(0..n_mb, &mut buffers, n_chunks);
             }
             for t in 0..n_tasks {
                 for mb in 0..n_mb {
@@ -604,7 +588,6 @@ impl<'a> Engine<'a> {
             op,
             config,
             n_mb,
-            n_ranks,
             now: 0.0,
             tbs,
             invs,
@@ -1102,7 +1085,11 @@ impl<'a> Engine<'a> {
         // Fused forwards capture at completion instead (their payload is
         // the feeder's freshly-delivered value, applied by then).
         let captured = if self.config.validate_data && fp == NONE {
-            Some(self.buffers[mb as usize][self.buffer_idx(t.src.0, t.chunk.0)].clone())
+            Some(
+                self.buffers[mb as usize]
+                    .slot(self.buffer_idx(t.src.0, t.chunk.0))
+                    .to_vec(),
+            )
         } else {
             None
         };
@@ -1300,19 +1287,21 @@ impl<'a> Engine<'a> {
         // Apply data semantics. Fused forwards (no capture at start) read
         // the source slot now — the feeding receive has already applied.
         if self.config.validate_data {
-            let captured = match self.transfers[x as usize].captured.take() {
-                Some(v) => v,
-                None => {
-                    let t = self.dag.task(task);
-                    self.buffers[mb as usize][self.buffer_idx(t.src.0, t.chunk.0)].clone()
-                }
-            };
             let t = self.dag.task(task);
-            let di = self.buffer_idx(t.dst.0, t.chunk.0);
-            let dst = &mut self.buffers[mb as usize][di];
-            match t.comm {
-                CommType::Recv => dst.copy_from(&captured),
-                CommType::Rrc => dst.reduce_from(&captured),
+            let (si, di) = (
+                self.buffer_idx(t.src.0, t.chunk.0),
+                self.buffer_idx(t.dst.0, t.chunk.0),
+            );
+            let captured = self.transfers[x as usize].captured.take();
+            let buf = &mut self.buffers[mb as usize];
+            match captured {
+                Some(v) => buf.write(di, &v, t.comm, 0),
+                None => buf.apply(Move {
+                    src: si,
+                    dst: di,
+                    comm: t.comm,
+                    writer: 0,
+                }),
             }
         }
 
@@ -1476,21 +1465,13 @@ impl<'a> Engine<'a> {
 
     fn check_data(&self) -> SimResult<bool> {
         let n_chunks = self.dag.n_chunks();
-        for mb in 0..self.n_mb {
-            for rank in 0..self.n_ranks {
-                for chunk in 0..n_chunks {
-                    if let Some(expect) = expected_final(self.op, self.n_ranks, rank, chunk) {
-                        let got = &self.buffers[mb as usize][self.buffer_idx(rank, chunk)];
-                        if *got != expect {
-                            return Err(SimError::Validation(format!(
-                                "collective produced wrong data: micro-batch {mb}, rank r{rank}, \
-                                 chunk c{chunk}: counts {:?}, expected {:?}",
-                                got.counts(),
-                                expect.counts()
-                            )));
-                        }
-                    }
-                }
+        for (mb, buf) in self.buffers.iter().enumerate() {
+            if let Some((rank, chunk, got, want)) = buf.contract_violation(self.op, 0..n_chunks) {
+                return Err(SimError::Validation(format!(
+                    "collective produced wrong data: micro-batch {mb}, rank r{rank}, \
+                     chunk c{chunk}: counts {got:?}, expected {:?}",
+                    want.counts()
+                )));
             }
         }
         Ok(true)

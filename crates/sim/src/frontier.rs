@@ -14,6 +14,10 @@
 //! at initialization and retires completed invocations instantly, so a
 //! resumed run charges only the remaining work's sim time.
 
+use rescc_lang::provenance::{Counts, Move, Slots};
+use rescc_lang::CommType;
+use std::ops::Range;
+
 /// The deterministic set of completed `(task, micro-batch)` invocations at
 /// the instant a fault aborted a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,8 +115,8 @@ pub struct ReplayOp {
     pub chunk: u32,
     /// Micro-batch the invocation ran under.
     pub mb: u32,
-    /// `true` for reduce (`recvReduceCopy`), `false` for copy (`recv`).
-    pub reduce: bool,
+    /// Copy (`recv`) or reduce (`recvReduceCopy`).
+    pub comm: CommType,
 }
 
 /// Everything the engine needs to resume a run from a [`FaultFrontier`]:
@@ -166,6 +170,21 @@ impl ResumeState {
     /// Number of already-complete invocations.
     pub fn completed(&self) -> u64 {
         self.done.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
+    /// Replay the completed transfers of micro-batches `mbs`, in order,
+    /// into `buffers[mb - mbs.start]`, each laid out as [`Slots::initial`]
+    /// lays out every chunk.
+    pub fn replay_into(&self, mbs: Range<u32>, buffers: &mut [Slots<Counts>], n_chunks: u32) {
+        for op in self.replay.iter().filter(|op| mbs.contains(&op.mb)) {
+            let slot = |rank: u32| (rank * n_chunks + op.chunk) as usize;
+            buffers[(op.mb - mbs.start) as usize].apply(Move {
+                src: slot(op.src),
+                dst: slot(op.dst),
+                comm: op.comm,
+                writer: 0,
+            });
+        }
     }
 
     /// Check the state against the run's dimensions; the engine calls this
@@ -244,7 +263,7 @@ mod tests {
             dst: 1,
             chunk: 0,
             mb: 0,
-            reduce: false,
+            comm: CommType::Recv,
         });
         assert!(rs.validate(4, 2, 2, 1).is_ok());
         assert!(rs.validate(5, 2, 2, 1).is_err(), "task count mismatch");

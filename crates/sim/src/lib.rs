@@ -49,7 +49,6 @@ mod frontier;
 mod metrics;
 mod obs;
 mod trace;
-mod value;
 
 pub use config::SimConfig;
 pub use engine::simulate;
@@ -61,7 +60,6 @@ pub use obs::{BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTim
 pub use trace::{
     render_gantt, render_gantt_directed, BottleneckReport, FaultRecord, GanttDirection, TraceEvent,
 };
-pub use value::{expected_final, initial_value, ChunkValue};
 
 #[cfg(test)]
 mod tests {
@@ -500,7 +498,7 @@ mod tests {
                             dst: task.dst.0,
                             chunk: c,
                             mb,
-                            reduce: task.comm == rescc_lang::CommType::Rrc,
+                            comm: task.comm,
                         });
                     }
                 }

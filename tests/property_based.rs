@@ -11,12 +11,12 @@
 use proptest::prelude::*;
 use rescc::algos::{compose_allreduce, reverse_allgather, seed_suite};
 use rescc::alloc::TbAllocation;
-use rescc::core::Compiler;
+use rescc::core::{Compiler, LintGate};
 use rescc::ir::DepDag;
 use rescc::lang::verify_collective;
-use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, OpType};
+use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, CommType, OpType, TransferRec};
 use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference};
-use rescc::topology::Topology;
+use rescc::topology::{Step, Topology};
 
 const MB: u64 = 1 << 20;
 
@@ -146,34 +146,6 @@ proptest! {
     }
 
     #[test]
-    fn static_verifier_agrees_with_simulator(
-        seed in prop::collection::vec(0u32..1000, 8..24),
-        break_it in proptest::bool::ANY,
-    ) {
-        // For random broadcast-tree AllGathers (and randomly corrupted
-        // variants), the O(tasks) static verifier and the discrete-event
-        // simulator's runtime data check must agree on correctness.
-        let topo = Topology::a100(2, 4);
-        let spec = random_allgather(8, &seed);
-        let spec = if break_it {
-            // Drop the last transfer: some rank misses a chunk.
-            let ts = spec.transfers()[..spec.transfers().len() - 1].to_vec();
-            AlgoSpec::new("broken", OpType::AllGather, 8, ts).unwrap()
-        } else {
-            spec
-        };
-        let static_ok = verify_collective(&spec).is_ok();
-        let mut compiler = Compiler::new();
-        compiler.verify = false; // let the simulator be the judge
-        let sim_ok = compiler
-            .compile_spec(&spec, &topo)
-            .and_then(|plan| plan.run(16 * MB, MB))
-            .is_ok();
-        prop_assert_eq!(static_ok, sim_ok, "verifier and simulator disagree");
-        prop_assert_eq!(static_ok, !break_it);
-    }
-
-    #[test]
     fn hpds_deterministic_across_runs(
         seed in prop::collection::vec(0u32..1000, 8..16),
     ) {
@@ -181,6 +153,73 @@ proptest! {
         let spec = random_allgather(8, &seed);
         let dag = DepDag::build(&spec, &topo).unwrap();
         prop_assert_eq!(hpds(&dag), hpds(&dag));
+    }
+}
+
+proptest! {
+    // Every contract, intact and corrupted, through both judges.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn static_verifier_agrees_with_simulator(
+        seed in prop::collection::vec(0u32..1000, 8..24),
+        pick in 0usize..8,
+        break_it in proptest::bool::ANY,
+        duplicate in proptest::bool::ANY,
+    ) {
+        // The static verifier and the discrete-event simulator's runtime
+        // data check must agree on correctness, for every contract: random
+        // broadcast-tree AllGathers (`pick == 0`) and the seed suite's
+        // AllReduce and ReduceScatter algorithms, each intact or corrupted
+        // by a dropped transfer or a duplicated reduction.
+        let topo = Topology::a100(2, 4);
+        let spec = if pick == 0 {
+            random_allgather(8, &seed)
+        } else {
+            let mut reductions = seed_suite(2, 4);
+            reductions.retain(|s| s.op() != OpType::AllGather);
+            reductions.swap_remove((pick - 1) % reductions.len())
+        };
+        let ts = spec.transfers();
+        let at = seed[0] as usize;
+        let rrcs: Vec<TransferRec> =
+            ts.iter().copied().filter(|t| t.comm == CommType::Rrc).collect();
+        let spec = if !break_it {
+            spec
+        } else if duplicate && !rrcs.is_empty() {
+            // Fold one reduction in a second time, one step later.
+            let t = rrcs[at % rrcs.len()];
+            let mut v = ts.to_vec();
+            v.push(TransferRec { step: Step::new(t.step.0 + 1), ..t });
+            // Skip a duplicate that collides with a declared transfer.
+            let bad = AlgoSpec::new("broken", spec.op(), 8, v);
+            prop_assume!(bad.is_ok());
+            bad.unwrap()
+        } else {
+            // Drop one transfer: some slot misses a contribution.
+            let mut v = ts.to_vec();
+            v.remove(at % v.len());
+            AlgoSpec::new("broken", spec.op(), 8, v).unwrap()
+        };
+        let verdict = verify_collective(&spec);
+        // Let the simulator be the judge.
+        let mut compiler = Compiler::new().with_lint_gate(LintGate::Off);
+        compiler.verify = false;
+        let sim_ok = compiler
+            .compile_spec(&spec, &topo)
+            .and_then(|plan| plan.run(16 * MB, MB))
+            .is_ok();
+        // A same-step race is nondeterministic: the one interleaving the
+        // simulator runs may happen to produce the right data.
+        let racy = verdict
+            .as_ref()
+            .is_err_and(|e| e.to_string().contains("nondeterministic"));
+        if !racy {
+            prop_assert_eq!(verdict.is_ok(), sim_ok, "verifier and simulator disagree");
+        }
+        if !break_it {
+            prop_assert!(verdict.is_ok(), "an intact algorithm must verify");
+        }
     }
 }
 
