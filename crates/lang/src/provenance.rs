@@ -5,65 +5,20 @@
 //! compiler's provenance proof replay contribution counts ([`Counts`]);
 //! the dead-transfer lints RA004/RA008 replay task provenance
 //! ([`Provenance`]). All of them replay over `(rank, chunk)` slots
-//! ([`Slots`]) against one contract ([`initial_value`],
-//! [`expected_final`], [`required`]). In a step group every move reads
-//! its source from the pre-group state, then the writes commit in order
-//! ([`Slots::apply_group`]); a sequential replay is a replay whose groups
-//! have one move each ([`Slots::apply`]).
+//! ([`Slots`]) against one contract ([`Slots::initial`],
+//! [`Slots::contract_violation`], [`required`]). In a step group every
+//! move reads its source from the pre-group state, then the writes commit
+//! in order ([`Slots::apply_group`]); a sequential replay is a replay
+//! whose groups have one move each ([`Slots::apply`]).
 
 use crate::ast::{CommType, OpType};
 use rescc_topology::Step;
 use std::ops::Range;
 
-/// Contribution counts per source rank: `counts[r]` is how many times rank
-/// `r`'s original data has been folded into a buffer slot. Counting (not
-/// a reached/not-reached bit) is what detects a double reduction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkValue {
-    counts: Vec<u8>,
-}
-
-impl ChunkValue {
-    /// The zero (uninitialized) value.
-    pub fn zero(n_ranks: u32) -> Self {
-        Self {
-            counts: vec![0; n_ranks as usize],
-        }
-    }
-
-    /// The unit value: rank `r`'s own original data, exactly once.
-    pub fn unit(n_ranks: u32, r: u32) -> Self {
-        let mut v = Self::zero(n_ranks);
-        v.counts[r as usize] = 1;
-        v
-    }
-
-    /// The fully-reduced value: every rank's data exactly once.
-    pub fn ones(n_ranks: u32) -> Self {
-        Self {
-            counts: vec![1; n_ranks as usize],
-        }
-    }
-
-    /// Raw counts.
-    pub fn counts(&self) -> &[u8] {
-        &self.counts
-    }
-}
-
 /// Whether `op`'s postcondition constrains slot `(rank, chunk)`. Only
 /// ReduceScatter leaves slots free: a rank's non-owned chunks are scratch.
 pub fn required(op: OpType, rank: u32, chunk: u32) -> bool {
     op != OpType::ReduceScatter || rank == chunk
-}
-
-/// The value slot `(rank, chunk)` holds before the collective starts.
-pub fn initial_value(op: OpType, n_ranks: u32, rank: u32, chunk: u32) -> ChunkValue {
-    if holds_own_data(op, rank, chunk) {
-        ChunkValue::unit(n_ranks, rank)
-    } else {
-        ChunkValue::zero(n_ranks)
-    }
 }
 
 /// Whether slot `(rank, chunk)` starts with its rank's own data (once) or
@@ -72,19 +27,11 @@ fn holds_own_data(op: OpType, rank: u32, chunk: u32) -> bool {
     op != OpType::AllGather || rank == chunk
 }
 
-/// The value slot `(rank, chunk)` must hold after a correct run of `op`,
-/// or `None` when the slot is not [`required`].
-pub fn expected_final(op: OpType, n_ranks: u32, rank: u32, chunk: u32) -> Option<ChunkValue> {
-    required(op, rank, chunk).then(|| final_value(op, n_ranks, chunk))
-}
-
-/// What every required slot of `chunk` ends with: the chunk owner's data
-/// for AllGather, the full reduction otherwise.
-fn final_value(op: OpType, n_ranks: u32, chunk: u32) -> ChunkValue {
-    match op {
-        OpType::AllGather => ChunkValue::unit(n_ranks, chunk),
-        OpType::AllReduce | OpType::ReduceScatter => ChunkValue::ones(n_ranks),
-    }
+/// How many times source rank `source`'s data every required slot of
+/// `chunk` ends with: the chunk owner's data once for AllGather, every
+/// rank's data once (the full reduction) otherwise.
+fn final_count(op: OpType, chunk: u32, source: usize) -> u8 {
+    u8::from(op != OpType::AllGather || source == chunk as usize)
 }
 
 /// What a reduction and a write's stamp do to a slot's words.
@@ -218,24 +165,19 @@ impl Slots<Counts> {
     }
 
     /// The first slot, in [`Slots::initial`]'s layout, that breaks `op`'s
-    /// postcondition: `(rank, chunk, counts held, value expected)`.
+    /// postcondition: `(rank, chunk, counts held, counts expected)`.
     pub fn contract_violation(
         &self,
         op: OpType,
         chunks: Range<u32>,
-    ) -> Option<(u32, u32, &[u8], ChunkValue)> {
-        let n_ranks = self.width as u32;
-        let wants: Vec<ChunkValue> = chunks
-            .clone()
-            .map(|c| final_value(op, n_ranks, c))
-            .collect();
-        let want = |chunk: u32| &wants[(chunk - chunks.start) as usize];
-        slot_coords(n_ranks, chunks.clone())
+    ) -> Option<(u32, u32, &[u8], Vec<u8>)> {
+        let want = |chunk: u32| (0..self.width).map(move |s| final_count(op, chunk, s));
+        slot_coords(self.width as u32, chunks)
             .enumerate()
             .find(|&(i, (rank, chunk))| {
-                required(op, rank, chunk) && self.slot(i) != want(chunk).counts()
+                required(op, rank, chunk) && !self.slot(i).iter().copied().eq(want(chunk))
             })
-            .map(|(i, (rank, chunk))| (rank, chunk, self.slot(i), want(chunk).clone()))
+            .map(|(i, (rank, chunk))| (rank, chunk, self.slot(i), want(chunk).collect()))
     }
 }
 
@@ -266,8 +208,8 @@ mod tests {
     #[test]
     fn copy_replaces_reduce_accumulates() {
         let mut s = Slots::<Counts>::new(2, 4);
-        s.write(0, ChunkValue::unit(4, 0).counts(), CommType::Recv, 0);
-        s.write(1, ChunkValue::unit(4, 2).counts(), CommType::Recv, 0);
+        s.write(0, &[1, 0, 0, 0], CommType::Recv, 0);
+        s.write(1, &[0, 0, 1, 0], CommType::Recv, 0);
         s.apply(mv(1, 0, CommType::Rrc, 0));
         assert_eq!(s.slot(0), &[1, 0, 1, 0]);
         s.apply(mv(1, 0, CommType::Recv, 0));
@@ -282,7 +224,7 @@ mod tests {
         assert_eq!(s.slot(0), &[1, 2]);
         let (rank, chunk, got, want) = s.contract_violation(OpType::ReduceScatter, 0..1).unwrap();
         assert_eq!((rank, chunk, got), (0, 0, &[1u8, 2][..]));
-        assert_eq!(want, ChunkValue::ones(2));
+        assert_eq!(want, vec![1, 1]);
     }
 
     #[test]
@@ -311,56 +253,120 @@ mod tests {
         assert_eq!(s.slot(2), &[1 << 5, 0]);
     }
 
-    #[test]
-    fn contracts() {
-        // AllGather: rank 2, chunk 1 ends with rank 1's data exactly.
-        assert_eq!(
-            expected_final(OpType::AllGather, 4, 2, 1),
-            Some(ChunkValue::unit(4, 1))
-        );
-        assert_eq!(
-            initial_value(OpType::AllGather, 4, 2, 2),
-            ChunkValue::unit(4, 2)
-        );
-        assert_eq!(
-            initial_value(OpType::AllGather, 4, 2, 1),
-            ChunkValue::zero(4)
-        );
-        // ReduceScatter: only the owned chunk is constrained.
-        assert_eq!(
-            expected_final(OpType::ReduceScatter, 4, 3, 3),
-            Some(ChunkValue::ones(4))
-        );
-        assert_eq!(expected_final(OpType::ReduceScatter, 4, 3, 1), None);
-        assert!(!required(OpType::ReduceScatter, 3, 1));
-        // AllReduce: every slot, fully reduced.
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!(required(OpType::AllReduce, r, c));
-                assert_eq!(
-                    expected_final(OpType::AllReduce, 4, r, c),
-                    Some(ChunkValue::ones(4))
-                );
-                assert_eq!(
-                    initial_value(OpType::AllReduce, 4, r, c),
-                    ChunkValue::unit(4, r)
-                );
-            }
+    /// A 3-rank table over chunks `0..3`, one literal row per slot in
+    /// [`Slots::initial`]'s layout.
+    fn table(rows: [[u8; 3]; 9]) -> Slots<Counts> {
+        let mut s = Slots::new(9, 3);
+        for (i, row) in rows.iter().enumerate() {
+            s.write(i, row, CommType::Recv, 0);
         }
+        s
+    }
+
+    fn rows(s: &Slots<Counts>) -> Vec<&[u8]> {
+        (0..9).map(|i| s.slot(i)).collect()
     }
 
     #[test]
-    fn initial_tables_meet_no_contract_but_their_own() {
-        for op in [OpType::AllGather, OpType::AllReduce, OpType::ReduceScatter] {
-            let s = Slots::initial(op, 3, 0..3);
-            for r in 0..3u32 {
-                for c in 0..3u32 {
-                    let v = initial_value(op, 3, r, c);
-                    assert_eq!(s.slot((r * 3 + c) as usize), v.counts());
-                }
-            }
-            assert!(s.contract_violation(op, 0..3).is_some());
+    fn initial_tables() {
+        // Slot (rank, chunk) is row 3 * rank + chunk.
+        let gather = table([
+            [1, 0, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 1, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 0, 1],
+        ]);
+        let reduce = table([
+            [1, 0, 0],
+            [1, 0, 0],
+            [1, 0, 0],
+            [0, 1, 0],
+            [0, 1, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+            [0, 0, 1],
+            [0, 0, 1],
+        ]);
+        assert_eq!(
+            rows(&Slots::initial(OpType::AllGather, 3, 0..3)),
+            rows(&gather)
+        );
+        for op in [OpType::AllReduce, OpType::ReduceScatter] {
+            assert_eq!(rows(&Slots::initial(op, 3, 0..3)), rows(&reduce));
         }
+        // A sub-range of chunks keeps the same rows, rank-major.
+        let tail = Slots::initial(OpType::AllGather, 3, 1..3);
+        assert_eq!(
+            (0..6).map(|i| tail.slot(i)).collect::<Vec<_>>(),
+            [
+                [0, 0, 0],
+                [0, 0, 0],
+                [0, 1, 0],
+                [0, 0, 0],
+                [0, 0, 0],
+                [0, 0, 1]
+            ]
+        );
+    }
+
+    #[test]
+    fn contract_violations() {
+        let ones = [1, 1, 1];
+        // AllGather: every slot of chunk c ends with rank c's data once.
+        let gathered = [
+            [1, 0, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+            [1, 0, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+            [1, 0, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+        ];
+        assert_eq!(
+            table(gathered).contract_violation(OpType::AllGather, 0..3),
+            None
+        );
+        let mut late = gathered;
+        late[7] = [0, 0, 0]; // rank 2 never got chunk 1
+        assert_eq!(
+            table(late).contract_violation(OpType::AllGather, 0..3),
+            Some((2, 1, &[0u8, 0, 0][..], vec![0, 1, 0]))
+        );
+        // AllReduce: every slot fully reduced, each rank exactly once.
+        let mut reduced = [ones; 9];
+        assert_eq!(
+            table(reduced).contract_violation(OpType::AllReduce, 0..3),
+            None
+        );
+        reduced[4] = [1, 2, 1];
+        reduced[8] = [0, 1, 1];
+        assert_eq!(
+            table(reduced).contract_violation(OpType::AllReduce, 0..3),
+            Some((1, 1, &[1u8, 2, 1][..], ones.to_vec()))
+        );
+        // ReduceScatter: only the owned slots (rows 0, 4, 8) are checked.
+        let mut scattered = [[0, 2, 0]; 9];
+        for owned in [0, 4, 8] {
+            scattered[owned] = ones;
+        }
+        assert_eq!(
+            table(scattered).contract_violation(OpType::ReduceScatter, 0..3),
+            None
+        );
+        scattered[8] = [1, 1, 0];
+        assert_eq!(
+            table(scattered).contract_violation(OpType::ReduceScatter, 0..3),
+            Some((2, 2, &[1u8, 1, 0][..], ones.to_vec()))
+        );
+        assert!(!required(OpType::ReduceScatter, 2, 1));
+        assert!(required(OpType::AllReduce, 2, 1) && required(OpType::AllGather, 2, 1));
     }
 
     #[test]

@@ -127,10 +127,9 @@ fn verify_chunk(spec: &AlgoSpec, c: u32, transfers: &[&TransferRec]) -> Result<(
         None => Ok(()),
         Some((r, _, got, want)) => Err(LangError::eval(format!(
             "`{}` does not implement {}: rank r{r} chunk c{c} ends with \
-             contributions {got:?}, expected {:?}",
+             contributions {got:?}, expected {want:?}",
             spec.name(),
             spec.op(),
-            want.counts()
         ))),
     }
 }
