@@ -16,7 +16,10 @@
 //!   invocations the run executed.
 //!
 //! `table3-16x8` is the dispatch benchmark's cold-start shape: a
-//! single-micro-batch HM AllGather over 128 ranks.
+//! single-micro-batch HM AllGather over 128 ranks. The `-jitter` rows
+//! rerun two shapes with a random startup latency per transfer, so nearly
+//! every event has a time of its own instead of sharing it with the
+//! lockstep burst of its step.
 //!
 //! Large 1024-rank stress scenarios take minutes and are gated behind
 //! `RESCC_BENCH_STRESS=1`; when the gate is off that is logged, not
@@ -37,6 +40,8 @@ struct Scenario {
     topo: Topology,
     spec: AlgoSpec,
     buffer: u64,
+    /// [`SimConfig::jitter_frac`]; 0 keeps the run lockstep.
+    jitter: f64,
 }
 
 /// The oversubscribed single-NIC P2P fabric of Figure 4.
@@ -62,30 +67,35 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             topo: fig4_topo(),
             spec: ring_allgather(2),
             buffer: 256 * MB,
+            jitter: 0.0,
         },
         Scenario {
             name: "table3-2x4",
             topo: Topology::a100(2, 4),
             spec: hm_allreduce(2, 4),
             buffer: 128 * MB,
+            jitter: 0.0,
         },
         Scenario {
             name: "table3-2x8",
             topo: Topology::a100(2, 8),
             spec: hm_allreduce(2, 8),
             buffer: 64 * MB,
+            jitter: 0.0,
         },
         Scenario {
             name: "table3-4x4",
             topo: Topology::a100(4, 4),
             spec: hm_allreduce(4, 4),
             buffer: 64 * MB,
+            jitter: 0.0,
         },
         Scenario {
             name: "table3-4x8",
             topo: Topology::a100(4, 8),
             spec: hm_allreduce(4, 8),
             buffer: 32 * MB,
+            jitter: 0.0,
         },
         Scenario {
             name: "table3-16x8",
@@ -93,6 +103,21 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             spec: hm_allgather(16, 8),
             // One chunk per logical chunk: a single micro-batch.
             buffer: 128 * MB,
+            jitter: 0.0,
+        },
+        Scenario {
+            name: "table3-2x4-jitter",
+            topo: Topology::a100(2, 4),
+            spec: hm_allreduce(2, 4),
+            buffer: 128 * MB,
+            jitter: 0.5,
+        },
+        Scenario {
+            name: "table3-4x8-jitter",
+            topo: Topology::a100(4, 8),
+            spec: hm_allreduce(4, 8),
+            buffer: 32 * MB,
+            jitter: 0.5,
         },
     ];
     if stress {
@@ -101,6 +126,7 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             topo: Topology::a100(128, 8),
             spec: hm_allreduce(128, 8),
             buffer: 32 * MB,
+            jitter: 0.0,
         });
     }
     out
@@ -113,11 +139,13 @@ pub fn run() {
         println!("simbench: stress scenarios skipped (set RESCC_BENCH_STRESS=1 to include)");
     }
     let compiler = Compiler::new();
-    let cfg = SimConfig::default().without_validation();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
 
     for sc in scenarios(stress) {
+        let cfg = SimConfig::default()
+            .without_validation()
+            .with_jitter(sc.jitter, 1);
         let warm_plan = compiler
             .compile_spec(&sc.spec, &sc.topo)
             .unwrap_or_else(|e| panic!("simbench: compile '{}': {e}", sc.name));

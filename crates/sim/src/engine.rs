@@ -24,8 +24,9 @@
 //!
 //! Events run in `(t, seq)` order, `seq` counting scheduled events. Each
 //! in-flight transfer owns exactly one live event — its startup latency,
-//! then its projected drain finish — held in an indexed heap that moves
-//! the key when a re-projection changes it (DESIGN.md §14).
+//! then its projected drain finish. The queue appends the events of one
+//! time to a run and keeps the runs in a heap, so a pop inside a lockstep
+//! burst costs one compare rather than a full sift (DESIGN.md §14).
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -68,7 +69,69 @@ struct Event {
     id: u32,
 }
 
-impl Event {
+/// One scheduling of an id inside a run. It is live while it is the id's
+/// newest scheduling and has not been popped.
+#[derive(Clone, Copy)]
+struct Entry {
+    seq: u64,
+    id: u32,
+}
+
+/// The events of one exact time, in `seq` order: each scheduling takes
+/// the largest `seq` so far, so appending keeps the order.
+struct Run {
+    t: f64,
+    /// The first entry not yet popped or skipped.
+    head: u32,
+    /// Live entries at or after `head`; a run in the heap has at least one.
+    live: u32,
+    /// Entry 0, inline so a one-event run touches no second allocation.
+    first: Entry,
+    /// Entries 1 onwards.
+    rest: Vec<Entry>,
+}
+
+impl Run {
+    fn len(&self) -> u32 {
+        1 + self.rest.len() as u32
+    }
+
+    fn entry(&self, i: u32) -> Entry {
+        match i {
+            0 => self.first,
+            _ => self.rest[i as usize - 1],
+        }
+    }
+
+    fn set(&mut self, i: u32, e: Entry) {
+        match i {
+            0 => self.first = e,
+            _ => self.rest[i as usize - 1] = e,
+        }
+    }
+
+    /// The heap key of this run, number `r`, headed by `e`.
+    fn key(&self, r: u32, e: Entry) -> Head {
+        Head {
+            t: self.t,
+            seq: e.seq,
+            id: e.id,
+            run: r,
+        }
+    }
+}
+
+/// A run's heap key: its time and its head entry. A re-key can leave the
+/// head stale, which only under-states the key of the run's live events.
+#[derive(Clone, Copy)]
+struct Head {
+    t: f64,
+    seq: u64,
+    id: u32,
+    run: u32,
+}
+
+impl Head {
     fn before(&self, other: &Self) -> bool {
         match self.t.total_cmp(&other.t) {
             Ordering::Less => true,
@@ -78,16 +141,58 @@ impl Event {
     }
 }
 
-/// Indexed 4-ary min-heap of events keyed by `(t, seq)`, holding at most
-/// one event per id. Scheduling a queued id moves its key in place, so a
-/// superseded projection never lingers in the queue.
-#[derive(Default)]
+/// Where an id's live event is: its `seq` (0 while none is queued) and
+/// its run.
+#[derive(Clone, Copy)]
+struct Queued {
+    seq: u64,
+    run: u32,
+}
+
+/// Direct-mapped slots of [`EventQueue::cache`].
+const CACHE_SLOTS: usize = 64;
+
+/// The cache slot of time `t`, from the top bits of a multiplicative hash
+/// of its bit pattern.
+fn cache_slot(t: f64) -> usize {
+    (t.to_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_SLOTS.trailing_zeros()))
+        as usize
+}
+
+/// Min-queue of events in `(t, seq)` order, holding at most one live event
+/// per id. Events of one time are appended to a run, and an indexed 4-ary
+/// min-heap orders the runs by `(t, head seq)`, so popping the next event
+/// of a run costs one compare against the root's children rather than a
+/// full sift. Scheduling a queued id leaves its old entry stale; pops and
+/// compaction skip it.
 struct EventQueue {
-    heap: Vec<Event>,
-    /// Heap slot of each id, `NONE` while the id has no queued event.
+    heap: Vec<Head>,
+    runs: Vec<Run>,
+    /// Heap slot of each run, `NONE` while the run is free.
     pos: Vec<u32>,
+    free: Vec<u32>,
+    /// The live event of each id.
+    queued: Vec<Queued>,
+    /// A run of the time hashing to each slot. A miss opens another run,
+    /// so one time may own several; the `(t, head seq)` key keeps their
+    /// merge exact.
+    cache: [u32; CACHE_SLOTS],
     /// Events scheduled so far; the next one gets `seq + 1`.
     seq: u64,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            heap: Vec::new(),
+            runs: Vec::new(),
+            pos: Vec::new(),
+            free: Vec::new(),
+            queued: Vec::new(),
+            cache: [NONE; CACHE_SLOTS],
+            seq: 0,
+        }
+    }
 }
 
 impl EventQueue {
@@ -95,64 +200,199 @@ impl EventQueue {
     /// its queued event if it has one.
     fn schedule(&mut self, id: u32, t: f64) {
         self.seq += 1;
-        let ev = Event {
-            t,
-            seq: self.seq,
-            id,
-        };
+        let e = Entry { seq: self.seq, id };
         let i = id as usize;
-        if i >= self.pos.len() {
-            self.pos.resize(i + 1, NONE);
+        if i >= self.queued.len() {
+            self.queued.resize(i + 1, Queued { seq: 0, run: NONE });
         }
-        match self.pos[i] {
-            NONE => {
-                self.heap.push(ev);
-                self.sift_up(self.heap.len() - 1, ev);
-            }
-            slot => {
-                let slot = slot as usize;
-                // A re-projection carries a fresh `seq`, so the key moves
-                // later unless the time moved earlier.
-                if ev.before(&self.heap[slot]) {
-                    self.sift_up(slot, ev);
-                } else {
-                    self.sift_down(slot, ev);
+        let old = self.queued[i];
+        self.queued[i].seq = e.seq;
+        if old.seq != 0 {
+            let a = &mut self.runs[old.run as usize];
+            let last = a.len() - 1;
+            if a.t.to_bits() == t.to_bits() && a.entry(last).seq == old.seq {
+                // The last event of a run of the same time takes the new
+                // `seq` in place, which keeps the run in order.
+                a.set(last, e);
+                if a.head == last {
+                    let head = a.key(old.run, e);
+                    self.sift_down(self.pos[old.run as usize] as usize, head);
                 }
+                return;
+            }
+        }
+        let slot = cache_slot(t);
+        let hit = self.cache[slot];
+        let run = if hit != NONE
+            && self.pos[hit as usize] != NONE
+            && self.runs[hit as usize].t.to_bits() == t.to_bits()
+        {
+            let b = &mut self.runs[hit as usize];
+            b.rest.push(e);
+            b.live += 1;
+            self.compact_if_wasteful(hit);
+            hit
+        } else if old.seq != 0 && self.runs[old.run as usize].live == 1 {
+            // The id leaves its run empty: reuse the run in place, which
+            // moves one heap key, as an indexed heap of events would.
+            self.cache[slot] = old.run;
+            let p = self.pos[old.run as usize] as usize;
+            let was = self.heap[p];
+            let head = self.reset(old.run, t, e);
+            self.rekey(p, was, head);
+            return;
+        } else {
+            let r = match self.free.pop() {
+                Some(r) => r,
+                None => {
+                    self.runs.push(Run {
+                        t,
+                        head: 0,
+                        live: 0,
+                        first: e,
+                        rest: Vec::new(),
+                    });
+                    self.pos.push(NONE);
+                    self.runs.len() as u32 - 1
+                }
+            };
+            let head = self.reset(r, t, e);
+            self.heap.push(head);
+            self.sift_up(self.heap.len() - 1, head);
+            self.cache[slot] = r;
+            r
+        };
+        self.queued[i].run = run;
+        if old.seq != 0 {
+            let a = &mut self.runs[old.run as usize];
+            a.live -= 1;
+            if a.live == 0 {
+                self.remove(old.run);
+            } else {
+                self.compact_if_wasteful(old.run);
             }
         }
     }
 
-    /// Remove and return the earliest event.
+    /// Remove and return the earliest live event.
     fn pop(&mut self) -> Option<Event> {
-        let top = *self.heap.first()?;
-        self.pos[top.id as usize] = NONE;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down(0, last);
+        loop {
+            let top = *self.heap.first()?;
+            let q = &mut self.queued[top.id as usize];
+            let live = q.seq == top.seq;
+            let r = &mut self.runs[top.run as usize];
+            if live {
+                q.seq = 0;
+                r.live -= 1;
+            }
+            if r.live == 0 {
+                self.remove(top.run);
+            } else {
+                r.head += 1;
+                self.rehead(top.run);
+            }
+            if live {
+                return Some(Event {
+                    t: top.t,
+                    seq: top.seq,
+                    id: top.id,
+                });
+            }
         }
-        Some(top)
     }
 
-    fn place(&mut self, i: usize, ev: Event) {
-        self.heap[i] = ev;
-        self.pos[ev.id as usize] = i as u32;
+    /// Make run `r` hold the single event `e` at time `t`; returns its key.
+    fn reset(&mut self, r: u32, t: f64, e: Entry) -> Head {
+        let run = &mut self.runs[r as usize];
+        run.t = t;
+        run.head = 0;
+        run.live = 1;
+        run.first = e;
+        run.rest.clear();
+        run.key(r, e)
     }
 
-    /// Settle `ev` into slot `i` or above.
-    fn sift_up(&mut self, mut i: usize, ev: Event) {
+    fn is_live(&self, e: Entry) -> bool {
+        self.queued[e.id as usize].seq == e.seq
+    }
+
+    /// Advance run `r`'s head to its first live entry and settle its key,
+    /// which can only grow.
+    fn rehead(&mut self, r: u32) {
+        let run = &self.runs[r as usize];
+        let mut h = run.head;
+        let mut e = run.entry(h);
+        while !self.is_live(e) {
+            h += 1;
+            e = run.entry(h);
+        }
+        let head = run.key(r, e);
+        self.runs[r as usize].head = h;
+        self.sift_down(self.pos[r as usize] as usize, head);
+    }
+
+    /// Drop run `r`'s dead entries, popped or stale, once they outnumber
+    /// its live ones.
+    fn compact_if_wasteful(&mut self, r: u32) {
+        let run = &self.runs[r as usize];
+        if run.len() - run.live <= run.live {
+            return;
+        }
+        let (mut kept, len) = (0, run.len());
+        for i in run.head..len {
+            let e = self.runs[r as usize].entry(i);
+            if self.is_live(e) {
+                self.runs[r as usize].set(kept, e);
+                kept += 1;
+            }
+        }
+        let run = &mut self.runs[r as usize];
+        run.rest.truncate(kept as usize - 1);
+        run.head = 0;
+        self.rehead(r);
+    }
+
+    /// Take run `r`, which holds no live entry, out of the heap and free it.
+    fn remove(&mut self, r: u32) {
+        let p = self.pos[r as usize] as usize;
+        let was = self.heap[p];
+        self.pos[r as usize] = NONE;
+        self.free.push(r);
+        let last = self.heap.pop().expect("run is in the heap");
+        if p < self.heap.len() {
+            self.rekey(p, was, last);
+        }
+    }
+
+    /// Replace the key `was` in slot `i` with `head`.
+    fn rekey(&mut self, i: usize, was: Head, head: Head) {
+        if head.before(&was) {
+            self.sift_up(i, head);
+        } else {
+            self.sift_down(i, head);
+        }
+    }
+
+    fn place(&mut self, i: usize, head: Head) {
+        self.heap[i] = head;
+        self.pos[head.run as usize] = i as u32;
+    }
+
+    /// Settle `head` into slot `i` or above.
+    fn sift_up(&mut self, mut i: usize, head: Head) {
         while i > 0 {
             let parent = (i - 1) / 4;
-            if !ev.before(&self.heap[parent]) {
+            if !head.before(&self.heap[parent]) {
                 break;
             }
             self.place(i, self.heap[parent]);
             i = parent;
         }
-        self.place(i, ev);
+        self.place(i, head);
     }
 
-    /// Settle `ev` into slot `i` or below.
-    fn sift_down(&mut self, mut i: usize, ev: Event) {
+    /// Settle `head` into slot `i` or below.
+    fn sift_down(&mut self, mut i: usize, head: Head) {
         let n = self.heap.len();
         loop {
             let first = 4 * i + 1;
@@ -165,13 +405,13 @@ impl EventQueue {
                     child = c;
                 }
             }
-            if !self.heap[child].before(&ev) {
+            if !self.heap[child].before(&head) {
                 break;
             }
             self.place(i, self.heap[child]);
             i = child;
         }
-        self.place(i, ev);
+        self.place(i, head);
     }
 }
 
@@ -353,9 +593,7 @@ impl<'a> Engine<'a> {
         op: OpType,
         config: &'a SimConfig,
     ) -> SimResult<Self> {
-        program
-            .validate(dag)
-            .map_err(|e| SimError::new(format!("invalid kernel program: {e}")))?;
+        program.validate(dag).map_err(SimError::LoweringBug)?;
         config.validate(topo.n_resources(), topo.n_ranks())?;
         let n_mb = plan.n_micro_batches;
         let n_ranks = topo.n_ranks();
@@ -1133,9 +1371,8 @@ impl<'a> Engine<'a> {
         self.events.schedule(self.transfer_event(x), now + latency);
 
         // Wake fused followers gated on this start.
-        let followers = self.fused_next[task.index()].clone();
-        for b in followers {
-            self.try_start(b, mb);
+        for k in 0..self.fused_next[task.index()].len() {
+            self.try_start(self.fused_next[task.index()][k], mb);
         }
     }
 
@@ -1363,16 +1600,15 @@ impl<'a> Engine<'a> {
             self.barrier_remaining[g][mb as usize] -= 1;
             let stride = self.program.barrier_stride.max(1);
             if self.barrier_remaining[g][mb as usize] == 0 && mb + stride < self.n_mb {
-                let members = self.barrier_members[g].clone();
-                for m in members {
-                    self.try_start(m, mb + stride);
+                for k in 0..self.barrier_members[g].len() {
+                    self.try_start(self.barrier_members[g][k], mb + stride);
                 }
             }
         }
 
         // Release fused forwards that drained before this feeder finished.
-        let followers = self.fused_next[task.index()].clone();
-        for b in followers {
+        for k in 0..self.fused_next[task.index()].len() {
+            let b = self.fused_next[task.index()][k];
             let bidx = b.index() * self.n_mb as usize + mb as usize;
             let bx = self.invs[bidx].transfer;
             if bx != NONE && self.transfers[bx as usize].pending_complete {
@@ -1631,6 +1867,68 @@ mod tests {
                 assert_eq!(queue.pop(), Some(ev), "seed {seed}");
             }
             assert_eq!(queue.pop(), None, "seed {seed}");
+        }
+    }
+
+    /// Drive `EventQueue` and the lazy-deletion oracle through one random
+    /// mix of schedules and pops and require identical pop sequences, the
+    /// way the engine does: the clock is the last popped time and `time`
+    /// picks each new event's time from it.
+    fn pops_like_oracle(seed: u64, time: impl Fn(&mut StdRng, f64) -> f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_ids = 1 + rng.gen_range(0..64);
+        let mut queue = EventQueue::default();
+        let mut reference = LazyHeap::default();
+        let mut now = 0.0;
+        for _ in 0..4_000 {
+            if rng.gen_range(0..4) < 3 {
+                let id = rng.gen_range(0..n_ids) as u32;
+                let t = time(&mut rng, now);
+                assert!(t >= now);
+                queue.schedule(id, t);
+                reference.schedule(id, t);
+            } else {
+                let ev = reference.pop();
+                assert_eq!(queue.pop(), ev, "seed {seed}");
+                now = ev.map_or(now, |ev| ev.t);
+            }
+        }
+        while let Some(ev) = reference.pop() {
+            assert_eq!(queue.pop(), Some(ev), "seed {seed}");
+        }
+        assert_eq!(queue.pop(), None, "seed {seed}");
+    }
+
+    #[test]
+    fn run_queue_pops_like_lazy_deletion_in_lockstep() {
+        // At most 8 distinct future times and three schedules per pop:
+        // ids keep moving between runs, so heads go stale, runs compact
+        // and emptied runs are reused in place.
+        for seed in 0..32u64 {
+            pops_like_oracle(seed, |rng, now| now + rng.gen_range(0..8) as f64);
+        }
+        // The same on times that all share one cache slot: each new time
+        // evicts the last, so a time that comes back opens a second run.
+        let slot = cache_slot(0.0);
+        let grid: Vec<f64> = (0..1_000_000)
+            .map(|k| k as f64)
+            .filter(|&t| cache_slot(t) == slot)
+            .take(20_000)
+            .collect();
+        for seed in 0..32u64 {
+            pops_like_oracle(seed, |rng, now| {
+                let k = grid.partition_point(|&t| t < now);
+                grid[k + rng.gen_range(0..8) as usize]
+            });
+        }
+    }
+
+    #[test]
+    fn run_queue_pops_like_lazy_deletion_on_distinct_times() {
+        // Jitter: every event gets a time of its own, so every run holds
+        // one event.
+        for seed in 0..32u64 {
+            pops_like_oracle(seed, |rng, now| now + 100.0 * rng.gen::<f64>());
         }
     }
 }

@@ -14,8 +14,9 @@ use std::fmt;
 /// Error produced during simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// The kernel program is malformed or inconsistent with its DAG (also
-    /// wraps compile-pipeline failures surfaced through the sim result).
+    /// The plan or its inputs are malformed in a way no other variant
+    /// names (also wraps compile-pipeline failures surfaced through the sim
+    /// result).
     InvalidProgram(String),
     /// The scheduler emitted a pipeline that failed validation — a compiler
     /// bug, never an input error. Carries the validator's finding.
@@ -24,7 +25,8 @@ pub enum SimError {
     /// compiler bug. Carries the validator's finding.
     AllocationBug(IrError),
     /// Kernel generation emitted a program inconsistent with its DAG — a
-    /// compiler bug. Carries the validator's finding.
+    /// compiler bug, whether the compiler or the simulator catches it.
+    /// Carries the validator's finding.
     LoweringBug(IrError),
     /// Execution wedged: the event heap drained with invocations pending.
     Deadlock(String),

@@ -672,6 +672,18 @@ mod tests {
     }
 
     #[test]
+    fn program_inconsistent_with_its_dag_is_a_lowering_bug() {
+        let topo = Topology::a100(1, 4);
+        let spec = ring_ag(4);
+        let (dag, mut prog) = build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
+        prog.ranks[0].tbs[0].slots.pop();
+        let plan = MicroBatchPlan::plan(4 << 20, 4, 1 << 20);
+        let cfg = SimConfig::default();
+        let err = simulate(&topo, &dag, &prog, &plan, OpType::AllGather, &cfg).unwrap_err();
+        assert!(matches!(err, SimError::LoweringBug(_)), "{err}");
+    }
+
+    #[test]
     fn fault_runs_replay_deterministically() {
         let topo = Topology::a100(1, 4);
         let spec = ring_ag(4);
