@@ -256,11 +256,9 @@ impl KernelProgram {
         Self::generate(algo_name, dag, alloc, loop_order, exec)
     }
 
-    /// Attach micro-batch barrier groups (see [`KernelProgram::barrier_groups`]).
-    ///
-    /// # Panics
-    /// Panics if `groups.len()` differs from the DAG's task count used at
-    /// generation (callers pass one group id per task).
+    /// Attach micro-batch barrier groups (see [`KernelProgram::barrier_groups`]),
+    /// one group id per task; [`KernelProgram::validate`] rejects any other
+    /// length.
     pub fn with_barrier_groups(mut self, groups: Vec<u32>) -> Self {
         self.barrier_groups = Some(groups);
         self
@@ -295,8 +293,18 @@ impl KernelProgram {
 
     /// Validate structural invariants: every task has exactly one Send slot
     /// (on its src rank) and one receive-side slot (on its dst rank), with
-    /// the primitive matching the task's comm type.
+    /// the primitive matching the task's comm type, and barrier groups, if
+    /// any, name one group per task.
     pub fn validate(&self, dag: &DepDag) -> Result<(), IrError> {
+        if let Some(groups) = &self.barrier_groups {
+            if groups.len() != dag.len() {
+                return Err(IrError::new(format!(
+                    "barrier groups cover {} tasks, DAG has {}",
+                    groups.len(),
+                    dag.len()
+                )));
+            }
+        }
         let mut send = vec![0u32; dag.len()];
         let mut recv = vec![0u32; dag.len()];
         for rp in &self.ranks {

@@ -24,9 +24,12 @@
 //!
 //! Events run in `(t, seq)` order, `seq` counting scheduled events. Each
 //! in-flight transfer owns exactly one live event — its startup latency,
-//! then its projected drain finish. The queue appends the events of one
-//! time to a run and keeps the runs in a heap, so a pop inside a lockstep
-//! burst costs one compare rather than a full sift (DESIGN.md §14).
+//! then its projected drain finish. The queue pays once per transfer per
+//! simulated instant: a re-key to the current instant moves the event to
+//! the back of the instant's FIFO, a re-key to a later time waits for the
+//! instant's end, and later events sit in runs of one time ordered by a
+//! heap, so a pop inside a lockstep burst costs one compare rather than a
+//! full sift (DESIGN.md §14).
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -141,12 +144,32 @@ impl Head {
     }
 }
 
-/// Where an id's live event is: its `seq` (0 while none is queued) and
-/// its run.
+/// One id's place in the queue: a run entry, the instant FIFO or the
+/// buffer. A buffered re-key leaves a run entry at a later time live, and
+/// the flush replaces it.
 #[derive(Clone, Copy)]
-struct Queued {
-    seq: u64,
+struct Place {
+    /// `seq` of the id's live run entry, 0 while it has none.
+    queued: u64,
+    /// The run holding that entry.
     run: u32,
+    /// `seq` of the id's FIFO or buffered event, 0 while it has none.
+    pending: u64,
+    /// In the FIFO, between `prev` and `next` (`NONE` at the ends).
+    fifo: bool,
+    prev: u32,
+    next: u32,
+}
+
+impl Place {
+    const EMPTY: Self = Self {
+        queued: 0,
+        run: NONE,
+        pending: 0,
+        fifo: false,
+        prev: NONE,
+        next: NONE,
+    };
 }
 
 /// Direct-mapped slots of [`EventQueue::cache`].
@@ -160,57 +183,232 @@ fn cache_slot(t: f64) -> usize {
 }
 
 /// Min-queue of events in `(t, seq)` order, holding at most one live event
-/// per id. Events of one time are appended to a run, and an indexed 4-ary
-/// min-heap orders the runs by `(t, head seq)`, so popping the next event
-/// of a run costs one compare against the root's children rather than a
-/// full sift. Scheduling a queued id leaves its old entry stale; pops and
-/// compaction skip it.
+/// per id. The current instant, the time of the last pop, owns a FIFO of
+/// the events scheduled for it, so a re-key to the instant moves its id
+/// to the back in O(1). A re-key to a later time while the instant still
+/// has events waits in a buffer, keeping the `seq` it drew, until the
+/// instant is over; the last one per id wins. Later events sit in runs,
+/// one time each, appended in `seq` order, and an indexed 4-ary min-heap
+/// orders the runs by `(t, head seq)`, so popping the next event of a run
+/// costs one compare against the root's children rather than a full sift.
+/// A run entry that loses its id stays behind stale; pops and compaction
+/// skip it.
 struct EventQueue {
     heap: Vec<Head>,
     runs: Vec<Run>,
     /// Heap slot of each run, `NONE` while the run is free.
     pos: Vec<u32>,
     free: Vec<u32>,
-    /// The live event of each id.
-    queued: Vec<Queued>,
+    /// Each id's place in the queue.
+    places: Vec<Place>,
     /// A run of the time hashing to each slot. A miss opens another run,
     /// so one time may own several; the `(t, head seq)` key keeps their
     /// merge exact.
     cache: [u32; CACHE_SLOTS],
     /// Events scheduled so far; the next one gets `seq + 1`.
     seq: u64,
+    /// The current instant: the latest time popped.
+    now: f64,
+    /// Ends of the FIFO of events at `now`, in `seq` order.
+    fifo_head: u32,
+    fifo_tail: u32,
+    /// Re-keys to later times made during the instant, in `seq` order. An
+    /// entry is live while it is its id's `pending` event.
+    buffer: Vec<Event>,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
+        Self::with_ids(0)
+    }
+}
+
+impl EventQueue {
+    /// An empty queue with room for ids `0..n` without growing.
+    fn with_ids(n: usize) -> Self {
         Self {
             heap: Vec::new(),
             runs: Vec::new(),
             pos: Vec::new(),
             free: Vec::new(),
-            queued: Vec::new(),
+            places: vec![Place::EMPTY; n],
             cache: [NONE; CACHE_SLOTS],
             seq: 0,
+            now: 0.0,
+            fifo_head: NONE,
+            fifo_tail: NONE,
+            buffer: Vec::new(),
         }
     }
-}
 
-impl EventQueue {
     /// Schedule `id` at time `t` with the next sequence number, replacing
     /// its queued event if it has one.
     fn schedule(&mut self, id: u32, t: f64) {
         self.seq += 1;
-        let e = Entry { seq: self.seq, id };
+        let seq = self.seq;
         let i = id as usize;
-        if i >= self.queued.len() {
-            self.queued.resize(i + 1, Queued { seq: 0, run: NONE });
+        if i >= self.places.len() {
+            self.places.resize(i + 1, Place::EMPTY);
         }
-        let old = self.queued[i];
-        self.queued[i].seq = e.seq;
-        if old.seq != 0 {
+        if t > self.now && !self.instant_open() {
+            // Nothing else is due at `now`, so no FIFO or buffer holds `id`.
+            self.insert(id, t, seq);
+            return;
+        }
+        if self.places[i].fifo {
+            self.unlink(id);
+        }
+        if t.to_bits() == self.now.to_bits() {
+            self.unqueue(id);
+            self.places[i].pending = seq;
+            self.push_back(id);
+        } else if t > self.now {
+            // A run entry at a later time cannot pop before the flush,
+            // which replaces it; one at the instant could.
+            let s = self.places[i];
+            if s.queued != 0 && self.runs[s.run as usize].t <= self.now {
+                self.unqueue(id);
+            }
+            self.places[i].pending = seq;
+            self.buffer.push(Event { t, seq, id });
+        } else {
+            self.places[i].pending = 0;
+            self.insert(id, t, seq);
+        }
+    }
+
+    /// Does the current instant still have events: in the FIFO, buffered,
+    /// or in a run at or before `now`?
+    fn instant_open(&self) -> bool {
+        self.fifo_head != NONE
+            || !self.buffer.is_empty()
+            || self.heap.first().is_some_and(|top| top.t <= self.now)
+    }
+
+    /// Remove and return the earliest live event.
+    fn pop(&mut self) -> Option<Event> {
+        loop {
+            let top = self.heap.first().copied();
+            if self.fifo_head != NONE {
+                let id = self.fifo_head;
+                let seq = self.places[id as usize].pending;
+                let head = Head {
+                    t: self.now,
+                    seq,
+                    id,
+                    run: NONE,
+                };
+                if !top.is_some_and(|top| top.before(&head)) {
+                    self.unlink(id);
+                    self.places[id as usize].pending = 0;
+                    return Some(Event {
+                        t: self.now,
+                        seq,
+                        id,
+                    });
+                }
+            } else if !self.buffer.is_empty() && !top.is_some_and(|top| top.t <= self.now) {
+                // The instant is over: its buffered re-keys enter the runs
+                // before anything later pops.
+                self.flush();
+                continue;
+            }
+            let top = top?;
+            let q = &mut self.places[top.id as usize];
+            let live = q.queued == top.seq;
+            let r = &mut self.runs[top.run as usize];
+            if live {
+                q.queued = 0;
+                r.live -= 1;
+            }
+            if r.live == 0 {
+                self.remove(top.run);
+            } else {
+                r.head += 1;
+                self.rehead(top.run);
+            }
+            if live {
+                self.now = self.now.max(top.t);
+                return Some(Event {
+                    t: top.t,
+                    seq: top.seq,
+                    id: top.id,
+                });
+            }
+        }
+    }
+
+    /// End the instant: place its live buffered events into the runs, in
+    /// `seq` order, each with the `seq` it drew.
+    fn flush(&mut self) {
+        let mut buffer = std::mem::take(&mut self.buffer);
+        for e in buffer.drain(..) {
+            let s = &mut self.places[e.id as usize];
+            if s.pending == e.seq {
+                s.pending = 0;
+                self.insert(e.id, e.t, e.seq);
+            }
+        }
+        self.buffer = buffer;
+    }
+
+    /// Append `id` to the FIFO.
+    fn push_back(&mut self, id: u32) {
+        let tail = self.fifo_tail;
+        let s = &mut self.places[id as usize];
+        s.fifo = true;
+        s.prev = tail;
+        s.next = NONE;
+        match tail {
+            NONE => self.fifo_head = id,
+            _ => self.places[tail as usize].next = id,
+        }
+        self.fifo_tail = id;
+    }
+
+    /// Take `id` out of the FIFO.
+    fn unlink(&mut self, id: u32) {
+        let s = &mut self.places[id as usize];
+        s.fifo = false;
+        let (prev, next) = (s.prev, s.next);
+        match prev {
+            NONE => self.fifo_head = next,
+            _ => self.places[prev as usize].next = next,
+        }
+        match next {
+            NONE => self.fifo_tail = prev,
+            _ => self.places[next as usize].prev = prev,
+        }
+    }
+
+    /// Kill `id`'s run entry, if it has one.
+    fn unqueue(&mut self, id: u32) {
+        let s = &mut self.places[id as usize];
+        if s.queued == 0 {
+            return;
+        }
+        s.queued = 0;
+        let r = s.run;
+        let run = &mut self.runs[r as usize];
+        run.live -= 1;
+        if run.live == 0 {
+            self.remove(r);
+        } else {
+            self.compact_if_wasteful(r);
+        }
+    }
+
+    /// Put `id`'s event at time `t` into a run, with `seq` larger than
+    /// every `seq` in the runs of that time, replacing its run entry.
+    fn insert(&mut self, id: u32, t: f64, seq: u64) {
+        let e = Entry { seq, id };
+        let i = id as usize;
+        let old = self.places[i];
+        self.places[i].queued = e.seq;
+        if old.queued != 0 {
             let a = &mut self.runs[old.run as usize];
             let last = a.len() - 1;
-            if a.t.to_bits() == t.to_bits() && a.entry(last).seq == old.seq {
+            if a.t.to_bits() == t.to_bits() && a.entry(last).seq == old.queued {
                 // The last event of a run of the same time takes the new
                 // `seq` in place, which keeps the run in order.
                 a.set(last, e);
@@ -232,7 +430,7 @@ impl EventQueue {
             b.live += 1;
             self.compact_if_wasteful(hit);
             hit
-        } else if old.seq != 0 && self.runs[old.run as usize].live == 1 {
+        } else if old.queued != 0 && self.runs[old.run as usize].live == 1 {
             // The id leaves its run empty: reuse the run in place, which
             // moves one heap key, as an indexed heap of events would.
             self.cache[slot] = old.run;
@@ -262,41 +460,14 @@ impl EventQueue {
             self.cache[slot] = r;
             r
         };
-        self.queued[i].run = run;
-        if old.seq != 0 {
+        self.places[i].run = run;
+        if old.queued != 0 {
             let a = &mut self.runs[old.run as usize];
             a.live -= 1;
             if a.live == 0 {
                 self.remove(old.run);
             } else {
                 self.compact_if_wasteful(old.run);
-            }
-        }
-    }
-
-    /// Remove and return the earliest live event.
-    fn pop(&mut self) -> Option<Event> {
-        loop {
-            let top = *self.heap.first()?;
-            let q = &mut self.queued[top.id as usize];
-            let live = q.seq == top.seq;
-            let r = &mut self.runs[top.run as usize];
-            if live {
-                q.seq = 0;
-                r.live -= 1;
-            }
-            if r.live == 0 {
-                self.remove(top.run);
-            } else {
-                r.head += 1;
-                self.rehead(top.run);
-            }
-            if live {
-                return Some(Event {
-                    t: top.t,
-                    seq: top.seq,
-                    id: top.id,
-                });
             }
         }
     }
@@ -313,7 +484,7 @@ impl EventQueue {
     }
 
     fn is_live(&self, e: Entry) -> bool {
-        self.queued[e.id as usize].seq == e.seq
+        self.places[e.id as usize].queued == e.seq
     }
 
     /// Advance run `r`'s head to its first live entry and settle its key,
@@ -754,12 +925,6 @@ impl<'a> Engine<'a> {
         // Barrier groups.
         let (barrier_group_of, barrier_members, mut barrier_remaining) =
             if let Some(groups) = &program.barrier_groups {
-                if groups.len() != n_tasks {
-                    return Err(SimError::new(format!(
-                        "barrier groups cover {} tasks, DAG has {n_tasks}",
-                        groups.len()
-                    )));
-                }
                 let n_groups = groups.iter().copied().max().unwrap_or(0) as usize + 1;
                 let mut members: Vec<Vec<TaskId>> = vec![Vec::new(); n_groups];
                 for (t, &g) in groups.iter().enumerate() {
@@ -819,6 +984,9 @@ impl<'a> Engine<'a> {
             }
         }
 
+        // Every invocation left to run starts one transfer, and each
+        // transfer owns one event id after the faults and the deadline.
+        let transfers = (inv_total - inv_done_init) as usize;
         Ok(Self {
             dag,
             program,
@@ -829,9 +997,9 @@ impl<'a> Engine<'a> {
             now: 0.0,
             tbs,
             invs,
-            transfers: Vec::new(),
+            transfers: Vec::with_capacity(transfers),
             resources,
-            events: EventQueue::default(),
+            events: EventQueue::with_ids(config.faults.events().len() + 1 + transfers),
             affected: Vec::new(),
             epoch: 0,
             buffers,
@@ -1930,5 +2098,48 @@ mod tests {
         for seed in 0..32u64 {
             pops_like_oracle(seed, |rng, now| now + 100.0 * rng.gen::<f64>());
         }
+    }
+
+    #[test]
+    fn instant_queue_pops_like_lazy_deletion_in_completion_bursts() {
+        // A completion burst: most schedules land exactly on the last
+        // popped time, the rest on one of 7 later times, mostly while the
+        // instant still has events.
+        for seed in 0..32u64 {
+            pops_like_oracle(seed, |rng, now| match rng.gen_range(0..8) {
+                0..=4 => now,
+                _ => now + rng.gen_range(1..8) as f64,
+            });
+        }
+    }
+
+    #[test]
+    fn future_rekeys_in_one_instant_place_once() {
+        let mut queue = EventQueue::default();
+        // Id 0 is due at the current instant, so re-keys of id 1 to later
+        // times wait for its end.
+        queue.schedule(0, 0.0);
+        for k in 1..=8 {
+            queue.schedule(1, k as f64);
+        }
+        assert!(queue.runs.is_empty(), "no run before the instant ends");
+        assert_eq!(
+            queue.pop(),
+            Some(Event {
+                t: 0.0,
+                seq: 1,
+                id: 0
+            })
+        );
+        assert_eq!(
+            queue.pop(),
+            Some(Event {
+                t: 8.0,
+                seq: 9,
+                id: 1
+            })
+        );
+        assert_eq!(queue.runs.len(), 1, "one placement, with the last seq");
+        assert_eq!(queue.pop(), None);
     }
 }

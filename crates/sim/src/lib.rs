@@ -684,6 +684,18 @@ mod tests {
     }
 
     #[test]
+    fn barrier_groups_not_covering_the_dag_are_a_lowering_bug() {
+        let topo = Topology::a100(1, 4);
+        let spec = ring_ag(4);
+        let (dag, prog) = build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
+        let prog = prog.with_global_barrier(dag.len() - 1);
+        let plan = MicroBatchPlan::plan(4 << 20, 4, 1 << 20);
+        let cfg = SimConfig::default();
+        let err = simulate(&topo, &dag, &prog, &plan, OpType::AllGather, &cfg).unwrap_err();
+        assert!(matches!(err, SimError::LoweringBug(_)), "{err}");
+    }
+
+    #[test]
     fn fault_runs_replay_deterministically() {
         let topo = Topology::a100(1, 4);
         let spec = ring_ag(4);

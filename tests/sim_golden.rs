@@ -259,6 +259,64 @@ fn fault_timelines() {
     check(&got, GOLDEN_FAULTS);
 }
 
+/// Faults that land exactly on the busiest completion instant of a
+/// healthy HM-AllReduce 2×8 run: the fault fires first, then every
+/// completion of that instant re-keys its peers to the same time or a
+/// later one.
+#[test]
+fn instant_stress() {
+    let topo = Topology::a100(2, 8);
+    let plan = Compiler::new()
+        .compile_spec(&hm_allreduce(2, 8), &topo)
+        .expect("compile");
+    let buffer = 32 * MB;
+    let traced = plan
+        .run_with(buffer, MB, &SimConfig::default().with_trace())
+        .expect("healthy run");
+    let horizon = traced.completion_ns;
+    // Completions per instant; the busiest instant, earliest on a tie.
+    let mut per_instant = std::collections::BTreeMap::<u64, Vec<_>>::new();
+    for ev in &traced.trace {
+        per_instant.entry(ev.end_ns.to_bits()).or_default().push(ev);
+    }
+    let (at, burst) = per_instant
+        .iter()
+        .rev()
+        .max_by_key(|(_, evs)| evs.len())
+        .map(|(&t, evs)| (f64::from_bits(t), evs))
+        .expect("the run completes transfers");
+    assert!(burst.len() > 1, "a lockstep burst completes together");
+    // A resource on the path of the burst's first completion.
+    let (src, dst) = (Rank::new(burst[0].src), Rank::new(burst[0].dst));
+    let res = if topo.same_node(src, dst) {
+        topo.pair_chan(src, dst)
+    } else {
+        topo.nic_tx(topo.nic_of(src))
+    };
+
+    let brown = SimConfig::default().with_faults(FaultTimeline::new().brownout(
+        res,
+        at,
+        0.5,
+        0.2 * horizon,
+    ));
+    let mut got = vec![(
+        "brownout-at-burst".to_string(),
+        digest(&plan.run_with(buffer, MB, &brown)),
+    )];
+    let kill = SimConfig::default().with_faults(FaultTimeline::new().kill(res, at));
+    let killed = plan.run_with(buffer, MB, &kill);
+    assert!(
+        killed
+            .as_ref()
+            .is_err_and(|e| matches!(e, rescc::sim::SimError::ResourceDown { .. })
+                && e.frontier().is_some()),
+        "a kill at the burst aborts with a frontier: {killed:?}"
+    );
+    got.push(("link-down-at-burst".into(), digest(&killed)));
+    check(&got, GOLDEN_INSTANT);
+}
+
 const GOLDEN_TOPO1: &[(&str, u64)] = &[
     ("a100-2x4/hm-ag-2x4/validated", 0xa6350ac0da8fcd47),
     ("a100-2x4/hm-ag-2x4/unchecked", 0xfa3a3fbfd355ef54),
@@ -388,4 +446,8 @@ const GOLDEN_FAULTS: &[(&str, u64)] = &[
     ("flap", 0xb61de03b6e42d872),
     ("advanced-kill", 0x1fb0cce158fc3a15),
     ("deadline", 0x614ba2a9b0060aaf),
+];
+const GOLDEN_INSTANT: &[(&str, u64)] = &[
+    ("brownout-at-burst", 0x44128f4f26fb322d),
+    ("link-down-at-burst", 0x0d93c2f372a1de28),
 ];
