@@ -194,31 +194,23 @@ impl TbAllocation {
         // Chained mode keys a chain transit (a send forwarding data
         // delivered by exactly one receive at its source rank) immediately
         // after its feeder *on the TB the fold co-locates them on*, so the
-        // fusion pass finds the pair adjacent. The reordering is safe even
-        // when the forward has later predecessors (e.g. a write-after-write
-        // edge at its destination): a fused forward issues asynchronously —
-        // it never gates its TB's issue groups — so it cannot take part in
-        // a rendezvous cycle, and every *gating* slot still follows the
-        // schedule's dependency-compatible total order.
+        // fusion pass finds the pair adjacent. Every other slot still
+        // follows the schedule's dependency-compatible total order. The
+        // reordering is NOT deadlock-free in general: a forward with a
+        // later predecessor (e.g. a write-after-write edge at its
+        // destination) can close a rendezvous cycle with the slots it
+        // jumped over, even though a fused forward issues asynchronously.
+        // HM collectives hit this (RA001 reports `t6 → t105 → t6` on
+        // hm-ar-1×8, and the engine deadlocks on the same plans).
         let mut base_pos: Vec<u32> = vec![0; dag.len()];
         for (i, t) in schedule.linear_order().into_iter().enumerate() {
             base_pos[t.index()] = i as u32;
         }
-        let mut chain_feed: Vec<ChainFeed> = Vec::new();
-        if chain_merge {
-            chain_feed = vec![ChainFeed::Head; dag.len()];
-            for b in dag.tasks() {
-                let mut feeders = dag.preds(b.id).iter().copied().filter(|&a| {
-                    let ta = dag.task(a);
-                    ta.chunk == b.chunk && ta.dst == b.src
-                });
-                chain_feed[b.id.index()] = match (feeders.next(), feeders.next()) {
-                    (None, _) => ChainFeed::Head,
-                    (Some(a), None) => ChainFeed::Single(a),
-                    (Some(_), Some(_)) => ChainFeed::Multi,
-                };
-            }
-        }
+        let chain_feed: Vec<ChainFeed> = if chain_merge {
+            dag.tasks().iter().map(|b| chain_feed(dag, b.id)).collect()
+        } else {
+            Vec::new()
+        };
 
         let per_rank = slots
             .into_iter()
@@ -246,7 +238,10 @@ impl TbAllocation {
     /// Validate the allocation against its DAG and schedule:
     /// * every task contributes exactly one Send slot (on its src rank) and
     ///   one Recv slot (on its dst rank),
-    /// * slots within a TB are ordered by sub-pipeline index,
+    /// * slots within a TB are ordered by sub-pipeline index, except a
+    ///   chain forward whose feeder's Recv slot sits earlier on the same TB
+    ///   (where [`TbAllocation::state_based_chained`] keys it): it is
+    ///   exempt and does not advance the order,
     /// * slots record the sub-pipeline the schedule actually assigned.
     pub fn validate(&self, dag: &DepDag, schedule: &Schedule) -> Result<(), IrError> {
         // For each (task, dir), the set of (stride, offset) windows covering it.
@@ -256,8 +251,13 @@ impl TbAllocation {
         for (t, sp) in schedule.sub_pipeline_of() {
             sp_of[t.index()] = sp;
         }
+        // The 1-based index of the TB each task's Recv slot was last seen
+        // on, to recognise a chain forward behind its feeder.
+        let mut recv_tb: Vec<usize> = vec![0; dag.len()];
+        let mut tb_index = 0;
         for (rank, plan) in self.per_rank.iter().enumerate() {
             for tb in &plan.tbs {
+                tb_index += 1;
                 if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
                     return Err(IrError::new(format!(
                         "TB on rank r{rank} has invalid micro-batch window {}%{}",
@@ -285,16 +285,24 @@ impl TbAllocation {
                             sp_of[slot.task.index()]
                         )));
                     }
-                    if slot.sub_pipeline < last_sp {
-                        return Err(IrError::new(format!(
-                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
-                            slot.sub_pipeline, last_sp
-                        )));
+                    let forward = slot.dir == Direction::Send
+                        && matches!(chain_feed(dag, slot.task),
+                            ChainFeed::Single(a) if recv_tb[a.index()] == tb_index);
+                    if !forward {
+                        if slot.sub_pipeline < last_sp {
+                            return Err(IrError::new(format!(
+                                "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
+                                slot.sub_pipeline, last_sp
+                            )));
+                        }
+                        last_sp = slot.sub_pipeline;
                     }
-                    last_sp = slot.sub_pipeline;
                     let cover = match slot.dir {
                         Direction::Send => &mut send_cover,
-                        Direction::Recv => &mut recv_cover,
+                        Direction::Recv => {
+                            recv_tb[slot.task.index()] = tb_index;
+                            &mut recv_cover
+                        }
                     };
                     cover[slot.task.index()].push((tb.mb_stride, tb.mb_offset));
                 }
@@ -343,6 +351,21 @@ enum ChainFeed {
     Multi,
     /// Fed by exactly one delivery — a chain transit behind that task.
     Single(TaskId),
+}
+
+/// How task `b` relates to the chain-merge pass: the predecessors that
+/// deliver its chunk to its source rank.
+fn chain_feed(dag: &DepDag, b: TaskId) -> ChainFeed {
+    let task = dag.task(b);
+    let mut feeders = dag.preds(b).iter().copied().filter(|&a| {
+        let ta = dag.task(a);
+        ta.chunk == task.chunk && ta.dst == task.src
+    });
+    match (feeders.next(), feeders.next()) {
+        (None, _) => ChainFeed::Head,
+        (Some(a), None) => ChainFeed::Single(a),
+        (Some(_), Some(_)) => ChainFeed::Multi,
+    }
 }
 
 /// Build one rank's TB list: interval analysis, optional chain merging,
@@ -608,6 +631,39 @@ mod tests {
         let chained = TbAllocation::state_based_chained(&dag, &s);
         chained.validate(&dag, &s).unwrap();
         assert_eq!(plain.total_tbs(), chained.total_tbs());
+    }
+
+    #[test]
+    fn chained_multi_ring_allocation_validates() {
+        // A forward keyed behind its feeder sits ahead of its own
+        // sub-pipeline; the validator must accept what the chained
+        // allocator builds.
+        let dag = DepDag::build(
+            &rescc_algos::nccl_rings_allreduce(2, 8, 4),
+            &Topology::a100(2, 8),
+        )
+        .unwrap();
+        let s = hpds(&dag);
+        let chained = TbAllocation::state_based_chained(&dag, &s);
+        chained.validate(&dag, &s).unwrap();
+    }
+
+    #[test]
+    fn chained_validation_catches_swapped_non_transit_slots() {
+        let (dag, s) = ring_setup(1, 8);
+        let mut a = TbAllocation::state_based_chained(&dag, &s);
+        a.validate(&dag, &s).unwrap();
+        // Rank 0's receives are not chain forwards: swapping two of them
+        // from different sub-pipelines must still be rejected.
+        let slots = &mut a.per_rank[0].tbs[0].slots;
+        let recvs: Vec<usize> = (0..slots.len())
+            .filter(|&i| slots[i].dir == Direction::Recv)
+            .collect();
+        let (i, j) = (recvs[0], recvs[recvs.len() - 1]);
+        assert!(slots[i].sub_pipeline < slots[j].sub_pipeline);
+        slots.swap(i, j);
+        let err = a.validate(&dag, &s).unwrap_err();
+        assert!(err.to_string().contains("out-of-order"), "{err}");
     }
 
     #[test]

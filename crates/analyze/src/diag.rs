@@ -286,11 +286,6 @@ impl AnalysisReport {
         &self.diagnostics
     }
 
-    /// Consume the report, returning the findings.
-    pub fn into_diagnostics(self) -> Vec<Diagnostic> {
-        self.diagnostics
-    }
-
     /// Number of `Error`-severity findings.
     pub fn n_errors(&self) -> usize {
         self.diagnostics

@@ -152,21 +152,6 @@ impl CombinedOrder {
             Err((0..n as u32).filter(|&t| !seen[t as usize]).collect())
         }
     }
-
-    /// All tasks reachable from `from` (excluding `from` itself unless it
-    /// sits on a cycle through itself).
-    pub fn reachable_from(&self, from: u32) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<u32> = self.succs(from).to_vec();
-        while let Some(t) = stack.pop() {
-            if seen[t as usize] {
-                continue;
-            }
-            seen[t as usize] = true;
-            stack.extend_from_slice(self.succs(t));
-        }
-        seen
-    }
 }
 
 fn push_edge(rows: &mut [Vec<u32>], from: TaskId, to: TaskId) {

@@ -12,7 +12,10 @@
 //!
 //! Every backend consumes the same [`AlgoSpec`] and produces a [`RunReport`]
 //! with identical metrics, which the benchmark harness turns into the
-//! paper's tables and figures.
+//! paper's tables and figures. The two baselines share one rigid lowering
+//! and differ only in stage count (barrier groups) and [`ExecMode`]. [`RescclBackend`]
+//! builds no plan itself: it compiles through [`Compiler`], the one place a
+//! ResCCL plan is built, exactly like the [`Communicator`] does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,11 +25,12 @@ mod communicator;
 pub use communicator::{Communicator, FaultPolicy};
 
 use rescc_alloc::TbAllocation;
+use rescc_core::{Compiler, LintGate, SchedulerChoice};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::AlgoSpec;
-use rescc_sched::{hpds, round_robin, Schedule, StagePartition};
-use rescc_sim::{simulate, SimConfig, SimError, SimReport, SimResult};
+use rescc_sched::{Schedule, StagePartition};
+use rescc_sim::{simulate, SimConfig, SimReport, SimResult};
 use rescc_topology::Topology;
 
 /// The paper's default chunk (primitive transfer unit) size: 1 MB.
@@ -174,14 +178,27 @@ pub trait Backend {
     fn name(&self) -> &str;
 
     /// Run one collective call of `buffer_bytes` per rank, moving
-    /// `chunk_bytes` per primitive invocation, with data validation.
+    /// `chunk_bytes` per primitive invocation, checking the data the
+    /// collective produces when `validate` is set.
+    fn run_with(
+        &self,
+        spec: &AlgoSpec,
+        topo: &Topology,
+        buffer_bytes: u64,
+        chunk_bytes: u64,
+        validate: bool,
+    ) -> SimResult<RunReport>;
+
+    /// Run with data validation.
     fn run(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
         buffer_bytes: u64,
         chunk_bytes: u64,
-    ) -> SimResult<RunReport>;
+    ) -> SimResult<RunReport> {
+        self.run_with(spec, topo, buffer_bytes, chunk_bytes, true)
+    }
 
     /// Run with data validation disabled (large sweeps).
     fn run_unchecked(
@@ -190,7 +207,9 @@ pub trait Backend {
         topo: &Topology,
         buffer_bytes: u64,
         chunk_bytes: u64,
-    ) -> SimResult<RunReport>;
+    ) -> SimResult<RunReport> {
+        self.run_with(spec, topo, buffer_bytes, chunk_bytes, false)
+    }
 }
 
 /// Schedule in plain declaration/step order: sub-pipeline `s` holds the
@@ -206,6 +225,15 @@ pub fn by_step_schedule(dag: &DepDag) -> Schedule {
     Schedule {
         sub_pipelines,
         policy: "by-step".into(),
+    }
+}
+
+/// `base`, without data validation unless `validate` is set.
+fn sim_config(base: SimConfig, validate: bool) -> SimConfig {
+    if validate {
+        base
+    } else {
+        base.without_validation()
     }
 }
 
@@ -230,6 +258,38 @@ fn finish(
     }
 }
 
+/// The rigid lowering both baseline backends share: a by-step schedule,
+/// connection-based TBs over `n_channels` channels, a micro-batch-major
+/// kernel with one barrier group per stage of `n_stages` step bands (each
+/// stage iterates its micro-batches lazily; stages pipeline against each
+/// other), and rigid release.
+#[allow(clippy::too_many_arguments)]
+fn run_rigid(
+    backend: &str,
+    spec: &AlgoSpec,
+    topo: &Topology,
+    buffer_bytes: u64,
+    chunk_bytes: u64,
+    validate: bool,
+    n_channels: u32,
+    n_stages: u32,
+    exec: ExecMode,
+) -> SimResult<RunReport> {
+    let dag = DepDag::build(spec, topo)?;
+    let sched = by_step_schedule(&dag);
+    let alloc = TbAllocation::connection_based(&dag, &sched, n_channels);
+    let stages = StagePartition::by_steps(&dag, n_stages);
+    stages.validate(&dag)?;
+    let groups = stages.stage_of(dag.len()).into_iter().map(|s| s as u32);
+    let prog = KernelProgram::generate(spec.name(), &dag, &alloc, LoopOrder::MicroBatchMajor, exec)
+        .with_barrier_groups(groups.collect())
+        .with_barrier_stride(n_channels);
+    let plan = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
+    let cfg = sim_config(SimConfig::rigid(), validate);
+    let sim = simulate(topo, &dag, &prog, &plan, spec.op(), &cfg)?;
+    Ok(finish(backend, spec, buffer_bytes, &alloc, sim))
+}
+
 /// The NCCL-model backend: lazy algorithm-level execution with
 /// connection-based TB allocation and rigid release.
 #[derive(Clone, Debug)]
@@ -244,8 +304,12 @@ impl Default for NcclBackend {
     }
 }
 
-impl NcclBackend {
-    fn run_inner(
+impl Backend for NcclBackend {
+    fn name(&self) -> &str {
+        "nccl"
+    }
+
+    fn run_with(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
@@ -253,52 +317,18 @@ impl NcclBackend {
         chunk_bytes: u64,
         validate: bool,
     ) -> SimResult<RunReport> {
-        let dag = DepDag::build(spec, topo).map_err(|e| SimError::new(e.to_string()))?;
-        let sched = by_step_schedule(&dag);
-        let alloc = TbAllocation::connection_based(&dag, &sched, self.n_channels);
-        let prog = KernelProgram::generate(
-            spec.name(),
-            &dag,
-            &alloc,
-            LoopOrder::MicroBatchMajor,
+        // One stage, so one global barrier: algorithm-level execution.
+        run_rigid(
+            self.name(),
+            spec,
+            topo,
+            buffer_bytes,
+            chunk_bytes,
+            validate,
+            self.n_channels,
+            1,
             ExecMode::DirectKernel,
         )
-        .with_global_barrier(dag.len())
-        .with_barrier_stride(self.n_channels);
-        let plan = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
-        let cfg = if validate {
-            SimConfig::rigid()
-        } else {
-            SimConfig::rigid().without_validation()
-        };
-        let sim = simulate(topo, &dag, &prog, &plan, spec.op(), &cfg)?;
-        Ok(finish("nccl", spec, buffer_bytes, &alloc, sim))
-    }
-}
-
-impl Backend for NcclBackend {
-    fn name(&self) -> &str {
-        "nccl"
-    }
-
-    fn run(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, true)
-    }
-
-    fn run_unchecked(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, false)
     }
 }
 
@@ -324,125 +354,12 @@ impl Default for MscclBackend {
     }
 }
 
-impl MscclBackend {
-    fn run_inner(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-        validate: bool,
-    ) -> SimResult<RunReport> {
-        let dag = DepDag::build(spec, topo).map_err(|e| SimError::new(e.to_string()))?;
-        let sched = by_step_schedule(&dag);
-        let alloc = TbAllocation::connection_based(&dag, &sched, self.n_channels);
-        // Stage-level barrier: each stage iterates its micro-batches
-        // lazily; stages pipeline against each other.
-        let stages = StagePartition::by_steps(&dag, self.n_stages);
-        stages
-            .validate(&dag)
-            .map_err(|e| SimError::new(e.to_string()))?;
-        let groups: Vec<u32> = stages
-            .stage_of(dag.len())
-            .into_iter()
-            .map(|s| s as u32)
-            .collect();
-        let prog = KernelProgram::generate(
-            spec.name(),
-            &dag,
-            &alloc,
-            LoopOrder::MicroBatchMajor,
-            ExecMode::Interpreter {
-                per_invocation_overhead_ns: self.interpreter_overhead_ns,
-            },
-        )
-        .with_barrier_groups(groups)
-        .with_barrier_stride(self.n_channels);
-        let plan = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
-        let cfg = if validate {
-            SimConfig::rigid()
-        } else {
-            SimConfig::rigid().without_validation()
-        };
-        let sim = simulate(topo, &dag, &prog, &plan, spec.op(), &cfg)?;
-        Ok(finish("msccl", spec, buffer_bytes, &alloc, sim))
-    }
-}
-
 impl Backend for MscclBackend {
     fn name(&self) -> &str {
         "msccl"
     }
 
-    fn run(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, true)
-    }
-
-    fn run_unchecked(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, false)
-    }
-}
-
-/// Scheduling policy for the ResCCL backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Hierarchical priority-based dynamic scheduling (Algorithm 1).
-    Hpds,
-    /// Round-robin baseline (Fig. 10b).
-    RoundRobin,
-}
-
-/// The ResCCL backend: primitive-level scheduling (HPDS), state-based TB
-/// allocation, generated lightweight kernels, early release.
-#[derive(Clone, Debug)]
-pub struct RescclBackend {
-    /// Scheduler to use (HPDS by default; RR for the Fig. 10b ablation).
-    pub scheduler: SchedulerPolicy,
-    /// Apply the `recvCopySend`/`recvReduceSend` fusion pass to the
-    /// generated kernels (off by default — an optional optimization beyond
-    /// the paper's evaluated configuration).
-    pub fuse_primitives: bool,
-}
-
-impl Default for RescclBackend {
-    fn default() -> Self {
-        Self {
-            scheduler: SchedulerPolicy::Hpds,
-            fuse_primitives: false,
-        }
-    }
-}
-
-impl RescclBackend {
-    /// The round-robin ablation variant.
-    pub fn round_robin() -> Self {
-        Self {
-            scheduler: SchedulerPolicy::RoundRobin,
-            ..Self::default()
-        }
-    }
-
-    /// Enable primitive fusion.
-    pub fn with_fusion() -> Self {
-        Self {
-            fuse_primitives: true,
-            ..Self::default()
-        }
-    }
-
-    fn run_inner(
+    fn run_with(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
@@ -450,73 +367,80 @@ impl RescclBackend {
         chunk_bytes: u64,
         validate: bool,
     ) -> SimResult<RunReport> {
-        let dag = DepDag::build(spec, topo).map_err(|e| SimError::new(e.to_string()))?;
-        let sched = match self.scheduler {
-            SchedulerPolicy::Hpds => hpds(&dag),
-            SchedulerPolicy::RoundRobin => round_robin(&dag),
-        };
-        debug_assert!(sched.validate(&dag).is_ok());
-        let alloc = if self.fuse_primitives {
-            TbAllocation::state_based_chained(&dag, &sched)
-        } else {
-            TbAllocation::state_based(&dag, &sched)
-        };
-        // Fused programs keep the slot-major loop: the simulator issues the
-        // fused forward asynchronously, so each recv→send pair pipelines
-        // across micro-batches exactly like its unfused counterpart while
-        // occupying half the TBs.
-        let loop_order = LoopOrder::SlotMajor;
-        let mut prog = KernelProgram::generate(
-            spec.name(),
-            &dag,
-            &alloc,
-            loop_order,
-            ExecMode::DirectKernel,
-        );
-        if self.fuse_primitives {
-            rescc_kernel::fuse(&mut prog, &dag);
+        run_rigid(
+            self.name(),
+            spec,
+            topo,
+            buffer_bytes,
+            chunk_bytes,
+            validate,
+            self.n_channels,
+            self.n_stages,
+            ExecMode::Interpreter {
+                per_invocation_overhead_ns: self.interpreter_overhead_ns,
+            },
+        )
+    }
+}
+
+/// The ResCCL backend: primitive-level scheduling (HPDS), state-based TB
+/// allocation, generated lightweight kernels, early release. A thin caller
+/// of the offline [`Compiler`]: every run compiles its plan there and runs
+/// it. The compiler's static verification and sanitize phase are off — a
+/// direct backend call measures execution, and the [`Communicator`] is
+/// the path that gates plans.
+#[derive(Clone, Debug)]
+pub struct RescclBackend {
+    compiler: Compiler,
+}
+
+impl Default for RescclBackend {
+    fn default() -> Self {
+        Self::over(Compiler::new())
+    }
+}
+
+impl RescclBackend {
+    /// The round-robin ablation variant (Fig. 10b).
+    pub fn round_robin() -> Self {
+        Self::over(Compiler::new().with_round_robin())
+    }
+
+    /// Enable primitive fusion ([`Compiler::with_fusion`]).
+    pub fn with_fusion() -> Self {
+        Self::over(Compiler::new().with_fusion())
+    }
+
+    fn over(compiler: Compiler) -> Self {
+        Self {
+            compiler: Compiler {
+                verify: false,
+                ..compiler.with_lint_gate(LintGate::Off)
+            },
         }
-        let plan = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
-        let cfg = if validate {
-            SimConfig::default()
-        } else {
-            SimConfig::default().without_validation()
-        };
-        let sim = simulate(topo, &dag, &prog, &plan, spec.op(), &cfg)?;
-        let name = match self.scheduler {
-            SchedulerPolicy::Hpds => "resccl",
-            SchedulerPolicy::RoundRobin => "resccl-rr",
-        };
-        Ok(finish(name, spec, buffer_bytes, &alloc, sim))
     }
 }
 
 impl Backend for RescclBackend {
     fn name(&self) -> &str {
-        match self.scheduler {
-            SchedulerPolicy::Hpds => "resccl",
-            SchedulerPolicy::RoundRobin => "resccl-rr",
+        match self.compiler.scheduler {
+            SchedulerChoice::Hpds => "resccl",
+            SchedulerChoice::RoundRobin => "resccl-rr",
         }
     }
 
-    fn run(
+    fn run_with(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
         buffer_bytes: u64,
         chunk_bytes: u64,
+        validate: bool,
     ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, true)
-    }
-
-    fn run_unchecked(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_inner(spec, topo, buffer_bytes, chunk_bytes, false)
+        let plan = self.compiler.compile_spec(spec, topo)?;
+        let cfg = sim_config(SimConfig::default(), validate);
+        let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
+        Ok(finish(self.name(), spec, buffer_bytes, &plan.alloc, sim))
     }
 }
 
@@ -524,6 +448,7 @@ impl Backend for RescclBackend {
 mod tests {
     use super::*;
     use rescc_algos::{hm_allgather, hm_allreduce, ring_allgather, taccl_like_allgather};
+    use rescc_sim::SimError;
 
     const MB: u64 = 1 << 20;
 
@@ -661,6 +586,26 @@ mod tests {
             .run(&spec, &topo, 32 * MB, MB)
             .unwrap();
         assert_eq!(rep.sim.data_valid, Some(true));
+    }
+
+    #[test]
+    fn rank_mismatch_is_a_typed_dag_error() {
+        // An 8-rank algorithm on a 4-rank cluster cannot form a DAG, on
+        // every backend.
+        let topo = Topology::a100(1, 4);
+        let spec = hm_allgather(2, 4);
+        for backend in [
+            &NcclBackend::default() as &dyn Backend,
+            &MscclBackend::default(),
+            &RescclBackend::default(),
+        ] {
+            match backend.run(&spec, &topo, 16 * MB, MB) {
+                Err(SimError::InvalidDag(e)) => {
+                    assert!(e.to_string().contains("8 ranks"), "{e}")
+                }
+                other => panic!("{}: expected InvalidDag, got {other:?}", backend.name()),
+            }
+        }
     }
 
     #[test]

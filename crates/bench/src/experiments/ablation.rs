@@ -99,7 +99,6 @@ pub fn run() {
 
     let mut rows = Vec::new();
     let mut baseline_ns = 0.0;
-    let mut fusion_row: Option<Vec<String>> = None;
     for v in &variants {
         let sched = match v.scheduler {
             "hpds" => hpds(&dag),
@@ -127,7 +126,6 @@ pub fn run() {
             format!("{:+.1}%", 100.0 * (rep.completion_ns / baseline_ns - 1.0)),
         ]);
     }
-    let _ = fusion_row.take();
     print_table(
         "Ablation: HM-AllReduce, 2x8 A100, 256MB — toggling one ResCCL technique at a time",
         &[

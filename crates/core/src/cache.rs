@@ -107,18 +107,6 @@ pub struct CacheStats {
     pub resident_bytes: u64,
 }
 
-impl CacheStats {
-    /// Fraction of dispatches served from the cache (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// What a journaled cache event records about its dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheEventKind {
@@ -830,6 +818,10 @@ pub fn plan_fingerprint(
         SchedulerChoice::RoundRobin => 1,
     });
     h.u32(compiler.verify as u32);
+    // Folded in only when set, so unfused plans keep their keys.
+    if compiler.fuse_primitives {
+        h.u32(1);
+    }
     // The lint gate changes whether a plan exists at all (deny) and what
     // diagnostics ride on it, so gated and ungated plans must not alias.
     h.u32(match compiler.lint_gate {
@@ -1024,6 +1016,19 @@ mod tests {
             plan_fingerprint(&compiler, &spec, &healthy, &plan),
             plan_fingerprint(&compiler, &spec, &empty, &plan)
         );
+    }
+
+    #[test]
+    fn fusion_fingerprints_distinctly() {
+        let spec = hm_allreduce(2, 4);
+        let topo = Topology::a100(2, 4);
+        let plan = mb(64 << 20, spec.n_chunks());
+        let plain = plan_fingerprint(&Compiler::new(), &spec, &topo, &plan);
+        // Pinned: a new compiler option must not move the default
+        // compiler's keys.
+        assert_eq!(plain, 0xcaa2_3158_6b69_2a17, "{plain:#018x}");
+        let fused = plan_fingerprint(&Compiler::new().with_fusion(), &spec, &topo, &plan);
+        assert_ne!(plain, fused);
     }
 
     #[test]

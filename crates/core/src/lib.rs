@@ -132,6 +132,12 @@ pub struct Compiler {
     pub lint_gate: LintGate,
     /// Tunables for the sanitize phase's lints.
     pub lint_config: AnalysisConfig,
+    /// Lower with chain merging ([`TbAllocation::state_based_chained`])
+    /// and apply the `recvCopySend`/`recvReduceSend` fusion pass
+    /// ([`rescc_kernel::fuse`]) to the generated kernels. Off by default:
+    /// an optional optimization beyond the paper's evaluated
+    /// configuration.
+    pub fuse_primitives: bool,
 }
 
 impl Default for Compiler {
@@ -141,6 +147,7 @@ impl Default for Compiler {
             verify: true,
             lint_gate: LintGate::default(),
             lint_config: AnalysisConfig::default(),
+            fuse_primitives: false,
         }
     }
 }
@@ -154,6 +161,12 @@ impl Compiler {
     /// Use the round-robin scheduler instead of HPDS.
     pub fn with_round_robin(mut self) -> Self {
         self.scheduler = SchedulerChoice::RoundRobin;
+        self
+    }
+
+    /// Enable primitive fusion (see [`Compiler::fuse_primitives`]).
+    pub fn with_fusion(mut self) -> Self {
+        self.fuse_primitives = true;
         self
     }
 
@@ -182,7 +195,7 @@ impl Compiler {
         if self.verify && spec.n_ranks() <= 256 {
             verify_collective(spec).map_err(|e| SimError::new(e.to_string()))?;
         }
-        let dag = DepDag::build(spec, topo).map_err(|e| SimError::new(e.to_string()))?;
+        let dag = DepDag::build(spec, topo)?;
         timings.analysis = t0.elapsed();
 
         let lowered = self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
@@ -244,10 +257,7 @@ impl Compiler {
 
         let t0 = Instant::now();
         let degraded = cached.topo.clone().with_health(health.clone());
-        let (dag, dirty) = cached
-            .dag
-            .reroute(&degraded)
-            .map_err(|e| SimError::new(e.to_string()))?;
+        let (dag, dirty) = cached.dag.reroute(&degraded)?;
         // `keep` carries the dirty sub-pipeline indices when the cached
         // schedule stays feasible (rule 3 rechecked only where conflict
         // sets moved — structure cannot break under a reroute), `None`
@@ -300,17 +310,27 @@ impl Compiler {
         timings.scheduling = t0.elapsed();
 
         let t0 = Instant::now();
-        let alloc = TbAllocation::state_based(dag, &schedule);
+        let alloc = if self.fuse_primitives {
+            TbAllocation::state_based_chained(dag, &schedule)
+        } else {
+            TbAllocation::state_based(dag, &schedule)
+        };
         alloc
             .validate(dag, &schedule)
             .map_err(SimError::AllocationBug)?;
-        let program = KernelProgram::generate(
+        // Fused programs keep the slot-major loop: the simulator issues a
+        // fused forward asynchronously, so each recv→send pair pipelines
+        // across micro-batches like its unfused counterpart.
+        let mut program = KernelProgram::generate(
             name,
             dag,
             &alloc,
             LoopOrder::SlotMajor,
             ExecMode::DirectKernel,
         );
+        if self.fuse_primitives {
+            rescc_kernel::fuse(&mut program, dag);
+        }
         program.validate(dag).map_err(SimError::LoweringBug)?;
         timings.lowering = t0.elapsed();
         Ok((schedule, alloc, program))
@@ -378,7 +398,8 @@ pub struct CompiledPlan {
     pub dag: DepDag,
     /// The HPDS/RR task pipeline.
     pub schedule: Schedule,
-    /// The state-based TB allocation.
+    /// The state-based TB allocation (chain-merged when the compiler
+    /// fuses primitives).
     pub alloc: TbAllocation,
     /// The generated lightweight kernel program.
     pub program: KernelProgram,

@@ -51,11 +51,6 @@ pub struct ResidualPlan {
 }
 
 impl ResidualPlan {
-    /// Fraction of the original run's invocations the resume skips.
-    pub fn carried_fraction(&self, frontier: &FaultFrontier) -> f64 {
-        frontier.fraction_complete()
-    }
-
     /// Translate a frontier captured while *running this residual plan*
     /// back into the original plan's id space, so successive faults can be
     /// accumulated ([`FaultFrontier::union`]) against one baseline.
@@ -106,10 +101,7 @@ impl Compiler {
 
         let t0 = Instant::now();
         let keep: Vec<bool> = (0..n_tasks).map(|t| !frontier.task_fully_done(t)).collect();
-        let (dag, orig_ids) = cached
-            .dag
-            .residual(&keep, &cached.topo)
-            .map_err(|e| SimError::new(e.to_string()))?;
+        let (dag, orig_ids) = cached.dag.residual(&keep, &cached.topo)?;
         timings.analysis = t0.elapsed();
 
         // Resume state: completed micro-batches of surviving tasks in the

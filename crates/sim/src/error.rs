@@ -18,6 +18,11 @@ pub enum SimError {
     /// names (also wraps compile-pipeline failures surfaced through the sim
     /// result).
     InvalidProgram(String),
+    /// The algorithm does not form a valid dependency DAG on the given
+    /// topology (a rank count the topology does not match, a dependency
+    /// cycle, a stage partition with a backward dependency, …) — an input
+    /// error, not a compiler bug. Carries the IR's finding.
+    InvalidDag(IrError),
     /// The scheduler emitted a pipeline that failed validation — a compiler
     /// bug, never an input error. Carries the validator's finding.
     SchedulerBug(IrError),
@@ -146,6 +151,7 @@ impl fmt::Display for SimError {
             Self::InvalidProgram(msg) | Self::Deadlock(msg) | Self::Validation(msg) => {
                 write!(f, "{msg}")
             }
+            Self::InvalidDag(e) => write!(f, "{e}"),
             Self::SchedulerBug(e) => write!(f, "scheduler bug: {e}"),
             Self::AllocationBug(e) => write!(f, "allocation bug: {e}"),
             Self::LoweringBug(e) => write!(f, "lowering bug: {e}"),
@@ -189,9 +195,18 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::SchedulerBug(e) | Self::AllocationBug(e) | Self::LoweringBug(e) => Some(e),
+            Self::InvalidDag(e)
+            | Self::SchedulerBug(e)
+            | Self::AllocationBug(e)
+            | Self::LoweringBug(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<IrError> for SimError {
+    fn from(e: IrError) -> Self {
+        Self::InvalidDag(e)
     }
 }
 
@@ -221,6 +236,7 @@ mod tests {
                 total: 8,
             },
             SimError::InvalidConfig("jitter 2".into()),
+            SimError::InvalidDag(IrError::new("algorithm is for 8 ranks")),
             SimError::SchedulerBug(IrError::new("task 3 scheduled twice")),
             SimError::AllocationBug(IrError::new("slot missing")),
             SimError::LoweringBug(IrError::new("bad rendezvous")),

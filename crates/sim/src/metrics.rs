@@ -185,23 +185,6 @@ impl SimReport {
             .sum::<f64>()
             / carrying.len() as f64
     }
-
-    /// Traffic-weighted mean *bandwidth* utilization (bytes over
-    /// capacity × completion) of the links that carried traffic — a
-    /// stricter metric than [`Self::global_link_utilization`] that also
-    /// penalizes links draining below line rate.
-    pub fn global_bandwidth_utilization(&self) -> f64 {
-        let carrying: Vec<&ResourceStat> =
-            self.resource_stats.iter().filter(|r| r.bytes > 0).collect();
-        if carrying.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = carrying.iter().map(|r| r.bytes).sum();
-        carrying
-            .iter()
-            .map(|r| r.utilization_over(self.completion_ns) * r.bytes as f64 / total as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -27,24 +27,6 @@ impl Topology {
         self.fabric().port.bandwidth()
     }
 
-    /// An upper bound on AllGather algorithm bandwidth (buffer ÷ time) on
-    /// this topology.
-    ///
-    /// Multi-node: each of a node's `g` GPUs must receive the remote
-    /// `(n−g)/n` share of the buffer `S` through the node's NICs, so
-    /// `T ≥ g·S·(n−g)/n / B_inject` and
-    /// `algbw = S/T ≤ B_inject · n / (g·(n−g))`.
-    /// Single node: each GPU ingests `(n−1)/n · S` over its NVLink port,
-    /// so `algbw ≤ B_port · n/(n−1)`.
-    pub fn allgather_bound_gbps(&self) -> f64 {
-        let n = self.n_ranks() as f64;
-        if self.n_nodes() == 1 {
-            return self.gpu_port_bandwidth() * n / (n - 1.0);
-        }
-        let g = self.gpus_per_node() as f64;
-        self.node_injection_bandwidth() * n / (g * (n - g))
-    }
-
     /// Hop diameter between two ranks: 0 (same GPU), 1 (same node),
     /// 2 (same rack), 3 (cross rack).
     pub fn hop_distance(&self, a: crate::Rank, b: crate::Rank) -> u32 {

@@ -4,7 +4,9 @@
 //! Megatron-style GPT-3 (tensor parallel) and T5 (data parallel) training
 //! whose collective times come from the simulated CCL backends, including
 //! the SM-contention coupling between communication TB footprint and
-//! compute throughput.
+//! compute throughput. Each collective runs on the chosen CCL's backend
+//! (`NcclBackend`, `MscclBackend` or `RescclBackend` from `rescc-backends`),
+//! compiled per call; the model keeps no state between calls.
 //!
 //! ```no_run
 //! use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};
@@ -25,4 +27,4 @@ mod model;
 mod sim;
 
 pub use model::{Family, ModelConfig, ParallelConfig, UnknownModelSize};
-pub use sim::{plan_cache_stats, train_throughput, CclChoice, TrainConfig, TrainReport};
+pub use sim::{train_throughput, CclChoice, TrainConfig, TrainReport};

@@ -15,58 +15,9 @@
 
 use crate::model::{ModelConfig, ParallelConfig};
 use rescc_algos::{hm_allreduce, nccl_rings_allreduce};
-use rescc_backends::{Backend, MscclBackend, NcclBackend, RunReport};
-use rescc_core::{CacheStats, Compiler, PlanCache};
-use rescc_ir::MicroBatchPlan;
-use rescc_lang::AlgoSpec;
-use rescc_sim::{SimConfig, SimResult};
+use rescc_backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc_sim::SimResult;
 use rescc_topology::Topology;
-use std::sync::OnceLock;
-
-/// Process-global compiled-plan cache for the ResCCL path. A training loop
-/// issues the same collectives (same algorithm, topology and micro-batch
-/// shape) every iteration, so only the first iteration compiles; every
-/// later one is a fingerprint lookup.
-static PLAN_CACHE: OnceLock<PlanCache> = OnceLock::new();
-
-/// Counters of the training model's plan cache (hits, misses, entries).
-pub fn plan_cache_stats() -> CacheStats {
-    PLAN_CACHE.get_or_init(PlanCache::new).stats()
-}
-
-/// Run one ResCCL collective through the plan cache. The compiled artifact
-/// is identical to what `RescclBackend::default()` builds per call
-/// (state-based allocation, HPDS, direct kernels), so cached dispatch
-/// changes cost, not results.
-fn resccl_cached_run(
-    spec: &AlgoSpec,
-    topo: &Topology,
-    buffer_bytes: u64,
-    chunk_bytes: u64,
-) -> SimResult<RunReport> {
-    let cache = PLAN_CACHE.get_or_init(PlanCache::new);
-    let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
-    let plan = cache.get_or_compile(&Compiler::new(), spec, topo, &mb)?;
-    let sim = plan.run_with(
-        buffer_bytes,
-        chunk_bytes,
-        &SimConfig::default().without_validation(),
-    )?;
-    Ok(RunReport {
-        backend: "resccl".to_string(),
-        algo: spec.name().to_string(),
-        buffer_bytes,
-        total_tbs: plan.alloc.total_tbs(),
-        max_rank_tbs: plan.alloc.max_rank_tbs(),
-        certificate_undercut: plan
-            .makespan_floor_ns(buffer_bytes, chunk_bytes)
-            .map(|floor| sim.undercuts_floor(floor)),
-        sim,
-        cache: Some(cache.stats()),
-        recovery: None,
-        obs: None,
-    })
-}
 
 /// Which CCL backend Megatron links against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,18 +129,10 @@ pub fn train_throughput(
     let compute_s = flops_per_gpu / cfg.gpu_flops;
 
     // ---- Collectives ---------------------------------------------------
-    // NCCL/MSCCL model per-call lazy compilation; ResCCL dispatches through
-    // the process-global plan cache (offline compilation, Fig. 5).
-    let backend: Option<Box<dyn Backend>> = match ccl {
-        CclChoice::Nccl => Some(Box::new(NcclBackend::default())),
-        CclChoice::Msccl => Some(Box::new(MscclBackend::default())),
-        CclChoice::Resccl => None,
-    };
-    let run = |spec: &AlgoSpec, topo: &Topology, bytes: u64| -> SimResult<RunReport> {
-        match &backend {
-            Some(b) => b.run_unchecked(spec, topo, bytes, cfg.chunk_bytes),
-            None => resccl_cached_run(spec, topo, bytes, cfg.chunk_bytes),
-        }
+    let backend: Box<dyn Backend> = match ccl {
+        CclChoice::Nccl => Box::new(NcclBackend::default()),
+        CclChoice::Msccl => Box::new(MscclBackend::default()),
+        CclChoice::Resccl => Box::new(RescclBackend::default()),
     };
     let algo_for = |n_nodes: u32, gpn: u32| match ccl {
         // Native Megatron/NCCL runs its standard multi-ring AllReduce (one
@@ -206,7 +149,8 @@ pub fn train_throughput(
         let batch_per_replica = (par.global_batch / par.dp).max(1) as u64;
         let act_bytes = batch_per_replica * model.seq_len as u64 * model.hidden as u64 * 2;
         let spec = algo_for(1, par.tp);
-        let rep = run(&spec, &tp_topo, act_bytes.max(1 << 20))?;
+        let rep =
+            backend.run_unchecked(&spec, &tp_topo, act_bytes.max(1 << 20), cfg.chunk_bytes)?;
         let per_call_s = rep.sim.completion_ns * 1e-9;
         let calls = 4.0 * model.n_layers as f64;
         (per_call_s * calls, rep.max_rank_tbs as u32)
@@ -228,7 +172,8 @@ pub fn train_throughput(
         let dp_topo = Topology::a100(nodes, gpn);
         let grad_bytes = (model.params as f64 * 2.0 / par.tp as f64) as u64;
         let spec = algo_for(nodes, gpn);
-        let rep = run(&spec, &dp_topo, grad_bytes.max(1 << 20))?;
+        let rep =
+            backend.run_unchecked(&spec, &dp_topo, grad_bytes.max(1 << 20), cfg.chunk_bytes)?;
         (rep.sim.completion_ns * 1e-9, rep.max_rank_tbs as u32)
     } else {
         (0.0, 0)
@@ -329,22 +274,13 @@ mod tests {
     }
 
     #[test]
-    fn repeated_iterations_hit_the_plan_cache() {
+    fn repeated_iterations_are_identical() {
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
         let cfg = TrainConfig::default();
         let a = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
-        let mid = plan_cache_stats();
         let b = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
-        let after = plan_cache_stats();
-        // The second identical iteration issues one TP and one DP
-        // collective, both already compiled (other tests sharing the
-        // process cache can only add further hits, never remove them).
-        assert!(
-            after.hits >= mid.hits + 2,
-            "expected 2 more cache hits: {mid:?} -> {after:?}"
-        );
-        assert_eq!(a, b, "cached dispatch must not change results");
+        assert_eq!(a, b, "two identical iterations must report the same");
     }
 
     #[test]

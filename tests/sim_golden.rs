@@ -13,8 +13,10 @@
 use rescc::algos::{hm_allreduce, ring_allgather, seed_suite};
 use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
 use rescc::core::{Compiler, LintGate};
-use rescc::sim::{FaultTimeline, SimConfig, SimReport, SimResult};
+use rescc::sim::{FaultTimeline, SimConfig, SimResult};
 use rescc::topology::{ClusterSpec, FabricParams, LinkParams, Rank, Topology};
+use rescc::train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};
+use std::fmt::Debug;
 
 const MB: u64 = 1 << 20;
 
@@ -28,7 +30,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn digest(result: &SimResult<SimReport>) -> u64 {
+fn digest<T: Debug>(result: &SimResult<T>) -> u64 {
     fnv1a(format!("{result:?}").as_bytes())
 }
 
@@ -317,6 +319,35 @@ fn instant_stress() {
     check(&got, GOLDEN_INSTANT);
 }
 
+/// One GPT-3 (tensor + data parallel) and one T5 (data parallel) cell of
+/// Fig. 13 under each CCL choice: the whole training report, so the
+/// collectives' completion times and TB footprints are pinned through the
+/// throughput model.
+#[test]
+fn train() {
+    let cfg = TrainConfig::default();
+    let cells = [
+        (
+            ModelConfig::gpt3("6.7B").expect("preset"),
+            ParallelConfig::gpt3(2, 16),
+        ),
+        (
+            ModelConfig::t5("770M").expect("preset"),
+            ParallelConfig::t5(16, 16),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (model, par) in &cells {
+        for ccl in [CclChoice::Nccl, CclChoice::Msccl, CclChoice::Resccl] {
+            got.push((
+                format!("{}/{}", model.name, ccl.name()),
+                digest(&train_throughput(model, par, ccl, &cfg)),
+            ));
+        }
+    }
+    check(&got, GOLDEN_TRAIN);
+}
+
 const GOLDEN_TOPO1: &[(&str, u64)] = &[
     ("a100-2x4/hm-ag-2x4/validated", 0xa6350ac0da8fcd47),
     ("a100-2x4/hm-ag-2x4/unchecked", 0xfa3a3fbfd355ef54),
@@ -450,4 +481,12 @@ const GOLDEN_FAULTS: &[(&str, u64)] = &[
 const GOLDEN_INSTANT: &[(&str, u64)] = &[
     ("brownout-at-burst", 0x44128f4f26fb322d),
     ("link-down-at-burst", 0x0d93c2f372a1de28),
+];
+const GOLDEN_TRAIN: &[(&str, u64)] = &[
+    ("GPT-3 6.7B/nccl", 0x4229a5d818f881ea),
+    ("GPT-3 6.7B/msccl", 0xe5ae91e601d30c19),
+    ("GPT-3 6.7B/resccl", 0x704d2b3f87cf73ad),
+    ("T5 770M/nccl", 0xcec4c6f6221d9594),
+    ("T5 770M/msccl", 0x7ce2285a54f6742f),
+    ("T5 770M/resccl", 0x543a8467ee6a46d7),
 ];
