@@ -91,7 +91,7 @@ pub struct RankTbPlan {
 pub struct TbAllocation {
     /// Per-rank plans, indexed by rank.
     pub per_rank: Vec<RankTbPlan>,
-    /// `"connection"` or `"state"`.
+    /// `"connection"`, `"state"` or `"state-chained"`.
     pub strategy: String,
     /// Channels used (connection-based only; 1 for state-based).
     pub n_channels: u32,
@@ -238,10 +238,12 @@ impl TbAllocation {
     /// Validate the allocation against its DAG and schedule:
     /// * every task contributes exactly one Send slot (on its src rank) and
     ///   one Recv slot (on its dst rank),
-    /// * slots within a TB are ordered by sub-pipeline index, except a
-    ///   chain forward whose feeder's Recv slot sits earlier on the same TB
-    ///   (where [`TbAllocation::state_based_chained`] keys it): it is
-    ///   exempt and does not advance the order,
+    /// * slots within a TB are ordered by sub-pipeline index. In a
+    ///   [`TbAllocation::state_based_chained`] allocation, a chain forward
+    ///   keyed directly behind its feeder's Recv (with only other forwards
+    ///   of that feeder in between) is checked the same way but does not
+    ///   advance the order, so the slots it was moved ahead of stay
+    ///   ordered against the feeder,
     /// * slots record the sub-pipeline the schedule actually assigned.
     pub fn validate(&self, dag: &DepDag, schedule: &Schedule) -> Result<(), IrError> {
         // For each (task, dir), the set of (stride, offset) windows covering it.
@@ -251,13 +253,9 @@ impl TbAllocation {
         for (t, sp) in schedule.sub_pipeline_of() {
             sp_of[t.index()] = sp;
         }
-        // The 1-based index of the TB each task's Recv slot was last seen
-        // on, to recognise a chain forward behind its feeder.
-        let mut recv_tb: Vec<usize> = vec![0; dag.len()];
-        let mut tb_index = 0;
+        let chained = self.strategy == "state-chained";
         for (rank, plan) in self.per_rank.iter().enumerate() {
             for tb in &plan.tbs {
-                tb_index += 1;
                 if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
                     return Err(IrError::new(format!(
                         "TB on rank r{rank} has invalid micro-batch window {}%{}",
@@ -265,6 +263,9 @@ impl TbAllocation {
                     )));
                 }
                 let mut last_sp = 0usize;
+                // The Recv that the last order-advancing slot delivered, if
+                // it was one: the only feeder a chain forward may follow.
+                let mut anchor: Option<TaskId> = None;
                 for slot in &tb.slots {
                     let t = dag.task(slot.task);
                     let expect_rank = match slot.dir {
@@ -285,24 +286,23 @@ impl TbAllocation {
                             sp_of[slot.task.index()]
                         )));
                     }
-                    let forward = slot.dir == Direction::Send
-                        && matches!(chain_feed(dag, slot.task),
-                            ChainFeed::Single(a) if recv_tb[a.index()] == tb_index);
+                    if slot.sub_pipeline < last_sp {
+                        return Err(IrError::new(format!(
+                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
+                            slot.sub_pipeline, last_sp
+                        )));
+                    }
+                    let forward = chained
+                        && slot.dir == Direction::Send
+                        && anchor
+                            .is_some_and(|a| chain_feed(dag, slot.task) == ChainFeed::Single(a));
                     if !forward {
-                        if slot.sub_pipeline < last_sp {
-                            return Err(IrError::new(format!(
-                                "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
-                                slot.sub_pipeline, last_sp
-                            )));
-                        }
                         last_sp = slot.sub_pipeline;
+                        anchor = (slot.dir == Direction::Recv).then_some(slot.task);
                     }
                     let cover = match slot.dir {
                         Direction::Send => &mut send_cover,
-                        Direction::Recv => {
-                            recv_tb[slot.task.index()] = tb_index;
-                            &mut recv_cover
-                        }
+                        Direction::Recv => &mut recv_cover,
                     };
                     cover[slot.task.index()].push((tb.mb_stride, tb.mb_offset));
                 }
@@ -662,6 +662,24 @@ mod tests {
         let (i, j) = (recvs[0], recvs[recvs.len() - 1]);
         assert!(slots[i].sub_pipeline < slots[j].sub_pipeline);
         slots.swap(i, j);
+        let err = a.validate(&dag, &s).unwrap_err();
+        assert!(err.to_string().contains("out-of-order"), "{err}");
+    }
+
+    #[test]
+    fn forward_exemption_is_limited_to_chained_allocations() {
+        // The chained layout of a multi-ring plan keys forwards ahead of
+        // their own sub-pipeline. The same slots in a plain allocation are
+        // a misordered transit Send and must be rejected.
+        let dag = DepDag::build(
+            &rescc_algos::nccl_rings_allreduce(2, 8, 4),
+            &Topology::a100(2, 8),
+        )
+        .unwrap();
+        let s = hpds(&dag);
+        let mut a = TbAllocation::state_based_chained(&dag, &s);
+        a.validate(&dag, &s).unwrap();
+        a.strategy = "state".into();
         let err = a.validate(&dag, &s).unwrap_err();
         assert!(err.to_string().contains("out-of-order"), "{err}");
     }

@@ -5,6 +5,7 @@ use rescc::algos::{
     hm_allgather, hm_allreduce, nccl_rings_allreduce, taccl_like_allgather, taccl_like_allreduce,
 };
 use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::core::Compiler;
 use rescc::topology::Topology;
 
 const MB: u64 = 1 << 20;
@@ -158,4 +159,22 @@ fn small_buffers_shrink_resccl_advantage() {
         large > small,
         "speedup should grow with buffer size: 8MB {small:.2}x vs 1GB {large:.2}x"
     );
+}
+
+#[test]
+fn training_collectives_pass_the_compiler_checks() {
+    // The Fig. 13 model runs its collectives through backends that skip
+    // static verification and the lint gate. Every spec it runs (TP group
+    // 1×8, DP groups 2×8 and 4×8) must pass both under `Compiler::new()`.
+    for (nodes, g) in [(1u32, 8u32), (2, 8), (4, 8)] {
+        let topo = Topology::a100(nodes, g);
+        for spec in [
+            hm_allreduce(nodes, g),
+            nccl_rings_allreduce(nodes, g, (g / 2).max(1)),
+        ] {
+            if let Err(e) = Compiler::new().compile_spec(&spec, &topo) {
+                panic!("{} on {nodes}x{g}: {e}", spec.name());
+            }
+        }
+    }
 }
