@@ -124,15 +124,30 @@ fn oversubscribed_p2p() -> Topology {
 
 /// The NCCL and MSCCL models (global and stage barriers, micro-batch-major
 /// order, interpreter overhead, rigid release), fused and round-robin
-/// ResCCL, and the oversubscribed fabric.
+/// ResCCL, and the oversubscribed fabric. The single- and twelve-channel
+/// baselines are the non-default parameters Figures 3 and 4 run.
 #[test]
 fn backends() {
     let topo = Topology::a100(2, 4);
-    let backends: [(&str, Box<dyn Backend>); 4] = [
+    let msccl_1ch = MscclBackend {
+        n_channels: 1,
+        ..MscclBackend::default()
+    };
+    let backends: [(&str, Box<dyn Backend>); 8] = [
         ("nccl", Box::new(NcclBackend::default())),
         ("msccl", Box::new(MscclBackend::default())),
         ("resccl-fused", Box::new(RescclBackend::with_fusion())),
         ("resccl-rr", Box::new(RescclBackend::round_robin())),
+        ("msccl-1ch", Box::new(msccl_1ch.clone())),
+        (
+            "msccl-1ch-direct",
+            Box::new(MscclBackend {
+                interpreter_overhead_ns: 0.0,
+                ..msccl_1ch
+            }),
+        ),
+        ("nccl-1ch", Box::new(NcclBackend { n_channels: 1 })),
+        ("nccl-12ch", Box::new(NcclBackend { n_channels: 12 })),
     ];
     let mut got = Vec::new();
     for (name, backend) in &backends {
@@ -461,6 +476,22 @@ const GOLDEN_BACKENDS: &[(&str, u64)] = &[
     ("resccl-rr/hm-ar-2x4/unchecked", 0xf19c775aac213f64),
     ("resccl-rr/ring-ag-8/validated", 0xaeb985d3f2ab6552),
     ("resccl-rr/ring-ag-8/unchecked", 0x8517117c25af6d9d),
+    ("msccl-1ch/hm-ar-2x4/validated", 0x6727ae7dc870481d),
+    ("msccl-1ch/hm-ar-2x4/unchecked", 0x9bd03df54ca383d2),
+    ("msccl-1ch/ring-ag-8/validated", 0x82a740237f0f00d0),
+    ("msccl-1ch/ring-ag-8/unchecked", 0x43dca27d223f4af3),
+    ("msccl-1ch-direct/hm-ar-2x4/validated", 0xa3cc7813b2304404),
+    ("msccl-1ch-direct/hm-ar-2x4/unchecked", 0xf6989d1f541727af),
+    ("msccl-1ch-direct/ring-ag-8/validated", 0x9392008d9027e3d8),
+    ("msccl-1ch-direct/ring-ag-8/unchecked", 0x2c23b2168d9c69ab),
+    ("nccl-1ch/hm-ar-2x4/validated", 0xa3cc7813b2304404),
+    ("nccl-1ch/hm-ar-2x4/unchecked", 0xf6989d1f541727af),
+    ("nccl-1ch/ring-ag-8/validated", 0x9392008d9027e3d8),
+    ("nccl-1ch/ring-ag-8/unchecked", 0x2c23b2168d9c69ab),
+    ("nccl-12ch/hm-ar-2x4/validated", 0xd08012ce342e058f),
+    ("nccl-12ch/hm-ar-2x4/unchecked", 0x3ad4bfe823a7f184),
+    ("nccl-12ch/ring-ag-8/validated", 0xdb0b302a46796f63),
+    ("nccl-12ch/ring-ag-8/unchecked", 0xd826df33e0eebb10),
     ("fig4-p2p/ring-allgather", 0xd1f3d84b13a947e8),
 ];
 const GOLDEN_INSTRUMENTATION: &[(&str, u64)] = &[
