@@ -1,21 +1,22 @@
 //! # rescc-backends
 //!
-//! The three collective-communication backends the paper compares, all
-//! executing on the same simulated cluster so differences come purely from
-//! backend design:
+//! The three collective-communication backends the paper compares. They
+//! run the same algorithm on the same simulated cluster and differ only in
+//! how [`Compiler`] schedules and lowers it, so differences come purely
+//! from backend design:
 //!
-//! | backend | execution granularity | TB allocation | runtime | release |
-//! |---|---|---|---|---|
-//! | [`NcclBackend`] | algorithm-level (lazy, barrier per micro-batch) | connection-based × channels | direct kernel | rigid |
-//! | [`MscclBackend`] | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid |
-//! | [`RescclBackend`] | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early release |
+//! | backend | scheduler | [`Lowering`] | execution granularity | TB allocation | runtime | release |
+//! |---|---|---|---|---|---|---|
+//! | [`NcclBackend`] | by-step | `Rigid`, 1 stage | algorithm-level (lazy, barrier per micro-batch) | connection-based × channels | direct kernel | rigid |
+//! | [`MscclBackend`] | by-step | `Rigid`, `n_stages` stages | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid |
+//! | [`RescclBackend`] | HPDS | `StateBased` | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early release |
 //!
-//! Every backend consumes the same [`AlgoSpec`] and produces a [`RunReport`]
-//! with identical metrics, which the benchmark harness turns into the
-//! paper's tables and figures. The two baselines share one rigid lowering
-//! and differ only in stage count (barrier groups) and [`ExecMode`]. [`RescclBackend`]
-//! builds no plan itself: it compiles through [`Compiler`], the one place a
-//! ResCCL plan is built, exactly like the [`Communicator`] does.
+//! A backend builds no plan itself: it names its [`Compiler`]
+//! ([`Backend::compiler`]), and the shared [`Backend::run_with`] compiles
+//! through it, runs the plan and produces a [`RunReport`] with identical
+//! metrics for every backend, which the benchmark harness turns into the
+//! paper's tables and figures. The [`Communicator`] compiles through the
+//! same [`Compiler`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,13 +25,10 @@ mod communicator;
 
 pub use communicator::{Communicator, FaultPolicy};
 
-use rescc_alloc::TbAllocation;
-use rescc_core::{Compiler, LintGate, SchedulerChoice};
-use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
-use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
+use rescc_core::{Compiler, LintGate, Lowering, SchedulerChoice};
+use rescc_kernel::ExecMode;
 use rescc_lang::AlgoSpec;
-use rescc_sched::{Schedule, StagePartition};
-use rescc_sim::{simulate, SimConfig, SimReport, SimResult};
+use rescc_sim::{SimConfig, SimReport, SimResult};
 use rescc_topology::Topology;
 
 /// The paper's default chunk (primitive transfer unit) size: 1 MB.
@@ -171,15 +169,28 @@ impl RunReport {
     }
 }
 
-/// A collective communication backend: turns an algorithm into an
-/// executable plan and runs it on the simulated cluster.
+/// A collective communication backend: a way of lowering an algorithm,
+/// run on the simulated cluster.
+///
+/// A backend only names itself and its [`Compiler`]; every backend's plan
+/// is built there, and [`run_with`](Self::run_with) is shared.
 pub trait Backend {
     /// Backend name for reports.
     fn name(&self) -> &str;
 
+    /// The compiler this backend lowers every plan through: its scheduler
+    /// and [`Lowering`].
+    fn compiler(&self) -> Compiler;
+
     /// Run one collective call of `buffer_bytes` per rank, moving
     /// `chunk_bytes` per primitive invocation, checking the data the
     /// collective produces when `validate` is set.
+    ///
+    /// The plan is compiled with static verification and the sanitize
+    /// phase off: a direct backend call measures execution, and the
+    /// [`Communicator`] is the path that gates plans. A
+    /// [`Lowering::Rigid`] plan runs without early release
+    /// ([`SimConfig::rigid`]).
     fn run_with(
         &self,
         spec: &AlgoSpec,
@@ -187,7 +198,31 @@ pub trait Backend {
         buffer_bytes: u64,
         chunk_bytes: u64,
         validate: bool,
-    ) -> SimResult<RunReport>;
+    ) -> SimResult<RunReport> {
+        let compiler = Compiler {
+            verify: false,
+            ..self.compiler().with_lint_gate(LintGate::Off)
+        };
+        let plan = compiler.compile_spec(spec, topo)?;
+        let mut cfg = match compiler.lowering {
+            Lowering::Rigid { .. } => SimConfig::rigid(),
+            Lowering::StateBased | Lowering::Fused => SimConfig::default(),
+        };
+        cfg.validate_data = validate;
+        let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
+        Ok(RunReport {
+            backend: self.name().to_string(),
+            algo: spec.name().to_string(),
+            buffer_bytes,
+            total_tbs: plan.total_tbs(),
+            max_rank_tbs: plan.alloc.max_rank_tbs(),
+            sim,
+            cache: None,
+            recovery: None,
+            certificate_undercut: None,
+            obs: None,
+        })
+    }
 
     /// Run with data validation.
     fn run(
@@ -212,84 +247,6 @@ pub trait Backend {
     }
 }
 
-/// Schedule in plain declaration/step order: sub-pipeline `s` holds the
-/// tasks of step `s`. This is how backends without primitive-level
-/// scheduling sequence their work — no communication-dependency awareness.
-pub fn by_step_schedule(dag: &DepDag) -> Schedule {
-    let max_step = dag.tasks().iter().map(|t| t.step.0).max().unwrap_or(0);
-    let mut sub_pipelines: Vec<Vec<TaskId>> = vec![Vec::new(); max_step as usize + 1];
-    for t in dag.tasks() {
-        sub_pipelines[t.step.0 as usize].push(t.id);
-    }
-    sub_pipelines.retain(|sp| !sp.is_empty());
-    Schedule {
-        sub_pipelines,
-        policy: "by-step".into(),
-    }
-}
-
-/// `base`, without data validation unless `validate` is set.
-fn sim_config(base: SimConfig, validate: bool) -> SimConfig {
-    if validate {
-        base
-    } else {
-        base.without_validation()
-    }
-}
-
-fn finish(
-    backend: &str,
-    spec: &AlgoSpec,
-    buffer_bytes: u64,
-    alloc: &TbAllocation,
-    sim: SimReport,
-) -> RunReport {
-    RunReport {
-        backend: backend.to_string(),
-        algo: spec.name().to_string(),
-        buffer_bytes,
-        total_tbs: alloc.total_tbs(),
-        max_rank_tbs: alloc.max_rank_tbs(),
-        sim,
-        cache: None,
-        recovery: None,
-        certificate_undercut: None,
-        obs: None,
-    }
-}
-
-/// The rigid lowering both baseline backends share: a by-step schedule,
-/// connection-based TBs over `n_channels` channels, a micro-batch-major
-/// kernel with one barrier group per stage of `n_stages` step bands (each
-/// stage iterates its micro-batches lazily; stages pipeline against each
-/// other), and rigid release.
-#[allow(clippy::too_many_arguments)]
-fn run_rigid(
-    backend: &str,
-    spec: &AlgoSpec,
-    topo: &Topology,
-    buffer_bytes: u64,
-    chunk_bytes: u64,
-    validate: bool,
-    n_channels: u32,
-    n_stages: u32,
-    exec: ExecMode,
-) -> SimResult<RunReport> {
-    let dag = DepDag::build(spec, topo)?;
-    let sched = by_step_schedule(&dag);
-    let alloc = TbAllocation::connection_based(&dag, &sched, n_channels);
-    let stages = StagePartition::by_steps(&dag, n_stages);
-    stages.validate(&dag)?;
-    let groups = stages.stage_of(dag.len()).into_iter().map(|s| s as u32);
-    let prog = KernelProgram::generate(spec.name(), &dag, &alloc, LoopOrder::MicroBatchMajor, exec)
-        .with_barrier_groups(groups.collect())
-        .with_barrier_stride(n_channels);
-    let plan = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
-    let cfg = sim_config(SimConfig::rigid(), validate);
-    let sim = simulate(topo, &dag, &prog, &plan, spec.op(), &cfg)?;
-    Ok(finish(backend, spec, buffer_bytes, &alloc, sim))
-}
-
 /// The NCCL-model backend: lazy algorithm-level execution with
 /// connection-based TB allocation and rigid release.
 #[derive(Clone, Debug)]
@@ -309,26 +266,9 @@ impl Backend for NcclBackend {
         "nccl"
     }
 
-    fn run_with(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-        validate: bool,
-    ) -> SimResult<RunReport> {
+    fn compiler(&self) -> Compiler {
         // One stage, so one global barrier: algorithm-level execution.
-        run_rigid(
-            self.name(),
-            spec,
-            topo,
-            buffer_bytes,
-            chunk_bytes,
-            validate,
-            self.n_channels,
-            1,
-            ExecMode::DirectKernel,
-        )
+        rigid_compiler(self.n_channels, 1, ExecMode::DirectKernel)
     }
 }
 
@@ -359,21 +299,8 @@ impl Backend for MscclBackend {
         "msccl"
     }
 
-    fn run_with(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-        validate: bool,
-    ) -> SimResult<RunReport> {
-        run_rigid(
-            self.name(),
-            spec,
-            topo,
-            buffer_bytes,
-            chunk_bytes,
-            validate,
+    fn compiler(&self) -> Compiler {
+        rigid_compiler(
             self.n_channels,
             self.n_stages,
             ExecMode::Interpreter {
@@ -383,40 +310,38 @@ impl Backend for MscclBackend {
     }
 }
 
-/// The ResCCL backend: primitive-level scheduling (HPDS), state-based TB
-/// allocation, generated lightweight kernels, early release. A thin caller
-/// of the offline [`Compiler`]: every run compiles its plan there and runs
-/// it. The compiler's static verification and sanitize phase are off — a
-/// direct backend call measures execution, and the [`Communicator`] is
-/// the path that gates plans.
-#[derive(Clone, Debug)]
-pub struct RescclBackend {
-    compiler: Compiler,
+/// The baselines' compiler: a by-step schedule and the rigid lowering.
+fn rigid_compiler(n_channels: u32, n_stages: u32, exec: ExecMode) -> Compiler {
+    Compiler {
+        scheduler: SchedulerChoice::ByStep,
+        lowering: Lowering::Rigid {
+            n_channels,
+            n_stages,
+            exec,
+        },
+        ..Compiler::new()
+    }
 }
 
-impl Default for RescclBackend {
-    fn default() -> Self {
-        Self::over(Compiler::new())
-    }
+/// The ResCCL backend: primitive-level scheduling (HPDS), state-based TB
+/// allocation, generated lightweight kernels, early release.
+#[derive(Clone, Debug, Default)]
+pub struct RescclBackend {
+    compiler: Compiler,
 }
 
 impl RescclBackend {
     /// The round-robin ablation variant (Fig. 10b).
     pub fn round_robin() -> Self {
-        Self::over(Compiler::new().with_round_robin())
+        Self {
+            compiler: Compiler::new().with_round_robin(),
+        }
     }
 
     /// Enable primitive fusion ([`Compiler::with_fusion`]).
     pub fn with_fusion() -> Self {
-        Self::over(Compiler::new().with_fusion())
-    }
-
-    fn over(compiler: Compiler) -> Self {
         Self {
-            compiler: Compiler {
-                verify: false,
-                ..compiler.with_lint_gate(LintGate::Off)
-            },
+            compiler: Compiler::new().with_fusion(),
         }
     }
 }
@@ -426,28 +351,19 @@ impl Backend for RescclBackend {
         match self.compiler.scheduler {
             SchedulerChoice::Hpds => "resccl",
             SchedulerChoice::RoundRobin => "resccl-rr",
+            SchedulerChoice::ByStep => "resccl-by-step",
         }
     }
 
-    fn run_with(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-        validate: bool,
-    ) -> SimResult<RunReport> {
-        let plan = self.compiler.compile_spec(spec, topo)?;
-        let cfg = sim_config(SimConfig::default(), validate);
-        let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
-        Ok(finish(self.name(), spec, buffer_bytes, &plan.alloc, sim))
+    fn compiler(&self) -> Compiler {
+        self.compiler.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescc_algos::{hm_allgather, hm_allreduce, ring_allgather, taccl_like_allgather};
+    use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather};
     use rescc_sim::SimError;
 
     const MB: u64 = 1 << 20;
@@ -606,14 +522,5 @@ mod tests {
                 other => panic!("{}: expected InvalidDag, got {other:?}", backend.name()),
             }
         }
-    }
-
-    #[test]
-    fn by_step_schedule_covers_dag() {
-        let topo = Topology::a100(1, 8);
-        let dag = DepDag::build(&ring_allgather(8), &topo).unwrap();
-        let s = by_step_schedule(&dag);
-        assert_eq!(s.n_tasks(), dag.len());
-        dag.validate_order(&s.linear_order()).unwrap();
     }
 }

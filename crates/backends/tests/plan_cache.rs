@@ -1,10 +1,13 @@
 //! Plan-cache behaviour of the [`Communicator`] dispatcher: warm calls
 //! must not run any compile phase, and must return the same simulation
 //! result the cold call produced. Every proof reads state scoped to the
-//! test: its own communicators' cache counters and dispatch events.
+//! test: its own communicators' cache counters and dispatch events. Also
+//! the plan keys of every backend's compiler.
 
-use rescc_backends::Communicator;
-use rescc_core::PlanCache;
+use rescc_algos::hm_allreduce;
+use rescc_backends::{Backend, Communicator, MscclBackend, NcclBackend};
+use rescc_core::{plan_fingerprint, Compiler, PlanCache};
+use rescc_ir::MicroBatchPlan;
 use rescc_topology::Topology;
 use std::sync::{Arc, Barrier};
 
@@ -118,4 +121,42 @@ fn concurrent_tenants_attribute_their_own_dispatch() {
         1,
         "racing tenants must share one compile"
     );
+}
+
+#[test]
+fn lowerings_fingerprint_distinctly() {
+    let spec = hm_allreduce(2, 4);
+    let topo = Topology::a100(2, 4);
+    let mb = MicroBatchPlan::plan(64 * MB, spec.n_chunks(), MB);
+    let key = |compiler: &Compiler| plan_fingerprint(compiler, &spec, &topo, &mb);
+    // Pinned: a new compiler option must not move the keys of the default
+    // or the fused compiler.
+    let plain = key(&Compiler::new());
+    assert_eq!(plain, 0xcaa2_3158_6b69_2a17, "{plain:#018x}");
+    let fused = key(&Compiler::new().with_fusion());
+    assert_eq!(fused, 0x61aa_5fcc_c853_2350, "{fused:#018x}");
+    let msccl = MscclBackend::default();
+    let keys = [
+        plain,
+        fused,
+        key(&Compiler::new().with_round_robin()),
+        key(&NcclBackend::default().compiler()),
+        key(&NcclBackend { n_channels: 12 }.compiler()),
+        key(&msccl.compiler()),
+        key(&MscclBackend {
+            n_channels: 1,
+            ..msccl.clone()
+        }
+        .compiler()),
+        key(&MscclBackend {
+            interpreter_overhead_ns: 0.0,
+            ..msccl
+        }
+        .compiler()),
+    ];
+    for (i, a) in keys.iter().enumerate() {
+        for (j, b) in keys.iter().enumerate().skip(i + 1) {
+            assert_ne!(a, b, "compilers {i} and {j} share a plan key");
+        }
+    }
 }

@@ -14,10 +14,9 @@
 use crate::{print_table, MB};
 use rescc_algos::hm_allreduce;
 use rescc_alloc::TbAllocation;
-use rescc_backends::by_step_schedule;
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
-use rescc_sched::{hpds, round_robin};
+use rescc_sched::{by_step, hpds, round_robin};
 use rescc_sim::{simulate, SimConfig};
 use rescc_topology::Topology;
 
@@ -103,7 +102,7 @@ pub fn run() {
         let sched = match v.scheduler {
             "hpds" => hpds(&dag),
             "rr" => round_robin(&dag),
-            _ => by_step_schedule(&dag),
+            _ => by_step(&dag),
         };
         let alloc = match v.allocation {
             "state" => TbAllocation::state_based(&dag, &sched),

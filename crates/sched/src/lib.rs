@@ -1,9 +1,10 @@
 //! # rescc-sched
 //!
 //! Primitive-level execution scheduling (§4.3): the **HPDS** scheduler
-//! (Algorithm 1), the round-robin baseline of Fig. 10(b), stage
-//! partitioning for MSCCL-style stage-level execution, and the analytic
-//! cost model of §3 (Eq. 3–6).
+//! (Algorithm 1), the round-robin baseline of Fig. 10(b), the by-step
+//! order the NCCL and MSCCL baselines run, stage partitioning for
+//! MSCCL-style stage-level execution, and the analytic cost model of §3
+//! (Eq. 3–6).
 //!
 //! ```
 //! use rescc_lang::{AlgoBuilder, OpType};
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod analytic;
+mod by_step;
 mod flat;
 mod hpds;
 mod reference;
@@ -37,6 +39,7 @@ pub use analytic::{
     algorithm_level_time_ns, asymptotic_overheads, stage_level_time_ns, task_level_time_ns,
     LinkLoad,
 };
+pub use by_step::by_step;
 pub use hpds::{hpds, hpds_with_threads};
 pub use reference::{hpds_reference, round_robin_reference};
 pub use rr::round_robin;

@@ -58,8 +58,20 @@ impl Schedule {
     ///    predecessor lives in a *later* sub-pipeline,
     /// 3. no two tasks inside one sub-pipeline share a contention resource
     ///    (the communication-dependency constraint
-    ///    `∀ t_i, t_j ∈ P_k: comm(t_i, t_j) ≠ ∅ ⇒ l_i ≠ l_j` of §4.3).
+    ///    `∀ t_i, t_j ∈ P_k: comm(t_i, t_j) ≠ ∅ ⇒ l_i ≠ l_j` of §4.3),
+    ///    which a [`by_step`](crate::by_step) schedule does not promise.
     pub fn validate(&self, dag: &DepDag) -> Result<(), IrError> {
+        self.validate_order(dag)?;
+        // Rule 3: no intra-sub-pipeline oversubscription — a conflict
+        // resource may carry at most `saturation_tbs` concurrent tasks.
+        for (i, sp) in self.sub_pipelines.iter().enumerate() {
+            check_sub_pipeline_loads(dag, i, sp)?;
+        }
+        Ok(())
+    }
+
+    /// Rules 1–2 of [`Self::validate`]: dependency order only.
+    pub fn validate_order(&self, dag: &DepDag) -> Result<(), IrError> {
         let order = self.linear_order();
         dag.validate_order(&order)?;
 
@@ -82,12 +94,6 @@ impl Schedule {
                     )));
                 }
             }
-        }
-
-        // Rule 3: no intra-sub-pipeline oversubscription — a conflict
-        // resource may carry at most `saturation_tbs` concurrent tasks.
-        for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            check_sub_pipeline_loads(dag, i, sp)?;
         }
         Ok(())
     }

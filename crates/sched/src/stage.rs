@@ -34,22 +34,13 @@ impl StagePartition {
         Self { stages }
     }
 
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// True when there are no stages (unreachable for non-empty DAGs).
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// The stage index of every task.
-    pub fn stage_of(&self, n_tasks: usize) -> Vec<usize> {
-        let mut v = vec![usize::MAX; n_tasks];
+    /// The stage index of every task (`u32::MAX` for a task in no stage):
+    /// the kernel's barrier groups.
+    pub fn stage_of(&self, n_tasks: usize) -> Vec<u32> {
+        let mut v = vec![u32::MAX; n_tasks];
         for (i, st) in self.stages.iter().enumerate() {
             for &t in st {
-                v[t.index()] = i;
+                v[t.index()] = i as u32;
             }
         }
         v
@@ -59,7 +50,7 @@ impl StagePartition {
     pub fn validate(&self, dag: &DepDag) -> Result<(), rescc_ir::IrError> {
         let stage_of = self.stage_of(dag.len());
         for t in dag.tasks() {
-            if stage_of[t.id.index()] == usize::MAX {
+            if stage_of[t.id.index()] == u32::MAX {
                 return Err(rescc_ir::IrError::new(format!(
                     "task {} not assigned to any stage",
                     t.id
@@ -109,7 +100,7 @@ mod tests {
     fn one_stage_is_whole_dag() {
         let dag = ring_dag(4);
         let p = StagePartition::by_steps(&dag, 1);
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.stages.len(), 1);
         assert_eq!(p.stages[0].len(), dag.len());
     }
 
@@ -117,7 +108,7 @@ mod tests {
     fn k_larger_than_steps_clamps() {
         let dag = ring_dag(4); // 3 steps
         let p = StagePartition::by_steps(&dag, 10);
-        assert!(p.len() <= 3);
+        assert!(p.stages.len() <= 3);
         p.validate(&dag).unwrap();
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::frontier::FaultFrontier;
 use rescc_ir::IrError;
+use rescc_lang::LangError;
 use std::fmt;
 
 /// Error produced during simulation.
@@ -18,6 +19,10 @@ pub enum SimError {
     /// names (also wraps compile-pipeline failures surfaced through the sim
     /// result).
     InvalidProgram(String),
+    /// The algorithm source failed to lex, parse or evaluate, or the
+    /// algorithm does not implement its declared collective — an input
+    /// error. Carries the language layer's finding.
+    InvalidAlgorithm(LangError),
     /// The algorithm does not form a valid dependency DAG on the given
     /// topology (a rank count the topology does not match, a dependency
     /// cycle, a stage partition with a backward dependency, …) — an input
@@ -151,6 +156,7 @@ impl fmt::Display for SimError {
             Self::InvalidProgram(msg) | Self::Deadlock(msg) | Self::Validation(msg) => {
                 write!(f, "{msg}")
             }
+            Self::InvalidAlgorithm(e) => write!(f, "{e}"),
             Self::InvalidDag(e) => write!(f, "{e}"),
             Self::SchedulerBug(e) => write!(f, "scheduler bug: {e}"),
             Self::AllocationBug(e) => write!(f, "allocation bug: {e}"),
@@ -199,6 +205,7 @@ impl std::error::Error for SimError {
             | Self::SchedulerBug(e)
             | Self::AllocationBug(e)
             | Self::LoweringBug(e) => Some(e),
+            Self::InvalidAlgorithm(e) => Some(e),
             _ => None,
         }
     }
@@ -207,6 +214,12 @@ impl std::error::Error for SimError {
 impl From<IrError> for SimError {
     fn from(e: IrError) -> Self {
         Self::InvalidDag(e)
+    }
+}
+
+impl From<LangError> for SimError {
+    fn from(e: LangError) -> Self {
+        Self::InvalidAlgorithm(e)
     }
 }
 
@@ -236,6 +249,9 @@ mod tests {
                 total: 8,
             },
             SimError::InvalidConfig("jitter 2".into()),
+            SimError::InvalidAlgorithm(LangError::Eval {
+                msg: "does not implement AllGather".into(),
+            }),
             SimError::InvalidDag(IrError::new("algorithm is for 8 ranks")),
             SimError::SchedulerBug(IrError::new("task 3 scheduled twice")),
             SimError::AllocationBug(IrError::new("slot missing")),

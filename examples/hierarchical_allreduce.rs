@@ -8,9 +8,8 @@
 //! ```
 
 use rescc::algos::hm_allreduce;
-use rescc::alloc::TbAllocation;
-use rescc::backends::by_step_schedule;
-use rescc::core::Compiler;
+use rescc::backends::{Backend, NcclBackend};
+use rescc::core::{Compiler, LintGate};
 use rescc::topology::Topology;
 
 fn main() {
@@ -43,7 +42,13 @@ fn main() {
     );
 
     // State-based TB merging vs the rigid connection-based scheme.
-    let rigid = TbAllocation::connection_based(&plan.dag, &by_step_schedule(&plan.dag), 4);
+    // NCCL's by-step schedule oversubscribes links by design, which RA003
+    // reports as an error, so the lint gate is off for this compile.
+    let rigid = NcclBackend::default()
+        .compiler()
+        .with_lint_gate(LintGate::Off)
+        .compile_spec(&algo, &topo)
+        .expect("compiles");
     println!(
         "TB allocation: connection-based (4 channels) = {} TBs, \
          state-based = {} TBs ({:.1}% saved)",
