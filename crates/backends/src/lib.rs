@@ -169,11 +169,8 @@ impl RunReport {
     }
 }
 
-/// A collective communication backend: a way of lowering an algorithm,
-/// run on the simulated cluster.
-///
-/// A backend only names itself and its [`Compiler`]; every backend's plan
-/// is built there, and [`run_with`](Self::run_with) is shared.
+/// A collective communication backend: a [`Compiler`] configuration whose
+/// plans run on the simulated cluster.
 pub trait Backend {
     /// Backend name for reports.
     fn name(&self) -> &str;
