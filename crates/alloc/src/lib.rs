@@ -22,10 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rescc_ir::{DepDag, IrError, TaskId};
+use rescc_ir::{Csr, DepDag, IrError, KeyedRows, TaskId};
 use rescc_sched::Schedule;
-use rescc_topology::Rank;
-use std::collections::{HashMap, HashSet};
 
 /// Which side of a transfer a primitive implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,11 +95,38 @@ pub struct TbAllocation {
     pub n_channels: u32,
 }
 
-/// A connection endpoint as seen from one rank: the peer and direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct Endpoint {
-    peer: Rank,
-    dir_is_send: bool,
+/// A slot as lowering groups it: the key of its connection endpoint as
+/// seen from the slot's rank, `2 · peer + is_send` (keys order endpoints
+/// by peer, then receive before send, and an odd key is a Send), its task
+/// and its sub-pipeline.
+#[derive(Clone, Copy, Debug)]
+struct RankSlot {
+    endpoint: u32,
+    task: TaskId,
+    sub_pipeline: u32,
+}
+
+/// Whether an endpoint key names a send endpoint.
+fn sends(endpoint: u32) -> bool {
+    endpoint % 2 == 1
+}
+
+impl RankSlot {
+    fn dir(self) -> Direction {
+        if sends(self.endpoint) {
+            Direction::Send
+        } else {
+            Direction::Recv
+        }
+    }
+
+    fn prim(self) -> PrimSlot {
+        PrimSlot {
+            task: self.task,
+            dir: self.dir(),
+            sub_pipeline: self.sub_pipeline as usize,
+        }
+    }
 }
 
 impl TbAllocation {
@@ -116,34 +141,17 @@ impl TbAllocation {
         let slots = collect_slots(dag, schedule);
 
         let mut per_rank: Vec<RankTbPlan> = vec![RankTbPlan::default(); n_ranks];
-        for (rank, rank_slots) in slots.into_iter().enumerate() {
-            // Group by endpoint, preserving sub-pipeline order.
-            let mut groups: HashMap<Endpoint, Vec<PrimSlot>> = HashMap::new();
-            let mut order: Vec<Endpoint> = Vec::new();
-            for slot in rank_slots {
-                let t = dag.task(slot.task);
-                let ep = Endpoint {
-                    peer: if slot.dir == Direction::Send {
-                        t.dst
-                    } else {
-                        t.src
-                    },
-                    dir_is_send: slot.dir == Direction::Send,
-                };
-                if !groups.contains_key(&ep) {
-                    order.push(ep);
-                }
-                groups.entry(ep).or_default().push(slot);
-            }
-            // Deterministic endpoint order.
-            order.sort();
-            for ep in order {
-                let group = groups.remove(&ep).expect("endpoint collected above");
+        let mut endpoints = KeyedRows::new(2 * n_ranks);
+        for (rank, plan) in per_rank.iter_mut().enumerate() {
+            // Group by endpoint in endpoint order, preserving sub-pipeline
+            // order within an endpoint.
+            endpoints.fill(slots.row(rank).iter().map(|s| (s.endpoint, *s)));
+            for ep in 0..endpoints.len() {
                 // One TB per channel; every channel TB carries the whole
                 // slot list but only its micro-batch slice.
                 for c in 0..n_channels {
-                    per_rank[rank].tbs.push(TbPlan {
-                        slots: group.clone(),
+                    plan.tbs.push(TbPlan {
+                        slots: endpoints.row(ep).iter().map(|s| s.prim()).collect(),
                         mb_stride: n_channels,
                         mb_offset: c,
                     });
@@ -212,10 +220,16 @@ impl TbAllocation {
             Vec::new()
         };
 
-        let per_rank = slots
-            .into_iter()
-            .map(|rank_slots| RankTbPlan {
-                tbs: lower_one_rank(dag, &base_pos, &chain_feed, chain_merge, rank_slots),
+        let mut endpoints = Endpoints::new(2 * slots.n_rows());
+        let per_rank = (0..slots.n_rows())
+            .map(|rank| RankTbPlan {
+                tbs: endpoints.lower_rank(
+                    dag,
+                    &base_pos,
+                    &chain_feed,
+                    chain_merge,
+                    slots.row(rank),
+                ),
             })
             .collect();
         Self {
@@ -246,13 +260,16 @@ impl TbAllocation {
     ///   ordered against the feeder,
     /// * slots record the sub-pipeline the schedule actually assigned.
     pub fn validate(&self, dag: &DepDag, schedule: &Schedule) -> Result<(), IrError> {
-        // For each (task, dir), the set of (stride, offset) windows covering it.
-        let mut send_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
-        let mut recv_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
-        let mut sp_of: Vec<usize> = vec![usize::MAX; dag.len()];
-        for (t, sp) in schedule.sub_pipeline_of() {
-            sp_of[t.index()] = sp;
+        let n = dag.len();
+        let mut sp_of: Vec<usize> = vec![usize::MAX; n];
+        for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
+            for &t in tasks {
+                sp_of[t.index()] = sp;
+            }
         }
+        // One `(side, (stride, offset))` entry per slot: side `t` is task
+        // `t`'s Send, side `n + t` its Recv.
+        let mut covers: Vec<(u32, (u32, u32))> = Vec::with_capacity(2 * n);
         let chained = self.strategy == "state-chained";
         for (rank, plan) in self.per_rank.iter().enumerate() {
             for tb in &plan.tbs {
@@ -300,41 +317,43 @@ impl TbAllocation {
                         last_sp = slot.sub_pipeline;
                         anchor = (slot.dir == Direction::Recv).then_some(slot.task);
                     }
-                    let cover = match slot.dir {
-                        Direction::Send => &mut send_cover,
-                        Direction::Recv => &mut recv_cover,
+                    let side = match slot.dir {
+                        Direction::Send => slot.task.0,
+                        Direction::Recv => n as u32 + slot.task.0,
                     };
-                    cover[slot.task.index()].push((tb.mb_stride, tb.mb_offset));
+                    covers.push((side, (tb.mb_stride, tb.mb_offset)));
                 }
             }
         }
         // Every (task, dir) must be covered by windows that exactly
         // partition the micro-batch space: equal strides, offsets 0..stride.
-        for (what, cover) in [("Send", &send_cover), ("Recv", &recv_cover)] {
-            for (i, windows) in cover.iter().enumerate() {
-                if windows.is_empty() {
-                    return Err(IrError::new(format!("task t{i} is missing a {what} slot")));
-                }
-                let stride = windows[0].0;
-                let mut offsets: Vec<u32> = windows
-                    .iter()
-                    .map(|(s, o)| {
-                        if *s == stride {
-                            Ok(*o)
-                        } else {
-                            Err(IrError::new(format!(
-                                "task t{i} {what} slots mix strides {stride} and {s}"
-                            )))
-                        }
-                    })
-                    .collect::<Result<_, _>>()?;
-                offsets.sort_unstable();
-                let expect: Vec<u32> = (0..stride).collect();
-                if offsets != expect {
-                    return Err(IrError::new(format!(
-                        "task t{i} {what} windows {offsets:?} do not partition stride {stride}"
-                    )));
-                }
+        let covers = Csr::from_pairs(2 * n, covers.into_iter());
+        let mut offsets: Vec<u32> = Vec::new();
+        for side in 0..2 * n {
+            let (what, i) = if side < n {
+                ("Send", side)
+            } else {
+                ("Recv", side - n)
+            };
+            let windows = covers.row(side);
+            if windows == [(1, 0)] {
+                continue;
+            }
+            let Some(&(stride, _)) = windows.first() else {
+                return Err(IrError::new(format!("task t{i} is missing a {what} slot")));
+            };
+            if let Some(&(s, _)) = windows.iter().find(|(s, _)| *s != stride) {
+                return Err(IrError::new(format!(
+                    "task t{i} {what} slots mix strides {stride} and {s}"
+                )));
+            }
+            offsets.clear();
+            offsets.extend(windows.iter().map(|&(_, o)| o));
+            offsets.sort_unstable();
+            if !offsets.iter().copied().eq(0..stride) {
+                return Err(IrError::new(format!(
+                    "task t{i} {what} windows {offsets:?} do not partition stride {stride}"
+                )));
             }
         }
         Ok(())
@@ -368,138 +387,165 @@ fn chain_feed(dag: &DepDag, b: TaskId) -> ChainFeed {
     }
 }
 
-/// Build one rank's TB list: interval analysis, optional chain merging,
-/// greedy interval partitioning, and the in-TB slot sort.
-fn lower_one_rank(
-    dag: &DepDag,
-    base_pos: &[u32],
-    chain_feed: &[ChainFeed],
-    chain_merge: bool,
-    rank_slots: Vec<PrimSlot>,
-) -> Vec<TbPlan> {
-    // Active interval per endpoint: [min_sp, max_sp] of its slots.
-    let mut intervals: HashMap<Endpoint, (usize, usize, Vec<PrimSlot>)> = HashMap::new();
-    for slot in rank_slots {
-        let t = dag.task(slot.task);
-        let ep = Endpoint {
-            peer: if slot.dir == Direction::Send {
-                t.dst
-            } else {
-                t.src
-            },
-            dir_is_send: slot.dir == Direction::Send,
-        };
-        let e = intervals
-            .entry(ep)
-            .or_insert((slot.sub_pipeline, slot.sub_pipeline, Vec::new()));
-        e.0 = e.0.min(slot.sub_pipeline);
-        e.1 = e.1.max(slot.sub_pipeline);
-        e.2.push(slot);
+/// Scratch tables for lowering one rank at a time, indexed by endpoint key
+/// (`2 · n_ranks` wide) or by the rank's endpoint rows, reused across ranks.
+struct Endpoints {
+    /// The rank's slots grouped by endpoint, endpoints ascending.
+    rows: KeyedRows<RankSlot>,
+    /// Active interval of each row: `[min_sp, max_sp]` of its slots, and of
+    /// the rows folded into it.
+    span: Vec<(usize, usize)>,
+    /// Whether each row was folded into its feeder's row.
+    folded: Vec<bool>,
+    /// The rows folded into a row, as a list: `next[row]` follows `row`,
+    /// `last[row]` ends the list that starts at `row`.
+    next: Vec<u32>,
+    last: Vec<u32>,
+}
+
+impl Endpoints {
+    fn new(n_keys: usize) -> Self {
+        Self {
+            rows: KeyedRows::new(n_keys),
+            span: Vec::new(),
+            folded: Vec::new(),
+            next: Vec::new(),
+            last: Vec::new(),
+        }
     }
 
-    // Chain merging: fold a send endpoint into the receive endpoint
-    // that feeds all of its tasks (same chunk, this rank in the
-    // middle of the chain). Folded endpoints are remembered so the
-    // final sort can key their forwards right behind their feeders.
-    let mut folded: HashSet<Endpoint> = HashSet::new();
-    if chain_merge {
-        let keys: Vec<Endpoint> = {
-            let mut k: Vec<Endpoint> = intervals.keys().copied().collect();
-            k.sort();
-            k
-        };
-        for ep in keys {
-            if !ep.dir_is_send {
-                continue;
-            }
-            // The single feeding recv endpoint, if one exists.
-            // Chain heads (a rank sending its own data, no feeder)
-            // are allowed; a task fed by several deliveries is not
-            // a chain transit and disqualifies the endpoint.
-            let mut feeder: Option<Endpoint> = None;
-            let mut ok = true;
-            for slot in &intervals[&ep].2 {
-                match chain_feed[slot.task.index()] {
-                    ChainFeed::Head => {}
-                    ChainFeed::Multi => {
-                        ok = false;
-                        break;
-                    }
-                    ChainFeed::Single(a) => {
-                        let fa = Endpoint {
-                            peer: dag.task(a).src,
-                            dir_is_send: false,
-                        };
-                        if *feeder.get_or_insert(fa) != fa {
+    /// Build one rank's TB list: interval analysis, optional chain merging,
+    /// greedy interval partitioning, and the in-TB slot sort.
+    fn lower_rank(
+        &mut self,
+        dag: &DepDag,
+        base_pos: &[u32],
+        chain_feed: &[ChainFeed],
+        chain_merge: bool,
+        rank_slots: &[RankSlot],
+    ) -> Vec<TbPlan> {
+        const NONE: u32 = u32::MAX;
+        self.rows.fill(rank_slots.iter().map(|s| (s.endpoint, *s)));
+        let n_rows = self.rows.len();
+        self.span.clear();
+        self.span.extend((0..n_rows).map(|i| {
+            let sps = self.rows.row(i).iter().map(|s| s.sub_pipeline as usize);
+            (sps.clone().min().unwrap_or(0), sps.max().unwrap_or(0))
+        }));
+        self.folded.clear();
+        self.folded.resize(n_rows, false);
+        self.next.clear();
+        self.next.resize(n_rows, NONE);
+        self.last.clear();
+        self.last.extend(0..n_rows as u32);
+
+        // Chain merging: fold a send endpoint into the receive endpoint
+        // that feeds all of its tasks (same chunk, this rank in the
+        // middle of the chain). Folded endpoints are remembered so the
+        // final sort can key their forwards right behind their feeders.
+        if chain_merge {
+            for ep in 0..n_rows {
+                if !sends(self.rows.key(ep)) {
+                    continue;
+                }
+                // The single feeding recv endpoint, if one exists.
+                // Chain heads (a rank sending its own data, no feeder)
+                // are allowed; a task fed by several deliveries is not
+                // a chain transit and disqualifies the endpoint.
+                let mut feeder: Option<u32> = None;
+                let mut ok = true;
+                for slot in self.rows.row(ep) {
+                    match chain_feed[slot.task.index()] {
+                        ChainFeed::Head => {}
+                        ChainFeed::Multi => {
                             ok = false;
                             break;
                         }
+                        ChainFeed::Single(a) => {
+                            let fa = 2 * dag.task(a).src.0;
+                            if *feeder.get_or_insert(fa) != fa {
+                                ok = false;
+                                break;
+                            }
+                        }
                     }
                 }
-            }
-            if !ok {
-                continue;
-            }
-            if let Some(f) = feeder {
-                if f != ep && intervals.contains_key(&f) {
-                    let (s, e, sl) = intervals.remove(&ep).expect("present");
-                    let fe = intervals.get_mut(&f).expect("checked");
+                if !ok {
+                    continue;
+                }
+                if let Some(f) = feeder.and_then(|key| self.rows.row_of(key)) {
+                    let (s, e) = self.span[ep];
+                    let fe = &mut self.span[f];
                     fe.0 = fe.0.min(s);
                     fe.1 = fe.1.max(e);
-                    fe.2.extend(sl);
-                    folded.insert(ep);
+                    let tail = self.last[f] as usize;
+                    self.next[tail] = ep as u32;
+                    self.last[f] = ep as u32;
+                    self.folded[ep] = true;
                 }
             }
         }
-    }
-    // Greedy interval partitioning: sort by start, place each
-    // endpoint on the first TB whose last interval ended before
-    // this one starts.
-    let mut items: Vec<(usize, usize, Endpoint)> = intervals
-        .iter()
-        .map(|(ep, (s, e, _))| (*s, *e, *ep))
-        .collect();
-    items.sort_by_key(|(s, e, ep)| (*s, *e, *ep));
-    // tb_end[i] = last sub-pipeline index currently occupied on TB i
-    let mut tb_end: Vec<usize> = Vec::new();
-    let mut tb_slots: Vec<Vec<PrimSlot>> = Vec::new();
-    for (start, end, ep) in items {
-        let mut placed = false;
-        for (i, last) in tb_end.iter_mut().enumerate() {
-            if *last < start {
-                *last = end;
-                tb_slots[i].extend(intervals[&ep].2.iter().copied());
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            tb_end.push(end);
-            let mut v = Vec::new();
-            v.extend(intervals[&ep].2.iter().copied());
-            tb_slots.push(v);
-        }
-    }
-    for tb in &mut tb_slots {
-        tb.sort_by_key(|s| {
-            // A forward folded onto its feeder's TB sorts directly
-            // behind the feeder (adjacent, for the fusion pass).
-            // Everything else — including chain heads and every
-            // gating slot — keeps the schedule's total order.
-            if s.dir == Direction::Send
-                && folded.contains(&Endpoint {
-                    peer: dag.task(s.task).dst,
-                    dir_is_send: true,
-                })
-            {
-                if let ChainFeed::Single(a) = chain_feed[s.task.index()] {
-                    return (base_pos[a.index()], 1, base_pos[s.task.index()], s.dir);
+        // Greedy interval partitioning: sort by start, place each
+        // endpoint on the first TB whose last interval ended before
+        // this one starts.
+        let mut items: Vec<(usize, usize, usize)> = (0..n_rows)
+            .filter(|&ep| !self.folded[ep])
+            .map(|ep| (self.span[ep].0, self.span[ep].1, ep))
+            .collect();
+        items.sort_unstable();
+        // tb_end[i] = last sub-pipeline index currently occupied on TB i
+        let mut tb_end: Vec<usize> = Vec::new();
+        let mut tb_slots: Vec<Vec<(SlotKey, RankSlot)>> = Vec::new();
+        for (start, end, ep) in items {
+            let tb = match tb_end.iter().position(|&last| last < start) {
+                Some(i) => {
+                    tb_end[i] = end;
+                    i
                 }
+                None => {
+                    tb_end.push(end);
+                    tb_slots.push(Vec::new());
+                    tb_end.len() - 1
+                }
+            };
+            let mut row = ep as u32;
+            while row != NONE {
+                let folded = self.folded[row as usize];
+                tb_slots[tb].extend(
+                    self.rows
+                        .row(row as usize)
+                        .iter()
+                        .map(|s| (slot_key(s, folded, base_pos, chain_feed), *s)),
+                );
+                row = self.next[row as usize];
             }
-            (base_pos[s.task.index()], 0, 0, s.dir)
-        });
+        }
+        tb_slots
+            .into_iter()
+            .map(|mut slots| {
+                slots.sort_by_key(|&(key, _)| key);
+                TbPlan::full(slots.into_iter().map(|(_, s)| s.prim()).collect())
+            })
+            .collect()
     }
-    tb_slots.into_iter().map(TbPlan::full).collect()
+}
+
+/// A slot's position in its TB: `(base position, forward?, own position,
+/// direction)`.
+type SlotKey = (u32, u8, u32, Direction);
+
+/// The in-TB sort key of a slot whose endpoint was (`folded`) or was not
+/// folded onto its feeder's TB. A forward folded onto its feeder's TB sorts
+/// directly behind the feeder (adjacent, for the fusion pass). Everything
+/// else — including chain heads and every gating slot — keeps the
+/// schedule's total order.
+fn slot_key(s: &RankSlot, folded: bool, base_pos: &[u32], chain_feed: &[ChainFeed]) -> SlotKey {
+    if folded && s.dir() == Direction::Send {
+        if let ChainFeed::Single(a) = chain_feed[s.task.index()] {
+            return (base_pos[a.index()], 1, base_pos[s.task.index()], s.dir());
+        }
+    }
+    (base_pos[s.task.index()], 0, 0, s.dir())
 }
 
 fn infer_n_ranks(dag: &DepDag) -> usize {
@@ -507,26 +553,25 @@ fn infer_n_ranks(dag: &DepDag) -> usize {
 }
 
 /// Expand each scheduled task into its Send and Recv slots, grouped by the
-/// rank the slot runs on, preserving sub-pipeline order.
-fn collect_slots(dag: &DepDag, schedule: &Schedule) -> Vec<Vec<PrimSlot>> {
-    let n_ranks = infer_n_ranks(dag);
-    let mut per_rank: Vec<Vec<PrimSlot>> = vec![Vec::new(); n_ranks];
-    for (sp_idx, sp) in schedule.sub_pipelines.iter().enumerate() {
-        for &tid in sp {
-            let t = dag.task(tid);
-            per_rank[t.src.index()].push(PrimSlot {
-                task: tid,
-                dir: Direction::Send,
-                sub_pipeline: sp_idx,
-            });
-            per_rank[t.dst.index()].push(PrimSlot {
-                task: tid,
-                dir: Direction::Recv,
-                sub_pipeline: sp_idx,
-            });
-        }
-    }
-    per_rank
+/// rank the slot runs on (CSR over ranks), preserving sub-pipeline order.
+fn collect_slots(dag: &DepDag, schedule: &Schedule) -> Csr<RankSlot> {
+    let ends: &Vec<(u32, u32)> = &dag.tasks().iter().map(|t| (t.src.0, t.dst.0)).collect();
+    let slots = schedule
+        .sub_pipelines
+        .iter()
+        .enumerate()
+        .flat_map(|(sp, tasks)| {
+            tasks.iter().flat_map(move |&task| {
+                let (src, dst) = ends[task.index()];
+                let slot = |endpoint| RankSlot {
+                    endpoint,
+                    task,
+                    sub_pipeline: sp as u32,
+                };
+                [(src, slot(2 * dst + 1)), (dst, slot(2 * src))]
+            })
+        });
+    Csr::from_pairs(infer_n_ranks(dag), slots)
 }
 
 #[cfg(test)]
@@ -707,6 +752,221 @@ mod tests {
         let tb = a.per_rank[0].tbs.remove(0);
         a.per_rank[1].tbs.push(tb);
         assert!(a.validate(&dag, &s).is_err());
+    }
+
+    /// [`TbAllocation::validate`] as it was before its cover tables went
+    /// flat: two `Vec<Vec<(stride, offset)>>` cover tables and a `Vec` of
+    /// offsets per task side. The oracle for the flat validator's verdicts
+    /// and messages.
+    fn validate_reference(
+        a: &TbAllocation,
+        dag: &DepDag,
+        schedule: &Schedule,
+    ) -> Result<(), String> {
+        let mut send_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
+        let mut recv_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
+        let mut sp_of: Vec<usize> = vec![usize::MAX; dag.len()];
+        for (t, sp) in schedule.sub_pipeline_of() {
+            sp_of[t.index()] = sp;
+        }
+        let chained = a.strategy == "state-chained";
+        for (rank, plan) in a.per_rank.iter().enumerate() {
+            for tb in &plan.tbs {
+                if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
+                    return Err(format!(
+                        "TB on rank r{rank} has invalid micro-batch window {}%{}",
+                        tb.mb_offset, tb.mb_stride
+                    ));
+                }
+                let mut last_sp = 0usize;
+                let mut anchor: Option<TaskId> = None;
+                for slot in &tb.slots {
+                    let t = dag.task(slot.task);
+                    let expect_rank = match slot.dir {
+                        Direction::Send => t.src,
+                        Direction::Recv => t.dst,
+                    };
+                    if expect_rank.index() != rank {
+                        return Err(format!(
+                            "slot for task {} ({:?}) placed on rank r{rank}, expected {}",
+                            slot.task, slot.dir, expect_rank
+                        ));
+                    }
+                    if sp_of[slot.task.index()] != slot.sub_pipeline {
+                        return Err(format!(
+                            "slot for task {} records sub-pipeline {}, schedule says {}",
+                            slot.task,
+                            slot.sub_pipeline,
+                            sp_of[slot.task.index()]
+                        ));
+                    }
+                    if slot.sub_pipeline < last_sp {
+                        return Err(format!(
+                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
+                            slot.sub_pipeline, last_sp
+                        ));
+                    }
+                    let forward = chained
+                        && slot.dir == Direction::Send
+                        && anchor
+                            .is_some_and(|a| chain_feed(dag, slot.task) == ChainFeed::Single(a));
+                    if !forward {
+                        last_sp = slot.sub_pipeline;
+                        anchor = (slot.dir == Direction::Recv).then_some(slot.task);
+                    }
+                    let cover = match slot.dir {
+                        Direction::Send => &mut send_cover,
+                        Direction::Recv => &mut recv_cover,
+                    };
+                    cover[slot.task.index()].push((tb.mb_stride, tb.mb_offset));
+                }
+            }
+        }
+        for (what, cover) in [("Send", &send_cover), ("Recv", &recv_cover)] {
+            for (i, windows) in cover.iter().enumerate() {
+                if windows.is_empty() {
+                    return Err(format!("task t{i} is missing a {what} slot"));
+                }
+                let stride = windows[0].0;
+                let mut offsets: Vec<u32> = windows
+                    .iter()
+                    .map(|(s, o)| {
+                        if *s == stride {
+                            Ok(*o)
+                        } else {
+                            Err(format!(
+                                "task t{i} {what} slots mix strides {stride} and {s}"
+                            ))
+                        }
+                    })
+                    .collect::<Result<_, _>>()?;
+                offsets.sort_unstable();
+                let expect: Vec<u32> = (0..stride).collect();
+                if offsets != expect {
+                    return Err(format!(
+                        "task t{i} {what} windows {offsets:?} do not partition stride {stride}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The flat validator's verdict, with the message, must be the
+    /// reference's; returns it.
+    fn verdict(a: &TbAllocation, dag: &DepDag, s: &Schedule) -> Result<(), String> {
+        let got = a.validate(dag, s).map_err(|e| e.to_string());
+        let want = validate_reference(a, dag, s).map_err(|m| IrError::new(m).to_string());
+        assert_eq!(got, want);
+        got
+    }
+
+    #[test]
+    fn validation_mutations_keep_the_reference_messages() {
+        let (dag, s) = ring_setup(2, 4);
+        let state = TbAllocation::state_based(&dag, &s);
+        let conn = TbAllocation::connection_based(&dag, &s, 2);
+        verdict(&state, &dag, &s).unwrap();
+        verdict(&conn, &dag, &s).unwrap();
+        let ir = |m: String| Err(IrError::new(m).to_string());
+
+        // A missing slot: the last slot of rank 0's first TB.
+        let mut a = state.clone();
+        let gone = a.per_rank[0].tbs[0].slots.pop().unwrap();
+        let what = format!("{:?}", gone.dir);
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir(format!("task {} is missing a {what} slot", gone.task))
+        );
+
+        // Mixed strides: one channel copy claims stride 3.
+        let mut a = conn.clone();
+        let tb = &mut a.per_rank[0].tbs[1];
+        tb.mb_stride = 3;
+        let first = tb.slots[0];
+        let side = format!("{:?}", first.dir);
+        // The first side of the rank-0 endpoint in task order.
+        let t = a.per_rank[0].tbs[1]
+            .slots
+            .iter()
+            .map(|s| s.task)
+            .min()
+            .unwrap();
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir(format!("task {t} {side} slots mix strides 2 and 3"))
+        );
+
+        // A duplicate window: rank 0's first TB launched twice.
+        let mut a = state.clone();
+        let dup = a.per_rank[0].tbs[0].clone();
+        a.per_rank[0].tbs.push(dup);
+        assert!(verdict(&a, &dag, &s)
+            .unwrap_err()
+            .ends_with("windows [0, 0] do not partition stride 1"));
+
+        // An out-of-order slot: the first two slots of different
+        // sub-pipelines on one TB swapped.
+        let mut a = state.clone();
+        let (rank, tb, j) = (0..a.per_rank.len())
+            .flat_map(|r| (0..a.per_rank[r].tbs.len()).map(move |tb| (r, tb)))
+            .find_map(|(r, tb)| {
+                let slots = &a.per_rank[r].tbs[tb].slots;
+                (1..slots.len())
+                    .find(|&j| slots[j].sub_pipeline > slots[0].sub_pipeline)
+                    .map(|j| (r, tb, j))
+            })
+            .expect("some TB spans two sub-pipelines");
+        let slots = &mut a.per_rank[rank].tbs[tb].slots;
+        let (lo, hi) = (slots[0].sub_pipeline, slots[j].sub_pipeline);
+        slots.swap(0, j);
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir(format!(
+                "TB on rank r{rank} has out-of-order slots (sub-pipeline {lo} after {hi})"
+            ))
+        );
+
+        // A wrong rank: rank 0's first TB moved onto rank 1.
+        let mut a = state.clone();
+        let tb = a.per_rank[0].tbs.remove(0);
+        let slot = tb.slots[0];
+        a.per_rank[1].tbs.insert(0, tb);
+        let t = dag.task(slot.task);
+        let expect = if slot.dir == Direction::Send {
+            t.src
+        } else {
+            t.dst
+        };
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir(format!(
+                "slot for task {} ({:?}) placed on rank r1, expected {expect}",
+                slot.task, slot.dir
+            ))
+        );
+
+        // A wrong sub-pipeline: the first slot claims the next one.
+        let mut a = state.clone();
+        let slot = &mut a.per_rank[0].tbs[0].slots[0];
+        let real = slot.sub_pipeline;
+        slot.sub_pipeline += 1;
+        let task = slot.task;
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir(format!(
+                "slot for task {task} records sub-pipeline {}, schedule says {real}",
+                real + 1
+            ))
+        );
+
+        // An invalid window.
+        let mut a = conn;
+        a.per_rank[2].tbs[0].mb_offset = 2;
+        assert_eq!(
+            verdict(&a, &dag, &s),
+            ir("TB on rank r2 has invalid micro-batch window 2%2".into())
+        );
     }
 
     #[test]

@@ -36,28 +36,15 @@ pub struct CombinedOrder {
 
 impl CombinedOrder {
     /// Build the combined order for one compiled plan.
+    ///
+    /// The CSR is filled in two passes over the edges (count, then place),
+    /// then each row drops repeated targets, keeping first occurrences.
     pub fn build(dag: &DepDag, program: &KernelProgram) -> Self {
         let n = dag.len();
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut send_tb: Vec<Option<(u32, u32)>> = vec![None; n];
         let mut recv_tb: Vec<Option<(u32, u32)>> = vec![None; n];
-
-        // Data dependencies.
-        for t in dag.tasks() {
-            for &s in dag.succs(t.id) {
-                push_edge(&mut rows, t.id, s);
-            }
-        }
-
-        // Per-TB serialization. Both sides of a task map onto the same
-        // combined-order node (rendezvous: an invocation needs both TBs).
-        // A slot marked `fused_with_prev` issues asynchronously behind the
-        // slot directly before it — it is gated by that feeder
-        // (cut-through) but never gates the slots after it.
         for rp in &program.ranks {
             for (tb_idx, tb) in rp.tbs.iter().enumerate() {
-                let mut last_gating: Option<TaskId> = None;
-                let mut prev: Option<TaskId> = None;
                 for slot in &tb.slots {
                     let side = if slot.is_send() {
                         &mut send_tb
@@ -65,32 +52,53 @@ impl CombinedOrder {
                         &mut recv_tb
                     };
                     side[slot.task.index()] = Some((rp.rank.0, tb_idx as u32));
-                    if slot.fused_with_prev {
-                        if let Some(p) = prev {
-                            if p != slot.task {
-                                push_edge(&mut rows, p, slot.task);
-                            }
-                        }
-                    } else {
-                        if let Some(g) = last_gating {
-                            if g != slot.task {
-                                push_edge(&mut rows, g, slot.task);
-                            }
-                        }
-                        last_gating = Some(slot.task);
-                    }
-                    prev = Some(slot.task);
                 }
             }
         }
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        offsets.push(0u32);
-        for row in &rows {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len() as u32);
+        let mut offsets = vec![0u32; n + 1];
+        for t in dag.tasks() {
+            offsets[t.id.index() + 1] = dag.succs(t.id).len() as u32;
         }
+        tb_edges(program, |from, _| offsets[from.index() + 1] += 1);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Data dependencies first, then TB gating edges in program order.
+        let mut targets = vec![0u32; offsets[n] as usize];
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        for t in dag.tasks() {
+            let at = cursor[t.id.index()] as usize;
+            for (slot, s) in targets[at..].iter_mut().zip(dag.succs(t.id)) {
+                *slot = s.0;
+            }
+            cursor[t.id.index()] += dag.succs(t.id).len() as u32;
+        }
+        tb_edges(program, |from, to| {
+            let at = &mut cursor[from.index()];
+            targets[*at as usize] = to.0;
+            *at += 1;
+        });
+
+        // Drop repeated targets row by row, compacting in place.
+        // `seen[v]` is the last row (plus one) that kept target `v`.
+        let mut seen = vec![0u32; n];
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for u in 0..n {
+            let end = offsets[u + 1] as usize;
+            for read in start..end {
+                let v = targets[read];
+                if seen[v as usize] != u as u32 + 1 {
+                    seen[v as usize] = u as u32 + 1;
+                    targets[write] = v;
+                    write += 1;
+                }
+            }
+            start = end;
+            offsets[u + 1] = write as u32;
+        }
+        targets.truncate(write);
 
         Self {
             offsets,
@@ -154,9 +162,33 @@ impl CombinedOrder {
     }
 }
 
-fn push_edge(rows: &mut [Vec<u32>], from: TaskId, to: TaskId) {
-    debug_assert_ne!(from, to);
-    if !rows[from.index()].contains(&to.0) {
-        rows[from.index()].push(to.0);
+/// Per-TB serialization edges `(from, to)`, in program order. Both sides
+/// of a task map onto the same combined-order node (rendezvous: an
+/// invocation needs both TBs). A slot marked `fused_with_prev` issues
+/// asynchronously behind the slot directly before it — it is gated by that
+/// feeder (cut-through) but never gates the slots after it.
+fn tb_edges(program: &KernelProgram, mut edge: impl FnMut(TaskId, TaskId)) {
+    for rp in &program.ranks {
+        for tb in &rp.tbs {
+            let mut last_gating: Option<TaskId> = None;
+            let mut prev: Option<TaskId> = None;
+            for slot in &tb.slots {
+                if slot.fused_with_prev {
+                    if let Some(p) = prev {
+                        if p != slot.task {
+                            edge(p, slot.task);
+                        }
+                    }
+                } else {
+                    if let Some(g) = last_gating {
+                        if g != slot.task {
+                            edge(g, slot.task);
+                        }
+                    }
+                    last_gating = Some(slot.task);
+                }
+                prev = Some(slot.task);
+            }
+        }
     }
 }

@@ -9,11 +9,10 @@ use crate::diag::{CostCertificate, Diagnostic, LintCode, Severity, Site};
 use crate::graph::CombinedOrder;
 use crate::oracle::HbOracle;
 use crate::{AnalysisConfig, AnalysisInput, ResidualContext};
-use rescc_ir::{DepDag, Task, TaskId};
+use rescc_ir::{ConflictLoads, Csr, DepDag, KeyedRows, Task, TaskId};
 use rescc_lang::provenance::{required, step_groups, Move, Provenance, Slots};
 use rescc_lang::CommType;
 use rescc_topology::{ChunkId, LinkParams};
-use std::collections::HashMap;
 
 /// RA001 — deadlock: a cycle in the combined order (DAG edges ∪ per-TB
 /// serialization ∪ fusion cut-through gates). Every invocation needs both
@@ -73,14 +72,15 @@ fn find_cycle(order: &CombinedOrder, stuck: &[u32]) -> Vec<u32> {
         }
         v
     };
-    let mut pos: HashMap<u32, usize> = HashMap::new();
+    // Position of each visited node on the walk.
+    let mut pos: Vec<u32> = vec![u32::MAX; order.len()];
     let mut path: Vec<u32> = Vec::new();
     let mut cur = stuck[0];
     loop {
-        if let Some(&at) = pos.get(&cur) {
-            return path[at..].to_vec();
+        if pos[cur as usize] != u32::MAX {
+            return path[pos[cur as usize] as usize..].to_vec();
         }
-        pos.insert(cur, path.len());
+        pos[cur as usize] = path.len() as u32;
         path.push(cur);
         let next = order
             .succs(cur)
@@ -115,70 +115,85 @@ pub fn ra002_buffer_race(
     oracle: &mut HbOracle,
     out: &mut Vec<Diagnostic>,
 ) {
-    // Writers per (dst rank, chunk) slot.
-    let mut writers: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    for t in input.dag.tasks() {
-        writers
-            .entry((t.dst.0, t.chunk.0))
-            .or_default()
-            .push(t.id.0);
-    }
-    let mut keys: Vec<(u32, u32)> = writers.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let group = &writers[&key];
-        if group.len() < 2 {
-            continue;
-        }
-        let mut sorted: Vec<u32> = group.clone();
-        sorted.sort_unstable_by_key(|&t| oracle.pos(t));
-        let mut gaps: Vec<u32> = vec![0; sorted.len()];
-        for i in 1..sorted.len() {
-            let linked = oracle.reaches(order, sorted[i - 1], sorted[i]);
-            gaps[i] = gaps[i - 1] + u32::from(!linked);
-        }
-        for (i, &a) in group.iter().enumerate() {
-            for &b in &group[i + 1..] {
-                let ca = input.dag.task(rescc_ir::TaskId::new(a)).comm;
-                let cb = input.dag.task(rescc_ir::TaskId::new(b)).comm;
-                if ca != CommType::Recv && cb != CommType::Recv {
-                    continue; // rrc + rrc commutes
-                }
-                let (first, second) = if oracle.pos(a) < oracle.pos(b) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let ia = sorted.iter().position(|&t| t == first).unwrap();
-                let ib = sorted.iter().position(|&t| t == second).unwrap();
-                let ordered = gaps[ia] == gaps[ib] || oracle.reaches(order, first, second);
-                if !ordered {
-                    let (rank, chunk) = key;
-                    let tb = input.dag.task(rescc_ir::TaskId::new(b));
-                    let mut path = Vec::new();
-                    if let Some(d) = oracle.divergence(order, a, b) {
-                        path.push(d);
+    let dag = input.dag;
+    // Writers per (dst rank, chunk) slot, slots in (rank, chunk) order and
+    // each slot's writers in task order: tasks by dst rank, then each
+    // rank's tasks by chunk.
+    let by_dst = Csr::from_pairs(
+        input.spec.n_ranks() as usize,
+        dag.tasks().iter().map(|t| (t.dst.0, t.id.0)),
+    );
+    let mut writers = KeyedRows::new(dag.n_chunks() as usize);
+    let mut sorted: Vec<u32> = Vec::new();
+    let mut gaps: Vec<u32> = Vec::new();
+    // Index in `sorted` of each writer of the current slot.
+    let mut sorted_at: Vec<u32> = vec![0; dag.len()];
+    for rank in 0..by_dst.n_rows() as u32 {
+        writers.fill(
+            by_dst
+                .row(rank as usize)
+                .iter()
+                .map(|&t| (dag.task(TaskId::new(t)).chunk.0, t)),
+        );
+        for slot in 0..writers.len() {
+            let (chunk, group) = (writers.key(slot), writers.row(slot));
+            if group.len() < 2 {
+                continue;
+            }
+            sorted.clear();
+            sorted.extend_from_slice(group);
+            sorted.sort_unstable_by_key(|&t| oracle.pos(t));
+            for (i, &t) in sorted.iter().enumerate() {
+                sorted_at[t as usize] = i as u32;
+            }
+            gaps.clear();
+            gaps.resize(sorted.len(), 0);
+            for i in 1..sorted.len() {
+                let linked = oracle.reaches(order, sorted[i - 1], sorted[i]);
+                gaps[i] = gaps[i - 1] + u32::from(!linked);
+            }
+            for (i, &a) in group.iter().enumerate() {
+                for &b in &group[i + 1..] {
+                    let ca = dag.task(TaskId::new(a)).comm;
+                    let cb = dag.task(TaskId::new(b)).comm;
+                    if ca != CommType::Recv && cb != CommType::Recv {
+                        continue; // rrc + rrc commutes
                     }
-                    path.push(a);
-                    path.push(b);
-                    out.push(Diagnostic {
-                        code: LintCode::RA002,
-                        severity: Severity::Error,
-                        message: format!(
-                            "buffer race: tasks t{a} and t{b} both write rank r{rank} \
-                             chunk c{chunk} with no ordering between them (at least \
-                             one is a plain copy — the final value depends on arrival \
-                             order)"
-                        ),
-                        site: Site {
-                            task: Some(b),
-                            rank: Some(rank),
-                            chunk: Some(chunk),
-                            step: Some(tb.step.0),
-                            ..Site::default()
-                        },
-                        path,
-                    });
+                    let (first, second) = if oracle.pos(a) < oracle.pos(b) {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let ia = sorted_at[first as usize] as usize;
+                    let ib = sorted_at[second as usize] as usize;
+                    let ordered = gaps[ia] == gaps[ib] || oracle.reaches(order, first, second);
+                    if !ordered {
+                        let tb = dag.task(TaskId::new(b));
+                        let mut path = Vec::new();
+                        if let Some(d) = oracle.divergence(order, a, b) {
+                            path.push(d);
+                        }
+                        path.push(a);
+                        path.push(b);
+                        out.push(Diagnostic {
+                            code: LintCode::RA002,
+                            severity: Severity::Error,
+                            message: format!(
+                                "buffer race: tasks t{a} and t{b} both write rank r{rank} \
+                                 chunk c{chunk} with no ordering between them (at least \
+                                 one is a plain copy — the final value depends on arrival \
+                                 order)"
+                            ),
+                            site: Site {
+                                task: Some(b),
+                                rank: Some(rank),
+                                chunk: Some(chunk),
+                                step: Some(tb.step.0),
+                                ..Site::default()
+                            },
+                            path,
+                        });
+                    }
                 }
             }
         }
@@ -230,40 +245,31 @@ pub fn ra003_sub_pipeline_loads(
     sub_pipelines: &[u32],
     out: &mut Vec<Diagnostic>,
 ) {
+    let dag = input.dag;
+    let mut loads = ConflictLoads::new(dag);
     for &sp_idx in sub_pipelines {
-        let sp = &input.schedule.sub_pipelines[sp_idx as usize];
-        let mut load: HashMap<u32, (u32, u32)> = HashMap::new(); // res -> (load, first offender)
-        for &t in sp {
-            for r in input.dag.task(t).conflict.iter() {
-                let e = load.entry(r.0).or_insert((0, t.0));
-                e.0 += 1;
-                e.1 = t.0; // remember the latest task to push it over
-            }
-        }
-        let mut entries: Vec<(u32, (u32, u32))> = load.into_iter().collect();
-        entries.sort_unstable();
-        for (res, (load, task)) in entries {
-            let limit = input
-                .dag
-                .conflict_limit(rescc_topology::ResourceId::new(res));
-            if load > limit {
-                out.push(Diagnostic {
-                    code: LintCode::RA003,
-                    severity: Severity::Error,
-                    message: format!(
-                        "over-subscription: sub-pipeline {sp_idx} drives resource \
-                         res{res} with {load} concurrent tasks, above its saturation \
-                         limit {limit} — the excess serializes into pipeline bubbles"
-                    ),
-                    site: Site {
-                        task: Some(task),
-                        resource: Some(res),
-                        sub_pipeline: Some(sp_idx),
-                        ..Site::default()
-                    },
-                    path: Vec::new(),
-                });
-            }
+        loads.count(dag, &input.schedule.sub_pipelines[sp_idx as usize]);
+        // Each oversubscribed resource, ascending, with the latest task to
+        // push it over.
+        for (d, load, task) in loads.over_limit(dag) {
+            let res = dag.resource_at(d).0;
+            let limit = dag.conflict_limit_at(d);
+            out.push(Diagnostic {
+                code: LintCode::RA003,
+                severity: Severity::Error,
+                message: format!(
+                    "over-subscription: sub-pipeline {sp_idx} drives resource \
+                     res{res} with {load} concurrent tasks, above its saturation \
+                     limit {limit} — the excess serializes into pipeline bubbles"
+                ),
+                site: Site {
+                    task: Some(task.0),
+                    resource: Some(res),
+                    sub_pipeline: Some(sp_idx),
+                    ..Site::default()
+                },
+                path: Vec::new(),
+            });
         }
     }
 }
@@ -431,7 +437,13 @@ pub fn ra006_lifetime_overlap(
     out: &mut Vec<Diagnostic>,
 ) {
     let n_tasks = input.dag.len();
+    let n_ranks = input.spec.n_ranks() as usize;
     let mut local: Vec<u32> = vec![u32::MAX; n_tasks];
+    let mut closure: Vec<u64> = Vec::new();
+    // Writers (by dst) and readers (by src) per rank, within one chunk.
+    let mut writers = KeyedRows::new(n_ranks);
+    let mut readers = KeyedRows::new(n_ranks);
+    let mut sorted: Vec<u32> = Vec::new();
     for chunk in 0..input.dag.n_chunks() {
         let chunk_tasks = input.dag.chunk_tasks(ChunkId::new(chunk));
         if chunk_tasks.len() < 2 {
@@ -448,7 +460,8 @@ pub fn ra006_lifetime_overlap(
         // order (impossible for chunk-internal data edges, which follow
         // ascending steps) are skipped, keeping every set bit a true
         // "reaches" fact.
-        let mut closure: Vec<u64> = vec![0u64; n * words];
+        closure.clear();
+        closure.resize(n * words, 0);
         for (li, &t) in chunk_tasks.iter().enumerate().rev() {
             for &s in input.dag.succs(t) {
                 let ls = local[s.index()];
@@ -473,26 +486,20 @@ pub fn ra006_lifetime_overlap(
             closure[la * words + lb / 64] >> (lb % 64) & 1 == 1
         };
 
-        // Writers (by dst) and readers (by src) per rank, within the chunk.
-        let mut writers: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut readers: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &t in chunk_tasks {
-            let task = input.dag.task(t);
-            writers.entry(task.dst.0).or_default().push(t.0);
-            readers.entry(task.src.0).or_default().push(t.0);
-        }
-        let mut ranks: Vec<u32> = writers.keys().copied().collect();
-        ranks.sort_unstable();
-        for rank in ranks {
-            let ws = &writers[&rank];
+        let dag = input.dag;
+        writers.fill(chunk_tasks.iter().map(|&t| (dag.task(t).dst.0, t.0)));
+        readers.fill(chunk_tasks.iter().map(|&t| (dag.task(t).src.0, t.0)));
+        for row in 0..writers.len() {
+            let (rank, ws) = (writers.key(row), writers.row(row));
             if ws.len() < 2 {
                 continue;
             }
-            let rs = match readers.get(&rank) {
-                Some(rs) => rs,
+            let rs = match readers.row_of(rank) {
+                Some(row) => readers.row(row),
                 None => continue,
             };
-            let mut sorted = ws.clone();
+            sorted.clear();
+            sorted.extend_from_slice(ws);
             sorted.sort_unstable_by_key(|&t| oracle.pos(t));
             for win in sorted.windows(2) {
                 let (w1, w2) = (win[0], win[1]);
@@ -676,21 +683,31 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
     // A resource delivers min(tb_bw, 1/β) to its first TB; when that is
     // zero the window's demand exceeds the link's capacity for every
     // window length — the bytes can never drain.
-    let mut window: HashMap<u32, (u32, u32)> = HashMap::new(); // res -> (tasks, first offender)
+    // Per resource: (tasks, first offender), reset where touched.
+    let mut window: Vec<(u32, u32)> = vec![(0, 0); n_res];
+    let mut touched: Vec<u32> = Vec::new();
     for (sp_idx, sp) in input.schedule.sub_pipelines.iter().enumerate() {
-        window.clear();
+        for &r in &touched {
+            window[r as usize] = (0, 0);
+        }
+        touched.clear();
         for &tid in sp {
             let task = input.dag.task(tid);
             for r in task.path.iter() {
                 let p = params_of(r.0, input);
                 if p.tb_bw_bytes_per_ns <= 0.0 || p.bandwidth() <= 0.0 {
-                    window.entry(r.0).or_insert((0, tid.0)).0 += 1;
+                    let w = &mut window[r.index()];
+                    if w.0 == 0 {
+                        *w = (0, tid.0);
+                        touched.push(r.0);
+                    }
+                    w.0 += 1;
                 }
             }
         }
-        let mut entries: Vec<(u32, (u32, u32))> = window.drain().collect();
-        entries.sort_unstable();
-        for (r, (n_tasks, task)) in entries {
+        touched.sort_unstable();
+        for &r in &touched {
+            let (n_tasks, task) = window[r as usize];
             out.push(Diagnostic {
                 code: LintCode::RA007,
                 severity: Severity::Error,

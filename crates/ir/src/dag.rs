@@ -21,41 +21,12 @@
 //! resource is assigned a **dense index** so the scheduler's hot loops can
 //! track per-resource load in plain vectors instead of hash maps.
 
+use crate::dense::Csr;
 use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
 use rescc_lang::provenance::step_groups;
 use rescc_lang::AlgoSpec;
-use rescc_topology::{
-    ChunkId, LinkParams, PathKind, Rank, ResourceId, Topology, MAX_PATH_RESOURCES,
-};
-use std::collections::HashMap;
-
-/// Compressed sparse rows of [`TaskId`]s: one flat item arena plus row
-/// offsets. Replaces `Vec<Vec<TaskId>>` adjacency so row reads are a
-/// bounds-check and a slice, with no per-row allocation or pointer chase.
-#[derive(Clone, Debug, PartialEq)]
-struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<TaskId>,
-}
-
-impl Csr {
-    fn from_rows(rows: &[Vec<TaskId>]) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let total: usize = rows.iter().map(Vec::len).sum();
-        let mut items = Vec::with_capacity(total);
-        offsets.push(0);
-        for row in rows {
-            items.extend_from_slice(row);
-            offsets.push(items.len() as u32);
-        }
-        Self { offsets, items }
-    }
-
-    fn row(&self, i: usize) -> &[TaskId] {
-        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
+use rescc_topology::{ChunkId, LinkParams, PathKind, ResourceId, Topology, MAX_PATH_RESOURCES};
 
 /// The conflict resources of one task as **dense indices** (positions in
 /// the DAG's sorted resource table), stored inline so the scheduler's
@@ -84,19 +55,19 @@ impl DenseResSet {
 pub struct DepDag {
     tasks: Vec<Task>,
     /// Data-dependency predecessors of each task (CSR).
-    preds: Csr,
+    preds: Csr<TaskId>,
     /// Data-dependency successors of each task (CSR).
-    succs: Csr,
+    succs: Csr<TaskId>,
     /// Tasks of each chunk, sorted by step (the per-chunk DAG `G[C]` of
     /// Algorithm 1), CSR over chunks.
-    by_chunk: Csr,
+    by_chunk: Csr<TaskId>,
     /// Every conflict resource any task occupies, ascending. A resource's
     /// position here is its **dense index**.
     resource_ids: Vec<ResourceId>,
     /// Per-task conflict sets as dense indices (parallel to `tasks`).
     conflict_dense: Vec<DenseResSet>,
     /// Tasks occupying each resource, CSR over dense indices.
-    by_resource: Csr,
+    by_resource: Csr<TaskId>,
     /// Concurrency limit of each conflict resource (indexed densely): how
     /// many tasks can drive it before a communication dependency (Eq. 1
     /// contention) arises — the resource's `saturation_tbs`.
@@ -144,34 +115,37 @@ impl DepDag {
 
         let n = tasks.len();
         let n_chunks = spec.n_chunks();
-        let mut by_chunk: Vec<Vec<TaskId>> = vec![Vec::new(); n_chunks as usize];
-        for t in &tasks {
-            by_chunk[t.chunk.index()].push(t.id);
-        }
-        for chunk_tasks in &mut by_chunk {
-            chunk_tasks.sort_by_key(|id| (tasks[id.index()].step, *id));
-        }
+        // Tasks of each chunk in (step, id) order: a counting sort by step
+        // (ids ascending within a step), then a stable one by chunk.
+        let n_steps = tasks
+            .iter()
+            .map(|t| t.step.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let by_step = Csr::from_pairs(n_steps, tasks.iter().map(|t| (t.step.0, t.id)));
+        let by_chunk = Csr::from_pairs(
+            n_chunks as usize,
+            by_step
+                .items()
+                .iter()
+                .map(|&id| (tasks[id.index()].chunk.0, id)),
+        );
 
-        // Data dependencies, per chunk: track the latest delivery into each
-        // rank's slot of this chunk, step by step. Both endpoints of every
-        // edge move the same chunk, so each chunk's edges are derived on
-        // their own and applied in ascending chunk order.
-        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for chunk_tasks in &by_chunk {
-            for (from, to) in edges_for_chunk(&tasks, chunk_tasks) {
-                add_edge(&mut preds, &mut succs, from, to);
-            }
-        }
+        // Data dependencies, per chunk in ascending chunk order. Every edge
+        // into a task is found while that task is visited, so `preds` rows
+        // and `succs` rows are the edges' arrival order.
+        let edges = data_edges(&tasks, &by_chunk, spec.n_ranks() as usize);
+        let preds = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (to.0, from)));
+        let succs = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (from.0, to)));
 
         let (resource_ids, conflict_dense, by_resource, conflict_limit, link_params) =
             index_resources(&tasks, topo)?;
 
         let dag = Self {
             tasks,
-            preds: Csr::from_rows(&preds),
-            succs: Csr::from_rows(&succs),
-            by_chunk: Csr::from_rows(&by_chunk),
+            preds,
+            succs,
+            by_chunk,
             resource_ids,
             conflict_dense,
             by_resource,
@@ -269,30 +243,26 @@ impl DepDag {
         // Surviving edges, remapped. New ids are monotone in original ids,
         // so filtered rows (including the (step, id)-sorted chunk chains)
         // keep their order.
-        let remap = |ids: &[TaskId]| -> Vec<TaskId> {
-            ids.iter()
-                .filter(|id| keep[id.index()])
-                .map(|id| TaskId::new(new_id[id.index()]))
-                .collect()
+        let new_id = &new_id;
+        let remap = |csr: &Csr<TaskId>, n_rows: usize, source_row: &dyn Fn(usize) -> usize| {
+            let pairs = (0..n_rows).flat_map(|row| {
+                csr.row(source_row(row))
+                    .iter()
+                    .filter(|id| keep[id.index()])
+                    .map(move |id| (row as u32, TaskId::new(new_id[id.index()])))
+            });
+            Csr::from_pairs(n_rows, pairs)
         };
-        let preds: Vec<Vec<TaskId>> = orig_ids
-            .iter()
-            .map(|oid| remap(self.preds.row(oid.index())))
-            .collect();
-        let succs: Vec<Vec<TaskId>> = orig_ids
-            .iter()
-            .map(|oid| remap(self.succs.row(oid.index())))
-            .collect();
-        let by_chunk: Vec<Vec<TaskId>> = (0..self.n_chunks as usize)
-            .map(|c| remap(self.by_chunk.row(c)))
-            .collect();
+        let preds = remap(&self.preds, orig_ids.len(), &|row| orig_ids[row].index());
+        let succs = remap(&self.succs, orig_ids.len(), &|row| orig_ids[row].index());
+        let by_chunk = remap(&self.by_chunk, self.n_chunks as usize, &|c| c);
         let (resource_ids, conflict_dense, by_resource, conflict_limit, link_params) =
             index_resources(&tasks, topo)?;
         let dag = Self {
             tasks,
-            preds: Csr::from_rows(&preds),
-            succs: Csr::from_rows(&succs),
-            by_chunk: Csr::from_rows(&by_chunk),
+            preds,
+            succs,
+            by_chunk,
             resource_ids,
             conflict_dense,
             by_resource,
@@ -479,34 +449,47 @@ fn index_resources(
 ) -> Result<(
     Vec<ResourceId>,
     Vec<DenseResSet>,
-    Csr,
+    Csr<TaskId>,
     Vec<u32>,
     Vec<LinkParams>,
 )> {
-    let mut resource_ids: Vec<ResourceId> = tasks
-        .iter()
-        .flat_map(|t| t.conflict.iter())
-        .collect::<Vec<_>>();
-    resource_ids.sort_unstable();
-    resource_ids.dedup();
-
-    let dense_of = |r: ResourceId| -> u32 {
-        resource_ids
-            .binary_search(&r)
-            .expect("resource collected above") as u32
-    };
-
-    let mut conflict_dense = Vec::with_capacity(tasks.len());
-    let mut rows: Vec<Vec<TaskId>> = vec![Vec::new(); resource_ids.len()];
+    // Dense index of every raw resource id a task occupies, `u32::MAX`
+    // for the rest; dense indices follow ascending raw ids.
+    let mut dense_of: Vec<u32> = Vec::new();
     for t in tasks {
-        let mut set = DenseResSet::default();
         for r in t.conflict.iter() {
-            let d = dense_of(r);
-            set.push(d);
-            rows[d as usize].push(t.id);
+            if r.index() >= dense_of.len() {
+                dense_of.resize(r.index() + 1, u32::MAX);
+            }
+            dense_of[r.index()] = 0;
         }
-        conflict_dense.push(set);
     }
+    let mut resource_ids = Vec::new();
+    for (raw, d) in dense_of.iter_mut().enumerate() {
+        if *d == 0 {
+            *d = resource_ids.len() as u32;
+            resource_ids.push(ResourceId::new(raw as u32));
+        }
+    }
+
+    let conflict_dense: Vec<DenseResSet> = tasks
+        .iter()
+        .map(|t| {
+            let mut set = DenseResSet::default();
+            for r in t.conflict.iter() {
+                set.push(dense_of[r.index()]);
+            }
+            set
+        })
+        .collect();
+    let by_resource = Csr::from_pairs(
+        resource_ids.len(),
+        conflict_dense.iter().enumerate().flat_map(|(i, set)| {
+            set.as_slice()
+                .iter()
+                .map(move |&d| (d, TaskId::new(i as u32)))
+        }),
+    );
 
     let mut conflict_limit = Vec::with_capacity(resource_ids.len());
     let mut link_params = Vec::with_capacity(resource_ids.len());
@@ -520,57 +503,69 @@ fn index_resources(
     Ok((
         resource_ids,
         conflict_dense,
-        Csr::from_rows(&rows),
+        by_resource,
         conflict_limit,
         link_params,
     ))
 }
 
-fn add_edge(preds: &mut [Vec<TaskId>], succs: &mut [Vec<TaskId>], from: TaskId, to: TaskId) {
-    debug_assert_ne!(from, to);
-    if !preds[to.index()].contains(&from) {
-        preds[to.index()].push(from);
-        succs[from.index()].push(to);
-    }
-}
-
-/// RAW/WAW edges of one chunk's task chain, in discovery order.
+/// The RAW/WAW edges of every chunk, chunk by chunk in ascending order and,
+/// within a chunk, in task order; each edge is `(from, to)`.
 ///
-/// `last_write[rank]` holds all tasks of the most recent writing step that
-/// delivered this chunk into `rank`. Several same-step reductions may write
-/// one slot (commutative), and later readers must wait for every one of
-/// them. Steps are processed as groups: deliveries of the current step must
-/// not appear as predecessors of same-step reads (the DSL's total order is
-/// strict between steps only).
-fn edges_for_chunk(tasks: &[Task], chunk_tasks: &[TaskId]) -> Vec<(TaskId, TaskId)> {
+/// Per chunk, the latest writers of each rank's slot are tracked step by
+/// step. Several same-step reductions may write one slot (commutative),
+/// and later readers must wait for every one of them. Steps are processed
+/// as groups: deliveries of the current step must not appear as
+/// predecessors of same-step reads (the DSL's total order is strict
+/// between steps only).
+///
+/// The writers live in tables indexed by rank and by task, shared by every
+/// chunk: rank `r`'s latest writers are the list `head[r]`, `next[head[r]]`,
+/// … in delivery order, valid while `stamp[r]` names a step group of the
+/// current chunk.
+fn data_edges(tasks: &[Task], by_chunk: &Csr<TaskId>, n_ranks: usize) -> Vec<(TaskId, TaskId)> {
+    const NONE: u32 = u32::MAX;
+    let mut head = vec![NONE; n_ranks];
+    let mut tail = vec![NONE; n_ranks];
+    let mut stamp = vec![0u32; n_ranks];
+    let mut next = vec![NONE; tasks.len()];
+    let mut group_id = 0u32;
     let mut edges = Vec::new();
-    let mut last_write: HashMap<Rank, Vec<TaskId>> = HashMap::new();
-    for group in step_groups(chunk_tasks, |t| tasks[t.index()].step) {
-        // Reads (the send side) and overwrites both depend on every latest
-        // earlier-step write.
-        for &tid in group {
-            let t = tasks[tid.index()];
-            if let Some(ws) = last_write.get(&t.src) {
-                for &w in ws {
-                    edges.push((w, tid));
-                }
-            }
-            if let Some(ws) = last_write.get(&t.dst) {
-                for &w in ws {
-                    if w != tid {
-                        edges.push((w, tid));
+    for c in 0..by_chunk.n_rows() {
+        let chunk_first_group = group_id + 1;
+        for group in step_groups(by_chunk.row(c), |t| tasks[t.index()].step) {
+            group_id += 1;
+            // Reads (the send side) and overwrites both depend on every
+            // latest earlier-step write.
+            for &tid in group {
+                let t = tasks[tid.index()];
+                let row_start = edges.len();
+                for rank in [t.src.index(), t.dst.index()] {
+                    if stamp[rank] < chunk_first_group {
+                        continue;
+                    }
+                    let mut w = head[rank];
+                    while w != NONE {
+                        let edge = (TaskId::new(w), tid);
+                        if w != tid.0 && !edges[row_start..].contains(&edge) {
+                            edges.push(edge);
+                        }
+                        w = next[w as usize];
                     }
                 }
             }
-        }
-        // Commit this step's writes, replacing any older step's.
-        let mut fresh: HashMap<Rank, Vec<TaskId>> = HashMap::new();
-        for &tid in group {
-            let t = tasks[tid.index()];
-            fresh.entry(t.dst).or_default().push(tid);
-        }
-        for (rank, writers) in fresh {
-            last_write.insert(rank, writers);
+            // Commit this step's writes, replacing any older step's.
+            for &tid in group {
+                let rank = tasks[tid.index()].dst.index();
+                if stamp[rank] == group_id {
+                    next[tail[rank] as usize] = tid.0;
+                } else {
+                    stamp[rank] = group_id;
+                    head[rank] = tid.0;
+                }
+                tail[rank] = tid.0;
+                next[tid.index()] = NONE;
+            }
         }
     }
     edges
@@ -580,6 +575,7 @@ fn edges_for_chunk(tasks: &[Task], chunk_tasks: &[TaskId]) -> Vec<(TaskId, TaskI
 mod tests {
     use super::*;
     use rescc_lang::{AlgoBuilder, OpType};
+    use rescc_topology::Rank;
 
     fn ring_ag(n: u32) -> AlgoSpec {
         let mut b = AlgoBuilder::new("Ring", OpType::AllGather, n);

@@ -26,13 +26,17 @@
 #![warn(missing_docs)]
 
 mod dag;
+mod dense;
 mod error;
+mod loads;
 mod metrics;
 mod microbatch;
 mod task;
 
-pub use dag::DepDag;
+pub use dag::{DenseResSet, DepDag};
+pub use dense::{Csr, KeyedRows};
 pub use error::{IrError, Result};
+pub use loads::ConflictLoads;
 pub use metrics::{bottleneck_resource_ns, critical_path_ns, lower_bound_ns, max_step_width};
 pub use microbatch::MicroBatchPlan;
 pub use task::{Task, TaskId};

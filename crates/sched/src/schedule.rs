@@ -16,8 +16,7 @@
 //! task's data-dependency predecessors always appear in the same or an
 //! earlier sub-pipeline.
 
-use rescc_ir::{DepDag, IrError, TaskId};
-use std::collections::HashMap;
+use rescc_ir::{ConflictLoads, DepDag, IrError, TaskId};
 
 /// A scheduled execution pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,8 +63,9 @@ impl Schedule {
         self.validate_order(dag)?;
         // Rule 3: no intra-sub-pipeline oversubscription — a conflict
         // resource may carry at most `saturation_tbs` concurrent tasks.
+        let mut loads = ConflictLoads::new(dag);
         for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            check_sub_pipeline_loads(dag, i, sp)?;
+            check_sub_pipeline_loads(dag, &mut loads, i, sp)?;
         }
         Ok(())
     }
@@ -114,35 +114,41 @@ impl Schedule {
             is_dirty[t.index()] = true;
         }
         let mut touched = Vec::new();
+        let mut loads = ConflictLoads::new(dag);
         for (i, sp) in self.sub_pipelines.iter().enumerate() {
             if !sp.iter().any(|t| is_dirty[t.index()]) {
                 continue;
             }
             touched.push(i as u32);
-            check_sub_pipeline_loads(dag, i, sp)?;
+            check_sub_pipeline_loads(dag, &mut loads, i, sp)?;
         }
         Ok(touched)
     }
 }
 
 /// Rule 3 of [`Schedule::validate`] for one sub-pipeline: no conflict
-/// resource may carry more concurrent tasks than its saturation limit.
-fn check_sub_pipeline_loads(dag: &DepDag, i: usize, sp: &[TaskId]) -> Result<(), IrError> {
-    let mut load: HashMap<_, u32> = HashMap::new();
-    for &t in sp {
-        for r in dag.task(t).conflict.iter() {
-            let l = load.entry(r).or_insert(0);
-            *l += 1;
-            if *l > dag.conflict_limit(r) {
-                return Err(IrError::new(format!(
-                    "sub-pipeline {i}: task {t} oversubscribes resource {r} \
-                     (load {l} > saturation {})",
-                    dag.conflict_limit(r)
-                )));
-            }
+/// resource may carry more concurrent tasks than its saturation limit. The
+/// error names the first task, in sub-pipeline order, that pushes a load
+/// over its limit.
+fn check_sub_pipeline_loads(
+    dag: &DepDag,
+    loads: &mut ConflictLoads,
+    i: usize,
+    sp: &[TaskId],
+) -> Result<(), IrError> {
+    loads.count(dag, sp);
+    match loads.first_over() {
+        None => Ok(()),
+        Some((t, d)) => {
+            let limit = dag.conflict_limit_at(d);
+            Err(IrError::new(format!(
+                "sub-pipeline {i}: task {t} oversubscribes resource {} \
+                 (load {} > saturation {limit})",
+                dag.resource_at(d),
+                limit + 1
+            )))
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

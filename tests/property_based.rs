@@ -6,7 +6,9 @@
 //! * allocations cover every task side exactly once per micro-batch slice,
 //! * randomly generated broadcast-tree AllGathers and reduction-tree
 //!   collectives are executed correctly by the full pipeline,
-//! * pretty-printed DSL reparses to the same AST.
+//! * pretty-printed DSL reparses to the same AST,
+//! * the DAG's dense edge derivation reproduces the hash-map derivation it
+//!   replaced, row for row.
 
 use proptest::prelude::*;
 use rescc::algos::{compose_allreduce, reverse_allgather, seed_suite};
@@ -17,7 +19,8 @@ use rescc::lang::provenance::required;
 use rescc::lang::verify_collective;
 use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, CommType, OpType, TransferRec};
 use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference};
-use rescc::topology::{Step, Topology};
+use rescc::topology::{ChunkId, Rank, Step, Topology};
+use std::collections::HashMap;
 
 const MB: u64 = 1 << 20;
 
@@ -45,6 +48,113 @@ fn random_allgather(n: u32, seed: &[u32]) -> AlgoSpec {
         }
     }
     b.build().expect("random broadcast trees are well-formed")
+}
+
+/// `preds`, `succs` and per-chunk task rows as the hash-map derivation
+/// `DepDag::build` used before its dense tables derived them: per chunk, a
+/// `HashMap<Rank, Vec<TaskId>>` of each rank's latest writers, one fresh
+/// map per step, edges pushed into per-task `Vec` rows unless already
+/// present.
+#[allow(clippy::type_complexity)]
+fn hashmap_dag_rows(spec: &AlgoSpec) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let ts = spec.transfers();
+    let mut by_chunk: Vec<Vec<u32>> = vec![Vec::new(); spec.n_chunks() as usize];
+    for (i, t) in ts.iter().enumerate() {
+        by_chunk[t.chunk.index()].push(i as u32);
+    }
+    for row in &mut by_chunk {
+        row.sort_by_key(|&i| (ts[i as usize].step, i));
+    }
+    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); ts.len()];
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); ts.len()];
+    let mut add_edge = |from: u32, to: u32| {
+        if !preds[to as usize].contains(&from) {
+            preds[to as usize].push(from);
+            succs[from as usize].push(to);
+        }
+    };
+    for row in &by_chunk {
+        let mut last_write: HashMap<Rank, Vec<u32>> = HashMap::new();
+        for group in row.chunk_by(|&a, &b| ts[a as usize].step == ts[b as usize].step) {
+            for &tid in group {
+                let t = ts[tid as usize];
+                for &w in last_write.get(&t.src).into_iter().flatten() {
+                    add_edge(w, tid);
+                }
+                for &w in last_write.get(&t.dst).into_iter().flatten() {
+                    if w != tid {
+                        add_edge(w, tid);
+                    }
+                }
+            }
+            let mut fresh: HashMap<Rank, Vec<u32>> = HashMap::new();
+            for &tid in group {
+                fresh.entry(ts[tid as usize].dst).or_default().push(tid);
+            }
+            last_write.extend(fresh);
+        }
+    }
+    (preds, succs, by_chunk)
+}
+
+/// Assert that `dag`'s rows equal the hash-map derivation's for `spec`.
+fn assert_dag_matches_hashmap_rows(spec: &AlgoSpec, dag: &DepDag, at: &str) {
+    let (preds, succs, by_chunk) = hashmap_dag_rows(spec);
+    let ids = |row: &[rescc::ir::TaskId]| row.iter().map(|t| t.0).collect::<Vec<u32>>();
+    for t in dag.tasks() {
+        assert_eq!(
+            ids(dag.preds(t.id)),
+            preds[t.id.index()],
+            "preds of {}: {at}",
+            t.id
+        );
+        assert_eq!(
+            ids(dag.succs(t.id)),
+            succs[t.id.index()],
+            "succs of {}: {at}",
+            t.id
+        );
+    }
+    for (c, row) in by_chunk.iter().enumerate() {
+        let chunk = ChunkId::new(c as u32);
+        assert_eq!(&ids(dag.chunk_tasks(chunk)), row, "chunk {c}: {at}");
+    }
+}
+
+#[test]
+fn dag_edges_match_hashmap_derivation_on_seed_suite() {
+    for i in 1..=4 {
+        let topo = Topology::table3_topo(i).unwrap();
+        let shape = topo.spec();
+        for spec in seed_suite(shape.n_nodes, shape.gpus_per_node) {
+            let dag = DepDag::build(&spec, &topo).unwrap();
+            assert_dag_matches_hashmap_rows(&spec, &dag, &format!("{} on Topo{i}", spec.name()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn dag_edges_match_hashmap_derivation_on_random_allgathers(
+        shape_idx in 0usize..4,
+        seed in prop::collection::vec(0u32..1000, 8..32),
+        form in 0usize..3,
+    ) {
+        // The AllGather, its reversal (a ReduceScatter, whose reductions
+        // give a slot several same-step writers) and their composition.
+        let (nodes, g) = [(1u32, 4u32), (2, 2), (2, 4), (4, 2)][shape_idx];
+        let topo = Topology::a100(nodes, g);
+        let ag = random_allgather(nodes * g, &seed);
+        let spec = match form {
+            0 => ag,
+            1 => reverse_allgather(&ag),
+            _ => compose_allreduce("random-ar", &reverse_allgather(&ag), &ag),
+        };
+        let dag = DepDag::build(&spec, &topo).unwrap();
+        assert_dag_matches_hashmap_rows(&spec, &dag, spec.name());
+    }
 }
 
 proptest! {
