@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rescc_ir::{Csr, DepDag, IrError, KeyedRows, TaskId};
+use rescc_ir::{Csr, DepDag, IrError, TaskId};
 use rescc_sched::Schedule;
 
 /// Which side of a transfer a primitive implements.
@@ -141,12 +141,12 @@ impl TbAllocation {
         let slots = collect_slots(dag, schedule);
 
         let mut per_rank: Vec<RankTbPlan> = vec![RankTbPlan::default(); n_ranks];
-        let mut endpoints = KeyedRows::new(2 * n_ranks);
+        let mut endpoints = Csr::new();
         for (rank, plan) in per_rank.iter_mut().enumerate() {
             // Group by endpoint in endpoint order, preserving sub-pipeline
             // order within an endpoint.
-            endpoints.fill(slots[rank].iter().map(|s| (s.endpoint, *s)));
-            for ep in 0..endpoints.len() {
+            endpoints.refill(2 * n_ranks, slots[rank].iter().map(|s| (s.endpoint, *s)));
+            for ep in (0..2 * n_ranks).filter(|&ep| !endpoints.row(ep).is_empty()) {
                 // One TB per channel; every channel TB carries the whole
                 // slot list but only its micro-batch slice.
                 for c in 0..n_channels {
@@ -382,17 +382,18 @@ fn chain_feed(dag: &DepDag, b: TaskId) -> ChainFeed {
 }
 
 /// Scratch tables for lowering one rank at a time, indexed by endpoint key
-/// (`2 · n_ranks` wide) or by the rank's endpoint rows, reused across ranks.
+/// (`2 · n_ranks` wide) and reused across ranks. An entry is set before it
+/// is read whenever the rank has slots on that endpoint.
 struct Endpoints {
-    /// The rank's slots grouped by endpoint, endpoints ascending.
-    rows: KeyedRows<RankSlot>,
-    /// Active interval of each row: `[min_sp, max_sp]` of its slots, and of
-    /// the rows folded into it.
+    /// The rank's slots grouped by endpoint key.
+    rows: Csr<RankSlot>,
+    /// Active interval of each endpoint: `[min_sp, max_sp]` of its slots,
+    /// and of the endpoints folded into it.
     span: Vec<(usize, usize)>,
-    /// Whether each row was folded into its feeder's row.
+    /// Whether each endpoint was folded into its feeder's.
     folded: Vec<bool>,
-    /// The rows folded into a row, as a list: `next[row]` follows `row`,
-    /// `last[row]` ends the list that starts at `row`.
+    /// The endpoints folded into an endpoint, as a list: `next[ep]` follows
+    /// `ep`, `last[ep]` ends the list that starts at `ep`.
     next: Vec<u32>,
     last: Vec<u32>,
 }
@@ -400,11 +401,11 @@ struct Endpoints {
 impl Endpoints {
     fn new(n_keys: usize) -> Self {
         Self {
-            rows: KeyedRows::new(n_keys),
-            span: Vec::new(),
-            folded: Vec::new(),
-            next: Vec::new(),
-            last: Vec::new(),
+            rows: Csr::new(),
+            span: vec![(0, 0); n_keys],
+            folded: vec![false; n_keys],
+            next: vec![0; n_keys],
+            last: vec![0; n_keys],
         }
     }
 
@@ -419,29 +420,26 @@ impl Endpoints {
         rank_slots: &[RankSlot],
     ) -> Vec<TbPlan> {
         const NONE: u32 = u32::MAX;
-        self.rows.fill(rank_slots.iter().map(|s| (s.endpoint, *s)));
-        let n_rows = self.rows.len();
-        self.span.clear();
-        self.span.extend((0..n_rows).map(|i| {
-            let sps = self.rows.row(i).iter().map(|s| s.sub_pipeline as usize);
-            (sps.clone().min().unwrap_or(0), sps.max().unwrap_or(0))
-        }));
-        self.folded.clear();
-        self.folded.resize(n_rows, false);
-        self.next.clear();
-        self.next.resize(n_rows, NONE);
-        self.last.clear();
-        self.last.extend(0..n_rows as u32);
+        let n_keys = self.span.len();
+        self.rows
+            .refill(n_keys, rank_slots.iter().map(|s| (s.endpoint, *s)));
+        let present: Vec<usize> = (0..n_keys)
+            .filter(|&ep| !self.rows.row(ep).is_empty())
+            .collect();
+        for &ep in &present {
+            let sps = self.rows.row(ep).iter().map(|s| s.sub_pipeline as usize);
+            self.span[ep] = (sps.clone().min().unwrap_or(0), sps.max().unwrap_or(0));
+            self.folded[ep] = false;
+            self.next[ep] = NONE;
+            self.last[ep] = ep as u32;
+        }
 
         // Chain merging: fold a send endpoint into the receive endpoint
         // that feeds all of its tasks (same chunk, this rank in the
         // middle of the chain). Folded endpoints are remembered so the
         // final sort can key their forwards right behind their feeders.
         if chain_merge {
-            for ep in 0..n_rows {
-                if !sends(self.rows.key(ep)) {
-                    continue;
-                }
+            for &ep in present.iter().filter(|&&ep| sends(ep as u32)) {
                 // The single feeding recv endpoint, if one exists.
                 // Chain heads (a rank sending its own data, no feeder)
                 // are allowed; a task fed by several deliveries is not
@@ -467,7 +465,10 @@ impl Endpoints {
                 if !ok {
                     continue;
                 }
-                if let Some(f) = feeder.and_then(|key| self.rows.row_of(key)) {
+                let Some(f) = feeder.map(|key| key as usize) else {
+                    continue;
+                };
+                if !self.rows.row(f).is_empty() {
                     let (s, e) = self.span[ep];
                     let fe = &mut self.span[f];
                     fe.0 = fe.0.min(s);
@@ -482,9 +483,10 @@ impl Endpoints {
         // Greedy interval partitioning: sort by start, place each
         // endpoint on the first TB whose last interval ended before
         // this one starts.
-        let mut items: Vec<(usize, usize, usize)> = (0..n_rows)
-            .filter(|&ep| !self.folded[ep])
-            .map(|ep| (self.span[ep].0, self.span[ep].1, ep))
+        let mut items: Vec<(usize, usize, usize)> = present
+            .iter()
+            .filter(|&&ep| !self.folded[ep])
+            .map(|&ep| (self.span[ep].0, self.span[ep].1, ep))
             .collect();
         items.sort_unstable();
         // tb_end[i] = last sub-pipeline index currently occupied on TB i

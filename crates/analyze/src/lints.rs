@@ -9,7 +9,7 @@ use crate::diag::{CostCertificate, Diagnostic, LintCode, Severity, Site};
 use crate::graph::CombinedOrder;
 use crate::oracle::HbOracle;
 use crate::{AnalysisConfig, AnalysisInput, ResidualContext};
-use rescc_ir::{ConflictLoads, Csr, DepDag, KeyedRows, Task, TaskId};
+use rescc_ir::{ConflictLoads, Csr, DepDag, Task, TaskId};
 use rescc_lang::provenance::{required, step_groups, Move, Provenance, Slots};
 use rescc_lang::CommType;
 use rescc_topology::{ChunkId, LinkParams};
@@ -123,20 +123,22 @@ pub fn ra002_buffer_race(
         input.spec.n_ranks() as usize,
         dag.tasks().iter().map(|t| (t.dst.0, t.id.0)),
     );
-    let mut writers = KeyedRows::new(dag.n_chunks() as usize);
+    let n_chunks = dag.n_chunks();
+    let mut writers = Csr::new();
     let mut sorted: Vec<u32> = Vec::new();
     let mut gaps: Vec<u32> = Vec::new();
     // Index in `sorted` of each writer of the current slot.
     let mut sorted_at: Vec<u32> = vec![0; dag.len()];
     for rank in 0..by_dst.n_rows() as u32 {
-        writers.fill(
+        writers.refill(
+            n_chunks as usize,
             by_dst
                 .row(rank as usize)
                 .iter()
                 .map(|&t| (dag.task(TaskId::new(t)).chunk.0, t)),
         );
-        for slot in 0..writers.len() {
-            let (chunk, group) = (writers.key(slot), writers.row(slot));
+        for chunk in 0..n_chunks {
+            let group = writers.row(chunk as usize);
             if group.len() < 2 {
                 continue;
             }
@@ -441,8 +443,10 @@ pub fn ra006_lifetime_overlap(
     let mut local: Vec<u32> = vec![u32::MAX; n_tasks];
     let mut closure: Vec<u64> = Vec::new();
     // Writers (by dst) and readers (by src) per rank, within one chunk.
-    let mut writers = KeyedRows::new(n_ranks);
-    let mut readers = KeyedRows::new(n_ranks);
+    let mut writers = Csr::new();
+    let mut readers = Csr::new();
+    // `(src, dst, task)` of each task of the chunk.
+    let mut ends: Vec<(u32, u32, u32)> = Vec::new();
     let mut sorted: Vec<u32> = Vec::new();
     for chunk in 0..input.dag.n_chunks() {
         let chunk_tasks = input.dag.chunk_tasks(ChunkId::new(chunk));
@@ -486,18 +490,18 @@ pub fn ra006_lifetime_overlap(
             closure[la * words + lb / 64] >> (lb % 64) & 1 == 1
         };
 
-        let dag = input.dag;
-        writers.fill(chunk_tasks.iter().map(|&t| (dag.task(t).dst.0, t.0)));
-        readers.fill(chunk_tasks.iter().map(|&t| (dag.task(t).src.0, t.0)));
-        for row in 0..writers.len() {
-            let (rank, ws) = (writers.key(row), writers.row(row));
-            if ws.len() < 2 {
+        ends.clear();
+        ends.extend(chunk_tasks.iter().map(|&t| {
+            let task = input.dag.task(t);
+            (task.src.0, task.dst.0, t.0)
+        }));
+        writers.refill(n_ranks, ends.iter().map(|&(_, dst, t)| (dst, t)));
+        readers.refill(n_ranks, ends.iter().map(|&(src, _, t)| (src, t)));
+        for rank in 0..n_ranks as u32 {
+            let (ws, rs) = (writers.row(rank as usize), readers.row(rank as usize));
+            if ws.len() < 2 || rs.is_empty() {
                 continue;
             }
-            let rs = match readers.row_of(rank) {
-                Some(row) => readers.row(row),
-                None => continue,
-            };
             sorted.clear();
             sorted.extend_from_slice(ws);
             sorted.sort_unstable_by_key(|&t| oracle.pos(t));
@@ -606,34 +610,36 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
 
     // Per-task startup α: the engine charges the max α over the task's
     // conflict resources, and zero for fused forwards.
-    let alpha_of = |t: u32| -> f64 {
-        if fused[t as usize] {
-            return 0.0;
-        }
-        let mut a = 0.0f64;
-        for &d in input
-            .dag
-            .conflict_dense(rescc_ir::TaskId::new(t))
-            .as_slice()
-        {
-            a = a.max(input.dag.resource_params_at(d).alpha_ns);
-        }
-        a
-    };
+    let alpha: Vec<f64> = input
+        .dag
+        .tasks()
+        .iter()
+        .map(|t| {
+            if fused[t.id.index()] {
+                return 0.0;
+            }
+            let mut a = 0.0f64;
+            for &d in input.dag.conflict_dense(t.id).as_slice() {
+                a = a.max(input.dag.resource_params_at(d).alpha_ns);
+            }
+            a
+        })
+        .collect();
 
-    // Longest α-chain over the data DAG (acyclic by construction; fall
-    // back to zero defensively if not).
+    // Longest α-chain over the data DAG. Every data edge joins two tasks
+    // of one chunk at increasing steps, so the chunks' (step, id) lists,
+    // one after another, are a topological order.
     let mut alpha_chain_ns = 0.0f64;
-    if let Ok(topo_order) = input.dag.topo_order() {
-        let mut es = vec![0.0f64; n];
-        for &tid in &topo_order {
+    let mut es = vec![0.0f64; n];
+    for chunk in 0..input.dag.n_chunks() {
+        for &tid in input.dag.chunk_tasks(ChunkId::new(chunk)) {
             let t = tid.0;
-            let a_t = alpha_of(t);
+            let a_t = alpha[t as usize];
             for &p in input.dag.preds(tid) {
                 let w = if feeder[t as usize] == p.0 {
                     0.0 // fused follower starts when its feeder starts
                 } else {
-                    alpha_of(p.0)
+                    alpha[p.index()]
                 };
                 es[t as usize] = es[t as usize].max(es[p.index()] + w);
             }
@@ -644,18 +650,6 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
     // Route-resource occupancy (raw ids; `path` includes capacity
     // resources the dense conflict index never sees).
     let n_res = input.topo.n_resources() as usize;
-    let mut params_cache: Vec<Option<LinkParams>> = vec![None; n_res];
-    let mut params_of = |r: u32, input: &AnalysisInput| -> LinkParams {
-        if let Some(p) = params_cache[r as usize] {
-            return p;
-        }
-        let p = input
-            .topo
-            .resource_params(rescc_topology::ResourceId::new(r))
-            .expect("task routed over a resource of this topology");
-        params_cache[r as usize] = Some(p);
-        p
-    };
     let mut route_tasks: Vec<u32> = vec![0; n_res];
     for t in input.dag.tasks() {
         for r in t.path.iter() {
@@ -667,11 +661,17 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
     // while the infeasibility itself is RA007's error below.
     let mut bottleneck = (0u32, 0u32, 0.0f64); // (resource, tasks, beta)
     let mut best_floor = -1.0f64;
+    // Routed resources that deliver nothing to their first TB.
+    let mut zero_rate: Vec<bool> = vec![false; n_res];
     for (r, &count) in route_tasks.iter().enumerate() {
         if count == 0 {
             continue;
         }
-        let p = params_of(r as u32, input);
+        let p: LinkParams = input
+            .topo
+            .resource_params(rescc_topology::ResourceId::new(r as u32))
+            .expect("task routed over a resource of this topology");
+        zero_rate[r] = p.tb_bw_bytes_per_ns <= 0.0 || p.bandwidth() <= 0.0;
         let floor = count as f64 * p.beta_ns_per_byte;
         if floor.is_finite() && floor > best_floor {
             best_floor = floor;
@@ -686,7 +686,12 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
     // Per resource: (tasks, first offender), reset where touched.
     let mut window: Vec<(u32, u32)> = vec![(0, 0); n_res];
     let mut touched: Vec<u32> = Vec::new();
-    for (sp_idx, sp) in input.schedule.sub_pipelines.iter().enumerate() {
+    let windows = if zero_rate.contains(&true) {
+        &input.schedule.sub_pipelines[..]
+    } else {
+        &[]
+    };
+    for (sp_idx, sp) in windows.iter().enumerate() {
         for &r in &touched {
             window[r as usize] = (0, 0);
         }
@@ -694,8 +699,7 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
         for &tid in sp {
             let task = input.dag.task(tid);
             for r in task.path.iter() {
-                let p = params_of(r.0, input);
-                if p.tb_bw_bytes_per_ns <= 0.0 || p.bandwidth() <= 0.0 {
+                if zero_rate[r.index()] {
                     let w = &mut window[r.index()];
                     if w.0 == 0 {
                         *w = (0, tid.0);

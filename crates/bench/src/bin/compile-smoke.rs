@@ -3,7 +3,7 @@
 //! Fails (nonzero exit) if either regression guard trips:
 //!
 //! 1. the flat CSR scheduler must beat the reference (pre-rearchitecture)
-//!    scheduler (`parallel_speedup > 1.0`) while staying byte-identical;
+//!    scheduler (`flat_sched_speedup > 1.0`) while staying byte-identical;
 //! 2. a delta recompile after a single masked NVLink channel must take the
 //!    splice path and beat a full recompile, and an unchanged-mask delta
 //!    must return the cached plan byte-for-byte.
@@ -38,17 +38,17 @@ fn main() {
         best_flat = best_flat.min(t0.elapsed().as_secs_f64());
         identical &= reference == flat;
     }
-    let parallel_speedup = best_ref / best_flat;
+    let flat_sched_speedup = best_ref / best_flat;
     println!(
         "scheduler: reference {:.2}ms, flat {:.2}ms, \
-         parallel_speedup {parallel_speedup:.2}x, byte-identical {identical}",
+         flat_sched_speedup {flat_sched_speedup:.2}x, byte-identical {identical}",
         best_ref * 1e3,
         best_flat * 1e3,
     );
-    if parallel_speedup <= 1.0 {
+    if flat_sched_speedup <= 1.0 {
         failures.push(format!(
             "flat scheduler is not faster than the reference \
-             (parallel_speedup {parallel_speedup:.3} <= 1.0)"
+             (flat_sched_speedup {flat_sched_speedup:.3} <= 1.0)"
         ));
     }
     if !identical {

@@ -568,11 +568,11 @@ impl PlanCache {
                 }
                 impl Drop for Unpark<'_> {
                     fn drop(&mut self) {
-                        self.slot.fill(self.result.take().unwrap_or_else(|| {
-                            Err(rescc_sim::SimError::new(
-                                "plan cache: in-flight compile panicked",
-                            ))
-                        }));
+                        self.slot.fill(
+                            self.result
+                                .take()
+                                .unwrap_or(Err(rescc_sim::SimError::CompilePanicked)),
+                        );
                         self.shard
                             .inflight
                             .lock()

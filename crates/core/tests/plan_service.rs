@@ -125,6 +125,37 @@ fn racing_cold_dispatches_coalesce_to_one_compile() {
     assert!(journal.iter().all(|e| e.fingerprint == key));
 }
 
+/// A compile that panics releases the dispatches waiting on it with the
+/// typed `SimError::CompilePanicked`, and the next dispatch compiles
+/// afresh.
+#[test]
+fn panicked_compile_releases_waiters_with_a_typed_error() {
+    let compiler = Compiler::new();
+    let c = config(0);
+    let key = plan_fingerprint(&compiler, &c.spec, &c.topo, &c.mb);
+    let cache = PlanCache::new();
+    let (started_tx, started_rx) = mpsc::channel();
+    thread::scope(|s| {
+        let leader = s.spawn(|| {
+            cache.get_or_compile_keyed(key, || {
+                started_tx.send(()).expect("test thread alive");
+                // Long enough for the waiter below to join the flight.
+                thread::sleep(Duration::from_millis(500));
+                panic!("compile blew up");
+            })
+        });
+        started_rx.recv().expect("leader started");
+        let err = cache
+            .get_or_compile_keyed(key, || compiler.compile_spec(&c.spec, &c.topo))
+            .expect_err("a waiter on a panicked compile gets an error");
+        assert_eq!(err, SimError::CompilePanicked);
+        assert!(leader.join().is_err(), "the leader's panic propagates");
+    });
+    cache
+        .get_or_compile_keyed(key, || compiler.compile_spec(&c.spec, &c.topo))
+        .expect("the next dispatch leads a fresh compile");
+}
+
 /// A failed compile is propagated to the caller and cached nowhere, so
 /// the next dispatch retries (and can succeed).
 #[test]

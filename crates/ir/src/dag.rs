@@ -453,20 +453,21 @@ fn index_resources(
     Vec<u32>,
     Vec<LinkParams>,
 )> {
-    // Dense index of every raw resource id a task occupies, `u32::MAX`
-    // for the rest; dense indices follow ascending raw ids.
+    // Dense index of every raw resource id a task occupies, numbered in
+    // ascending raw id; `UNUSED` for the rest.
+    const UNUSED: u32 = u32::MAX;
     let mut dense_of: Vec<u32> = Vec::new();
     for t in tasks {
         for r in t.conflict.iter() {
             if r.index() >= dense_of.len() {
-                dense_of.resize(r.index() + 1, u32::MAX);
+                dense_of.resize(r.index() + 1, UNUSED);
             }
             dense_of[r.index()] = 0;
         }
     }
     let mut resource_ids = Vec::new();
     for (raw, d) in dense_of.iter_mut().enumerate() {
-        if *d == 0 {
+        if *d != UNUSED {
             *d = resource_ids.len() as u32;
             resource_ids.push(ResourceId::new(raw as u32));
         }

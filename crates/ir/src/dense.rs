@@ -5,8 +5,10 @@
 //! `(row, item)` pairs, count the items of each row, turn the counts into
 //! offsets, and place each item at its row's cursor. That counting sort
 //! keeps arrival order inside a row, costs two passes over the pairs, and
-//! allocates one offset table and one item arena instead of one `Vec` per
-//! row or one hash map per group.
+//! uses one offset table and one item arena instead of one `Vec` per row or
+//! one hash map per group. A pass that groups many small subsets (each
+//! chunk's writers by rank, each rank's slots by endpoint) refills one
+//! table over the whole key space.
 
 /// Compressed sparse rows: one flat item arena plus row offsets, so a row
 /// read is a bounds check and a slice, with no per-row allocation.
@@ -17,6 +19,14 @@ pub struct Csr<T> {
 }
 
 impl<T: Copy> Csr<T> {
+    /// A table with no rows, to be [refilled](Self::refill).
+    pub fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            items: Vec::new(),
+        }
+    }
+
     /// Group `(row, item)` pairs into `n_rows` rows by a counting sort. Items
     /// of one row keep the order in which `pairs` yields them. `pairs` is
     /// walked twice (once to count, once to place).
@@ -24,25 +34,40 @@ impl<T: Copy> Csr<T> {
     where
         I: Iterator<Item = (u32, T)> + Clone,
     {
-        let mut offsets = vec![0u32; n_rows + 1];
+        let mut csr = Self::new();
+        csr.refill(n_rows, pairs);
+        csr
+    }
+
+    /// [`Self::from_pairs`] into this table, reusing its allocations: one
+    /// table serves every chunk, rank or sub-pipeline a pass groups.
+    pub fn refill<I>(&mut self, n_rows: usize, pairs: I)
+    where
+        I: Iterator<Item = (u32, T)> + Clone,
+    {
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n_rows + 1, 0);
         for (row, _) in pairs.clone() {
             offsets[row as usize + 1] += 1;
         }
         for i in 0..n_rows {
             offsets[i + 1] += offsets[i];
         }
-        let mut items = Vec::new();
+        self.items.clear();
         if let Some((_, first)) = pairs.clone().next() {
             // Every slot is overwritten below; `first` only initializes.
-            items = vec![first; offsets[n_rows] as usize];
-            let mut cursor = offsets[..n_rows].to_vec();
+            self.items.resize(offsets[n_rows] as usize, first);
+            // `offsets[row]` is the row's cursor: it ends at the row's end,
+            // which is where the next row starts.
             for (row, item) in pairs {
-                let at = &mut cursor[row as usize];
-                items[*at as usize] = item;
+                let at = &mut offsets[row as usize];
+                self.items[*at as usize] = item;
                 *at += 1;
             }
+            offsets.copy_within(..n_rows, 1);
+            offsets[0] = 0;
         }
-        Self { offsets, items }
     }
 
     /// Number of rows.
@@ -61,105 +86,9 @@ impl<T: Copy> Csr<T> {
     }
 }
 
-/// Rows keyed by integers of a fixed domain `0..domain`, of which only a
-/// few occur per fill: the keys of one rank's slots, one chunk's writers.
-/// The key → row table spans the domain and is reused across fills; a
-/// fill resets only the entries the previous fill set.
-#[derive(Clone, Debug)]
-pub struct KeyedRows<T> {
-    /// Row of each key, `u32::MAX` when the key does not occur.
-    row_of: Vec<u32>,
-    /// The occurring keys, ascending; row `i` holds key `keys[i]`.
-    keys: Vec<u32>,
-    offsets: Vec<u32>,
-    /// Each row's next free item position while a fill places items.
-    cursor: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T: Copy> KeyedRows<T> {
-    /// An empty table over keys `0..domain`.
-    pub fn new(domain: usize) -> Self {
-        Self {
-            row_of: vec![u32::MAX; domain],
-            keys: Vec::new(),
-            offsets: vec![0],
-            cursor: Vec::new(),
-            items: Vec::new(),
-        }
-    }
-
-    /// Replace the rows with the groups of `(key, item)` pairs: one row per
-    /// occurring key, rows in ascending key order, items of a row in
-    /// arrival order. `pairs` is walked twice.
-    pub fn fill<I>(&mut self, pairs: I)
-    where
-        I: Iterator<Item = (u32, T)> + Clone,
-    {
-        for &k in &self.keys {
-            self.row_of[k as usize] = u32::MAX;
-        }
-        self.keys.clear();
-        for (k, _) in pairs.clone() {
-            if self.row_of[k as usize] == u32::MAX {
-                self.row_of[k as usize] = 0;
-                self.keys.push(k);
-            }
-        }
-        self.keys.sort_unstable();
-        self.offsets.clear();
-        self.offsets.resize(self.keys.len() + 1, 0);
-        for (i, &k) in self.keys.iter().enumerate() {
-            self.row_of[k as usize] = i as u32;
-        }
-        for (k, _) in pairs.clone() {
-            self.offsets[self.row_of[k as usize] as usize + 1] += 1;
-        }
-        for i in 0..self.keys.len() {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        self.items.clear();
-        if let Some((_, first)) = pairs.clone().next() {
-            // Every slot is overwritten below; `first` only initializes.
-            self.items
-                .resize(self.offsets[self.keys.len()] as usize, first);
-            self.cursor.clear();
-            self.cursor
-                .extend_from_slice(&self.offsets[..self.keys.len()]);
-            for (k, item) in pairs {
-                let at = &mut self.cursor[self.row_of[k as usize] as usize];
-                self.items[*at as usize] = item;
-                *at += 1;
-            }
-        }
-    }
-
-    /// Number of rows (occurring keys).
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no key occurs.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The key of row `i`.
-    pub fn key(&self, i: usize) -> u32 {
-        self.keys[i]
-    }
-
-    /// The row of `key`, if it occurs.
-    pub fn row_of(&self, key: u32) -> Option<usize> {
-        match self.row_of[key as usize] {
-            u32::MAX => None,
-            i => Some(i as usize),
-        }
-    }
-
-    /// Row `i`.
-    pub fn row(&self, i: usize) -> &[T] {
-        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+impl<T: Copy> Default for Csr<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -182,19 +111,14 @@ mod tests {
     }
 
     #[test]
-    fn keyed_rows_reset_between_fills() {
-        let mut rows = KeyedRows::new(10);
-        rows.fill([(7u32, 1u32), (3, 2), (7, 3)].iter().copied());
-        assert_eq!(rows.len(), 2);
-        assert_eq!((rows.key(0), rows.row(0)), (3, &[2][..]));
-        assert_eq!((rows.key(1), rows.row(1)), (7, &[1, 3][..]));
-        rows.fill([(5u32, 9u32)].iter().copied());
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows.row_of(7), None);
-        assert_eq!(rows.row_of(5), Some(0));
-        assert_eq!(rows.row(0), &[9]);
-        rows.fill(std::iter::empty());
-        assert!(rows.is_empty());
-        assert_eq!(rows.row_of(5), None);
+    fn refill_reuses_the_table() {
+        let mut csr = Csr::from_pairs(3, [(2u32, 1u32), (0, 2), (2, 3)].iter().copied());
+        csr.refill(4, [(3u32, 9u32), (1, 8)].iter().copied());
+        assert_eq!(csr.n_rows(), 4);
+        assert!(csr.row(0).is_empty() && csr.row(2).is_empty());
+        assert_eq!((csr.row(1), csr.row(3)), (&[8][..], &[9][..]));
+        csr.refill(2, std::iter::empty());
+        assert_eq!(csr.n_rows(), 2);
+        assert!(csr.row(0).is_empty() && csr.row(1).is_empty());
     }
 }

@@ -33,8 +33,8 @@ mod metrics;
 mod microbatch;
 mod task;
 
-pub use dag::{DenseResSet, DepDag};
-pub use dense::{Csr, KeyedRows};
+pub use dag::DepDag;
+pub use dense::Csr;
 pub use error::{IrError, Result};
 pub use loads::ConflictLoads;
 pub use metrics::{bottleneck_resource_ns, critical_path_ns, lower_bound_ns, max_step_width};

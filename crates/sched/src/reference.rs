@@ -10,7 +10,7 @@
 //!    schedulers in [`crate::hpds`]/[`crate::rr`] must reproduce these
 //!    schedules bit-for-bit on every input.
 //! 2. **Baseline for the compile-time benchmarks** — the
-//!    `parallel_speedup` column of `BENCH_compile.json` and the
+//!    `flat_sched_speedup` column of `BENCH_compile.json` and the
 //!    `compile-smoke` gate measure the flat schedulers against these.
 //!
 //! Do not optimize this module; its value is being obviously correct.

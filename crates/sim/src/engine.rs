@@ -783,7 +783,7 @@ impl<'a> Engine<'a> {
                 Ok(ResState {
                     params: topo
                         .resource_params(ResourceId::new(r))
-                        .map_err(|e| SimError::new(e.to_string()))?,
+                        .map_err(SimError::Topology)?,
                     load: 0,
                     active_since: 0.0,
                     active_ns: 0.0,
@@ -1648,10 +1648,11 @@ impl<'a> Engine<'a> {
                 // typed fatal error instead of poisoning the run with a
                 // panic (the event loop aborts on `fatal`).
                 None => {
-                    self.fatal.get_or_insert(SimError::new(format!(
-                        "engine bug: transfer of task {task} (mb {mb}) not \
-                         registered on resource {r} it drains"
-                    )));
+                    self.fatal.get_or_insert(SimError::EngineBug {
+                        task,
+                        mb,
+                        resource: r,
+                    });
                     return;
                 }
             }

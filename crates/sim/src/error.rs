@@ -8,8 +8,9 @@
 //! every variant.
 
 use crate::frontier::FaultFrontier;
-use rescc_ir::IrError;
+use rescc_ir::{IrError, TaskId};
 use rescc_lang::LangError;
+use rescc_topology::{ResourceId, TopologyError};
 use std::fmt;
 
 /// Error produced during simulation.
@@ -38,6 +39,23 @@ pub enum SimError {
     /// compiler bug, whether the compiler or the simulator catches it.
     /// Carries the validator's finding.
     LoweringBug(IrError),
+    /// The topology could not describe a resource the run needs (its
+    /// α–β–γ parameters). Carries the topology's finding.
+    Topology(TopologyError),
+    /// The engine's own bookkeeping is inconsistent: a finished transfer
+    /// was not on the drain list of a resource on its path. A simulator
+    /// bug, never an input error.
+    EngineBug {
+        /// The task whose transfer finished.
+        task: TaskId,
+        /// The transfer's micro-batch.
+        mb: u32,
+        /// The resource whose drain list missed it.
+        resource: ResourceId,
+    },
+    /// A plan cache's in-flight compile panicked; the callers waiting on
+    /// it get this error and the next dispatch compiles afresh.
+    CompilePanicked,
     /// Execution wedged: the event heap drained with invocations pending.
     Deadlock(String),
     /// The collective finished but produced wrong data.
@@ -158,6 +176,13 @@ impl fmt::Display for SimError {
             }
             Self::InvalidAlgorithm(e) => write!(f, "{e}"),
             Self::InvalidDag(e) => write!(f, "{e}"),
+            Self::Topology(e) => write!(f, "{e}"),
+            Self::EngineBug { task, mb, resource } => write!(
+                f,
+                "engine bug: transfer of task {task} (mb {mb}) not \
+                 registered on resource {resource} it drains"
+            ),
+            Self::CompilePanicked => write!(f, "plan cache: in-flight compile panicked"),
             Self::SchedulerBug(e) => write!(f, "scheduler bug: {e}"),
             Self::AllocationBug(e) => write!(f, "allocation bug: {e}"),
             Self::LoweringBug(e) => write!(f, "lowering bug: {e}"),
@@ -206,6 +231,7 @@ impl std::error::Error for SimError {
             | Self::AllocationBug(e)
             | Self::LoweringBug(e) => Some(e),
             Self::InvalidAlgorithm(e) => Some(e),
+            Self::Topology(e) => Some(e),
             _ => None,
         }
     }
@@ -260,6 +286,17 @@ mod tests {
                 refusal: LintRefusal::Plan,
                 report: "error[RA005] at t0: routed over a masked resource".into(),
             },
+            SimError::Topology(TopologyError::ResourceOutOfRange {
+                resource: 99,
+                n_resources: 8,
+                topology: "a100-1x4".into(),
+            }),
+            SimError::EngineBug {
+                task: TaskId::new(3),
+                mb: 1,
+                resource: ResourceId::new(5),
+            },
+            SimError::CompilePanicked,
         ];
         for e in &errors {
             assert!(e.to_string().starts_with("simulation error: "), "{e}");
@@ -307,6 +344,38 @@ mod tests {
         .is_transient());
         assert!(!SimError::new("nope").is_transient());
         assert!(!SimError::InvalidConfig("nope".into()).is_transient());
+        assert!(!SimError::CompilePanicked.is_transient());
+    }
+
+    #[test]
+    fn typed_variants_keep_their_messages() {
+        let bug = SimError::EngineBug {
+            task: TaskId::new(3),
+            mb: 1,
+            resource: ResourceId::new(5),
+        };
+        assert_eq!(
+            bug.to_string(),
+            format!(
+                "simulation error: engine bug: transfer of task {} (mb 1) not \
+                 registered on resource {} it drains",
+                TaskId::new(3),
+                ResourceId::new(5)
+            )
+        );
+        assert_eq!(
+            SimError::CompilePanicked.to_string(),
+            "simulation error: plan cache: in-flight compile panicked"
+        );
+        let topo = TopologyError::ResourceOutOfRange {
+            resource: 99,
+            n_resources: 8,
+            topology: "a100-1x4".into(),
+        };
+        assert_eq!(
+            SimError::Topology(topo.clone()).to_string(),
+            format!("simulation error: {topo}")
+        );
     }
 
     #[test]
