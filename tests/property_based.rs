@@ -8,18 +8,21 @@
 //!   collectives are executed correctly by the full pipeline,
 //! * pretty-printed DSL reparses to the same AST,
 //! * the DAG's dense edge derivation reproduces the hash-map derivation it
-//!   replaced, row for row.
+//!   replaced, row for row, and the dense conflict-load counter reproduces
+//!   the hash-map counting behind schedule rule 3 and RA003.
 
 use proptest::prelude::*;
 use rescc::algos::{compose_allreduce, reverse_allgather, seed_suite};
 use rescc::alloc::TbAllocation;
+use rescc::analyze::{lints, AnalysisInput};
 use rescc::core::{Compiler, LintGate};
-use rescc::ir::DepDag;
+use rescc::ir::{DepDag, IrError};
+use rescc::kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc::lang::provenance::required;
 use rescc::lang::verify_collective;
 use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, CommType, OpType, TransferRec};
-use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference};
-use rescc::topology::{ChunkId, Rank, Step, Topology};
+use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference, Schedule};
+use rescc::topology::{ChunkId, Rank, ResourceId, Step, Topology};
 use std::collections::HashMap;
 
 const MB: u64 = 1 << 20;
@@ -131,6 +134,124 @@ fn dag_edges_match_hashmap_derivation_on_seed_suite() {
             assert_dag_matches_hashmap_rows(&spec, &dag, &format!("{} on Topo{i}", spec.name()));
         }
     }
+}
+
+/// `Schedule::validate` rule 3's first error as the per-sub-pipeline
+/// `HashMap` count produced it before the dense conflict-load counter.
+fn hashmap_rule3(dag: &DepDag, s: &Schedule) -> Option<String> {
+    for (i, sp) in s.sub_pipelines.iter().enumerate() {
+        let mut load: HashMap<ResourceId, u32> = HashMap::new();
+        for &t in sp {
+            for r in dag.task(t).conflict.iter() {
+                let l = load.entry(r).or_insert(0);
+                *l += 1;
+                if *l > dag.conflict_limit(r) {
+                    return Some(format!(
+                        "sub-pipeline {i}: task {t} oversubscribes resource {r} \
+                         (load {l} > saturation {})",
+                        dag.conflict_limit(r)
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// RA003's load findings as `(sub-pipeline, resource, task, message)`, as
+/// the per-sub-pipeline `HashMap` count produced them.
+fn hashmap_ra003(dag: &DepDag, s: &Schedule) -> Vec<(u32, u32, u32, String)> {
+    let mut found = Vec::new();
+    for (sp_idx, sp) in s.sub_pipelines.iter().enumerate() {
+        let mut load: HashMap<u32, (u32, u32)> = HashMap::new();
+        for &t in sp {
+            for r in dag.task(t).conflict.iter() {
+                let e = load.entry(r.0).or_insert((0, t.0));
+                e.0 += 1;
+                e.1 = t.0;
+            }
+        }
+        let mut entries: Vec<(u32, (u32, u32))> = load.into_iter().collect();
+        entries.sort_unstable();
+        for (res, (load, task)) in entries {
+            let limit = dag.conflict_limit(ResourceId::new(res));
+            if load > limit {
+                let message = format!(
+                    "over-subscription: sub-pipeline {sp_idx} drives resource \
+                     res{res} with {load} concurrent tasks, above its saturation \
+                     limit {limit} — the excess serializes into pipeline bubbles"
+                );
+                found.push((sp_idx as u32, res, task, message));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn conflict_loads_match_hashmap_counting_on_seed_suite() {
+    let mut oversubscribed = 0;
+    for i in 1..=4 {
+        let topo = Topology::table3_topo(i).unwrap();
+        let shape = topo.spec();
+        for spec in seed_suite(shape.n_nodes, shape.gpus_per_node) {
+            let dag = DepDag::build(&spec, &topo).unwrap();
+            let hpds_schedule = hpds(&dag);
+            // Neighbouring sub-pipelines merged: dependency order still
+            // holds, and merged pairs can oversubscribe.
+            let merged = Schedule {
+                sub_pipelines: hpds_schedule
+                    .sub_pipelines
+                    .chunks(2)
+                    .map(|c| c.concat())
+                    .collect(),
+                policy: "merged".into(),
+            };
+            for s in [&hpds_schedule, &merged] {
+                let at = format!("{} on Topo{i}, {}", spec.name(), s.policy);
+                let want = hashmap_rule3(&dag, s).map(|m| IrError::new(m).to_string());
+                assert_eq!(s.validate(&dag).err().map(|e| e.to_string()), want, "{at}");
+                oversubscribed += usize::from(want.is_some());
+
+                let alloc = TbAllocation::state_based(&dag, s);
+                let program = KernelProgram::generate(
+                    spec.name(),
+                    &dag,
+                    &alloc,
+                    LoopOrder::SlotMajor,
+                    ExecMode::DirectKernel,
+                );
+                let input = AnalysisInput {
+                    spec: &spec,
+                    dag: &dag,
+                    schedule: s,
+                    alloc: &alloc,
+                    program: &program,
+                    topo: &topo,
+                };
+                let all: Vec<u32> = (0..s.sub_pipelines.len() as u32).collect();
+                let mut out = Vec::new();
+                lints::ra003_sub_pipeline_loads(&input, &all, &mut out);
+                let got: Vec<(u32, u32, u32, String)> = out
+                    .into_iter()
+                    .map(|d| {
+                        let site = d.site;
+                        (
+                            site.sub_pipeline.unwrap(),
+                            site.resource.unwrap(),
+                            site.task.unwrap(),
+                            d.message,
+                        )
+                    })
+                    .collect();
+                assert_eq!(got, hashmap_ra003(&dag, s), "{at}");
+            }
+        }
+    }
+    assert!(
+        oversubscribed > 0,
+        "no merged schedule oversubscribed; the test checks nothing"
+    );
 }
 
 proptest! {
