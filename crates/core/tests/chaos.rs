@@ -217,3 +217,127 @@ fn chaos_during_recovery_and_rearming_heals() {
         "no heal ever fired across the re-armed campaign"
     );
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digests of one observed call: the `Debug` form of `RunReport.recovery`,
+/// and the `ObsStats` record with its wall-clock values masked — sim-time
+/// spans whole, wall-time spans reduced to (track, name, category), plus
+/// the cache counters and the backoff total. A give-up digests its error
+/// twice.
+fn observed_digests(result: &SimResult<RunReport>) -> (u64, u64) {
+    let rep = match result {
+        Ok(rep) => rep,
+        Err(err) => {
+            let d = fnv1a(err.to_string().as_bytes());
+            return (d, d);
+        }
+    };
+    let obs = rep.obs.as_ref().expect("observability enabled");
+    let mut record = format!(
+        "hits {} misses {} coalesced {} backoff {:?}\n",
+        obs.cache_hits, obs.cache_misses, obs.cache_coalesced, obs.backoff_ns
+    );
+    for s in &obs.spans {
+        record += &match s.domain.as_str() {
+            "sim" => format!("{s:?}\n"),
+            _ => format!("{} {} {:?}\n", s.track, s.name, s.category),
+        };
+    }
+    (
+        fnv1a(format!("{:?}", rep.recovery).as_bytes()),
+        fnv1a(record.as_bytes()),
+    )
+}
+
+/// Golden digests of the watchdog's two records — `RunReport.recovery`
+/// and the masked `ObsStats` — with observability on: seeded chaos
+/// timelines × the three operators, then the communicator's flap, kill
+/// (sticky mask, then heal on disarm) and kill-then-restore scenarios.
+/// Any change to what the watchdog records, or in which order, moves a
+/// digest; on a mismatch the failure prints the current table.
+#[test]
+fn observed_recovery_matches_golden() {
+    #[rustfmt::skip]
+    const GOLDEN: &[(&str, u64, u64)] = &[
+        ("chaos/AllReduce/seed0", 0xd6d3f58b0a55583c, 0x7c8984dcca55cdd4),
+        ("chaos/AllReduce/seed1", 0x74f0d89ae40b8ae5, 0x616c4feedd8aad17),
+        ("chaos/AllReduce/seed2", 0x4af8cf3ef6e7dafa, 0x10162ba5332bc762),
+        ("chaos/AllReduce/seed3", 0x28f83d02ec991e9a, 0x28f83d02ec991e9a),
+        ("chaos/AllGather/seed0", 0x80431cd173518203, 0x5078eda44cd882b4),
+        ("chaos/AllGather/seed1", 0x8d86b39b84ecdcaf, 0x8c81bca9b2d5324b),
+        ("chaos/AllGather/seed2", 0x1c6927046d216f5d, 0x78421cefb4ca5e14),
+        ("chaos/AllGather/seed3", 0x7c0ac78a6dd2af60, 0x7c0ac78a6dd2af60),
+        ("chaos/ReduceScatter/seed0", 0x453d4a9526cf55d4, 0x9b39da4210236f3b),
+        ("chaos/ReduceScatter/seed1", 0xbcf3341ce01ba030, 0x2e581ad3dc609777),
+        ("chaos/ReduceScatter/seed2", 0x17bce452f4c21ad3, 0x07e063a09c27e856),
+        ("chaos/ReduceScatter/seed3", 0x0e1df5ab78fd8483, 0xdbb22ab5679de811),
+        ("flap", 0x790b022a5675031a, 0x08925bbfe10de07b),
+        ("flap/warm", 0x790b022a5675031a, 0x276d4b94a0f8c8d8),
+        ("kill", 0x2bf8b525c69902c2, 0x53d4f8923bafd0e1),
+        ("kill/masked", 0xbb808b11c55c2868, 0x7fa6f052cddc7136),
+        ("kill/heal", 0xbf460b234509591d, 0x727b16b7f7a5d70e),
+        ("kill-restore", 0x0d9deea0a8e915c8, 0xdf54d1cd2e25f938),
+    ];
+    let topo = Topology::a100(2, 4);
+    let observed = |faults: FaultTimeline| {
+        Communicator::new(topo.clone())
+            .with_validation()
+            .with_observability()
+            .with_faults(faults)
+    };
+    let mut got: Vec<(String, u64, u64)> = Vec::new();
+    let mut row = |name: String, result: SimResult<RunReport>| {
+        let (rec, obs) = observed_digests(&result);
+        got.push((name, rec, obs));
+    };
+    let buffer = 16 * MB;
+    for op in OPS {
+        let horizon = issue(&mut Communicator::new(topo.clone()), op, buffer)
+            .expect("healthy baseline")
+            .sim
+            .completion_ns;
+        for seed in 0..4u64 {
+            let tl = FaultTimeline::seeded_chaos(seed, topo.n_resources(), topo.n_ranks(), horizon);
+            row(
+                format!("chaos/{op:?}/seed{seed}"),
+                issue(&mut observed(tl), op, buffer),
+            );
+        }
+    }
+    let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
+    let buffer = 64 * MB;
+    let mut flap = observed(FaultTimeline::new().flap(chan, 50_000.0, 80_000.0, 80_000.0, 1));
+    row("flap".into(), flap.all_reduce(buffer));
+    row("flap/warm".into(), flap.all_reduce(buffer));
+    let mut kill = observed(FaultTimeline::new().kill(chan, 100_000.0));
+    row("kill".into(), kill.all_reduce(buffer));
+    row("kill/masked".into(), kill.all_reduce(buffer));
+    kill.set_faults(FaultTimeline::new());
+    row("kill/heal".into(), kill.all_reduce(buffer));
+    let mut outage = observed(
+        FaultTimeline::new()
+            .kill(chan, 300_000.0)
+            .restore(chan, 500_000.0),
+    );
+    row("kill-restore".into(), outage.all_reduce(buffer));
+
+    let matches = got.len() == GOLDEN.len()
+        && got
+            .iter()
+            .zip(GOLDEN)
+            .all(|((n, r, o), (gn, gr, go))| n == gn && r == gr && o == go);
+    if !matches {
+        let table: String = got
+            .iter()
+            .map(|(n, r, o)| format!("        (\"{n}\", {r:#018x}, {o:#018x}),\n"))
+            .collect();
+        panic!(
+            "watchdog records diverged from the golden table; the current code produces:\n{table}"
+        );
+    }
+}
