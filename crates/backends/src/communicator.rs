@@ -12,14 +12,14 @@
 //!   intra-mesh + inter-ring) — the paper's expert choice for Clos
 //!   clusters.
 
-use crate::{RecoveryAction, RecoveryEvent, RecoveryStats, RunReport, DEFAULT_CHUNK_BYTES};
+use crate::{RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYTES};
 use rescc_algos::{
     hm_allgather, hm_allreduce, hm_reduce_scatter, recursive_halving_doubling_allreduce,
 };
-use rescc_core::{plan_fingerprint, CacheStats, CompiledPlan, Compiler, PlanCache, ResidualPlan};
+use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, ResidualPlan};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, OpType};
-use rescc_obs::ObsStats;
+use rescc_obs::{DispatchEvent, ObsStats, RecoveryTrigger};
 use rescc_sim::{FaultFrontier, FaultTimeline, LintRefusal, SimConfig, SimError, SimResult};
 use rescc_topology::{ResourceId, Topology, TopologyHealth};
 use std::collections::HashMap;
@@ -62,9 +62,18 @@ impl Default for FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// The backoff before retry number `retry` (1-based).
-    fn backoff_ns(&self, retry: u32) -> f64 {
-        self.backoff_base_ns * self.backoff_factor.powi(retry.saturating_sub(1) as i32)
+    /// Reject a negative or non-finite backoff before the first attempt:
+    /// it would run the recovery clock backwards or poison every later
+    /// fault timestamp.
+    fn validate(&self) -> SimResult<()> {
+        let (base, factor) = (self.backoff_base_ns, self.backoff_factor);
+        if [base, factor].iter().all(|v| v.is_finite() && *v >= 0.0) {
+            return Ok(());
+        }
+        Err(SimError::InvalidConfig(format!(
+            "fault policy backoff_base_ns {base} and backoff_factor {factor} \
+             must be finite and non-negative"
+        )))
     }
 }
 
@@ -210,23 +219,16 @@ impl Communicator {
         let n = self.topo.n_ranks();
         // "Small" = latency-dominated: few micro-batches to pipeline.
         let small = buffer_bytes <= (n as u64) * self.chunk_bytes * 2;
-        if let Some(spec) = self.specs.get(&(op, small)) {
-            return spec.clone();
-        }
-        let spec = match op {
+        let spec = self.specs.entry((op, small)).or_insert_with(|| match op {
             OpType::AllGather => hm_allgather(nodes, g),
             OpType::ReduceScatter => hm_reduce_scatter(nodes, g),
-            OpType::AllReduce => {
-                if small && n.is_power_of_two() && nodes == 1 {
-                    // Log-depth butterfly wins when α dominates.
-                    recursive_halving_doubling_allreduce(n)
-                } else {
-                    hm_allreduce(nodes, g)
-                }
+            // Log-depth butterfly wins when α dominates.
+            OpType::AllReduce if small && n.is_power_of_two() && nodes == 1 => {
+                recursive_halving_doubling_allreduce(n)
             }
-        };
-        self.specs.insert((op, small), spec.clone());
-        spec
+            OpType::AllReduce => hm_allreduce(nodes, g),
+        });
+        spec.clone()
     }
 
     /// AllReduce `buffer_bytes` per rank.
@@ -245,6 +247,7 @@ impl Communicator {
     }
 
     fn run(&mut self, op: OpType, buffer_bytes: u64) -> SimResult<RunReport> {
+        self.policy.validate()?;
         let spec = self.select(op, buffer_bytes);
         let chunk = self.chunk_bytes;
         let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk);
@@ -253,39 +256,27 @@ impl Communicator {
         // a plain healthy dispatch.
         let engaged =
             !self.faults.is_empty() || self.policy.deadline_ns.is_some() || !self.health.is_empty();
-        let mut stats = RecoveryStats::default();
-        let mut obs = self.observe.then(ObsStats::default);
+        // The dispatch record: every heal, cache event, compile, resume and
+        // failed attempt of this call, once each and in order. The budgets
+        // count it, and the report's `recovery` and `obs` are folds of it.
+        let mut events: Vec<DispatchEvent> = Vec::new();
         // Healing: a masked resource whose current fault schedule no
         // longer declares it permanently dead has been restored — un-mask
         // it and fail back to the healthier plan at this collective
         // boundary (the dispatch below picks it up via the fingerprint).
-        let restored: Vec<ResourceId> = self
-            .health
-            .dead()
-            .iter()
-            .copied()
+        let dead = self.health.dead().to_vec();
+        for r in dead
+            .into_iter()
             .filter(|r| !self.faults.is_permanent_down(*r))
-            .collect();
-        for r in restored {
+        {
             self.health.unmask(r);
-            stats.heals += 1;
-            stats.journal.push(RecoveryEvent {
-                attempt: 0,
-                cause: format!("{r} restored"),
-                at_ns: 0.0,
+            events.push(DispatchEvent::Trigger(RecoveryTrigger {
                 action: RecoveryAction::Heal,
-            });
-            if let Some(o) = obs.as_mut() {
-                o.add_heal(0.0, 0.0);
-            }
+                cause: format!("{r} restored"),
+                failed_ns: 0.0,
+                wait_ns: 0.0,
+            }));
         }
-        // Wall-clock offset on the compiler track where the next
-        // compile's phase spans start (successive recompiles stack).
-        let mut compile_at = 0.0f64;
-        // Sim time burned by failed attempts + backoff so far. Each retry
-        // replays the fault timeline shifted into the past by this much,
-        // so a flap that already passed stays passed.
-        let mut elapsed = 0.0f64;
         // Completed invocations accumulated across aborted attempts, in
         // the id space of the full (non-residual) plan — stable across
         // delta recompiles (reroutes preserve task ids) and across full
@@ -293,21 +284,25 @@ impl Communicator {
         // spec). While non-empty, each attempt resumes from it.
         let mut acc: Option<FaultFrontier> = None;
         loop {
+            // The recovery so far, for the budgets. `elapsed` is the sim
+            // time burned by failed attempts + backoff: each retry replays
+            // the fault timeline shifted into the past by this much, so a
+            // flap that already passed stays passed.
+            let so_far = RecoveryStats::from_events(&events);
+            let elapsed = so_far.recovery_ns;
             let topo = self.topo.clone().with_health(self.health.clone());
             // The traced dispatch hands back the CacheEvent for *this*
             // call, so attribution is exact even when the cache is shared
-            // across threads (reading `journal().last()` here used to
-            // attribute whichever tenant dispatched most recently — and
-            // panicked outright with a zero-capacity journal).
+            // across threads.
             let (plan, ev) = self
                 .cache
                 .get_or_compile_traced(&self.compiler, &spec, &topo, &mb)?;
-            let fingerprint = ev.fingerprint;
-            if let Some(o) = obs.as_mut() {
-                o.add_cache_event(&ev, compile_at);
-                if !ev.is_hit() {
-                    compile_at = o.add_compile(&plan.timings, "compiler", compile_at);
-                }
+            events.push(DispatchEvent::Cache(ev));
+            if !ev.is_hit() {
+                events.push(DispatchEvent::Compile {
+                    timings: plan.timings,
+                    delta: false,
+                });
             }
             // Every post-fault recompile is analyzed before the collective
             // resumes: the compiler's sanitize phase already ran (the
@@ -315,26 +310,20 @@ impl Communicator {
             // no task routes over a masked resource. Refuse to resume on a
             // plan that somehow still carries errors (e.g. a caller-tuned
             // warn gate) rather than fail mid-collective.
-            if stats.recompiles > 0 && plan.diagnostics.has_errors() {
+            if so_far.recompiles > 0 && plan.diagnostics.has_errors() {
                 return Err(SimError::LintRejected {
                     refusal: LintRefusal::Recovery,
                     report: plan.diagnostics.render_human(),
                 });
             }
-            let mut cfg = if self.validate {
-                SimConfig::default()
-            } else {
-                SimConfig::default().without_validation()
+            let cfg = SimConfig {
+                validate_data: self.validate,
+                faults: self.faults.advanced(elapsed),
+                deadline_ns: self.policy.deadline_ns,
+                record_trace: self.observe,
+                attribute_bubbles: self.observe,
+                ..SimConfig::default()
             };
-            if !self.faults.is_empty() {
-                cfg = cfg.with_faults(self.faults.advanced(elapsed));
-            }
-            if let Some(d) = self.policy.deadline_ns {
-                cfg = cfg.with_deadline_ns(d);
-            }
-            if self.observe {
-                cfg = cfg.with_trace().with_observability();
-            }
             // Partial-progress resume: while the accumulated frontier is
             // non-empty, compile the residual plan (pruned + re-rooted,
             // sanitize re-run, provenance verified) and run only the
@@ -347,22 +336,21 @@ impl Communicator {
             };
             let attempt = match &residual {
                 Some(r) => {
-                    stats.resumes += 1;
-                    if let Some(o) = obs.as_mut() {
-                        o.add_resume(stats.resumes as u64, elapsed, 0.0);
-                    }
+                    events.push(DispatchEvent::Resume);
                     let cfg = cfg.clone().with_resume(r.resume.clone());
                     r.plan.run_with(buffer_bytes, chunk, &cfg)
                 }
                 None => plan.run_with(buffer_bytes, chunk, &cfg),
             };
-            let exec_plan: &CompiledPlan = residual.as_ref().map_or(&plan, |r| &r.plan);
             match attempt {
                 Ok(sim) => {
-                    stats.recovery_ns = elapsed;
-                    stats.dead_resources = self.health.dead().iter().map(|r| r.0).collect();
-                    stats.plan_fingerprint = fingerprint;
-                    stats.lint_diagnostics = plan.diagnostics.diagnostics().len() as u32;
+                    let exec_plan = residual.as_ref().map_or(&*plan, |r| &r.plan);
+                    let recovery = engaged.then(|| RecoveryStats {
+                        dead_resources: self.health.dead().iter().map(|r| r.0).collect(),
+                        plan_fingerprint: ev.fingerprint,
+                        lint_diagnostics: plan.diagnostics.diagnostics().len() as u32,
+                        ..RecoveryStats::from_events(&events)
+                    });
                     // Certificate cross-check, fresh fault-free runs only:
                     // a resumed attempt skips completed work and a
                     // degraded/faulted one runs against parameters the
@@ -377,33 +365,25 @@ impl Communicator {
                                 .is_some_and(|floor| sim.undercuts_floor(floor))
                         });
                     return Ok(RunReport {
-                        backend: "resccl".to_string(),
-                        algo: spec.name().to_string(),
-                        buffer_bytes,
-                        total_tbs: exec_plan.alloc.total_tbs(),
-                        max_rank_tbs: exec_plan.alloc.max_rank_tbs(),
-                        sim,
                         cache: Some(self.cache.stats()),
-                        recovery: engaged.then_some(stats),
+                        recovery,
                         certificate_undercut,
-                        obs,
+                        obs: self.observe.then(|| ObsStats::from_events(&events)),
+                        ..RunReport::new("resccl", spec.name(), buffer_bytes, exec_plan, sim)
                     });
                 }
                 Err(err) if err.is_transient() => {
-                    stats.retries += 1;
-                    if stats.retries > self.policy.max_retries {
+                    if so_far.retries >= self.policy.max_retries {
                         return Err(err);
                     }
-                    let failed_at = err.at_ns().unwrap_or(0) as f64;
                     let resumable =
                         absorb_frontier(err.frontier(), &residual, plan.dag.len() as u32, &mut acc);
-                    let backoff = self.policy.backoff_ns(stats.retries);
-                    if let Some(o) = obs.as_mut() {
-                        o.add_retry(stats.retries as u64, elapsed, failed_at);
-                        o.add_backoff(elapsed + failed_at, backoff);
-                    }
-                    stats.journal.push(RecoveryEvent {
-                        attempt: stats.retries + stats.recompiles,
+                    events.push(DispatchEvent::Trigger(RecoveryTrigger {
+                        action: if resumable {
+                            RecoveryAction::Resume
+                        } else {
+                            RecoveryAction::Retry
+                        },
                         cause: match &err {
                             SimError::ResourceDown { resource, .. } => {
                                 format!("transient r{resource} down")
@@ -411,14 +391,11 @@ impl Communicator {
                             SimError::DeadlineExceeded { .. } => "deadline".to_string(),
                             _ => "transient".to_string(),
                         },
-                        at_ns: elapsed + failed_at,
-                        action: if resumable {
-                            RecoveryAction::Resume
-                        } else {
-                            RecoveryAction::Retry
-                        },
-                    });
-                    elapsed += failed_at + backoff;
+                        failed_ns: err.at_ns().unwrap_or(0) as f64,
+                        // Exponential backoff: base × factor^(retries so far).
+                        wait_ns: self.policy.backoff_base_ns
+                            * self.policy.backoff_factor.powi(so_far.retries as i32),
+                    }));
                 }
                 Err(SimError::ResourceDown {
                     resource,
@@ -427,8 +404,7 @@ impl Communicator {
                     permanent: true,
                     frontier,
                 }) => {
-                    stats.recompiles += 1;
-                    if stats.recompiles > self.policy.max_recompiles
+                    if so_far.recompiles >= self.policy.max_recompiles
                         || !self.health.mask(ResourceId::new(resource))
                     {
                         // Budget exhausted, or the resource was already
@@ -463,28 +439,22 @@ impl Communicator {
                     // gate fires), fall through: the full compile at the
                     // top of the loop reports the identical lint error.
                     let mut action = RecoveryAction::FullRecompile;
-                    if let Ok(delta) = self.compiler.recompile_delta(&plan, &self.health) {
+                    if let Ok(spliced) = self.compiler.recompile_delta(&plan, &self.health) {
                         let degraded = self.topo.clone().with_health(self.health.clone());
                         let fp = plan_fingerprint(&self.compiler, &spec, &degraded, &mb);
-                        stats.delta_recompiles += 1;
+                        events.push(DispatchEvent::Compile {
+                            timings: spliced.timings,
+                            delta: true,
+                        });
+                        self.cache.insert(fp, Arc::new(spliced));
                         action = RecoveryAction::DeltaRecompile;
-                        if let Some(o) = obs.as_mut() {
-                            compile_at =
-                                o.add_compile(&delta.timings, "compiler-delta", compile_at);
-                            o.add_delta_recompile(elapsed + at_ns as f64, 0.0);
-                        }
-                        self.cache.insert(fp, std::sync::Arc::new(delta));
                     }
-                    if let Some(o) = obs.as_mut() {
-                        o.add_recompile(elapsed + at_ns as f64, self.policy.backoff_base_ns);
-                    }
-                    stats.journal.push(RecoveryEvent {
-                        attempt: stats.retries + stats.recompiles,
-                        cause: format!("r{resource} dead"),
-                        at_ns: elapsed + at_ns as f64,
+                    events.push(DispatchEvent::Trigger(RecoveryTrigger {
                         action,
-                    });
-                    elapsed += at_ns as f64 + self.policy.backoff_base_ns;
+                        cause: format!("r{resource} dead"),
+                        failed_ns: at_ns as f64,
+                        wait_ns: self.policy.backoff_base_ns,
+                    }));
                 }
                 // Invalid program/config, wrong data, deadlock, …: not
                 // recoverable by retrying or rerouting.
@@ -653,6 +623,33 @@ mod tests {
         let rep = comm.all_reduce(64 * MB).unwrap();
         let rec = rep.recovery.expect("deadline engages the watchdog");
         assert_eq!(rec.retries, 0);
+    }
+
+    #[test]
+    fn invalid_backoff_is_rejected_before_the_first_attempt() {
+        let topo = Topology::a100(2, 4);
+        let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
+        let flap = FaultTimeline::new().flap(chan, 50_000.0, 80_000.0, 80_000.0, 1);
+        for (base, factor) in [
+            (-5e6, 2.0),
+            (f64::NAN, 2.0),
+            (200_000.0, -1.0),
+            (200_000.0, f64::INFINITY),
+        ] {
+            let mut comm = Communicator::new(topo.clone())
+                .with_faults(flap.clone())
+                .with_fault_policy(FaultPolicy {
+                    backoff_base_ns: base,
+                    backoff_factor: factor,
+                    ..FaultPolicy::default()
+                });
+            let err = comm.all_reduce(64 * MB).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig(msg) if msg.contains("fault policy")),
+                "base {base} factor {factor}: {err}"
+            );
+            assert_eq!(comm.cache_stats().misses, 0, "rejected before any dispatch");
+        }
     }
 
     #[test]

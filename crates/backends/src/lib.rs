@@ -24,63 +24,17 @@
 mod communicator;
 
 pub use communicator::{Communicator, FaultPolicy};
+pub use rescc_obs::{RecoveryAction, RecoveryEvent};
 
-use rescc_core::{Compiler, LintGate, Lowering, SchedulerChoice};
+use rescc_core::{CompiledPlan, Compiler, LintGate, Lowering, SchedulerChoice};
 use rescc_kernel::ExecMode;
 use rescc_lang::AlgoSpec;
+use rescc_obs::DispatchEvent;
 use rescc_sim::{SimConfig, SimReport, SimResult};
 use rescc_topology::Topology;
 
 /// The paper's default chunk (primitive transfer unit) size: 1 MB.
 pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
-
-/// What the watchdog did in response to one recovery trigger.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Transient fault: the attempt was restarted from scratch.
-    Retry,
-    /// Permanent fault: the dead resource was masked and the cached plan
-    /// rerouted + spliced incrementally (`Compiler::recompile_delta`).
-    DeltaRecompile,
-    /// Permanent fault: the splice was denied and the degraded plan was
-    /// compiled from scratch at the next dispatch.
-    FullRecompile,
-    /// The attempt's fault frontier was folded in; the next attempt
-    /// resumed from it (residual plan) instead of restarting.
-    Resume,
-    /// A masked resource was restored: the watchdog un-masked it and
-    /// failed back to the healthier plan at the collective boundary.
-    Heal,
-}
-
-impl RecoveryAction {
-    /// Stable lowercase name (used in journals and trace exports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RecoveryAction::Retry => "retry",
-            RecoveryAction::DeltaRecompile => "delta-recompile",
-            RecoveryAction::FullRecompile => "full-recompile",
-            RecoveryAction::Resume => "resume",
-            RecoveryAction::Heal => "heal",
-        }
-    }
-}
-
-/// One entry in the watchdog's per-attempt recovery journal.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryEvent {
-    /// Recovery trigger number within the call (1-based; 0 for healing,
-    /// which happens before the first attempt).
-    pub attempt: u32,
-    /// Short human-readable cause (e.g. `"transient r12 down"`,
-    /// `"deadline"`, `"r7 dead"`, `"r7 restored"`).
-    pub cause: String,
-    /// Sim time of the trigger, ns since the call started (failed-attempt
-    /// time already elapsed included).
-    pub at_ns: f64,
-    /// What the watchdog did about it.
-    pub action: RecoveryAction,
-}
 
 /// What the [`Communicator`]'s watchdog/recovery layer did to complete a
 /// collective on a faulty fabric.
@@ -114,6 +68,36 @@ pub struct RecoveryStats {
     pub lint_diagnostics: u32,
     /// Per-trigger journal of what the watchdog saw and did, in order.
     pub journal: Vec<RecoveryEvent>,
+}
+
+impl RecoveryStats {
+    /// Fold a dispatch record into the counters, the journal and
+    /// `recovery_ns`; the fields describing the completed plan stay at
+    /// their defaults. A trigger journals as number `retries + recompiles`
+    /// so far, so heals, which precede every attempt, journal as 0.
+    fn from_events(events: &[DispatchEvent]) -> Self {
+        let mut stats = Self::default();
+        for event in events {
+            let DispatchEvent::Trigger(t) = event else {
+                stats.resumes += u32::from(matches!(event, DispatchEvent::Resume));
+                continue;
+            };
+            match t.action {
+                RecoveryAction::Retry | RecoveryAction::Resume => stats.retries += 1,
+                RecoveryAction::Heal => stats.heals += 1,
+                _ => stats.recompiles += 1,
+            }
+            stats.delta_recompiles += u32::from(t.action == RecoveryAction::DeltaRecompile);
+            stats.journal.push(RecoveryEvent {
+                attempt: stats.retries + stats.recompiles,
+                cause: t.cause.clone(),
+                at_ns: stats.recovery_ns + t.failed_ns,
+                action: t.action,
+            });
+            stats.recovery_ns += t.failed_ns + t.wait_ns;
+        }
+        stats
+    }
 }
 
 /// Result of running one collective call through a backend.
@@ -157,6 +141,22 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// A report of `sim` on `plan` with no dispatcher fields set.
+    fn new(backend: &str, algo: &str, bytes: u64, plan: &CompiledPlan, sim: SimReport) -> Self {
+        Self {
+            backend: backend.to_string(),
+            algo: algo.to_string(),
+            buffer_bytes: bytes,
+            total_tbs: plan.total_tbs(),
+            max_rank_tbs: plan.alloc.max_rank_tbs(),
+            sim,
+            cache: None,
+            recovery: None,
+            certificate_undercut: None,
+            obs: None,
+        }
+    }
+
     /// Algorithm bandwidth in GB/s (buffer size / completion time).
     pub fn algbw_gbps(&self) -> f64 {
         self.sim.algo_bandwidth_gbps(self.buffer_bytes)
@@ -207,18 +207,8 @@ pub trait Backend {
         };
         cfg.validate_data = validate;
         let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
-        Ok(RunReport {
-            backend: self.name().to_string(),
-            algo: spec.name().to_string(),
-            buffer_bytes,
-            total_tbs: plan.total_tbs(),
-            max_rank_tbs: plan.alloc.max_rank_tbs(),
-            sim,
-            cache: None,
-            recovery: None,
-            certificate_undercut: None,
-            obs: None,
-        })
+        let report = RunReport::new(self.name(), spec.name(), buffer_bytes, &plan, sim);
+        Ok(report)
     }
 
     /// Run with data validation.

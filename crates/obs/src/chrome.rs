@@ -58,6 +58,30 @@ struct Event {
     args: Vec<(String, ArgValue)>,
 }
 
+impl Event {
+    /// An event at `ts_ns` with no duration.
+    fn new(
+        name: &str,
+        cat: &str,
+        ph: char,
+        pid: u32,
+        tid: u32,
+        ts_ns: f64,
+        args: Vec<(String, ArgValue)>,
+    ) -> Self {
+        Self {
+            name: name.into(),
+            cat: cat.into(),
+            ph,
+            ts_us: us(ts_ns),
+            dur_us: None,
+            pid,
+            tid,
+            args,
+        }
+    }
+}
+
 /// Builder for one Chrome trace file. Tracks are addressed by
 /// `(pid, tid)`; use [`name_process`](Self::name_process) /
 /// [`name_thread`](Self::name_thread) to label them.
@@ -95,30 +119,18 @@ impl ChromeTrace {
     /// Label a process track (one per rank, or per layer such as the
     /// compiler).
     pub fn name_process(&mut self, pid: u32, name: &str) {
-        self.meta.push(Event {
-            name: "process_name".into(),
-            cat: "__metadata".into(),
-            ph: 'M',
-            ts_us: 0.0,
-            dur_us: None,
-            pid,
-            tid: 0,
-            args: vec![("name".into(), name.into())],
-        });
+        self.name_track("process_name", pid, 0, name);
     }
 
     /// Label a thread track (one per TB, or per span track).
     pub fn name_thread(&mut self, pid: u32, tid: u32, name: &str) {
-        self.meta.push(Event {
-            name: "thread_name".into(),
-            cat: "__metadata".into(),
-            ph: 'M',
-            ts_us: 0.0,
-            dur_us: None,
-            pid,
-            tid,
-            args: vec![("name".into(), name.into())],
-        });
+        self.name_track("thread_name", pid, tid, name);
+    }
+
+    fn name_track(&mut self, kind: &str, pid: u32, tid: u32, name: &str) {
+        let args = vec![("name".into(), name.into())];
+        self.meta
+            .push(Event::new(kind, "__metadata", 'M', pid, tid, 0.0, args));
     }
 
     /// Add a complete (`"ph":"X"`) event spanning `[start_ns,
@@ -134,16 +146,9 @@ impl ChromeTrace {
         dur_ns: f64,
         args: Vec<(String, ArgValue)>,
     ) {
-        self.events.push(Event {
-            name: name.into(),
-            cat: cat.into(),
-            ph: 'X',
-            ts_us: us(start_ns),
-            dur_us: Some(us(dur_ns.max(0.0))),
-            pid,
-            tid,
-            args,
-        });
+        let mut ev = Event::new(name, cat, 'X', pid, tid, start_ns, args);
+        ev.dur_us = Some(us(dur_ns.max(0.0)));
+        self.events.push(ev);
     }
 
     /// Add a thread-scoped instant (`"ph":"i"`) event.
@@ -156,34 +161,19 @@ impl ChromeTrace {
         ts_ns: f64,
         args: Vec<(String, ArgValue)>,
     ) {
-        self.events.push(Event {
-            name: name.into(),
-            cat: cat.into(),
-            ph: 'i',
-            ts_us: us(ts_ns),
-            dur_us: None,
-            pid,
-            tid,
-            args,
-        });
+        self.events
+            .push(Event::new(name, cat, 'i', pid, tid, ts_ns, args));
     }
 
     /// Add a counter (`"ph":"C"`) sample; each `(series, value)` pair
     /// renders as one stacked area in the counter track.
     pub fn add_counter(&mut self, pid: u32, name: &str, ts_ns: f64, series: &[(&str, f64)]) {
-        self.events.push(Event {
-            name: name.into(),
-            cat: "counter".into(),
-            ph: 'C',
-            ts_us: us(ts_ns),
-            dur_us: None,
-            pid,
-            tid: 0,
-            args: series
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), ArgValue::Num(*v)))
-                .collect(),
-        });
+        let args = series
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), ArgValue::Num(*v)))
+            .collect();
+        self.events
+            .push(Event::new(name, "counter", 'C', pid, 0, ts_ns, args));
     }
 
     /// Serialize to trace-event JSON: metadata first, then all events
@@ -194,12 +184,10 @@ impl ChromeTrace {
         sorted.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
         let mut out = String::with_capacity(128 + 160 * (self.meta.len() + sorted.len()));
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for ev in self.meta.iter().chain(sorted) {
-            if !first {
+        for (i, ev) in self.meta.iter().chain(sorted).enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             write_event(&mut out, ev);
         }
         out.push_str("]}");

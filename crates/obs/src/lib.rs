@@ -1,9 +1,10 @@
 //! Cross-layer observability for ResCCL runs.
 //!
 //! This crate carries the pieces of the observability stack that sit
-//! *above* the simulator: typed spans and counters emitted by the
-//! compiler phases (`rescc-core`), the plan cache, and the
-//! `Communicator` watchdog (`rescc-backends`), plus a Chrome
+//! *above* the simulator: the per-dispatch record ([`DispatchEvent`]) the
+//! `Communicator` watchdog (`rescc-backends`) appends to — cache events,
+//! compiler phase timings (`rescc-core`), heals, resumes and failed
+//! attempts — the spans and counters folded from it ([`ObsStats`]), and a Chrome
 //! trace-event exporter ([`ChromeTrace`]) that merges those spans with
 //! the simulator's own [`TraceEvent`](rescc_sim::TraceEvent) timeline
 //! and [`BubbleInterval`](rescc_sim::BubbleInterval) attribution into a
@@ -31,7 +32,7 @@ pub use json::{
     parse_json, validate_chrome_trace, validate_chrome_trace_str, JsonValue, TraceSummary,
 };
 
-use rescc_core::PhaseTimings;
+use rescc_core::{CacheEvent, CacheEventKind, PhaseTimings};
 use rescc_sim::BubbleInterval;
 
 /// Which clock a span's `start_ns`/`dur_ns` are measured on.
@@ -130,10 +131,98 @@ impl Span {
     }
 }
 
-/// Counters and spans collected across one backend run: compile phases,
-/// cache traffic, and watchdog activity. Carried on
-/// `RunReport::obs` when the `Communicator` runs with observability
-/// enabled.
+/// What the watchdog did in response to one recovery trigger.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoveryAction {
+    /// Transient fault: the attempt was restarted from scratch.
+    Retry,
+    /// Permanent fault: the dead resource was masked and the cached plan
+    /// rerouted + spliced incrementally (`Compiler::recompile_delta`).
+    DeltaRecompile,
+    /// Permanent fault: the splice was denied and the degraded plan was
+    /// compiled from scratch at the next dispatch.
+    FullRecompile,
+    /// The attempt's fault frontier was folded in; the next attempt
+    /// resumed from it (residual plan) instead of restarting.
+    Resume,
+    /// A masked resource was restored: the watchdog un-masked it and
+    /// failed back to the healthier plan at the collective boundary.
+    Heal,
+}
+
+impl RecoveryAction {
+    /// Stable lowercase name (used in journals and trace exports).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            RecoveryAction::Retry => "retry",
+            RecoveryAction::DeltaRecompile => "delta-recompile",
+            RecoveryAction::FullRecompile => "full-recompile",
+            RecoveryAction::Resume => "resume",
+            RecoveryAction::Heal => "heal",
+        }
+    }
+}
+
+/// One entry in the watchdog's per-attempt recovery journal.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RecoveryEvent {
+    /// Recovery trigger number within the call (1-based; 0 for healing,
+    /// which happens before the first attempt).
+    pub attempt: u32,
+    /// Short human-readable cause (e.g. `"transient r12 down"`,
+    /// `"deadline"`, `"r7 dead"`, `"res7 restored"`).
+    pub cause: String,
+    /// Sim time of the trigger, ns since the call started (failed-attempt
+    /// time already elapsed included).
+    pub at_ns: f64,
+    /// What the watchdog did about it.
+    pub action: RecoveryAction,
+}
+
+/// One thing that happened while a `Communicator` served a collective.
+///
+/// The watchdog appends each event once, in order, to one record per call;
+/// `RecoveryStats` (counters and journal) and [`ObsStats`] are both folds
+/// of that record.
+#[derive(Clone, Debug)]
+pub enum DispatchEvent {
+    /// The plan cache served an attempt (hit, miss or coalesced) or took a
+    /// delta-recompiled plan (insert).
+    Cache(CacheEvent),
+    /// A compile ran: the full pipeline on a miss, or a delta splice.
+    Compile {
+        /// Wall-clock phase durations.
+        timings: PhaseTimings,
+        /// Whether this was a delta splice around a masked resource.
+        delta: bool,
+    },
+    /// The attempt resumed from the accumulated fault frontier instead of
+    /// restarting.
+    Resume,
+    /// A journaled watchdog trigger: a heal or a failed attempt.
+    Trigger(RecoveryTrigger),
+}
+
+/// A heal before the first attempt (no times), or a failed attempt —
+/// transient (`Retry`, `Resume`) or permanent (`DeltaRecompile`,
+/// `FullRecompile`). Each attempt starts once the `failed_ns + wait_ns` of
+/// every earlier trigger in the record has elapsed.
+#[derive(Clone, Debug)]
+pub struct RecoveryTrigger {
+    /// What the watchdog did about it.
+    pub action: RecoveryAction,
+    /// Short human-readable cause (see [`RecoveryEvent::cause`]).
+    pub cause: String,
+    /// Sim time into the attempt at which it failed.
+    pub failed_ns: f64,
+    /// Wait before the next attempt starts.
+    pub wait_ns: f64,
+}
+
+/// Counters and spans of one backend run — compile phases, cache traffic
+/// and watchdog activity — folded from its dispatch record
+/// ([`from_events`](Self::from_events)). Carried on `RunReport::obs` when
+/// the `Communicator` runs with observability enabled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsStats {
     /// Wall-clock nanoseconds spent in each compiler phase, summed over
@@ -204,116 +293,75 @@ impl ObsStats {
         at
     }
 
-    /// Record one plan-cache dispatch outcome: bumps the hit/miss/
-    /// coalesced counters by event kind and appends a zero-width
-    /// wall-time cache span at `at_ns`. This is the attribution path for
-    /// dispatchers — the event comes from
-    /// `PlanCache::get_or_compile_traced`, which hands each caller the
-    /// event for *its own* dispatch (reading the shared journal's tail is
-    /// wrong the moment two tenants share a cache).
-    pub fn add_cache_event(&mut self, ev: &rescc_core::CacheEvent, at_ns: f64) {
-        use rescc_core::CacheEventKind;
-        let label = match ev.kind {
-            CacheEventKind::Hit => "hit",
-            CacheEventKind::Miss => "miss",
-            CacheEventKind::Coalesced => "coalesced",
-            CacheEventKind::Insert => "insert",
-        };
-        match ev.kind {
-            CacheEventKind::Hit => self.cache_hits += 1,
-            CacheEventKind::Miss => self.cache_misses += 1,
-            CacheEventKind::Coalesced => {
-                self.cache_hits += 1;
-                self.cache_coalesced += 1;
+    /// Fold one dispatch's record into counters and spans, in event order:
+    /// compile phases stack end-to-end on a wall-clock `compiler` (or
+    /// `compiler-delta`) track, each cache event is a zero-width wall span
+    /// at the current compile offset, and the watchdog's heals, resumes,
+    /// retries, backoff waits and mask+recompile cycles are sim-time spans
+    /// on the `watchdog` track.
+    pub fn from_events(events: &[DispatchEvent]) -> Self {
+        let mut stats = Self::default();
+        let mut compile_at = 0.0f64;
+        // Sim time the current attempt started.
+        let mut elapsed = 0.0f64;
+        let (mut retries, mut resumes) = (0u32, 0u32);
+        for event in events {
+            match event {
+                DispatchEvent::Cache(ev) => {
+                    let label = match ev.kind {
+                        CacheEventKind::Hit => "hit",
+                        CacheEventKind::Miss => "miss",
+                        CacheEventKind::Coalesced => "coalesced",
+                        CacheEventKind::Insert => "insert",
+                    };
+                    stats.cache_hits += u64::from(ev.is_hit());
+                    stats.cache_misses += u64::from(ev.kind == CacheEventKind::Miss);
+                    stats.cache_coalesced += u64::from(ev.kind == CacheEventKind::Coalesced);
+                    stats.spans.push(Span::new(
+                        "cache",
+                        format!("{label} {:016x}", ev.fingerprint),
+                        SpanCategory::Cache,
+                        TimeDomain::Wall,
+                        compile_at,
+                        0.0,
+                    ));
+                }
+                DispatchEvent::Compile { timings, delta } => {
+                    let track = if *delta { "compiler-delta" } else { "compiler" };
+                    compile_at = stats.add_compile(timings, track, compile_at);
+                }
+                DispatchEvent::Resume => {
+                    resumes += 1;
+                    stats.watchdog(format!("resume#{resumes}"), elapsed, 0.0);
+                }
+                DispatchEvent::Trigger(t) => {
+                    let at = elapsed + t.failed_ns;
+                    match t.action {
+                        RecoveryAction::Heal => stats.watchdog("heal", at, t.wait_ns),
+                        RecoveryAction::Retry | RecoveryAction::Resume => {
+                            retries += 1;
+                            stats.watchdog(format!("retry#{retries}"), elapsed, t.failed_ns);
+                            stats.watchdog("backoff", at, t.wait_ns);
+                            stats.backoff_ns += t.wait_ns;
+                        }
+                        RecoveryAction::DeltaRecompile | RecoveryAction::FullRecompile => {
+                            if t.action == RecoveryAction::DeltaRecompile {
+                                stats.watchdog("splice-delta", at, 0.0);
+                            }
+                            stats.watchdog("mask+recompile", at, t.wait_ns);
+                        }
+                    }
+                    elapsed += t.failed_ns + t.wait_ns;
+                }
             }
-            CacheEventKind::Insert => {}
         }
-        self.spans.push(Span::new(
-            "cache",
-            format!("{label} {:016x}", ev.fingerprint),
-            SpanCategory::Cache,
-            TimeDomain::Wall,
-            at_ns,
-            0.0,
-        ));
+        stats
     }
 
-    /// Record a watchdog retry attempt as a sim-time recovery span.
-    pub fn add_retry(&mut self, attempt: u64, start_ns: f64, dur_ns: f64) {
+    fn watchdog(&mut self, name: impl Into<String>, start_ns: f64, dur_ns: f64) {
         self.spans.push(Span::new(
             "watchdog",
-            format!("retry#{attempt}"),
-            SpanCategory::Recovery,
-            TimeDomain::Sim,
-            start_ns,
-            dur_ns,
-        ));
-    }
-
-    /// Record a watchdog backoff wait as a sim-time recovery span.
-    pub fn add_backoff(&mut self, start_ns: f64, dur_ns: f64) {
-        self.backoff_ns += dur_ns.max(0.0);
-        self.spans.push(Span::new(
-            "watchdog",
-            "backoff",
-            SpanCategory::Recovery,
-            TimeDomain::Sim,
-            start_ns,
-            dur_ns,
-        ));
-    }
-
-    /// Record a mask+recompile cycle as a sim-time recovery span (the
-    /// wall-clock compile cost is tracked separately via
-    /// [`add_compile`](Self::add_compile)).
-    pub fn add_recompile(&mut self, start_ns: f64, dur_ns: f64) {
-        self.spans.push(Span::new(
-            "watchdog",
-            "mask+recompile",
-            SpanCategory::Recovery,
-            TimeDomain::Sim,
-            start_ns,
-            dur_ns,
-        ));
-    }
-
-    /// Record that a mask+recompile cycle was served incrementally — the
-    /// watchdog rerouted and spliced the cached plan rather than running a
-    /// full compile. Rides alongside [`add_recompile`](Self::add_recompile)
-    /// (which spans the cycle itself); the splice's wall-clock phase cost
-    /// is folded in via [`add_compile`](Self::add_compile) like any other
-    /// compile.
-    pub fn add_delta_recompile(&mut self, start_ns: f64, dur_ns: f64) {
-        self.spans.push(Span::new(
-            "watchdog",
-            "splice-delta",
-            SpanCategory::Recovery,
-            TimeDomain::Sim,
-            start_ns,
-            dur_ns,
-        ));
-    }
-
-    /// Record a watchdog frontier-resume attempt as a sim-time recovery
-    /// span: instead of restarting from scratch, the attempt replayed the
-    /// fault frontier and re-ran only the residual work.
-    pub fn add_resume(&mut self, attempt: u64, start_ns: f64, dur_ns: f64) {
-        self.spans.push(Span::new(
-            "watchdog",
-            format!("resume#{attempt}"),
-            SpanCategory::Recovery,
-            TimeDomain::Sim,
-            start_ns,
-            dur_ns,
-        ));
-    }
-
-    /// Record a healing event: a masked resource was restored and the
-    /// watchdog failed back to the healthier plan at a collective boundary.
-    pub fn add_heal(&mut self, start_ns: f64, dur_ns: f64) {
-        self.spans.push(Span::new(
-            "watchdog",
-            "heal",
+            name,
             SpanCategory::Recovery,
             TimeDomain::Sim,
             start_ns,
@@ -370,21 +418,67 @@ mod tests {
     }
 
     #[test]
-    fn recovery_helpers_span() {
-        let mut stats = ObsStats::default();
-        stats.add_retry(1, 0.0, 50.0);
-        stats.add_backoff(50.0, 25.0);
-        stats.add_recompile(75.0, 10.0);
-        stats.add_resume(1, 85.0, 0.0);
-        stats.add_heal(95.0, 0.0);
+    fn dispatch_record_folds_into_spans_in_event_order() {
+        let cache = |kind| {
+            DispatchEvent::Cache(CacheEvent {
+                seq: 0,
+                fingerprint: 0xab,
+                kind,
+            })
+        };
+        let trigger = |action, failed_ns, wait_ns| {
+            DispatchEvent::Trigger(RecoveryTrigger {
+                action,
+                cause: String::new(),
+                failed_ns,
+                wait_ns,
+            })
+        };
+        let events = [
+            trigger(RecoveryAction::Heal, 0.0, 0.0),
+            cache(CacheEventKind::Miss),
+            DispatchEvent::Compile {
+                timings: timings(),
+                delta: false,
+            },
+            trigger(RecoveryAction::Resume, 50.0, 25.0),
+            cache(CacheEventKind::Hit),
+            DispatchEvent::Resume,
+            trigger(RecoveryAction::DeltaRecompile, 10.0, 5.0),
+            cache(CacheEventKind::Coalesced),
+        ];
+        let stats = ObsStats::from_events(&events);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (2, 1));
+        assert_eq!(stats.cache_coalesced, 1);
         assert!((stats.backoff_ns - 25.0).abs() < 1e-12);
-        assert_eq!(stats.spans.len(), 5);
-        assert!(stats.spans.iter().any(|s| s.name == "resume#1"));
-        assert!(stats.spans.iter().any(|s| s.name == "heal"));
+        assert!((stats.compile_total_ns() - 1100.0).abs() < 1e-9);
+        let names: Vec<&str> = stats.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "heal",
+                "miss 00000000000000ab",
+                "analysis",
+                "scheduling",
+                "lowering",
+                "sanitize",
+                "retry#1",
+                "backoff",
+                "hit 00000000000000ab",
+                "resume#1",
+                "splice-delta",
+                "mask+recompile",
+                "coalesced 00000000000000ab",
+            ]
+        );
+        // A cache span sits at the compile offset it was dispatched at.
+        assert_eq!(stats.spans[8].start_ns, 1100.0);
+        assert_eq!(stats.spans[11].start_ns, 85.0);
         assert!(stats
             .spans
             .iter()
-            .all(|s| s.domain == TimeDomain::Sim && s.track == "watchdog"));
+            .filter(|s| s.track == "watchdog")
+            .all(|s| s.domain == TimeDomain::Sim));
     }
 
     /// Compiles with the lint gate off and on, racing on two threads:
