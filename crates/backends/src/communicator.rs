@@ -446,7 +446,8 @@ impl Communicator {
                             timings: spliced.timings,
                             delta: true,
                         });
-                        self.cache.insert(fp, Arc::new(spliced));
+                        let ev = self.cache.insert(fp, Arc::new(spliced));
+                        events.push(DispatchEvent::Cache(ev));
                         action = RecoveryAction::DeltaRecompile;
                     }
                     events.push(DispatchEvent::Trigger(RecoveryTrigger {
@@ -718,6 +719,13 @@ mod tests {
         let spans = |name: &str| obs.spans.iter().filter(|s| s.name == name).count() as u32;
         assert_eq!(spans("mask+recompile"), rec.recompiles);
         assert_eq!(spans("splice-delta"), rec.delta_recompiles);
+        // Each spliced plan is inserted into the cache, and the insert is
+        // part of the dispatch record.
+        let inserts = obs
+            .spans
+            .iter()
+            .filter(|s| s.category == SpanCategory::Cache && s.name.starts_with("insert "));
+        assert_eq!(inserts.count() as u32, rec.delta_recompiles);
         // The degraded plan was spliced incrementally and inserted into the
         // cache, so only the healthy plan ever missed; the post-fault
         // dispatch hits.

@@ -617,10 +617,11 @@ impl PlanCache {
     /// same degraded configuration hit. Replaces any existing entry, and
     /// journals a [`CacheEventKind::Insert`] event: explicit inserts are
     /// part of the deterministic record of which fingerprints were made
-    /// dispatchable, exactly like misses.
-    pub fn insert(&self, fingerprint: u64, plan: Arc<CompiledPlan>) {
+    /// dispatchable, exactly like misses. Returns that event, for the
+    /// caller's own dispatch record.
+    pub fn insert(&self, fingerprint: u64, plan: Arc<CompiledPlan>) -> CacheEvent {
         let shard = self.shard(fingerprint);
-        self.publish(shard, fingerprint, plan, CacheEventKind::Insert);
+        self.publish(shard, fingerprint, plan, CacheEventKind::Insert)
     }
 
     /// Whether a plan is currently resident for `fingerprint` (no journal
@@ -1114,7 +1115,7 @@ mod tests {
         let plan = mb(64 << 20, spec.n_chunks());
         let compiled = Arc::new(compiler.compile_spec(&spec, &topo).unwrap());
         let fp = plan_fingerprint(&compiler, &spec, &topo, &plan);
-        cache.insert(fp, Arc::clone(&compiled));
+        let inserted = cache.insert(fp, Arc::clone(&compiled));
         let served = cache
             .get_or_compile(&compiler, &spec, &topo, &plan)
             .unwrap();
@@ -1125,6 +1126,7 @@ mod tests {
         // cache silently bypassed the journal here).
         let journal = cache.journal();
         assert_eq!(journal.len(), 2);
+        assert_eq!(journal[0], inserted, "insert returns its journal event");
         assert_eq!(journal[0].kind, CacheEventKind::Insert);
         assert_eq!(journal[0].fingerprint, fp);
         assert_eq!(journal[1].kind, CacheEventKind::Hit);
