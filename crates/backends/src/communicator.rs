@@ -219,16 +219,23 @@ impl Communicator {
         let n = self.topo.n_ranks();
         // "Small" = latency-dominated: few micro-batches to pipeline.
         let small = buffer_bytes <= (n as u64) * self.chunk_bytes * 2;
-        let spec = self.specs.entry((op, small)).or_insert_with(|| match op {
+        if let Some(spec) = self.specs.get(&(op, small)) {
+            return spec.clone();
+        }
+        let spec = match op {
             OpType::AllGather => hm_allgather(nodes, g),
             OpType::ReduceScatter => hm_reduce_scatter(nodes, g),
-            // Log-depth butterfly wins when α dominates.
-            OpType::AllReduce if small && n.is_power_of_two() && nodes == 1 => {
-                recursive_halving_doubling_allreduce(n)
+            OpType::AllReduce => {
+                if small && n.is_power_of_two() && nodes == 1 {
+                    // Log-depth butterfly wins when α dominates.
+                    recursive_halving_doubling_allreduce(n)
+                } else {
+                    hm_allreduce(nodes, g)
+                }
             }
-            OpType::AllReduce => hm_allreduce(nodes, g),
-        });
-        spec.clone()
+        };
+        self.specs.insert((op, small), spec.clone());
+        spec
     }
 
     /// AllReduce `buffer_bytes` per rank.
@@ -264,18 +271,16 @@ impl Communicator {
         // longer declares it permanently dead has been restored — un-mask
         // it and fail back to the healthier plan at this collective
         // boundary (the dispatch below picks it up via the fingerprint).
-        let dead = self.health.dead().to_vec();
-        for r in dead
-            .into_iter()
-            .filter(|r| !self.faults.is_permanent_down(*r))
-        {
-            self.health.unmask(r);
-            events.push(DispatchEvent::Trigger(RecoveryTrigger {
-                action: RecoveryAction::Heal,
-                cause: format!("{r} restored"),
-                failed_ns: 0.0,
-                wait_ns: 0.0,
-            }));
+        for r in self.health.dead().to_vec() {
+            if !self.faults.is_permanent_down(r) {
+                self.health.unmask(r);
+                events.push(DispatchEvent::Trigger(RecoveryTrigger {
+                    action: RecoveryAction::Heal,
+                    cause: format!("{r} restored"),
+                    failed_ns: 0.0,
+                    wait_ns: 0.0,
+                }));
+            }
         }
         // Completed invocations accumulated across aborted attempts, in
         // the id space of the full (non-residual) plan — stable across
@@ -284,10 +289,9 @@ impl Communicator {
         // spec). While non-empty, each attempt resumes from it.
         let mut acc: Option<FaultFrontier> = None;
         loop {
-            // The recovery so far, for the budgets. `elapsed` is the sim
-            // time burned by failed attempts + backoff: each retry replays
-            // the fault timeline shifted into the past by this much, so a
-            // flap that already passed stays passed.
+            // The recovery so far, for the budgets. Each retry replays the
+            // fault timeline shifted into the past by its `recovery_ns`, so
+            // a flap that already passed stays passed.
             let so_far = RecoveryStats::from_events(&events);
             let elapsed = so_far.recovery_ns;
             let topo = self.topo.clone().with_health(self.health.clone());
