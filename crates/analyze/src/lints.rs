@@ -311,6 +311,7 @@ fn dead_transfers(
     describe: impl Fn(TaskId, &Task) -> (LintCode, Option<u32>, String),
 ) {
     let n_ranks = input.spec.n_ranks() as usize;
+    let mut prov = Slots::<Provenance>::new(n_ranks);
     for chunk in 0..dag.n_chunks() {
         let tasks = dag.chunk_tasks(ChunkId::new(chunk));
         if tasks.is_empty() {
@@ -321,7 +322,7 @@ fn dead_transfers(
         // whole DAG) carry the same information at a fraction of the
         // footprint. Slot `r` is rank `r`'s copy of the chunk.
         let words = tasks.len().div_ceil(64);
-        let mut prov = Slots::<Provenance>::new(n_ranks, words);
+        prov.clear(n_ranks);
         let done = |li: usize| completed[tasks[li].index()];
         let mv = |li: usize| {
             let t = dag.task(tasks[li]);

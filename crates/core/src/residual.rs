@@ -176,9 +176,9 @@ fn verify_provenance(
     resume: &ResumeState,
 ) -> SimResult<()> {
     let n_chunks = cached.dag.n_chunks();
-    let initial = Slots::initial(cached.op, cached.spec.n_ranks(), 0..n_chunks);
+    let mut buf = Slots::new(0);
     for mb in 0..resume.n_mb {
-        let mut buf = initial.clone();
+        buf.reset(cached.op, cached.spec.n_ranks(), 0..n_chunks);
         resume.replay_into(mb..mb + 1, std::slice::from_mut(&mut buf), n_chunks);
         for c in 0..n_chunks {
             for &tid in residual.chunk_tasks(ChunkId::new(c)) {

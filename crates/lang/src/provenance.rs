@@ -10,6 +10,13 @@
 //! move reads its source from the pre-group state, then the writes commit
 //! in order ([`Slots::apply_group`]); a sequential replay is a replay
 //! whose groups have one move each ([`Slots::apply`]).
+//!
+//! A slot's contribution counts are sparse ([`Runs`]): sorted runs of
+//! source ranks that share one count, the first two stored inline. A copy
+//! moves a run or two, a reduction is one linear merge of two run lists,
+//! and the contract compares each slot with the one run it must end with,
+//! so a replay costs O(transfers × runs per slot) rather than O(transfers
+//! × ranks). Error messages render the counts dense ([`Runs::to_dense`]).
 
 use crate::ast::{CommType, OpType};
 use rescc_topology::Step;
@@ -27,52 +34,243 @@ fn holds_own_data(op: OpType, rank: u32, chunk: u32) -> bool {
     op != OpType::AllGather || rank == chunk
 }
 
-/// How many times source rank `source`'s data every required slot of
-/// `chunk` ends with: the chunk owner's data once for AllGather, every
-/// rank's data once (the full reduction) otherwise.
-fn final_count(op: OpType, chunk: u32, source: usize) -> u8 {
-    u8::from(op != OpType::AllGather || source == chunk as usize)
+/// The run every required slot of `chunk` ends with: the chunk owner's
+/// data once for AllGather, every rank's data once (the full reduction)
+/// otherwise.
+fn final_run(op: OpType, n_ranks: u32, chunk: u32) -> Run {
+    match op {
+        OpType::AllGather => Run::new(chunk..chunk + 1, 1),
+        _ => Run::new(0..n_ranks, 1),
+    }
 }
 
-/// What a reduction and a write's stamp do to a slot's words.
+/// What a copy, a reduction and a write's stamp do to a slot's value.
 pub trait SlotDomain {
-    /// One word of a slot.
-    type Word: Copy + Default;
+    /// One slot's value.
+    type Value: Clone + Default;
+    /// Working space a fold reuses from one call to the next.
+    type Scratch: Default;
     /// `recvReduceCopy`: fold `src` into `dst`.
-    fn fold(dst: &mut [Self::Word], src: &[Self::Word]);
+    fn fold(dst: &mut Self::Value, src: &Self::Value, scratch: &mut Self::Scratch);
     /// Record that move `writer` produced `dst`'s new value.
-    fn stamp(dst: &mut [Self::Word], writer: usize);
+    fn stamp(dst: &mut Self::Value, writer: usize);
 }
 
-/// Contribution counts, one `u8` per source rank, saturating at 255 (a
-/// run long past correct).
-#[derive(Clone)]
+/// Source ranks `lo..hi`, each of whose data a slot holds `n` times.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Run {
+    /// First source rank.
+    pub lo: u32,
+    /// One past the last source rank.
+    pub hi: u32,
+    /// Contribution count of every rank in the run, saturating at 255 (a
+    /// run long past correct).
+    pub n: u8,
+}
+
+impl Run {
+    /// Ranks `ranks`, `n` times each.
+    pub fn new(ranks: Range<u32>, n: u8) -> Self {
+        Self {
+            lo: ranks.start,
+            hi: ranks.end,
+            n,
+        }
+    }
+}
+
+/// A slot's contributions as a sparse set: sorted, disjoint, non-empty
+/// [`Run`]s with nonzero counts, no two touching runs with one count. Up
+/// to two runs live inline, so copying a slot that holds one rank's data
+/// or one contiguous partial sum copies a fixed 24 bytes and allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Runs {
+    len: u32,
+    /// The runs while there are at most two.
+    inline: [Run; 2],
+    /// The runs when there are more; the buffer outlives a shrink, so a
+    /// slot that once spilled reuses it.
+    heap: Vec<Run>,
+}
+
+impl Runs {
+    /// The runs, in rank order.
+    pub fn runs(&self) -> &[Run] {
+        match self.len {
+            0..=2 => &self.inline[..self.len as usize],
+            _ => &self.heap,
+        }
+    }
+
+    /// Whether the slot holds no data at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The counts as one `u8` per source rank `0..n_ranks`.
+    pub fn to_dense(&self, n_ranks: u32) -> Vec<u8> {
+        let mut dense = vec![0; n_ranks as usize];
+        for r in self.runs() {
+            dense[r.lo as usize..r.hi as usize].fill(r.n);
+        }
+        dense
+    }
+
+    /// Hold exactly `run`.
+    fn set_one(&mut self, run: Run) {
+        self.len = 1;
+        self.inline[0] = run;
+    }
+
+    /// Replace the runs with canonical `runs`.
+    fn set(&mut self, runs: &[Run]) {
+        self.len = runs.len() as u32;
+        match *runs {
+            [] => {}
+            [a] => self.inline[0] = a,
+            [a, b] => self.inline = [a, b],
+            _ => {
+                self.heap.clear();
+                self.heap.extend_from_slice(runs);
+            }
+        }
+    }
+}
+
+impl Clone for Runs {
+    fn clone(&self) -> Self {
+        let mut out = Self::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.len = source.len;
+        self.inline = source.inline;
+        if source.len > 2 {
+            self.heap.clear();
+            self.heap.extend_from_slice(&source.heap);
+        }
+    }
+}
+
+impl PartialEq for Runs {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs() == other.runs()
+    }
+}
+
+/// Append `run` to canonical `out`, merging it into a touching last run of
+/// the same count.
+fn push_run(out: &mut Vec<Run>, run: Run) {
+    match out.last_mut() {
+        Some(last) if last.hi == run.lo && last.n == run.n => last.hi = run.hi,
+        _ => out.push(run),
+    }
+}
+
+/// The rank-wise saturating sum of canonical run lists `a` and `b`, into
+/// `out`: one linear merge.
+fn merge(a: &[Run], b: &[Run], out: &mut Vec<Run>) {
+    out.clear();
+    let (mut ia, mut ib) = (a.iter().copied(), b.iter().copied());
+    let (mut x, mut y) = (ia.next(), ib.next());
+    loop {
+        match (x, y) {
+            (None, None) => break,
+            (Some(p), None) => {
+                push_run(out, p);
+                out.extend(ia);
+                break;
+            }
+            (None, Some(q)) => {
+                push_run(out, q);
+                out.extend(ib);
+                break;
+            }
+            (Some(p), Some(q)) if p.hi <= q.lo => {
+                push_run(out, p);
+                x = ia.next();
+            }
+            (Some(p), Some(q)) if q.hi <= p.lo => {
+                push_run(out, q);
+                y = ib.next();
+            }
+            (Some(mut p), Some(mut q)) => {
+                // Overlap: the head only one side covers, then the overlap.
+                let lo = p.lo.max(q.lo);
+                let head = if p.lo < lo { p } else { q };
+                if head.lo < lo {
+                    push_run(out, Run::new(head.lo..lo, head.n));
+                }
+                let hi = p.hi.min(q.hi);
+                push_run(out, Run::new(lo..hi, p.n.saturating_add(q.n)));
+                p.lo = hi;
+                q.lo = hi;
+                x = if p.lo < p.hi { Some(p) } else { ia.next() };
+                y = if q.lo < q.hi { Some(q) } else { ib.next() };
+            }
+        }
+    }
+}
+
+/// Contribution counts: for every source rank, how many times a slot holds
+/// its data, as a sparse [`Runs`] set.
 pub struct Counts;
 
 impl SlotDomain for Counts {
-    type Word = u8;
-    fn fold(dst: &mut [u8], src: &[u8]) {
-        for (a, b) in dst.iter_mut().zip(src) {
-            *a = a.saturating_add(*b);
+    type Value = Runs;
+    type Scratch = Vec<Run>;
+    fn fold(dst: &mut Runs, src: &Runs, scratch: &mut Vec<Run>) {
+        if src.is_empty() {
+            return;
         }
+        if dst.is_empty() {
+            dst.clone_from(src);
+            return;
+        }
+        if let ([p], [q]) = (dst.runs(), src.runs()) {
+            // One run each, rank-disjoint (the common partial sum): at
+            // most two runs out, no merge.
+            let (x, y) = if p.lo < q.lo { (*p, *q) } else { (*q, *p) };
+            if x.hi <= y.lo {
+                if x.hi == y.lo && x.n == y.n {
+                    dst.set_one(Run::new(x.lo..y.hi, x.n));
+                } else {
+                    dst.set(&[x, y]);
+                }
+                return;
+            }
+        }
+        merge(dst.runs(), src.runs(), scratch);
+        dst.set(scratch);
     }
-    fn stamp(_: &mut [u8], _: usize) {}
+    fn stamp(_: &mut Runs, _: usize) {}
 }
 
 /// Task provenance: a bitset over a chunk's local task indices naming
-/// every task whose delivery flowed into the slot's current value.
-#[derive(Clone)]
+/// every task whose delivery flowed into the slot's current value. Words
+/// past the end are zero.
 pub struct Provenance;
 
 impl SlotDomain for Provenance {
-    type Word = u64;
-    fn fold(dst: &mut [u64], src: &[u64]) {
+    type Value = Vec<u64>;
+    type Scratch = ();
+    fn fold(dst: &mut Vec<u64>, src: &Vec<u64>, _: &mut ()) {
+        if dst.len() < src.len() {
+            dst.resize(src.len(), 0);
+        }
         for (a, b) in dst.iter_mut().zip(src) {
             *a |= b;
         }
     }
-    fn stamp(dst: &mut [u64], writer: usize) {
-        dst[writer / 64] |= 1 << (writer % 64);
+    fn stamp(dst: &mut Vec<u64>, writer: usize) {
+        let word = writer / 64;
+        if dst.len() <= word {
+            dst.resize(word + 1, 0);
+        }
+        dst[word] |= 1 << (writer % 64);
     }
 }
 
@@ -90,38 +288,57 @@ pub struct Move {
     pub writer: usize,
 }
 
-/// A table of slots in one flat allocation: slot `i` is words
-/// `i * width .. (i + 1) * width`.
-#[derive(Clone)]
+/// A table of slot values.
 pub struct Slots<D: SlotDomain> {
-    words: Vec<D::Word>,
-    width: usize,
+    values: Vec<D::Value>,
     /// Pre-group source values of the group being applied.
-    reads: Vec<D::Word>,
+    reads: Vec<D::Value>,
+    scratch: D::Scratch,
+}
+
+impl<D: SlotDomain> Clone for Slots<D> {
+    fn clone(&self) -> Self {
+        Self {
+            values: self.values.clone(),
+            reads: Vec::new(),
+            scratch: D::Scratch::default(),
+        }
+    }
 }
 
 impl<D: SlotDomain> Slots<D> {
-    /// `n_slots` zeroed slots of `width` words each.
-    pub fn new(n_slots: usize, width: usize) -> Self {
+    /// `n_slots` empty slots.
+    pub fn new(n_slots: usize) -> Self {
         Self {
-            words: vec![D::Word::default(); n_slots * width],
-            width,
+            values: vec![D::Value::default(); n_slots],
             reads: Vec::new(),
+            scratch: D::Scratch::default(),
         }
     }
 
-    /// Slot `i`'s words.
-    pub fn slot(&self, i: usize) -> &[D::Word] {
-        &self.words[i * self.width..(i + 1) * self.width]
+    /// Empty every slot and resize the table to `n_slots`, keeping the
+    /// slots' buffers.
+    pub fn clear(&mut self, n_slots: usize) {
+        let empty = D::Value::default();
+        self.values.truncate(n_slots);
+        for v in &mut self.values {
+            v.clone_from(&empty);
+        }
+        self.values.resize(n_slots, empty);
+    }
+
+    /// Slot `i`'s value.
+    pub fn slot(&self, i: usize) -> &D::Value {
+        &self.values[i]
     }
 
     /// Write `value` into slot `dst`: a copy replaces, a reduction folds,
     /// then `writer` stamps — the one definition of both.
-    pub fn write(&mut self, dst: usize, value: &[D::Word], comm: CommType, writer: usize) {
-        let slot = &mut self.words[dst * self.width..(dst + 1) * self.width];
+    pub fn write(&mut self, dst: usize, value: &D::Value, comm: CommType, writer: usize) {
+        let slot = &mut self.values[dst];
         match comm {
-            CommType::Recv => slot.copy_from_slice(value),
-            CommType::Rrc => D::fold(slot, value),
+            CommType::Recv => slot.clone_from(value),
+            CommType::Rrc => D::fold(slot, value, &mut self.scratch),
         }
         D::stamp(slot, writer);
     }
@@ -134,11 +351,14 @@ impl<D: SlotDomain> Slots<D> {
     {
         let group = group.into_iter();
         let mut reads = std::mem::take(&mut self.reads);
-        reads.clear();
-        for m in group.clone() {
-            reads.extend_from_slice(self.slot(m.src));
+        for (n, m) in group.clone().enumerate() {
+            let value = &self.values[m.src];
+            match reads.get_mut(n) {
+                Some(read) => read.clone_from(value),
+                None => reads.push(value.clone()),
+            }
         }
-        for (m, value) in group.zip(reads.chunks_exact(self.width)) {
+        for (m, value) in group.zip(&reads) {
             self.write(m.dst, value, m.comm, m.writer);
         }
         self.reads = reads;
@@ -154,30 +374,41 @@ impl Slots<Counts> {
     /// `op`'s precondition over chunks `chunks` of every rank, slot
     /// `(rank, chunk)` at `rank * chunks.len() + (chunk - chunks.start)`.
     pub fn initial(op: OpType, n_ranks: u32, chunks: Range<u32>) -> Self {
-        let w = n_ranks as usize;
-        let mut slots = Self::new(w * chunks.len(), w);
-        for (i, (rank, chunk)) in slot_coords(n_ranks, chunks).enumerate() {
-            if holds_own_data(op, rank, chunk) {
-                slots.words[i * w + rank as usize] = 1;
-            }
-        }
+        let mut slots = Self::new(0);
+        slots.reset(op, n_ranks, chunks);
         slots
     }
 
+    /// Lay [`Slots::initial`]'s precondition over this table in place,
+    /// keeping the slots' buffers.
+    pub fn reset(&mut self, op: OpType, n_ranks: u32, chunks: Range<u32>) {
+        self.clear(n_ranks as usize * chunks.len());
+        for (slot, (rank, chunk)) in self.values.iter_mut().zip(slot_coords(n_ranks, chunks)) {
+            if holds_own_data(op, rank, chunk) {
+                slot.set_one(Run::new(rank..rank + 1, 1));
+            }
+        }
+    }
+
     /// The first slot, in [`Slots::initial`]'s layout, that breaks `op`'s
-    /// postcondition: `(rank, chunk, counts held, counts expected)`.
+    /// postcondition: `(rank, chunk, counts held, counts expected)`, the
+    /// counts one `u8` per source rank.
     pub fn contract_violation(
         &self,
         op: OpType,
         chunks: Range<u32>,
-    ) -> Option<(u32, u32, &[u8], Vec<u8>)> {
-        let want = |chunk: u32| (0..self.width).map(move |s| final_count(op, chunk, s));
-        slot_coords(self.width as u32, chunks)
-            .enumerate()
-            .find(|&(i, (rank, chunk))| {
-                required(op, rank, chunk) && !self.slot(i).iter().copied().eq(want(chunk))
+    ) -> Option<(u32, u32, Vec<u8>, Vec<u8>)> {
+        let n_ranks = self.values.len().checked_div(chunks.len())? as u32;
+        slot_coords(n_ranks, chunks)
+            .zip(&self.values)
+            .find(|&((rank, chunk), slot)| {
+                required(op, rank, chunk) && slot.runs() != [final_run(op, n_ranks, chunk)]
             })
-            .map(|(i, (rank, chunk))| (rank, chunk, self.slot(i), want(chunk).collect()))
+            .map(|((rank, chunk), slot)| {
+                let mut want = Runs::default();
+                want.set_one(final_run(op, n_ranks, chunk));
+                (rank, chunk, slot.to_dense(n_ranks), want.to_dense(n_ranks))
+            })
     }
 }
 
@@ -205,15 +436,67 @@ mod tests {
         }
     }
 
+    /// The sparse form of dense per-rank counts.
+    fn runs(dense: &[u8]) -> Runs {
+        let mut v = Vec::new();
+        for (r, &n) in (0u32..).zip(dense) {
+            if n > 0 {
+                push_run(&mut v, Run::new(r..r + 1, n));
+            }
+        }
+        let mut out = Runs::default();
+        out.set(&v);
+        out
+    }
+
+    fn dense(s: &Slots<Counts>, i: usize, n_ranks: u32) -> Vec<u8> {
+        s.slot(i).to_dense(n_ranks)
+    }
+
     #[test]
     fn copy_replaces_reduce_accumulates() {
-        let mut s = Slots::<Counts>::new(2, 4);
-        s.write(0, &[1, 0, 0, 0], CommType::Recv, 0);
-        s.write(1, &[0, 0, 1, 0], CommType::Recv, 0);
+        let mut s = Slots::<Counts>::new(2);
+        s.write(0, &runs(&[1, 0, 0, 0]), CommType::Recv, 0);
+        s.write(1, &runs(&[0, 0, 1, 0]), CommType::Recv, 0);
         s.apply(mv(1, 0, CommType::Rrc, 0));
-        assert_eq!(s.slot(0), &[1, 0, 1, 0]);
+        assert_eq!(dense(&s, 0, 4), [1, 0, 1, 0]);
         s.apply(mv(1, 0, CommType::Recv, 0));
-        assert_eq!(s.slot(0), &[0, 0, 1, 0]);
+        assert_eq!(dense(&s, 0, 4), [0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn merges_stay_canonical() {
+        let mut scratch = Vec::new();
+        // Touching runs of one count coalesce: a ring's partial sums stay
+        // one run.
+        let mut acc = runs(&[1, 1, 0, 0, 0]);
+        Counts::fold(&mut acc, &runs(&[0, 0, 1, 0, 0]), &mut scratch);
+        assert_eq!(acc.runs(), [Run::new(0..3, 1)]);
+        // Overlaps split and add; the sum of a strided set spills past two
+        // runs and back.
+        Counts::fold(&mut acc, &runs(&[0, 2, 0, 0, 1]), &mut scratch);
+        assert_eq!(
+            acc.runs(),
+            [
+                Run::new(0..1, 1),
+                Run::new(1..2, 3),
+                Run::new(2..3, 1),
+                Run::new(4..5, 1)
+            ]
+        );
+        assert_eq!(acc.to_dense(5), [1, 3, 1, 0, 1]);
+        acc.clone_from(&runs(&[0, 0, 0, 1, 0]));
+        assert!(acc.heap.capacity() >= 4);
+        assert_eq!(acc, runs(&[0, 0, 0, 1, 0]));
+        // Counts saturate at 255 and the saturated runs coalesce.
+        let mut hot = runs(&[200, 255, 0]);
+        Counts::fold(&mut hot, &runs(&[100, 9, 0]), &mut scratch);
+        assert_eq!(hot.runs(), [Run::new(0..2, 255)]);
+        // An empty source is a no-op; an empty destination takes a copy.
+        Counts::fold(&mut hot, &Runs::default(), &mut scratch);
+        let mut empty = Runs::default();
+        Counts::fold(&mut empty, &hot, &mut scratch);
+        assert_eq!(empty, hot);
     }
 
     #[test]
@@ -221,10 +504,9 @@ mod tests {
         let mut s = Slots::initial(OpType::ReduceScatter, 2, 0..1);
         s.apply(mv(1, 0, CommType::Rrc, 0));
         s.apply(mv(1, 0, CommType::Rrc, 0)); // fold rank 1 twice — wrong for sum
-        assert_eq!(s.slot(0), &[1, 2]);
-        let (rank, chunk, got, want) = s.contract_violation(OpType::ReduceScatter, 0..1).unwrap();
-        assert_eq!((rank, chunk, got), (0, 0, &[1u8, 2][..]));
-        assert_eq!(want, vec![1, 1]);
+        assert_eq!(dense(&s, 0, 2), [1, 2]);
+        let violation = s.contract_violation(OpType::ReduceScatter, 0..1);
+        assert_eq!(violation, Some((0, 0, vec![1, 2], vec![1, 1])));
     }
 
     #[test]
@@ -233,38 +515,41 @@ mod tests {
         let mut s = Slots::initial(OpType::AllGather, 2, 0..2);
         let (a, b) = (0, 3); // (rank 0, chunk 0) and (rank 1, chunk 1)
         s.apply_group([mv(a, b, CommType::Recv, 0), mv(b, a, CommType::Recv, 0)]);
-        assert_eq!(s.slot(a), &[0, 1]);
-        assert_eq!(s.slot(b), &[1, 0]);
+        assert_eq!(dense(&s, a, 2), [0, 1]);
+        assert_eq!(dense(&s, b, 2), [1, 0]);
         // Applied one at a time, the second move reads the first's write.
         let mut s = Slots::initial(OpType::AllGather, 2, 0..2);
         s.apply(mv(a, b, CommType::Recv, 0));
         s.apply(mv(b, a, CommType::Recv, 0));
-        assert_eq!(s.slot(a), &[1, 0]);
+        assert_eq!(dense(&s, a, 2), [1, 0]);
     }
 
     #[test]
     fn provenance_writes_stamp_the_writer() {
-        let mut s = Slots::<Provenance>::new(3, 2);
+        let mut s = Slots::<Provenance>::new(3);
         s.apply(mv(0, 1, CommType::Recv, 70));
         s.apply(mv(1, 2, CommType::Rrc, 3));
         assert_eq!(s.slot(1), &[0, 1 << 6]);
         assert_eq!(s.slot(2), &[1 << 3, 1 << 6]);
         s.apply(mv(0, 2, CommType::Recv, 5));
-        assert_eq!(s.slot(2), &[1 << 5, 0]);
+        assert_eq!(s.slot(2), &[1 << 5]);
+        // Clearing keeps the table's slots but drops their bits.
+        s.clear(2);
+        assert_eq!((s.slot(0), s.slot(1)), (&vec![], &vec![]));
     }
 
     /// A 3-rank table over chunks `0..3`, one literal row per slot in
     /// [`Slots::initial`]'s layout.
     fn table(rows: [[u8; 3]; 9]) -> Slots<Counts> {
-        let mut s = Slots::new(9, 3);
+        let mut s = Slots::new(9);
         for (i, row) in rows.iter().enumerate() {
-            s.write(i, row, CommType::Recv, 0);
+            s.write(i, &runs(row), CommType::Recv, 0);
         }
         s
     }
 
-    fn rows(s: &Slots<Counts>) -> Vec<&[u8]> {
-        (0..9).map(|i| s.slot(i)).collect()
+    fn rows(s: &Slots<Counts>, n_slots: usize) -> Vec<Vec<u8>> {
+        (0..n_slots).map(|i| dense(s, i, 3)).collect()
     }
 
     #[test]
@@ -293,25 +578,27 @@ mod tests {
             [0, 0, 1],
         ]);
         assert_eq!(
-            rows(&Slots::initial(OpType::AllGather, 3, 0..3)),
-            rows(&gather)
+            rows(&Slots::initial(OpType::AllGather, 3, 0..3), 9),
+            rows(&gather, 9)
         );
         for op in [OpType::AllReduce, OpType::ReduceScatter] {
-            assert_eq!(rows(&Slots::initial(op, 3, 0..3)), rows(&reduce));
+            assert_eq!(rows(&Slots::initial(op, 3, 0..3), 9), rows(&reduce, 9));
         }
         // A sub-range of chunks keeps the same rows, rank-major.
-        let tail = Slots::initial(OpType::AllGather, 3, 1..3);
-        assert_eq!(
-            (0..6).map(|i| tail.slot(i)).collect::<Vec<_>>(),
-            [
-                [0, 0, 0],
-                [0, 0, 0],
-                [0, 1, 0],
-                [0, 0, 0],
-                [0, 0, 0],
-                [0, 0, 1]
-            ]
-        );
+        let mut tail = Slots::initial(OpType::AllGather, 3, 1..3);
+        let expected = [
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 1, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 0, 1],
+        ];
+        assert_eq!(rows(&tail, 6), expected);
+        // Resetting a used table lays the same precondition again.
+        tail.apply(mv(2, 0, CommType::Rrc, 0));
+        tail.reset(OpType::AllGather, 3, 1..3);
+        assert_eq!(rows(&tail, 6), expected);
     }
 
     #[test]
@@ -337,7 +624,7 @@ mod tests {
         late[7] = [0, 0, 0]; // rank 2 never got chunk 1
         assert_eq!(
             table(late).contract_violation(OpType::AllGather, 0..3),
-            Some((2, 1, &[0u8, 0, 0][..], vec![0, 1, 0]))
+            Some((2, 1, vec![0, 0, 0], vec![0, 1, 0]))
         );
         // AllReduce: every slot fully reduced, each rank exactly once.
         let mut reduced = [ones; 9];
@@ -349,7 +636,7 @@ mod tests {
         reduced[8] = [0, 1, 1];
         assert_eq!(
             table(reduced).contract_violation(OpType::AllReduce, 0..3),
-            Some((1, 1, &[1u8, 2, 1][..], ones.to_vec()))
+            Some((1, 1, vec![1, 2, 1], ones.to_vec()))
         );
         // ReduceScatter: only the owned slots (rows 0, 4, 8) are checked.
         let mut scattered = [[0, 2, 0]; 9];
@@ -363,7 +650,7 @@ mod tests {
         scattered[8] = [1, 1, 0];
         assert_eq!(
             table(scattered).contract_violation(OpType::ReduceScatter, 0..3),
-            Some((2, 2, &[1u8, 1, 0][..], ones.to_vec()))
+            Some((2, 2, vec![1, 1, 0], ones.to_vec()))
         );
         assert!(!required(OpType::ReduceScatter, 2, 1));
         assert!(required(OpType::AllReduce, 2, 1) && required(OpType::AllGather, 2, 1));

@@ -2,7 +2,7 @@
 //! an [`AlgoSpec`] implements its declared operator.
 //!
 //! The verifier replays the transfers in step order over per-slot
-//! contribution counts ([`Counts`](crate::provenance::Counts)) on the shared
+//! contribution counts ([`Counts`]) on the shared
 //! [provenance kernel](crate::provenance), with the same step semantics
 //! the dependency DAG uses: all reads of a step observe the pre-step
 //! state, writes commit together at the end of the step. It then checks
@@ -24,25 +24,49 @@
 
 use crate::ast::CommType;
 use crate::error::{LangError, Result};
-use crate::provenance::{step_groups, Move, Slots};
+use crate::provenance::{step_groups, Counts, Move, Slots};
 use crate::spec::{AlgoSpec, TransferRec};
 
 /// Statically verify that `spec` implements its declared operator.
 ///
 /// Every transfer reads and writes only its own chunk's buffer slots, so
-/// the replay decomposes exactly into one independent run per chunk,
-/// which caps the symbolic state at O(ranks²) instead of O(ranks³). When
+/// the replay decomposes exactly into one independent run per chunk over
+/// one reused table of `n_ranks` slots. Each slot's counts are a sparse
+/// run list, so the cost follows the transfers, not the group size. When
 /// several chunks are broken, the error reported is the lowest-numbered
 /// chunk's.
 pub fn verify_collective(spec: &AlgoSpec) -> Result<()> {
-    let mut by_chunk: Vec<Vec<&TransferRec>> = vec![Vec::new(); spec.n_chunks() as usize];
-    for t in spec.transfers() {
-        by_chunk[t.chunk.index()].push(t);
+    // A counting sort by chunk of `step << 32 | declaration index` keys:
+    // sorting one chunk's keys orders its transfers by step and, within a
+    // step, by declaration.
+    let ts = spec.transfers();
+    let mut starts = vec![0; spec.n_chunks() as usize + 1];
+    for t in ts {
+        starts[t.chunk.index() + 1] += 1;
     }
-    for (c, transfers) in by_chunk.iter_mut().enumerate() {
-        // Stable: same-step transfers keep declaration order.
-        transfers.sort_by_key(|t| t.step);
-        verify_chunk(spec, c as u32, transfers)?;
+    for c in 1..starts.len() {
+        starts[c] += starts[c - 1];
+    }
+    let mut next = starts.clone();
+    let mut keys = vec![0u64; ts.len()];
+    for (i, t) in ts.iter().enumerate() {
+        let at = &mut next[t.chunk.index()];
+        keys[*at] = (t.step.0 as u64) << 32 | i as u64;
+        *at += 1;
+    }
+
+    let mut replay = Replay {
+        spec,
+        state: Slots::new(0),
+        targets: Vec::new(),
+    };
+    let mut chunk = Vec::new();
+    for (c, bounds) in starts.windows(2).enumerate() {
+        let keys = &mut keys[bounds[0]..bounds[1]];
+        keys.sort_unstable();
+        chunk.clear();
+        chunk.extend(keys.iter().map(|&k| &ts[k as u32 as usize]));
+        replay.chunk(c as u32, &chunk)?;
     }
     Ok(())
 }
@@ -54,83 +78,95 @@ pub fn verify_collective_with_threads(spec: &AlgoSpec, _threads: usize) -> Resul
     verify_collective(spec)
 }
 
-/// Replay one chunk's step-sorted transfers and check its slice of the
-/// operator contract. Slot `r` is rank `r`'s copy of chunk `c`.
-fn verify_chunk(spec: &AlgoSpec, c: u32, transfers: &[&TransferRec]) -> Result<()> {
-    let mut state = Slots::initial(spec.op(), spec.n_ranks(), c..c + 1);
-    for group in step_groups(transfers, |t| t.step) {
-        let step = group[0].step;
-        // Reads observe the pre-step state.
-        if let Some(t) = group
-            .iter()
-            .find(|t| state.slot(t.src.index()).iter().all(|&n| n == 0))
-        {
-            return Err(LangError::eval(format!(
-                "`{}`: step {} sends uninitialized data — transfer {}->{} of chunk {} \
-                 reads an empty buffer slot",
-                spec.name(),
-                step,
-                t.src,
-                t.dst,
-                t.chunk
-            )));
-        }
+/// The verifier's working state, reused from one chunk to the next.
+struct Replay<'a> {
+    spec: &'a AlgoSpec,
+    /// Slot `r` is rank `r`'s copy of the chunk being replayed.
+    state: Slots<Counts>,
+    /// One step group's `(destination rank, is a copy)` writes, sorted.
+    targets: Vec<(u32, bool)>,
+}
 
-        // Same-step writes into one slot race unless all of them reduce:
-        // reductions commute, a plain copy does not.
-        let mut targets: Vec<(u32, bool)> = group
-            .iter()
-            .map(|t| (t.dst.0, t.comm == CommType::Recv))
-            .collect();
-        targets.sort_unstable();
-        for w in targets.windows(2) {
-            if w[0].0 == w[1].0 && (w[0].1 || w[1].1) {
+impl Replay<'_> {
+    /// Replay chunk `c`'s step-sorted transfers and check its slice of the
+    /// operator contract.
+    fn chunk(&mut self, c: u32, transfers: &[&TransferRec]) -> Result<()> {
+        let spec = self.spec;
+        self.state.reset(spec.op(), spec.n_ranks(), c..c + 1);
+        for group in step_groups(transfers, |t| t.step) {
+            let step = group[0].step;
+            // Reads observe the pre-step state.
+            if let Some(t) = group
+                .iter()
+                .find(|t| self.state.slot(t.src.index()).is_empty())
+            {
                 return Err(LangError::eval(format!(
-                    "`{}`: step {} has racing writes into rank r{} chunk c{} — a copy \
-                     and another same-step write land in one slot, so the result \
-                     would be nondeterministic",
+                    "`{}`: step {} sends uninitialized data — transfer {}->{} of chunk {} \
+                     reads an empty buffer slot",
                     spec.name(),
                     step,
-                    w[0].0,
+                    t.src,
+                    t.dst,
+                    t.chunk
+                )));
+            }
+
+            // Same-step writes into one slot race unless all of them
+            // reduce: reductions commute, a plain copy does not.
+            let targets = &mut self.targets;
+            targets.clear();
+            targets.extend(group.iter().map(|t| (t.dst.0, t.comm == CommType::Recv)));
+            targets.sort_unstable();
+            for w in targets.windows(2) {
+                if w[0].0 == w[1].0 && (w[0].1 || w[1].1) {
+                    return Err(LangError::eval(format!(
+                        "`{}`: step {} has racing writes into rank r{} chunk c{} — a copy \
+                         and another same-step write land in one slot, so the result \
+                         would be nondeterministic",
+                        spec.name(),
+                        step,
+                        w[0].0,
+                        c
+                    )));
+                }
+            }
+
+            // A slot one transfer reads while another writes it in the
+            // same step: nothing orders the read before the write at run
+            // time.
+            if let Some(t) = group.iter().find(|t| {
+                targets
+                    .binary_search_by_key(&t.src.0, |&(dst, _)| dst)
+                    .is_ok()
+            }) {
+                return Err(LangError::eval(format!(
+                    "`{}`: step {} reads rank {} chunk c{} while another transfer of the \
+                     same step writes it — the read could observe either value, so the \
+                     result would be nondeterministic",
+                    spec.name(),
+                    step,
+                    t.src,
                     c
                 )));
             }
+
+            self.state.apply_group(group.iter().map(|t| Move {
+                src: t.src.index(),
+                dst: t.dst.index(),
+                comm: t.comm,
+                writer: 0,
+            }));
         }
 
-        // A slot one transfer reads while another writes it in the same
-        // step: nothing orders the read before the write at run time.
-        if let Some(t) = group.iter().find(|t| {
-            targets
-                .binary_search_by_key(&t.src.0, |&(dst, _)| dst)
-                .is_ok()
-        }) {
-            return Err(LangError::eval(format!(
-                "`{}`: step {} reads rank {} chunk c{} while another transfer of the \
-                 same step writes it — the read could observe either value, so the \
-                 result would be nondeterministic",
+        match self.state.contract_violation(spec.op(), c..c + 1) {
+            None => Ok(()),
+            Some((r, _, got, want)) => Err(LangError::eval(format!(
+                "`{}` does not implement {}: rank r{r} chunk c{c} ends with \
+                 contributions {got:?}, expected {want:?}",
                 spec.name(),
-                step,
-                t.src,
-                c
-            )));
+                spec.op(),
+            ))),
         }
-
-        state.apply_group(group.iter().map(|t| Move {
-            src: t.src.index(),
-            dst: t.dst.index(),
-            comm: t.comm,
-            writer: 0,
-        }));
-    }
-
-    match state.contract_violation(spec.op(), c..c + 1) {
-        None => Ok(()),
-        Some((r, _, got, want)) => Err(LangError::eval(format!(
-            "`{}` does not implement {}: rank r{r} chunk c{c} ends with \
-             contributions {got:?}, expected {want:?}",
-            spec.name(),
-            spec.op(),
-        ))),
     }
 }
 

@@ -44,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
 use rescc_kernel::{KernelProgram, LoopOrder};
-use rescc_lang::provenance::{Counts, Move, Slots};
+use rescc_lang::provenance::{Counts, Move, Runs, Slots};
 use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
 use std::cmp::Ordering;
@@ -648,7 +648,7 @@ struct Transfer {
     recv_tb: u32,
     start: f64,
     drain_start: f64,
-    captured: Option<Vec<u8>>,
+    captured: Option<Runs>,
     /// A fused forward that finished draining before its feeding receive
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
@@ -1494,7 +1494,7 @@ impl<'a> Engine<'a> {
             Some(
                 self.buffers[mb as usize]
                     .slot(self.buffer_idx(t.src.0, t.chunk.0))
-                    .to_vec(),
+                    .clone(),
             )
         } else {
             None

@@ -203,18 +203,7 @@ mod dense {
 
 /// Slot `i` of a kernel table, rendered as one count per source rank.
 fn render(s: &Slots<Counts>, i: usize, n_ranks: u32) -> Vec<u8> {
-    let _ = n_ranks;
-    s.slot(i).to_vec()
-}
-
-/// The kernel's contract verdict with the held counts rendered dense.
-fn violation(
-    s: &Slots<Counts>,
-    op: OpType,
-    chunks: Range<u32>,
-) -> Option<(u32, u32, Vec<u8>, Vec<u8>)> {
-    s.contract_violation(op, chunks)
-        .map(|(r, c, got, want)| (r, c, got.to_vec(), want))
+    s.slot(i).to_dense(n_ranks)
 }
 
 /// Assert that the kernel table and the dense one hold the same counts in
@@ -235,7 +224,7 @@ fn assert_same(
         );
     }
     assert_eq!(
-        violation(kernel, op, chunks.clone()),
+        kernel.contract_violation(op, chunks.clone()),
         oracle.contract_violation(op, chunks),
         "{case}: contract verdicts diverged"
     );
