@@ -151,11 +151,10 @@ pub struct Compiler {
     /// Scheduler to use.
     pub scheduler: SchedulerChoice,
     /// Statically verify the algorithm implements its declared collective
-    /// during the Analysis phase. On by default; automatically skipped
-    /// above 256 ranks to bound compile time — the simulator's runtime
-    /// check still covers those. Verification replays one chunk at a
-    /// time, so its symbolic state is O(ranks²); its time grows with
-    /// transfers × ranks (about 205 ms at 512 ranks on a 2-vCPU host).
+    /// during the Analysis phase, at every group size. On by default.
+    /// Verification replays one chunk at a time over sparse contribution
+    /// counts, so its time follows the number of transfers, not transfers
+    /// × ranks.
     pub verify: bool,
     /// What to do with the sanitize phase's findings (deny by default).
     pub lint_gate: LintGate,
@@ -216,7 +215,7 @@ impl Compiler {
         let mut timings = PhaseTimings::default();
 
         let t0 = Instant::now();
-        if self.verify && spec.n_ranks() <= 256 {
+        if self.verify {
             verify_collective(spec)?;
         }
         let dag = DepDag::build(spec, topo)?;

@@ -82,9 +82,8 @@ impl Compiler {
     /// permanent, then build the residual from the recompiled plan.
     ///
     /// Provenance verification mirrors the static-verify policy of
-    /// [`Compiler::compile_spec`]: it runs when [`Compiler::verify`] is set
-    /// and the group has at most 256 ranks (the simulator's runtime data
-    /// check still covers larger groups).
+    /// [`Compiler::compile_spec`]: it runs whenever [`Compiler::verify`] is
+    /// set.
     pub fn residual_plan(
         &self,
         cached: &CompiledPlan,
@@ -154,7 +153,7 @@ impl Compiler {
             }),
         )?;
 
-        if self.verify && cached.spec.n_ranks() <= 256 {
+        if self.verify {
             verify_provenance(cached, &plan.dag, &resume)?;
         }
         Ok(ResidualPlan {
