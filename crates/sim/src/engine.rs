@@ -804,6 +804,9 @@ impl<'a> Engine<'a> {
 
         // TB states.
         let mut tbs = Vec::new();
+        // Issue segments of the current TB: fused slots glue to their
+        // predecessor. One buffer serves every TB.
+        let mut segments: Vec<(u32, u32)> = Vec::new();
         for (pr, rank_prog) in program.ranks.iter().enumerate() {
             for (pt, tb_prog) in rank_prog.tbs.iter().enumerate() {
                 let stride = tb_prog.mb_stride.max(1);
@@ -813,48 +816,34 @@ impl<'a> Engine<'a> {
                 } else {
                     (n_mb - offset - 1) / stride + 1
                 };
-                // Issue groups: fused slots glue to their predecessor and
-                // are issued per micro-batch together; plain slot-major
-                // iterates each segment over its micro-batch window;
-                // micro-batch-major iterates all slots per micro-batch.
-                let mut groups: Vec<IssueGroup> = Vec::new();
+                segments.clear();
+                for (si, slot) in tb_prog.slots.iter().enumerate() {
+                    match segments.last_mut() {
+                        Some(last) if slot.fused_with_prev => last.1 += 1,
+                        _ => segments.push((si as u32, 1)),
+                    }
+                }
+                // Issue groups: a segment is issued per micro-batch as one
+                // group; plain slot-major iterates each segment over its
+                // micro-batch window; micro-batch-major iterates all
+                // segments per micro-batch (each micro-batch walks the
+                // pipeline, fused pairs issue together as one
+                // recvCopySend).
+                let group = |&(first_slot, len): &(u32, u32), k: u32| IssueGroup {
+                    first_slot,
+                    len,
+                    mb: offset + k * stride,
+                };
+                let mut groups = Vec::with_capacity(segments.len() * window as usize);
                 match program.loop_order {
                     LoopOrder::SlotMajor => {
-                        let mut segments: Vec<(u32, u32)> = Vec::new();
-                        for (si, slot) in tb_prog.slots.iter().enumerate() {
-                            match segments.last_mut() {
-                                Some(last) if slot.fused_with_prev => last.1 += 1,
-                                _ => segments.push((si as u32, 1)),
-                            }
-                        }
-                        for (first_slot, len) in segments {
-                            for k in 0..window {
-                                groups.push(IssueGroup {
-                                    first_slot,
-                                    len,
-                                    mb: offset + k * stride,
-                                });
-                            }
+                        for s in &segments {
+                            groups.extend((0..window).map(|k| group(s, k)));
                         }
                     }
                     LoopOrder::MicroBatchMajor => {
-                        // Each micro-batch walks the pipeline; fused pairs
-                        // issue together as one recvCopySend.
-                        let mut segments: Vec<(u32, u32)> = Vec::new();
-                        for (si, slot) in tb_prog.slots.iter().enumerate() {
-                            match segments.last_mut() {
-                                Some(last) if slot.fused_with_prev => last.1 += 1,
-                                _ => segments.push((si as u32, 1)),
-                            }
-                        }
                         for k in 0..window {
-                            for &(first_slot, len) in &segments {
-                                groups.push(IssueGroup {
-                                    first_slot,
-                                    len,
-                                    mb: offset + k * stride,
-                                });
-                            }
+                            groups.extend(segments.iter().map(|s| group(s, k)));
                         }
                     }
                 }
