@@ -56,21 +56,18 @@ pub trait SlotDomain {
     fn stamp(dst: &mut Self::Value, writer: usize);
 }
 
-/// Source ranks `lo..hi`, each of whose data a slot holds `n` times.
+/// One run of a [`Runs`] set: source ranks `lo..hi`, each of whose data
+/// a slot holds `n` times.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Run {
-    /// First source rank.
-    pub lo: u32,
-    /// One past the last source rank.
-    pub hi: u32,
-    /// Contribution count of every rank in the run, saturating at 255 (a
-    /// run long past correct).
-    pub n: u8,
+    lo: u32,
+    hi: u32,
+    /// Saturates at 255 (a run long past correct).
+    n: u8,
 }
 
 impl Run {
-    /// Ranks `ranks`, `n` times each.
-    pub fn new(ranks: Range<u32>, n: u8) -> Self {
+    fn new(ranks: Range<u32>, n: u8) -> Self {
         Self {
             lo: ranks.start,
             hi: ranks.end,
@@ -80,10 +77,10 @@ impl Run {
 }
 
 /// A slot's contributions as a sparse set: sorted, disjoint, non-empty
-/// [`Run`]s with nonzero counts, no two touching runs with one count. Up
-/// to two runs live inline, so copying a slot that holds one rank's data
-/// or one contiguous partial sum copies a fixed 24 bytes and allocates
-/// nothing.
+/// runs of source ranks, each with one nonzero count, no two touching runs
+/// with the same count. Up to two runs live inline, so copying a slot that
+/// holds one rank's data or one contiguous partial sum copies a fixed 24
+/// bytes and allocates nothing.
 #[derive(Debug, Default)]
 pub struct Runs {
     len: u32,
@@ -96,7 +93,7 @@ pub struct Runs {
 
 impl Runs {
     /// The runs, in rank order.
-    pub fn runs(&self) -> &[Run] {
+    fn runs(&self) -> &[Run] {
         match self.len {
             0..=2 => &self.inline[..self.len as usize],
             _ => &self.heap,
@@ -152,12 +149,6 @@ impl Clone for Runs {
             self.heap.clear();
             self.heap.extend_from_slice(&source.heap);
         }
-    }
-}
-
-impl PartialEq for Runs {
-    fn eq(&self, other: &Self) -> bool {
-        self.runs() == other.runs()
     }
 }
 
@@ -487,7 +478,7 @@ mod tests {
         assert_eq!(acc.to_dense(5), [1, 3, 1, 0, 1]);
         acc.clone_from(&runs(&[0, 0, 0, 1, 0]));
         assert!(acc.heap.capacity() >= 4);
-        assert_eq!(acc, runs(&[0, 0, 0, 1, 0]));
+        assert_eq!(acc.runs(), runs(&[0, 0, 0, 1, 0]).runs());
         // Counts saturate at 255 and the saturated runs coalesce.
         let mut hot = runs(&[200, 255, 0]);
         Counts::fold(&mut hot, &runs(&[100, 9, 0]), &mut scratch);
@@ -496,7 +487,7 @@ mod tests {
         Counts::fold(&mut hot, &Runs::default(), &mut scratch);
         let mut empty = Runs::default();
         Counts::fold(&mut empty, &hot, &mut scratch);
-        assert_eq!(empty, hot);
+        assert_eq!(empty.runs(), hot.runs());
     }
 
     #[test]
