@@ -201,11 +201,6 @@ mod dense {
     }
 }
 
-/// Slot `i` of a kernel table, rendered as one count per source rank.
-fn render(s: &Slots<Counts>, i: usize, n_ranks: u32) -> Vec<u8> {
-    s.slot(i).to_dense(n_ranks)
-}
-
 /// Assert that the kernel table and the dense one hold the same counts in
 /// every slot and give the same contract verdict.
 fn assert_same(
@@ -218,7 +213,7 @@ fn assert_same(
 ) {
     for i in 0..oracle.len() {
         assert_eq!(
-            render(kernel, i, n_ranks),
+            kernel.slot(i).to_dense(n_ranks),
             oracle.slot(i),
             "{case}: slot {i} diverged"
         );
