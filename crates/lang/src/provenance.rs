@@ -214,13 +214,6 @@ impl SlotDomain for Counts {
     type Value = Runs;
     type Scratch = Vec<Run>;
     fn fold(dst: &mut Runs, src: &Runs, scratch: &mut Vec<Run>) {
-        if src.is_empty() {
-            return;
-        }
-        if dst.is_empty() {
-            dst.clone_from(src);
-            return;
-        }
         if let ([p], [q]) = (dst.runs(), src.runs()) {
             // One run each, rank-disjoint (the common partial sum): at
             // most two runs out, no merge.
