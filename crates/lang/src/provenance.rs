@@ -49,9 +49,9 @@ pub trait SlotDomain {
     /// One slot's value.
     type Value: Clone + Default;
     /// Working space a fold reuses from one call to the next.
-    type Scratch: Default;
+    type Work: Default;
     /// `recvReduceCopy`: fold `src` into `dst`.
-    fn fold(dst: &mut Self::Value, src: &Self::Value, scratch: &mut Self::Scratch);
+    fn fold(dst: &mut Self::Value, src: &Self::Value, work: &mut Self::Work);
     /// Record that move `writer` produced `dst`'s new value.
     fn stamp(dst: &mut Self::Value, writer: usize);
 }
@@ -212,8 +212,8 @@ pub struct Counts;
 
 impl SlotDomain for Counts {
     type Value = Runs;
-    type Scratch = Vec<Run>;
-    fn fold(dst: &mut Runs, src: &Runs, scratch: &mut Vec<Run>) {
+    type Work = Vec<Run>;
+    fn fold(dst: &mut Runs, src: &Runs, work: &mut Vec<Run>) {
         if let ([p], [q]) = (dst.runs(), src.runs()) {
             // One run each, rank-disjoint (the common partial sum): at
             // most two runs out, no merge.
@@ -227,8 +227,8 @@ impl SlotDomain for Counts {
                 return;
             }
         }
-        merge(dst.runs(), src.runs(), scratch);
-        dst.set(scratch);
+        merge(dst.runs(), src.runs(), work);
+        dst.set(work);
     }
     fn stamp(_: &mut Runs, _: usize) {}
 }
@@ -240,7 +240,7 @@ pub struct Provenance;
 
 impl SlotDomain for Provenance {
     type Value = Vec<u64>;
-    type Scratch = ();
+    type Work = ();
     fn fold(dst: &mut Vec<u64>, src: &Vec<u64>, _: &mut ()) {
         if dst.len() < src.len() {
             dst.resize(src.len(), 0);
@@ -277,7 +277,7 @@ pub struct Slots<D: SlotDomain> {
     values: Vec<D::Value>,
     /// Pre-group source values of the group being applied.
     reads: Vec<D::Value>,
-    scratch: D::Scratch,
+    work: D::Work,
 }
 
 impl<D: SlotDomain> Clone for Slots<D> {
@@ -285,7 +285,7 @@ impl<D: SlotDomain> Clone for Slots<D> {
         Self {
             values: self.values.clone(),
             reads: Vec::new(),
-            scratch: D::Scratch::default(),
+            work: D::Work::default(),
         }
     }
 }
@@ -296,7 +296,7 @@ impl<D: SlotDomain> Slots<D> {
         Self {
             values: vec![D::Value::default(); n_slots],
             reads: Vec::new(),
-            scratch: D::Scratch::default(),
+            work: D::Work::default(),
         }
     }
 
@@ -322,7 +322,7 @@ impl<D: SlotDomain> Slots<D> {
         let slot = &mut self.values[dst];
         match comm {
             CommType::Recv => slot.clone_from(value),
-            CommType::Rrc => D::fold(slot, value, &mut self.scratch),
+            CommType::Rrc => D::fold(slot, value, &mut self.work),
         }
         D::stamp(slot, writer);
     }
@@ -450,15 +450,15 @@ mod tests {
 
     #[test]
     fn merges_stay_canonical() {
-        let mut scratch = Vec::new();
+        let mut work = Vec::new();
         // Touching runs of one count coalesce: a ring's partial sums stay
         // one run.
         let mut acc = runs(&[1, 1, 0, 0, 0]);
-        Counts::fold(&mut acc, &runs(&[0, 0, 1, 0, 0]), &mut scratch);
+        Counts::fold(&mut acc, &runs(&[0, 0, 1, 0, 0]), &mut work);
         assert_eq!(acc.runs(), [Run::new(0..3, 1)]);
         // Overlaps split and add; the sum of a strided set spills past two
         // runs and back.
-        Counts::fold(&mut acc, &runs(&[0, 2, 0, 0, 1]), &mut scratch);
+        Counts::fold(&mut acc, &runs(&[0, 2, 0, 0, 1]), &mut work);
         assert_eq!(
             acc.runs(),
             [
@@ -474,12 +474,12 @@ mod tests {
         assert_eq!(acc.runs(), runs(&[0, 0, 0, 1, 0]).runs());
         // Counts saturate at 255 and the saturated runs coalesce.
         let mut hot = runs(&[200, 255, 0]);
-        Counts::fold(&mut hot, &runs(&[100, 9, 0]), &mut scratch);
+        Counts::fold(&mut hot, &runs(&[100, 9, 0]), &mut work);
         assert_eq!(hot.runs(), [Run::new(0..2, 255)]);
         // An empty source is a no-op; an empty destination takes a copy.
-        Counts::fold(&mut hot, &Runs::default(), &mut scratch);
+        Counts::fold(&mut hot, &Runs::default(), &mut work);
         let mut empty = Runs::default();
-        Counts::fold(&mut empty, &hot, &mut scratch);
+        Counts::fold(&mut empty, &hot, &mut work);
         assert_eq!(empty.runs(), hot.runs());
     }
 
