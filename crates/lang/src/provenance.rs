@@ -214,19 +214,6 @@ impl SlotDomain for Counts {
     type Value = Runs;
     type Work = Vec<Run>;
     fn fold(dst: &mut Runs, src: &Runs, work: &mut Vec<Run>) {
-        if let ([p], [q]) = (dst.runs(), src.runs()) {
-            // One run each, rank-disjoint (the common partial sum): at
-            // most two runs out, no merge.
-            let (x, y) = if p.lo < q.lo { (*p, *q) } else { (*q, *p) };
-            if x.hi <= y.lo {
-                if x.hi == y.lo && x.n == y.n {
-                    dst.set_one(Run::new(x.lo..y.hi, x.n));
-                } else {
-                    dst.set(&[x, y]);
-                }
-                return;
-            }
-        }
         merge(dst.runs(), src.runs(), work);
         dst.set(work);
     }
