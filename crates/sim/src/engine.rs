@@ -648,6 +648,7 @@ struct Transfer {
     recv_tb: u32,
     start: f64,
     drain_start: f64,
+    captured: Option<Runs>,
     /// A fused forward that finished draining before its feeding receive
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
@@ -725,10 +726,6 @@ struct Engine<'a> {
     epoch: u64,
     /// Buffer values per micro-batch, slot `rank * n_chunks + chunk`.
     buffers: Vec<Slots<Counts>>,
-    /// With data validation on, the source value each transfer captured at
-    /// its start (the FIFO-slot semantics), by transfer id; a fused
-    /// forward's entry stays empty.
-    captures: Vec<Runs>,
     rng: StdRng,
     inv_done: u64,
     inv_total: u64,
@@ -990,7 +987,6 @@ impl<'a> Engine<'a> {
             tbs,
             invs,
             transfers: Vec::with_capacity(transfers),
-            captures: Vec::with_capacity(if config.validate_data { transfers } else { 0 }),
             resources,
             events: EventQueue::with_ids(config.faults.events().len() + 1 + transfers),
             affected: Vec::new(),
@@ -1481,17 +1477,17 @@ impl<'a> Engine<'a> {
         }
 
         let bytes = self.plan.invocation_bytes(mb);
-        // Fused forwards read their source at completion instead (their
-        // payload is the feeder's freshly-delivered value, applied by then).
-        if self.config.validate_data {
-            self.captures.push(if fp == NONE {
+        // Fused forwards capture at completion instead (their payload is
+        // the feeder's freshly-delivered value, applied by then).
+        let captured = if self.config.validate_data && fp == NONE {
+            Some(
                 self.buffers[mb as usize]
                     .slot(self.buffer_idx(t.src.0, t.chunk.0))
-                    .clone()
-            } else {
-                Runs::default()
-            });
-        }
+                    .clone(),
+            )
+        } else {
+            None
+        };
 
         // Startup latency: α of the slowest conflict resource + extra path
         // latency + interpreter overhead + optional jitter.
@@ -1525,6 +1521,7 @@ impl<'a> Engine<'a> {
             recv_tb: inv.recv_tb,
             start: now,
             drain_start: now,
+            captured,
             pending_complete: false,
         });
         self.invs[idx].transfer = x;
@@ -1690,16 +1687,16 @@ impl<'a> Engine<'a> {
                 self.buffer_idx(t.src.0, t.chunk.0),
                 self.buffer_idx(t.dst.0, t.chunk.0),
             );
+            let captured = self.transfers[x as usize].captured.take();
             let buf = &mut self.buffers[mb as usize];
-            if self.fused_pred[task.index()] == NONE {
-                buf.write(di, &self.captures[x as usize], t.comm, 0);
-            } else {
-                buf.apply(Move {
+            match captured {
+                Some(v) => buf.write(di, &v, t.comm, 0),
+                None => buf.apply(Move {
                     src: si,
                     dst: di,
                     comm: t.comm,
                     writer: 0,
-                });
+                }),
             }
         }
 
