@@ -36,37 +36,19 @@ use crate::spec::{AlgoSpec, TransferRec};
 /// several chunks are broken, the error reported is the lowest-numbered
 /// chunk's.
 pub fn verify_collective(spec: &AlgoSpec) -> Result<()> {
-    // A counting sort by chunk of `step << 32 | declaration index` keys:
-    // sorting one chunk's keys orders its transfers by step and, within a
-    // step, by declaration.
-    let ts = spec.transfers();
-    let mut starts = vec![0; spec.n_chunks() as usize + 1];
-    for t in ts {
-        starts[t.chunk.index() + 1] += 1;
+    let mut by_chunk: Vec<Vec<&TransferRec>> = vec![Vec::new(); spec.n_chunks() as usize];
+    for t in spec.transfers() {
+        by_chunk[t.chunk.index()].push(t);
     }
-    for c in 1..starts.len() {
-        starts[c] += starts[c - 1];
-    }
-    let mut next = starts.clone();
-    let mut keys = vec![0u64; ts.len()];
-    for (i, t) in ts.iter().enumerate() {
-        let at = &mut next[t.chunk.index()];
-        keys[*at] = (t.step.0 as u64) << 32 | i as u64;
-        *at += 1;
-    }
-
     let mut replay = Replay {
         spec,
         state: Slots::new(0),
         targets: Vec::new(),
     };
-    let mut chunk = Vec::new();
-    for (c, bounds) in starts.windows(2).enumerate() {
-        let keys = &mut keys[bounds[0]..bounds[1]];
-        keys.sort_unstable();
-        chunk.clear();
-        chunk.extend(keys.iter().map(|&k| &ts[k as u32 as usize]));
-        replay.chunk(c as u32, &chunk)?;
+    for (c, transfers) in by_chunk.iter_mut().enumerate() {
+        // Stable: same-step transfers keep declaration order.
+        transfers.sort_by_key(|t| t.step);
+        replay.chunk(c as u32, transfers)?;
     }
     Ok(())
 }
