@@ -251,11 +251,15 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
     let compiler = Compiler::new();
     let cache = PlanCache::new();
     let done = AtomicU64::new(0);
+    // The writers wait for the sampler's first snapshot, so it samples
+    // even when dispatch would finish before its thread is scheduled.
+    let start = Barrier::new(WRITERS + 1);
 
     thread::scope(|s| {
         for t in 0..WRITERS {
-            let (cache, compiler, done) = (&cache, &compiler, &done);
+            let (cache, compiler, done, start) = (&cache, &compiler, &done, &start);
             s.spawn(move || {
+                start.wait();
                 for i in 0..OPS {
                     let c = config(((t * OPS + i) as u64) % 8);
                     dispatch(cache, compiler, &c);
@@ -264,10 +268,10 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
             });
         }
         // Sampler: hammer snapshots while the writers dispatch.
-        let (cache, done) = (&cache, &done);
+        let (cache, done, start) = (&cache, &done, &start);
         s.spawn(move || {
             let mut samples = 0u64;
-            while done.load(Ordering::SeqCst) < WRITERS as u64 {
+            let mut sample = || {
                 let st = cache.stats();
                 assert_eq!(
                     st.entries as u64,
@@ -275,6 +279,11 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
                     "torn snapshot: {st:?}"
                 );
                 samples += 1;
+            };
+            sample();
+            start.wait();
+            while done.load(Ordering::SeqCst) < WRITERS as u64 {
+                sample();
             }
             assert!(samples > 0);
         });
