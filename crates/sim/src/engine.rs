@@ -145,8 +145,9 @@ impl Head {
 }
 
 /// One id's place in the queue: a run entry, the instant FIFO or the
-/// buffer. A buffered re-key leaves a run entry at a later time live, and
-/// the flush replaces it.
+/// buffer. A buffered or deferred re-key leaves a run entry at a later
+/// time live; the flush replaces it, or a projection onto the instant
+/// kills it.
 #[derive(Clone, Copy)]
 struct Place {
     /// `seq` of the id's live run entry, 0 while it has none.
@@ -157,6 +158,8 @@ struct Place {
     pending: u64,
     /// In the FIFO, between `prev` and `next` (`NONE` at the ends).
     fifo: bool,
+    /// In the FIFO by [`EventQueue::defer`]: its time is not known yet.
+    deferred: bool,
     prev: u32,
     next: u32,
 }
@@ -167,6 +170,7 @@ impl Place {
         run: NONE,
         pending: 0,
         fifo: false,
+        deferred: false,
         prev: NONE,
         next: NONE,
     };
@@ -187,7 +191,10 @@ fn cache_slot(t: f64) -> usize {
 /// the events scheduled for it, so a re-key to the instant moves its id
 /// to the back in O(1). A re-key to a later time while the instant still
 /// has events waits in a buffer, keeping the `seq` it drew, until the
-/// instant is over; the last one per id wins. Later events sit in runs,
+/// instant is over; the last one per id wins. A deferred re-key joins the
+/// FIFO before its time is known, and `pop` projects it when it is next
+/// in line, so only an id's last re-key of the instant is projected.
+/// Later events sit in runs,
 /// one time each, appended in `seq` order, and an indexed 4-ary min-heap
 /// orders the runs by `(t, head seq)`, so popping the next event of a run
 /// costs one compare against the root's children rather than a full sift.
@@ -212,8 +219,9 @@ struct EventQueue {
     /// Ends of the FIFO of events at `now`, in `seq` order.
     fifo_head: u32,
     fifo_tail: u32,
-    /// Re-keys to later times made during the instant, in `seq` order. An
-    /// entry is live while it is its id's `pending` event.
+    /// Re-keys to later times made during the instant. An entry is live
+    /// while it is its id's `pending` event. A deferred re-key enters when
+    /// it is projected, behind events with larger `seq`.
     buffer: Vec<Event>,
 }
 
@@ -241,15 +249,20 @@ impl EventQueue {
         }
     }
 
+    /// Draw the next sequence number for `id`.
+    fn next_seq(&mut self, id: u32) -> u64 {
+        self.seq += 1;
+        if id as usize >= self.places.len() {
+            self.places.resize(id as usize + 1, Place::EMPTY);
+        }
+        self.seq
+    }
+
     /// Schedule `id` at time `t` with the next sequence number, replacing
     /// its queued event if it has one.
     fn schedule(&mut self, id: u32, t: f64) {
-        self.seq += 1;
-        let seq = self.seq;
+        let seq = self.next_seq(id);
         let i = id as usize;
-        if i >= self.places.len() {
-            self.places.resize(i + 1, Place::EMPTY);
-        }
         if t > self.now && !self.instant_open() {
             // Nothing else is due at `now`, so no FIFO or buffer holds `id`.
             self.insert(id, t, seq);
@@ -261,20 +274,29 @@ impl EventQueue {
         if t.to_bits() == self.now.to_bits() {
             self.unqueue(id);
             self.places[i].pending = seq;
-            self.push_back(id);
+            self.push_back(id, false);
         } else if t > self.now {
-            // A run entry at a later time cannot pop before the flush,
-            // which replaces it; one at the instant could.
-            let s = self.places[i];
-            if s.queued != 0 && self.runs[s.run as usize].t <= self.now {
-                self.unqueue(id);
-            }
+            self.unqueue_due(id);
             self.places[i].pending = seq;
             self.buffer.push(Event { t, seq, id });
         } else {
             self.places[i].pending = 0;
             self.insert(id, t, seq);
         }
+    }
+
+    /// Re-key `id` with the next sequence number to a time not yet known,
+    /// at or after `now`: it joins the back of the FIFO, and `pop` asks
+    /// for its time once it is next in line. The time must not change
+    /// between the two calls unless `id` is re-keyed again.
+    fn defer(&mut self, id: u32) {
+        let seq = self.next_seq(id);
+        if self.places[id as usize].fifo {
+            self.unlink(id);
+        }
+        self.unqueue_due(id);
+        self.places[id as usize].pending = seq;
+        self.push_back(id, true);
     }
 
     /// Does the current instant still have events: in the FIFO, buffered,
@@ -285,25 +307,39 @@ impl EventQueue {
             || self.heap.first().is_some_and(|top| top.t <= self.now)
     }
 
-    /// Remove and return the earliest live event.
-    fn pop(&mut self) -> Option<Event> {
+    /// Remove and return the earliest live event. `project` gives the time
+    /// of a deferred id, at or after `now`, when it is next in line.
+    fn pop(&mut self, mut project: impl FnMut(u32) -> f64) -> Option<Event> {
         loop {
             let top = self.heap.first().copied();
             if self.fifo_head != NONE {
                 let id = self.fifo_head;
-                let seq = self.places[id as usize].pending;
+                let s = self.places[id as usize];
                 let head = Head {
                     t: self.now,
-                    seq,
+                    seq: s.pending,
                     id,
                     run: NONE,
                 };
                 if !top.is_some_and(|top| top.before(&head)) {
                     self.unlink(id);
+                    if s.deferred {
+                        let t = project(id);
+                        debug_assert!(t >= self.now, "projected behind the clock");
+                        if t.to_bits() != self.now.to_bits() {
+                            self.buffer.push(Event {
+                                t,
+                                seq: s.pending,
+                                id,
+                            });
+                            continue;
+                        }
+                        self.unqueue(id);
+                    }
                     self.places[id as usize].pending = 0;
                     return Some(Event {
                         t: self.now,
-                        seq,
+                        seq: s.pending,
                         id,
                     });
                 }
@@ -342,6 +378,9 @@ impl EventQueue {
     /// `seq` order, each with the `seq` it drew.
     fn flush(&mut self) {
         let mut buffer = std::mem::take(&mut self.buffer);
+        if !buffer.is_sorted_by_key(|e| e.seq) {
+            buffer.sort_unstable_by_key(|e| e.seq);
+        }
         for e in buffer.drain(..) {
             let s = &mut self.places[e.id as usize];
             if s.pending == e.seq {
@@ -352,11 +391,12 @@ impl EventQueue {
         self.buffer = buffer;
     }
 
-    /// Append `id` to the FIFO.
-    fn push_back(&mut self, id: u32) {
+    /// Append `id` to the FIFO, `deferred` if its time is not known yet.
+    fn push_back(&mut self, id: u32, deferred: bool) {
         let tail = self.fifo_tail;
         let s = &mut self.places[id as usize];
         s.fifo = true;
+        s.deferred = deferred;
         s.prev = tail;
         s.next = NONE;
         match tail {
@@ -395,6 +435,15 @@ impl EventQueue {
             self.remove(r);
         } else {
             self.compact_if_wasteful(r);
+        }
+    }
+
+    /// Kill `id`'s run entry if it is due at the instant. A run entry at a
+    /// later time cannot pop before the flush, which replaces it.
+    fn unqueue_due(&mut self, id: u32) {
+        let s = self.places[id as usize];
+        if s.queued != 0 && self.runs[s.run as usize].t <= self.now {
+            self.unqueue(id);
         }
     }
 
@@ -653,6 +702,31 @@ struct Transfer {
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
     pending_complete: bool,
+    /// Calls of [`project`] on this transfer.
+    #[cfg(test)]
+    projections: u32,
+}
+
+/// Settle a draining transfer's progress up to `now` at its old rate, take
+/// the minimum share along its path as its new rate, and return its
+/// projected drain finish.
+fn project(t: &mut Transfer, resources: &[ResState], now: f64) -> f64 {
+    debug_assert!(t.draining);
+    #[cfg(test)]
+    {
+        t.projections += 1;
+    }
+    t.remaining -= t.rate * (now - t.last_update);
+    t.remaining = t.remaining.max(0.0);
+    t.last_update = now;
+    let rate = t
+        .path
+        .iter()
+        .map(|r| resources[r.index()].share)
+        .fold(f64::INFINITY, f64::min);
+    debug_assert!(rate.is_finite() && rate > 0.0);
+    t.rate = rate;
+    now + t.remaining / rate
 }
 
 /// A classified idle interval keyed by engine TB id (resolved to
@@ -1028,6 +1102,13 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> SimResult<SimReport> {
+        self.drive()?;
+        self.report()
+    }
+
+    /// Launch the kernel and run the event loop until every invocation
+    /// completes.
+    fn drive(&mut self) -> SimResult<()> {
         // Fault schedule: stable-sort by timestamp. Transitions at or
         // before t = 0 — already in the past, e.g. after a retry shifted
         // the timeline with [`FaultTimeline::advanced`] — apply before
@@ -1058,7 +1139,11 @@ impl<'a> Engine<'a> {
             return Err(err);
         }
 
-        while let Some(ev) = self.events.pop() {
+        let first_transfer = self.transfer_event(0);
+        while let Some(ev) = self.events.pop(|id| {
+            let x = (id - first_transfer) as usize;
+            project(&mut self.transfers[x], &self.resources, self.now)
+        }) {
             // Monotonicity tolerance must scale with the clock: at f64 ns
             // magnitudes a second-long run sits near 1e9, where rounding
             // noise dwarfs any fixed absolute epsilon. Allow one part in
@@ -1099,7 +1184,11 @@ impl<'a> Engine<'a> {
         if self.inv_done != self.inv_total {
             return Err(self.deadlock_report());
         }
+        Ok(())
+    }
 
+    /// Check the data, if asked, and build the report of a finished run.
+    fn report(mut self) -> SimResult<SimReport> {
         let data_valid = if self.config.validate_data {
             Some(self.check_data()?)
         } else {
@@ -1523,6 +1612,8 @@ impl<'a> Engine<'a> {
             drain_start: now,
             captured,
             pending_complete: false,
+            #[cfg(test)]
+            projections: 0,
         });
         self.invs[idx].transfer = x;
         self.events.schedule(self.transfer_event(x), now + latency);
@@ -1589,23 +1680,21 @@ impl<'a> Engine<'a> {
         self.affected = affected;
     }
 
-    /// Settle a draining transfer's progress and re-project its finish.
+    /// Re-key a draining transfer after a share on its path changed. While
+    /// the instant has other events the re-key is deferred: the queue
+    /// [`project`]s the transfer once, when its event is next in line, so
+    /// k load changes in one instant cost one projection. Nothing reads
+    /// the transfer's progress in between, and any later share change on
+    /// its path re-keys it again. In a closed instant, where lockstep
+    /// bursts cannot happen, it is projected and scheduled at once.
     fn reproject(&mut self, x: u32) {
-        let now = self.now;
-        let t = &mut self.transfers[x as usize];
-        debug_assert!(t.draining);
-        t.remaining -= t.rate * (now - t.last_update);
-        t.remaining = t.remaining.max(0.0);
-        t.last_update = now;
-        let rate = t
-            .path
-            .iter()
-            .map(|r| self.resources[r.index()].share)
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(rate.is_finite() && rate > 0.0);
-        t.rate = rate;
-        let finish = now + t.remaining / rate;
-        self.events.schedule(self.transfer_event(x), finish);
+        let id = self.transfer_event(x);
+        if self.events.instant_open() {
+            self.events.defer(id);
+        } else {
+            let finish = project(&mut self.transfers[x as usize], &self.resources, self.now);
+            self.events.schedule(id, finish);
+        }
     }
 
     fn on_drain_done(&mut self, x: u32) {
@@ -1937,6 +2026,8 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescc_kernel::ExecMode;
+    use rescc_lang::AlgoBuilder;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -2002,6 +2093,11 @@ mod tests {
         }
     }
 
+    /// The projector of a queue that never defers.
+    fn no_defers(id: u32) -> f64 {
+        unreachable!("id {id} was never deferred")
+    }
+
     #[test]
     fn indexed_queue_pops_like_lazy_deletion() {
         for seed in 0..32u64 {
@@ -2018,43 +2114,114 @@ mod tests {
                     queue.schedule(id, t);
                     reference.schedule(id, t);
                 } else {
-                    assert_eq!(queue.pop(), reference.pop(), "seed {seed}");
+                    assert_eq!(queue.pop(no_defers), reference.pop(), "seed {seed}");
                 }
             }
             while let Some(ev) = reference.pop() {
-                assert_eq!(queue.pop(), Some(ev), "seed {seed}");
+                assert_eq!(queue.pop(no_defers), Some(ev), "seed {seed}");
             }
-            assert_eq!(queue.pop(), None, "seed {seed}");
+            assert_eq!(queue.pop(no_defers), None, "seed {seed}");
+        }
+    }
+
+    /// The deferred re-keys an oracle run made, by kind.
+    #[derive(Default)]
+    struct Defers {
+        /// Made while the instant was closed.
+        closed: u32,
+        /// Projecting onto the instant (the FIFO path).
+        onto_now: u32,
+        /// Projecting onto the instant while the id has a live run entry
+        /// at a later time, which the projection must kill.
+        over_later_entry: u32,
+        /// Projecting onto a later time (the buffer).
+        later: u32,
+    }
+
+    impl Defers {
+        fn note(&mut self, queue: &EventQueue, id: u32, t: f64) {
+            let now = queue.now;
+            self.closed += u32::from(!queue.instant_open());
+            if t == now {
+                self.onto_now += 1;
+                let s = queue
+                    .places
+                    .get(id as usize)
+                    .copied()
+                    .unwrap_or(Place::EMPTY);
+                self.over_later_entry +=
+                    u32::from(s.queued != 0 && queue.runs[s.run as usize].t > now);
+            } else {
+                self.later += 1;
+            }
+        }
+
+        fn add(&mut self, other: Self) {
+            self.closed += other.closed;
+            self.onto_now += other.onto_now;
+            self.over_later_entry += other.over_later_entry;
+            self.later += other.later;
+        }
+
+        fn assert_covered(&self) {
+            assert!(self.closed > 0, "no defer in a closed instant");
+            assert!(self.onto_now > 0, "no defer onto the instant");
+            assert!(self.over_later_entry > 0, "no defer over a later entry");
+            assert!(self.later > 0, "no defer to a later time");
         }
     }
 
     /// Drive `EventQueue` and the lazy-deletion oracle through one random
-    /// mix of schedules and pops and require identical pop sequences, the
-    /// way the engine does: the clock is the last popped time and `time`
-    /// picks each new event's time from it.
-    fn pops_like_oracle(seed: u64, time: impl Fn(&mut StdRng, f64) -> f64) {
+    /// mix of schedules, re-keys and pops and require identical pop
+    /// sequences, the way the engine does: the clock is the last popped
+    /// time and `time` picks each new event's time from it. The oracle
+    /// schedules a re-key at once, from a per-id finish table; the queue
+    /// defers it and projects it from the same table, or, as the engine
+    /// does in a closed instant, half the time schedules it directly.
+    fn pops_like_oracle(seed: u64, time: impl Fn(&mut StdRng, f64) -> f64) -> Defers {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_ids = 1 + rng.gen_range(0..64);
         let mut queue = EventQueue::default();
         let mut reference = LazyHeap::default();
+        let mut finish = vec![0.0; n_ids as usize];
+        let mut defers = Defers::default();
         let mut now = 0.0;
         for _ in 0..4_000 {
-            if rng.gen_range(0..4) < 3 {
-                let id = rng.gen_range(0..n_ids) as u32;
-                let t = time(&mut rng, now);
-                assert!(t >= now);
-                queue.schedule(id, t);
-                reference.schedule(id, t);
-            } else {
-                let ev = reference.pop();
-                assert_eq!(queue.pop(), ev, "seed {seed}");
-                now = ev.map_or(now, |ev| ev.t);
+            let id = rng.gen_range(0..n_ids) as u32;
+            match rng.gen_range(0..8) {
+                0..=2 => {
+                    let t = time(&mut rng, now);
+                    assert!(t >= now);
+                    queue.schedule(id, t);
+                    reference.schedule(id, t);
+                }
+                3..=5 => {
+                    let t = match rng.gen_range(0..3) {
+                        0 => now,
+                        _ => time(&mut rng, now),
+                    };
+                    assert!(t >= now);
+                    finish[id as usize] = t;
+                    reference.schedule(id, t);
+                    if queue.instant_open() || rng.gen() {
+                        defers.note(&queue, id, t);
+                        queue.defer(id);
+                    } else {
+                        queue.schedule(id, t);
+                    }
+                }
+                _ => {
+                    let ev = reference.pop();
+                    assert_eq!(queue.pop(|id| finish[id as usize]), ev, "seed {seed}");
+                    now = ev.map_or(now, |ev| ev.t);
+                }
             }
         }
         while let Some(ev) = reference.pop() {
-            assert_eq!(queue.pop(), Some(ev), "seed {seed}");
+            assert_eq!(queue.pop(|id| finish[id as usize]), Some(ev), "seed {seed}");
         }
-        assert_eq!(queue.pop(), None, "seed {seed}");
+        assert_eq!(queue.pop(no_defers), None, "seed {seed}");
+        defers
     }
 
     #[test]
@@ -2062,8 +2229,11 @@ mod tests {
         // At most 8 distinct future times and three schedules per pop:
         // ids keep moving between runs, so heads go stale, runs compact
         // and emptied runs are reused in place.
+        let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, |rng, now| now + rng.gen_range(0..8) as f64);
+            defers.add(pops_like_oracle(seed, |rng, now| {
+                now + rng.gen_range(0..8) as f64
+            }));
         }
         // The same on times that all share one cache slot: each new time
         // evicts the last, so a time that comes back opens a second run.
@@ -2074,20 +2244,25 @@ mod tests {
             .take(20_000)
             .collect();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, |rng, now| {
+            defers.add(pops_like_oracle(seed, |rng, now| {
                 let k = grid.partition_point(|&t| t < now);
                 grid[k + rng.gen_range(0..8) as usize]
-            });
+            }));
         }
+        defers.assert_covered();
     }
 
     #[test]
     fn run_queue_pops_like_lazy_deletion_on_distinct_times() {
         // Jitter: every event gets a time of its own, so every run holds
         // one event.
+        let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, |rng, now| now + 100.0 * rng.gen::<f64>());
+            defers.add(pops_like_oracle(seed, |rng, now| {
+                now + 100.0 * rng.gen::<f64>()
+            }));
         }
+        defers.assert_covered();
     }
 
     #[test]
@@ -2095,12 +2270,49 @@ mod tests {
         // A completion burst: most schedules land exactly on the last
         // popped time, the rest on one of 7 later times, mostly while the
         // instant still has events.
+        let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, |rng, now| match rng.gen_range(0..8) {
-                0..=4 => now,
-                _ => now + rng.gen_range(1..8) as f64,
-            });
+            defers.add(pops_like_oracle(seed, |rng, now| {
+                match rng.gen_range(0..8) {
+                    0..=4 => now,
+                    _ => now + rng.gen_range(1..8) as f64,
+                }
+            }));
         }
+        defers.assert_covered();
+    }
+
+    #[test]
+    fn lockstep_transfers_are_projected_about_once_per_invocation() {
+        // A one-step direct AllGather: every rank sends its chunk to its 7
+        // peers at once, so each port carries several drains that start
+        // and finish in the same instants, and each of their load changes
+        // re-keys the others.
+        let n = 8;
+        let mut b = AlgoBuilder::new("direct", OpType::AllGather, n);
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                b.recv(src, dst, 0, src);
+            }
+        }
+        let spec = b.build().unwrap();
+        let topo = Topology::a100(1, 8);
+        let (dag, prog) =
+            crate::tests::build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
+        let plan = MicroBatchPlan::plan(32 << 20, 8, 1 << 20);
+        assert_eq!(plan.n_micro_batches, 4);
+        let config = SimConfig::default();
+        let mut engine =
+            Engine::new(&topo, &dag, &prog, &plan, OpType::AllGather, &config).unwrap();
+        engine.drive().unwrap();
+        let projections: u32 = engine.transfers.iter().map(|t| t.projections).sum();
+        let per_invocation = projections as f64 / engine.inv_done as f64;
+        assert!(
+            per_invocation <= 2.0,
+            "{projections} projections for {} invocations",
+            engine.inv_done
+        );
+        assert_eq!(engine.report().unwrap().data_valid, Some(true));
     }
 
     #[test]
@@ -2114,7 +2326,7 @@ mod tests {
         }
         assert!(queue.runs.is_empty(), "no run before the instant ends");
         assert_eq!(
-            queue.pop(),
+            queue.pop(no_defers),
             Some(Event {
                 t: 0.0,
                 seq: 1,
@@ -2122,7 +2334,7 @@ mod tests {
             })
         );
         assert_eq!(
-            queue.pop(),
+            queue.pop(no_defers),
             Some(Event {
                 t: 8.0,
                 seq: 9,
@@ -2130,6 +2342,6 @@ mod tests {
             })
         );
         assert_eq!(queue.runs.len(), 1, "one placement, with the last seq");
-        assert_eq!(queue.pop(), None);
+        assert_eq!(queue.pop(no_defers), None);
     }
 }

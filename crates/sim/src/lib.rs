@@ -81,7 +81,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn build_all(
+    pub(crate) fn build_all(
         spec: &rescc_lang::AlgoSpec,
         topo: &Topology,
         order: LoopOrder,
