@@ -23,7 +23,9 @@
 //!   invocations the run executed.
 //!
 //! `table3-16x8` is the dispatch benchmark's cold-start shape: a
-//! single-micro-batch HM AllGather over 128 ranks. The `-jitter` rows
+//! single-micro-batch HM AllGather over 128 ranks. `table3-32x8` is the
+//! largest row that runs by default: a 256-rank lockstep HM AllReduce
+//! whose replays must stay identical. The `-jitter` rows
 //! rerun two shapes with a random startup latency per transfer, so nearly
 //! every event has a time of its own instead of sharing it with the
 //! lockstep burst of its step.
@@ -112,6 +114,13 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             spec: hm_allgather(16, 8),
             // One chunk per logical chunk: a single micro-batch.
             buffer: 128 * MB,
+            jitter: 0.0,
+        },
+        Scenario {
+            name: "table3-32x8",
+            topo: Topology::a100(32, 8),
+            spec: hm_allreduce(32, 8),
+            buffer: 32 * MB,
             jitter: 0.0,
         },
         Scenario {
