@@ -9,8 +9,10 @@
 //!   capacity resources on its path, of that resource's effective bandwidth
 //!   divided by the number of concurrent drains (`effective_bandwidth(z)`
 //!   already folds in the `γ·L(z)` contention penalty),
-//! * whenever a resource's load changes, the rates of every transfer
-//!   sharing it are settled and re-projected.
+//! * whenever a resource's load changes, every transfer sharing it is
+//!   re-keyed; its progress is settled and its finish re-projected once
+//!   per simulated instant, from the shares that hold when its event is
+//!   next in line.
 //!
 //! TBs are state machines walking their slot/micro-batch invocation
 //! sequence; an invocation starts when the sender TB and the receiver TB
@@ -22,14 +24,18 @@
 //! checked against the collective's contract. Buffers, copy/reduce and the
 //! contract are the shared provenance kernel's (`rescc_lang::provenance`).
 //!
-//! Events run in `(t, seq)` order, `seq` counting scheduled events. Each
-//! in-flight transfer owns exactly one live event — its startup latency,
-//! then its projected drain finish. The queue pays once per transfer per
-//! simulated instant: a re-key to the current instant moves the event to
-//! the back of the instant's FIFO, a re-key to a later time waits for the
-//! instant's end, and later events sit in runs of one time ordered by a
-//! heap, so a pop inside a lockstep burst costs one compare rather than a
-//! full sift (DESIGN.md §14).
+//! Events run in `(t, seq)` order, `seq` counting scheduled events and
+//! re-keys. Each in-flight transfer owns exactly one live event — its
+//! startup latency, then its projected drain finish. The engine and the
+//! queue pay once per transfer per simulated instant (DESIGN.md §14):
+//!
+//! * a re-key made while the instant has other events moves the transfer
+//!   to the back of the instant's FIFO unprojected, and the queue projects
+//!   it when it is next in line, so k load changes in one lockstep burst
+//!   cost one projection;
+//! * a projection to a later time waits for the instant's end;
+//! * later events sit in runs of one time ordered by a heap, so a pop
+//!   inside a lockstep burst costs one compare rather than a full sift.
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -282,6 +288,24 @@ impl EventQueue {
         } else {
             self.places[i].pending = 0;
             self.insert(id, t, seq);
+        }
+    }
+
+    /// Re-key `id` with the next sequence number to the time `project`
+    /// gives, at or after `now`. While the instant has other events the
+    /// re-key is deferred. In a closed instant `project` runs at once and
+    /// the event is placed as `schedule` places it, without checking the
+    /// instant a second time.
+    fn reschedule(&mut self, id: u32, project: impl FnOnce() -> f64) {
+        if self.instant_open() {
+            return self.defer(id);
+        }
+        let t = project();
+        if t > self.now {
+            let seq = self.next_seq(id);
+            self.insert(id, t, seq);
+        } else {
+            self.schedule(id, t);
         }
     }
 
@@ -1681,20 +1705,19 @@ impl<'a> Engine<'a> {
     }
 
     /// Re-key a draining transfer after a share on its path changed. While
-    /// the instant has other events the re-key is deferred: the queue
+    /// the instant has other events the queue defers the re-key and
     /// [`project`]s the transfer once, when its event is next in line, so
-    /// k load changes in one instant cost one projection. Nothing reads
-    /// the transfer's progress in between, and any later share change on
-    /// its path re-keys it again. In a closed instant, where lockstep
-    /// bursts cannot happen, it is projected and scheduled at once.
+    /// k load changes in one instant cost one projection. That is exact:
+    /// nothing reads the transfer's progress in between, a second settle
+    /// in one instant moves nothing, and any later share change on its
+    /// path re-keys it again. A closed instant, the common case under
+    /// jitter, has no burst to merge, so there the transfer is projected
+    /// and placed at once, skipping the FIFO round trip.
     fn reproject(&mut self, x: u32) {
         let id = self.transfer_event(x);
-        if self.events.instant_open() {
-            self.events.defer(id);
-        } else {
-            let finish = project(&mut self.transfers[x as usize], &self.resources, self.now);
-            self.events.schedule(id, finish);
-        }
+        let t = &mut self.transfers[x as usize];
+        let (resources, now) = (&self.resources, self.now);
+        self.events.reschedule(id, || project(t, resources, now));
     }
 
     fn on_drain_done(&mut self, x: u32) {
@@ -2176,8 +2199,8 @@ mod tests {
     /// sequences, the way the engine does: the clock is the last popped
     /// time and `time` picks each new event's time from it. The oracle
     /// schedules a re-key at once, from a per-id finish table; the queue
-    /// defers it and projects it from the same table, or, as the engine
-    /// does in a closed instant, half the time schedules it directly.
+    /// takes it through `reschedule`, as the engine does, or through `defer`,
+    /// and projects it from the same table.
     fn pops_like_oracle(seed: u64, time: impl Fn(&mut StdRng, f64) -> f64) -> Defers {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_ids = 1 + rng.gen_range(0..64);
@@ -2203,11 +2226,15 @@ mod tests {
                     assert!(t >= now);
                     finish[id as usize] = t;
                     reference.schedule(id, t);
-                    if queue.instant_open() || rng.gen() {
+                    // Half the re-keys defer even in a closed instant.
+                    let always = rng.gen();
+                    if always || queue.instant_open() {
                         defers.note(&queue, id, t);
+                    }
+                    if always {
                         queue.defer(id);
                     } else {
-                        queue.schedule(id, t);
+                        queue.reschedule(id, || t);
                     }
                 }
                 _ => {
