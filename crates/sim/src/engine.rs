@@ -2179,13 +2179,6 @@ mod tests {
             }
         }
 
-        fn add(&mut self, other: Self) {
-            self.closed += other.closed;
-            self.onto_now += other.onto_now;
-            self.over_later_entry += other.over_later_entry;
-            self.later += other.later;
-        }
-
         fn assert_covered(&self) {
             assert!(self.closed > 0, "no defer in a closed instant");
             assert!(self.onto_now > 0, "no defer onto the instant");
@@ -2199,15 +2192,14 @@ mod tests {
     /// sequences, the way the engine does: the clock is the last popped
     /// time and `time` picks each new event's time from it. The oracle
     /// schedules a re-key at once, from a per-id finish table; the queue
-    /// takes it through `reschedule`, as the engine does, or through `defer`,
-    /// and projects it from the same table.
-    fn pops_like_oracle(seed: u64, time: impl Fn(&mut StdRng, f64) -> f64) -> Defers {
+    /// takes it through `reschedule`, as the engine does, or through
+    /// `defer`, projects it from the same table, and notes it in `defers`.
+    fn pops_like_oracle(seed: u64, defers: &mut Defers, time: impl Fn(&mut StdRng, f64) -> f64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_ids = 1 + rng.gen_range(0..64);
         let mut queue = EventQueue::default();
         let mut reference = LazyHeap::default();
         let mut finish = vec![0.0; n_ids as usize];
-        let mut defers = Defers::default();
         let mut now = 0.0;
         for _ in 0..4_000 {
             let id = rng.gen_range(0..n_ids) as u32;
@@ -2248,7 +2240,6 @@ mod tests {
             assert_eq!(queue.pop(|id| finish[id as usize]), Some(ev), "seed {seed}");
         }
         assert_eq!(queue.pop(no_defers), None, "seed {seed}");
-        defers
     }
 
     #[test]
@@ -2258,9 +2249,9 @@ mod tests {
         // and emptied runs are reused in place.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            defers.add(pops_like_oracle(seed, |rng, now| {
+            pops_like_oracle(seed, &mut defers, |rng, now| {
                 now + rng.gen_range(0..8) as f64
-            }));
+            });
         }
         // The same on times that all share one cache slot: each new time
         // evicts the last, so a time that comes back opens a second run.
@@ -2271,10 +2262,10 @@ mod tests {
             .take(20_000)
             .collect();
         for seed in 0..32u64 {
-            defers.add(pops_like_oracle(seed, |rng, now| {
+            pops_like_oracle(seed, &mut defers, |rng, now| {
                 let k = grid.partition_point(|&t| t < now);
                 grid[k + rng.gen_range(0..8) as usize]
-            }));
+            });
         }
         defers.assert_covered();
     }
@@ -2285,9 +2276,7 @@ mod tests {
         // one event.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            defers.add(pops_like_oracle(seed, |rng, now| {
-                now + 100.0 * rng.gen::<f64>()
-            }));
+            pops_like_oracle(seed, &mut defers, |rng, now| now + 100.0 * rng.gen::<f64>());
         }
         defers.assert_covered();
     }
@@ -2299,12 +2288,10 @@ mod tests {
         // instant still has events.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            defers.add(pops_like_oracle(seed, |rng, now| {
-                match rng.gen_range(0..8) {
-                    0..=4 => now,
-                    _ => now + rng.gen_range(1..8) as f64,
-                }
-            }));
+            pops_like_oracle(seed, &mut defers, |rng, now| match rng.gen_range(0..8) {
+                0..=4 => now,
+                _ => now + rng.gen_range(1..8) as f64,
+            });
         }
         defers.assert_covered();
     }
