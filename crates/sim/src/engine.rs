@@ -402,9 +402,7 @@ impl EventQueue {
     /// `seq` order, each with the `seq` it drew.
     fn flush(&mut self) {
         let mut buffer = std::mem::take(&mut self.buffer);
-        if !buffer.is_sorted_by_key(|e| e.seq) {
-            buffer.sort_unstable_by_key(|e| e.seq);
-        }
+        buffer.sort_unstable_by_key(|e| e.seq);
         for e in buffer.drain(..) {
             let s = &mut self.places[e.id as usize];
             if s.pending == e.seq {
