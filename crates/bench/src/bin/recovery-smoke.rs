@@ -1,155 +1,8 @@
-//! CI smoke gate for the partial-progress recovery stack.
-//!
-//! Fails (nonzero exit) if any robustness guard trips:
-//!
-//! 1. a permanent NVLink kill at 60% of a 256 MB AllReduce must recover
-//!    via **frontier resume** (not restart) with validated data, and the
-//!    resumed attempt must cost under half of the restart-from-zero
-//!    counterfactual on the same degraded plan;
-//! 2. restoring the channel must **heal**: the mask drops and the next
-//!    collective fails back to the healthy-fingerprint plan from the
-//!    cache, with no retries and no recompiles;
-//! 3. the per-attempt recovery **journal** must describe the same history
-//!    as the counters.
-//!
-//! Sized for CI: one 2×4 A100 cluster, a few seconds end to end.
-
-use rescc_backends::{Communicator, RecoveryAction};
-use rescc_core::Compiler;
-use rescc_sim::{FaultTimeline, SimConfig};
-use rescc_topology::{Rank, Topology};
-
-const MB: u64 = 1 << 20;
+//! CI gate for partial-progress recovery on a 2x4 A100 cluster: an NVLink
+//! kill at 60% of a 256 MB AllReduce resumes from the fault frontier at
+//! under half the restart cost with validated data and a consistent
+//! journal, and restoring the channel heals back to the healthy plan.
 
 fn main() {
-    let mut failures = Vec::new();
-    let topo = Topology::a100(2, 4);
-    let buffer = 256 * MB;
-
-    let healthy = Communicator::new(topo.clone())
-        .all_reduce(buffer)
-        .expect("smoke healthy baseline");
-    let healthy_ns = healthy.sim.completion_ns;
-    let healthy_fp = {
-        // Fingerprint of the healthy plan, via an engaged but fault-free
-        // watchdog run.
-        let mut comm = Communicator::new(topo.clone())
-            .with_faults(FaultTimeline::new().straggler(0, 0.0, 1.0, 1.0));
-        comm.all_reduce(buffer)
-            .expect("smoke healthy fingerprint")
-            .recovery
-            .expect("watchdog engaged")
-            .plan_fingerprint
-    };
-
-    // Guard 1: frontier resume beats restart-from-zero.
-    let chan = topo.pair_chan(Rank::new(0), Rank::new(1));
-    let kill_at = 0.6 * healthy_ns;
-    let mut comm = Communicator::new(topo.clone())
-        .with_validation()
-        .with_faults(FaultTimeline::new().kill(chan, kill_at));
-    let rep = comm.all_reduce(buffer).expect("smoke kill run");
-    let rec = rep.recovery.clone().expect("kill engages the watchdog");
-    if rep.sim.data_valid != Some(true) {
-        failures.push("recovered run did not validate".to_string());
-    }
-    if rec.resumes < 1 {
-        failures.push(format!(
-            "late kill restarted instead of resuming (resumes {})",
-            rec.resumes
-        ));
-    }
-    let resume_ns = rep.sim.completion_ns;
-    let degraded = topo.clone().with_health(comm.health().clone());
-    let restart_ns = Compiler::new()
-        .compile_spec(&rescc_algos::hm_allreduce(2, 4), &degraded)
-        .expect("smoke degraded compile")
-        .run_with(buffer, MB, &SimConfig::default().without_validation())
-        .expect("smoke restart run")
-        .completion_ns;
-    let ratio = resume_ns / restart_ns;
-    println!(
-        "resume: kill at {:.2}ms (60% of healthy {:.2}ms), resumed attempt \
-         {:.2}ms vs restart {:.2}ms, ratio {ratio:.2}x, resumes {}, \
-         recompiles {}",
-        kill_at / 1e6,
-        healthy_ns / 1e6,
-        resume_ns / 1e6,
-        restart_ns / 1e6,
-        rec.resumes,
-        rec.recompiles,
-    );
-    if ratio >= 0.5 {
-        failures.push(format!(
-            "resume is not under half the restart cost (ratio {ratio:.3} >= 0.5)"
-        ));
-    }
-
-    // Guard 3 (on the kill run's stats): journal consistency.
-    let count = |a: RecoveryAction| rec.journal.iter().filter(|e| e.action == a).count() as u32;
-    if rec.journal.len() as u32 != rec.retries + rec.recompiles + rec.heals {
-        failures.push(format!(
-            "journal has {} entries for {} retries + {} recompiles + {} heals",
-            rec.journal.len(),
-            rec.retries,
-            rec.recompiles,
-            rec.heals
-        ));
-    }
-    if count(RecoveryAction::DeltaRecompile) + count(RecoveryAction::FullRecompile)
-        != rec.recompiles
-    {
-        failures.push("journal recompile entries do not match the counter".into());
-    }
-    if rec
-        .journal
-        .iter()
-        .any(|e| e.at_ns < 0.0 || e.cause.is_empty())
-    {
-        failures.push("journal entry without a sim instant or a cause".into());
-    }
-    println!(
-        "journal: {} entries, first: attempt {} \"{}\" at {:.2}ms -> {}",
-        rec.journal.len(),
-        rec.journal[0].attempt,
-        rec.journal[0].cause,
-        rec.journal[0].at_ns / 1e6,
-        rec.journal[0].action.as_str(),
-    );
-
-    // Guard 2: healing fails back to the healthy plan.
-    comm.set_faults(FaultTimeline::new());
-    let healed = comm.all_reduce(buffer).expect("smoke healed run");
-    let hrec = healed.recovery.clone().expect("watchdog stays engaged");
-    println!(
-        "heal: heals {}, retries {}, recompiles {}, fingerprint restored {}",
-        hrec.heals,
-        hrec.retries,
-        hrec.recompiles,
-        hrec.plan_fingerprint == healthy_fp,
-    );
-    if hrec.heals != 1 {
-        failures.push(format!("expected exactly one heal, got {}", hrec.heals));
-    }
-    if hrec.retries != 0 || hrec.recompiles != 0 {
-        failures.push("healed run retried or recompiled".into());
-    }
-    if hrec.plan_fingerprint != healthy_fp {
-        failures.push("healed run did not fail back to the healthy plan".into());
-    }
-    if healed.sim.data_valid != Some(true) {
-        failures.push("healed run did not validate".into());
-    }
-    if !comm.health().is_empty() {
-        failures.push("health mask not empty after healing".into());
-    }
-
-    if failures.is_empty() {
-        println!("recovery-smoke: all guards passed");
-    } else {
-        for f in &failures {
-            eprintln!("recovery-smoke FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    rescc_bench::experiments::recovery::smoke();
 }

@@ -23,9 +23,8 @@
 //! certified makespan floor. Machine-readable results go to
 //! `BENCH_analyze.json`.
 
-use crate::experiments::observability::median_min_max;
-use crate::{print_table, MB};
-use rescc_algos::{hm_allreduce, ring_allgather};
+use crate::{median_min_max, print_table, time, write_bench_json, Gate, MB};
+use rescc_algos::{dbtree_allreduce, hm_allgather, hm_allreduce, ring_allgather, ring_allreduce};
 use rescc_alloc::TbAllocation;
 use rescc_analyze::{
     analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, Incremental,
@@ -34,23 +33,17 @@ use rescc_analyze::{
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
+use rescc_lang::AlgoSpec;
 use rescc_sched::hpds;
 use rescc_topology::{Rank, Topology, TopologyHealth};
-use std::time::Instant;
 
-/// Full-sweep-to-subset budget at the acceptance scale (1,024 ranks).
+/// Full-sweep-to-subset budget, gated at 1,024 ranks and in the smoke gate.
 const SWEEP_BUDGET: f64 = 2.0;
 
 struct Scale {
     nodes: u32,
     gpus: u32,
     iters: usize,
-}
-
-fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let v = f();
-    (t0.elapsed().as_secs_f64(), v)
 }
 
 /// Per-scale measurement: oracle build, per-lint, full sweep, subset.
@@ -107,31 +100,19 @@ fn measure(input: &AnalysisInput, config: &AnalysisConfig) -> Sample {
     }
 }
 
-/// Run the analyze-cost experiment and write `BENCH_analyze.json`.
-pub fn run() {
-    let scales = [
-        Scale {
-            nodes: 32,
-            gpus: 8,
-            iters: 5,
-        },
-        Scale {
-            nodes: 128,
-            gpus: 8,
-            iters: 3,
-        },
-        Scale {
-            nodes: 512,
-            gpus: 8,
-            iters: 1,
-        },
-    ];
-    let config = AnalysisConfig::default();
-    let mut rows = Vec::new();
-    let mut json_scales = Vec::new();
+/// One scale: `iters` calls of [`measure`] on the hm AllReduce plan.
+struct ScaleRun {
+    ranks: u32,
+    tasks: usize,
+    /// The last sample, for its per-lint times and oracle counters.
+    last: Sample,
+    /// Full sweep `(median, min, max)`.
+    full: (f64, f64, f64),
+    subset_med: f64,
+}
 
-    for sc in &scales {
-        let ranks = sc.nodes * sc.gpus;
+impl ScaleRun {
+    fn measure(sc: &Scale, config: &AnalysisConfig) -> Self {
         let topo = Topology::a100(sc.nodes, sc.gpus);
         let spec = hm_allreduce(sc.nodes, sc.gpus);
         let dag = DepDag::build(&spec, &topo).expect("bench dag");
@@ -152,35 +133,120 @@ pub fn run() {
             program: &program,
             topo: &topo,
         };
-
-        let mut full = Vec::with_capacity(sc.iters);
-        let mut subset = Vec::with_capacity(sc.iters);
-        let mut last = None;
-        for _ in 0..sc.iters {
-            let s = measure(&input, &config);
-            full.push(s.full_s);
-            subset.push(s.subset_s);
-            last = Some(s);
+        let samples: Vec<Sample> = (0..sc.iters).map(|_| measure(&input, config)).collect();
+        let mut full: Vec<f64> = samples.iter().map(|s| s.full_s).collect();
+        let mut subset: Vec<f64> = samples.iter().map(|s| s.subset_s).collect();
+        ScaleRun {
+            ranks: sc.nodes * sc.gpus,
+            tasks: dag.len(),
+            full: median_min_max(&mut full),
+            subset_med: median_min_max(&mut subset).0,
+            last: samples.into_iter().last().expect("iters >= 1"),
         }
-        let s = last.expect("iters >= 1");
-        let (full_med, full_min, full_max) = median_min_max(&mut full);
-        let (subset_med, ..) = median_min_max(&mut subset);
-        let ratio = full_med / subset_med;
+    }
+
+    fn ratio(&self) -> f64 {
+        self.full.0 / self.subset_med
+    }
+
+    /// The 8-lint sweep must stay within [`SWEEP_BUDGET`] of the subset.
+    fn check(&self, gate: &mut Gate) {
+        let ratio = self.ratio();
+        gate.check(ratio <= SWEEP_BUDGET, || {
+            format!(
+                "8-lint sweep is {ratio:.2}x the 5-lint subset at {} ranks \
+                 (budget {SWEEP_BUDGET}x)",
+                self.ranks
+            )
+        });
+    }
+}
+
+/// Certificate soundness against the engine: each seed plan compiles
+/// lint-clean with a cost certificate, and its simulated run does not
+/// finish below the certified makespan floor. Returns the plans that ran.
+fn check_certificate_floors(cases: &[(AlgoSpec, Topology)], gate: &mut Gate) -> u32 {
+    let compiler = Compiler::new();
+    let mut checked = 0;
+    for (spec, topo) in cases {
+        let name = format!("{} on {}", spec.name(), topo.name());
+        let plan = match compiler.compile_spec(spec, topo) {
+            Ok(plan) => plan,
+            Err(e) => {
+                gate.check(false, || format!("{name}: compile failed: {e}"));
+                continue;
+            }
+        };
+        gate.check(plan.diagnostics.is_clean(), || {
+            format!(
+                "{name}: seed plan not clean:\n{}",
+                plan.diagnostics.render_human()
+            )
+        });
+        let Some(floor) = plan.makespan_floor_ns(16 * MB, MB) else {
+            gate.check(false, || format!("{name}: no cost certificate on the plan"));
+            continue;
+        };
+        match plan.run(16 * MB, MB) {
+            Ok(report) => {
+                gate.check(!report.undercuts_floor(floor), || {
+                    format!(
+                        "{name}: simulated {:.0}ns undercuts certified floor {floor:.0}ns",
+                        report.completion_ns
+                    )
+                });
+                println!(
+                    "{name}: certified floor {:.1}us, sim {:.1}us",
+                    floor / 1e3,
+                    report.completion_ns / 1e3,
+                );
+                checked += 1;
+            }
+            Err(e) => gate.check(false, || format!("{name}: run failed: {e}")),
+        }
+    }
+    checked
+}
+
+/// Run the analyze-cost experiment and write `BENCH_analyze.json`.
+pub fn run() {
+    let scales = [
+        Scale {
+            nodes: 32,
+            gpus: 8,
+            iters: 5,
+        },
+        Scale {
+            nodes: 128,
+            gpus: 8,
+            iters: 3,
+        },
+        Scale {
+            nodes: 512,
+            gpus: 8,
+            iters: 1,
+        },
+    ];
+    let config = AnalysisConfig::default();
+    let mut gate = Gate::default();
+    let mut rows = Vec::new();
+    let mut json_scales = Vec::new();
+
+    for sc in &scales {
+        let run = ScaleRun::measure(sc, &config);
+        let (ranks, s, ratio) = (run.ranks, &run.last, run.ratio());
+        let (full_med, full_min, full_max) = run.full;
         if ranks == 1024 {
-            assert!(
-                ratio <= SWEEP_BUDGET,
-                "8-lint sweep is {ratio:.2}x the 5-lint subset at 1,024 ranks \
-                 (budget {SWEEP_BUDGET}x)"
-            );
+            run.check(&mut gate);
         }
 
         let lint_names = ["RA002", "RA003", "RA004", "RA005", "RA006", "RA007"];
         rows.push(vec![
             format!("{ranks}"),
-            format!("{}", dag.len()),
+            format!("{}", run.tasks),
             format!("{:.1}ms", (s.order_s + s.oracle_s) * 1e3),
             format!("{:.1}ms", full_med * 1e3),
-            format!("{:.1}ms", subset_med * 1e3),
+            format!("{:.1}ms", run.subset_med * 1e3),
             format!("{ratio:.2}x"),
             format!("{}", s.stats.queries),
             format!("{}", s.stats.dfs_fallbacks),
@@ -197,7 +263,7 @@ pub fn run() {
              \"full_sweep_ms\": {{\"median\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}, \
              \"subset5_ms\": {:.3}, \"sweep_ratio\": {ratio:.3}, \
              \"oracle\": {{\"queries\": {}, \"dfs_fallbacks\": {}, \"chains\": {}}}}}",
-            dag.len(),
+            run.tasks,
             sc.iters,
             s.order_s * 1e3,
             s.oracle_s * 1e3,
@@ -205,7 +271,7 @@ pub fn run() {
             full_med * 1e3,
             full_min * 1e3,
             full_max * 1e3,
-            subset_med * 1e3,
+            run.subset_med * 1e3,
             s.stats.queries,
             s.stats.dfs_fallbacks,
             s.stats.n_chains,
@@ -252,35 +318,18 @@ pub fn run() {
         delta_sanitize_s * 1e3,
         incr_ratio,
     );
-    assert!(
-        delta_sanitize_s <= full_sanitize_s,
-        "splice re-analysis must not cost more than a full sweep"
-    );
+    gate.check(delta_sanitize_s <= full_sanitize_s, || {
+        "splice re-analysis must not cost more than a full sweep".into()
+    });
 
-    // Certificate soundness against the engine: no simulated run may
-    // finish below its plan's certified makespan floor.
-    let mut undercut_checks = 0u32;
-    for (spec, topo) in [
-        (hm_allreduce(2, 4), Topology::a100(2, 4)),
-        (ring_allgather(8), Topology::a100(1, 8)),
-        (rescc_algos::dbtree_allreduce(8), Topology::a100(2, 4)),
-    ] {
-        let plan = compiler
-            .compile_spec(&spec, &topo)
-            .expect("certificate check compile");
-        let floor = plan
-            .makespan_floor_ns(16 * MB, MB)
-            .expect("lint gate on: certificate present");
-        let report = plan.run(16 * MB, MB).expect("certificate check run");
-        assert!(
-            !report.undercuts_floor(floor),
-            "{} on {}: simulated {:.0}ns undercuts certified floor {floor:.0}ns",
-            spec.name(),
-            topo.name(),
-            report.completion_ns,
-        );
-        undercut_checks += 1;
-    }
+    let undercut_checks = check_certificate_floors(
+        &[
+            (hm_allreduce(2, 4), Topology::a100(2, 4)),
+            (ring_allgather(8), Topology::a100(1, 8)),
+            (dbtree_allreduce(8), Topology::a100(2, 4)),
+        ],
+        &mut gate,
+    );
     println!(
         "certificate floors hold on {undercut_checks} seed plans \
          (sim completion >= certified lower bound)."
@@ -298,8 +347,73 @@ pub fn run() {
         full_sanitize_s * 1e3,
         delta_sanitize_s * 1e3,
     );
-    match std::fs::write("BENCH_analyze.json", &json) {
-        Ok(()) => println!("wrote BENCH_analyze.json"),
-        Err(e) => eprintln!("could not write BENCH_analyze.json: {e}"),
+    write_bench_json("BENCH_analyze.json", &json);
+    gate.finish("analyze-bench");
+}
+
+/// CI smoke gate at 64 emulated GPUs: [`run`]'s sweep measurement with
+/// its budget, and the certificate floors on three seed plans. A sweep
+/// takes about 2 ms at this scale, so the median is over five samples:
+/// over three, one preempted sample in 28 runs read 3.1x.
+pub fn smoke() {
+    let run = ScaleRun::measure(
+        &Scale {
+            nodes: 8,
+            gpus: 8,
+            iters: 5,
+        },
+        &AnalysisConfig::default(),
+    );
+    println!(
+        "lint sweep ({} ranks, {} tasks): 8-lint {:.2}ms, 5-lint subset {:.2}ms, ratio {:.2}x",
+        run.ranks,
+        run.tasks,
+        run.full.0 * 1e3,
+        run.subset_med * 1e3,
+        run.ratio(),
+    );
+    let mut gate = Gate::default();
+    run.check(&mut gate);
+    let topo = Topology::a100(2, 8);
+    check_certificate_floors(
+        &[
+            (hm_allgather(2, 8), topo.clone()),
+            (ring_allreduce(16), topo.clone()),
+            (dbtree_allreduce(16), topo),
+        ],
+        &mut gate,
+    );
+    gate.finish("lint-smoke");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_with_ratio(ratio: f64) -> ScaleRun {
+        ScaleRun {
+            ranks: 1024,
+            tasks: 0,
+            last: Sample {
+                order_s: 0.0,
+                oracle_s: 0.0,
+                lint_s: [0.0; 6],
+                full_s: ratio,
+                subset_s: 1.0,
+                stats: OracleStats::default(),
+            },
+            full: (ratio, ratio, ratio),
+            subset_med: 1.0,
+        }
+    }
+
+    #[test]
+    fn sweep_check_reports_an_over_budget_ratio() {
+        let mut gate = Gate::default();
+        run_with_ratio(2.0).check(&mut gate);
+        assert!(gate.failures.is_empty());
+        run_with_ratio(2.1).check(&mut gate);
+        assert_eq!(gate.failures.len(), 1);
+        assert!(gate.failures[0].contains("2.10x the 5-lint subset at 1024 ranks"));
     }
 }

@@ -17,7 +17,7 @@
 //! must be cheaper on every topology. Machine-readable results go to
 //! `BENCH_chaos.json`.
 
-use crate::print_table;
+use crate::{print_table, write_bench_json};
 use rescc_backends::{Communicator, RunReport};
 use rescc_core::Compiler;
 use rescc_lang::OpType;
@@ -182,8 +182,5 @@ pub fn run() {
         json_cells.join(",\n"),
         json_econ.join(",\n"),
     );
-    match std::fs::write("BENCH_chaos.json", &json) {
-        Ok(()) => println!("wrote BENCH_chaos.json"),
-        Err(e) => eprintln!("could not write BENCH_chaos.json: {e}"),
-    }
+    write_bench_json("BENCH_chaos.json", &json);
 }

@@ -7,7 +7,7 @@
 //! * (b) HPDS vs round-robin scheduling on an 8-GPU two-server topology,
 //!   for expert and synthesized algorithms (paper: up to 187% speedup).
 
-use crate::{print_table, MB};
+use crate::{print_table, time, write_bench_json, Gate, MB};
 use rescc_algos::{
     hm_allreduce, hm_allreduce_source, nccl_rings_allgather, taccl_like_allgather,
     taccl_like_allreduce,
@@ -17,13 +17,132 @@ use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_sched::{hpds, hpds_reference};
 use rescc_topology::{Rank, Topology, TopologyHealth};
-use std::time::Instant;
+
+/// Least flat-over-reference scheduler speedup the smoke gate accepts.
+const MIN_SCHED_SPEEDUP: f64 = 1.0;
+/// Least full-over-delta recompile speedup the smoke gate accepts.
+const MIN_DELTA_SPEEDUP: f64 = 1.0;
+
+/// Best-of-N wall times of the flat scheduler and the reference
+/// (pre-rearchitecture) scheduler on one DAG.
+struct SchedSample {
+    reference_s: f64,
+    flat_s: f64,
+    identical: bool,
+}
+
+impl SchedSample {
+    fn measure(dag: &DepDag, iters: usize) -> Self {
+        let mut s = SchedSample {
+            reference_s: f64::MAX,
+            flat_s: f64::MAX,
+            identical: true,
+        };
+        for _ in 0..iters {
+            let (reference_s, reference) = time(|| hpds_reference(dag));
+            let (flat_s, flat) = time(|| hpds(dag));
+            s.reference_s = s.reference_s.min(reference_s);
+            s.flat_s = s.flat_s.min(flat_s);
+            s.identical &= reference == flat;
+        }
+        s
+    }
+
+    fn speedup(&self) -> f64 {
+        self.reference_s / self.flat_s
+    }
+
+    /// The schedules must match; with `timed`, the flat one must also win.
+    fn check(&self, gate: &mut Gate, timed: bool) {
+        gate.check(self.identical, || {
+            "flat scheduler output diverged from the reference".into()
+        });
+        let speedup = self.speedup();
+        gate.check(!timed || speedup > MIN_SCHED_SPEEDUP, || {
+            format!(
+                "flat scheduler is not faster than the reference \
+                 (flat_sched_speedup {speedup:.3} <= {MIN_SCHED_SPEEDUP})"
+            )
+        });
+    }
+}
+
+/// A delta recompile after one masked NVLink pair channel against a full
+/// recompile for the degraded topology, best-of-N each, on a 2-ring
+/// AllGather. The rings leave routing slack, so the relayed routes fit
+/// the cached schedule and the splice path must engage.
+struct DeltaSample {
+    full_s: f64,
+    delta_s: f64,
+    spliced: bool,
+    /// An unchanged-mask delta returned the cached plan byte-for-byte.
+    identity: bool,
+}
+
+impl DeltaSample {
+    fn measure(compiler: &Compiler, nodes: u32, g: u32, chan: (u32, u32), iters: usize) -> Self {
+        let topo = Topology::a100(nodes, g);
+        let spec = nccl_rings_allgather(nodes, g, 2);
+        let plan = compiler
+            .compile_spec(&spec, &topo)
+            .expect("delta base compile");
+        let mut health = TopologyHealth::default();
+        health.mask(topo.pair_chan(Rank::new(chan.0), Rank::new(chan.1)));
+
+        let mut s = DeltaSample {
+            full_s: f64::MAX,
+            delta_s: f64::MAX,
+            spliced: true,
+            identity: false,
+        };
+        for _ in 0..iters {
+            let (delta_s, delta) = time(|| compiler.recompile_delta(&plan, &health));
+            s.delta_s = s.delta_s.min(delta_s);
+            s.spliced &= delta.expect("delta recompile").timings.lowering.is_zero();
+        }
+        let degraded = topo.with_health(health);
+        for _ in 0..iters {
+            let (full_s, full) = time(|| compiler.compile_spec(&spec, &degraded));
+            s.full_s = s.full_s.min(full_s);
+            full.expect("full degraded compile");
+        }
+        s.identity = compiler
+            .recompile_delta(&plan, plan.topo.health())
+            .expect("identity recompile")
+            .semantic_eq(&plan);
+        s
+    }
+
+    fn speedup(&self) -> f64 {
+        self.full_s / self.delta_s
+    }
+
+    /// The delta must splice and the identity path must return the cached
+    /// plan; with `timed`, the delta must also beat the full recompile.
+    fn check(&self, gate: &mut Gate, timed: bool) {
+        gate.check(self.spliced, || {
+            "delta recompile fell back to a full reschedule".into()
+        });
+        gate.check(self.identity, || {
+            "unchanged-mask delta recompile is not byte-equivalent".into()
+        });
+        let speedup = self.speedup();
+        gate.check(!timed || speedup > MIN_DELTA_SPEEDUP, || {
+            format!(
+                "delta recompile is not faster than a full recompile \
+                 (delta_speedup {speedup:.3} <= {MIN_DELTA_SPEEDUP})"
+            )
+        });
+    }
+}
 
 /// Regenerate Figure 10(a): compile-phase breakdown vs scale, the
 /// scheduler-rearchitecture speedup and cold/warm comparison at 1,024
 /// emulated GPUs, the incremental (delta) recompile comparison, and
 /// a 4,096-GPU compile point. Writes machine-readable results to
-/// `BENCH_compile.json`.
+/// `BENCH_compile.json`, and exits non-zero if the flat schedule diverges
+/// from the reference or the delta recompile misses its splice or
+/// identity path.
 pub fn run_a() {
     let mut rows = Vec::new();
     for nodes in [1u32, 2, 4, 8, 16, 32, 64, 128] {
@@ -71,35 +190,22 @@ pub fn run_a() {
     let spec = hm_allreduce(nodes, g);
 
     let dag = DepDag::build(&spec, &topo).expect("figure10a dag");
-    let t0 = Instant::now();
-    let ref_schedule = hpds_reference(&dag);
-    let sched_reference = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let flat_schedule = hpds(&dag);
-    let sched_flat = t0.elapsed().as_secs_f64();
-    let sched_identical = ref_schedule == flat_schedule;
-    let flat_sched_speedup = sched_reference / sched_flat;
-    drop(ref_schedule);
-    drop(flat_schedule);
+    let sched = SchedSample::measure(&dag, 1);
     drop(dag);
+    let (sched_reference, sched_flat) = (sched.reference_s, sched.flat_s);
+    let (sched_identical, flat_sched_speedup) = (sched.identical, sched.speedup());
 
     let compiler = Compiler::new();
-    let t0 = Instant::now();
-    let serial_plan = compiler
-        .compile_spec(&spec, &topo)
-        .expect("figure10a serial compile");
-    let cold_serial = t0.elapsed().as_secs_f64();
+    let (cold_serial, serial_plan) = time(|| compiler.compile_spec(&spec, &topo));
+    let serial_plan = serial_plan.expect("figure10a serial compile");
 
     let cache = PlanCache::new();
     let mb = MicroBatchPlan::plan(256 * MB, spec.n_chunks(), MB);
     cache
         .get_or_compile(&compiler, &spec, &topo, &mb)
         .expect("figure10a cache prime");
-    let t0 = Instant::now();
-    cache
-        .get_or_compile(&compiler, &spec, &topo, &mb)
-        .expect("figure10a cache hit");
-    let warm = t0.elapsed().as_secs_f64();
+    let (warm, hit) = time(|| cache.get_or_compile(&compiler, &spec, &topo, &mb));
+    hit.expect("figure10a cache hit");
 
     print_table(
         &format!("Compile modes at {ranks} GPUs (HM-AllReduce)"),
@@ -132,52 +238,14 @@ pub fn run_a() {
          warm dispatch skips all five compile phases via the plan cache."
     );
 
-    // Incremental (delta) recompile after a single intra-node link fault,
-    // on a workload with routing slack (2 NCCL rings leave most NVLink
-    // pair channels idle, so the relayed routes fit the cached schedule
-    // and the splice path engages). The full recompile is what the
-    // watchdog previously did: recompile the spec from scratch against
-    // the degraded topology.
-    let delta_spec = nccl_rings_allgather(nodes, g, 2);
-    let delta_plan = compiler
-        .compile_spec(&delta_spec, &topo)
-        .expect("figure10a delta base compile");
-    let mut health = TopologyHealth::default();
-    health.mask(topo.pair_chan(Rank::new(40), Rank::new(41)));
-
-    // Best-of-3 on both sides: these are sub-second wall times on a shared
-    // box, and a single stray scheduler preemption can halve the ratio.
-    let mut delta_s = f64::MAX;
-    let mut delta_spliced = true;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let delta = compiler
-            .recompile_delta(&delta_plan, &health)
-            .expect("figure10a delta recompile");
-        delta_s = delta_s.min(t0.elapsed().as_secs_f64());
-        delta_spliced &= delta.timings.lowering.is_zero();
-    }
-
-    let degraded = topo.clone().with_health(health.clone());
-    let mut full_s = f64::MAX;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let full = compiler
-            .compile_spec(&delta_spec, &degraded)
-            .expect("figure10a full degraded compile");
-        full_s = full_s.min(t0.elapsed().as_secs_f64());
-        drop(full);
-    }
-    let delta_speedup = full_s / delta_s;
-
-    // Unchanged mask -> the delta path must return the cached plan
-    // byte-for-byte (the identity path).
-    let unchanged = compiler
-        .recompile_delta(&delta_plan, delta_plan.topo.health())
-        .expect("figure10a identity recompile");
-    let delta_identity = unchanged.semantic_eq(&delta_plan);
-    drop(unchanged);
-    drop(delta_plan);
+    // Incremental (delta) recompile after a single intra-node link fault.
+    // The full recompile is what the watchdog previously did: recompile
+    // the spec from scratch against the degraded topology. Best-of-3 on
+    // both sides: these are sub-second wall times on a shared box, and a
+    // single stray scheduler preemption can halve the ratio.
+    let delta = DeltaSample::measure(&compiler, nodes, g, (40, 41), 3);
+    let (full_s, delta_s, delta_speedup) = (delta.full_s, delta.delta_s, delta.speedup());
+    let (delta_spliced, delta_identity) = (delta.spliced, delta.identity);
 
     print_table(
         &format!("Post-fault recompile at {ranks} GPUs (2-ring AllGather, 1 dead NVLink channel)"),
@@ -205,11 +273,8 @@ pub fn run_a() {
     // measures).
     let topo_4k = Topology::a100(512, 8);
     let spec_4k = hm_allreduce(512, 8);
-    let t0 = Instant::now();
-    let plan_4k = compiler
-        .compile_spec(&spec_4k, &topo_4k)
-        .expect("figure10a 4k compile");
-    let total_4k = t0.elapsed().as_secs_f64();
+    let (total_4k, plan_4k) = time(|| compiler.compile_spec(&spec_4k, &topo_4k));
+    let plan_4k = plan_4k.expect("figure10a 4k compile");
     let t4 = plan_4k.timings;
     let tasks_4k = plan_4k.dag.len();
     println!(
@@ -247,10 +312,42 @@ pub fn run_a() {
         l = t.lowering.as_secs_f64() * 1e3,
         sa = t.sanitize.as_secs_f64() * 1e3,
     );
-    match std::fs::write("BENCH_compile.json", &json) {
-        Ok(()) => println!("wrote BENCH_compile.json"),
-        Err(e) => eprintln!("could not write BENCH_compile.json: {e}"),
-    }
+    write_bench_json("BENCH_compile.json", &json);
+
+    let mut gate = Gate::default();
+    sched.check(&mut gate, false);
+    delta.check(&mut gate, false);
+    gate.finish("figure10a");
+}
+
+/// CI smoke gate at 128 emulated GPUs: [`run_a`]'s scheduler and delta
+/// measurements, best-of-3 scheduling, with their wall-time guards on.
+pub fn smoke() {
+    let (nodes, g) = (16u32, 8u32);
+    let dag = DepDag::build(&hm_allreduce(nodes, g), &Topology::a100(nodes, g)).expect("smoke dag");
+    let sched = SchedSample::measure(&dag, 3);
+    println!(
+        "scheduler: reference {:.2}ms, flat {:.2}ms, \
+         flat_sched_speedup {:.2}x, byte-identical {}",
+        sched.reference_s * 1e3,
+        sched.flat_s * 1e3,
+        sched.speedup(),
+        sched.identical,
+    );
+    let delta = DeltaSample::measure(&Compiler::new(), nodes, g, (8, 9), 1);
+    println!(
+        "delta recompile: full {:.2}ms, delta {:.2}ms, \
+         delta_speedup {:.2}x, spliced {}, identity byte-equivalent {}",
+        delta.full_s * 1e3,
+        delta.delta_s * 1e3,
+        delta.speedup(),
+        delta.spliced,
+        delta.identity,
+    );
+    let mut gate = Gate::default();
+    sched.check(&mut gate, true);
+    delta.check(&mut gate, true);
+    gate.finish("compile-smoke");
 }
 
 /// Regenerate Figure 10(b): HPDS vs round-robin.
@@ -297,4 +394,63 @@ pub fn run_b() {
 pub fn run() {
     run_a();
     run_b();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sched_check_reports_divergence_and_slowness() {
+        let sample = SchedSample {
+            reference_s: 1.0,
+            flat_s: 2.0,
+            identical: false,
+        };
+        let mut gate = Gate::default();
+        sample.check(&mut gate, false);
+        assert_eq!(gate.failures.len(), 1);
+        assert!(gate.failures[0].contains("diverged"));
+        let mut gate = Gate::default();
+        sample.check(&mut gate, true);
+        assert_eq!(gate.failures.len(), 2);
+        assert!(gate.failures[1].contains("flat_sched_speedup 0.500"));
+    }
+
+    #[test]
+    fn delta_check_reports_missed_splice_identity_and_slowness() {
+        let sample = DeltaSample {
+            full_s: 1.0,
+            delta_s: 1.0,
+            spliced: false,
+            identity: false,
+        };
+        let mut gate = Gate::default();
+        sample.check(&mut gate, false);
+        assert_eq!(gate.failures.len(), 2);
+        assert!(gate.failures[0].contains("full reschedule"));
+        assert!(gate.failures[1].contains("byte-equivalent"));
+        let mut gate = Gate::default();
+        sample.check(&mut gate, true);
+        assert!(gate.failures[2].contains("delta_speedup 1.000"));
+    }
+
+    #[test]
+    fn passing_samples_pass() {
+        let mut gate = Gate::default();
+        SchedSample {
+            reference_s: 2.0,
+            flat_s: 1.0,
+            identical: true,
+        }
+        .check(&mut gate, true);
+        DeltaSample {
+            full_s: 2.0,
+            delta_s: 1.0,
+            spliced: true,
+            identity: true,
+        }
+        .check(&mut gate, true);
+        assert!(gate.failures.is_empty());
+    }
 }

@@ -19,7 +19,7 @@
 //! Machine-readable results (including the measured on/off overhead) go
 //! to `BENCH_obs.json`.
 
-use crate::{print_table, MB};
+use crate::{median_min_max, print_table, write_bench_json, MB};
 use rescc_algos::{hm_allgather, hm_allreduce};
 use rescc_core::Compiler;
 use rescc_lang::AlgoSpec;
@@ -50,17 +50,6 @@ fn scenarios() -> Vec<Scenario> {
             buffer: 128 * MB,
         },
     ]
-}
-
-/// `(median, min, max)` of a sample set.
-pub(crate) fn median_min_max(samples: &mut [f64]) -> (f64, f64, f64) {
-    assert!(!samples.is_empty());
-    samples.sort_by(f64::total_cmp);
-    (
-        samples[samples.len() / 2],
-        samples[0],
-        samples[samples.len() - 1],
-    )
 }
 
 /// Run the observability experiment and write `BENCH_obs.json`.
@@ -204,8 +193,5 @@ pub fn run() {
         "{{\n  \"iters\": {ITERS},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n"),
     );
-    match std::fs::write("BENCH_obs.json", &json) {
-        Ok(()) => println!("wrote BENCH_obs.json"),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
+    write_bench_json("BENCH_obs.json", &json);
 }

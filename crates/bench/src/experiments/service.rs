@@ -29,7 +29,7 @@
 //! and the skip is logged, not silent. The ratios themselves are always
 //! measured and reported.
 
-use crate::{print_table, MB};
+use crate::{print_table, write_bench_json, MB};
 use rescc_algos::hm_allreduce;
 use rescc_core::{plan_fingerprint, Compiler, PlanCache, SingleMutexPlanCache};
 use rescc_ir::MicroBatchPlan;
@@ -433,10 +433,7 @@ pub fn run() {
         mutex_rows.iter().map(|r| r.json()).collect::<Vec<_>>().join(",\n      "),
         mixed_json.join(",\n    "),
     );
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => println!("wrote BENCH_service.json"),
-        Err(e) => eprintln!("could not write BENCH_service.json: {e}"),
-    }
+    write_bench_json("BENCH_service.json", &json);
 }
 
 /// CI smoke gate: a small-thread-count slice of the benchmark with the

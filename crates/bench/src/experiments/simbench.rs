@@ -21,6 +21,9 @@
 //! * **warm** — the plan compiled once up front, per-iteration cost is
 //!   simulation only; `ns_per_invocation` divides its median by the
 //!   invocations the run executed.
+//! * **validated** — a warm run with the machine-checked data validation
+//!   on, interleaved with the other two; `validated_over_warm` is the
+//!   median over samples of its time over the warm run's.
 //!
 //! `table3-16x8` is the dispatch benchmark's cold-start shape: a
 //! single-micro-batch HM AllGather over 128 ranks. `table3-32x8` is the
@@ -34,8 +37,7 @@
 //! `RESCC_BENCH_STRESS=1`; when the gate is off that is logged, not
 //! silently skipped.
 
-use super::observability::median_min_max;
-use crate::{print_table, MB};
+use crate::{median_min_max, print_table, time, write_bench_json, MB};
 use rescc_algos::{hm_allgather, hm_allreduce, ring_allgather};
 use rescc_core::Compiler;
 use rescc_lang::AlgoSpec;
@@ -185,35 +187,46 @@ pub fn run() {
             assert!(rep == reference, "'{}': replays diverged", sc.name);
             elapsed
         };
-        // One sample: `reps` cold and `reps` warm runs, interleaved one by
-        // one with the order alternating, so both sides see the same
-        // moments of host load; returns the mean (cold, warm) run time.
+        let validated_cfg = SimConfig::default().with_jitter(sc.jitter, 1);
+        let validated = || {
+            let (elapsed, rep) = time(|| warm_plan.run_with(sc.buffer, MB, &validated_cfg));
+            let rep = rep.expect("validated run");
+            assert_eq!(rep.data_valid, Some(true), "'{}': data check", sc.name);
+            elapsed
+        };
+        // One sample: `reps` cold, warm and validated runs, interleaved one
+        // by one with the order alternating, so all sides see the same
+        // moments of host load; returns the mean [cold, warm, validated]
+        // run time.
         let sample = |reps: u32| {
-            let (mut c, mut w) = (0.0, 0.0);
+            let mut t = [0.0; 3];
             for r in 0..reps {
                 if r % 2 == 0 {
-                    c += cold();
-                    w += warm();
+                    t[0] += cold();
+                    t[1] += warm();
+                    t[2] += validated();
                 } else {
-                    w += warm();
-                    c += cold();
+                    t[2] += validated();
+                    t[1] += warm();
+                    t[0] += cold();
                 }
             }
-            (c / f64::from(reps), w / f64::from(reps))
+            t.map(|x| x / f64::from(reps))
         };
         // Runs per sample: double until the warm runs of one last
         // MIN_SAMPLE_S.
         let mut reps = 1u32;
-        while sample(reps).1 * f64::from(reps) < MIN_SAMPLE_S && reps < 1 << 16 {
+        while sample(reps)[1] * f64::from(reps) < MIN_SAMPLE_S && reps < 1 << 16 {
             reps *= 2;
         }
 
-        let (mut cold_s, mut warm_s): (Vec<f64>, Vec<f64>) =
-            (0..ITERS).map(|_| sample(reps)).unzip();
+        let samples: Vec<[f64; 3]> = (0..ITERS).map(|_| sample(reps)).collect();
+        let column = |f: fn(&[f64; 3]) -> f64| samples.iter().map(f).collect::<Vec<f64>>();
+        let (mut cold_s, mut warm_s) = (column(|s| s[0]), column(|s| s[1]));
         // Per sample, how much longer its cold runs took than the warm runs
         // interleaved with them.
-        let mut saved: Vec<f64> = cold_s.iter().zip(&warm_s).map(|(c, w)| c - w).collect();
-        let (saved_med, _, _) = median_min_max(&mut saved);
+        let (saved_med, _, _) = median_min_max(&mut column(|s| s[0] - s[1]));
+        let (validated_over_warm, _, _) = median_min_max(&mut column(|s| s[2] / s[1]));
 
         let (cold_med, cold_min, cold_max) = median_min_max(&mut cold_s);
         let (warm_med, warm_min, warm_max) = median_min_max(&mut warm_s);
@@ -249,13 +262,14 @@ pub fn run() {
             ),
             format!("{:.2}x", cold_med / warm_med),
             format!("{ns_per_invocation:.0}"),
+            format!("{validated_over_warm:.2}x"),
         ]);
         json_rows.push(format!(
             "    {{\"name\": \"{}\", \"ranks\": {}, \"invocations\": {}, \
              \"cold_s\": {{\"median\": {cold_med:.6}, \"min\": {cold_min:.6}, \"max\": {cold_max:.6}}}, \
              \"warm_s\": {{\"median\": {warm_med:.6}, \"min\": {warm_min:.6}, \"max\": {warm_max:.6}}}, \
              \"cold_over_warm\": {:.3}, \"ns_per_invocation\": {ns_per_invocation:.1}, \
-             \"identical\": true}}",
+             \"validated_over_warm\": {validated_over_warm:.3}, \"identical\": true}}",
             sc.name,
             sc.topo.n_ranks(),
             reference.n_invocations,
@@ -276,6 +290,7 @@ pub fn run() {
             "warm",
             "cold/warm",
             "warm ns/inv",
+            "validated/warm",
         ],
         &rows,
     );
@@ -288,8 +303,5 @@ pub fn run() {
         "{{\n  \"iters\": {ITERS},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n"),
     );
-    match std::fs::write("BENCH_sim.json", &json) {
-        Ok(()) => println!("wrote BENCH_sim.json"),
-        Err(e) => eprintln!("could not write BENCH_sim.json: {e}"),
-    }
+    write_bench_json("BENCH_sim.json", &json);
 }

@@ -3,11 +3,16 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (§5). Each `src/bin/<id>.rs` binary reproduces one
 //! artifact and prints the same rows/series the paper reports;
-//! `reproduce-all` runs the full set. The `benches/` directory holds
-//! Criterion micro-benchmarks of the compiler and simulator themselves.
+//! `reproduce-all` runs the full set. Figure 10(a) and the non-paper
+//! experiments (lint cost, recovery, chaos, observability, plan service,
+//! simulator wall time) also write `BENCH_*.json` files, and each
+//! `*-smoke` CI gate forwards to a small run of its experiment's own
+//! measurement code.
 //!
-//! Shared here: the buffer-size grids, table formatting, and the sweep
-//! drivers (parallelized across topologies with scoped threads).
+//! Shared here: the buffer-size grids, table formatting, the sweep
+//! drivers (parallelized across topologies with scoped threads), and the
+//! pass/fail gate, sample statistics and `BENCH_*.json` writer the
+//! experiments share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,6 +83,67 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         println!("{}", fmt_row(row));
+    }
+}
+
+/// The failed checks of one experiment or smoke-gate run.
+#[derive(Debug, Default)]
+pub(crate) struct Gate {
+    failures: Vec<String>,
+}
+
+impl Gate {
+    /// Record `failure` unless `ok`.
+    pub(crate) fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if !ok {
+            self.failures.push(failure());
+        }
+    }
+
+    /// Print every failure and exit non-zero if there was one; otherwise
+    /// print that `name` passed.
+    pub(crate) fn finish(self, name: &str) {
+        if self.failures.is_empty() {
+            println!("{name}: all guards passed");
+            return;
+        }
+        for f in &self.failures {
+            eprintln!("{name} FAILURE: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// Wall time of `f` in seconds, with its result.
+pub(crate) fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = std::time::Instant::now();
+    let v = f();
+    (t0.elapsed().as_secs_f64(), v)
+}
+
+/// `(median, min, max)` of a sample set.
+pub(crate) fn median_min_max(samples: &mut [f64]) -> (f64, f64, f64) {
+    assert!(!samples.is_empty());
+    samples.sort_by(f64::total_cmp);
+    (
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1],
+    )
+}
+
+/// Write a `BENCH_*.json` document to the working directory.
+///
+/// # Panics
+///
+/// If `json` does not parse: a `NaN` or `inf` cell is not JSON.
+pub(crate) fn write_bench_json(file: &str, json: &str) {
+    if let Err(e) = rescc_obs::parse_json(json) {
+        panic!("{file} is not valid JSON ({e}):\n{json}");
+    }
+    match std::fs::write(file, json) {
+        Ok(()) => println!("wrote {file}"),
+        Err(e) => eprintln!("could not write {file}: {e}"),
     }
 }
 
@@ -194,6 +260,25 @@ mod tests {
         assert_eq!(fmt_bytes(8 * MB), "8MB");
         assert_eq!(fmt_bytes(4 * GB), "4GB");
         assert_eq!(fmt_bytes(512 * MB), "512MB");
+    }
+
+    #[test]
+    fn gate_collects_only_failed_checks() {
+        let mut gate = Gate::default();
+        gate.check(true, || unreachable!());
+        gate.check(false, || "slow".into());
+        assert_eq!(gate.failures, ["slow"]);
+    }
+
+    #[test]
+    fn median_min_max_sorts_samples() {
+        assert_eq!(median_min_max(&mut [3.0, 1.0, 2.0]), (2.0, 1.0, 3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "BENCH_nan.json is not valid JSON")]
+    fn write_bench_json_rejects_nan() {
+        write_bench_json("BENCH_nan.json", &format!("{{\"x\": {}}}", f64::NAN));
     }
 
     #[test]
