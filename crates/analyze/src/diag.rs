@@ -413,8 +413,10 @@ impl AnalysisReport {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal (no surrounding
+/// quotes): `"` and `\` are backslash-escaped, and every control
+/// character becomes `\n`, `\r`, `\t` or a `\u00XX` escape.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

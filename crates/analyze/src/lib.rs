@@ -47,7 +47,9 @@ pub mod graph;
 pub mod lints;
 pub mod oracle;
 
-pub use diag::{AnalysisReport, CostCertificate, Diagnostic, LintCode, Severity, Site};
+pub use diag::{
+    escape_json, AnalysisReport, CostCertificate, Diagnostic, LintCode, Severity, Site,
+};
 pub use graph::CombinedOrder;
 pub use oracle::{HbOracle, OracleStats};
 

@@ -35,6 +35,7 @@
 //! Compile failures appear as `{"algo": ..., "topology": ...,
 //! "compile_error": "..."}` entries and count as errors.
 
+use rescc_analyze::escape_json;
 use rescc_core::{CompiledPlan, Compiler, LintGate, SchedulerChoice};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
@@ -166,16 +167,12 @@ fn render_json(outcomes: &[Outcome]) -> String {
         }
         out.push_str(&format!(
             "{{\"algo\": \"{}\", \"topology\": \"{}\", ",
-            o.algo, o.topology
+            escape_json(&o.algo),
+            escape_json(&o.topology)
         ));
         match &o.result {
             Ok(plan) => out.push_str(&format!("\"report\": {}}}", plan.diagnostics.to_json())),
-            Err(e) => out.push_str(&format!(
-                "\"compile_error\": \"{}\"}}",
-                e.replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-            )),
+            Err(e) => out.push_str(&format!("\"compile_error\": \"{}\"}}", escape_json(e))),
         }
     }
     let errors: usize = outcomes.iter().map(Outcome::n_errors).sum();

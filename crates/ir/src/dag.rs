@@ -12,21 +12,21 @@
 //!   algorithm steps).
 //!
 //! **Communication dependencies** (link conflicts) are *not* edges — they
-//! are a symmetric interference relation derived from shared contention
-//! resources, exposed via [`DepDag::interferes`] and the per-resource task
-//! index. The scheduler consumes both relations.
+//! are a symmetric interference relation: two tasks interfere when their
+//! conflict sets ([`Task::conflict`]) share a contention resource. The
+//! scheduler consumes both relations.
 //!
-//! Storage is arena-flat: adjacency (preds, succs, per-chunk task lists,
-//! per-resource task lists) lives in CSR arrays, and every conflict
-//! resource is assigned a **dense index** so the scheduler's hot loops can
-//! track per-resource load in plain vectors instead of hash maps.
+//! Storage is arena-flat: adjacency (preds, succs, per-chunk task lists)
+//! lives in CSR arrays, and every conflict resource is assigned a **dense
+//! index** so the scheduler's hot loops can track per-resource load in
+//! plain vectors instead of hash maps.
 
 use crate::dense::Csr;
 use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
 use rescc_lang::provenance::step_groups;
 use rescc_lang::AlgoSpec;
-use rescc_topology::{ChunkId, LinkParams, PathKind, ResourceId, Topology, MAX_PATH_RESOURCES};
+use rescc_topology::{ChunkId, LinkParams, ResourceId, Topology, MAX_PATH_RESOURCES};
 
 /// The conflict resources of one task as **dense indices** (positions in
 /// the DAG's sorted resource table), stored inline so the scheduler's
@@ -66,8 +66,6 @@ pub struct DepDag {
     resource_ids: Vec<ResourceId>,
     /// Per-task conflict sets as dense indices (parallel to `tasks`).
     conflict_dense: Vec<DenseResSet>,
-    /// Tasks occupying each resource, CSR over dense indices.
-    by_resource: Csr<TaskId>,
     /// Concurrency limit of each conflict resource (indexed densely): how
     /// many tasks can drive it before a communication dependency (Eq. 1
     /// contention) arises — the resource's `saturation_tbs`.
@@ -106,10 +104,8 @@ impl DepDag {
                 step: rec.step,
                 chunk: rec.chunk,
                 comm: rec.comm,
-                conn: conn.id,
                 conflict: conn.conflict,
                 path: conn.path,
-                inter_node: matches!(conn.kind, PathKind::Inter { .. }),
             });
         }
 
@@ -138,7 +134,7 @@ impl DepDag {
         let preds = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (to.0, from)));
         let succs = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (from.0, to)));
 
-        let (resource_ids, conflict_dense, by_resource, conflict_limit, link_params) =
+        let (resource_ids, conflict_dense, conflict_limit, link_params) =
             index_resources(&tasks, topo)?;
 
         let dag = Self {
@@ -148,7 +144,6 @@ impl DepDag {
             by_chunk,
             resource_ids,
             conflict_dense,
-            by_resource,
             conflict_limit,
             link_params,
             n_chunks,
@@ -181,19 +176,16 @@ impl DepDag {
         let mut dirty = Vec::new();
         for t in &mut patched.tasks {
             let conn = topo.connection(t.src, t.dst);
-            let inter = matches!(conn.kind, PathKind::Inter { .. });
-            if t.conflict != conn.conflict || t.path != conn.path || t.inter_node != inter {
+            if t.conflict != conn.conflict || t.path != conn.path {
                 t.conflict = conn.conflict;
                 t.path = conn.path;
-                t.inter_node = inter;
                 dirty.push(t.id);
             }
         }
         if !dirty.is_empty() {
-            let (ids, dense, by_res, limits, params) = index_resources(&patched.tasks, topo)?;
+            let (ids, dense, limits, params) = index_resources(&patched.tasks, topo)?;
             patched.resource_ids = ids;
             patched.conflict_dense = dense;
-            patched.by_resource = by_res;
             patched.conflict_limit = limits;
             patched.link_params = params;
         }
@@ -256,7 +248,7 @@ impl DepDag {
         let preds = remap(&self.preds, orig_ids.len(), &|row| orig_ids[row].index());
         let succs = remap(&self.succs, orig_ids.len(), &|row| orig_ids[row].index());
         let by_chunk = remap(&self.by_chunk, self.n_chunks as usize, &|c| c);
-        let (resource_ids, conflict_dense, by_resource, conflict_limit, link_params) =
+        let (resource_ids, conflict_dense, conflict_limit, link_params) =
             index_resources(&tasks, topo)?;
         let dag = Self {
             tasks,
@@ -265,7 +257,6 @@ impl DepDag {
             by_chunk,
             resource_ids,
             conflict_dense,
-            by_resource,
             conflict_limit,
             link_params,
             n_chunks: self.n_chunks,
@@ -314,19 +305,6 @@ impl DepDag {
         self.by_chunk.row(chunk.index())
     }
 
-    /// Tasks that occupy contention resource `res`.
-    pub fn resource_tasks(&self, res: ResourceId) -> &[TaskId] {
-        match self.dense_resource(res) {
-            Some(d) => self.by_resource.row(d as usize),
-            None => &[],
-        }
-    }
-
-    /// All resources any task occupies, ascending.
-    pub fn resources(&self) -> impl Iterator<Item = ResourceId> + '_ {
-        self.resource_ids.iter().copied()
-    }
-
     /// How many distinct conflict resources the DAG's tasks occupy. Dense
     /// indices run `0..n_dense_resources()`.
     pub fn n_dense_resources(&self) -> usize {
@@ -334,7 +312,7 @@ impl DepDag {
     }
 
     /// The dense index of `res`, if any task occupies it.
-    pub fn dense_resource(&self, res: ResourceId) -> Option<u32> {
+    fn dense_resource(&self, res: ResourceId) -> Option<u32> {
         self.resource_ids.binary_search(&res).ok().map(|i| i as u32)
     }
 
@@ -346,14 +324,6 @@ impl DepDag {
     /// The conflict resources of `id` as dense indices.
     pub fn conflict_dense(&self, id: TaskId) -> &DenseResSet {
         &self.conflict_dense[id.index()]
-    }
-
-    /// Communication dependency: do the two tasks share a contention
-    /// resource (and would therefore contend if run concurrently)?
-    pub fn interferes(&self, a: TaskId, b: TaskId) -> bool {
-        let ta = &self.tasks[a.index()];
-        let tb = &self.tasks[b.index()];
-        ta.conflict.intersects(&tb.conflict)
     }
 
     /// How many concurrent tasks conflict resource `res` admits before
@@ -440,19 +410,12 @@ impl DepDag {
 }
 
 /// Build the dense resource index: the sorted resource table, per-task
-/// dense conflict sets, the per-resource task CSR, and per-resource
-/// conflict limits.
+/// dense conflict sets, and per-resource conflict limits and parameters.
 #[allow(clippy::type_complexity)]
 fn index_resources(
     tasks: &[Task],
     topo: &Topology,
-) -> Result<(
-    Vec<ResourceId>,
-    Vec<DenseResSet>,
-    Csr<TaskId>,
-    Vec<u32>,
-    Vec<LinkParams>,
-)> {
+) -> Result<(Vec<ResourceId>, Vec<DenseResSet>, Vec<u32>, Vec<LinkParams>)> {
     // Dense index of every raw resource id a task occupies, numbered in
     // ascending raw id; `UNUSED` for the rest.
     const UNUSED: u32 = u32::MAX;
@@ -483,14 +446,6 @@ fn index_resources(
             set
         })
         .collect();
-    let by_resource = Csr::from_pairs(
-        resource_ids.len(),
-        conflict_dense.iter().enumerate().flat_map(|(i, set)| {
-            set.as_slice()
-                .iter()
-                .map(move |&d| (d, TaskId::new(i as u32)))
-        }),
-    );
 
     let mut conflict_limit = Vec::with_capacity(resource_ids.len());
     let mut link_params = Vec::with_capacity(resource_ids.len());
@@ -501,13 +456,7 @@ fn index_resources(
         conflict_limit.push(params.saturation_tbs.max(1));
         link_params.push(params);
     }
-    Ok((
-        resource_ids,
-        conflict_dense,
-        by_resource,
-        conflict_limit,
-        link_params,
-    ))
+    Ok((resource_ids, conflict_dense, conflict_limit, link_params))
 }
 
 /// The RAW/WAW edges of every chunk, chunk by chunk in ascending order and,
@@ -589,6 +538,13 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The communication dependency of §3: do two tasks share a
+    /// contention resource?
+    fn interferes(dag: &DepDag, a: TaskId, b: TaskId) -> bool {
+        let theirs = dag.task(b).conflict;
+        dag.task(a).conflict.iter().any(|r| theirs.contains(r))
+    }
+
     #[test]
     fn ring_dag_has_chain_per_chunk() {
         let topo = Topology::a100(1, 8);
@@ -632,7 +588,7 @@ mod tests {
             .map(|t| t.id)
             .collect();
         assert!(same_src.len() >= 2);
-        assert!(dag.interferes(same_src[0], same_src[1]));
+        assert!(interferes(&dag, same_src[0], same_src[1]));
         // Ring neighbours with disjoint endpoints do not interfere.
         let t01 = dag
             .tasks()
@@ -644,7 +600,7 @@ mod tests {
             .iter()
             .find(|t| t.src == Rank::new(2) && t.dst == Rank::new(3))
             .unwrap();
-        assert!(!dag.interferes(t01.id, t23.id));
+        assert!(!interferes(&dag, t01.id, t23.id));
     }
 
     #[test]
@@ -652,11 +608,10 @@ mod tests {
         let topo = Topology::a100(2, 4);
         let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
         assert!(dag.n_dense_resources() > 0);
-        for (i, r) in dag.resources().enumerate() {
-            assert_eq!(dag.dense_resource(r), Some(i as u32));
-            assert_eq!(dag.resource_at(i as u32), r);
-            assert_eq!(dag.conflict_limit(r), dag.conflict_limit_at(i as u32));
-            assert!(!dag.resource_tasks(r).is_empty());
+        for i in 0..dag.n_dense_resources() as u32 {
+            let r = dag.resource_at(i);
+            assert_eq!(dag.dense_resource(r), Some(i));
+            assert_eq!(dag.conflict_limit(r), dag.conflict_limit_at(i));
         }
         // Per-task dense sets mirror the ResourceSet conflicts.
         for t in dag.tasks() {
@@ -773,24 +728,6 @@ mod tests {
         let mut dup = order.clone();
         dup[0] = dup[1];
         assert!(dag.validate_order(&dup).is_err());
-    }
-
-    #[test]
-    fn inter_node_flag_set() {
-        let topo = Topology::a100(2, 4);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        let cross = dag
-            .tasks()
-            .iter()
-            .find(|t| t.src == Rank::new(3) && t.dst == Rank::new(4))
-            .unwrap();
-        assert!(cross.inter_node);
-        let local = dag
-            .tasks()
-            .iter()
-            .find(|t| t.src == Rank::new(0) && t.dst == Rank::new(1))
-            .unwrap();
-        assert!(!local.inter_node);
     }
 
     #[test]

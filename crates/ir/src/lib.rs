@@ -29,7 +29,6 @@ mod dag;
 mod dense;
 mod error;
 mod loads;
-mod metrics;
 mod microbatch;
 mod task;
 
@@ -37,6 +36,5 @@ pub use dag::DepDag;
 pub use dense::Csr;
 pub use error::{IrError, Result};
 pub use loads::ConflictLoads;
-pub use metrics::{bottleneck_resource_ns, critical_path_ns, lower_bound_ns, max_step_width};
 pub use microbatch::MicroBatchPlan;
 pub use task::{Task, TaskId};

@@ -1,7 +1,7 @@
 //! Transmission tasks — the vertices of the dependency DAG.
 
 use rescc_lang::{CommType, TransferRec};
-use rescc_topology::{ChunkId, ConnectionId, Rank, ResourceSet, Step};
+use rescc_topology::{ChunkId, Rank, ResourceSet, Step};
 use std::fmt;
 
 /// Index of a task inside its [`DepDag`](crate::DepDag).
@@ -33,8 +33,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A transmission task `t(e, d)` of §3: one chunk transfer between GPU
-/// peers, annotated with the connection it uses and the contention
-/// resources of that connection.
+/// peers, annotated with the contention resources of its route.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Task {
     /// Task index in the DAG.
@@ -49,15 +48,11 @@ pub struct Task {
     pub chunk: ChunkId,
     /// Receive semantics.
     pub comm: CommType,
-    /// The connection (ordered pair) used.
-    pub conn: ConnectionId,
     /// Conflict resources (the communication-dependency domain of §3).
     pub conflict: ResourceSet,
     /// All capacity resources the path traverses (fluid sharing in the
     /// simulator; superset of `conflict`).
     pub path: ResourceSet,
-    /// Whether the path crosses servers (slower α, lower bandwidth).
-    pub inter_node: bool,
 }
 
 impl Task {

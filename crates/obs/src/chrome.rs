@@ -11,7 +11,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::json::escape_json;
+use rescc_analyze::escape_json;
 
 /// A trace-event argument value.
 #[derive(Clone, Debug, PartialEq)]

@@ -60,24 +60,6 @@ impl JsonValue {
     }
 }
 
-/// Escape a string for embedding in a JSON document (no surrounding
-/// quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -374,6 +356,7 @@ pub fn validate_chrome_trace_str(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescc_analyze::escape_json;
 
     #[test]
     fn parses_scalars_arrays_objects() {

@@ -33,9 +33,6 @@ pub struct SimConfig {
     /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
     /// if the collective has not completed by this sim time (ns).
     pub deadline_ns: Option<f64>,
-    /// Safety cap on executed invocations (guards against runaway
-    /// programs; generously above any legitimate run).
-    pub max_invocations: u64,
     /// Record a per-transfer [`TraceEvent`](crate::TraceEvent) timeline in
     /// the report (costs memory proportional to invocations).
     pub record_trace: bool,
@@ -44,9 +41,6 @@ pub struct SimConfig {
     /// report. Attribution is read-only instrumentation: all other report
     /// fields are bit-identical to a run without it.
     pub attribute_bubbles: bool,
-    /// Number of buckets for the per-TB / per-link timelines recorded
-    /// under [`attribute_bubbles`](Self::attribute_bubbles).
-    pub obs_buckets: u32,
     /// Partial-progress resume: invocations already completed by an
     /// aborted attempt (plus the buffer replay reconstructing their
     /// effects). `None` — the default — runs from scratch and is
@@ -64,10 +58,8 @@ impl Default for SimConfig {
             degraded: Vec::new(),
             faults: FaultTimeline::new(),
             deadline_ns: None,
-            max_invocations: 200_000_000,
             record_trace: false,
             attribute_bubbles: false,
-            obs_buckets: 64,
             resume: None,
         }
     }
@@ -131,13 +123,6 @@ impl SimConfig {
         self
     }
 
-    /// Override the timeline bucket count used under
-    /// [`with_observability`](Self::with_observability).
-    pub fn with_obs_buckets(mut self, buckets: u32) -> Self {
-        self.obs_buckets = buckets;
-        self
-    }
-
     /// Resume from an aborted attempt's partial progress instead of
     /// starting from scratch. The state's dimensions are checked against
     /// the plan when the run starts.
@@ -175,11 +160,6 @@ impl SimConfig {
                     "deadline {d}ns is not a positive time"
                 )));
             }
-        }
-        if self.attribute_bubbles && self.obs_buckets == 0 {
-            return Err(SimError::InvalidConfig(
-                "bubble attribution needs at least one timeline bucket".into(),
-            ));
         }
         self.faults
             .validate(n_resources, n_ranks)
@@ -225,23 +205,6 @@ mod tests {
             .validate(8, 4)
             .unwrap_err();
         assert!(matches!(oor, SimError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn observability_needs_buckets() {
-        let cfg = SimConfig::default()
-            .with_observability()
-            .with_obs_buckets(0);
-        assert!(cfg.validate(8, 4).is_err());
-        // Zero buckets is only a problem when attribution is on.
-        assert!(SimConfig::default()
-            .with_obs_buckets(0)
-            .validate(8, 4)
-            .is_ok());
-        assert!(SimConfig::default()
-            .with_observability()
-            .validate(8, 4)
-            .is_ok());
     }
 
     #[test]

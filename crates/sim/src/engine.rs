@@ -69,6 +69,14 @@ pub fn simulate(
 
 const NONE: u32 = u32::MAX;
 
+/// Safety cap on a run's invocations (`tasks × micro-batches`): guards
+/// against runaway programs, generously above any legitimate run.
+const MAX_INVOCATIONS: u64 = 200_000_000;
+
+/// Buckets of the per-TB / per-link timelines recorded under bubble
+/// attribution.
+const OBS_BUCKETS: u32 = 64;
+
 /// One queued event: fire `id` at time `t`; `seq` breaks ties in
 /// scheduling order.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -866,10 +874,9 @@ impl<'a> Engine<'a> {
         let n_ranks = topo.n_ranks();
         let n_tasks = dag.len();
         let inv_total = n_tasks as u64 * n_mb as u64;
-        if inv_total > config.max_invocations {
+        if inv_total > MAX_INVOCATIONS {
             return Err(SimError::InvalidConfig(format!(
-                "run would execute {inv_total} invocations, above the safety cap {}",
-                config.max_invocations
+                "run would execute {inv_total} invocations, above the safety cap {MAX_INVOCATIONS}"
             )));
         }
 
@@ -1268,9 +1275,8 @@ impl<'a> Engine<'a> {
     /// map engine TB ids to (rank, tb), and bucketize the per-TB state
     /// decomposition and per-link active intervals over the run.
     fn build_obs(&self, acc: ObsAcc, completion: f64) -> SimObservability {
-        let n_buckets = self.config.obs_buckets.max(1);
         let bucket_ns = if completion > 0.0 {
-            completion / n_buckets as f64
+            completion / OBS_BUCKETS as f64
         } else {
             0.0
         };
@@ -1280,11 +1286,11 @@ impl<'a> Engine<'a> {
             .map(|tb| TbTimeline {
                 rank: tb.rank,
                 tb: tb.tb,
-                transfer: vec![0.0; n_buckets as usize],
-                startup: vec![0.0; n_buckets as usize],
-                contention: vec![0.0; n_buckets as usize],
-                rendezvous: vec![0.0; n_buckets as usize],
-                dep_wait: vec![0.0; n_buckets as usize],
+                transfer: vec![0.0; OBS_BUCKETS as usize],
+                startup: vec![0.0; OBS_BUCKETS as usize],
+                contention: vec![0.0; OBS_BUCKETS as usize],
+                rendezvous: vec![0.0; OBS_BUCKETS as usize],
+                dep_wait: vec![0.0; OBS_BUCKETS as usize],
             })
             .collect();
         for &(tb, s, e) in &acc.xfer_segments {
@@ -1323,7 +1329,7 @@ impl<'a> Engine<'a> {
             .enumerate()
             .filter(|(_, r)| r.bytes > 0)
             .map(|(i, _)| {
-                let mut active = vec![0.0; n_buckets as usize];
+                let mut active = vec![0.0; OBS_BUCKETS as usize];
                 for &(s, e) in &acc.res_intervals[i] {
                     add_interval(&mut active, bucket_ns, s, e);
                 }
@@ -1334,7 +1340,7 @@ impl<'a> Engine<'a> {
             })
             .collect();
         SimObservability {
-            n_buckets,
+            n_buckets: OBS_BUCKETS,
             bucket_ns,
             bubbles,
             tb_timelines,

@@ -188,21 +188,6 @@ impl FaultTimeline {
         last.is_some_and(|(_, _, down)| down)
     }
 
-    /// Every resource the timeline kills for good — the set a recovery
-    /// layer will end up masking if it replays the whole schedule. Sorted
-    /// ascending, deduplicated.
-    pub fn permanent_dead(&self) -> Vec<ResourceId> {
-        let mut dead: Vec<ResourceId> = self
-            .events
-            .iter()
-            .filter_map(|e| e.fault.resource())
-            .filter(|&r| self.is_permanent_down(r))
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead
-    }
-
     /// Check every transition against the cluster dimensions; the engine
     /// calls this before running.
     pub fn validate(&self, n_resources: u32, n_ranks: u32) -> Result<(), String> {
@@ -347,20 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn permanent_dead_collects_unrecovered_resources() {
-        let a = ResourceId::new(2);
-        let b = ResourceId::new(5);
-        let c = ResourceId::new(9);
-        let tl = FaultTimeline::new()
-            .kill(b, 50.0)
-            .kill(a, 10.0)
-            .flap(c, 0.0, 5.0, 5.0, 2) // recovers
-            .brownout(a, 60.0, 0.5, 10.0); // brownout does not revive
-        assert_eq!(tl.permanent_dead(), vec![a, b]);
-        assert!(FaultTimeline::new().permanent_dead().is_empty());
-    }
-
-    #[test]
     fn advanced_shifts_into_the_past() {
         let r = ResourceId::new(0);
         let tl = FaultTimeline::new().kill(r, 1000.0).advanced(1500.0);
@@ -387,7 +358,6 @@ mod tests {
         assert!(killed.is_permanent_down(r));
         let healed = killed.restore(r, 500.0);
         assert!(!healed.is_permanent_down(r));
-        assert!(healed.permanent_dead().is_empty());
         // Shifted past the restore, the timeline replays as already-up.
         assert!(!healed.advanced(1000.0).is_permanent_down(r));
     }
@@ -403,9 +373,11 @@ mod tests {
         // Some seed in a small range must produce a permanent kill —
         // chaos without deaths would never exercise the recompile path.
         assert!((0..32).any(|s| {
-            !FaultTimeline::seeded_chaos(s, 40, 8, 1e6)
-                .permanent_dead()
-                .is_empty()
+            let tl = FaultTimeline::seeded_chaos(s, 40, 8, 1e6);
+            tl.events()
+                .iter()
+                .filter_map(|e| e.fault.resource())
+                .any(|r| tl.is_permanent_down(r))
         }));
     }
 

@@ -16,7 +16,55 @@
 
 use rescc_lang::provenance::{Counts, Move, Slots};
 use rescc_lang::CommType;
+use std::fmt;
 use std::ops::Range;
+
+/// A completion bitset over `task × micro-batch`: bit `task * n_mb + mb`
+/// is set once invocation `(task, mb)` completed.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct DoneBits {
+    n_mb: u32,
+    words: Vec<u64>,
+}
+
+impl DoneBits {
+    fn new(n_tasks: u32, n_mb: u32) -> Self {
+        let bits = n_tasks as usize * n_mb as usize;
+        Self {
+            n_mb,
+            words: vec![0; bits.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn bit(&self, task: u32, mb: u32) -> usize {
+        let b = task as usize * self.n_mb as usize + mb as usize;
+        debug_assert!(mb < self.n_mb && b < self.words.len() * 64);
+        b
+    }
+
+    fn mark(&mut self, task: u32, mb: u32) {
+        let b = self.bit(task, mb);
+        self.words[b / 64] |= 1u64 << (b % 64);
+    }
+
+    fn is_done(&self, task: u32, mb: u32) -> bool {
+        let b = self.bit(task, mb);
+        self.words[b / 64] & (1u64 << (b % 64)) != 0
+    }
+
+    fn completed(&self) -> u64 {
+        self.words.iter().map(|w| w.count_ones() as u64).sum()
+    }
+}
+
+/// Prints the bare words, so a `Debug` rendering of a frontier or resume
+/// state reads as it did when each held its own word vector.
+impl fmt::Debug for DoneBits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.words.fmt(f)
+    }
+}
 
 /// The deterministic set of completed `(task, micro-batch)` invocations at
 /// the instant a fault aborted a run.
@@ -28,38 +76,29 @@ pub struct FaultFrontier {
     pub n_mb: u32,
     /// Sim time of the abort, ns (rounded to the nanosecond).
     pub at_ns: u64,
-    /// Completion bitset, bit `task * n_mb + mb`.
-    done: Vec<u64>,
+    /// Completed invocations.
+    done: DoneBits,
 }
 
 impl FaultFrontier {
     /// An empty frontier (nothing completed) for the given dimensions.
     pub fn new(n_tasks: u32, n_mb: u32, at_ns: u64) -> Self {
-        let bits = n_tasks as usize * n_mb as usize;
         Self {
             n_tasks,
             n_mb,
             at_ns,
-            done: vec![0; bits.div_ceil(64)],
+            done: DoneBits::new(n_tasks, n_mb),
         }
-    }
-
-    #[inline]
-    fn bit(&self, task: u32, mb: u32) -> usize {
-        debug_assert!(task < self.n_tasks && mb < self.n_mb);
-        task as usize * self.n_mb as usize + mb as usize
     }
 
     /// Mark `(task, mb)` complete.
     pub fn mark(&mut self, task: u32, mb: u32) {
-        let b = self.bit(task, mb);
-        self.done[b / 64] |= 1u64 << (b % 64);
+        self.done.mark(task, mb);
     }
 
     /// Had `(task, mb)` completed when the run aborted?
     pub fn is_done(&self, task: u32, mb: u32) -> bool {
-        let b = self.bit(task, mb);
-        self.done[b / 64] & (1u64 << (b % 64)) != 0
+        self.done.is_done(task, mb)
     }
 
     /// Every micro-batch of `task` complete?
@@ -69,21 +108,12 @@ impl FaultFrontier {
 
     /// Number of completed invocations.
     pub fn completed(&self) -> u64 {
-        self.done.iter().map(|w| w.count_ones() as u64).sum()
+        self.done.completed()
     }
 
     /// Nothing completed?
     pub fn is_empty(&self) -> bool {
-        self.done.iter().all(|&w| w == 0)
-    }
-
-    /// Fraction of all invocations complete, in `[0, 1]`.
-    pub fn fraction_complete(&self) -> f64 {
-        let total = self.n_tasks as u64 * self.n_mb as u64;
-        if total == 0 {
-            return 0.0;
-        }
-        self.completed() as f64 / total as f64
+        self.done.words.iter().all(|&w| w == 0)
     }
 
     /// Fold another frontier over the same run into this one (set union),
@@ -93,7 +123,7 @@ impl FaultFrontier {
         if self.n_tasks != other.n_tasks || self.n_mb != other.n_mb {
             return false;
         }
-        for (a, b) in self.done.iter_mut().zip(&other.done) {
+        for (a, b) in self.done.words.iter_mut().zip(&other.done.words) {
             *a |= b;
         }
         self.at_ns = self.at_ns.max(other.at_ns);
@@ -129,8 +159,8 @@ pub struct ResumeState {
     pub n_tasks: u32,
     /// Number of micro-batches of the run being resumed.
     pub n_mb: u32,
-    /// Completion bitset over the indexed DAG, bit `task * n_mb + mb`.
-    done: Vec<u64>,
+    /// Completed invocations of the indexed DAG.
+    done: DoneBits,
     /// Completed transfers of the *original* run in per-chunk dependency
     /// order (fully-pruned tasks included), applied to the buffers at
     /// engine initialization when data validation is on.
@@ -140,36 +170,27 @@ pub struct ResumeState {
 impl ResumeState {
     /// An empty resume state (nothing completed) for the given dimensions.
     pub fn new(n_tasks: u32, n_mb: u32) -> Self {
-        let bits = n_tasks as usize * n_mb as usize;
         Self {
             n_tasks,
             n_mb,
-            done: vec![0; bits.div_ceil(64)],
+            done: DoneBits::new(n_tasks, n_mb),
             replay: Vec::new(),
         }
     }
 
-    #[inline]
-    fn bit(&self, task: u32, mb: u32) -> usize {
-        debug_assert!(task < self.n_tasks && mb < self.n_mb);
-        task as usize * self.n_mb as usize + mb as usize
-    }
-
     /// Mark invocation `(task, mb)` as already complete.
     pub fn mark_done(&mut self, task: u32, mb: u32) {
-        let b = self.bit(task, mb);
-        self.done[b / 64] |= 1u64 << (b % 64);
+        self.done.mark(task, mb);
     }
 
     /// Is invocation `(task, mb)` already complete?
     pub fn is_done(&self, task: u32, mb: u32) -> bool {
-        let b = self.bit(task, mb);
-        self.done[b / 64] & (1u64 << (b % 64)) != 0
+        self.done.is_done(task, mb)
     }
 
     /// Number of already-complete invocations.
     pub fn completed(&self) -> u64 {
-        self.done.iter().map(|w| w.count_ones() as u64).sum()
+        self.done.completed()
     }
 
     /// Replay the completed transfers of micro-batches `mbs`, in order,
@@ -241,7 +262,6 @@ mod tests {
         assert!(a.task_fully_done(0));
         assert!(!a.task_fully_done(2));
         assert!(a.is_done(2, 1) && !a.is_done(2, 0));
-        assert!((a.fraction_complete() - 0.5).abs() < 1e-12);
 
         let mut b = FaultFrontier::new(3, 2, 250);
         b.mark(1, 0);

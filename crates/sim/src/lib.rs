@@ -57,9 +57,7 @@ pub use fault::{Fault, FaultEvent, FaultTimeline};
 pub use frontier::{FaultFrontier, ReplayOp, ResumeState};
 pub use metrics::{ResourceStat, SimReport, TbStat};
 pub use obs::{BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTimeline};
-pub use trace::{
-    render_gantt, render_gantt_directed, BottleneckReport, FaultRecord, GanttDirection, TraceEvent,
-};
+pub use trace::{render_gantt, BottleneckReport, FaultRecord, TraceEvent};
 
 #[cfg(test)]
 mod tests {

@@ -38,11 +38,6 @@ impl TbStat {
         }
         (1.0 - self.busy_ns / self.occupancy_ns).clamp(0.0, 1.0)
     }
-
-    /// Fraction of occupancy spent communicating.
-    pub fn comm_ratio(&self) -> f64 {
-        1.0 - self.idle_ratio()
-    }
 }
 
 /// Per-resource accounting.
@@ -59,15 +54,6 @@ pub struct ResourceStat {
 }
 
 impl ResourceStat {
-    /// Bandwidth utilization relative to capacity over `span_ns`:
-    /// `bytes / (capacity · span)`.
-    pub fn utilization_over(&self, span_ns: f64) -> f64 {
-        if span_ns <= 0.0 || self.capacity <= 0.0 {
-            return 0.0;
-        }
-        (self.bytes as f64 / (self.capacity * span_ns)).clamp(0.0, 1.0)
-    }
-
     /// Fraction of `span_ns` during which the resource was active.
     pub fn active_ratio_over(&self, span_ns: f64) -> f64 {
         if span_ns <= 0.0 {
@@ -113,11 +99,6 @@ impl SimReport {
             return 0.0;
         }
         buffer_bytes as f64 / self.completion_ns
-    }
-
-    /// Number of TBs that executed at least one invocation.
-    pub fn active_tbs(&self) -> usize {
-        self.tb_stats.iter().filter(|t| t.n_invocations > 0).count()
     }
 
     /// Whether this run finished faster than a certified makespan lower
@@ -201,7 +182,6 @@ mod tests {
             ..Default::default()
         };
         assert!((t.idle_ratio() - 0.7).abs() < 1e-12);
-        assert!((t.comm_ratio() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -211,14 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_bytes_over_capacity_time() {
+    fn active_ratio_is_active_time_over_span() {
         let r = ResourceStat {
             resource: 0,
             active_ns: 50.0,
             bytes: 500,
             capacity: 10.0,
         };
-        assert!((r.utilization_over(100.0) - 0.5).abs() < 1e-12);
         assert!((r.active_ratio_over(100.0) - 0.5).abs() < 1e-12);
     }
 
@@ -284,6 +263,5 @@ mod tests {
         };
         assert!((rep.avg_idle_ratio() - 0.25).abs() < 1e-12);
         assert!((rep.max_idle_ratio() - 0.25).abs() < 1e-12);
-        assert_eq!(rep.active_tbs(), 1);
     }
 }

@@ -135,7 +135,7 @@ pub struct LinkTimeline {
 /// [`SimConfig::attribute_bubbles`](crate::SimConfig) is set.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimObservability {
-    /// Number of timeline buckets (the configured `obs_buckets`).
+    /// Number of timeline buckets (64).
     pub n_buckets: u32,
     /// Width of one bucket in ns (`completion / n_buckets`).
     pub bucket_ns: f64,

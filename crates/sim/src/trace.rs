@@ -45,49 +45,15 @@ pub struct TraceEvent {
     pub bytes: u64,
 }
 
-impl TraceEvent {
-    /// Mean drain rate in GB/s (bytes per ns).
-    pub fn mean_rate_gbps(&self) -> f64 {
-        let drain = self.end_ns - self.drain_start_ns;
-        if drain <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / drain
-        }
-    }
-}
-
-/// Which endpoint's activity a Gantt chart credits to a rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GanttDirection {
-    /// Sender activity only (`src` rank busy while its transfer runs).
-    Send,
-    /// Receiver activity only (`dst` rank busy while draining inbound).
-    Recv,
-    /// Both endpoints (a transfer occupies a TB on each side).
-    Both,
-}
-
 /// Render a coarse text Gantt chart of per-rank transfer activity.
 ///
 /// Each row is a rank; each column is a `width`-th of the run. A cell
 /// shows `#` when the rank was engaged in transfers for more than half
-/// the column's span, `+` when engaged at all, and `.` when idle. By
-/// default both endpoints are credited — a transfer occupies a TB on the
-/// sender *and* the receiver, so receiver ranks no longer render idle
-/// while draining inbound traffic. Use [`render_gantt_directed`] for a
-/// single-direction view.
+/// the column's span, `+` when engaged at all, and `.` when idle. Both
+/// endpoints are credited — a transfer occupies a TB on the sender *and*
+/// the receiver, so receiver ranks do not render idle while draining
+/// inbound traffic.
 pub fn render_gantt(events: &[TraceEvent], n_ranks: u32, width: usize) -> String {
-    render_gantt_directed(events, n_ranks, width, GanttDirection::Both)
-}
-
-/// [`render_gantt`] with an explicit direction mode.
-pub fn render_gantt_directed(
-    events: &[TraceEvent],
-    n_ranks: u32,
-    width: usize,
-    dir: GanttDirection,
-) -> String {
     assert!(width >= 1);
     let end = events.iter().map(|e| e.end_ns).fold(0.0, f64::max);
     if end <= 0.0 {
@@ -104,14 +70,9 @@ pub fn render_gantt_directed(
             let ce = cs + col;
             let overlap = (e.end_ns.min(ce) - e.start_ns.max(cs)).max(0.0);
             for rank in [e.src, e.dst] {
-                let credit = match dir {
-                    GanttDirection::Send => rank == e.src,
-                    GanttDirection::Recv => rank == e.dst,
-                    GanttDirection::Both => true,
-                };
                 // Ignore endpoints outside the requested row range rather
                 // than panicking on partial traces.
-                if credit && rank < n_ranks {
+                if rank < n_ranks {
                     busy[rank as usize][c] += overlap;
                 }
                 if e.src == e.dst {
@@ -226,14 +187,8 @@ mod tests {
         // draining inbound transfers.
         let events = vec![ev(0, 0.0, 100.0)]; // 0 -> 1
         let g = render_gantt(&events, 2, 10);
+        assert_eq!(row(&g, 0), "##########");
         assert_eq!(row(&g, 1), "##########");
-        // Direction modes separate the two views.
-        let send = render_gantt_directed(&events, 2, 10, GanttDirection::Send);
-        assert_eq!(row(&send, 0), "##########");
-        assert_eq!(row(&send, 1), "..........");
-        let recv = render_gantt_directed(&events, 2, 10, GanttDirection::Recv);
-        assert_eq!(row(&recv, 0), "..........");
-        assert_eq!(row(&recv, 1), "##########");
     }
 
     #[test]
@@ -268,16 +223,5 @@ mod tests {
     #[test]
     fn empty_trace_renders() {
         assert!(render_gantt(&[], 4, 8).contains("empty"));
-    }
-
-    #[test]
-    fn mean_rate() {
-        let e = TraceEvent {
-            drain_start_ns: 10.0,
-            end_ns: 110.0,
-            bytes: 500,
-            ..ev(0, 0.0, 110.0)
-        };
-        assert!((e.mean_rate_gbps() - 5.0).abs() < 1e-12);
     }
 }

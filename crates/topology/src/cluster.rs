@@ -22,7 +22,7 @@
 //! bandwidth sharing.
 
 use crate::health::TopologyHealth;
-use crate::ids::{ConnectionId, NicId, NodeId, Rank, ResourceId};
+use crate::ids::{NicId, NodeId, Rank, ResourceId};
 use crate::params::{FabricParams, LinkParams};
 use crate::resset::ResourceSet;
 
@@ -106,12 +106,6 @@ pub enum ResourceKind {
 /// contention resources it occupies and the cost parameters of its path.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Connection {
-    /// Dense id: `src.index() * n_ranks + dst.index()`.
-    pub id: ConnectionId,
-    /// Sending rank.
-    pub src: Rank,
-    /// Receiving rank.
-    pub dst: Rank,
     /// Path classification.
     pub kind: PathKind,
     /// Conflict resources: the communication-dependency domain.
@@ -442,17 +436,6 @@ impl Topology {
         })
     }
 
-    /// Dense connection id for an ordered pair.
-    pub fn connection_id(&self, src: Rank, dst: Rank) -> ConnectionId {
-        ConnectionId::new(src.0 * self.n_ranks() + dst.0)
-    }
-
-    /// Decode a connection id back to its ordered pair.
-    pub fn connection_endpoints(&self, id: ConnectionId) -> (Rank, Rank) {
-        let n = self.n_ranks();
-        (Rank::new(id.0 / n), Rank::new(id.0 % n))
-    }
-
     /// Resolve the connection between an ordered pair of distinct ranks.
     ///
     /// # Panics
@@ -472,9 +455,6 @@ impl Topology {
                     let c1 = self.pair_chan(src, relay);
                     let c2 = self.pair_chan(relay, dst);
                     return Connection {
-                        id: self.connection_id(src, dst),
-                        src,
-                        dst,
                         kind: PathKind::Intra,
                         conflict: ResourceSet::from_slice(&[c1, c2]),
                         path: ResourceSet::from_slice(&[
@@ -492,9 +472,6 @@ impl Topology {
                 // with a permanent `ResourceDown`.
             }
             Connection {
-                id: self.connection_id(src, dst),
-                src,
-                dst,
                 kind: PathKind::Intra,
                 conflict: ResourceSet::from_slice(&[chan]),
                 path: ResourceSet::from_slice(&[chan, self.gpu_tx(src), self.gpu_rx(dst)]),
@@ -506,9 +483,6 @@ impl Topology {
             let tx = self.healthy_nic_tx(src);
             let rx = self.healthy_nic_rx(dst);
             Connection {
-                id: self.connection_id(src, dst),
-                src,
-                dst,
                 kind: PathKind::Inter { cross_rack: cross },
                 conflict: ResourceSet::from_slice(&[tx, rx]),
                 path: ResourceSet::from_slice(&[tx, rx]),
@@ -559,14 +533,6 @@ impl Topology {
             .find(|&r| self.health.is_healthy(r))
             .unwrap_or_else(|| dir(primary))
     }
-
-    /// Do the two ordered pairs have a *communication dependency* (shared
-    /// conflict resource)? This is the relation §3 defines.
-    pub fn interferes(&self, a: (Rank, Rank), b: (Rank, Rank)) -> bool {
-        let ca = self.connection(a.0, a.1);
-        let cb = self.connection(b.0, b.1);
-        ca.conflict.intersects(&cb.conflict)
-    }
 }
 
 #[cfg(test)]
@@ -575,6 +541,13 @@ mod tests {
 
     fn topo2() -> Topology {
         Topology::a100(2, 8)
+    }
+
+    /// The communication dependency of §3: do two ordered pairs share a
+    /// conflict resource?
+    fn interferes(t: &Topology, a: (u32, u32), b: (u32, u32)) -> bool {
+        let conflict = |(src, dst)| t.connection(Rank::new(src), Rank::new(dst)).conflict;
+        conflict(a).iter().any(|r| conflict(b).contains(r))
     }
 
     #[test]
@@ -634,36 +607,22 @@ mod tests {
     fn nic_sharing_creates_interference() {
         let t = topo2();
         // Ranks 0 and 1 share a NIC: their inter-node sends interfere.
-        assert!(t.interferes((Rank::new(0), Rank::new(8)), (Rank::new(1), Rank::new(9))));
+        assert!(interferes(&t, (0, 8), (1, 9)));
         // Ranks 0 and 2 use distinct NICs and distinct destinations.
-        assert!(!t.interferes((Rank::new(0), Rank::new(8)), (Rank::new(2), Rank::new(10))));
+        assert!(!interferes(&t, (0, 8), (2, 10)));
     }
 
     #[test]
     fn intra_interference_is_per_pair_not_per_port() {
         let t = topo2();
         // Two transfers between the same ordered pair interfere.
-        assert!(t.interferes((Rank::new(0), Rank::new(1)), (Rank::new(0), Rank::new(1))));
+        assert!(interferes(&t, (0, 1), (0, 1)));
         // Sends from the same GPU to different peers do NOT conflict
         // (mesh algorithms legitimately fan out) — the shared egress port
         // is a capacity resource, not a conflict resource.
-        assert!(!t.interferes((Rank::new(0), Rank::new(1)), (Rank::new(0), Rank::new(2))));
+        assert!(!interferes(&t, (0, 1), (0, 2)));
         // Opposite directions of a pair are distinct channels.
-        assert!(!t.interferes((Rank::new(0), Rank::new(1)), (Rank::new(1), Rank::new(0))));
-    }
-
-    #[test]
-    fn connection_id_roundtrip() {
-        let t = topo2();
-        for s in 0..16u32 {
-            for d in 0..16u32 {
-                if s == d {
-                    continue;
-                }
-                let id = t.connection_id(Rank::new(s), Rank::new(d));
-                assert_eq!(t.connection_endpoints(id), (Rank::new(s), Rank::new(d)));
-            }
-        }
+        assert!(!interferes(&t, (0, 1), (1, 0)));
     }
 
     #[test]
@@ -772,11 +731,10 @@ mod tests {
                 let n = t.n_ranks();
                 let (a, b, c, d) = (a % n, b % n, c % n, d % n);
                 prop_assume!(a != b && c != d);
-                let pa = (Rank::new(a), Rank::new(b));
-                let pb = (Rank::new(c), Rank::new(d));
-                prop_assert_eq!(t.interferes(pa, pb), t.interferes(pb, pa));
+                let (pa, pb) = ((a, b), (c, d));
+                prop_assert_eq!(interferes(&t, pa, pb), interferes(&t, pb, pa));
                 // A pair always interferes with itself.
-                prop_assert!(t.interferes(pa, pa));
+                prop_assert!(interferes(&t, pa, pa));
                 // Every resource id decodes and re-encodes.
                 for r in 0..t.n_resources() {
                     match t.resource_kind(ResourceId::new(r)).unwrap() {

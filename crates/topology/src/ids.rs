@@ -73,11 +73,6 @@ id_type!(
     "res"
 );
 id_type!(
-    /// A logical connection between an ordered pair of GPUs.
-    ConnectionId,
-    "conn"
-);
-id_type!(
     /// A data chunk index inside a rank's [`DataBuffer`](crate)..
     ChunkId,
     "c"

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod cluster;
 mod health;
 mod ids;
@@ -30,6 +29,6 @@ mod resset;
 
 pub use cluster::{ClusterSpec, Connection, PathKind, ResourceKind, Topology, TopologyError};
 pub use health::TopologyHealth;
-pub use ids::{ChunkId, ConnectionId, NicId, NodeId, Rank, ResourceId, Step};
+pub use ids::{ChunkId, NicId, NodeId, Rank, ResourceId, Step};
 pub use params::{gbps_to_bytes_per_ns, FabricParams, LinkParams, Nanos};
 pub use resset::{ResourceSet, MAX_PATH_RESOURCES};

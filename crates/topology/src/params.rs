@@ -168,10 +168,6 @@ pub struct FabricParams {
 }
 
 impl FabricParams {
-    /// Concurrency level past which a capacity resource starts to care
-    /// (effectively "never" — GPU ports only fluid-share).
-    pub const PORT_SATURATION: u32 = 64;
-
     /// The A100 testbed of the paper: 300 GB/s per-GPU NVLink bandwidth via
     /// NVSwitch; 200 Gb/s (25 GB/s) RoCE NICs; inter-node startup latency
     /// ≥ 2.5× the intra-node latency (§4.3); two servers per rack.

@@ -78,11 +78,6 @@ impl ResourceSet {
     pub fn iter(&self) -> impl Iterator<Item = ResourceId> + '_ {
         self.as_slice().iter().copied()
     }
-
-    /// Do two sets share any resource?
-    pub fn intersects(&self, other: &ResourceSet) -> bool {
-        self.iter().any(|r| other.contains(r))
-    }
 }
 
 impl<'a> IntoIterator for &'a ResourceSet {
@@ -108,16 +103,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(ResourceId(7)));
         assert!(!s.contains(ResourceId(5)));
-    }
-
-    #[test]
-    fn intersects() {
-        let a = ResourceSet::from_slice(&[ResourceId(1), ResourceId(2)]);
-        let b = ResourceSet::from_slice(&[ResourceId(2), ResourceId(3)]);
-        let c = ResourceSet::from_slice(&[ResourceId(4)]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(!c.intersects(&ResourceSet::empty()));
     }
 
     #[test]

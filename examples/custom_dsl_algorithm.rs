@@ -33,7 +33,7 @@ fn main() {
         plan.dag
             .tasks()
             .iter()
-            .map(|t| t.conn)
+            .map(|t| (t.src, t.dst))
             .collect::<std::collections::HashSet<_>>()
             .len()
     );

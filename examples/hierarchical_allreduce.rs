@@ -34,7 +34,12 @@ fn main() {
         sp.len(),
         sp.iter().take(3).map(Vec::len).collect::<Vec<_>>()
     );
-    let inter_tasks = plan.dag.tasks().iter().filter(|t| t.inter_node).count();
+    let inter_tasks = plan
+        .dag
+        .tasks()
+        .iter()
+        .filter(|t| !topo.same_node(t.src, t.dst))
+        .count();
     println!(
         "tasks: {} intra-node (NVLink), {} inter-node (RoCE NICs)",
         plan.dag.len() - inter_tasks,
