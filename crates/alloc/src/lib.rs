@@ -761,8 +761,10 @@ mod tests {
         let mut send_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
         let mut recv_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
         let mut sp_of: Vec<usize> = vec![usize::MAX; dag.len()];
-        for (t, sp) in schedule.sub_pipeline_of() {
-            sp_of[t.index()] = sp;
+        for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
+            for t in tasks {
+                sp_of[t.index()] = sp;
+            }
         }
         let chained = a.strategy == "state-chained";
         for (rank, plan) in a.per_rank.iter().enumerate() {

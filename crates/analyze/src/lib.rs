@@ -13,7 +13,7 @@
 //! |-------|----------|------|
 //! | RA001 | error    | deadlock: cycle over DAG edges ∪ per-TB slot order ∪ fusion gates |
 //! | RA002 | error    | buffer race: unordered writes to one `(rank, chunk)` slot |
-//! | RA003 | error/warn | over-subscription: conflict load above saturation / TB budget |
+//! | RA003 | warn     | over-subscription: conflict load above saturation / TB budget |
 //! | RA004 | warn     | dead transfer: contribution never reaches the postcondition |
 //! | RA005 | error    | degraded-plan soundness: task routed over a health-masked resource |
 //! | RA006 | error    | buffer-lifetime overlap: slot reuse unordered with a reader of the previous write |
@@ -32,10 +32,9 @@
 //! human-readable (`error[RA001] at t3 r0 tb1: ...`) and as stable JSON
 //! via [`AnalysisReport::to_json`].
 //!
-//! The pass is wired into three places: the compiler's *sanitize* phase
-//! after lowering (gate configurable deny/warn/off), the `rescc-lint` CLI,
-//! and the communicator's post-fault recovery path (every recompiled
-//! degraded plan is analyzed before the collective resumes).
+//! The pass is wired into two places: the compiler's *sanitize* phase
+//! after lowering (gate deny or warn), which every compile, delta splice
+//! and residual plan goes through, and the `rescc-lint` CLI.
 //!
 //! [`path`]: Diagnostic::path
 

@@ -206,9 +206,10 @@ pub fn ra002_buffer_race(
 /// concurrent tasks inside one sub-pipeline than its saturation limit
 /// (the Eq. 1 contention constraint the scheduler must respect), and
 /// (b) a rank launches more TBs than the configured per-rank budget
-/// (the Eq. 7 resource frame). (a) is an error — the sim will serialize
-/// the excess into pipeline bubbles; (b) is a warning — correct, but the
-/// kernel competes with compute kernels for SMs.
+/// (the Eq. 7 resource frame). Both are warnings on a correct plan: under
+/// (a) the sim serializes the excess into bubbles (a by-step baseline's
+/// slowdown; `Schedule::validate` refuses HPDS and RR plans with it), under
+/// (b) the kernel competes with compute kernels for SMs.
 pub fn ra003_oversubscription(
     input: &AnalysisInput,
     config: &AnalysisConfig,
@@ -258,7 +259,7 @@ pub fn ra003_sub_pipeline_loads(
             let limit = dag.conflict_limit_at(d);
             out.push(Diagnostic {
                 code: LintCode::RA003,
-                severity: Severity::Error,
+                severity: Severity::Warn,
                 message: format!(
                     "over-subscription: sub-pipeline {sp_idx} drives resource \
                      res{res} with {load} concurrent tasks, above its saturation \

@@ -20,7 +20,7 @@ use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, ResidualPlan
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, OpType};
 use rescc_obs::{DispatchEvent, ObsStats, RecoveryTrigger};
-use rescc_sim::{FaultFrontier, FaultTimeline, LintRefusal, SimConfig, SimError, SimResult};
+use rescc_sim::{FaultFrontier, FaultTimeline, SimConfig, SimError, SimResult};
 use rescc_topology::{ResourceId, Topology, TopologyHealth};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -92,6 +92,10 @@ impl FaultPolicy {
 /// plan compiled by any tenant serves all of them.
 pub struct Communicator {
     topo: Topology,
+    /// Always `Compiler::new()`, whose gate is deny: every plan this
+    /// communicator dispatches, cached, delta-spliced or recompiled, has
+    /// passed the sanitize phase. The fingerprint covers the gate, so a
+    /// shared cache never hands over another tenant's warn-gated plan.
     compiler: Compiler,
     cache: Arc<PlanCache>,
     chunk_bytes: u64,
@@ -306,18 +310,6 @@ impl Communicator {
                 events.push(DispatchEvent::Compile {
                     timings: plan.timings,
                     delta: false,
-                });
-            }
-            // Every post-fault recompile is analyzed before the collective
-            // resumes: the compiler's sanitize phase already ran (the
-            // communicator's gate is deny), and RA005 specifically proves
-            // no task routes over a masked resource. Refuse to resume on a
-            // plan that somehow still carries errors (e.g. a caller-tuned
-            // warn gate) rather than fail mid-collective.
-            if so_far.recompiles > 0 && plan.diagnostics.has_errors() {
-                return Err(SimError::LintRejected {
-                    refusal: LintRefusal::Recovery,
-                    report: plan.diagnostics.render_human(),
                 });
             }
             let cfg = SimConfig {

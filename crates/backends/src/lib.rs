@@ -16,7 +16,9 @@
 //! through it, runs the plan and produces a [`RunReport`] with identical
 //! metrics for every backend, which the benchmark harness turns into the
 //! paper's tables and figures. The [`Communicator`] compiles through the
-//! same [`Compiler`].
+//! same [`Compiler`]. Either way every plan is verified and passes the
+//! deny gate before it runs; a by-step baseline's over-subscription is
+//! an RA003 warning, not a refusal, since the simulator prices it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +28,7 @@ mod communicator;
 pub use communicator::{Communicator, FaultPolicy};
 pub use rescc_obs::{RecoveryAction, RecoveryEvent};
 
-use rescc_core::{CompiledPlan, Compiler, LintGate, Lowering, SchedulerChoice};
+use rescc_core::{CompiledPlan, Compiler, Lowering, SchedulerChoice};
 use rescc_kernel::ExecMode;
 use rescc_lang::AlgoSpec;
 use rescc_obs::DispatchEvent;
@@ -62,9 +64,9 @@ pub struct RecoveryStats {
     /// Fingerprint of the plan that completed (distinct from the healthy
     /// plan's whenever the mask is non-empty).
     pub plan_fingerprint: u64,
-    /// Sanitize-phase findings on the plan that completed. Degraded plans
-    /// are re-analyzed after every post-fault recompile; a recompiled plan
-    /// carrying `Error`-severity findings is refused before resume.
+    /// Sanitize-phase findings on the plan that completed. Every plan
+    /// passed the deny gate, so these are warnings; a post-fault recompile
+    /// the gate denies fails the call with its lint refusal.
     pub lint_diagnostics: u32,
     /// Per-trigger journal of what the watchdog saw and did, in order.
     pub journal: Vec<RecoveryEvent>,
@@ -126,10 +128,10 @@ pub struct RunReport {
     /// Whether the simulated completion undercut the plan's certified
     /// α–β–γ makespan lower bound — `Some(true)` flags a cost-model/engine
     /// disagreement that the bench harness escalates to a warning.
-    /// Populated only for fresh, fault-free, non-resumed [`Communicator`]
-    /// dispatches (the certificate is computed against the healthy plan's
-    /// routes and full task set); `None` everywhere else, including the
-    /// raw [`Backend`] implementations, which bypass the sanitize phase.
+    /// Populated for every [`Backend`] run and for fresh, fault-free,
+    /// non-resumed [`Communicator`] dispatches (the certificate is
+    /// computed against the healthy plan's routes and full task set);
+    /// `None` for degraded, faulted or resumed dispatches.
     pub certificate_undercut: Option<bool>,
     /// Cross-layer spans and counters (compiler phases, cache traffic,
     /// watchdog activity) when the call went through the
@@ -183,11 +185,11 @@ pub trait Backend {
     /// `chunk_bytes` per primitive invocation, checking the data the
     /// collective produces when `validate` is set.
     ///
-    /// The plan is compiled with static verification and the sanitize
-    /// phase off: a direct backend call measures execution, and the
-    /// [`Communicator`] is the path that gates plans. A
-    /// [`Lowering::Rigid`] plan runs without early release
-    /// ([`SimConfig::rigid`]).
+    /// The plan is compiled by [`compiler`](Self::compiler) as is:
+    /// verified and deny-gated, like every plan the [`Communicator`]
+    /// dispatches. A [`Lowering::Rigid`] plan runs without early release
+    /// ([`SimConfig::rigid`]). The run is fresh and fault-free, so the
+    /// report checks it against the plan's certified makespan floor.
     fn run_with(
         &self,
         spec: &AlgoSpec,
@@ -196,10 +198,7 @@ pub trait Backend {
         chunk_bytes: u64,
         validate: bool,
     ) -> SimResult<RunReport> {
-        let compiler = Compiler {
-            verify: false,
-            ..self.compiler().with_lint_gate(LintGate::Off)
-        };
+        let compiler = self.compiler();
         let plan = compiler.compile_spec(spec, topo)?;
         let mut cfg = match compiler.lowering {
             Lowering::Rigid { .. } => SimConfig::rigid(),
@@ -207,8 +206,13 @@ pub trait Backend {
         };
         cfg.validate_data = validate;
         let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
-        let report = RunReport::new(self.name(), spec.name(), buffer_bytes, &plan, sim);
-        Ok(report)
+        let certificate_undercut = plan
+            .makespan_floor_ns(buffer_bytes, chunk_bytes)
+            .map(|floor| sim.undercuts_floor(floor));
+        Ok(RunReport {
+            certificate_undercut,
+            ..RunReport::new(self.name(), spec.name(), buffer_bytes, &plan, sim)
+        })
     }
 
     /// Run with data validation.

@@ -346,11 +346,6 @@ impl PlanCache {
         self
     }
 
-    /// The configured byte budget, if any.
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.byte_budget
-    }
-
     fn shard_budget(&self) -> Option<u64> {
         self.byte_budget.map(|b| b / SHARD_COUNT as u64)
     }
@@ -661,16 +656,6 @@ impl PlanCache {
         self.shards.iter().map(|s| s.state().dropped).sum()
     }
 
-    /// Dispatches served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.state().hits).sum()
-    }
-
-    /// Dispatches that compiled so far.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.state().misses).sum()
-    }
-
     /// Counter snapshot — coherent per shard, summed across shards (see
     /// [`CacheStats`] for the exact guarantee).
     pub fn stats(&self) -> CacheStats {
@@ -715,95 +700,6 @@ pub fn plan_cost_bytes(plan: &CompiledPlan) -> u64 {
     4096 + tasks * 160 + slots * 48 + transfers * 24
 }
 
-/// The pre-sharding cache: one mutex around one map, kept verbatim as the
-/// **reference oracle** for the `plan-service` benchmark (BENCH_service.
-/// json compares the sharded hit path against this under contention) and
-/// for differential tests. Faithfully preserves the old concurrency
-/// behavior, bugs included: concurrent cold dispatches of the same
-/// fingerprint each compile ("last insert wins") and each count a miss.
-/// Do not use in new code — this is a measurement baseline.
-#[derive(Debug, Default)]
-pub struct SingleMutexPlanCache {
-    map: Mutex<HashMap<u64, Arc<CompiledPlan>>>,
-    journal: Mutex<VecDeque<CacheEvent>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    next_seq: AtomicU64,
-}
-
-impl SingleMutexPlanCache {
-    /// An empty reference cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Old-architecture dispatch by precomputed fingerprint: exclusive
-    /// map lock on every lookup, duplicate concurrent compiles of one
-    /// fingerprint, last insert wins.
-    pub fn get_or_compile_keyed(
-        &self,
-        fingerprint: u64,
-        compile: impl FnOnce() -> SimResult<CompiledPlan>,
-    ) -> SimResult<Arc<CompiledPlan>> {
-        if let Some(hit) = self
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&fingerprint)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.record(fingerprint, CacheEventKind::Hit);
-            return Ok(Arc::clone(hit));
-        }
-        let compiled = Arc::new(compile()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(fingerprint, Arc::clone(&compiled));
-        self.record(fingerprint, CacheEventKind::Miss);
-        Ok(compiled)
-    }
-
-    /// Old-architecture full dispatch (fingerprint computed per call).
-    pub fn get_or_compile(
-        &self,
-        compiler: &Compiler,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        mb: &MicroBatchPlan,
-    ) -> SimResult<Arc<CompiledPlan>> {
-        let key = plan_fingerprint(compiler, spec, topo, mb);
-        self.get_or_compile_keyed(key, || compiler.compile_spec(spec, topo))
-    }
-
-    fn record(&self, fingerprint: u64, kind: CacheEventKind) {
-        let mut journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if journal.len() == DEFAULT_JOURNAL_CAPACITY {
-            journal.pop_front();
-        }
-        journal.push_back(CacheEvent {
-            seq,
-            fingerprint,
-            kind,
-        });
-    }
-
-    /// Counter snapshot in the shared [`CacheStats`] shape (the fields
-    /// the old cache never had stay zero). Subject to the tearing the
-    /// sharded cache fixed: hits/misses/entries are read under no common
-    /// lock.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().unwrap_or_else(|e| e.into_inner()).len(),
-            ..CacheStats::default()
-        }
-    }
-}
-
 /// The content fingerprint keying [`PlanCache`] entries (FNV-1a, 64-bit).
 pub fn plan_fingerprint(
     compiler: &Compiler,
@@ -830,9 +726,9 @@ pub fn plan_fingerprint(
         rigid @ Lowering::Rigid { .. } => h.str(&format!("{rigid:?}")),
     }
     // The lint gate changes whether a plan exists at all (deny) and what
-    // diagnostics ride on it, so gated and ungated plans must not alias.
+    // diagnostics ride on it, so warn- and deny-gated plans must not
+    // alias. The values are part of every plan key; keep them.
     h.u32(match compiler.lint_gate {
-        LintGate::Off => 0,
         LintGate::Warn => 1,
         LintGate::Deny => 2,
     });
@@ -1184,7 +1080,6 @@ mod tests {
     #[test]
     fn unbudgeted_cache_never_evicts() {
         let cache = PlanCache::new();
-        assert_eq!(cache.byte_budget(), None);
         let compiler = Compiler::new();
         let topo = Topology::a100(1, 4);
         let spec = hm_allreduce(1, 4);
@@ -1217,26 +1112,5 @@ mod tests {
             stats.entries as u64,
             stats.misses + stats.inserts - stats.evictions
         );
-    }
-
-    #[test]
-    fn single_mutex_reference_matches_on_serial_traffic() {
-        let sharded = PlanCache::new();
-        let reference = SingleMutexPlanCache::new();
-        let compiler = Compiler::new();
-        let topo = Topology::a100(1, 4);
-        let spec = hm_allreduce(1, 4);
-        for i in [0u64, 1, 0, 2, 1, 0] {
-            let plan = MicroBatchPlan::plan(16 << 20, spec.n_chunks(), (1 << 20) + i * 4096);
-            let a = sharded
-                .get_or_compile(&compiler, &spec, &topo, &plan)
-                .unwrap();
-            let b = reference
-                .get_or_compile(&compiler, &spec, &topo, &plan)
-                .unwrap();
-            assert!(a.semantic_eq(&b));
-        }
-        let (s, r) = (sharded.stats(), reference.stats());
-        assert_eq!((s.hits, s.misses, s.entries), (r.hits, r.misses, r.entries));
     }
 }

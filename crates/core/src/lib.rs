@@ -15,7 +15,7 @@
 //!    three [`Lowering`]s: ResCCL's state-based lowering, its fused
 //!    variant, or the rigid lowering of the NCCL and MSCCL baselines,
 //! 5. **Sanitize** — cross-phase static analysis (`rescc-analyze` lints
-//!    RA001–RA005) over the finished artifact stack, gated by
+//!    RA001–RA008) over the finished artifact stack, gated by
 //!    [`LintGate`] (deny by default: `Error`-severity findings fail the
 //!    compile).
 //!
@@ -40,7 +40,7 @@ mod residual;
 
 pub use cache::{
     plan_cost_bytes, plan_fingerprint, CacheEvent, CacheEventKind, CacheStats, PlanCache,
-    SingleMutexPlanCache, DEFAULT_JOURNAL_CAPACITY, SHARD_COUNT,
+    DEFAULT_JOURNAL_CAPACITY, SHARD_COUNT,
 };
 pub use residual::ResidualPlan;
 
@@ -95,9 +95,9 @@ pub enum Lowering {
 ///
 /// A phase that did not run reads exactly [`Duration::ZERO`]: parsing
 /// when compiling from a spec, scheduling and lowering when
-/// [`Compiler::recompile_delta`] splices the cached artifacts, sanitize
-/// under [`LintGate::Off`], and every phase on an identity delta. These
-/// timings are the per-plan record of which phases ran.
+/// [`Compiler::recompile_delta`] splices the cached artifacts, and every
+/// phase on an identity delta. These timings are the per-plan record of
+/// which phases ran.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// DSL text → AST → validated spec.
@@ -135,8 +135,6 @@ impl PhaseTimings {
 /// What the compiler does with the sanitize phase's findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LintGate {
-    /// Skip the sanitize phase entirely.
-    Off,
     /// Run the lints and attach the report, but never fail the compile.
     Warn,
     /// Run the lints; `Error`-severity findings fail the compile. `Warn`
@@ -154,7 +152,7 @@ pub struct Compiler {
     /// during the Analysis phase, at every group size. On by default.
     /// Verification replays one chunk at a time over sparse contribution
     /// counts, so its time follows the number of transfers, not transfers
-    /// × ranks.
+    /// × ranks. Tests turn it off to run specs that fail verification.
     pub verify: bool,
     /// What to do with the sanitize phase's findings (deny by default).
     pub lint_gate: LintGate,
@@ -194,7 +192,7 @@ impl Compiler {
         self
     }
 
-    /// Set the sanitize-phase gate (deny / warn / off).
+    /// Set the sanitize-phase gate (deny / warn).
     pub fn with_lint_gate(mut self, gate: LintGate) -> Self {
         self.lint_gate = gate;
         self
@@ -250,10 +248,9 @@ impl Compiler {
     /// 4. **Reschedule (slow path)** — otherwise scheduling and lowering
     ///    re-run on the rerouted DAG.
     ///
-    /// The sanitize phase re-runs in **every** non-identity case (subject
-    /// to [`LintGate::Off`]): splicing must not skip the lints, or a
-    /// spliced plan routing over a masked resource would sail through
-    /// where a full compile would be denied. On the splice path the re-run
+    /// The sanitize phase re-runs in **every** non-identity case: splicing
+    /// must not skip the lints, or a spliced plan routing over a masked
+    /// resource would sail through where a full compile would be denied. On the splice path the re-run
     /// is itself incremental ([`Incremental::Rerouted`]): the DAG
     /// adjacency, task tuples, schedule, and program are identical to the
     /// cached plan's, so the routing-insensitive lints (RA001, RA002,
@@ -265,7 +262,7 @@ impl Compiler {
     /// The returned [`PhaseTimings`] say what ran: the reroute and the
     /// dirty-set revalidation count as `analysis`, `scheduling` and
     /// `lowering` are nonzero only on the slow path, `sanitize` on every
-    /// non-identity call with the gate on, and `parsing` never.
+    /// non-identity call, and `parsing` never.
     pub fn recompile_delta(
         &self,
         cached: &CompiledPlan,
@@ -387,16 +384,12 @@ impl Compiler {
     /// The sanitize phase every compile path shares: run the analysis
     /// `incremental` calls for over `plan`, attach the report and record
     /// `timings.sanitize`. Under [`LintGate::Deny`] a report with errors
-    /// refuses the plan; under [`LintGate::Off`] nothing runs and the plan
-    /// comes back untouched.
+    /// refuses the plan.
     fn sanitize(
         &self,
         mut plan: CompiledPlan,
         incremental: Incremental,
     ) -> SimResult<CompiledPlan> {
-        if self.lint_gate == LintGate::Off {
-            return Ok(plan);
-        }
         let t0 = Instant::now();
         let report = analyze(
             &AnalysisInput {
@@ -453,9 +446,9 @@ pub struct CompiledPlan {
     pub program: KernelProgram,
     /// Per-phase compile timings.
     pub timings: PhaseTimings,
-    /// Sanitize-phase findings. Empty when the plan is clean or the lint
-    /// gate was [`LintGate::Off`]; under [`LintGate::Warn`] this may carry
-    /// `Error`-severity findings the gate let through.
+    /// Sanitize-phase findings, empty when the plan is clean. Under
+    /// [`LintGate::Warn`] this may carry `Error`-severity findings the gate
+    /// let through.
     pub diagnostics: AnalysisReport,
 }
 
@@ -509,8 +502,8 @@ impl CompiledPlan {
     /// `max(critical-path α-chain, bottleneck-link bytes·β)`. No run of
     /// this plan — degraded, jittered, or contended — can legitimately
     /// finish faster; a [`SimReport`] undercutting it indicates a cost
-    /// model or engine bug. `None` when the lint gate was off (the
-    /// sanitize phase never ran, so nothing was certified).
+    /// model or engine bug. `None` only for a plan whose report carries no
+    /// certificate; every plan the compiler returns has one.
     pub fn makespan_floor_ns(&self, buffer_bytes: u64, chunk_bytes: u64) -> Option<f64> {
         let mb = MicroBatchPlan::plan(buffer_bytes, self.n_chunks, chunk_bytes);
         self.diagnostics
@@ -650,7 +643,7 @@ mod tests {
             let plan = Compiler::new().compile_spec(&spec, &topo).unwrap();
             let floor = plan
                 .makespan_floor_ns(buffer, chunk)
-                .expect("lint gate on => certificate present");
+                .expect("every sanitized plan carries a certificate");
             assert!(floor > 0.0, "{}: degenerate floor {floor}", spec.name());
             let rep = plan.run(buffer, chunk).unwrap();
             assert!(
@@ -661,19 +654,6 @@ mod tests {
                 floor
             );
         }
-    }
-
-    #[test]
-    fn lint_gate_off_skips_sanitize() {
-        let topo = Topology::a100(2, 4);
-        let plan = Compiler::new()
-            .with_lint_gate(LintGate::Off)
-            .compile_spec(&hm_allreduce(2, 4), &topo)
-            .unwrap();
-        assert!(plan.diagnostics.is_clean());
-        assert!(plan.diagnostics.certificate().is_none());
-        assert_eq!(plan.timings.sanitize, Duration::ZERO);
-        assert!(plan.timings.lowering > Duration::ZERO);
     }
 
     /// The report a deny gate refused a plan with; panics on any other

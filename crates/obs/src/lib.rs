@@ -481,34 +481,36 @@ mod tests {
             .all(|s| s.domain == TimeDomain::Sim));
     }
 
-    /// Compiles with the lint gate off and on, racing on two threads:
-    /// each thread judges only its own plans. A gate-`Off` plan ran no
-    /// sanitize phase, so its timing is exactly zero, it carries no
-    /// certificate and its compile renders no "sanitize" span; a
-    /// gate-`Deny` plan has all three.
+    /// Compiles on two threads, each judging only its own plans: one
+    /// keeps fresh compiles, the other replaces each with an identity
+    /// `recompile_delta`, which runs no phase at all. A plan whose
+    /// sanitize phase did not run has exactly zero sanitize time and its
+    /// compile renders no "sanitize" span; a fresh plan has both.
     #[test]
     fn sanitize_span_appears_only_when_the_phase_ran() {
-        use rescc_core::{Compiler, LintGate};
+        use rescc_core::Compiler;
         use rescc_topology::Topology;
-        let compile = |gate: LintGate| {
+        let compile = |identity: bool| {
             let topo = Topology::a100(2, 4);
             let spec = rescc_algos::hm_allreduce(2, 4);
-            let compiler = Compiler::new().with_lint_gate(gate);
+            let compiler = Compiler::new();
             for _ in 0..4 {
-                let plan = compiler.compile_spec(&spec, &topo).unwrap();
+                let mut plan = compiler.compile_spec(&spec, &topo).unwrap();
+                if identity {
+                    plan = compiler.recompile_delta(&plan, plan.topo.health()).unwrap();
+                }
                 let mut stats = ObsStats::default();
                 stats.add_compile(&plan.timings, "compiler", 0.0);
                 let spanned = stats.spans.iter().any(|s| s.name == "sanitize");
-                let ran = gate != LintGate::Off;
-                assert_eq!(plan.timings.sanitize > Duration::ZERO, ran, "{gate:?}");
-                assert_eq!(plan.diagnostics.certificate().is_some(), ran, "{gate:?}");
-                assert_eq!(spanned, ran, "{gate:?}");
-                assert_eq!(stats.sanitize_ns > 0.0, ran, "{gate:?}");
+                let ran = !identity;
+                assert_eq!(plan.timings.sanitize > Duration::ZERO, ran, "{identity}");
+                assert_eq!(spanned, ran, "{identity}");
+                assert_eq!(stats.sanitize_ns > 0.0, ran, "{identity}");
             }
         };
         std::thread::scope(|s| {
-            s.spawn(|| compile(LintGate::Off));
-            s.spawn(|| compile(LintGate::Deny));
+            s.spawn(|| compile(true));
+            s.spawn(|| compile(false));
         });
     }
 

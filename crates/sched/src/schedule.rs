@@ -39,17 +39,6 @@ impl Schedule {
         self.sub_pipelines.iter().map(Vec::len).sum()
     }
 
-    /// Index of the sub-pipeline each task belongs to.
-    pub fn sub_pipeline_of(&self) -> Vec<(TaskId, usize)> {
-        let mut v = Vec::with_capacity(self.n_tasks());
-        for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            for &t in sp {
-                v.push((t, i));
-            }
-        }
-        v
-    }
-
     /// Validate the schedule against its DAG:
     ///
     /// 1. every task appears exactly once,

@@ -108,8 +108,6 @@ pub enum LintRefusal {
     Plan,
     /// The compiler's sanitize phase denied a residual (resume) plan.
     ResidualPlan,
-    /// The communicator's watchdog refused to resume on a degraded plan.
-    Recovery,
 }
 
 impl fmt::Display for LintRefusal {
@@ -117,7 +115,6 @@ impl fmt::Display for LintRefusal {
         f.write_str(match self {
             Self::Plan => "sanitize: plan rejected by lint gate",
             Self::ResidualPlan => "sanitize: residual plan rejected by lint gate",
-            Self::Recovery => "recovery: degraded plan rejected by static analysis",
         })
     }
 }

@@ -6,10 +6,8 @@
 //! the SM-contention coupling between communication TB footprint and
 //! compute throughput. Each collective runs on the chosen CCL's backend
 //! (`NcclBackend`, `MscclBackend` or `RescclBackend` from `rescc-backends`),
-//! compiled per call; the model keeps no state between calls. Like every
-//! backend, `RescclBackend` neither statically verifies nor lint-gates the
-//! collectives it compiles; the specs Fig. 13 runs are checked once under
-//! `Compiler::new()` by the root `backend_invariants` tests instead.
+//! compiled per call, verified and deny-gated like every backend plan;
+//! the model keeps no state between calls.
 //!
 //! ```no_run
 //! use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};

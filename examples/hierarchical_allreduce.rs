@@ -9,7 +9,7 @@
 
 use rescc::algos::hm_allreduce;
 use rescc::backends::{Backend, NcclBackend};
-use rescc::core::{Compiler, LintGate};
+use rescc::core::Compiler;
 use rescc::topology::Topology;
 
 fn main() {
@@ -48,10 +48,9 @@ fn main() {
 
     // State-based TB merging vs the rigid connection-based scheme.
     // NCCL's by-step schedule oversubscribes links by design, which RA003
-    // reports as an error, so the lint gate is off for this compile.
+    // reports as a warning, so the plan passes the deny gate.
     let rigid = NcclBackend::default()
         .compiler()
-        .with_lint_gate(LintGate::Off)
         .compile_spec(&algo, &topo)
         .expect("compiles");
     println!(

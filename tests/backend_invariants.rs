@@ -163,9 +163,10 @@ fn small_buffers_shrink_resccl_advantage() {
 
 #[test]
 fn training_collectives_pass_the_compiler_checks() {
-    // The Fig. 13 model runs its collectives through backends that skip
-    // static verification and the lint gate. Every spec it runs (TP group
-    // 1×8, DP groups 2×8 and 4×8) must pass both under `Compiler::new()`.
+    // The Fig. 13 model runs its collectives through the backends, which
+    // verify and deny-gate every plan. Every spec it runs (TP group 1×8,
+    // DP groups 2×8 and 4×8) must pass both under `Compiler::new()`, or
+    // figure13 would fail instead of this test.
     for (nodes, g) in [(1u32, 8u32), (2, 8), (4, 8)] {
         let topo = Topology::a100(nodes, g);
         for spec in [

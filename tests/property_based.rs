@@ -437,7 +437,7 @@ proptest! {
         let spec = AlgoSpec::new("candidate", spec.op(), 8, v).unwrap();
         let verdict = verify_collective(&spec);
         // Let the simulator be the judge.
-        let mut compiler = Compiler::new().with_lint_gate(LintGate::Off);
+        let mut compiler = Compiler::new().with_lint_gate(LintGate::Warn);
         compiler.verify = false;
         let sim_ok = compiler
             .compile_spec(&spec, &topo)
