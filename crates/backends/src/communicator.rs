@@ -25,57 +25,15 @@ use rescc_topology::{ResourceId, Topology, TopologyHealth};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Watchdog/retry knobs for collectives on a faulty fabric.
-///
-/// Transient failures (a flapping link, an expired deadline) are retried up
-/// to [`max_retries`](Self::max_retries) times; each failed attempt burns
-/// its failure time plus an exponentially growing backoff of *sim* time, and
-/// the fault timeline is replayed shifted by the total elapsed time — a
-/// flap that already passed stays passed. Permanent failures mask the dead
-/// resource in a [`TopologyHealth`] overlay and recompile against the
-/// degraded topology, at most [`max_recompiles`](Self::max_recompiles)
-/// times per call.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultPolicy {
-    /// Per-attempt sim-time deadline (ns); `None` disables the watchdog.
-    pub deadline_ns: Option<f64>,
-    /// Transient-fault retries before giving up.
-    pub max_retries: u32,
-    /// Degraded-topology recompiles before giving up.
-    pub max_recompiles: u32,
-    /// First retry waits this long (sim ns) before relaunching.
-    pub backoff_base_ns: f64,
-    /// Backoff multiplier per further retry.
-    pub backoff_factor: f64,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        Self {
-            deadline_ns: None,
-            max_retries: 8,
-            max_recompiles: 4,
-            backoff_base_ns: 200_000.0,
-            backoff_factor: 2.0,
-        }
-    }
-}
-
-impl FaultPolicy {
-    /// Reject a negative or non-finite backoff before the first attempt:
-    /// it would run the recovery clock backwards or poison every later
-    /// fault timestamp.
-    fn validate(&self) -> SimResult<()> {
-        let (base, factor) = (self.backoff_base_ns, self.backoff_factor);
-        if [base, factor].iter().all(|v| v.is_finite() && *v >= 0.0) {
-            return Ok(());
-        }
-        Err(SimError::InvalidConfig(format!(
-            "fault policy backoff_base_ns {base} and backoff_factor {factor} \
-             must be finite and non-negative"
-        )))
-    }
-}
+/// Transient-fault retries per call before the watchdog gives up.
+const MAX_RETRIES: u32 = 8;
+/// Degraded-topology recompiles per call before the watchdog gives up.
+const MAX_RECOMPILES: u32 = 4;
+/// Sim time (ns) the first retry waits before relaunching; each further
+/// retry waits [`BACKOFF_FACTOR`] times longer.
+const BACKOFF_BASE_NS: f64 = 200_000.0;
+/// Backoff multiplier per further retry.
+const BACKOFF_FACTOR: f64 = 2.0;
 
 /// A handle for issuing collectives on a fixed cluster.
 ///
@@ -90,6 +48,15 @@ impl FaultPolicy {
 /// [`with_shared_cache`](Self::with_shared_cache) opts a group of
 /// communicators — across threads — into one shared plan service, so a
 /// plan compiled by any tenant serves all of them.
+///
+/// A watchdog completes collectives on a faulty fabric. Transient failures
+/// (a flapping link, an expired [deadline](Self::with_deadline_ns)) are
+/// retried up to 8 times; each failed attempt burns its failure time plus
+/// a backoff of *sim* time, 200 µs doubling per retry, and the fault
+/// timeline is replayed shifted by the total elapsed time — a flap that
+/// already passed stays passed. Permanent failures mask the dead resource
+/// in a [`TopologyHealth`] overlay and recompile against the degraded
+/// topology, at most 4 times per call.
 pub struct Communicator {
     topo: Topology,
     /// Always `Compiler::new()`, whose gate is deny: every plan this
@@ -98,15 +65,14 @@ pub struct Communicator {
     /// shared cache never hands over another tenant's warn-gated plan.
     compiler: Compiler,
     cache: Arc<PlanCache>,
-    chunk_bytes: u64,
     /// Cached specs per (op, small) bucket — algorithm construction is
     /// cheap but deterministic reuse keeps behaviour predictable.
     specs: HashMap<(OpType, bool), AlgoSpec>,
     /// Fault schedule injected into every collective issued through this
     /// communicator (sim-time timestamps relative to each call's start).
     faults: FaultTimeline,
-    /// Watchdog/retry configuration.
-    policy: FaultPolicy,
+    /// Per-attempt sim-time deadline (ns); `None` disables it.
+    deadline_ns: Option<f64>,
     /// Resources masked dead by permanent-fault recovery; sticky across
     /// calls, the way a real communicator remembers a dead link.
     health: TopologyHealth,
@@ -125,21 +91,13 @@ impl Communicator {
             topo,
             compiler: Compiler::new(),
             cache: Arc::new(PlanCache::new()),
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
             specs: HashMap::new(),
             faults: FaultTimeline::new(),
-            policy: FaultPolicy::default(),
+            deadline_ns: None,
             health: TopologyHealth::healthy(),
             validate: false,
             observe: false,
         }
-    }
-
-    /// Override the transfer chunk size (default 1 MB).
-    pub fn with_chunk_bytes(mut self, chunk_bytes: u64) -> Self {
-        assert!(chunk_bytes > 0);
-        self.chunk_bytes = chunk_bytes;
-        self
     }
 
     /// Inject a fault schedule into every collective issued through this
@@ -157,9 +115,12 @@ impl Communicator {
         self.faults = faults;
     }
 
-    /// Override the watchdog/retry policy.
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
+    /// Fail any attempt still running `deadline_ns` of sim time after it
+    /// started, with [`SimError::DeadlineExceeded`]. The watchdog treats
+    /// the expiry as transient and retries it like a flap. A non-finite
+    /// or non-positive deadline is rejected when the first attempt starts.
+    pub fn with_deadline_ns(mut self, deadline_ns: f64) -> Self {
+        self.deadline_ns = Some(deadline_ns);
         self
     }
 
@@ -222,7 +183,7 @@ impl Communicator {
         let g = self.topo.gpus_per_node();
         let n = self.topo.n_ranks();
         // "Small" = latency-dominated: few micro-batches to pipeline.
-        let small = buffer_bytes <= (n as u64) * self.chunk_bytes * 2;
+        let small = buffer_bytes <= (n as u64) * DEFAULT_CHUNK_BYTES * 2;
         if let Some(spec) = self.specs.get(&(op, small)) {
             return spec.clone();
         }
@@ -258,15 +219,14 @@ impl Communicator {
     }
 
     fn run(&mut self, op: OpType, buffer_bytes: u64) -> SimResult<RunReport> {
-        self.policy.validate()?;
         let spec = self.select(op, buffer_bytes);
-        let chunk = self.chunk_bytes;
+        let chunk = DEFAULT_CHUNK_BYTES;
         let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk);
         // The watchdog only reports recovery accounting when it could have
         // done something — otherwise the report stays byte-compatible with
         // a plain healthy dispatch.
         let engaged =
-            !self.faults.is_empty() || self.policy.deadline_ns.is_some() || !self.health.is_empty();
+            !self.faults.is_empty() || self.deadline_ns.is_some() || !self.health.is_empty();
         // The dispatch record: every heal, cache event, compile, resume and
         // failed attempt of this call, once each and in order. The budgets
         // count it, and the report's `recovery` and `obs` are folds of it.
@@ -315,7 +275,7 @@ impl Communicator {
             let cfg = SimConfig {
                 validate_data: self.validate,
                 faults: self.faults.advanced(elapsed),
-                deadline_ns: self.policy.deadline_ns,
+                deadline_ns: self.deadline_ns,
                 record_trace: self.observe,
                 attribute_bubbles: self.observe,
                 ..SimConfig::default()
@@ -369,7 +329,7 @@ impl Communicator {
                     });
                 }
                 Err(err) if err.is_transient() => {
-                    if so_far.retries >= self.policy.max_retries {
+                    if so_far.retries >= MAX_RETRIES {
                         return Err(err);
                     }
                     let resumable =
@@ -389,8 +349,7 @@ impl Communicator {
                         },
                         failed_ns: err.at_ns().unwrap_or(0) as f64,
                         // Exponential backoff: base × factor^(retries so far).
-                        wait_ns: self.policy.backoff_base_ns
-                            * self.policy.backoff_factor.powi(so_far.retries as i32),
+                        wait_ns: BACKOFF_BASE_NS * BACKOFF_FACTOR.powi(so_far.retries as i32),
                     }));
                 }
                 Err(SimError::ResourceDown {
@@ -400,7 +359,7 @@ impl Communicator {
                     permanent: true,
                     frontier,
                 }) => {
-                    if so_far.recompiles >= self.policy.max_recompiles
+                    if so_far.recompiles >= MAX_RECOMPILES
                         || !self.health.mask(ResourceId::new(resource))
                     {
                         // Budget exhausted, or the resource was already
@@ -450,7 +409,7 @@ impl Communicator {
                         action,
                         cause: format!("r{resource} dead"),
                         failed_ns: at_ns as f64,
-                        wait_ns: self.policy.backoff_base_ns,
+                        wait_ns: BACKOFF_BASE_NS,
                     }));
                 }
                 // Invalid program/config, wrong data, deadlock, …: not
@@ -530,13 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_chunk_size() {
-        let mut comm = Communicator::new(Topology::a100(1, 4)).with_chunk_bytes(4 * MB);
-        let rep = comm.all_gather(64 * MB).unwrap();
-        assert!(rep.sim.n_micro_batches <= 4);
-    }
-
-    #[test]
     fn healthy_run_reports_no_recovery() {
         let mut comm = Communicator::new(Topology::a100(2, 4));
         let rep = comm.all_reduce(64 * MB).unwrap();
@@ -603,50 +555,56 @@ mod tests {
     fn deadline_bounds_each_attempt() {
         let mut healthy = Communicator::new(Topology::a100(2, 4));
         let base = healthy.all_reduce(64 * MB).unwrap().sim.completion_ns;
-        // A deadline below the healthy completion can never be met; the
-        // watchdog retries it max_retries times, then gives up.
-        let mut comm = Communicator::new(Topology::a100(2, 4)).with_fault_policy(FaultPolicy {
-            deadline_ns: Some(base * 0.5),
-            max_retries: 2,
-            ..FaultPolicy::default()
-        });
+        // A deadline below the healthy completion can never be met, and an
+        // expiry carries no frontier to resume from: the watchdog restarts
+        // the run 8 times, then gives up. Each attempt looks its plan up
+        // once, so the private cache counts the 9 attempts.
+        let mut comm = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(base * 0.5);
         let err = comm.all_reduce(64 * MB).unwrap_err();
         assert!(matches!(err, SimError::DeadlineExceeded { .. }), "{err}");
+        let stats = comm.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 8), "{stats:?}");
         // A generous deadline passes and reports zero retries.
-        let mut comm = Communicator::new(Topology::a100(2, 4)).with_fault_policy(FaultPolicy {
-            deadline_ns: Some(base * 2.0),
-            ..FaultPolicy::default()
-        });
+        let mut comm = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(base * 2.0);
         let rep = comm.all_reduce(64 * MB).unwrap();
         let rec = rep.recovery.expect("deadline engages the watchdog");
         assert_eq!(rec.retries, 0);
     }
 
     #[test]
-    fn invalid_backoff_is_rejected_before_the_first_attempt() {
-        let topo = Topology::a100(2, 4);
-        let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
-        let flap = FaultTimeline::new().flap(chan, 50_000.0, 80_000.0, 80_000.0, 1);
-        for (base, factor) in [
-            (-5e6, 2.0),
-            (f64::NAN, 2.0),
-            (200_000.0, -1.0),
-            (200_000.0, f64::INFINITY),
-        ] {
-            let mut comm = Communicator::new(topo.clone())
-                .with_faults(flap.clone())
-                .with_fault_policy(FaultPolicy {
-                    backoff_base_ns: base,
-                    backoff_factor: factor,
-                    ..FaultPolicy::default()
-                });
-            let err = comm.all_reduce(64 * MB).unwrap_err();
-            assert!(
-                matches!(&err, SimError::InvalidConfig(msg) if msg.contains("fault policy")),
-                "base {base} factor {factor}: {err}"
-            );
-            assert_eq!(comm.cache_stats().misses, 0, "rejected before any dispatch");
-        }
+    fn recompile_budget_bounds_permanent_faults() {
+        use rescc_topology::Rank;
+        let topo = Topology::a100(1, 8);
+        // Five directed pair channels of the full-mesh plan, all dead from
+        // 100 µs on. Each attempt runs into one more of them: the first
+        // four are masked and recompiled around, the fifth exhausts the
+        // budget and fails the call.
+        let chans: Vec<ResourceId> = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 0)]
+            .iter()
+            .map(|&(a, b)| topo.pair_chan(Rank::new(a), Rank::new(b)))
+            .collect();
+        let faults = chans
+            .iter()
+            .fold(FaultTimeline::new(), |tl, &c| tl.kill(c, 100_000.0));
+        let mut comm = Communicator::new(topo).with_faults(faults);
+        let err = comm.all_reduce(256 * MB).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::ResourceDown {
+                    permanent: true,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // Four masks, one per recompile; the fifth dead channel is not.
+        assert_eq!(comm.health().dead().len(), 4, "{:?}", comm.health());
+        let SimError::ResourceDown { resource, .. } = err else {
+            unreachable!()
+        };
+        assert!(chans.contains(&ResourceId::new(resource)));
+        assert!(!comm.health().is_dead(ResourceId::new(resource)));
     }
 
     #[test]
@@ -814,10 +772,7 @@ mod tests {
         let healthy_fp = {
             // A generous deadline engages the watchdog on a healthy twin,
             // exposing the healthy plan's fingerprint.
-            let mut h = Communicator::new(Topology::a100(2, 4)).with_fault_policy(FaultPolicy {
-                deadline_ns: Some(1e12),
-                ..FaultPolicy::default()
-            });
+            let mut h = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(1e12);
             h.all_reduce(64 * MB)
                 .unwrap()
                 .recovery

@@ -25,7 +25,7 @@
 
 mod communicator;
 
-pub use communicator::{Communicator, FaultPolicy};
+pub use communicator::Communicator;
 pub use rescc_obs::{RecoveryAction, RecoveryEvent};
 
 use rescc_core::{CompiledPlan, Compiler, Lowering, SchedulerChoice};
@@ -122,8 +122,9 @@ pub struct RunReport {
     /// backend calls, which always compile.
     pub cache: Option<rescc_core::CacheStats>,
     /// Watchdog/recovery accounting when the call went through the
-    /// [`Communicator`] with faults or a deadline engaged; `None` for
-    /// plain healthy-fabric runs.
+    /// [`Communicator`] with faults injected, a deadline set
+    /// ([`Communicator::with_deadline_ns`]) or a resource masked dead;
+    /// `None` for plain healthy-fabric runs.
     pub recovery: Option<RecoveryStats>,
     /// Whether the simulated completion undercut the plan's certified
     /// α–β–γ makespan lower bound — `Some(true)` flags a cost-model/engine

@@ -61,25 +61,6 @@ fn shared_cache_serves_across_communicators() {
     assert_eq!(a.cache_stats(), b.cache_stats());
 }
 
-/// Regression (pre-PR panic): with a zero-capacity journal, the
-/// observability path used to read `journal().last().expect(...)` and
-/// die. Attribution now rides on the event returned by the dispatch
-/// itself, so an unjournaled cache still observes correctly.
-#[test]
-fn zero_capacity_journal_with_observability_does_not_panic() {
-    let service = Arc::new(PlanCache::with_journal_capacity(0));
-    let mut comm = Communicator::new(Topology::a100(2, 4))
-        .with_shared_cache(Arc::clone(&service))
-        .with_observability();
-    let cold = comm.all_reduce(64 * MB).unwrap();
-    let warm = comm.all_reduce(64 * MB).unwrap();
-    let (cold_obs, warm_obs) = (cold.obs.unwrap(), warm.obs.unwrap());
-    assert_eq!((cold_obs.cache_hits, cold_obs.cache_misses), (0, 1));
-    assert_eq!((warm_obs.cache_hits, warm_obs.cache_misses), (1, 0));
-    assert_eq!(service.journal_len(), 0);
-    assert_eq!(service.dropped_events(), 2);
-}
-
 /// Regression (pre-PR misattribution): under a shared cache, each
 /// tenant's observability must report *its own* dispatch outcome —
 /// reading the shared journal's tail reports whichever tenant dispatched

@@ -27,6 +27,7 @@ use rescc_core::Compiler;
 use rescc_obs::{bubble_span, ArgValue, ChromeTrace, ObsStats, SpanCategory};
 use rescc_sim::{BubbleCause, FaultTimeline, SimConfig};
 use rescc_topology::{Rank, Topology};
+use std::num::NonZeroU32;
 
 struct Args {
     nodes: u32,
@@ -64,8 +65,10 @@ fn parse_args() -> Args {
             "--topo" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 let (n, g) = v.split_once('x').unwrap_or_else(|| usage());
-                args.nodes = n.parse().unwrap_or_else(|_| usage());
-                args.gpus = g.parse().unwrap_or_else(|_| usage());
+                // Zero nodes or GPUs is a usage error, not a topology panic.
+                let dim = |v: &str| v.parse::<NonZeroU32>().unwrap_or_else(|_| usage()).get();
+                args.nodes = dim(n);
+                args.gpus = dim(g);
             }
             "--algo" => args.algo = it.next().unwrap_or_else(|| usage()),
             "--buffer-mb" => {

@@ -7,6 +7,7 @@
 //! * (b) HPDS vs round-robin scheduling on an 8-GPU two-server topology,
 //!   for expert and synthesized algorithms (paper: up to 187% speedup).
 
+use crate::reference::hpds_reference;
 use crate::{print_table, time, write_bench_json, Gate, MB};
 use rescc_algos::{
     hm_allreduce, hm_allreduce_source, nccl_rings_allgather, taccl_like_allgather,
@@ -15,7 +16,7 @@ use rescc_algos::{
 use rescc_backends::{Backend, RescclBackend};
 use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
-use rescc_sched::{hpds, hpds_reference};
+use rescc_sched::hpds;
 use rescc_topology::{Rank, Topology, TopologyHealth};
 
 /// Least flat-over-reference scheduler speedup the smoke gate accepts.
@@ -181,7 +182,7 @@ pub fn run_a() {
 
     // Scheduler rearchitecture at the largest sweep scale: the reference
     // scheduler (the pre-rearchitecture pointer-chasing implementation,
-    // kept verbatim in `rescc_sched::reference`) against the flat CSR
+    // kept verbatim in `crate::reference`) against the flat CSR
     // pipeline. Both are serial, so the flat pipeline wins on data layout
     // alone.
     let (nodes, g) = (128u32, 8u32);

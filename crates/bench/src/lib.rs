@@ -12,12 +12,14 @@
 //! Shared here: the buffer-size grids, table formatting, the sweep
 //! drivers (parallelized across topologies with scoped threads), and the
 //! pass/fail gate, sample statistics and `BENCH_*.json` writer the
-//! experiments share.
+//! experiments share. [`mod@reference`] holds the seed schedulers that the
+//! library's flat HPDS and round-robin are measured and tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod reference;
 
 use rescc_backends::{Backend, MscclBackend, NcclBackend, RescclBackend, RunReport};
 use rescc_lang::AlgoSpec;

@@ -7,21 +7,21 @@
 //! two jobs:
 //!
 //! 1. **Oracle for byte-identity property tests** — the rearchitected
-//!    schedulers in [`crate::hpds`]/[`crate::rr`] must reproduce these
-//!    schedules bit-for-bit on every input.
+//!    schedulers [`rescc_sched::hpds`]/[`rescc_sched::round_robin`] must
+//!    reproduce these schedules bit-for-bit on every input.
 //! 2. **Baseline for the compile-time benchmarks** — the
 //!    `flat_sched_speedup` column of `BENCH_compile.json` and the
 //!    `compile-smoke` gate measure the flat schedulers against these.
 //!
 //! Do not optimize this module; its value is being obviously correct.
 
-use crate::schedule::Schedule;
 use rescc_ir::{DepDag, TaskId};
+use rescc_sched::Schedule;
 use rescc_topology::{ChunkId, ResourceId};
 use std::collections::HashMap;
 
 /// The seed HPDS implementation (see module docs). Semantically identical
-/// to [`crate::hpds`], asymptotically slower.
+/// to [`rescc_sched::hpds`], asymptotically slower.
 pub fn hpds_reference(dag: &DepDag) -> Schedule {
     let n_chunks = dag.n_chunks() as usize;
     let n = dag.len();
@@ -132,7 +132,7 @@ fn select_chunk(flags: &[bool], priority: &[i64]) -> Option<usize> {
 }
 
 /// The seed round-robin implementation (see module docs). Semantically
-/// identical to [`crate::round_robin`], asymptotically slower.
+/// identical to [`rescc_sched::round_robin`], asymptotically slower.
 pub fn round_robin_reference(dag: &DepDag) -> Schedule {
     let n_chunks = dag.n_chunks() as usize;
     let n = dag.len();
@@ -203,5 +203,49 @@ pub fn round_robin_reference(dag: &DepDag) -> Schedule {
     Schedule {
         sub_pipelines,
         policy: "rr".into(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rescc_lang::{AlgoBuilder, OpType};
+    use rescc_sched::{hpds, round_robin};
+    use rescc_topology::Topology;
+
+    fn ring_ag(n: u32) -> rescc_lang::AlgoSpec {
+        let mut b = AlgoBuilder::new("Ring", OpType::AllGather, n);
+        for r in 0..n {
+            for step in 0..n - 1 {
+                b.recv(r, (r + 1) % n, step, (r + n - step) % n);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn hpds_matches_reference() {
+        for (nodes, gpus, ranks) in [(1, 8, 8), (2, 4, 8), (2, 8, 16), (4, 8, 32)] {
+            let topo = Topology::a100(nodes, gpus);
+            let dag = DepDag::build(&ring_ag(ranks), &topo).unwrap();
+            assert_eq!(
+                hpds(&dag),
+                hpds_reference(&dag),
+                "flat vs reference @{ranks}"
+            );
+        }
+    }
+
+    #[test]
+    fn rr_matches_reference() {
+        for (nodes, gpus, ranks) in [(1, 8, 8), (2, 4, 8), (2, 8, 16), (4, 8, 32)] {
+            let topo = Topology::a100(nodes, gpus);
+            let dag = DepDag::build(&ring_ag(ranks), &topo).unwrap();
+            assert_eq!(
+                round_robin(&dag),
+                round_robin_reference(&dag),
+                "flat vs reference @{ranks}"
+            );
+        }
     }
 }

@@ -39,13 +39,14 @@ use rescc_analyze::escape_json;
 use rescc_core::{CompiledPlan, Compiler, LintGate, SchedulerChoice};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 struct Args {
     source_path: Option<String>,
     all: bool,
-    nodes: u32,
-    gpus: u32,
+    nodes: NonZeroU32,
+    gpus: NonZeroU32,
     fabric: String,
     scheduler: SchedulerChoice,
     tb_budget: u32,
@@ -58,8 +59,8 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         source_path: None,
         all: false,
-        nodes: 2,
-        gpus: 8,
+        nodes: NonZeroU32::new(2).unwrap(),
+        gpus: NonZeroU32::new(8).unwrap(),
         fabric: "a100".into(),
         scheduler: SchedulerChoice::Hpds,
         tb_budget: 64,
@@ -247,8 +248,8 @@ fn main() -> ExitCode {
             }
         };
         let topo = match args.fabric.as_str() {
-            "a100" => Topology::a100(args.nodes, args.gpus),
-            "v100" => Topology::v100(args.nodes, args.gpus),
+            "a100" => Topology::a100(args.nodes.get(), args.gpus.get()),
+            "v100" => Topology::v100(args.nodes.get(), args.gpus.get()),
             other => {
                 eprintln!("unknown fabric `{other}` (a100|v100)");
                 return ExitCode::FAILURE;

@@ -24,12 +24,13 @@ use rescc_core::{Compiler, SchedulerChoice};
 use rescc_lang::LangError;
 use rescc_sim::{render_gantt, BottleneckReport, SimConfig, SimError};
 use rescc_topology::Topology;
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 struct Args {
     source_path: String,
-    nodes: u32,
-    gpus: u32,
+    nodes: NonZeroU32,
+    gpus: NonZeroU32,
     fabric: String,
     scheduler: SchedulerChoice,
     emit_kernels: bool,
@@ -41,8 +42,8 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         source_path: String::new(),
-        nodes: 2,
-        gpus: 8,
+        nodes: NonZeroU32::new(2).unwrap(),
+        gpus: NonZeroU32::new(8).unwrap(),
         fabric: "a100".into(),
         scheduler: SchedulerChoice::Hpds,
         emit_kernels: false,
@@ -126,8 +127,8 @@ fn main() -> ExitCode {
     };
 
     let topo = match args.fabric.as_str() {
-        "a100" => Topology::a100(args.nodes, args.gpus),
-        "v100" => Topology::v100(args.nodes, args.gpus),
+        "a100" => Topology::a100(args.nodes.get(), args.gpus.get()),
+        "v100" => Topology::v100(args.nodes.get(), args.gpus.get()),
         other => {
             eprintln!("unknown fabric `{other}` (a100|v100)");
             return ExitCode::FAILURE;

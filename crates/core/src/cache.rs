@@ -61,10 +61,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-/// Journal entries retained **per shard** by default. Long-running
-/// training loops dispatch millions of times; the journal exists for
-/// observability tails, not full history, so each shard's ring is bounded
-/// and drops its oldest entries first.
+/// Journal entries retained **per shard**. Long-running training loops
+/// dispatch millions of times; the journal exists for observability
+/// tails, not full history, so each shard's ring is bounded and drops its
+/// oldest entries first.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Number of cache shards (fixed, power of two). Dispatches of distinct
@@ -77,12 +77,11 @@ pub const SHARD_COUNT: usize = 16;
 /// Each shard updates its counters and its entry/byte accounting inside
 /// one critical section, so a snapshot is **coherent per shard**: the
 /// identity `entries == misses + inserts − evictions` holds exactly for
-/// every shard's contribution (eviction counts cover budget evictions,
-/// replacements, and [`clear`](PlanCache::clear)). Across shards the
-/// snapshot is a sum of per-shard snapshots taken in shard order — each
-/// internally consistent, mutually skewed by at most the dispatches that
-/// landed between the reads. Because the identity is linear, it holds for
-/// the summed snapshot too.
+/// every shard's contribution (eviction counts cover budget evictions and
+/// replacements). Across shards the snapshot is a sum of per-shard
+/// snapshots taken in shard order — each internally consistent, mutually
+/// skewed by at most the dispatches that landed between the reads.
+/// Because the identity is linear, it holds for the summed snapshot too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Dispatches served from the cache (includes `coalesced`).
@@ -99,8 +98,8 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Distinct plans currently cached.
     pub entries: usize,
-    /// Entries removed: cost-budget LRU evictions, replacements of an
-    /// existing key, and entries dropped by [`PlanCache::clear`].
+    /// Entries removed: cost-budget LRU evictions and replacements of an
+    /// existing key.
     pub evictions: u64,
     /// Estimated bytes currently charged to resident plans
     /// ([`plan_cost_bytes`]).
@@ -185,7 +184,7 @@ impl Inflight {
 /// mutated under one mutex so snapshots cannot tear (the satellite bug
 /// this replaces: hits/misses atomics and `map.len()` were read under no
 /// common lock).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShardState {
     hits: u64,
     misses: u64,
@@ -195,34 +194,12 @@ struct ShardState {
     entries: usize,
     resident_bytes: u64,
     ring: VecDeque<CacheEvent>,
-    capacity: usize,
-    dropped: u64,
 }
 
 impl ShardState {
-    fn new(capacity: usize) -> Self {
-        Self {
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            inserts: 0,
-            evictions: 0,
-            entries: 0,
-            resident_bytes: 0,
-            ring: VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
     fn record(&mut self, ev: CacheEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.capacity {
+        if self.ring.len() == DEFAULT_JOURNAL_CAPACITY {
             self.ring.pop_front();
-            self.dropped += 1;
         }
         self.ring.push_back(ev);
     }
@@ -240,7 +217,7 @@ impl ShardState {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shard {
     map: RwLock<HashMap<u64, CacheSlot>>,
     state: Mutex<ShardState>,
@@ -248,14 +225,6 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Self {
-        Self {
-            map: RwLock::new(HashMap::new()),
-            state: Mutex::new(ShardState::new(capacity)),
-            inflight: Mutex::new(HashMap::new()),
-        }
-    }
-
     /// Lock order: `map` may be acquired while holding `inflight`;
     /// `state` may be acquired while holding `map`; nothing is acquired
     /// while holding `state`. All three recover from poisoning — entries
@@ -309,29 +278,21 @@ pub struct PlanCache {
 
 impl Default for PlanCache {
     fn default() -> Self {
-        Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-}
-
-impl PlanCache {
-    /// An empty cache with the default per-shard journal capacity
-    /// ([`DEFAULT_JOURNAL_CAPACITY`]) and unbounded memory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache retaining at most `capacity` journal events per
-    /// shard (0 disables journaling entirely; every event counts as
-    /// dropped). Total retention is at most `SHARD_COUNT × capacity`;
-    /// each shard's stream is individually contiguous, so after merging,
-    /// a gap in `seq` marks events another shard (or this one) shed.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
         Self {
-            shards: (0..SHARD_COUNT).map(|_| Shard::new(capacity)).collect(),
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             next_seq: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             byte_budget: None,
         }
+    }
+}
+
+impl PlanCache {
+    /// An empty cache with unbounded memory. Each shard journals at most
+    /// [`DEFAULT_JOURNAL_CAPACITY`] events, so at most `SHARD_COUNT ×
+    /// DEFAULT_JOURNAL_CAPACITY` are retained.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Bound resident plan memory to roughly `bytes` (charged via
@@ -630,10 +591,10 @@ impl PlanCache {
     /// Snapshot of the *retained* dispatch journal, merged across shards
     /// and sorted by global `seq` (one [`CacheEvent`] per
     /// [`get_or_compile`](Self::get_or_compile) call or
-    /// [`insert`](Self::insert)). Each shard keeps a bounded ring of its
-    /// own most recent events; when more than a ring's capacity landed on
-    /// one shard, that shard's oldest events are gone — `seq` numbers
-    /// stay globally unique and ordered, so drops appear as gaps.
+    /// [`insert`](Self::insert)). Each shard keeps a ring of its own
+    /// [`DEFAULT_JOURNAL_CAPACITY`] most recent events; when more than that
+    /// landed on one shard, that shard's oldest events are gone — `seq`
+    /// numbers stay globally unique and ordered, so drops appear as gaps.
     pub fn journal(&self) -> Vec<CacheEvent> {
         let mut out: Vec<CacheEvent> = self
             .shards
@@ -642,18 +603,6 @@ impl PlanCache {
             .collect();
         out.sort_by_key(|e| e.seq);
         out
-    }
-
-    /// Number of journal events currently retained across all shards
-    /// (cheaper than cloning the journal).
-    pub fn journal_len(&self) -> usize {
-        self.shards.iter().map(|s| s.state().ring.len()).sum()
-    }
-
-    /// Journal events shed to the bounded per-shard rings so far. Total
-    /// events ever journaled = `dropped_events() + journal_len()`.
-    pub fn dropped_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.state().dropped).sum()
     }
 
     /// Counter snapshot — coherent per shard, summed across shards (see
@@ -671,20 +620,6 @@ impl PlanCache {
             total.resident_bytes += s.resident_bytes;
         }
         total
-    }
-
-    /// Drop every cached plan. Hit/miss counters and the journal are
-    /// kept; the dropped entries are counted as evictions so the
-    /// [`CacheStats`] identity keeps holding.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut map = shard.write_map();
-            let mut st = shard.state();
-            st.evictions += map.len() as u64;
-            st.entries = 0;
-            st.resident_bytes = 0;
-            map.clear();
-        }
     }
 }
 
@@ -928,7 +863,7 @@ mod tests {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
         let plan = mb(64 << 20, spec.n_chunks());
-        assert_eq!(cache.journal_len(), 0);
+        assert!(cache.journal().is_empty());
         cache
             .get_or_compile(&compiler, &spec, &topo, &plan)
             .unwrap();
@@ -960,46 +895,34 @@ mod tests {
 
     #[test]
     fn journal_is_a_bounded_ring() {
-        let cache = PlanCache::with_journal_capacity(3);
+        let cache = PlanCache::new();
         let compiler = Compiler::new();
         let topo = Topology::a100(1, 4);
         let spec = hm_allreduce(1, 4);
         let plan = mb(16 << 20, spec.n_chunks());
-        for _ in 0..5 {
+        // One miss, then 4,097 hits: two events more than a ring holds.
+        for _ in 0..DEFAULT_JOURNAL_CAPACITY + 2 {
             cache
                 .get_or_compile(&compiler, &spec, &topo, &plan)
                 .unwrap();
         }
         // One fingerprint → one shard → its ring behaves exactly like the
-        // old global ring.
-        assert_eq!(cache.journal_len(), 3, "ring must stay at capacity");
-        assert_eq!(cache.dropped_events(), 2);
+        // old global ring: oldest retained first, globally consecutive seq
+        // numbers, and the gap before the first retained event equals the
+        // drop count.
         let journal = cache.journal();
-        // Oldest retained first, globally consecutive seq numbers, and the
-        // gap before the first retained event equals the drop count.
         assert_eq!(
-            journal.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![2, 3, 4]
+            journal.len(),
+            DEFAULT_JOURNAL_CAPACITY,
+            "ring stays at capacity"
         );
-        assert_eq!(journal[0].seq, cache.dropped_events());
+        assert!(journal
+            .iter()
+            .map(|e| e.seq)
+            .eq(2..=DEFAULT_JOURNAL_CAPACITY as u64 + 1));
         // Stats are unaffected by journal truncation.
-        assert_eq!(cache.stats().hits, 4);
+        assert_eq!(cache.stats().hits, DEFAULT_JOURNAL_CAPACITY as u64 + 1);
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn zero_capacity_journal_drops_everything() {
-        let cache = PlanCache::with_journal_capacity(0);
-        let compiler = Compiler::new();
-        let topo = Topology::a100(1, 4);
-        let spec = hm_allreduce(1, 4);
-        let plan = mb(16 << 20, spec.n_chunks());
-        cache
-            .get_or_compile(&compiler, &spec, &topo, &plan)
-            .unwrap();
-        assert_eq!(cache.journal_len(), 0);
-        assert!(cache.journal().is_empty());
-        assert_eq!(cache.dropped_events(), 1);
     }
 
     #[test]
@@ -1041,7 +964,7 @@ mod tests {
     fn byte_budget_evicts_lru_but_never_the_newest_entry() {
         // Budget of 1 byte total → every shard's slice rounds to 0, so
         // each publish evicts everything except the entry being inserted.
-        let cache = PlanCache::with_journal_capacity(64).with_byte_budget(1);
+        let cache = PlanCache::new().with_byte_budget(1);
         let compiler = Compiler::new();
         let topo = Topology::a100(1, 4);
         let spec = hm_allreduce(1, 4);
@@ -1092,25 +1015,5 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (4, 0));
         assert!(stats.resident_bytes > 0);
-    }
-
-    #[test]
-    fn clear_counts_dropped_entries_as_evictions() {
-        let cache = PlanCache::new();
-        let compiler = Compiler::new();
-        let topo = Topology::a100(1, 4);
-        let spec = hm_allreduce(1, 4);
-        let plan = mb(16 << 20, spec.n_chunks());
-        cache
-            .get_or_compile(&compiler, &spec, &topo, &plan)
-            .unwrap();
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!((stats.entries, stats.evictions), (0, 1));
-        assert_eq!(stats.resident_bytes, 0);
-        assert_eq!(
-            stats.entries as u64,
-            stats.misses + stats.inserts - stats.evictions
-        );
     }
 }

@@ -32,3 +32,36 @@ fn json_output_escapes_every_string_field() {
     assert_eq!(field("topology"), "a100-2x8");
     assert!(field("compile_error").contains('\u{1}'), "{stdout:?}");
 }
+
+#[test]
+fn zero_cluster_dimension_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("rescc-zero-dim-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("x.rcl");
+    std::fs::write(&path, "").unwrap();
+    let runs = [
+        (env!("CARGO_BIN_EXE_rescc-lint"), "--nodes"),
+        (env!("CARGO_BIN_EXE_rescc-lint"), "--gpus"),
+        (env!("CARGO_BIN_EXE_resccl-compile"), "--nodes"),
+        (env!("CARGO_BIN_EXE_resccl-compile"), "--gpus"),
+    ];
+    let outs: Vec<_> = runs
+        .iter()
+        .map(|(bin, flag)| {
+            let out = Command::new(bin)
+                .arg(&path)
+                .args([*flag, "0"])
+                .output()
+                .unwrap();
+            (bin, flag, out)
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (bin, flag, out) in outs {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A usage error, not a topology assertion's panic (exit 101).
+        assert_eq!(out.status.code(), Some(1), "{bin} {flag} 0: {stderr}");
+        assert!(stderr.starts_with(&format!("{flag}: ")), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}

@@ -1,6 +1,6 @@
 //! Shared flat scheduling state for the rearchitected HPDS and RR.
 //!
-//! The seed schedulers (kept in [`crate::reference`]) spend their time in
+//! The seed schedulers (kept in `rescc_bench::reference`) spend their time in
 //! three places at scale: an `O(n_chunks)` linear scan per chunk
 //! selection, `HashMap<ResourceId, u32>` load lookups on every conflict
 //! check, and a rescan of a chunk's *entire* unscheduled task list on

@@ -30,7 +30,6 @@ mod analytic;
 mod by_step;
 mod flat;
 mod hpds;
-mod reference;
 mod rr;
 mod schedule;
 mod stage;
@@ -41,7 +40,6 @@ pub use analytic::{
 };
 pub use by_step::by_step;
 pub use hpds::{hpds, hpds_with_threads};
-pub use reference::{hpds_reference, round_robin_reference};
 pub use rr::round_robin;
 pub use schedule::Schedule;
 pub use stage::StagePartition;

@@ -21,8 +21,9 @@ use rescc::kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc::lang::provenance::required;
 use rescc::lang::verify_collective;
 use rescc::lang::{parse, pretty, AlgoBuilder, AlgoSpec, CommType, OpType, TransferRec};
-use rescc::sched::{hpds, hpds_reference, round_robin, round_robin_reference, Schedule};
+use rescc::sched::{hpds, round_robin, Schedule};
 use rescc::topology::{ChunkId, Rank, ResourceId, Step, Topology};
+use rescc_bench::reference::{hpds_reference, round_robin_reference};
 use std::collections::HashMap;
 
 const MB: u64 = 1 << 20;
