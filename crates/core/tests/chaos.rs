@@ -224,12 +224,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// First-seen ordinals of the plan keys the golden table's records name.
+/// A digest then still says which plan a record refers to (the same one,
+/// the healthy one or a degraded one) without pinning the key's hash value.
+#[derive(Default)]
+struct PlanOrdinals(Vec<u64>);
+
+impl PlanOrdinals {
+    fn of(&mut self, fingerprint: u64) -> u64 {
+        let i = match self.0.iter().position(|&f| f == fingerprint) {
+            Some(i) => i,
+            None => {
+                self.0.push(fingerprint);
+                self.0.len() - 1
+            }
+        };
+        i as u64
+    }
+}
+
 /// Digests of one observed call: the `Debug` form of `RunReport.recovery`,
 /// and the `ObsStats` record with its wall-clock values masked — sim-time
 /// spans whole, wall-time spans reduced to (track, name, category), plus
-/// the cache counters and the backoff total. A give-up digests its error
-/// twice.
-fn observed_digests(result: &SimResult<RunReport>) -> (u64, u64) {
+/// the cache counters and the backoff total. Every plan key, the
+/// recovery's `plan_fingerprint` and the one in each cache span's name,
+/// is replaced by its ordinal in `plans` first. A give-up digests its
+/// error twice.
+fn observed_digests(result: &SimResult<RunReport>, plans: &mut PlanOrdinals) -> (u64, u64) {
     let rep = match result {
         Ok(rep) => rep,
         Err(err) => {
@@ -243,13 +264,22 @@ fn observed_digests(result: &SimResult<RunReport>) -> (u64, u64) {
         obs.cache_hits, obs.cache_misses, obs.cache_coalesced, obs.backoff_ns
     );
     for s in &obs.spans {
-        record += &match s.domain.as_str() {
-            "sim" => format!("{s:?}\n"),
+        record += &match (s.domain.as_str(), s.track.as_str()) {
+            ("sim", _) => format!("{s:?}\n"),
+            (_, "cache") => {
+                let (label, key) = s.name.split_once(' ').expect("cache span names its key");
+                let key = u64::from_str_radix(key, 16).expect("cache span key is hex");
+                format!("cache {label} plan{} {:?}\n", plans.of(key), s.category)
+            }
             _ => format!("{} {} {:?}\n", s.track, s.name, s.category),
         };
     }
+    let recovery = rep.recovery.as_ref().map(|r| RecoveryStats {
+        plan_fingerprint: plans.of(r.plan_fingerprint),
+        ..r.clone()
+    });
     (
-        fnv1a(format!("{:?}", rep.recovery).as_bytes()),
+        fnv1a(format!("{recovery:?}").as_bytes()),
         fnv1a(record.as_bytes()),
     )
 }
@@ -259,29 +289,31 @@ fn observed_digests(result: &SimResult<RunReport>) -> (u64, u64) {
 /// timelines × the three operators, then the communicator's flap, kill
 /// (sticky mask, then heal on disarm) and kill-then-restore scenarios.
 /// Any change to what the watchdog records, or in which order, moves a
-/// digest; on a mismatch the failure prints the current table.
+/// digest; plan keys enter as ordinals, so a change of the key's hash
+/// function alone does not. On a mismatch the failure prints the current
+/// table.
 #[test]
 fn observed_recovery_matches_golden() {
     #[rustfmt::skip]
     const GOLDEN: &[(&str, u64, u64)] = &[
-        ("chaos/AllReduce/seed0", 0xd6d3f58b0a55583c, 0x7c8984dcca55cdd4),
-        ("chaos/AllReduce/seed1", 0x74f0d89ae40b8ae5, 0x720ea53056e93ad3),
-        ("chaos/AllReduce/seed2", 0x4af8cf3ef6e7dafa, 0x10162ba5332bc762),
+        ("chaos/AllReduce/seed0", 0x0df6c2281d04b1d8, 0x3c4521ab4ce74b1e),
+        ("chaos/AllReduce/seed1", 0x1f0906b6dc415a52, 0x568ae46618ca1071),
+        ("chaos/AllReduce/seed2", 0x1f9c6c1f2cff6abe, 0x3cb629d0cc7007be),
         ("chaos/AllReduce/seed3", 0x28f83d02ec991e9a, 0x28f83d02ec991e9a),
-        ("chaos/AllGather/seed0", 0x80431cd173518203, 0x5078eda44cd882b4),
-        ("chaos/AllGather/seed1", 0x8d86b39b84ecdcaf, 0xf47332719436ce84),
-        ("chaos/AllGather/seed2", 0x1c6927046d216f5d, 0x78421cefb4ca5e14),
+        ("chaos/AllGather/seed0", 0x0d3447b1bd1fd2de, 0x674eb5abcfbebe84),
+        ("chaos/AllGather/seed1", 0x1dd6d7726396e933, 0xef8961e17d90e0ce),
+        ("chaos/AllGather/seed2", 0xaba4ee94f316a6a8, 0x87e9cb4373018eb4),
         ("chaos/AllGather/seed3", 0x7c0ac78a6dd2af60, 0x7c0ac78a6dd2af60),
-        ("chaos/ReduceScatter/seed0", 0x453d4a9526cf55d4, 0x9b39da4210236f3b),
-        ("chaos/ReduceScatter/seed1", 0xbcf3341ce01ba030, 0xca942e7860c46f40),
-        ("chaos/ReduceScatter/seed2", 0x17bce452f4c21ad3, 0x07e063a09c27e856),
-        ("chaos/ReduceScatter/seed3", 0x0e1df5ab78fd8483, 0xdbb22ab5679de811),
-        ("flap", 0x790b022a5675031a, 0x08925bbfe10de07b),
-        ("flap/warm", 0x790b022a5675031a, 0x276d4b94a0f8c8d8),
-        ("kill", 0x2bf8b525c69902c2, 0x94c85c10165e970c),
-        ("kill/masked", 0xbb808b11c55c2868, 0x7fa6f052cddc7136),
-        ("kill/heal", 0xbf460b234509591d, 0x727b16b7f7a5d70e),
-        ("kill-restore", 0x0d9deea0a8e915c8, 0xdf54d1cd2e25f938),
+        ("chaos/ReduceScatter/seed0", 0x248e64848774e893, 0xc6fa855c7fda9d82),
+        ("chaos/ReduceScatter/seed1", 0x3d252c437d6fae9b, 0xbf8e76dbf63d91ce),
+        ("chaos/ReduceScatter/seed2", 0xe7ea1addef8e2662, 0xf69aea466c4d0b86),
+        ("chaos/ReduceScatter/seed3", 0x41a856022191a2a4, 0xd8bf1966f3533562),
+        ("flap", 0x4a1710b9fa94697c, 0xa9d0ac2bc853916b),
+        ("flap/warm", 0x4a1710b9fa94697c, 0xd46e323b1408c26c),
+        ("kill", 0x28ed0af4bf2461d7, 0x5137c2c76c1adb73),
+        ("kill/masked", 0x084bb0eb088e8ce5, 0x47a91996fbb557a2),
+        ("kill/heal", 0xc7cac81a2748490f, 0x69c4edb3967f316d),
+        ("kill-restore", 0xc24656dccbbe84c4, 0x8dd570ee851fadc4),
     ];
     let topo = Topology::a100(2, 4);
     let observed = |faults: FaultTimeline| {
@@ -291,8 +323,9 @@ fn observed_recovery_matches_golden() {
             .with_faults(faults)
     };
     let mut got: Vec<(String, u64, u64)> = Vec::new();
+    let mut plans = PlanOrdinals::default();
     let mut row = |name: String, result: SimResult<RunReport>| {
-        let (rec, obs) = observed_digests(&result);
+        let (rec, obs) = observed_digests(&result, &mut plans);
         got.push((name, rec, obs));
     };
     let buffer = 16 * MB;
