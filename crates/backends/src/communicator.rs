@@ -57,6 +57,9 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// already passed stays passed. Permanent failures mask the dead resource
 /// in a [`TopologyHealth`] overlay and recompile against the degraded
 /// topology, at most 4 times per call.
+///
+/// A collective of zero bytes fails with [`SimError::InvalidConfig`]
+/// before any algorithm is selected.
 pub struct Communicator {
     topo: Topology,
     /// Always `Compiler::new()`, whose gate is deny: every plan this
@@ -66,8 +69,9 @@ pub struct Communicator {
     compiler: Compiler,
     cache: Arc<PlanCache>,
     /// Cached specs per (op, small) bucket — algorithm construction is
-    /// cheap but deterministic reuse keeps behaviour predictable.
-    specs: HashMap<(OpType, bool), AlgoSpec>,
+    /// cheap but deterministic reuse keeps behaviour predictable. Shared,
+    /// so a warm dispatch takes a pointer instead of copying the spec.
+    specs: HashMap<(OpType, bool), Arc<AlgoSpec>>,
     /// Fault schedule injected into every collective issued through this
     /// communicator (sim-time timestamps relative to each call's start).
     faults: FaultTimeline,
@@ -178,16 +182,16 @@ impl Communicator {
     }
 
     /// Pick the algorithm for an operator and buffer size.
-    fn select(&mut self, op: OpType, buffer_bytes: u64) -> AlgoSpec {
+    fn select(&mut self, op: OpType, buffer_bytes: u64) -> Arc<AlgoSpec> {
         let nodes = self.topo.n_nodes();
         let g = self.topo.gpus_per_node();
         let n = self.topo.n_ranks();
         // "Small" = latency-dominated: few micro-batches to pipeline.
         let small = buffer_bytes <= (n as u64) * DEFAULT_CHUNK_BYTES * 2;
         if let Some(spec) = self.specs.get(&(op, small)) {
-            return spec.clone();
+            return Arc::clone(spec);
         }
-        let spec = match op {
+        let spec = Arc::new(match op {
             OpType::AllGather => hm_allgather(nodes, g),
             OpType::ReduceScatter => hm_reduce_scatter(nodes, g),
             OpType::AllReduce => {
@@ -198,8 +202,8 @@ impl Communicator {
                     hm_allreduce(nodes, g)
                 }
             }
-        };
-        self.specs.insert((op, small), spec.clone());
+        });
+        self.specs.insert((op, small), Arc::clone(&spec));
         spec
     }
 
@@ -219,6 +223,13 @@ impl Communicator {
     }
 
     fn run(&mut self, op: OpType, buffer_bytes: u64) -> SimResult<RunReport> {
+        // Checked before selection: the micro-batch planner asserts a
+        // non-empty buffer.
+        if buffer_bytes == 0 {
+            return Err(SimError::InvalidConfig(format!(
+                "{op:?} of an empty buffer: a collective moves at least one byte"
+            )));
+        }
         let spec = self.select(op, buffer_bytes);
         let chunk = DEFAULT_CHUNK_BYTES;
         let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk);
@@ -462,6 +473,24 @@ mod tests {
             assert!(rep.algbw_gbps() > 0.0);
             assert_eq!(rep.backend, "resccl");
         }
+    }
+
+    #[test]
+    fn empty_buffer_is_an_invalid_config() {
+        let mut comm = Communicator::new(Topology::a100(2, 4));
+        for err in [
+            comm.all_reduce(0).unwrap_err(),
+            comm.all_gather(0).unwrap_err(),
+            comm.reduce_scatter(0).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
+        // Refused before selection: nothing compiled, nothing cached.
+        assert_eq!(comm.cache_stats().misses, 0);
+        let rep = comm
+            .all_reduce(64 * MB)
+            .expect("the communicator still works");
+        assert!(rep.algbw_gbps() > 0.0);
     }
 
     #[test]

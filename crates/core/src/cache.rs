@@ -54,7 +54,7 @@
 
 use crate::{CompiledPlan, Compiler, LintGate, Lowering, SchedulerChoice};
 use rescc_ir::MicroBatchPlan;
-use rescc_lang::{AlgoSpec, CommType, OpType};
+use rescc_lang::{AlgoSpec, CommType, OpType, TransferRec};
 use rescc_sim::SimResult;
 use rescc_topology::{LinkParams, Topology};
 use std::collections::{HashMap, VecDeque};
@@ -312,8 +312,8 @@ impl PlanCache {
     }
 
     fn shard(&self, fingerprint: u64) -> &Shard {
-        // Fibonacci mix, then take the top bits: FNV's low bits carry the
-        // last-hashed bytes' structure, the mixed high bits do not.
+        // Fibonacci mix, then take the top bits: the shard choice stays
+        // even whatever the bit quality of the key's hash.
         let mixed = fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(mixed >> 60) as usize & (SHARD_COUNT - 1)]
     }
@@ -635,14 +635,17 @@ pub fn plan_cost_bytes(plan: &CompiledPlan) -> u64 {
     4096 + tasks * 160 + slots * 48 + transfers * 24
 }
 
-/// The content fingerprint keying [`PlanCache`] entries (FNV-1a, 64-bit).
+/// The content fingerprint keying [`PlanCache`] entries: a 64-bit
+/// word-at-a-time hash (one 64×64→128-bit multiply per transfer, see
+/// `WordHasher`) of every field listed in the module docs, in a fixed
+/// order. O(transfers); identical on every platform and toolchain.
 pub fn plan_fingerprint(
     compiler: &Compiler,
     spec: &AlgoSpec,
     topo: &Topology,
     mb: &MicroBatchPlan,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHasher::new();
 
     // Compiler options that change the artifact.
     h.u32(match compiler.scheduler {
@@ -680,14 +683,7 @@ pub fn plan_fingerprint(
     h.u32(spec.n_chunks());
     h.u64(spec.transfers().len() as u64);
     for t in spec.transfers() {
-        h.u32(t.src.0);
-        h.u32(t.dst.0);
-        h.u32(t.step.0);
-        h.u32(t.chunk.0);
-        h.u32(match t.comm {
-            CommType::Recv => 0,
-            CommType::Rrc => 1,
-        });
+        h.transfer(t);
     }
 
     // Topology: shape and every fabric cost parameter.
@@ -718,36 +714,75 @@ pub fn plan_fingerprint(
     h.finish()
 }
 
-/// Incremental FNV-1a (64-bit).
-struct Fnv(u64);
+/// wyhash's default secret. `SECRET[0]` seeds the accumulator,
+/// `SECRET[1]` keys every scalar and string word, and a transfer's
+/// `CommType` picks `SECRET[2]` or `SECRET[3]`.
+const SECRET: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
 
-impl Fnv {
+/// Incremental word-at-a-time 64-bit hash. Each step folds two words into
+/// the one accumulator with a single 64×64→128-bit multiply whose halves
+/// are xored (wyhash's "mum" fold), so a transfer costs one multiply
+/// instead of FNV-1a's twenty byte steps. Deliberately not a std
+/// hasher, whose output may change between Rust releases: plan keys are
+/// pinned by tests and must stay identical across toolchains (CI greps
+/// this file for the std names).
+struct WordHasher(u64);
+
+impl WordHasher {
     fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
+        WordHasher(SECRET[0])
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
+    /// A word equal to its secret would zero the product and drop the
+    /// state (wyhash's known weak point); key words are small integers,
+    /// lengths, text and float bits, nowhere near the secrets.
+    fn fold(&mut self, a: u64, b: u64, secret: u64) {
+        let m = u128::from(a ^ secret) * u128::from(b ^ self.0);
+        self.0 = m as u64 ^ (m >> 64) as u64;
     }
 
     fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+        self.u64(v.into());
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.fold(v, 0, SECRET[1]);
     }
 
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
+    /// Length first, then the bytes 16 at a time as two little-endian
+    /// words, the last pair zero-padded (the length makes padding
+    /// unambiguous).
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
+        for piece in s.as_bytes().chunks(16) {
+            let mut buf = [0u8; 16];
+            buf[..piece.len()].copy_from_slice(piece);
+            let pair = u128::from_le_bytes(buf);
+            self.fold(pair as u64, (pair >> 64) as u64, SECRET[1]);
+        }
+    }
+
+    /// One transfer, one fold: `src | dst << 32` and `step | chunk << 32`,
+    /// keyed by the receive semantics.
+    fn transfer(&mut self, t: &TransferRec) {
+        let secret = match t.comm {
+            CommType::Recv => SECRET[2],
+            CommType::Rrc => SECRET[3],
+        };
+        self.fold(
+            u64::from(t.src.0) | u64::from(t.dst.0) << 32,
+            u64::from(t.step.0) | u64::from(t.chunk.0) << 32,
+            secret,
+        );
     }
 
     fn link(&mut self, l: &LinkParams) {

@@ -1,18 +1,29 @@
 //! Concurrency property suite for the sharded plan service
 //! (`PlanCache`): singleflight dedup, stats/journal coherence, bounded
-//! memory. The differential check against the single-mutex reference
+//! memory, and the plan key (`plan_fingerprint`) moving with every input
+//! it covers. The differential check against the single-mutex reference
 //! lives with that reference, in the plan-service experiment.
 
-use rescc_algos::hm_allreduce;
-use rescc_core::{plan_fingerprint, CacheEventKind, Compiler, PlanCache};
+use rescc_algos::{hm_allreduce, seed_suite};
+use rescc_backends::{Backend, MscclBackend, NcclBackend};
+use rescc_core::{
+    plan_fingerprint, CacheEventKind, Compiler, LintGate, Lowering, PlanCache, SchedulerChoice,
+};
 use rescc_ir::MicroBatchPlan;
-use rescc_lang::AlgoSpec;
+use rescc_kernel::ExecMode;
+use rescc_lang::{AlgoSpec, CommType, OpType, TransferRec};
 use rescc_sim::SimError;
-use rescc_topology::Topology;
+use rescc_topology::{
+    ChunkId, ClusterSpec, FabricParams, LinkParams, Rank, ResourceId, Step, Topology,
+    TopologyHealth,
+};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
+
+const MB: u64 = 1 << 20;
 
 /// A dispatchable configuration; distinct `i` → distinct fingerprint
 /// (the micro-batch chunk size is part of the plan key).
@@ -386,4 +397,337 @@ fn in_flight_compile_publishes_despite_eviction_pressure() {
         assert!(ev.is_hit(), "published artifact must be resident");
         assert!(Arc::ptr_eq(&plan, &served));
     });
+}
+
+/// The eight compilers `lowerings_fingerprint_distinctly` keeps apart:
+/// default, fused, round-robin, NCCL at 4 and 12 channels, and MSCCL as
+/// shipped, with one channel, and without interpreter overhead.
+fn eight_compilers() -> Vec<Compiler> {
+    let msccl = MscclBackend::default();
+    vec![
+        Compiler::new(),
+        Compiler::new().with_fusion(),
+        Compiler::new().with_round_robin(),
+        NcclBackend::default().compiler(),
+        NcclBackend { n_channels: 12 }.compiler(),
+        msccl.compiler(),
+        MscclBackend {
+            n_channels: 1,
+            ..msccl.clone()
+        }
+        .compiler(),
+        MscclBackend {
+            interpreter_overhead_ns: 0.0,
+            ..msccl
+        }
+        .compiler(),
+    ]
+}
+
+/// An edit of one transfer field; the `u32` is `edit_transfer`'s `k`.
+type TransferEdit<'a> = dyn Fn(&mut TransferRec, u32) + 'a;
+/// Selects one of a fabric's three links.
+type PickLink = fn(&mut FabricParams) -> &mut LinkParams;
+/// An edit of one link field.
+type EditLink = fn(&mut LinkParams);
+
+/// `spec` with transfer `i` changed by `edit(t, k)`, for the smallest
+/// `k >= 1` that leaves a valid spec (no self-transfer, no duplicate).
+fn edit_transfer(spec: &AlgoSpec, i: usize, edit: impl Fn(&mut TransferRec, u32)) -> AlgoSpec {
+    (1..spec.n_ranks())
+        .find_map(|k| {
+            let mut transfers = spec.transfers().to_vec();
+            edit(&mut transfers[i], k);
+            AlgoSpec::new(spec.name(), spec.op(), spec.n_ranks(), transfers).ok()
+        })
+        .expect("some edit keeps the spec valid")
+}
+
+/// `topo` rebuilt with its shape and fabric edited; name and health kept.
+fn edit_topo(
+    topo: &Topology,
+    shape: impl FnOnce(&mut ClusterSpec),
+    fabric: impl FnOnce(&mut FabricParams),
+) -> Topology {
+    let (mut s, mut f) = (topo.spec(), *topo.fabric());
+    shape(&mut s);
+    fabric(&mut f);
+    Topology::new(topo.name(), s, f).with_health(topo.health().clone())
+}
+
+/// Changing any one input the key covers changes the key: each compiler
+/// option, the spec's name, operator and rank count, each field of the
+/// first, a middle and the last transfer, the topology's name, shape,
+/// every fabric parameter and health mask, and the micro-batch shape.
+/// Every edited configuration also keys apart from every other one.
+#[test]
+fn every_key_input_moves_the_key() {
+    let compiler = Compiler::new();
+    let spec = hm_allreduce(2, 4);
+    let topo = Topology::a100(2, 4);
+    let mb = MicroBatchPlan::plan(64 * MB, spec.n_chunks(), MB);
+    let base = plan_fingerprint(&compiler, &spec, &topo, &mb);
+    // Rebuilding an input unchanged keeps the key, so the edits below are
+    // what moves it.
+    let same_spec = AlgoSpec::new(
+        spec.name(),
+        spec.op(),
+        spec.n_ranks(),
+        spec.transfers().to_vec(),
+    )
+    .unwrap();
+    assert_eq!(
+        plan_fingerprint(
+            &compiler,
+            &same_spec,
+            &edit_topo(&topo, |_| {}, |_| {}),
+            &mb
+        ),
+        base
+    );
+
+    let mut keys: Vec<(String, u64)> = Vec::new();
+    let mut compilers: Vec<(&str, Compiler)> = vec![
+        ("round-robin", compiler.clone().with_round_robin()),
+        ("fused", compiler.clone().with_fusion()),
+        (
+            "by-step",
+            Compiler {
+                scheduler: SchedulerChoice::ByStep,
+                ..compiler.clone()
+            },
+        ),
+        (
+            "no-verify",
+            Compiler {
+                verify: false,
+                ..compiler.clone()
+            },
+        ),
+        (
+            "warn-gate",
+            Compiler {
+                lint_gate: LintGate::Warn,
+                ..compiler.clone()
+            },
+        ),
+    ];
+    let mut budget = compiler.clone();
+    budget.lint_config.tb_budget_per_rank += 1;
+    compilers.push(("tb-budget", budget));
+    let rigid = |n_channels, n_stages, exec| Compiler {
+        lowering: Lowering::Rigid {
+            n_channels,
+            n_stages,
+            exec,
+        },
+        ..compiler.clone()
+    };
+    let interpreter = |ns| ExecMode::Interpreter {
+        per_invocation_overhead_ns: ns,
+    };
+    compilers.extend([
+        ("rigid", rigid(4, 2, ExecMode::DirectKernel)),
+        ("rigid/channels", rigid(5, 2, ExecMode::DirectKernel)),
+        ("rigid/stages", rigid(4, 3, ExecMode::DirectKernel)),
+        ("rigid/interpreter", rigid(4, 2, interpreter(9_000.0))),
+        ("rigid/overhead", rigid(4, 2, interpreter(9_001.0))),
+    ]);
+    for (name, c) in &compilers {
+        keys.push((
+            format!("compiler/{name}"),
+            plan_fingerprint(c, &spec, &topo, &mb),
+        ));
+    }
+
+    let n = spec.n_ranks();
+    let rebuilt = |name: &str, op: OpType, n_ranks: u32| {
+        AlgoSpec::new(name, op, n_ranks, spec.transfers().to_vec()).unwrap()
+    };
+    let mut specs: Vec<(String, AlgoSpec)> = vec![
+        ("spec/name".into(), rebuilt("hm-ar-renamed", spec.op(), n)),
+        ("spec/op".into(), rebuilt(spec.name(), OpType::AllGather, n)),
+        ("spec/ranks".into(), rebuilt(spec.name(), spec.op(), n + 1)),
+    ];
+    let last = spec.transfers().len() - 1;
+    for (at, i) in [("first", 0), ("middle", last / 2), ("last", last)] {
+        let fields: [(&str, &TransferEdit<'_>); 5] = [
+            ("src", &|t, k| t.src = Rank::new((t.src.0 + k) % n)),
+            ("dst", &|t, k| t.dst = Rank::new((t.dst.0 + k) % n)),
+            ("step", &|t, k| t.step = Step::new(t.step.0 + k)),
+            ("chunk", &|t, k| t.chunk = ChunkId::new((t.chunk.0 + k) % n)),
+            ("comm", &|t, _| {
+                t.comm = match t.comm {
+                    CommType::Recv => CommType::Rrc,
+                    CommType::Rrc => CommType::Recv,
+                }
+            }),
+        ];
+        for (field, edit) in fields {
+            specs.push((
+                format!("transfer/{at}/{field}"),
+                edit_transfer(&spec, i, edit),
+            ));
+        }
+    }
+    for (name, s) in &specs {
+        keys.push((name.clone(), plan_fingerprint(&compiler, s, &topo, &mb)));
+    }
+
+    let mut topos: Vec<(String, Topology)> = vec![
+        (
+            "topo/name".into(),
+            Topology::new("a100-renamed", topo.spec(), *topo.fabric()),
+        ),
+        (
+            "topo/nodes".into(),
+            edit_topo(&topo, |s| s.n_nodes += 1, |_| {}),
+        ),
+        (
+            "topo/gpus".into(),
+            edit_topo(&topo, |s| s.gpus_per_node *= 2, |_| {}),
+        ),
+        (
+            "topo/nics".into(),
+            edit_topo(&topo, |s| s.nics_per_node = 1, |_| {}),
+        ),
+        (
+            "fabric/cross_rack_extra_ns".into(),
+            edit_topo(&topo, |_| {}, |f| f.cross_rack_extra_ns += 1.0),
+        ),
+        (
+            "fabric/servers_per_rack".into(),
+            edit_topo(&topo, |_| {}, |f| f.servers_per_rack += 1),
+        ),
+    ];
+    assert_ne!(topo.spec().nics_per_node, 1, "the nics edit must change it");
+    let links: [(&str, PickLink); 3] = [
+        ("intra", |f| &mut f.intra),
+        ("port", |f| &mut f.port),
+        ("inter", |f| &mut f.inter),
+    ];
+    for (link, pick) in links {
+        let fields: [(&str, EditLink); 5] = [
+            ("alpha_ns", |l| l.alpha_ns += 1.0),
+            ("beta_ns_per_byte", |l| l.beta_ns_per_byte *= 2.0),
+            ("gamma_ns", |l| l.gamma_ns += 1.0),
+            ("tb_bw_bytes_per_ns", |l| l.tb_bw_bytes_per_ns *= 2.0),
+            ("saturation_tbs", |l| l.saturation_tbs ^= 1),
+        ];
+        for (field, edit) in fields {
+            topos.push((
+                format!("fabric/{link}/{field}"),
+                edit_topo(&topo, |_| {}, |f| edit(pick(f))),
+            ));
+        }
+    }
+    for dead in [[0].as_slice(), &[1], &[0, 1]] {
+        let mut health = TopologyHealth::healthy();
+        for &r in dead {
+            health.mask(ResourceId::new(r));
+        }
+        topos.push((format!("health/{dead:?}"), topo.clone().with_health(health)));
+    }
+    for (name, t) in &topos {
+        keys.push((name.clone(), plan_fingerprint(&compiler, &spec, t, &mb)));
+    }
+
+    for (name, m) in [
+        (
+            "mb/n_chunks",
+            MicroBatchPlan {
+                n_chunks: mb.n_chunks + 1,
+                ..mb
+            },
+        ),
+        (
+            "mb/chunk_bytes",
+            MicroBatchPlan {
+                chunk_bytes: mb.chunk_bytes + 1,
+                ..mb
+            },
+        ),
+        (
+            "mb/n_micro_batches",
+            MicroBatchPlan {
+                n_micro_batches: mb.n_micro_batches + 1,
+                ..mb
+            },
+        ),
+    ] {
+        keys.push((name.into(), plan_fingerprint(&compiler, &spec, &topo, &m)));
+    }
+
+    let mut seen: HashMap<u64, &str> = HashMap::from([(base, "base")]);
+    for (name, key) in &keys {
+        if let Some(other) = seen.insert(*key, name) {
+            panic!("{name} keys as {other} ({key:#018x})");
+        }
+    }
+}
+
+/// The key follows the transfers' order, not only their set.
+#[test]
+fn swapping_two_transfers_moves_the_key() {
+    let compiler = Compiler::new();
+    let spec = hm_allreduce(2, 4);
+    let topo = Topology::a100(2, 4);
+    let mb = MicroBatchPlan::plan(64 * MB, spec.n_chunks(), MB);
+    let last = spec.transfers().len() - 1;
+    for (i, j) in [(0, 1), (0, last), (last / 2, last / 2 + 1)] {
+        let mut transfers = spec.transfers().to_vec();
+        transfers.swap(i, j);
+        let swapped = AlgoSpec::new(spec.name(), spec.op(), spec.n_ranks(), transfers).unwrap();
+        assert_ne!(
+            plan_fingerprint(&compiler, &swapped, &topo, &mb),
+            plan_fingerprint(&compiler, &spec, &topo, &mb),
+            "swapping transfers {i} and {j}"
+        );
+    }
+}
+
+/// Two buffers with the same micro-batch shape share a plan: the raw
+/// buffer size is not part of the key.
+#[test]
+fn buffer_bytes_alone_keeps_the_key() {
+    let compiler = Compiler::new();
+    let spec = hm_allreduce(2, 4);
+    let topo = Topology::a100(2, 4);
+    let mb = MicroBatchPlan::plan(64 * MB, spec.n_chunks(), MB);
+    let resized = MicroBatchPlan {
+        buffer_bytes: mb.buffer_bytes + 1,
+        ..mb
+    };
+    assert_eq!(
+        plan_fingerprint(&compiler, &spec, &topo, &resized),
+        plan_fingerprint(&compiler, &spec, &topo, &mb)
+    );
+}
+
+/// No two configurations share a key across the seed suite × the Table 3
+/// topologies × three chunkings × the eight compilers.
+#[test]
+fn seed_suite_configurations_key_apart() {
+    let compilers = eight_compilers();
+    let mut seen: HashMap<u64, String> = HashMap::new();
+    for i in 1..=4 {
+        let topo = Topology::table3_topo(i).unwrap();
+        for spec in seed_suite(topo.n_nodes(), topo.gpus_per_node()) {
+            for (buffer, chunk) in [(64 * MB, MB), (64 * MB, MB / 4), (MB, MB)] {
+                let mb = MicroBatchPlan::plan(buffer, spec.n_chunks(), chunk);
+                for (c, compiler) in compilers.iter().enumerate() {
+                    let name = format!(
+                        "{}/{}/{buffer}/{chunk}/compiler{c}",
+                        topo.name(),
+                        spec.name()
+                    );
+                    let key = plan_fingerprint(compiler, &spec, &topo, &mb);
+                    if let Some(other) = seen.insert(key, name.clone()) {
+                        panic!("{name} keys as {other} ({key:#018x})");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(seen.len(), 4 * 11 * 3 * 8);
 }
