@@ -44,7 +44,7 @@ pub struct PrimSlot {
     /// Sender or receiver side.
     pub dir: Direction,
     /// Index of the sub-pipeline the task was scheduled into.
-    pub sub_pipeline: usize,
+    pub sub_pipeline: u32,
 }
 
 /// The program of one TB: its ordered slots and the micro-batch slice it
@@ -124,7 +124,7 @@ impl RankSlot {
         PrimSlot {
             task: self.task,
             dir: self.dir(),
-            sub_pipeline: self.sub_pipeline as usize,
+            sub_pipeline: self.sub_pipeline,
         }
     }
 }
@@ -255,10 +255,10 @@ impl TbAllocation {
     /// * slots record the sub-pipeline the schedule actually assigned.
     pub fn validate(&self, dag: &DepDag, schedule: &Schedule) -> Result<(), IrError> {
         let n = dag.len();
-        let mut sp_of: Vec<usize> = vec![usize::MAX; n];
+        let mut sp_of: Vec<u32> = vec![u32::MAX; n];
         for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
             for &t in tasks {
-                sp_of[t.index()] = sp;
+                sp_of[t.index()] = sp as u32;
             }
         }
         // One `(side, (stride, offset))` entry per slot: side `t` is task
@@ -273,7 +273,7 @@ impl TbAllocation {
                         tb.mb_offset, tb.mb_stride
                     )));
                 }
-                let mut last_sp = 0usize;
+                let mut last_sp = 0u32;
                 // The Recv that the last order-advancing slot delivered, if
                 // it was one: the only feeder a chain forward may follow.
                 let mut anchor: Option<TaskId> = None;
@@ -760,10 +760,10 @@ mod tests {
     ) -> Result<(), String> {
         let mut send_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
         let mut recv_cover: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.len()];
-        let mut sp_of: Vec<usize> = vec![usize::MAX; dag.len()];
+        let mut sp_of: Vec<u32> = vec![u32::MAX; dag.len()];
         for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
             for t in tasks {
-                sp_of[t.index()] = sp;
+                sp_of[t.index()] = sp as u32;
             }
         }
         let chained = a.strategy == "state-chained";
@@ -775,7 +775,7 @@ mod tests {
                         tb.mb_offset, tb.mb_stride
                     ));
                 }
-                let mut last_sp = 0usize;
+                let mut last_sp = 0u32;
                 let mut anchor: Option<TaskId> = None;
                 for slot in &tb.slots {
                     let t = dag.task(slot.task);

@@ -356,7 +356,7 @@ fn dead_transfers(
                 continue;
             }
             let task = dag.task(t);
-            let (code, site_task, message) = describe(t, task);
+            let (code, site_task, message) = describe(t, &task);
             out.push(Diagnostic {
                 code,
                 severity: Severity::Warn,

@@ -97,9 +97,6 @@ fn ra001_fixture_tb_order_against_dag_edge() {
     let slot = |t: rescc_ir::TaskId| KernelSlot {
         task: t,
         primitive: Primitive::Recv,
-        peer: dag.task(t).src,
-        chunk: dag.task(t).chunk,
-        sub_pipeline: 0,
         fused_with_prev: false,
     };
     program.ranks[0].tbs.push(TbProgram {

@@ -494,7 +494,7 @@ impl CompiledPlan {
 
     /// Emit the generated pseudo-CUDA kernels for all ranks.
     pub fn emit_kernels(&self) -> String {
-        emit_all(&self.program)
+        emit_all(&self.program, &self.dag, &self.alloc)
     }
 
     /// The α–β–γ makespan lower bound certified by the sanitize phase for

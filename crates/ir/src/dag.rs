@@ -25,10 +25,13 @@ use crate::dense::Csr;
 use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
 use rescc_lang::provenance::step_groups;
-use rescc_lang::AlgoSpec;
-use rescc_topology::{ChunkId, LinkParams, ResourceId, Topology, MAX_PATH_RESOURCES};
+use rescc_lang::{AlgoSpec, TransferRec};
+use rescc_topology::{
+    ChunkId, LinkParams, Rank, ResourceId, ResourceSet, Topology, MAX_PATH_RESOURCES,
+};
+use std::sync::Arc;
 
-/// The conflict resources of one task as **dense indices** (positions in
+/// The conflict resources of one route as **dense indices** (positions in
 /// the DAG's sorted resource table), stored inline so the scheduler's
 /// per-resource load bookkeeping stays allocation-free.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,10 +53,35 @@ impl DenseResSet {
     }
 }
 
+/// One entry of the route table: everything about a task that depends
+/// only on its `(src, dst)` pair under the topology's health.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Route {
+    src: Rank,
+    dst: Rank,
+    /// Conflict resources (the communication-dependency domain of §3).
+    conflict: ResourceSet,
+    /// Every capacity resource the path traverses.
+    path: ResourceSet,
+    /// `conflict` as dense indices.
+    dense: DenseResSet,
+}
+
 /// The dependency DAG for one algorithm on one topology.
+///
+/// Each per-task fact is stored once. Task `i` is transfer `i` of the
+/// spec, whose records the DAG shares rather than copies, and its route
+/// is an index into a table with one entry per distinct `(src, dst)` pair.
+/// [`DepDag::task`] assembles a [`Task`] from the two.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DepDag {
-    tasks: Vec<Task>,
+    /// The spec's transfer records, task `i` being record `i`. A residual
+    /// DAG owns the subset it kept.
+    transfers: Arc<[TransferRec]>,
+    /// Each task's entry in `routes`.
+    route_of: Vec<u32>,
+    /// One route per distinct `(src, dst)` pair, in order of first use.
+    routes: Vec<Route>,
     /// Data-dependency predecessors of each task (CSR).
     preds: Csr<TaskId>,
     /// Data-dependency successors of each task (CSR).
@@ -64,8 +92,6 @@ pub struct DepDag {
     /// Every conflict resource any task occupies, ascending. A resource's
     /// position here is its **dense index**.
     resource_ids: Vec<ResourceId>,
-    /// Per-task conflict sets as dense indices (parallel to `tasks`).
-    conflict_dense: Vec<DenseResSet>,
     /// Concurrency limit of each conflict resource (indexed densely): how
     /// many tasks can drive it before a communication dependency (Eq. 1
     /// contention) arises — the resource's `saturation_tbs`.
@@ -93,57 +119,73 @@ impl DepDag {
             )));
         }
 
-        // Materialize tasks in declaration order.
-        let mut tasks = Vec::with_capacity(spec.transfers().len());
-        for (i, rec) in spec.transfers().iter().enumerate() {
-            let conn = topo.connection(rec.src, rec.dst);
-            tasks.push(Task {
-                id: TaskId::new(i as u32),
-                src: rec.src,
-                dst: rec.dst,
-                step: rec.step,
-                chunk: rec.chunk,
-                comm: rec.comm,
-                conflict: conn.conflict,
-                path: conn.path,
-            });
-        }
+        // Tasks are the spec's transfers in declaration order; each
+        // distinct pair's route is resolved once.
+        let transfers = spec.shared_transfers();
+        let (route_of, routes) = intern_routes(&transfers, spec.n_ranks(), |t| {
+            let conn = topo.connection(transfers[t].src, transfers[t].dst);
+            (conn.conflict, conn.path)
+        });
 
-        let n = tasks.len();
         let n_chunks = spec.n_chunks();
         // Tasks of each chunk in (step, id) order: a counting sort by step
         // (ids ascending within a step), then a stable one by chunk.
-        let n_steps = tasks
+        let n_steps = transfers
             .iter()
             .map(|t| t.step.0 as usize + 1)
             .max()
             .unwrap_or(0);
-        let by_step = Csr::from_pairs(n_steps, tasks.iter().map(|t| (t.step.0, t.id)));
+        let by_step = Csr::from_pairs(
+            n_steps,
+            transfers
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.step.0, TaskId::new(i as u32))),
+        );
         let by_chunk = Csr::from_pairs(
             n_chunks as usize,
             by_step
                 .items()
                 .iter()
-                .map(|&id| (tasks[id.index()].chunk.0, id)),
+                .map(|&id| (transfers[id.index()].chunk.0, id)),
         );
 
         // Data dependencies, per chunk in ascending chunk order. Every edge
         // into a task is found while that task is visited, so `preds` rows
         // and `succs` rows are the edges' arrival order.
-        let edges = data_edges(&tasks, &by_chunk, spec.n_ranks() as usize);
+        let n = transfers.len();
+        let edges = data_edges(&transfers, &by_chunk, spec.n_ranks() as usize);
         let preds = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (to.0, from)));
         let succs = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (from.0, to)));
 
-        let (resource_ids, conflict_dense, conflict_limit, link_params) =
-            index_resources(&tasks, topo)?;
+        Self::assemble(
+            transfers,
+            (route_of, routes),
+            [preds, succs, by_chunk],
+            n_chunks,
+            topo,
+        )
+    }
 
+    /// Finish a DAG from its task table, route table and adjacency
+    /// (`[preds, succs, by_chunk]`): index the conflict resources against
+    /// `topo` and check for cycles.
+    fn assemble(
+        transfers: Arc<[TransferRec]>,
+        (route_of, mut routes): (Vec<u32>, Vec<Route>),
+        [preds, succs, by_chunk]: [Csr<TaskId>; 3],
+        n_chunks: u32,
+        topo: &Topology,
+    ) -> Result<Self> {
+        let (resource_ids, conflict_limit, link_params) = index_resources(&mut routes, topo)?;
         let dag = Self {
-            tasks,
+            transfers,
+            route_of,
+            routes,
             preds,
             succs,
             by_chunk,
             resource_ids,
-            conflict_dense,
             conflict_limit,
             link_params,
             n_chunks,
@@ -161,31 +203,35 @@ impl DepDag {
         Self::build(spec, topo)
     }
 
-    /// Re-resolve every task's route against `topo` (same shape, possibly
+    /// Re-resolve every route against `topo` (same shape, possibly
     /// different [health mask](rescc_topology::TopologyHealth)) and return
     /// the patched DAG together with the ids of the tasks whose route
-    /// actually changed.
+    /// actually changed, ascending.
     ///
     /// Data-dependency edges are topology-independent (they follow the
     /// algorithm's `(rank, chunk, step)` structure), so the adjacency
-    /// arenas are reused as-is; only the tasks' conflict/path sets and the
-    /// resource index are rebuilt. This is the analysis step of delta
-    /// recompilation: `O(tasks)` with no edge re-derivation.
+    /// arenas and the task table are reused as-is; only the route table
+    /// and the resource index are rebuilt. This is the analysis step of
+    /// delta recompilation: one route resolution per distinct pair and
+    /// one pass over the tasks, with no edge re-derivation.
     pub fn reroute(&self, topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
         let mut patched = self.clone();
-        let mut dirty = Vec::new();
-        for t in &mut patched.tasks {
-            let conn = topo.connection(t.src, t.dst);
-            if t.conflict != conn.conflict || t.path != conn.path {
-                t.conflict = conn.conflict;
-                t.path = conn.path;
-                dirty.push(t.id);
+        let mut moved = vec![false; patched.routes.len()];
+        for (route, moved) in patched.routes.iter_mut().zip(&mut moved) {
+            let conn = topo.connection(route.src, route.dst);
+            if route.conflict != conn.conflict || route.path != conn.path {
+                route.conflict = conn.conflict;
+                route.path = conn.path;
+                *moved = true;
             }
         }
+        let dirty: Vec<TaskId> = (0..patched.len() as u32)
+            .map(TaskId::new)
+            .filter(|id| moved[patched.route_of[id.index()] as usize])
+            .collect();
         if !dirty.is_empty() {
-            let (ids, dense, limits, params) = index_resources(&patched.tasks, topo)?;
+            let (ids, limits, params) = index_resources(&mut patched.routes, topo)?;
             patched.resource_ids = ids;
-            patched.conflict_dense = dense;
             patched.conflict_limit = limits;
             patched.link_params = params;
         }
@@ -196,8 +242,9 @@ impl DepDag {
     /// renumbering them contiguously, and drop every edge touching a
     /// pruned task — a kept task whose predecessors all completed becomes
     /// a new root, which is precisely the re-rooting partial-progress
-    /// recovery needs. Per-chunk lists and the dense resource index are
-    /// rebuilt against `topo`; chunk ids are preserved.
+    /// recovery needs. Kept tasks keep their routes. Per-chunk lists and
+    /// the dense resource index are rebuilt against `topo`; chunk ids are
+    /// preserved.
     ///
     /// Returns the residual DAG plus the map from residual task id to the
     /// original [`TaskId`] (`orig_ids[residual.index()]`), so callers can
@@ -206,14 +253,14 @@ impl DepDag {
     /// Fails when the mask's length mismatches, when nothing is kept, or
     /// (defensively) when the residual adjacency has a cycle.
     pub fn residual(&self, keep: &[bool], topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
-        if keep.len() != self.tasks.len() {
+        if keep.len() != self.len() {
             return Err(IrError::new(format!(
                 "keep mask covers {} tasks, DAG has {}",
                 keep.len(),
-                self.tasks.len()
+                self.len()
             )));
         }
-        let mut new_id = vec![u32::MAX; self.tasks.len()];
+        let mut new_id = vec![u32::MAX; self.len()];
         let mut orig_ids: Vec<TaskId> = Vec::new();
         for (i, &k) in keep.iter().enumerate() {
             if k {
@@ -226,12 +273,14 @@ impl DepDag {
                 "residual DAG would be empty — nothing left to execute",
             ));
         }
-        let mut tasks: Vec<Task> = Vec::with_capacity(orig_ids.len());
-        for &oid in &orig_ids {
-            let mut t = self.tasks[oid.index()];
-            t.id = TaskId::new(tasks.len() as u32);
-            tasks.push(t);
-        }
+        let transfers: Arc<[TransferRec]> = orig_ids
+            .iter()
+            .map(|id| self.transfers[id.index()])
+            .collect();
+        let (route_of, routes) = intern_routes(&transfers, self.n_chunks, |t| {
+            let kept = self.route(orig_ids[t]);
+            (kept.conflict, kept.path)
+        });
         // Surviving edges, remapped. New ids are monotone in original ids,
         // so filtered rows (including the (step, id)-sorted chunk chains)
         // keep their order.
@@ -248,41 +297,64 @@ impl DepDag {
         let preds = remap(&self.preds, orig_ids.len(), &|row| orig_ids[row].index());
         let succs = remap(&self.succs, orig_ids.len(), &|row| orig_ids[row].index());
         let by_chunk = remap(&self.by_chunk, self.n_chunks as usize, &|c| c);
-        let (resource_ids, conflict_dense, conflict_limit, link_params) =
-            index_resources(&tasks, topo)?;
-        let dag = Self {
-            tasks,
-            preds,
-            succs,
-            by_chunk,
-            resource_ids,
-            conflict_dense,
-            conflict_limit,
-            link_params,
-            n_chunks: self.n_chunks,
-        };
-        dag.topo_order()?;
+        let dag = Self::assemble(
+            transfers,
+            (route_of, routes),
+            [preds, succs, by_chunk],
+            self.n_chunks,
+            topo,
+        )?;
         Ok((dag, orig_ids))
     }
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.transfers.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.transfers.is_empty()
     }
 
-    /// All tasks.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    /// All tasks, in id order.
+    pub fn tasks(&self) -> Tasks<'_> {
+        Tasks { dag: self }
     }
 
-    /// Look up a task.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+    /// Look up a task, assembled from its transfer record and its route.
+    #[inline]
+    pub fn task(&self, id: TaskId) -> Task {
+        let rec = &self.transfers[id.index()];
+        let route = self.route(id);
+        Task {
+            id,
+            src: rec.src,
+            dst: rec.dst,
+            step: rec.step,
+            chunk: rec.chunk,
+            comm: rec.comm,
+            conflict: route.conflict,
+            path: route.path,
+        }
+    }
+
+    /// The transfer record of a task: its endpoints, step, chunk and
+    /// receive semantics, without the route.
+    #[inline]
+    pub fn transfer(&self, id: TaskId) -> &TransferRec {
+        &self.transfers[id.index()]
+    }
+
+    #[inline]
+    fn route(&self, id: TaskId) -> &Route {
+        &self.routes[self.route_of[id.index()] as usize]
+    }
+
+    /// How many distinct routes the tasks take: one per distinct
+    /// `(src, dst)` pair.
+    pub fn n_routes(&self) -> usize {
+        self.routes.len()
     }
 
     /// Data-dependency predecessors of `id`.
@@ -322,8 +394,9 @@ impl DepDag {
     }
 
     /// The conflict resources of `id` as dense indices.
+    #[inline]
     pub fn conflict_dense(&self, id: TaskId) -> &DenseResSet {
-        &self.conflict_dense[id.index()]
+        &self.route(id).dense
     }
 
     /// How many concurrent tasks conflict resource `res` admits before
@@ -348,7 +421,7 @@ impl DepDag {
     /// A topological order of the data-dependency DAG (Kahn's algorithm).
     /// Returns an error when a cycle exists.
     pub fn topo_order(&self) -> Result<Vec<TaskId>> {
-        let n = self.tasks.len();
+        let n = self.len();
         let mut indeg: Vec<u32> = (0..n).map(|i| self.preds.row(i).len() as u32).collect();
         let mut queue: Vec<TaskId> = (0..n as u32)
             .map(TaskId::new)
@@ -378,7 +451,7 @@ impl DepDag {
     /// exactly once, after all of its predecessors). Used to validate
     /// scheduler output in tests and debug builds.
     pub fn validate_order(&self, order: &[TaskId]) -> Result<()> {
-        let n = self.tasks.len();
+        let n = self.len();
         if order.len() != n {
             return Err(IrError::new(format!(
                 "order covers {}/{} tasks",
@@ -409,19 +482,115 @@ impl DepDag {
     }
 }
 
-/// Build the dense resource index: the sorted resource table, per-task
-/// dense conflict sets, and per-resource conflict limits and parameters.
-#[allow(clippy::type_complexity)]
-fn index_resources(
-    tasks: &[Task],
-    topo: &Topology,
-) -> Result<(Vec<ResourceId>, Vec<DenseResSet>, Vec<u32>, Vec<LinkParams>)> {
-    // Dense index of every raw resource id a task occupies, numbered in
+/// The tasks of a [`DepDag`] in id order: a view that assembles each
+/// [`Task`] from the transfer records and the route table.
+#[derive(Clone, Copy)]
+pub struct Tasks<'a> {
+    dag: &'a DepDag,
+}
+
+impl<'a> Tasks<'a> {
+    /// Number of tasks.
+    pub fn len(&self) -> usize {
+        self.dag.len()
+    }
+
+    /// Whether there are no tasks.
+    pub fn is_empty(&self) -> bool {
+        self.dag.is_empty()
+    }
+
+    /// Every task, by value, in id order.
+    pub fn iter(&self) -> TaskIter<'a> {
+        TaskIter {
+            dag: self.dag,
+            ids: 0..self.dag.len() as u32,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Tasks<'a> {
+    type Item = Task;
+    type IntoIter = TaskIter<'a>;
+
+    fn into_iter(self) -> TaskIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a DAG's tasks by value ([`Tasks::iter`]).
+#[derive(Clone)]
+pub struct TaskIter<'a> {
+    dag: &'a DepDag,
+    ids: std::ops::Range<u32>,
+}
+
+impl Iterator for TaskIter<'_> {
+    type Item = Task;
+
+    fn next(&mut self) -> Option<Task> {
+        self.ids.next().map(|i| self.dag.task(TaskId::new(i)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for TaskIter<'_> {
+    fn next_back(&mut self) -> Option<Task> {
+        self.ids.next_back().map(|i| self.dag.task(TaskId::new(i)))
+    }
+}
+
+impl ExactSizeIterator for TaskIter<'_> {}
+
+/// Intern the routes of `transfers`: each task's index into a table with
+/// one entry per distinct `(src, dst)` pair, numbered in order of first
+/// use, and that table. `resolve(i)` gives the conflict and path sets of
+/// transfer `i`'s pair; it runs once per pair, at the pair's first
+/// transfer. Dense indices are filled in by [`index_resources`].
+fn intern_routes(
+    transfers: &[TransferRec],
+    n_ranks: u32,
+    mut resolve: impl FnMut(usize) -> (ResourceSet, ResourceSet),
+) -> (Vec<u32>, Vec<Route>) {
+    const UNSEEN: u32 = u32::MAX;
+    let n = n_ranks as usize;
+    let mut route_of_pair = vec![UNSEEN; n * n];
+    let mut routes = Vec::new();
+    let route_of = transfers
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let r = &mut route_of_pair[t.src.index() * n + t.dst.index()];
+            if *r == UNSEEN {
+                *r = routes.len() as u32;
+                let (conflict, path) = resolve(i);
+                routes.push(Route {
+                    src: t.src,
+                    dst: t.dst,
+                    conflict,
+                    path,
+                    dense: DenseResSet::default(),
+                });
+            }
+            *r
+        })
+        .collect();
+    (route_of, routes)
+}
+
+/// Build the dense resource index over the routes' conflict sets: the
+/// sorted resource table and the per-resource conflict limits and
+/// parameters. Fills in each route's dense conflict set.
+fn index_resources(routes: &mut [Route], topo: &Topology) -> Result<(Vec<ResourceId>, Vec<u32>, Vec<LinkParams>)> {
+    // Dense index of every raw resource id a route occupies, numbered in
     // ascending raw id; `UNUSED` for the rest.
     const UNUSED: u32 = u32::MAX;
     let mut dense_of: Vec<u32> = Vec::new();
-    for t in tasks {
-        for r in t.conflict.iter() {
+    for route in routes.iter() {
+        for r in route.conflict.iter() {
             if r.index() >= dense_of.len() {
                 dense_of.resize(r.index() + 1, UNUSED);
             }
@@ -435,17 +604,12 @@ fn index_resources(
             resource_ids.push(ResourceId::new(raw as u32));
         }
     }
-
-    let conflict_dense: Vec<DenseResSet> = tasks
-        .iter()
-        .map(|t| {
-            let mut set = DenseResSet::default();
-            for r in t.conflict.iter() {
-                set.push(dense_of[r.index()]);
-            }
-            set
-        })
-        .collect();
+    for route in routes.iter_mut() {
+        route.dense = DenseResSet::default();
+        for r in route.conflict.iter() {
+            route.dense.push(dense_of[r.index()]);
+        }
+    }
 
     let mut conflict_limit = Vec::with_capacity(resource_ids.len());
     let mut link_params = Vec::with_capacity(resource_ids.len());
@@ -456,7 +620,7 @@ fn index_resources(
         conflict_limit.push(params.saturation_tbs.max(1));
         link_params.push(params);
     }
-    Ok((resource_ids, conflict_dense, conflict_limit, link_params))
+    Ok((resource_ids, conflict_limit, link_params))
 }
 
 /// The RAW/WAW edges of every chunk, chunk by chunk in ascending order and,
@@ -473,7 +637,11 @@ fn index_resources(
 /// chunk: rank `r`'s latest writers are the list `head[r]`, `next[head[r]]`,
 /// … in delivery order, valid while `stamp[r]` names a step group of the
 /// current chunk.
-fn data_edges(tasks: &[Task], by_chunk: &Csr<TaskId>, n_ranks: usize) -> Vec<(TaskId, TaskId)> {
+fn data_edges(
+    tasks: &[TransferRec],
+    by_chunk: &Csr<TaskId>,
+    n_ranks: usize,
+) -> Vec<(TaskId, TaskId)> {
     const NONE: u32 = u32::MAX;
     let mut head = vec![NONE; n_ranks];
     let mut tail = vec![NONE; n_ranks];

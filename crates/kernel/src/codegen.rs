@@ -10,10 +10,19 @@
 //! one outer micro-batch loop (lazy, algorithm-level execution).
 
 use crate::program::{KernelProgram, LoopOrder, Primitive};
+use rescc_alloc::TbAllocation;
+use rescc_ir::DepDag;
 use std::fmt::Write;
 
-/// Render the kernel source of one rank.
-pub fn emit_rank_kernel(prog: &KernelProgram, rank: usize) -> String {
+/// Render the kernel source of one rank of `prog`, which was generated
+/// from `dag` and `alloc`: a slot's peer and chunk are its task's, and its
+/// sub-pipeline is the one its allocation slot records.
+pub fn emit_rank_kernel(
+    prog: &KernelProgram,
+    dag: &DepDag,
+    alloc: &TbAllocation,
+    rank: usize,
+) -> String {
     let rp = &prog.ranks[rank];
     let mut out = String::new();
     let _ = writeln!(
@@ -35,6 +44,7 @@ pub fn emit_rank_kernel(prog: &KernelProgram, rank: usize) -> String {
     let _ = writeln!(out, "    switch (blockIdx.x) {{");
     for (tb_idx, tb) in rp.tbs.iter().enumerate() {
         let _ = writeln!(out, "    case {tb_idx}: {{ // TB {tb_idx}");
+        let prim_slots = &alloc.per_rank[rank].tbs[tb_idx].slots;
         if tb.slots.is_empty() {
             let _ = writeln!(
                 out,
@@ -67,9 +77,9 @@ pub fn emit_rank_kernel(prog: &KernelProgram, rank: usize) -> String {
                             out,
                             "            {}(args, /*peer=*/{}, /*chunk=*/{}, mb); // sub-pipeline {}{}",
                             prim_name,
-                            slot.peer.0,
-                            slot.chunk.0,
-                            slot.sub_pipeline,
+                            slot.peer(dag).0,
+                            slot.chunk(dag).0,
+                            prim_slots[si].sub_pipeline,
                             if slot.fused_with_prev { ", fused" } else { "" }
                         );
                         let _ = writeln!(
@@ -105,8 +115,8 @@ pub fn emit_rank_kernel(prog: &KernelProgram, rank: usize) -> String {
                             out,
                             "            {}(args, /*peer=*/{}, /*chunk=*/{}, mb);{}",
                             prim_name,
-                            slot.peer.0,
-                            slot.chunk.0,
+                            slot.peer(dag).0,
+                            slot.chunk(dag).0,
                             if slot.fused_with_prev {
                                 " // fused"
                             } else {
@@ -171,8 +181,9 @@ __device__ void prim_recv_reduce_send(ResCCLArgs* args, int peer, int chunk, int
     .to_string()
 }
 
-/// Render all ranks' kernels into one translation unit.
-pub fn emit_all(prog: &KernelProgram) -> String {
+/// Render all ranks' kernels into one translation unit (see
+/// [`emit_rank_kernel`]).
+pub fn emit_all(prog: &KernelProgram, dag: &DepDag, alloc: &TbAllocation) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -182,7 +193,7 @@ pub fn emit_all(prog: &KernelProgram) -> String {
     let _ = writeln!(out, "#include \"resccl_runtime.cuh\"");
     let _ = writeln!(out);
     for rank in 0..prog.ranks.len() {
-        out.push_str(&emit_rank_kernel(prog, rank));
+        out.push_str(&emit_rank_kernel(prog, dag, alloc, rank));
         out.push('\n');
     }
     out
@@ -192,13 +203,11 @@ pub fn emit_all(prog: &KernelProgram) -> String {
 mod tests {
     use super::*;
     use crate::program::{ExecMode, KernelProgram, LoopOrder};
-    use rescc_alloc::TbAllocation;
-    use rescc_ir::DepDag;
     use rescc_lang::{AlgoBuilder, OpType};
     use rescc_sched::hpds;
     use rescc_topology::Topology;
 
-    fn program(order: LoopOrder) -> KernelProgram {
+    fn program(order: LoopOrder) -> (KernelProgram, DepDag, TbAllocation) {
         let mut b = AlgoBuilder::new("Ring", OpType::AllGather, 4);
         for r in 0..4u32 {
             for step in 0..3u32 {
@@ -208,13 +217,14 @@ mod tests {
         let dag = DepDag::build(&b.build().unwrap(), &Topology::a100(1, 4)).unwrap();
         let s = hpds(&dag);
         let alloc = TbAllocation::state_based(&dag, &s);
-        KernelProgram::generate("Ring", &dag, &alloc, order, ExecMode::DirectKernel)
+        let p = KernelProgram::generate("Ring", &dag, &alloc, order, ExecMode::DirectKernel);
+        (p, dag, alloc)
     }
 
     #[test]
     fn emits_one_kernel_per_rank() {
-        let p = program(LoopOrder::SlotMajor);
-        let src = emit_all(&p);
+        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
+        let src = emit_all(&p, &dag, &alloc);
         for r in 0..4 {
             assert!(src.contains(&format!("resccl_kernel_r{r}")));
         }
@@ -222,8 +232,8 @@ mod tests {
 
     #[test]
     fn slot_major_has_loop_per_slot() {
-        let p = program(LoopOrder::SlotMajor);
-        let src = emit_rank_kernel(&p, 0);
+        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
+        let src = emit_rank_kernel(&p, &dag, &alloc, 0);
         let loops = src.matches("for (int mb").count();
         let prims = src.matches("prim_").count();
         assert_eq!(loops, prims, "one micro-batch loop per primitive slot");
@@ -231,8 +241,8 @@ mod tests {
 
     #[test]
     fn micro_batch_major_has_one_loop_per_tb() {
-        let p = program(LoopOrder::MicroBatchMajor);
-        let src = emit_rank_kernel(&p, 0);
+        let (p, dag, alloc) = program(LoopOrder::MicroBatchMajor);
+        let src = emit_rank_kernel(&p, &dag, &alloc, 0);
         let loops = src.matches("for (int mb").count();
         let tbs = p.ranks[0]
             .tbs
@@ -280,7 +290,7 @@ mod tests {
         );
         let stats = fuse(&mut prog, &dag);
         assert!(stats.total() > 0, "ring transits must fuse");
-        let src = emit_all(&prog);
+        let src = emit_all(&prog, &dag, &alloc);
         assert!(
             src.contains("prim_recv_copy_send"),
             "fused codegen missing:\n{src}"
@@ -290,8 +300,8 @@ mod tests {
 
     #[test]
     fn every_slot_waits_and_posts() {
-        let p = program(LoopOrder::SlotMajor);
-        let src = emit_all(&p);
+        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
+        let src = emit_all(&p, &dag, &alloc);
         assert_eq!(
             src.matches("wait_deps").count(),
             src.matches("post_done").count()

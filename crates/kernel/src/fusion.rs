@@ -66,9 +66,10 @@ pub fn fuse(program: &mut KernelProgram, dag: &DepDag) -> FusionStats {
                 }
                 let prev_is_recv =
                     matches!(prev.primitive, Primitive::Recv | Primitive::RecvReduceCopy);
+                let (a, b) = (dag.transfer(prev.task), dag.transfer(cur.task));
                 if !prev_is_recv
-                    || prev.chunk != cur.chunk
-                    || dag.task(prev.task).dst != dag.task(cur.task).src
+                    || a.chunk != b.chunk
+                    || a.dst != b.src
                     || !dag.preds(cur.task).contains(&prev.task)
                 {
                     continue;

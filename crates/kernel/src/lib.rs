@@ -26,7 +26,7 @@
 //! let prog = KernelProgram::generate("Ring", &dag, &alloc,
 //!     LoopOrder::SlotMajor, ExecMode::DirectKernel);
 //! prog.validate(&dag).unwrap();
-//! let cuda = emit_rank_kernel(&prog, 0);
+//! let cuda = emit_rank_kernel(&prog, &dag, &alloc, 0);
 //! assert!(cuda.contains("__global__ void resccl_kernel_r0"));
 //! ```
 

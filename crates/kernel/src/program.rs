@@ -101,19 +101,16 @@ impl ExecMode {
     }
 }
 
-/// One pipeline slot of a TB: a primitive, its task, peer and chunk.
+/// One pipeline slot of a TB: a primitive and the task it implements one
+/// side of. Everything else about the slot is the task's: [`Self::peer`]
+/// and [`Self::chunk`] read it from the DAG, and the sub-pipeline is the
+/// one its allocation slot records ([`PrimSlot::sub_pipeline`](rescc_alloc::PrimSlot)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelSlot {
     /// The transmission task this slot implements one side of.
     pub task: TaskId,
     /// The primitive executed.
     pub primitive: Primitive,
-    /// The remote rank.
-    pub peer: Rank,
-    /// The chunk operated on.
-    pub chunk: ChunkId,
-    /// Sub-pipeline index (pipeline dimension).
-    pub sub_pipeline: usize,
     /// Set by the fusion pass: this send executes fused with the previous
     /// receive slot (`recvCopySend` / `recvReduceSend`), eliding its
     /// startup latency.
@@ -124,6 +121,22 @@ impl KernelSlot {
     /// Whether this is the sending side of its task.
     pub fn is_send(&self) -> bool {
         self.primitive == Primitive::Send
+    }
+
+    /// The remote rank: the task's receiver for a send, its sender for a
+    /// receive.
+    pub fn peer(&self, dag: &DepDag) -> Rank {
+        let t = dag.transfer(self.task);
+        if self.is_send() {
+            t.dst
+        } else {
+            t.src
+        }
+    }
+
+    /// The chunk operated on.
+    pub fn chunk(&self, dag: &DepDag) -> ChunkId {
+        dag.transfer(self.task).chunk
     }
 }
 
@@ -138,20 +151,10 @@ fn lower_rank(dag: &DepDag, r: usize, plan: &rescc_alloc::RankTbPlan) -> RankPro
                 slots: tb
                     .slots
                     .iter()
-                    .map(|slot| {
-                        let t = dag.task(slot.task);
-                        KernelSlot {
-                            task: slot.task,
-                            primitive: Primitive::for_side(slot.dir, t.comm),
-                            peer: if slot.dir == Direction::Send {
-                                t.dst
-                            } else {
-                                t.src
-                            },
-                            chunk: t.chunk,
-                            sub_pipeline: slot.sub_pipeline,
-                            fused_with_prev: false,
-                        }
+                    .map(|slot| KernelSlot {
+                        task: slot.task,
+                        primitive: Primitive::for_side(slot.dir, dag.transfer(slot.task).comm),
+                        fused_with_prev: false,
                     })
                     .collect(),
                 mb_stride: tb.mb_stride,
@@ -291,10 +294,10 @@ impl KernelProgram {
             .sum()
     }
 
-    /// Validate structural invariants: every task has exactly one Send slot
-    /// (on its src rank) and one receive-side slot (on its dst rank), with
-    /// the primitive matching the task's comm type, and barrier groups, if
-    /// any, name one group per task.
+    /// Validate structural invariants: every task has as many Send slots
+    /// (on its src rank) as receive-side slots (on its dst rank), at least
+    /// one each, with the primitive matching the task's comm type, and
+    /// barrier groups, if any, name one group per task.
     pub fn validate(&self, dag: &DepDag) -> Result<(), IrError> {
         if let Some(groups) = &self.barrier_groups {
             if groups.len() != dag.len() {
@@ -310,13 +313,13 @@ impl KernelProgram {
         for rp in &self.ranks {
             for tb in &rp.tbs {
                 for slot in &tb.slots {
-                    let t = dag.task(slot.task);
+                    let t = dag.transfer(slot.task);
                     match slot.primitive {
                         Primitive::Send => {
-                            if rp.rank != t.src || slot.peer != t.dst {
+                            if rp.rank != t.src {
                                 return Err(IrError::new(format!(
                                     "send slot of {} misplaced (rank {}, peer {})",
-                                    slot.task, rp.rank, slot.peer
+                                    slot.task, rp.rank, t.dst
                                 )));
                             }
                             send[slot.task.index()] += 1;
@@ -329,20 +332,14 @@ impl KernelProgram {
                                     slot.task, slot.primitive
                                 )));
                             }
-                            if rp.rank != t.dst || slot.peer != t.src {
+                            if rp.rank != t.dst {
                                 return Err(IrError::new(format!(
                                     "recv slot of {} misplaced (rank {}, peer {})",
-                                    slot.task, rp.rank, slot.peer
+                                    slot.task, rp.rank, t.src
                                 )));
                             }
                             recv[slot.task.index()] += 1;
                         }
-                    }
-                    if slot.chunk != t.chunk {
-                        return Err(IrError::new(format!(
-                            "slot of {} names chunk {}, task moves {}",
-                            slot.task, slot.chunk, t.chunk
-                        )));
                     }
                 }
             }

@@ -9,7 +9,7 @@
 use crate::ast::{CommType, OpType};
 use crate::error::{LangError, Result};
 use rescc_topology::{ChunkId, Rank, Step};
-use std::collections::HashSet;
+use std::sync::Arc;
 
 /// One transmission task declared by the algorithm: move `chunk` from
 /// `src` to `dst` at logical time `step`, applying `comm` at the receiver.
@@ -28,13 +28,16 @@ pub struct TransferRec {
 }
 
 /// A validated collective algorithm specification.
+///
+/// The transfers live in one shared allocation: clones of the spec, and
+/// the dependency DAG built from it, point at the same records.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AlgoSpec {
     name: String,
     op: OpType,
     n_ranks: u32,
     n_chunks: u32,
-    transfers: Vec<TransferRec>,
+    transfers: Arc<[TransferRec]>,
 }
 
 impl AlgoSpec {
@@ -64,8 +67,21 @@ impl AlgoSpec {
                 "algorithm `{name}` declares no transfers"
             )));
         }
-        let mut seen = HashSet::with_capacity(transfers.len());
-        for t in &transfers {
+        // Range checks and the duplicate check each find their first
+        // offending transfer; the earlier one is reported, as one pass in
+        // declaration order would.
+        let bad = transfers.iter().position(|t| {
+            t.src.0 >= n_ranks || t.dst.0 >= n_ranks || t.src == t.dst || t.chunk.0 >= n_chunks
+        });
+        let dup = first_duplicate(&transfers[..bad.unwrap_or(transfers.len())], n_ranks);
+        if let Some(i) = dup {
+            let t = &transfers[i];
+            return Err(LangError::eval(format!(
+                "`{name}`: duplicate transfer ({}, {}, {}, {})",
+                t.src, t.dst, t.step, t.chunk
+            )));
+        }
+        if let Some(t) = bad.map(|i| &transfers[i]) {
             if t.src.0 >= n_ranks || t.dst.0 >= n_ranks {
                 return Err(LangError::eval(format!(
                     "`{name}`: transfer {}->{} outside rank range 0..{n_ranks}",
@@ -78,25 +94,17 @@ impl AlgoSpec {
                     t.src, t.step, t.chunk
                 )));
             }
-            if t.chunk.0 >= n_chunks {
-                return Err(LangError::eval(format!(
-                    "`{name}`: chunk {} outside chunk range 0..{n_chunks}",
-                    t.chunk
-                )));
-            }
-            if !seen.insert((t.src, t.dst, t.step, t.chunk)) {
-                return Err(LangError::eval(format!(
-                    "`{name}`: duplicate transfer ({}, {}, {}, {})",
-                    t.src, t.dst, t.step, t.chunk
-                )));
-            }
+            return Err(LangError::eval(format!(
+                "`{name}`: chunk {} outside chunk range 0..{n_chunks}",
+                t.chunk
+            )));
         }
         Ok(Self {
             name,
             op,
             n_ranks,
             n_chunks,
-            transfers,
+            transfers: transfers.into(),
         })
     }
 
@@ -126,6 +134,12 @@ impl AlgoSpec {
         &self.transfers
     }
 
+    /// The shared allocation behind [`Self::transfers`], for a table that
+    /// indexes the same records instead of copying them.
+    pub fn shared_transfers(&self) -> Arc<[TransferRec]> {
+        Arc::clone(&self.transfers)
+    }
+
     /// The largest step index used, or 0 for a one-shot algorithm.
     pub fn max_step(&self) -> Step {
         self.transfers
@@ -135,17 +149,20 @@ impl AlgoSpec {
             .unwrap_or(Step::new(0))
     }
 
-    /// The distinct ordered GPU pairs (connections) the algorithm uses.
+    /// The distinct ordered GPU pairs (connections) the algorithm uses,
+    /// ascending.
     pub fn connections(&self) -> Vec<(Rank, Rank)> {
-        let mut set: Vec<(Rank, Rank)> = self
+        let n = u64::from(self.n_ranks);
+        let mut keys: Vec<u64> = self
             .transfers
             .iter()
-            .map(|t| (t.src, t.dst))
-            .collect::<HashSet<_>>()
-            .into_iter()
+            .map(|t| u64::from(t.src.0) * n + u64::from(t.dst.0))
             .collect();
-        set.sort();
-        set
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
+            .map(|k| (Rank::new((k / n) as u32), Rank::new((k % n) as u32)))
+            .collect()
     }
 
     /// Rename the algorithm (used when deriving variants).
@@ -153,6 +170,45 @@ impl AlgoSpec {
         self.name = name.into();
         self
     }
+}
+
+/// The first transfer, in declaration order, whose `(src, dst, step,
+/// chunk)` tuple an earlier transfer already declared. Ranks and chunks
+/// must be in range.
+///
+/// Each tuple packs into one integer (a `u64` whenever the tuple space
+/// fits, else a `u128`), and one sort of the packed keys finds whether any
+/// repeats. Only then is the first repeat located, in a second pass.
+fn first_duplicate(transfers: &[TransferRec], n_ranks: u32) -> Option<usize> {
+    let n = u128::from(n_ranks);
+    let steps = transfers.iter().map(|t| t.step.0).max().map_or(1, |s| u128::from(s) + 1);
+    let pack = |t: &TransferRec| {
+        ((u128::from(t.src.0) * n + u128::from(t.dst.0)) * n + u128::from(t.chunk.0)) * steps
+            + u128::from(t.step.0)
+    };
+    if n * n * n * steps <= u128::from(u64::MAX) {
+        first_repeat(transfers, |t| pack(t) as u64)
+    } else {
+        first_repeat(transfers, pack)
+    }
+}
+
+/// The first transfer whose key an earlier transfer has.
+fn first_repeat<K: Ord + Copy>(
+    transfers: &[TransferRec],
+    key: impl Fn(&TransferRec) -> K,
+) -> Option<usize> {
+    let mut keys: Vec<K> = transfers.iter().map(&key).collect();
+    keys.sort_unstable();
+    if !keys.windows(2).any(|w| w[0] == w[1]) {
+        return None;
+    }
+    keys.dedup();
+    let mut seen = vec![false; keys.len()];
+    transfers.iter().position(|t| {
+        let k = keys.binary_search(&key(t)).expect("every key was collected");
+        std::mem::replace(&mut seen[k], true)
+    })
 }
 
 #[cfg(test)]
@@ -212,6 +268,62 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn reports_the_first_repeat_in_declaration_order() {
+        // Two duplicate pairs: (0, 1, 2, 1) repeats at index 3 and
+        // (1, 0, 0, 0) at index 4. Sorted, the (1, 0, ..) pair comes last
+        // and the (0, 1, ..) pair first; the report names the transfer
+        // declared first among the repeats.
+        let e = AlgoSpec::new(
+            "t",
+            OpType::AllGather,
+            2,
+            vec![
+                rec(1, 0, 0, 0),
+                rec(0, 1, 2, 1),
+                rec(0, 1, 0, 0),
+                rec(0, 1, 2, 1),
+                rec(1, 0, 0, 0),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "evaluation error: `t`: duplicate transfer (r0, r1, s2, c1)"
+        );
+        // A range error after the first repeat does not hide it; one
+        // before it wins.
+        let e = AlgoSpec::new(
+            "t",
+            OpType::AllGather,
+            2,
+            vec![rec(0, 1, 0, 0), rec(0, 1, 0, 0), rec(0, 2, 0, 0)],
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("duplicate"), "{e}");
+        let e = AlgoSpec::new(
+            "t",
+            OpType::AllGather,
+            2,
+            vec![rec(0, 1, 0, 0), rec(1, 1, 0, 0), rec(0, 1, 0, 0)],
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("self-transfer"), "{e}");
+    }
+
+    #[test]
+    fn connections_are_distinct_and_ascending() {
+        let s = AlgoSpec::new(
+            "t",
+            OpType::AllGather,
+            3,
+            vec![rec(2, 0, 0, 0), rec(0, 1, 0, 1), rec(2, 0, 1, 1), rec(0, 2, 0, 2)],
+        )
+        .unwrap();
+        let pairs: Vec<(u32, u32)> = s.connections().iter().map(|(a, b)| (a.0, b.0)).collect();
+        assert_eq!(pairs, [(0, 1), (0, 2), (2, 0)]);
     }
 
     #[test]

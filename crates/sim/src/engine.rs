@@ -49,7 +49,7 @@ use crate::trace::{FaultRecord, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
-use rescc_kernel::{KernelProgram, LoopOrder};
+use rescc_kernel::{KernelProgram, KernelSlot, LoopOrder};
 use rescc_lang::provenance::{Counts, Move, Runs, Slots};
 use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
@@ -665,10 +665,11 @@ impl EventQueue {
     }
 }
 
-/// One issue group of a TB: `len` slots starting at `first_slot`, all
-/// issued together for micro-batch `mb`. A fused `recv -> send` pair forms
-/// a 2-slot group (cut-through: both transfers in flight concurrently);
-/// unfused slots are singleton groups.
+/// One issue group of a TB: `len` slots starting at `first_slot` (an index
+/// into the engine's flat slot table), all issued together for
+/// micro-batch `mb`. A fused `recv -> send` pair forms a 2-slot group
+/// (cut-through: both transfers in flight concurrently); unfused slots are
+/// singleton groups.
 #[derive(Clone, Copy)]
 struct IssueGroup {
     first_slot: u32,
@@ -676,13 +677,29 @@ struct IssueGroup {
     mb: u32,
 }
 
+/// One issue segment of a TB: a run of slots issued together, `len` slots
+/// from `first_slot` in the flat slot table. Fused slots glue to their
+/// predecessor; every other slot starts a segment.
+#[derive(Clone, Copy)]
+struct Segment {
+    first_slot: u32,
+    len: u32,
+}
+
 struct TbState {
     rank: u32,
     tb: u32,
-    prog_rank: usize,
-    prog_tb: usize,
-    groups: Vec<IssueGroup>,
-    group_idx: usize,
+    /// The TB's segments: `segments[first_segment..][..n_segments]`.
+    first_segment: u32,
+    n_segments: u32,
+    /// Micro-batches the TB owns: `offset + k * stride` for `k < window`.
+    window: u32,
+    stride: u32,
+    offset: u32,
+    /// The TB's issue groups, `n_segments * window` of them, walked in
+    /// index order; [`Engine::group`] gives group `i`.
+    n_groups: u32,
+    group_idx: u32,
     group_remaining: u32,
     /// Fused forwards issued but not yet drained. They never gate
     /// `group_remaining` — the TB advances to its next micro-batch as soon
@@ -695,6 +712,12 @@ struct TbState {
     n_inv: u64,
 }
 
+impl TbState {
+    fn done(&self) -> bool {
+        self.group_idx >= self.n_groups
+    }
+}
+
 #[derive(Clone, Copy)]
 struct InvState {
     deps_remaining: u32,
@@ -704,7 +727,8 @@ struct InvState {
     recv_arrival: f64,
     started: bool,
     done: bool,
-    /// Transfer index once started.
+    /// Transfer slot while in flight, `NONE` before the start and after
+    /// the completion.
     transfer: u32,
 }
 
@@ -732,9 +756,6 @@ struct Transfer {
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
     pending_complete: bool,
-    /// Calls of [`project`] on this transfer.
-    #[cfg(test)]
-    projections: u32,
 }
 
 /// Settle a draining transfer's progress up to `now` at its old rate, take
@@ -742,10 +763,6 @@ struct Transfer {
 /// projected drain finish.
 fn project(t: &mut Transfer, resources: &[ResState], now: f64) -> f64 {
     debug_assert!(t.draining);
-    #[cfg(test)]
-    {
-        t.projections += 1;
-    }
     t.remaining -= t.rate * (now - t.last_update);
     t.remaining = t.remaining.max(0.0);
     t.last_update = now;
@@ -817,11 +834,22 @@ struct Engine<'a> {
     n_mb: u32,
     now: f64,
     tbs: Vec<TbState>,
+    /// Every TB's slots, TB after TB, in program order.
+    slots: Vec<KernelSlot>,
+    /// Every TB's issue segments, TB after TB.
+    segments: Vec<Segment>,
     invs: Vec<InvState>,
+    /// In-flight transfers. A slot is freed when its invocation completes
+    /// and reused by the next start, so the table is as long as the most
+    /// transfers ever in flight at once.
     transfers: Vec<Transfer>,
+    /// Free slots of `transfers`.
+    free_transfers: Vec<u32>,
+    /// Bytes moved by every transfer started so far.
+    total_bytes: u64,
     resources: Vec<ResState>,
     /// Event ids: fault transition `i` is `i`, the deadline is
-    /// `fault_sched.len()`, transfer `x` is `fault_sched.len() + 1 + x`.
+    /// `fault_sched.len()`, transfer slot `x` is `fault_sched.len() + 1 + x`.
     events: EventQueue,
     /// Transfers whose rate a load change touched, in first-seen order
     /// (that order assigns their `seq`); reused across events.
@@ -857,6 +885,9 @@ struct Engine<'a> {
     fatal: Option<SimError>,
     /// Bubble attribution (None unless `config.attribute_bubbles`).
     obs: Option<Box<ObsAcc>>,
+    /// Calls of [`project`].
+    #[cfg(test)]
+    projections: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -905,12 +936,11 @@ impl<'a> Engine<'a> {
             p.tb_bw_bytes_per_ns *= factor;
         }
 
-        // TB states.
+        // TB states, over one flat slot table and one flat segment table.
         let mut tbs = Vec::new();
-        // Issue segments of the current TB: fused slots glue to their
-        // predecessor. One buffer serves every TB.
-        let mut segments: Vec<(u32, u32)> = Vec::new();
-        for (pr, rank_prog) in program.ranks.iter().enumerate() {
+        let mut slots: Vec<KernelSlot> = Vec::with_capacity(program.total_slots());
+        let mut segments: Vec<Segment> = Vec::new();
+        for rank_prog in &program.ranks {
             for (pt, tb_prog) in rank_prog.tbs.iter().enumerate() {
                 let stride = tb_prog.mb_stride.max(1);
                 let offset = tb_prog.mb_offset;
@@ -919,43 +949,27 @@ impl<'a> Engine<'a> {
                 } else {
                     (n_mb - offset - 1) / stride + 1
                 };
-                segments.clear();
-                for (si, slot) in tb_prog.slots.iter().enumerate() {
+                let first_segment = segments.len() as u32;
+                for slot in &tb_prog.slots {
                     match segments.last_mut() {
-                        Some(last) if slot.fused_with_prev => last.1 += 1,
-                        _ => segments.push((si as u32, 1)),
+                        Some(last) if slot.fused_with_prev => last.len += 1,
+                        _ => segments.push(Segment {
+                            first_slot: slots.len() as u32,
+                            len: 1,
+                        }),
                     }
+                    slots.push(*slot);
                 }
-                // Issue groups: a segment is issued per micro-batch as one
-                // group; plain slot-major iterates each segment over its
-                // micro-batch window; micro-batch-major iterates all
-                // segments per micro-batch (each micro-batch walks the
-                // pipeline, fused pairs issue together as one
-                // recvCopySend).
-                let group = |&(first_slot, len): &(u32, u32), k: u32| IssueGroup {
-                    first_slot,
-                    len,
-                    mb: offset + k * stride,
-                };
-                let mut groups = Vec::with_capacity(segments.len() * window as usize);
-                match program.loop_order {
-                    LoopOrder::SlotMajor => {
-                        for s in &segments {
-                            groups.extend((0..window).map(|k| group(s, k)));
-                        }
-                    }
-                    LoopOrder::MicroBatchMajor => {
-                        for k in 0..window {
-                            groups.extend(segments.iter().map(|s| group(s, k)));
-                        }
-                    }
-                }
+                let n_segments = segments.len() as u32 - first_segment;
                 tbs.push(TbState {
                     rank: rank_prog.rank.0,
                     tb: pt as u32,
-                    prog_rank: pr,
-                    prog_tb: pt,
-                    groups,
+                    first_segment,
+                    n_segments,
+                    window,
+                    stride,
+                    offset,
+                    n_groups: n_segments * window,
                     group_idx: 0,
                     group_remaining: 0,
                     async_outstanding: 0,
@@ -967,20 +981,18 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Fusion marks (per task) and the feeder relation.
+        // Fusion marks (per task) and the feeder relation. A fused slot
+        // never starts a segment, so its predecessor in the flat table is
+        // its predecessor on its TB.
         let mut fused_task = vec![false; n_tasks];
         let mut fused_pred = vec![NONE; n_tasks];
         let mut fused_next: Vec<Vec<TaskId>> = vec![Vec::new(); n_tasks];
-        for rp in &program.ranks {
-            for tb in &rp.tbs {
-                for (si, slot) in tb.slots.iter().enumerate() {
-                    if slot.fused_with_prev {
-                        fused_task[slot.task.index()] = true;
-                        let feeder = tb.slots[si - 1].task;
-                        fused_pred[slot.task.index()] = feeder.0;
-                        fused_next[feeder.index()].push(slot.task);
-                    }
-                }
+        for (si, slot) in slots.iter().enumerate() {
+            if slot.fused_with_prev {
+                fused_task[slot.task.index()] = true;
+                let feeder = slots[si - 1].task;
+                fused_pred[slot.task.index()] = feeder.0;
+                fused_next[feeder.index()].push(slot.task);
             }
         }
 
@@ -1076,9 +1088,9 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Every invocation left to run starts one transfer, and each
-        // transfer owns one event id after the faults and the deadline.
-        let transfers = (inv_total - inv_done_init) as usize;
+        // Each in-flight transfer owns one event id after the faults and
+        // the deadline; the queue grows its table past the first guess.
+        let first_guess = tbs.len();
         Ok(Self {
             dag,
             program,
@@ -1088,10 +1100,14 @@ impl<'a> Engine<'a> {
             n_mb,
             now: 0.0,
             tbs,
+            slots,
+            segments,
             invs,
-            transfers: Vec::with_capacity(transfers),
+            transfers: Vec::with_capacity(first_guess),
+            free_transfers: Vec::new(),
+            total_bytes: 0,
             resources,
-            events: EventQueue::with_ids(config.faults.events().len() + 1 + transfers),
+            events: EventQueue::with_ids(config.faults.events().len() + 1 + first_guess),
             affected: Vec::new(),
             epoch: 0,
             buffers,
@@ -1116,7 +1132,27 @@ impl<'a> Engine<'a> {
                     ..ObsAcc::default()
                 })
             }),
+            #[cfg(test)]
+            projections: 0,
         })
+    }
+
+    /// Issue group `i` of `tb`. Slot-major programs walk each segment over
+    /// the TB's micro-batch window, then the next segment; micro-batch-major
+    /// programs walk every segment once per micro-batch (each micro-batch
+    /// walks the pipeline, fused pairs issuing together as one
+    /// recvCopySend).
+    fn group(&self, tb: &TbState, i: u32) -> IssueGroup {
+        let (segment, k) = match self.program.loop_order {
+            LoopOrder::SlotMajor => (i / tb.window, i % tb.window),
+            LoopOrder::MicroBatchMajor => (i % tb.n_segments, i / tb.n_segments),
+        };
+        let s = self.segments[(tb.first_segment + segment) as usize];
+        IssueGroup {
+            first_slot: s.first_slot,
+            len: s.len,
+            mb: tb.offset + k * tb.stride,
+        }
     }
 
     /// Is task `task` allowed to start micro-batch `mb` under the
@@ -1171,6 +1207,10 @@ impl<'a> Engine<'a> {
         let first_transfer = self.transfer_event(0);
         while let Some(ev) = self.events.pop(|id| {
             let x = (id - first_transfer) as usize;
+            #[cfg(test)]
+            {
+                self.projections += 1;
+            }
             project(&mut self.transfers[x], &self.resources, self.now)
         }) {
             // Monotonicity tolerance must scale with the clock: at f64 ns
@@ -1254,12 +1294,11 @@ impl<'a> Engine<'a> {
                 capacity: r.params.bandwidth(),
             })
             .collect();
-        let total_bytes = self.transfers.iter().map(|t| t.bytes).sum();
         let obs = self.obs.take().map(|acc| self.build_obs(*acc, completion));
 
         Ok(SimReport {
             completion_ns: completion,
-            total_bytes,
+            total_bytes: self.total_bytes,
             tb_stats,
             resource_stats,
             data_valid,
@@ -1478,18 +1517,18 @@ impl<'a> Engine<'a> {
     fn tb_arrive(&mut self, tb_id: u32) {
         loop {
             let now = self.now;
-            let tb = &mut self.tbs[tb_id as usize];
-            if tb.group_idx >= tb.groups.len() {
+            let tb = &self.tbs[tb_id as usize];
+            if tb.done() {
                 // Released only once every asynchronous fused forward it
                 // issued has drained (otherwise the last completion sets
                 // release).
                 if tb.async_outstanding == 0 {
-                    tb.release = now;
+                    self.tbs[tb_id as usize].release = now;
                 }
                 return;
             }
-            let group = tb.groups[tb.group_idx];
-            let (prog_rank, prog_tb) = (tb.prog_rank, tb.prog_tb);
+            let group = self.group(tb, tb.group_idx);
+            let slots = group.first_slot as usize..(group.first_slot + group.len) as usize;
             // Fused forwards are issued asynchronously: they register their
             // sender side now but do not gate the group, so the TB moves on
             // to the next micro-batch as soon as its gating slots retire —
@@ -1499,8 +1538,7 @@ impl<'a> Engine<'a> {
             let mut gating = 0;
             let mut live_gating = 0;
             let mut live_fused = 0;
-            for si in group.first_slot..group.first_slot + group.len {
-                let slot = self.program.ranks[prog_rank].tbs[prog_tb].slots[si as usize];
+            for slot in &self.slots[slots.clone()] {
                 let done =
                     self.invs[slot.task.index() * self.n_mb as usize + group.mb as usize].done;
                 if slot.fused_with_prev {
@@ -1518,8 +1556,8 @@ impl<'a> Engine<'a> {
             let tb = &mut self.tbs[tb_id as usize];
             tb.group_remaining = live_gating;
             tb.async_outstanding += live_fused;
-            for si in group.first_slot..group.first_slot + group.len {
-                let slot = self.program.ranks[prog_rank].tbs[prog_tb].slots[si as usize];
+            for si in slots {
+                let slot = self.slots[si];
                 let idx = slot.task.index() * self.n_mb as usize + group.mb as usize;
                 let inv = &mut self.invs[idx];
                 if inv.done {
@@ -1623,8 +1661,7 @@ impl<'a> Engine<'a> {
             latency *= 1.0 + self.config.jitter_frac * self.rng.gen::<f64>();
         }
 
-        let x = self.transfers.len() as u32;
-        self.transfers.push(Transfer {
+        let transfer = Transfer {
             task,
             path: t.path,
             mb,
@@ -1640,9 +1677,18 @@ impl<'a> Engine<'a> {
             drain_start: now,
             captured,
             pending_complete: false,
-            #[cfg(test)]
-            projections: 0,
-        });
+        };
+        self.total_bytes += bytes;
+        let x = match self.free_transfers.pop() {
+            Some(x) => {
+                self.transfers[x as usize] = transfer;
+                x
+            }
+            None => {
+                self.transfers.push(transfer);
+                self.transfers.len() as u32 - 1
+            }
+        };
         self.invs[idx].transfer = x;
         self.events.schedule(self.transfer_event(x), now + latency);
 
@@ -1721,7 +1767,15 @@ impl<'a> Engine<'a> {
         let id = self.transfer_event(x);
         let t = &mut self.transfers[x as usize];
         let (resources, now) = (&self.resources, self.now);
-        self.events.reschedule(id, || project(t, resources, now));
+        #[cfg(test)]
+        let projections = &mut self.projections;
+        self.events.reschedule(id, || {
+            #[cfg(test)]
+            {
+                *projections += 1;
+            }
+            project(t, resources, now)
+        });
     }
 
     fn on_drain_done(&mut self, x: u32) {
@@ -1850,9 +1904,11 @@ impl<'a> Engine<'a> {
         self.tbs[send_tb as usize].n_inv += 1;
         self.tbs[recv_tb as usize].n_inv += 1;
 
-        // Mark done, propagate dependencies.
+        // Mark done, free the transfer slot, propagate dependencies.
         let idx = task.index() * self.n_mb as usize + mb as usize;
         self.invs[idx].done = true;
+        self.invs[idx].transfer = NONE;
+        self.free_transfers.push(x);
         self.inv_done += 1;
         self.completion = self.completion.max(now);
         let dag = self.dag;
@@ -1903,7 +1959,7 @@ impl<'a> Engine<'a> {
             if is_async {
                 debug_assert!(tb.async_outstanding > 0, "async retire without issue");
                 tb.async_outstanding -= 1;
-                if tb.async_outstanding == 0 && tb.group_idx >= tb.groups.len() {
+                if tb.async_outstanding == 0 && tb.done() {
                     tb.release = now;
                 }
             } else {
@@ -2017,14 +2073,14 @@ impl<'a> Engine<'a> {
         // Dump each unfinished TB's head group for cycle diagnosis.
         let mut heads = String::new();
         for (i, tb) in self.tbs.iter().enumerate() {
-            if tb.group_idx >= tb.groups.len() {
+            if tb.done() {
                 continue;
             }
-            let g = tb.groups[tb.group_idx];
-            let prog = &self.program.ranks[tb.prog_rank].tbs[tb.prog_tb];
-            let slots: Vec<String> = (g.first_slot..g.first_slot + g.len)
-                .map(|si| {
-                    let slot = &prog.slots[si as usize];
+            let g = self.group(tb, tb.group_idx);
+            let slots: Vec<String> = self.slots
+                [g.first_slot as usize..(g.first_slot + g.len) as usize]
+                .iter()
+                .map(|slot| {
                     let idx = slot.task.index() * self.n_mb as usize + g.mb as usize;
                     let inv = &self.invs[idx];
                     format!(
@@ -2323,13 +2379,17 @@ mod tests {
         let mut engine =
             Engine::new(&topo, &dag, &prog, &plan, OpType::AllGather, &config).unwrap();
         engine.drive().unwrap();
-        let projections: u32 = engine.transfers.iter().map(|t| t.projections).sum();
+        let projections = engine.projections;
         let per_invocation = projections as f64 / engine.inv_done as f64;
         assert!(
             per_invocation <= 2.0,
             "{projections} projections for {} invocations",
             engine.inv_done
         );
+        // 1.86 per invocation. Transfer slots are reused, so the count is
+        // the engine's, not a sum over the transfer table.
+        assert_eq!((projections, engine.inv_done), (416, 224));
+        assert!(engine.transfers.len() < engine.inv_done as usize);
         assert_eq!(engine.report().unwrap().data_valid, Some(true));
     }
 

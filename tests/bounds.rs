@@ -41,7 +41,7 @@ mod metrics {
                 .iter()
                 .map(|p| finish[p.index()])
                 .fold(0.0, f64::max);
-            finish[id.index()] = start + cost_ns(t);
+            finish[id.index()] = start + cost_ns(&t);
             best = best.max(finish[id.index()]);
         }
         best
@@ -52,7 +52,7 @@ mod metrics {
         let mut load: HashMap<ResourceId, f64> = HashMap::new();
         for t in dag.tasks() {
             for r in t.conflict.iter() {
-                *load.entry(r).or_insert(0.0) += cost_ns(t);
+                *load.entry(r).or_insert(0.0) += cost_ns(&t);
             }
         }
         load.into_iter()
@@ -99,7 +99,7 @@ fn check_bounds(spec: &AlgoSpec, topo: &Topology) {
     let serial_all: f64 = dag
         .tasks()
         .iter()
-        .map(|t| task_cost(topo, chunk)(t))
+        .map(|t| task_cost(topo, chunk)(&t))
         .sum::<f64>()
         * n_mb as f64;
 
