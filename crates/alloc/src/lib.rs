@@ -520,7 +520,11 @@ impl Endpoints {
             .into_iter()
             .map(|mut slots| {
                 slots.sort_by_key(|&(key, _)| key);
-                TbPlan::full(slots.into_iter().map(|(_, s)| s.prim()).collect())
+                // A fresh, exact allocation: collecting in place would keep
+                // the larger keyed slots' capacity for the plan's lifetime.
+                let mut prims = Vec::with_capacity(slots.len());
+                prims.extend(slots.iter().map(|(_, s)| s.prim()));
+                TbPlan::full(prims)
             })
             .collect()
     }

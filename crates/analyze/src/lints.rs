@@ -612,6 +612,15 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
 
     // Per-task startup α: the engine charges the max α over the task's
     // conflict resources, and zero for fused forwards.
+    let resource_alpha: Vec<f64> = (0..input.dag.n_dense_resources() as u32)
+        .map(|d| {
+            input
+                .topo
+                .resource_params(input.dag.resource_at(d))
+                .expect("task routed over a resource of this topology")
+                .alpha_ns
+        })
+        .collect();
     let alpha: Vec<f64> = input
         .dag
         .tasks()
@@ -622,7 +631,7 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
             }
             let mut a = 0.0f64;
             for &d in input.dag.conflict_dense(t.id).as_slice() {
-                a = a.max(input.dag.resource_params_at(d).alpha_ns);
+                a = a.max(resource_alpha[d as usize]);
             }
             a
         })

@@ -624,15 +624,23 @@ impl PlanCache {
 }
 
 /// Estimated resident cost of a compiled plan, in bytes — the charge
-/// [`PlanCache::with_byte_budget`] evicts against. A deterministic
-/// size-model (tasks, kernel slots, spec transfers, fixed overhead)
-/// rather than a true allocator measurement, so budgets behave
-/// identically across platforms and replays.
+/// [`PlanCache::with_byte_budget`] evicts against. A deterministic size
+/// model rather than an allocator measurement, so budgets behave
+/// identically across platforms and replays. Its coefficients are the
+/// plan's layout (DESIGN.md §15): per spec transfer, its 20-byte record,
+/// which the DAG shares; per task, the DAG's route index, adjacency and
+/// chunk lists (about 1.5 edges a task) and the schedule's entry; per
+/// kernel slot, a 12-byte allocation slot and an 8-byte kernel slot; per
+/// TB, one TB header in each of the two; per route, one route-table entry.
+/// `crates/core/tests/plan_memory.rs` holds it to within ±20% of the heap
+/// a counting allocator measures.
 pub fn plan_cost_bytes(plan: &CompiledPlan) -> u64 {
+    let transfers = plan.spec.transfers().len() as u64;
     let tasks = plan.dag.len() as u64;
     let slots = plan.program.total_slots() as u64;
-    let transfers = plan.spec.transfers().len() as u64;
-    4096 + tasks * 160 + slots * 48 + transfers * 24
+    let tbs = plan.program.total_tbs() as u64;
+    let routes = plan.dag.n_routes() as u64;
+    4096 + transfers * 20 + tasks * 28 + slots * 20 + tbs * 64 + routes * 72
 }
 
 /// The content fingerprint keying [`PlanCache`] entries: a 64-bit

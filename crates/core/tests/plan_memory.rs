@@ -1,0 +1,157 @@
+//! What a compiled plan costs to keep resident, measured: a counting
+//! global allocator reads the live heap of each artifact of the HM 16×8
+//! plans and of two small HM-AllReduce plans. The test pins a ceiling per
+//! 16×8 plan and holds [`plan_cost_bytes`], the size model the plan cache
+//! budgets against, to within ±20% of the measured heap.
+//!
+//! One test in its own binary: the allocator counts every thread, so no
+//! other test may allocate while it measures.
+
+use rescc_algos::{hm_allgather, hm_allreduce, hm_reduce_scatter};
+use rescc_core::{plan_cost_bytes, CompiledPlan, Compiler};
+use rescc_lang::AlgoSpec;
+use rescc_topology::Topology;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+/// The system allocator, counting the bytes it has live.
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counter only observes the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn live() -> isize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The heap `drop_it` frees.
+fn freed(drop_it: impl FnOnce()) -> usize {
+    let before = live();
+    drop_it();
+    (before - live()) as usize
+}
+
+/// Live heap bytes of one plan, by artifact.
+#[derive(Debug)]
+struct PlanBytes {
+    spec: usize,
+    dag: usize,
+    schedule: usize,
+    alloc: usize,
+    program: usize,
+    rest: usize,
+}
+
+impl PlanBytes {
+    fn total(&self) -> usize {
+        self.spec + self.dag + self.schedule + self.alloc + self.program + self.rest
+    }
+}
+
+/// Compile `spec` for `topo` and measure the plan's heap, then the heap
+/// each artifact frees. The spec's transfer records, which the DAG
+/// shares, are counted with the spec.
+fn measure(spec: impl FnOnce() -> AlgoSpec, topo: &Topology) -> (PlanBytes, u64) {
+    let before = live();
+    let spec = spec();
+    let plan = Compiler::new().compile_spec(&spec, topo).unwrap();
+    drop(spec);
+    let total = (live() - before) as usize;
+    let model = plan_cost_bytes(&plan);
+    let CompiledPlan {
+        spec,
+        dag,
+        schedule,
+        alloc,
+        program,
+        ..
+    } = plan;
+    let bytes = PlanBytes {
+        dag: freed(|| drop(dag)),
+        spec: freed(|| drop(spec)),
+        schedule: freed(|| drop(schedule)),
+        alloc: freed(|| drop(alloc)),
+        program: freed(|| drop(program)),
+        rest: 0,
+    };
+    let rest = total - bytes.total();
+    (PlanBytes { rest, ..bytes }, model)
+}
+
+/// One MiB: sizes are reported and bounded in MiB.
+const MIB: f64 = (1u64 << 20) as f64;
+
+#[test]
+fn resident_plans_fit_their_ceilings_and_the_cost_model() {
+    type Algo = fn(u32, u32) -> AlgoSpec;
+    let cases: [(&str, Algo, u32, Option<f64>); 5] = [
+        ("hm-ar-16x8", hm_allreduce, 16, Some(3.0)),
+        ("hm-ag-16x8", hm_allgather, 16, Some(1.6)),
+        ("hm-rs-16x8", hm_reduce_scatter, 16, Some(1.6)),
+        ("hm-ar-2x8", hm_allreduce, 2, None),
+        ("hm-ar-4x8", hm_allreduce, 4, None),
+    ];
+    let mut failures = Vec::new();
+    for (name, algo, nodes, ceiling_mib) in cases {
+        let (bytes, model) = measure(|| algo(nodes, 8), &Topology::a100(nodes, 8));
+        let total = bytes.total() as f64;
+        println!(
+            "{name}: {:.2} MiB (spec {:.2}, DAG {:.2}, schedule {:.2}, alloc {:.2}, \
+             program {:.2}, rest {:.3}); model {:.2} MiB ({:+.1}%)",
+            total / MIB,
+            bytes.spec as f64 / MIB,
+            bytes.dag as f64 / MIB,
+            bytes.schedule as f64 / MIB,
+            bytes.alloc as f64 / MIB,
+            bytes.program as f64 / MIB,
+            bytes.rest as f64 / MIB,
+            model as f64 / MIB,
+            100.0 * (model as f64 / total - 1.0),
+        );
+        if let Some(ceiling) = ceiling_mib {
+            if total > ceiling * MIB {
+                failures.push(format!(
+                    "{name}: {:.2} MiB resident, above its {ceiling} MiB ceiling",
+                    total / MIB
+                ));
+            }
+        }
+        if (model as f64 - total).abs() > 0.2 * total {
+            failures.push(format!(
+                "{name}: plan_cost_bytes charges {:.2} MiB for {:.2} MiB of heap (outside ±20%)",
+                model as f64 / MIB,
+                total / MIB
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

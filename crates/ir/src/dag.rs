@@ -26,9 +26,7 @@ use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
 use rescc_lang::provenance::step_groups;
 use rescc_lang::{AlgoSpec, TransferRec};
-use rescc_topology::{
-    ChunkId, LinkParams, Rank, ResourceId, ResourceSet, Topology, MAX_PATH_RESOURCES,
-};
+use rescc_topology::{ChunkId, Rank, ResourceId, ResourceSet, Topology, MAX_PATH_RESOURCES};
 use std::sync::Arc;
 
 /// The conflict resources of one route as **dense indices** (positions in
@@ -96,10 +94,6 @@ pub struct DepDag {
     /// many tasks can drive it before a communication dependency (Eq. 1
     /// contention) arises — the resource's `saturation_tbs`.
     conflict_limit: Vec<u32>,
-    /// Full α–β–γ parameters of each conflict resource (indexed densely),
-    /// cached so cost-side analyses read them without re-deriving the
-    /// resource kind from the topology per task.
-    link_params: Vec<LinkParams>,
     n_chunks: u32,
 }
 
@@ -177,7 +171,7 @@ impl DepDag {
         n_chunks: u32,
         topo: &Topology,
     ) -> Result<Self> {
-        let (resource_ids, conflict_limit, link_params) = index_resources(&mut routes, topo)?;
+        let (resource_ids, conflict_limit) = index_resources(&mut routes, topo)?;
         let dag = Self {
             transfers,
             route_of,
@@ -187,7 +181,6 @@ impl DepDag {
             by_chunk,
             resource_ids,
             conflict_limit,
-            link_params,
             n_chunks,
         };
         // Steps strictly increase along edges, so cycles are impossible by
@@ -230,10 +223,9 @@ impl DepDag {
             .filter(|id| moved[patched.route_of[id.index()] as usize])
             .collect();
         if !dirty.is_empty() {
-            let (ids, limits, params) = index_resources(&mut patched.routes, topo)?;
+            let (ids, limits) = index_resources(&mut patched.routes, topo)?;
             patched.resource_ids = ids;
             patched.conflict_limit = limits;
-            patched.link_params = params;
         }
         Ok((patched, dirty))
     }
@@ -413,11 +405,6 @@ impl DepDag {
         self.conflict_limit[dense as usize]
     }
 
-    /// The cached α–β–γ parameters of a conflict resource, by dense index.
-    pub fn resource_params_at(&self, dense: u32) -> &LinkParams {
-        &self.link_params[dense as usize]
-    }
-
     /// A topological order of the data-dependency DAG (Kahn's algorithm).
     /// Returns an error when a cycle exists.
     pub fn topo_order(&self) -> Result<Vec<TaskId>> {
@@ -582,9 +569,9 @@ fn intern_routes(
 }
 
 /// Build the dense resource index over the routes' conflict sets: the
-/// sorted resource table and the per-resource conflict limits and
-/// parameters. Fills in each route's dense conflict set.
-fn index_resources(routes: &mut [Route], topo: &Topology) -> Result<(Vec<ResourceId>, Vec<u32>, Vec<LinkParams>)> {
+/// sorted resource table and the per-resource conflict limits. Fills in
+/// each route's dense conflict set.
+fn index_resources(routes: &mut [Route], topo: &Topology) -> Result<(Vec<ResourceId>, Vec<u32>)> {
     // Dense index of every raw resource id a route occupies, numbered in
     // ascending raw id; `UNUSED` for the rest.
     const UNUSED: u32 = u32::MAX;
@@ -611,16 +598,16 @@ fn index_resources(routes: &mut [Route], topo: &Topology) -> Result<(Vec<Resourc
         }
     }
 
-    let mut conflict_limit = Vec::with_capacity(resource_ids.len());
-    let mut link_params = Vec::with_capacity(resource_ids.len());
-    for &r in &resource_ids {
-        let params = topo
-            .resource_params(r)
-            .map_err(|e| IrError::new(e.to_string()))?;
-        conflict_limit.push(params.saturation_tbs.max(1));
-        link_params.push(params);
-    }
-    Ok((resource_ids, conflict_limit, link_params))
+    let conflict_limit = resource_ids
+        .iter()
+        .map(|&r| {
+            let params = topo
+                .resource_params(r)
+                .map_err(|e| IrError::new(e.to_string()))?;
+            Ok(params.saturation_tbs.max(1))
+        })
+        .collect::<Result<_>>()?;
+    Ok((resource_ids, conflict_limit))
 }
 
 /// The RAW/WAW edges of every chunk, chunk by chunk in ascending order and,

@@ -181,7 +181,11 @@ impl AlgoSpec {
 /// repeats. Only then is the first repeat located, in a second pass.
 fn first_duplicate(transfers: &[TransferRec], n_ranks: u32) -> Option<usize> {
     let n = u128::from(n_ranks);
-    let steps = transfers.iter().map(|t| t.step.0).max().map_or(1, |s| u128::from(s) + 1);
+    let steps = transfers
+        .iter()
+        .map(|t| t.step.0)
+        .max()
+        .map_or(1, |s| u128::from(s) + 1);
     let pack = |t: &TransferRec| {
         ((u128::from(t.src.0) * n + u128::from(t.dst.0)) * n + u128::from(t.chunk.0)) * steps
             + u128::from(t.step.0)
@@ -206,7 +210,9 @@ fn first_repeat<K: Ord + Copy>(
     keys.dedup();
     let mut seen = vec![false; keys.len()];
     transfers.iter().position(|t| {
-        let k = keys.binary_search(&key(t)).expect("every key was collected");
+        let k = keys
+            .binary_search(&key(t))
+            .expect("every key was collected");
         std::mem::replace(&mut seen[k], true)
     })
 }
@@ -319,7 +325,12 @@ mod tests {
             "t",
             OpType::AllGather,
             3,
-            vec![rec(2, 0, 0, 0), rec(0, 1, 0, 1), rec(2, 0, 1, 1), rec(0, 2, 0, 2)],
+            vec![
+                rec(2, 0, 0, 0),
+                rec(0, 1, 0, 1),
+                rec(2, 0, 1, 1),
+                rec(0, 2, 0, 2),
+            ],
         )
         .unwrap();
         let pairs: Vec<(u32, u32)> = s.connections().iter().map(|(a, b)| (a.0, b.0)).collect();

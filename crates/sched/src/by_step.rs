@@ -14,6 +14,8 @@ pub fn by_step(dag: &DepDag) -> Schedule {
         sub_pipelines[t.step.0 as usize].push(t.id);
     }
     sub_pipelines.retain(|sp| !sp.is_empty());
+    // The schedule keeps no growth slack.
+    sub_pipelines.iter_mut().for_each(Vec::shrink_to_fit);
     Schedule {
         sub_pipelines,
         policy: "by-step".into(),

@@ -65,7 +65,8 @@ pub fn hpds(dag: &DepDag) -> Schedule {
         }
 
         debug_assert!(!pc.is_empty(), "sub-pipeline made no progress");
-        sub_pipelines.push(pc);
+        // An exact copy, so the schedule keeps no growth slack.
+        sub_pipelines.push(pc.to_vec());
     }
 
     Schedule {

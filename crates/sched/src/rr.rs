@@ -34,7 +34,8 @@ pub fn round_robin(dag: &DepDag) -> Schedule {
             }
         }
         debug_assert!(!pc.is_empty(), "RR sub-pipeline made no progress");
-        sub_pipelines.push(pc);
+        // An exact copy, so the schedule keeps no growth slack.
+        sub_pipelines.push(pc.to_vec());
     }
 
     Schedule {
