@@ -278,7 +278,7 @@ impl TbAllocation {
                 // it was one: the only feeder a chain forward may follow.
                 let mut anchor: Option<TaskId> = None;
                 for slot in &tb.slots {
-                    let t = dag.task(slot.task);
+                    let t = dag.transfer(slot.task);
                     let expect_rank = match slot.dir {
                         Direction::Send => t.src,
                         Direction::Recv => t.dst,
@@ -369,9 +369,9 @@ enum ChainFeed {
 /// How task `b` relates to the chain-merge pass: the predecessors that
 /// deliver its chunk to its source rank.
 fn chain_feed(dag: &DepDag, b: TaskId) -> ChainFeed {
-    let task = dag.task(b);
+    let task = dag.transfer(b);
     let mut feeders = dag.preds(b).iter().copied().filter(|&a| {
-        let ta = dag.task(a);
+        let ta = dag.transfer(a);
         ta.chunk == task.chunk && ta.dst == task.src
     });
     match (feeders.next(), feeders.next()) {
@@ -454,7 +454,7 @@ impl Endpoints {
                             break;
                         }
                         ChainFeed::Single(a) => {
-                            let fa = 2 * dag.task(a).src.0;
+                            let fa = 2 * dag.transfer(a).src.0;
                             if *feeder.get_or_insert(fa) != fa {
                                 ok = false;
                                 break;
@@ -560,7 +560,7 @@ fn collect_slots(dag: &DepDag, schedule: &Schedule) -> Vec<Vec<RankSlot>> {
     let mut per_rank: Vec<Vec<RankSlot>> = vec![Vec::new(); infer_n_ranks(dag)];
     for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
         for &task in tasks {
-            let t = dag.task(task);
+            let t = dag.transfer(task);
             let slot = |endpoint| RankSlot {
                 endpoint,
                 task,
@@ -782,7 +782,7 @@ mod tests {
                 let mut last_sp = 0u32;
                 let mut anchor: Option<TaskId> = None;
                 for slot in &tb.slots {
-                    let t = dag.task(slot.task);
+                    let t = dag.transfer(slot.task);
                     let expect_rank = match slot.dir {
                         Direction::Send => t.src,
                         Direction::Recv => t.dst,
@@ -933,7 +933,7 @@ mod tests {
         let tb = a.per_rank[0].tbs.remove(0);
         let slot = tb.slots[0];
         a.per_rank[1].tbs.insert(0, tb);
-        let t = dag.task(slot.task);
+        let t = dag.transfer(slot.task);
         let expect = if slot.dir == Direction::Send {
             t.src
         } else {

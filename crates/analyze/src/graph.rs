@@ -19,8 +19,7 @@
 use rescc_ir::{DepDag, TaskId};
 use rescc_kernel::KernelProgram;
 
-/// The combined order as a CSR adjacency over task indices, plus the
-/// TB coordinates of each task's two sides (for diagnostics).
+/// The combined order as a CSR adjacency over task indices.
 pub struct CombinedOrder {
     /// CSR row offsets: node `u`'s successors live at
     /// `targets[offsets[u]..offsets[u + 1]]`.
@@ -28,10 +27,6 @@ pub struct CombinedOrder {
     /// CSR edge targets, deduplicated, in insertion order (DAG edges
     /// first, then TB gating edges in program order).
     targets: Vec<u32>,
-    /// `(rank, tb)` of each task's sender slot, if present.
-    pub send_tb: Vec<Option<(u32, u32)>>,
-    /// `(rank, tb)` of each task's receive slot, if present.
-    pub recv_tb: Vec<Option<(u32, u32)>>,
 }
 
 impl CombinedOrder {
@@ -41,24 +36,10 @@ impl CombinedOrder {
     /// then each row drops repeated targets, keeping first occurrences.
     pub fn build(dag: &DepDag, program: &KernelProgram) -> Self {
         let n = dag.len();
-        let mut send_tb: Vec<Option<(u32, u32)>> = vec![None; n];
-        let mut recv_tb: Vec<Option<(u32, u32)>> = vec![None; n];
-        for rp in &program.ranks {
-            for (tb_idx, tb) in rp.tbs.iter().enumerate() {
-                for slot in &tb.slots {
-                    let side = if slot.is_send() {
-                        &mut send_tb
-                    } else {
-                        &mut recv_tb
-                    };
-                    side[slot.task.index()] = Some((rp.rank.0, tb_idx as u32));
-                }
-            }
-        }
-
         let mut offsets = vec![0u32; n + 1];
-        for t in dag.tasks() {
-            offsets[t.id.index() + 1] = dag.succs(t.id).len() as u32;
+        let ids = (0..n as u32).map(TaskId::new);
+        for id in ids.clone() {
+            offsets[id.index() + 1] = dag.succs(id).len() as u32;
         }
         tb_edges(program, |from, _| offsets[from.index() + 1] += 1);
         for i in 0..n {
@@ -67,12 +48,12 @@ impl CombinedOrder {
         // Data dependencies first, then TB gating edges in program order.
         let mut targets = vec![0u32; offsets[n] as usize];
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for t in dag.tasks() {
-            let at = cursor[t.id.index()] as usize;
-            for (slot, s) in targets[at..].iter_mut().zip(dag.succs(t.id)) {
+        for id in ids {
+            let at = cursor[id.index()] as usize;
+            for (slot, s) in targets[at..].iter_mut().zip(dag.succs(id)) {
                 *slot = s.0;
             }
-            cursor[t.id.index()] += dag.succs(t.id).len() as u32;
+            cursor[id.index()] += dag.succs(id).len() as u32;
         }
         tb_edges(program, |from, to| {
             let at = &mut cursor[from.index()];
@@ -100,12 +81,7 @@ impl CombinedOrder {
         }
         targets.truncate(write);
 
-        Self {
-            offsets,
-            targets,
-            send_tb,
-            recv_tb,
-        }
+        Self { offsets, targets }
     }
 
     /// Number of tasks.

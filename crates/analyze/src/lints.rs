@@ -39,8 +39,18 @@ pub fn ra001_deadlock(
         .collect::<Vec<_>>()
         .join(" -> ");
     let first = cycle.first().copied().unwrap_or(stuck[0]);
-    let (rank, tb) = order.send_tb[first as usize]
-        .or(order.recv_tb[first as usize])
+    // The site is the last TB in program order that runs the task's send
+    // side, else the last that runs its receive side.
+    let mut sides: [Option<(u32, u32)>; 2] = [None, None];
+    for rp in &input.program.ranks {
+        for (tb_idx, tb) in rp.tbs.iter().enumerate() {
+            for slot in tb.slots.iter().filter(|s| s.task.0 == first) {
+                sides[usize::from(!slot.is_send())] = Some((rp.rank.0, tb_idx as u32));
+            }
+        }
+    }
+    let (rank, tb) = sides[0]
+        .or(sides[1])
         .map(|(r, tb)| (Some(r), Some(tb)))
         .unwrap_or((None, None));
     out.push(Diagnostic {
@@ -55,7 +65,7 @@ pub fn ra001_deadlock(
             task: Some(first),
             rank,
             tb,
-            step: Some(input.dag.task(rescc_ir::TaskId::new(first)).step.0),
+            step: Some(input.dag.transfer(rescc_ir::TaskId::new(first)).step.0),
             ..Site::default()
         },
         path: cycle,
@@ -135,7 +145,7 @@ pub fn ra002_buffer_race(
             by_dst
                 .row(rank as usize)
                 .iter()
-                .map(|&t| (dag.task(TaskId::new(t)).chunk.0, t)),
+                .map(|&t| (dag.transfer(TaskId::new(t)).chunk.0, t)),
         );
         for chunk in 0..n_chunks {
             let group = writers.row(chunk as usize);
@@ -156,8 +166,8 @@ pub fn ra002_buffer_race(
             }
             for (i, &a) in group.iter().enumerate() {
                 for &b in &group[i + 1..] {
-                    let ca = dag.task(TaskId::new(a)).comm;
-                    let cb = dag.task(TaskId::new(b)).comm;
+                    let ca = dag.transfer(TaskId::new(a)).comm;
+                    let cb = dag.transfer(TaskId::new(b)).comm;
                     if ca != CommType::Recv && cb != CommType::Recv {
                         continue; // rrc + rrc commutes
                     }
@@ -170,7 +180,7 @@ pub fn ra002_buffer_race(
                     let ib = sorted_at[second as usize] as usize;
                     let ordered = gaps[ia] == gaps[ib] || oracle.reaches(order, first, second);
                     if !ordered {
-                        let tb = dag.task(TaskId::new(b));
+                        let tb = dag.transfer(TaskId::new(b));
                         let mut path = Vec::new();
                         if let Some(d) = oracle.divergence(order, a, b) {
                             path.push(d);
@@ -326,7 +336,7 @@ fn dead_transfers(
         prov.clear(n_ranks);
         let done = |li: usize| completed[tasks[li].index()];
         let mv = |li: usize| {
-            let t = dag.task(tasks[li]);
+            let t = dag.transfer(tasks[li]);
             Move {
                 src: t.src.index(),
                 dst: t.dst.index(),
@@ -338,7 +348,7 @@ fn dead_transfers(
             prov.apply(mv(li));
         }
         let mut start = 0;
-        for group in step_groups(tasks, |t| dag.task(*t).step) {
+        for group in step_groups(tasks, |t| dag.transfer(*t).step) {
             let range = start..start + group.len();
             start = range.end;
             prov.apply_group(range.filter(|&li| !done(li)).map(mv));
@@ -494,7 +504,7 @@ pub fn ra006_lifetime_overlap(
 
         ends.clear();
         ends.extend(chunk_tasks.iter().map(|&t| {
-            let task = input.dag.task(t);
+            let task = input.dag.transfer(t);
             (task.src.0, task.dst.0, t.0)
         }));
         writers.refill(n_ranks, ends.iter().map(|&(_, dst, t)| (dst, t)));
@@ -527,7 +537,7 @@ pub fn ra006_lifetime_overlap(
                     {
                         continue;
                     }
-                    let task = input.dag.task(rescc_ir::TaskId::new(w2));
+                    let task = input.dag.transfer(rescc_ir::TaskId::new(w2));
                     out.push(Diagnostic {
                         code: LintCode::RA006,
                         severity: Severity::Error,

@@ -116,7 +116,7 @@ impl Compiler {
         }
         for c in 0..cached.dag.n_chunks() {
             for &tid in cached.dag.chunk_tasks(ChunkId::new(c)) {
-                let task = cached.dag.task(tid);
+                let task = cached.dag.transfer(tid);
                 for mb in 0..n_mb {
                     if !frontier.is_done(tid.0, mb) {
                         continue;
@@ -184,7 +184,7 @@ fn verify_provenance(
                 if resume.is_done(tid.0, mb) {
                     continue;
                 }
-                let t = residual.task(tid);
+                let t = residual.transfer(tid);
                 buf.apply(Move {
                     src: (t.src.0 * n_chunks + c) as usize,
                     dst: (t.dst.0 * n_chunks + c) as usize,

@@ -16,10 +16,12 @@
 //! conflict sets ([`Task::conflict`]) share a contention resource. The
 //! scheduler consumes both relations.
 //!
-//! Storage is arena-flat: adjacency (preds, succs, per-chunk task lists)
-//! lives in CSR arrays, and every conflict resource is assigned a **dense
-//! index** so the scheduler's hot loops can track per-resource load in
-//! plain vectors instead of hash maps.
+//! Storage is arena-flat and stores each per-task fact once: the spec's
+//! transfer records (shared, not copied), one route index per task into a
+//! table with one entry per distinct `(src, dst)` pair, and adjacency
+//! (preds, succs, per-chunk task lists) in CSR arrays. Every conflict
+//! resource is assigned a **dense index** so the scheduler's hot loops can
+//! track per-resource load in plain vectors instead of hash maps.
 
 use crate::dense::Csr;
 use crate::error::{IrError, Result};

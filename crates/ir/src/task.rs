@@ -34,6 +34,10 @@ impl fmt::Display for TaskId {
 
 /// A transmission task `t(e, d)` of §3: one chunk transfer between GPU
 /// peers, annotated with the contention resources of its route.
+///
+/// The DAG does not store `Task`s: [`DepDag::task`](crate::DepDag::task)
+/// assembles one by value from the task's transfer record and its entry in
+/// the DAG's route table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Task {
     /// Task index in the DAG.

@@ -150,7 +150,7 @@ impl<'a> FlatState<'a> {
             for &s in self.dag.succs(tid) {
                 self.remaining_preds[s.index()] -= 1;
                 if self.remaining_preds[s.index()] == 0 {
-                    let key = |t: TaskId| (self.dag.task(t).step, t);
+                    let key = |t: TaskId| (self.dag.transfer(t).step, t);
                     let pos = self.free[c].partition_point(|&t| key(t) < key(s));
                     self.free[c].insert(pos, s);
                 }

@@ -71,13 +71,13 @@ impl Schedule {
                 sp_of[t.index()] = i;
             }
         }
-        for t in dag.tasks() {
-            for &p in dag.preds(t.id) {
-                if sp_of[p.index()] > sp_of[t.id.index()] {
+        for id in (0..dag.len() as u32).map(TaskId::new) {
+            for &p in dag.preds(id) {
+                if sp_of[p.index()] > sp_of[id.index()] {
                     return Err(IrError::new(format!(
                         "task {} in sub-pipeline {} depends on {} in later sub-pipeline {}",
-                        t.id,
-                        sp_of[t.id.index()],
+                        id,
+                        sp_of[id.index()],
                         p,
                         sp_of[p.index()]
                     )));

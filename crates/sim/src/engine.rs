@@ -950,9 +950,9 @@ impl<'a> Engine<'a> {
                     (n_mb - offset - 1) / stride + 1
                 };
                 let first_segment = segments.len() as u32;
-                for slot in &tb_prog.slots {
+                for (si, slot) in tb_prog.slots.iter().enumerate() {
                     match segments.last_mut() {
-                        Some(last) if slot.fused_with_prev => last.len += 1,
+                        Some(last) if slot.fused_with_prev && si > 0 => last.len += 1,
                         _ => segments.push(Segment {
                             first_slot: slots.len() as u32,
                             len: 1,
@@ -1852,7 +1852,7 @@ impl<'a> Engine<'a> {
         // Apply data semantics. Fused forwards (no capture at start) read
         // the source slot now — the feeding receive has already applied.
         if self.config.validate_data {
-            let t = self.dag.task(task);
+            let t = self.dag.transfer(task);
             let (si, di) = (
                 self.buffer_idx(t.src.0, t.chunk.0),
                 self.buffer_idx(t.dst.0, t.chunk.0),
@@ -1871,7 +1871,7 @@ impl<'a> Engine<'a> {
         }
 
         if self.config.record_trace {
-            let t = self.dag.task(task);
+            let t = self.dag.transfer(task);
             let ev = TraceEvent {
                 task: task.0,
                 mb,
