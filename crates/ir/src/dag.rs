@@ -479,16 +479,6 @@ pub struct Tasks<'a> {
 }
 
 impl<'a> Tasks<'a> {
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.dag.len()
-    }
-
-    /// Whether there are no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.dag.is_empty()
-    }
-
     /// Every task, by value, in id order.
     pub fn iter(&self) -> TaskIter<'a> {
         TaskIter {
@@ -523,12 +513,6 @@ impl Iterator for TaskIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.ids.size_hint()
-    }
-}
-
-impl DoubleEndedIterator for TaskIter<'_> {
-    fn next_back(&mut self) -> Option<Task> {
-        self.ids.next_back().map(|i| self.dag.task(TaskId::new(i)))
     }
 }
 

@@ -44,7 +44,6 @@ pub fn emit_rank_kernel(
     let _ = writeln!(out, "    switch (blockIdx.x) {{");
     for (tb_idx, tb) in rp.tbs.iter().enumerate() {
         let _ = writeln!(out, "    case {tb_idx}: {{ // TB {tb_idx}");
-        let prim_slots = &alloc.per_rank[rank].tbs[tb_idx].slots;
         if tb.slots.is_empty() {
             let _ = writeln!(
                 out,
@@ -53,6 +52,7 @@ pub fn emit_rank_kernel(
         } else {
             match prog.loop_order {
                 LoopOrder::SlotMajor => {
+                    let prim_slots = &alloc.per_rank[rank].tbs[tb_idx].slots;
                     for (si, slot) in tb.slots.iter().enumerate() {
                         let _ = writeln!(
                             out,

@@ -696,9 +696,8 @@ struct TbState {
     window: u32,
     stride: u32,
     offset: u32,
-    /// The TB's issue groups, `n_segments * window` of them, walked in
-    /// index order; [`Engine::group`] gives group `i`.
-    n_groups: u32,
+    /// The next of the TB's `n_segments * window` issue groups, which it
+    /// walks in index order; [`Engine::group`] gives group `i`.
     group_idx: u32,
     group_remaining: u32,
     /// Fused forwards issued but not yet drained. They never gate
@@ -714,7 +713,7 @@ struct TbState {
 
 impl TbState {
     fn done(&self) -> bool {
-        self.group_idx >= self.n_groups
+        self.group_idx >= self.n_segments * self.window
     }
 }
 
@@ -969,7 +968,6 @@ impl<'a> Engine<'a> {
                     window,
                     stride,
                     offset,
-                    n_groups: n_segments * window,
                     group_idx: 0,
                     group_remaining: 0,
                     async_outstanding: 0,
