@@ -118,7 +118,7 @@ impl DepDag {
         // Tasks are the spec's transfers in declaration order; each
         // distinct pair's route is resolved once.
         let transfers = spec.shared_transfers();
-        let (route_of, routes) = intern_routes(&transfers, spec.n_ranks(), |t| {
+        let (route_of, routes) = intern_routes(&transfers, |t| {
             let conn = topo.connection(transfers[t].src, transfers[t].dst);
             (conn.conflict, conn.path)
         });
@@ -271,7 +271,7 @@ impl DepDag {
             .iter()
             .map(|id| self.transfers[id.index()])
             .collect();
-        let (route_of, routes) = intern_routes(&transfers, self.n_chunks, |t| {
+        let (route_of, routes) = intern_routes(&transfers, |t| {
             let kept = self.route(orig_ids[t]);
             (kept.conflict, kept.path)
         });
@@ -525,11 +525,15 @@ impl ExactSizeIterator for TaskIter<'_> {}
 /// transfer. Dense indices are filled in by [`index_resources`].
 fn intern_routes(
     transfers: &[TransferRec],
-    n_ranks: u32,
     mut resolve: impl FnMut(usize) -> (ResourceSet, ResourceSet),
 ) -> (Vec<u32>, Vec<Route>) {
     const UNSEEN: u32 = u32::MAX;
-    let n = n_ranks as usize;
+    // The pair table spans the ranks the transfers name.
+    let n = transfers
+        .iter()
+        .map(|t| t.src.index().max(t.dst.index()) + 1)
+        .max()
+        .unwrap_or(0);
     let mut route_of_pair = vec![UNSEEN; n * n];
     let mut routes = Vec::new();
     let route_of = transfers

@@ -17,6 +17,11 @@ use std::fmt::Write;
 /// Render the kernel source of one rank of `prog`, which was generated
 /// from `dag` and `alloc`: a slot's peer and chunk are its task's, and its
 /// sub-pipeline is the one its allocation slot records.
+///
+/// # Panics
+///
+/// If `prog` was not lowered from `alloc`: the rank's TBs and their slots
+/// are read from `alloc` by the program's own positions.
 pub fn emit_rank_kernel(
     prog: &KernelProgram,
     dag: &DepDag,
@@ -24,6 +29,16 @@ pub fn emit_rank_kernel(
     rank: usize,
 ) -> String {
     let rp = &prog.ranks[rank];
+    let plan = &alloc.per_rank[rank];
+    assert!(
+        plan.tbs.len() == rp.tbs.len()
+            && plan
+                .tbs
+                .iter()
+                .zip(&rp.tbs)
+                .all(|(a, p)| a.slots.len() == p.slots.len()),
+        "rank {rank}'s program was not lowered from this allocation"
+    );
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -52,7 +67,7 @@ pub fn emit_rank_kernel(
         } else {
             match prog.loop_order {
                 LoopOrder::SlotMajor => {
-                    let prim_slots = &alloc.per_rank[rank].tbs[tb_idx].slots;
+                    let prim_slots = &plan.tbs[tb_idx].slots;
                     for (si, slot) in tb.slots.iter().enumerate() {
                         let _ = writeln!(
                             out,
@@ -182,7 +197,7 @@ __device__ void prim_recv_reduce_send(ResCCLArgs* args, int peer, int chunk, int
 }
 
 /// Render all ranks' kernels into one translation unit (see
-/// [`emit_rank_kernel`]).
+/// [`emit_rank_kernel`], whose panics this shares).
 pub fn emit_all(prog: &KernelProgram, dag: &DepDag, alloc: &TbAllocation) -> String {
     let mut out = String::new();
     let _ = writeln!(

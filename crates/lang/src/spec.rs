@@ -73,7 +73,7 @@ impl AlgoSpec {
         let bad = transfers.iter().position(|t| {
             t.src.0 >= n_ranks || t.dst.0 >= n_ranks || t.src == t.dst || t.chunk.0 >= n_chunks
         });
-        let dup = first_duplicate(&transfers[..bad.unwrap_or(transfers.len())], n_ranks);
+        let dup = first_duplicate(&transfers[..bad.unwrap_or(transfers.len())]);
         if let Some(i) = dup {
             let t = &transfers[i];
             return Err(LangError::eval(format!(
@@ -173,48 +173,46 @@ impl AlgoSpec {
 }
 
 /// The first transfer, in declaration order, whose `(src, dst, step,
-/// chunk)` tuple an earlier transfer already declared. Ranks and chunks
-/// must be in range.
+/// chunk)` tuple an earlier transfer already declared.
 ///
-/// Each tuple packs into one integer (a `u64` whenever the tuple space
-/// fits, else a `u128`), and one sort of the packed keys finds whether any
-/// repeats. Only then is the first repeat located, in a second pass.
-fn first_duplicate(transfers: &[TransferRec], n_ranks: u32) -> Option<usize> {
-    let n = u128::from(n_ranks);
-    let steps = transfers
+/// A spec rarely repeats a tuple, so a sort of one `u64` digest per
+/// transfer settles the common case: distinct digests mean distinct
+/// tuples. The digest is exact while every field is below 2^16; past
+/// that, two tuples may share one. Only when some digest repeats does one
+/// sort of `(tuple, index)` pairs, the tuple packed into a `u128`, put
+/// each tuple's declarations next to each other in declaration order. A
+/// repeat is the later of two adjacent equal tuples; the smallest such
+/// index is the first repeat.
+fn first_duplicate(transfers: &[TransferRec]) -> Option<usize> {
+    let mut digests: Vec<u64> = transfers
         .iter()
-        .map(|t| t.step.0)
-        .max()
-        .map_or(1, |s| u128::from(s) + 1);
-    let pack = |t: &TransferRec| {
-        ((u128::from(t.src.0) * n + u128::from(t.dst.0)) * n + u128::from(t.chunk.0)) * steps
-            + u128::from(t.step.0)
-    };
-    if n * n * n * steps <= u128::from(u64::MAX) {
-        first_repeat(transfers, |t| pack(t) as u64)
-    } else {
-        first_repeat(transfers, pack)
-    }
-}
-
-/// The first transfer whose key an earlier transfer has.
-fn first_repeat<K: Ord + Copy>(
-    transfers: &[TransferRec],
-    key: impl Fn(&TransferRec) -> K,
-) -> Option<usize> {
-    let mut keys: Vec<K> = transfers.iter().map(&key).collect();
-    keys.sort_unstable();
-    if !keys.windows(2).any(|w| w[0] == w[1]) {
+        .map(|t| {
+            u64::from(t.src.0) << 48
+                ^ u64::from(t.dst.0) << 32
+                ^ u64::from(t.chunk.0) << 16
+                ^ u64::from(t.step.0)
+        })
+        .collect();
+    digests.sort_unstable();
+    if !digests.windows(2).any(|w| w[0] == w[1]) {
         return None;
     }
-    keys.dedup();
-    let mut seen = vec![false; keys.len()];
-    transfers.iter().position(|t| {
-        let k = keys
-            .binary_search(&key(t))
-            .expect("every key was collected");
-        std::mem::replace(&mut seen[k], true)
-    })
+    let mut keys: Vec<(u128, usize)> = transfers
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let key = u128::from(t.src.0) << 96
+                | u128::from(t.dst.0) << 64
+                | u128::from(t.chunk.0) << 32
+                | u128::from(t.step.0);
+            (key, i)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
 }
 
 #[cfg(test)]
@@ -317,6 +315,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("self-transfer"), "{e}");
+    }
+
+    #[test]
+    fn tuples_sharing_a_digest_are_not_duplicates() {
+        // Steps past 2^16 overlap the chunk's bits of the digest: these
+        // two tuples share one digest but differ, and a third repeats the
+        // first.
+        let mut ts = vec![rec(0, 1, 1 << 16, 0), rec(0, 1, 0, 1)];
+        assert!(AlgoSpec::new("t", OpType::AllGather, 2, ts.clone()).is_ok());
+        ts.push(rec(0, 1, 1 << 16, 0));
+        let e = AlgoSpec::new("t", OpType::AllGather, 2, ts).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "evaluation error: `t`: duplicate transfer (r0, r1, s65536, c0)"
+        );
     }
 
     #[test]

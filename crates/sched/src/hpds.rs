@@ -65,8 +65,9 @@ pub fn hpds(dag: &DepDag) -> Schedule {
         }
 
         debug_assert!(!pc.is_empty(), "sub-pipeline made no progress");
-        // An exact copy, so the schedule keeps no growth slack.
-        sub_pipelines.push(pc.to_vec());
+        // The schedule keeps no growth slack.
+        pc.shrink_to_fit();
+        sub_pipelines.push(pc);
     }
 
     Schedule {
