@@ -268,6 +268,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not lowered from this allocation")]
+    fn emitting_against_another_allocation_panics() {
+        let (p, dag, mut alloc) = program(LoopOrder::SlotMajor);
+        alloc.per_rank[0].tbs[0].slots.pop();
+        emit_rank_kernel(&p, &dag, &alloc, 0);
+    }
+
+    #[test]
     fn runtime_header_declares_every_primitive() {
         let h = emit_runtime_header();
         for prim in [
