@@ -362,16 +362,19 @@ pub fn run() {
     let mut mixed_rows = Vec::new();
     let mut mixed_json = Vec::new();
     let mut cold_salt = 0u64;
-    // Budget = 4x the hot set: the per-shard slice (1/16th of the budget)
-    // comfortably holds the hottest shard's resident plans, so hits
-    // dominate, while the cold tail churns and gets evicted.
-    let hot_cost: u64 = hot
+    // Budget = 4x the hot set, charged against the whole cache: the hot
+    // plans are touched far more often than any cold one, so they stay
+    // resident and hits dominate, while the cold tail churns and gets
+    // evicted.
+    let hot_costs: Vec<u64> = hot
         .iter()
         .map(|r| {
             let plan = compiler.compile_spec(&r.spec, &r.topo).expect("cost probe");
             rescc_core::plan_cost_bytes(&plan)
         })
-        .sum();
+        .collect();
+    let hot_cost: u64 = hot_costs.iter().sum();
+    let max_hot_cost = hot_costs.iter().copied().max().unwrap_or(0);
     for &t in &THREAD_GRID {
         let cache = PlanCache::new().with_byte_budget(hot_cost * 4);
         prewarm(&cache, &compiler, &hot);
@@ -396,6 +399,12 @@ pub fn run() {
             st.hits + st.misses,
             (t * MIXED_OPS + hot.len()) as u64,
             "every dispatch is a hit or a miss"
+        );
+        assert!(
+            st.resident_bytes <= hot_cost * 4 + max_hot_cost,
+            "the budget bounds the whole cache: {} B resident, budget {} B",
+            st.resident_bytes,
+            hot_cost * 4
         );
         let row = HitRow {
             threads: t,

@@ -26,11 +26,13 @@
 //!   artifact. Exactly one miss is counted per actual compile; the
 //!   waiters count as coalesced hits.
 //! * **Bounded memory** — an optional byte budget
-//!   ([`with_byte_budget`](PlanCache::with_byte_budget)) triggers
-//!   cost-aware LRU eviction at insert time. Plans are charged by task /
-//!   program size ([`plan_cost_bytes`]); the entry being inserted is
-//!   never its own victim, so a just-inserted degraded plan survives for
-//!   the watchdog that produced it.
+//!   ([`with_byte_budget`](PlanCache::with_byte_budget)) bounds the
+//!   resident bytes of all shards together: after each publish the
+//!   globally least-recently-used entries are evicted until the total
+//!   fits. Plans are charged by task / program size ([`plan_cost_bytes`]);
+//!   the entry being published is never its own victim, so a
+//!   just-inserted degraded plan survives for the watchdog that produced
+//!   it.
 //! * **Per-shard journal rings** — dispatch-order journaling is a
 //!   bounded ring per shard; [`journal`](PlanCache::journal) merges the
 //!   rings by globally-assigned `seq`, so concurrent dispatches stay
@@ -225,11 +227,12 @@ struct Shard {
 }
 
 impl Shard {
-    /// Lock order: `map` may be acquired while holding `inflight`;
-    /// `state` may be acquired while holding `map`; nothing is acquired
-    /// while holding `state`. All three recover from poisoning — entries
-    /// are only ever whole values written inside a critical section, so
-    /// inheriting the structures is always safe.
+    /// Lock order: `map` may be acquired while holding `inflight` or the
+    /// cache's eviction mutex; `state` may be acquired while holding
+    /// `map`; nothing is acquired while holding `state`, and no two
+    /// shards' maps are ever held at once. All three recover from
+    /// poisoning — entries are only ever whole values written inside a
+    /// critical section, so inheriting the structures is always safe.
     fn state(&self) -> std::sync::MutexGuard<'_, ShardState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -245,8 +248,8 @@ impl Shard {
 
 /// A thread-safe, sharded memo table from plan fingerprints to compiled
 /// plans, with singleflight compile dedup and optional cost-bounded LRU
-/// eviction. Designed to be shared: wrap it in an `Arc` and hand it to
-/// any number of dispatching threads or `Communicator`s.
+/// eviction across all shards. Designed to be shared: wrap it in an `Arc`
+/// and hand it to any number of dispatching threads or `Communicator`s.
 ///
 /// ```
 /// use rescc_core::{Compiler, PlanCache};
@@ -272,8 +275,12 @@ pub struct PlanCache {
     next_seq: AtomicU64,
     /// Global recency clock for LRU stamps (bumped on every hit/insert).
     clock: AtomicU64,
-    /// Total byte budget, split evenly across shards; `None` = unbounded.
+    /// Byte budget on the resident bytes of all shards together;
+    /// `None` = unbounded.
     byte_budget: Option<u64>,
+    /// Held while enforcing the budget, so one publish at a time searches
+    /// the shards for victims.
+    evicting: Mutex<()>,
 }
 
 impl Default for PlanCache {
@@ -283,6 +290,7 @@ impl Default for PlanCache {
             next_seq: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             byte_budget: None,
+            evicting: Mutex::new(()),
         }
     }
 }
@@ -295,20 +303,16 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Bound resident plan memory to roughly `bytes` (charged via
-    /// [`plan_cost_bytes`], split evenly across shards). When a shard
-    /// overflows its slice of the budget, least-recently-used entries are
-    /// evicted at insert time — never the entry being inserted, so a
+    /// Bound resident plan memory to `bytes` (charged via
+    /// [`plan_cost_bytes`], summed over every shard). After each publish,
+    /// the least-recently-used entries of the whole cache are evicted
+    /// until the total fits — never the entry just published, so a
     /// just-published plan (e.g. a degraded plan a resuming watchdog is
     /// about to dispatch) always survives its own insert even if it alone
     /// exceeds the budget.
     pub fn with_byte_budget(mut self, bytes: u64) -> Self {
         self.byte_budget = Some(bytes);
         self
-    }
-
-    fn shard_budget(&self) -> Option<u64> {
-        self.byte_budget.map(|b| b / SHARD_COUNT as u64)
     }
 
     fn shard(&self, fingerprint: u64) -> &Shard {
@@ -354,10 +358,10 @@ impl PlanCache {
         ev
     }
 
-    /// Install `plan` under `fingerprint`, evict over budget, and update
-    /// counters + journal in one coherent critical section. `kind` is
-    /// [`CacheEventKind::Miss`] for a compile publish,
-    /// [`CacheEventKind::Insert`] for an explicit insert.
+    /// Install `plan` under `fingerprint` and update counters + journal
+    /// in one coherent critical section, then evict over budget with the
+    /// shard's locks released. `kind` is [`CacheEventKind::Miss`] for a
+    /// compile publish, [`CacheEventKind::Insert`] for an explicit insert.
     fn publish(
         &self,
         shard: &Shard,
@@ -375,28 +379,6 @@ impl PlanCache {
                 last_used: AtomicU64::new(self.stamp()),
             },
         );
-        let mut evicted = Vec::new();
-        if let Some(budget) = self.shard_budget() {
-            let mut total: u64 = map.values().map(|s| s.cost).sum();
-            while total > budget && map.len() > 1 {
-                // Cost-aware LRU: evict the stalest entry that is not the
-                // one just inserted. Ties break on the fingerprint so
-                // replays evict deterministically.
-                let victim = map
-                    .iter()
-                    .filter(|(k, _)| **k != fingerprint)
-                    .map(|(k, s)| (s.last_used.load(Ordering::Relaxed), *k))
-                    .min();
-                match victim {
-                    Some((_, k)) => {
-                        let slot = map.remove(&k).expect("victim came from this map");
-                        total -= slot.cost;
-                        evicted.push(slot.cost);
-                    }
-                    None => break,
-                }
-            }
-        }
         // State updates while still holding the map write lock: entry
         // count, byte charge, and counters move together.
         let mut st = shard.state();
@@ -412,11 +394,6 @@ impl PlanCache {
             st.entries += 1;
         }
         st.resident_bytes += cost;
-        for c in &evicted {
-            st.evictions += 1;
-            st.entries -= 1;
-            st.resident_bytes -= c;
-        }
         debug_assert_eq!(st.entries, map.len());
         let ev = CacheEvent {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
@@ -424,7 +401,53 @@ impl PlanCache {
             kind,
         };
         st.record(ev);
+        drop(st);
+        drop(map);
+        self.evict_over_budget(fingerprint);
         ev
+    }
+
+    /// Evict the cache's stalest entry, by `(last_used, fingerprint)` so
+    /// replays evict deterministically, until the resident bytes of all
+    /// shards fit the budget. `keep`, the entry just published, is never
+    /// a victim. Called with no shard lock held; under the eviction
+    /// mutex it read-locks one shard's map at a time to find the victim,
+    /// then takes only the victim shard's `map → state`. A victim hit or
+    /// replaced since the search carries a new stamp and is spared.
+    fn evict_over_budget(&self, keep: u64) {
+        let Some(budget) = self.byte_budget else {
+            return;
+        };
+        let _evicting = self.evicting.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            let mut resident = 0;
+            let mut victim: Option<(u64, u64)> = None;
+            for shard in &self.shards {
+                for (&k, slot) in shard.read_map().iter() {
+                    resident += slot.cost;
+                    let candidate = (slot.last_used.load(Ordering::Relaxed), k);
+                    if k != keep && victim.is_none_or(|v| candidate < v) {
+                        victim = Some(candidate);
+                    }
+                }
+            }
+            let Some((stamp, k)) = victim.filter(|_| resident > budget) else {
+                return;
+            };
+            let shard = self.shard(k);
+            let mut map = shard.write_map();
+            if map
+                .get(&k)
+                .is_some_and(|s| s.last_used.load(Ordering::Relaxed) == stamp)
+            {
+                let slot = map.remove(&k).expect("victim is resident");
+                let mut st = shard.state();
+                st.evictions += 1;
+                st.entries -= 1;
+                st.resident_bytes -= slot.cost;
+                debug_assert_eq!(st.entries, map.len());
+            }
+        }
     }
 
     /// Return the cached plan for this configuration, compiling (and
@@ -1005,42 +1028,46 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lru_but_never_the_newest_entry() {
-        // Budget of 1 byte total → every shard's slice rounds to 0, so
-        // each publish evicts everything except the entry being inserted.
+        // A 1-byte budget is below any plan's cost, so each publish
+        // evicts everything except the entry being inserted.
         let cache = PlanCache::new().with_byte_budget(1);
         let compiler = Compiler::new();
         let topo = Topology::a100(1, 4);
         let spec = hm_allreduce(1, 4);
-        let mut last_fp = 0;
+        let mut last = (0, 0);
         for i in 0..6 {
             let plan = MicroBatchPlan::plan(16 << 20, spec.n_chunks(), (1 << 20) + i * 4096);
-            cache
+            let compiled = cache
                 .get_or_compile(&compiler, &spec, &topo, &plan)
                 .unwrap();
-            last_fp = plan_fingerprint(&compiler, &spec, &topo, &plan);
+            last = (
+                plan_fingerprint(&compiler, &spec, &topo, &plan),
+                plan_cost_bytes(&compiled),
+            );
             // The just-inserted plan always survives its own insert.
-            assert!(cache.contains(last_fp));
+            assert!(cache.contains(last.0));
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 6);
-        assert!(
-            stats.entries <= SHARD_COUNT && stats.evictions > 0,
-            "zero budget must evict: {stats:?}"
+        assert_eq!(
+            (stats.entries, stats.evictions),
+            (1, 5),
+            "a 1-byte budget keeps only the newest entry: {stats:?}"
         );
         assert_eq!(
             stats.entries as u64,
             stats.misses + stats.inserts - stats.evictions
         );
+        assert_eq!(stats.resident_bytes, last.1);
         // An evicted configuration recompiles (counts a fresh miss).
         let first = MicroBatchPlan::plan(16 << 20, spec.n_chunks(), 1 << 20);
         let first_fp = plan_fingerprint(&compiler, &spec, &topo, &first);
-        if !cache.contains(first_fp) {
-            cache
-                .get_or_compile(&compiler, &spec, &topo, &first)
-                .unwrap();
-            assert_eq!(cache.stats().misses, 7);
-        }
-        let _ = last_fp;
+        assert!(!cache.contains(first_fp));
+        cache
+            .get_or_compile(&compiler, &spec, &topo, &first)
+            .unwrap();
+        assert_eq!(cache.stats().misses, 7);
+        assert!(!cache.contains(last.0), "the older entry is the victim");
     }
 
     #[test]

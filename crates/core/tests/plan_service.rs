@@ -7,7 +7,8 @@
 use rescc_algos::{hm_allreduce, seed_suite};
 use rescc_backends::{Backend, MscclBackend, NcclBackend};
 use rescc_core::{
-    plan_fingerprint, CacheEventKind, Compiler, LintGate, Lowering, PlanCache, SchedulerChoice,
+    plan_cost_bytes, plan_fingerprint, CacheEventKind, Compiler, LintGate, Lowering, PlanCache,
+    SchedulerChoice, SHARD_COUNT,
 };
 use rescc_ir::MicroBatchPlan;
 use rescc_kernel::ExecMode;
@@ -313,7 +314,7 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
 #[test]
 fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
     let compiler = Compiler::new();
-    // 1-byte budget → every shard's slice is 0 → maximum pressure.
+    // A 1-byte budget is below any plan's cost → maximum pressure.
     let cache = PlanCache::new().with_byte_budget(1);
     for i in 0..10 {
         let c = config(i);
@@ -328,7 +329,11 @@ fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
         );
     }
     let st = cache.stats();
-    assert!(st.evictions > 0, "budget must have evicted: {st:?}");
+    assert_eq!(
+        (st.entries, st.evictions),
+        (1, 9),
+        "a 1-byte budget keeps only the newest entry: {st:?}"
+    );
     assert_eq!(
         st.entries as u64,
         st.misses + st.inserts - st.evictions,
@@ -357,6 +362,111 @@ fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
         .journal()
         .iter()
         .any(|e| e.kind == CacheEventKind::Insert && e.fingerprint == key));
+}
+
+/// The cost of one `config` plan; every chunking compiles the same
+/// `hm_allreduce(1, 4)` plan, so they all cost the same.
+fn config_cost(compiler: &Compiler) -> u64 {
+    let c = config(0);
+    plan_cost_bytes(&compiler.compile_spec(&c.spec, &c.topo).expect("compile"))
+}
+
+/// The shard a fingerprint lands on: the top bits of its Fibonacci mix,
+/// as `PlanCache` picks it.
+fn shard_of(fingerprint: u64) -> u64 {
+    fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60 & (SHARD_COUNT as u64 - 1)
+}
+
+/// The budget bounds the resident bytes of the whole cache, not of each
+/// shard: a budget of four plans never holds a fifth, however the keys
+/// spread over the shards.
+#[test]
+fn byte_budget_is_a_global_bound() {
+    let compiler = Compiler::new();
+    let budget = 4 * config_cost(&compiler);
+    let cache = PlanCache::new().with_byte_budget(budget);
+    for i in 0..40 {
+        dispatch(&cache, &compiler, &config(i));
+        let st = cache.stats();
+        assert!(
+            st.resident_bytes <= budget && st.entries <= 4,
+            "publish {i} left the cache over its budget of {budget} B: {st:?}"
+        );
+    }
+    let st = cache.stats();
+    assert_eq!((st.entries, st.evictions), (4, 36), "{st:?}");
+}
+
+/// The victim is the stalest entry of the whole cache: a hit protects the
+/// oldest entry, and the next-stalest goes, from another shard than the
+/// publish that evicts it.
+#[test]
+fn lru_victim_is_global() {
+    let compiler = Compiler::new();
+    let key = |i: u64| {
+        let c = config(i);
+        plan_fingerprint(&compiler, &c.spec, &c.topo, &c.mb)
+    };
+    // Three chunkings: the victim's shard differs from the publisher's.
+    let (oldest, victim) = (0, 1);
+    let publisher = (2..)
+        .find(|&i| shard_of(key(i)) != shard_of(key(victim)))
+        .expect("keys spread over the shards");
+    let cache = PlanCache::new().with_byte_budget(2 * config_cost(&compiler));
+    dispatch(&cache, &compiler, &config(oldest));
+    dispatch(&cache, &compiler, &config(victim));
+    let ev = dispatch(&cache, &compiler, &config(oldest));
+    assert_eq!(ev.kind, CacheEventKind::Hit);
+
+    dispatch(&cache, &compiler, &config(publisher));
+    assert!(
+        cache.contains(key(oldest)),
+        "the hit protects the oldest entry"
+    );
+    assert!(
+        !cache.contains(key(victim)),
+        "the stalest entry is the victim"
+    );
+    assert!(cache.contains(key(publisher)));
+    let st = cache.stats();
+    assert_eq!((st.entries, st.evictions), (2, 1), "{st:?}");
+}
+
+/// Publishes racing from several threads keep the books balanced, and the
+/// next publish brings the cache back within its budget.
+#[test]
+fn concurrent_publishes_under_a_global_budget() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 6;
+    let compiler = Compiler::new();
+    let budget = 2 * config_cost(&compiler);
+    let cache = PlanCache::new().with_byte_budget(budget);
+    let start = Barrier::new(THREADS as usize);
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            let (cache, compiler, start) = (&cache, &compiler, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    let ev = dispatch(cache, compiler, &config(t * PER_THREAD + i));
+                    assert_eq!(ev.kind, CacheEventKind::Miss, "keys are distinct");
+                }
+            });
+        }
+    });
+    let st = cache.stats();
+    assert_eq!(st.misses, THREADS * PER_THREAD);
+    assert_eq!(
+        st.entries as u64,
+        st.misses + st.inserts - st.evictions,
+        "eviction accounting out of balance: {st:?}"
+    );
+    dispatch(&cache, &compiler, &config(THREADS * PER_THREAD));
+    let st = cache.stats();
+    assert!(
+        st.resident_bytes <= budget && st.entries <= 2,
+        "over the budget of {budget} B after the join: {st:?}"
+    );
 }
 
 /// A publish that lands while eviction pressure is active still wins: a
