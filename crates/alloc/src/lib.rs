@@ -24,6 +24,8 @@
 
 use rescc_ir::{Csr, DepDag, IrError, TaskId};
 use rescc_sched::Schedule;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Which side of a transfer a primitive implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,60 +37,166 @@ pub enum Direction {
     Recv,
 }
 
-/// One primitive slot inside a TB's program: a task side plus the
-/// sub-pipeline index that orders it on the global timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrimSlot {
+/// One slot of a [`SlotTable`]: a task id with the slot's side in its top
+/// bit (set for the Send side), 4 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Slot(u32);
+
+impl Slot {
+    const SEND: u32 = 1 << 31;
+
+    /// Side `dir` of `task`.
+    ///
+    /// # Panics
+    ///
+    /// If the task id does not stay below 2^31.
+    pub fn new(task: TaskId, dir: Direction) -> Self {
+        assert!(task.0 < Self::SEND, "task id {} needs the side bit", task.0);
+        match dir {
+            Direction::Send => Self(task.0 | Self::SEND),
+            Direction::Recv => Self(task.0),
+        }
+    }
+
     /// The transmission task.
-    pub task: TaskId,
+    pub fn task(self) -> TaskId {
+        TaskId::new(self.0 & !Self::SEND)
+    }
+
     /// Sender or receiver side.
-    pub dir: Direction,
-    /// Index of the sub-pipeline the task was scheduled into.
-    pub sub_pipeline: u32,
+    pub fn dir(self) -> Direction {
+        if self.is_send() {
+            Direction::Send
+        } else {
+            Direction::Recv
+        }
+    }
+
+    /// Whether this is the sending side of its task.
+    pub fn is_send(self) -> bool {
+        self.0 & Self::SEND != 0
+    }
 }
 
-/// The program of one TB: its ordered slots and the micro-batch slice it
-/// owns. A channel TB with `mb_stride = k, mb_offset = c` executes only the
+/// One TB of a [`SlotTable`]: its rank, its slots
+/// (`first..first + len` in the table) and the micro-batch slice it owns.
+/// A channel TB with `mb_stride = k, mb_offset = c` executes only the
 /// invocations of micro-batches `mb ≡ c (mod k)` — this is how NCCL-style
-/// channels split a connection's data across parallel TBs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TbPlan {
-    /// Ordered primitive slots.
-    pub slots: Vec<PrimSlot>,
+/// channels split a connection's data across parallel TBs, so the channel
+/// TBs of one connection endpoint point at the same slots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tb {
+    /// The rank the TB is launched on.
+    pub rank: u32,
+    /// Its first slot in the table.
+    pub first: u32,
+    /// Its number of slots.
+    pub len: u32,
     /// Micro-batch stride (1 = all micro-batches).
     pub mb_stride: u32,
     /// Micro-batch offset within the stride.
     pub mb_offset: u32,
 }
 
-impl TbPlan {
-    /// A TB that owns every micro-batch of its slots.
-    pub fn full(slots: Vec<PrimSlot>) -> Self {
-        Self {
-            slots,
-            mb_stride: 1,
-            mb_offset: 0,
-        }
-    }
-
+impl Tb {
     /// Does this TB execute micro-batch `mb`?
     pub fn owns_micro_batch(&self, mb: u32) -> bool {
-        mb % self.mb_stride == self.mb_offset
+        mb % self.mb_stride.max(1) == self.mb_offset
+    }
+
+    /// Its slots' indices in the table.
+    pub fn slots(&self) -> Range<usize> {
+        self.first as usize..(self.first + self.len) as usize
     }
 }
 
-/// The TB plan of one rank.
+/// The rank → TB → slot hierarchy of a plan, stored once: one flat slot
+/// table and one record per TB, in rank order. A TB's sub-pipelines are
+/// its tasks' in the schedule. The allocation and the kernel program
+/// lowered from it share one table behind an `Arc`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RankTbPlan {
-    /// The TBs launched on this rank.
-    pub tbs: Vec<TbPlan>,
+pub struct SlotTable {
+    n_ranks: u32,
+    slots: Vec<Slot>,
+    tbs: Vec<Tb>,
+}
+
+impl SlotTable {
+    /// The table of `tbs` over `slots` on `n_ranks` ranks, with no spare
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// If the TBs are not in rank order, name a rank outside `n_ranks`, or
+    /// reach past the last slot.
+    pub fn new(n_ranks: usize, mut slots: Vec<Slot>, mut tbs: Vec<Tb>) -> Self {
+        let mut rank = 0;
+        for tb in &tbs {
+            assert!(
+                rank <= tb.rank && (tb.rank as usize) < n_ranks,
+                "TBs must be in rank order on {n_ranks} ranks"
+            );
+            assert!(tb.slots().end <= slots.len(), "a TB reaches past the slots");
+            rank = tb.rank;
+        }
+        slots.shrink_to_fit();
+        tbs.shrink_to_fit();
+        Self {
+            n_ranks: n_ranks as u32,
+            slots,
+            tbs,
+        }
+    }
+
+    /// Number of ranks, TB-less ones included.
+    pub fn n_ranks(&self) -> usize {
+        self.n_ranks as usize
+    }
+
+    /// Every slot, stored once: channel TBs share theirs.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Every TB, in rank order.
+    pub fn tbs(&self) -> &[Tb] {
+        &self.tbs
+    }
+
+    /// The TBs launched on `rank`.
+    pub fn rank_tbs(&self, rank: usize) -> &[Tb] {
+        let lo = self.tbs.partition_point(|tb| (tb.rank as usize) < rank);
+        let hi = self.tbs.partition_point(|tb| (tb.rank as usize) <= rank);
+        &self.tbs[lo..hi]
+    }
+
+    /// The slots of `tb`.
+    pub fn tb_slots(&self, tb: &Tb) -> &[Slot] {
+        &self.slots[tb.slots()]
+    }
+
+    /// Slots executed across all TBs: a slot shared by channel TBs counts
+    /// once per TB.
+    pub fn total_slots(&self) -> usize {
+        self.tbs.iter().map(|tb| tb.len as usize).sum()
+    }
+
+    /// TBs on the busiest rank.
+    pub fn max_rank_tbs(&self) -> usize {
+        self.tbs
+            .chunk_by(|a, b| a.rank == b.rank)
+            .map(<[Tb]>::len)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// A complete TB allocation across all ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TbAllocation {
-    /// Per-rank plans, indexed by rank.
-    pub per_rank: Vec<RankTbPlan>,
+    /// Every rank's TBs and their slots, shared with the kernel program
+    /// lowered from this allocation.
+    pub table: Arc<SlotTable>,
     /// `"connection"`, `"state"` or `"state-chained"`.
     pub strategy: String,
     /// Channels used (connection-based only; 1 for state-based).
@@ -120,46 +228,48 @@ impl RankSlot {
         }
     }
 
-    fn prim(self) -> PrimSlot {
-        PrimSlot {
-            task: self.task,
-            dir: self.dir(),
-            sub_pipeline: self.sub_pipeline,
-        }
+    fn slot(self) -> Slot {
+        Slot::new(self.task, self.dir())
     }
 }
 
 impl TbAllocation {
     /// The rigid connection-based allocation of NCCL/MSCCL: one TB per
-    /// connection endpoint per channel. Tasks of an endpoint are dealt
-    /// round-robin over its channel copies, which is exactly how MSCCL's
-    /// extra channels increase parallelism while leaving most channel TBs
-    /// idle most of the time.
+    /// connection endpoint per channel. The channel TBs of an endpoint run
+    /// its one slot range, each on every `n_channels`-th micro-batch, which
+    /// is exactly how MSCCL's extra channels increase parallelism while
+    /// leaving most channel TBs idle most of the time.
     pub fn connection_based(dag: &DepDag, schedule: &Schedule, n_channels: u32) -> Self {
         assert!(n_channels >= 1, "need at least one channel");
         let n_ranks = infer_n_ranks(dag);
-        let slots = collect_slots(dag, schedule);
+        let per_rank = collect_slots(dag, schedule);
 
-        let mut per_rank: Vec<RankTbPlan> = vec![RankTbPlan::default(); n_ranks];
+        let mut slots = Vec::with_capacity(2 * dag.len());
+        let mut tbs = Vec::new();
         let mut endpoints = Csr::new();
-        for (rank, plan) in per_rank.iter_mut().enumerate() {
+        for (rank, rank_slots) in per_rank.iter().enumerate() {
             // Group by endpoint in endpoint order, preserving sub-pipeline
             // order within an endpoint.
-            endpoints.refill(2 * n_ranks, slots[rank].iter().map(|s| (s.endpoint, *s)));
+            endpoints.refill(
+                2 * n_ranks,
+                rank_slots.iter().map(|s| (s.endpoint, s.slot())),
+            );
             for ep in (0..2 * n_ranks).filter(|&ep| !endpoints.row(ep).is_empty()) {
-                // One TB per channel; every channel TB carries the whole
-                // slot list but only its micro-batch slice.
-                for c in 0..n_channels {
-                    plan.tbs.push(TbPlan {
-                        slots: endpoints.row(ep).iter().map(|s| s.prim()).collect(),
-                        mb_stride: n_channels,
-                        mb_offset: c,
-                    });
-                }
+                // One TB per channel; the channel TBs share the endpoint's
+                // slots, each owning only its micro-batch slice.
+                let first = slots.len() as u32;
+                slots.extend_from_slice(endpoints.row(ep));
+                tbs.extend((0..n_channels).map(|c| Tb {
+                    rank: rank as u32,
+                    first,
+                    len: endpoints.row(ep).len() as u32,
+                    mb_stride: n_channels,
+                    mb_offset: c,
+                }));
             }
         }
         Self {
-            per_rank,
+            table: Arc::new(SlotTable::new(n_ranks, slots, tbs)),
             strategy: "connection".into(),
             n_channels,
         }
@@ -220,14 +330,14 @@ impl TbAllocation {
             Vec::new()
         };
 
-        let mut endpoints = Endpoints::new(2 * slots.len());
-        let per_rank = (0..slots.len())
-            .map(|rank| RankTbPlan {
-                tbs: endpoints.lower_rank(dag, &base_pos, &chain_feed, chain_merge, &slots[rank]),
-            })
-            .collect();
+        let n_ranks = slots.len();
+        let mut endpoints = Endpoints::new(2 * n_ranks);
+        let mut table = (Vec::with_capacity(2 * dag.len()), Vec::new());
+        for (rank, rank_slots) in slots.iter().enumerate() {
+            endpoints.lower_rank(dag, &base_pos, &chain_feed, rank, rank_slots, &mut table);
+        }
         Self {
-            per_rank,
+            table: Arc::new(SlotTable::new(n_ranks, table.0, table.1)),
             strategy: "state".into(),
             n_channels: 1,
         }
@@ -235,88 +345,72 @@ impl TbAllocation {
 
     /// Total number of TBs across all ranks.
     pub fn total_tbs(&self) -> usize {
-        self.per_rank.iter().map(|r| r.tbs.len()).sum()
+        self.table.tbs().len()
     }
 
     /// TBs on the busiest rank (the `#TB` row of Table 3).
     pub fn max_rank_tbs(&self) -> usize {
-        self.per_rank.iter().map(|r| r.tbs.len()).max().unwrap_or(0)
+        self.table.max_rank_tbs()
     }
 
     /// Validate the allocation against its DAG and schedule:
     /// * every task contributes exactly one Send slot (on its src rank) and
     ///   one Recv slot (on its dst rank),
-    /// * slots within a TB are ordered by sub-pipeline index. In a
+    /// * slots within a TB are ordered by their tasks' sub-pipelines. In a
     ///   [`TbAllocation::state_based_chained`] allocation, a chain forward
     ///   keyed directly behind its feeder's Recv (with only other forwards
     ///   of that feeder in between) is checked the same way but does not
     ///   advance the order, so the slots it was moved ahead of stay
-    ///   ordered against the feeder,
-    /// * slots record the sub-pipeline the schedule actually assigned.
+    ///   ordered against the feeder.
     pub fn validate(&self, dag: &DepDag, schedule: &Schedule) -> Result<(), IrError> {
         let n = dag.len();
-        let mut sp_of: Vec<u32> = vec![u32::MAX; n];
-        for (sp, tasks) in schedule.sub_pipelines.iter().enumerate() {
-            for &t in tasks {
-                sp_of[t.index()] = sp as u32;
-            }
-        }
+        let sp_of = schedule.sub_pipeline_of(n);
         // One `(side, (stride, offset))` entry per slot: side `t` is task
         // `t`'s Send, side `n + t` its Recv.
         let mut covers: Vec<(u32, (u32, u32))> = Vec::with_capacity(2 * n);
         let chained = self.strategy == "state-chained";
-        for (rank, plan) in self.per_rank.iter().enumerate() {
-            for tb in &plan.tbs {
-                if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
+        for tb in self.table.tbs() {
+            let rank = tb.rank as usize;
+            if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
+                return Err(IrError::new(format!(
+                    "TB on rank r{rank} has invalid micro-batch window {}%{}",
+                    tb.mb_offset, tb.mb_stride
+                )));
+            }
+            let mut last_sp = 0u32;
+            // The Recv that the last order-advancing slot delivered, if
+            // it was one: the only feeder a chain forward may follow.
+            let mut anchor: Option<TaskId> = None;
+            for &slot in self.table.tb_slots(tb) {
+                let (task, dir) = (slot.task(), slot.dir());
+                let t = dag.transfer(task);
+                let expect_rank = match dir {
+                    Direction::Send => t.src,
+                    Direction::Recv => t.dst,
+                };
+                if expect_rank.index() != rank {
                     return Err(IrError::new(format!(
-                        "TB on rank r{rank} has invalid micro-batch window {}%{}",
-                        tb.mb_offset, tb.mb_stride
+                        "slot for task {task} ({dir:?}) placed on rank r{rank}, expected {expect_rank}"
                     )));
                 }
-                let mut last_sp = 0u32;
-                // The Recv that the last order-advancing slot delivered, if
-                // it was one: the only feeder a chain forward may follow.
-                let mut anchor: Option<TaskId> = None;
-                for slot in &tb.slots {
-                    let t = dag.transfer(slot.task);
-                    let expect_rank = match slot.dir {
-                        Direction::Send => t.src,
-                        Direction::Recv => t.dst,
-                    };
-                    if expect_rank.index() != rank {
-                        return Err(IrError::new(format!(
-                            "slot for task {} ({:?}) placed on rank r{rank}, expected {}",
-                            slot.task, slot.dir, expect_rank
-                        )));
-                    }
-                    if sp_of[slot.task.index()] != slot.sub_pipeline {
-                        return Err(IrError::new(format!(
-                            "slot for task {} records sub-pipeline {}, schedule says {}",
-                            slot.task,
-                            slot.sub_pipeline,
-                            sp_of[slot.task.index()]
-                        )));
-                    }
-                    if slot.sub_pipeline < last_sp {
-                        return Err(IrError::new(format!(
-                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
-                            slot.sub_pipeline, last_sp
-                        )));
-                    }
-                    let forward = chained
-                        && slot.dir == Direction::Send
-                        && anchor
-                            .is_some_and(|a| chain_feed(dag, slot.task) == ChainFeed::Single(a));
-                    if !forward {
-                        last_sp = slot.sub_pipeline;
-                        anchor = (slot.dir == Direction::Recv).then_some(slot.task);
-                    }
-                    let side = match slot.dir {
-                        Direction::Send => slot.task.0,
-                        Direction::Recv => n as u32 + slot.task.0,
-                    };
-                    covers.push((side, (tb.mb_stride, tb.mb_offset)));
+                let sp = sp_of[task.index()];
+                if sp < last_sp {
+                    return Err(IrError::new(format!(
+                        "TB on rank r{rank} has out-of-order slots (sub-pipeline {sp} after {last_sp})"
+                    )));
                 }
+                let forward = chained
+                    && dir == Direction::Send
+                    && anchor.is_some_and(|a| chain_feed(dag, task) == ChainFeed::Single(a));
+                if !forward {
+                    last_sp = sp;
+                    anchor = (dir == Direction::Recv).then_some(task);
+                }
+                let side = match dir {
+                    Direction::Send => task.0,
+                    Direction::Recv => n as u32 + task.0,
+                };
+                covers.push((side, (tb.mb_stride, tb.mb_offset)));
             }
         }
         // Every (task, dir) must be covered by windows that exactly
@@ -409,16 +503,18 @@ impl Endpoints {
         }
     }
 
-    /// Build one rank's TB list: interval analysis, optional chain merging,
+    /// Build one rank's TBs and append them to `table`'s slots and TB
+    /// records: interval analysis, chain merging when `chain_feed` is set,
     /// greedy interval partitioning, and the in-TB slot sort.
     fn lower_rank(
         &mut self,
         dag: &DepDag,
         base_pos: &[u32],
         chain_feed: &[ChainFeed],
-        chain_merge: bool,
+        rank: usize,
         rank_slots: &[RankSlot],
-    ) -> Vec<TbPlan> {
+        (slots, tbs): &mut (Vec<Slot>, Vec<Tb>),
+    ) {
         const NONE: u32 = u32::MAX;
         let n_keys = self.span.len();
         self.rows
@@ -438,7 +534,7 @@ impl Endpoints {
         // that feeds all of its tasks (same chunk, this rank in the
         // middle of the chain). Folded endpoints are remembered so the
         // final sort can key their forwards right behind their feeders.
-        if chain_merge {
+        if !chain_feed.is_empty() {
             for &ep in present.iter().filter(|&&ep| sends(ep as u32)) {
                 // The single feeding recv endpoint, if one exists.
                 // Chain heads (a rank sending its own data, no feeder)
@@ -516,17 +612,17 @@ impl Endpoints {
                 row = self.next[row as usize];
             }
         }
-        tb_slots
-            .into_iter()
-            .map(|mut slots| {
-                slots.sort_by_key(|&(key, _)| key);
-                // A fresh, exact allocation: collecting in place would keep
-                // the larger keyed slots' capacity for the plan's lifetime.
-                let mut prims = Vec::with_capacity(slots.len());
-                prims.extend(slots.iter().map(|(_, s)| s.prim()));
-                TbPlan::full(prims)
-            })
-            .collect()
+        for mut keyed in tb_slots {
+            keyed.sort_by_key(|&(key, _)| key);
+            tbs.push(Tb {
+                rank: rank as u32,
+                first: slots.len() as u32,
+                len: keyed.len() as u32,
+                mb_stride: 1,
+                mb_offset: 0,
+            });
+            slots.extend(keyed.iter().map(|(_, s)| s.slot()));
+        }
     }
 }
 
@@ -692,6 +788,11 @@ mod tests {
         chained.validate(&dag, &s).unwrap();
     }
 
+    /// The table of `a`, for mutation.
+    fn table(a: &mut TbAllocation) -> &mut SlotTable {
+        Arc::make_mut(&mut a.table)
+    }
+
     #[test]
     fn chained_validation_catches_swapped_non_transit_slots() {
         let (dag, s) = ring_setup(1, 8);
@@ -699,12 +800,12 @@ mod tests {
         a.validate(&dag, &s).unwrap();
         // Rank 0's receives are not chain forwards: swapping two of them
         // from different sub-pipelines must still be rejected.
-        let slots = &mut a.per_rank[0].tbs[0].slots;
-        let recvs: Vec<usize> = (0..slots.len())
-            .filter(|&i| slots[i].dir == Direction::Recv)
-            .collect();
+        let sp_of = s.sub_pipeline_of(dag.len());
+        let t = table(&mut a);
+        let slots = &mut t.slots[t.tbs[0].slots()];
+        let recvs: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].is_send()).collect();
         let (i, j) = (recvs[0], recvs[recvs.len() - 1]);
-        assert!(slots[i].sub_pipeline < slots[j].sub_pipeline);
+        assert!(sp_of[slots[i].task().index()] < sp_of[slots[j].task().index()]);
         slots.swap(i, j);
         let err = a.validate(&dag, &s).unwrap_err();
         assert!(err.to_string().contains("out-of-order"), "{err}");
@@ -732,14 +833,8 @@ mod tests {
     fn validation_catches_missing_slot() {
         let (dag, s) = ring_setup(1, 4);
         let mut a = TbAllocation::state_based(&dag, &s);
-        'outer: for plan in &mut a.per_rank {
-            for tb in &mut plan.tbs {
-                if !tb.slots.is_empty() {
-                    tb.slots.pop();
-                    break 'outer;
-                }
-            }
-        }
+        let tb = table(&mut a).tbs.iter_mut().find(|tb| tb.len > 0).unwrap();
+        tb.len -= 1;
         assert!(a.validate(&dag, &s).is_err());
     }
 
@@ -747,10 +842,15 @@ mod tests {
     fn validation_catches_wrong_rank() {
         let (dag, s) = ring_setup(1, 4);
         let mut a = TbAllocation::state_based(&dag, &s);
-        // Move rank 0's first TB onto rank 1.
-        let tb = a.per_rank[0].tbs.remove(0);
-        a.per_rank[1].tbs.push(tb);
+        move_first_tb_to_rank_1(table(&mut a));
         assert!(a.validate(&dag, &s).is_err());
+    }
+
+    /// Move rank 0's first TB onto rank 1, as that rank's first TB.
+    fn move_first_tb_to_rank_1(t: &mut SlotTable) {
+        let k = t.rank_tbs(0).len();
+        t.tbs[..k].rotate_left(1);
+        t.tbs[k - 1].rank = 1;
     }
 
     /// [`TbAllocation::validate`] as it was before its cover tables went
@@ -771,8 +871,8 @@ mod tests {
             }
         }
         let chained = a.strategy == "state-chained";
-        for (rank, plan) in a.per_rank.iter().enumerate() {
-            for tb in &plan.tbs {
+        for rank in 0..a.table.n_ranks() {
+            for tb in a.table.rank_tbs(rank) {
                 if tb.mb_stride == 0 || tb.mb_offset >= tb.mb_stride {
                     return Err(format!(
                         "TB on rank r{rank} has invalid micro-batch window {}%{}",
@@ -781,45 +881,36 @@ mod tests {
                 }
                 let mut last_sp = 0u32;
                 let mut anchor: Option<TaskId> = None;
-                for slot in &tb.slots {
-                    let t = dag.transfer(slot.task);
-                    let expect_rank = match slot.dir {
+                for slot in a.table.tb_slots(tb) {
+                    let (task, dir) = (slot.task(), slot.dir());
+                    let t = dag.transfer(task);
+                    let expect_rank = match dir {
                         Direction::Send => t.src,
                         Direction::Recv => t.dst,
                     };
                     if expect_rank.index() != rank {
                         return Err(format!(
-                            "slot for task {} ({:?}) placed on rank r{rank}, expected {}",
-                            slot.task, slot.dir, expect_rank
+                            "slot for task {task} ({dir:?}) placed on rank r{rank}, expected {expect_rank}"
                         ));
                     }
-                    if sp_of[slot.task.index()] != slot.sub_pipeline {
+                    let sp = sp_of[task.index()];
+                    if sp < last_sp {
                         return Err(format!(
-                            "slot for task {} records sub-pipeline {}, schedule says {}",
-                            slot.task,
-                            slot.sub_pipeline,
-                            sp_of[slot.task.index()]
-                        ));
-                    }
-                    if slot.sub_pipeline < last_sp {
-                        return Err(format!(
-                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {} after {})",
-                            slot.sub_pipeline, last_sp
+                            "TB on rank r{rank} has out-of-order slots (sub-pipeline {sp} after {last_sp})"
                         ));
                     }
                     let forward = chained
-                        && slot.dir == Direction::Send
-                        && anchor
-                            .is_some_and(|a| chain_feed(dag, slot.task) == ChainFeed::Single(a));
+                        && dir == Direction::Send
+                        && anchor.is_some_and(|a| chain_feed(dag, task) == ChainFeed::Single(a));
                     if !forward {
-                        last_sp = slot.sub_pipeline;
-                        anchor = (slot.dir == Direction::Recv).then_some(slot.task);
+                        last_sp = sp;
+                        anchor = (dir == Direction::Recv).then_some(task);
                     }
-                    let cover = match slot.dir {
+                    let cover = match dir {
                         Direction::Send => &mut send_cover,
                         Direction::Recv => &mut recv_cover,
                     };
-                    cover[slot.task.index()].push((tb.mb_stride, tb.mb_offset));
+                    cover[task.index()].push((tb.mb_stride, tb.mb_offset));
                 }
             }
         }
@@ -870,38 +961,41 @@ mod tests {
         verdict(&state, &dag, &s).unwrap();
         verdict(&conn, &dag, &s).unwrap();
         let ir = |m: String| Err(IrError::new(m).to_string());
+        let sp_of = s.sub_pipeline_of(dag.len());
 
         // A missing slot: the last slot of rank 0's first TB.
         let mut a = state.clone();
-        let gone = a.per_rank[0].tbs[0].slots.pop().unwrap();
-        let what = format!("{:?}", gone.dir);
+        let t = table(&mut a);
+        t.tbs[0].len -= 1;
+        let gone = t.slots[t.tbs[0].slots().end];
+        let what = format!("{:?}", gone.dir());
         assert_eq!(
             verdict(&a, &dag, &s),
-            ir(format!("task {} is missing a {what} slot", gone.task))
+            ir(format!("task {} is missing a {what} slot", gone.task()))
         );
 
         // Mixed strides: one channel copy claims stride 3.
         let mut a = conn.clone();
-        let tb = &mut a.per_rank[0].tbs[1];
-        tb.mb_stride = 3;
-        let first = tb.slots[0];
-        let side = format!("{:?}", first.dir);
+        let t = table(&mut a);
+        t.tbs[1].mb_stride = 3;
+        let side = format!("{:?}", t.tb_slots(&t.tbs[1])[0].dir());
         // The first side of the rank-0 endpoint in task order.
-        let t = a.per_rank[0].tbs[1]
-            .slots
+        let first = t
+            .tb_slots(&t.tbs[1])
             .iter()
-            .map(|s| s.task)
+            .map(|s| s.task())
             .min()
             .unwrap();
         assert_eq!(
             verdict(&a, &dag, &s),
-            ir(format!("task {t} {side} slots mix strides 2 and 3"))
+            ir(format!("task {first} {side} slots mix strides 2 and 3"))
         );
 
         // A duplicate window: rank 0's first TB launched twice.
         let mut a = state.clone();
-        let dup = a.per_rank[0].tbs[0].clone();
-        a.per_rank[0].tbs.push(dup);
+        let t = table(&mut a);
+        let k = t.rank_tbs(0).len();
+        t.tbs.insert(k, t.tbs[0]);
         assert!(verdict(&a, &dag, &s)
             .unwrap_err()
             .ends_with("windows [0, 0] do not partition stride 1"));
@@ -909,17 +1003,19 @@ mod tests {
         // An out-of-order slot: the first two slots of different
         // sub-pipelines on one TB swapped.
         let mut a = state.clone();
-        let (rank, tb, j) = (0..a.per_rank.len())
-            .flat_map(|r| (0..a.per_rank[r].tbs.len()).map(move |tb| (r, tb)))
-            .find_map(|(r, tb)| {
-                let slots = &a.per_rank[r].tbs[tb].slots;
+        let t = table(&mut a);
+        let sp = |slot: Slot| sp_of[slot.task().index()];
+        let (tb, j) = (0..t.tbs.len())
+            .find_map(|tb| {
+                let slots = t.tb_slots(&t.tbs[tb]);
                 (1..slots.len())
-                    .find(|&j| slots[j].sub_pipeline > slots[0].sub_pipeline)
-                    .map(|j| (r, tb, j))
+                    .find(|&j| sp(slots[j]) > sp(slots[0]))
+                    .map(|j| (tb, j))
             })
             .expect("some TB spans two sub-pipelines");
-        let slots = &mut a.per_rank[rank].tbs[tb].slots;
-        let (lo, hi) = (slots[0].sub_pipeline, slots[j].sub_pipeline);
+        let (rank, range) = (t.tbs[tb].rank, t.tbs[tb].slots());
+        let slots = &mut t.slots[range];
+        let (lo, hi) = (sp(slots[0]), sp(slots[j]));
         slots.swap(0, j);
         assert_eq!(
             verdict(&a, &dag, &s),
@@ -930,44 +1026,66 @@ mod tests {
 
         // A wrong rank: rank 0's first TB moved onto rank 1.
         let mut a = state.clone();
-        let tb = a.per_rank[0].tbs.remove(0);
-        let slot = tb.slots[0];
-        a.per_rank[1].tbs.insert(0, tb);
-        let t = dag.transfer(slot.task);
-        let expect = if slot.dir == Direction::Send {
-            t.src
-        } else {
-            t.dst
-        };
+        let t = table(&mut a);
+        let slot = t.tb_slots(&t.tbs[0])[0];
+        move_first_tb_to_rank_1(t);
+        let task = dag.transfer(slot.task());
+        let expect = if slot.is_send() { task.src } else { task.dst };
         assert_eq!(
             verdict(&a, &dag, &s),
             ir(format!(
                 "slot for task {} ({:?}) placed on rank r1, expected {expect}",
-                slot.task, slot.dir
-            ))
-        );
-
-        // A wrong sub-pipeline: the first slot claims the next one.
-        let mut a = state.clone();
-        let slot = &mut a.per_rank[0].tbs[0].slots[0];
-        let real = slot.sub_pipeline;
-        slot.sub_pipeline += 1;
-        let task = slot.task;
-        assert_eq!(
-            verdict(&a, &dag, &s),
-            ir(format!(
-                "slot for task {task} records sub-pipeline {}, schedule says {real}",
-                real + 1
+                slot.task(),
+                slot.dir()
             ))
         );
 
         // An invalid window.
         let mut a = conn;
-        a.per_rank[2].tbs[0].mb_offset = 2;
+        let t = table(&mut a);
+        let at = t.tbs.partition_point(|tb| tb.rank < 2);
+        t.tbs[at].mb_offset = 2;
         assert_eq!(
             verdict(&a, &dag, &s),
             ir("TB on rank r2 has invalid micro-batch window 2%2".into())
         );
+    }
+
+    #[test]
+    fn channel_tbs_share_their_slots() {
+        let (dag, s) = ring_setup(2, 4);
+        let one = TbAllocation::connection_based(&dag, &s, 1);
+        let four = TbAllocation::connection_based(&dag, &s, 4);
+        assert_eq!(one.table.slots(), four.table.slots());
+        assert_eq!(four.table.slots().len(), 2 * dag.len());
+        assert_eq!(four.table.total_slots(), 4 * one.table.total_slots());
+        for (i, tb) in four.table.tbs().iter().enumerate() {
+            assert_eq!((tb.first, tb.len), {
+                let o = one.table.tbs()[i / 4];
+                (o.first, o.len)
+            });
+        }
+    }
+
+    #[test]
+    fn a_slot_packs_its_side_into_the_top_bit() {
+        let top = TaskId::new((1 << 31) - 1);
+        for (task, dir) in [
+            (TaskId::new(0), Direction::Send),
+            (top, Direction::Recv),
+            (top, Direction::Send),
+        ] {
+            let slot = Slot::new(task, dir);
+            assert_eq!((slot.task(), slot.dir()), (task, dir));
+            assert_eq!(slot.is_send(), dir == Direction::Send);
+        }
+        assert_eq!(std::mem::size_of::<Slot>(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the side bit")]
+    fn a_task_id_of_2_pow_31_does_not_fit_a_slot() {
+        Slot::new(TaskId::new(1 << 31), Direction::Recv);
     }
 
     #[test]

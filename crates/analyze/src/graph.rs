@@ -140,31 +140,31 @@ impl CombinedOrder {
 
 /// Per-TB serialization edges `(from, to)`, in program order. Both sides
 /// of a task map onto the same combined-order node (rendezvous: an
-/// invocation needs both TBs). A slot marked `fused_with_prev` issues
-/// asynchronously behind the slot directly before it — it is gated by that
-/// feeder (cut-through) but never gates the slots after it.
+/// invocation needs both TBs). A fused slot issues asynchronously behind
+/// the slot directly before it — it is gated by that feeder (cut-through)
+/// but never gates the slots after it.
 fn tb_edges(program: &KernelProgram, mut edge: impl FnMut(TaskId, TaskId)) {
-    for rp in &program.ranks {
-        for tb in &rp.tbs {
-            let mut last_gating: Option<TaskId> = None;
-            let mut prev: Option<TaskId> = None;
-            for slot in &tb.slots {
-                if slot.fused_with_prev {
-                    if let Some(p) = prev {
-                        if p != slot.task {
-                            edge(p, slot.task);
-                        }
+    let table = &*program.table;
+    for tb in table.tbs() {
+        let mut last_gating: Option<TaskId> = None;
+        let mut prev: Option<TaskId> = None;
+        for i in tb.slots() {
+            let task = table.slots()[i].task();
+            if program.is_fused(i) {
+                if let Some(p) = prev {
+                    if p != task {
+                        edge(p, task);
                     }
-                } else {
-                    if let Some(g) = last_gating {
-                        if g != slot.task {
-                            edge(g, slot.task);
-                        }
-                    }
-                    last_gating = Some(slot.task);
                 }
-                prev = Some(slot.task);
+            } else {
+                if let Some(g) = last_gating {
+                    if g != task {
+                        edge(g, task);
+                    }
+                }
+                last_gating = Some(task);
             }
+            prev = Some(task);
         }
     }
 }

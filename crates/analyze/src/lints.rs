@@ -42,10 +42,11 @@ pub fn ra001_deadlock(
     // The site is the last TB in program order that runs the task's send
     // side, else the last that runs its receive side.
     let mut sides: [Option<(u32, u32)>; 2] = [None, None];
-    for rp in &input.program.ranks {
-        for (tb_idx, tb) in rp.tbs.iter().enumerate() {
-            for slot in tb.slots.iter().filter(|s| s.task.0 == first) {
-                sides[usize::from(!slot.is_send())] = Some((rp.rank.0, tb_idx as u32));
+    let table = &*input.program.table;
+    for rank in 0..table.n_ranks() {
+        for (tb_idx, tb) in table.rank_tbs(rank).iter().enumerate() {
+            for slot in table.tb_slots(tb).iter().filter(|s| s.task().0 == first) {
+                sides[usize::from(!slot.is_send())] = Some((rank as u32, tb_idx as u32));
             }
         }
     }
@@ -228,8 +229,8 @@ pub fn ra003_oversubscription(
     let all: Vec<u32> = (0..input.schedule.sub_pipelines.len() as u32).collect();
     ra003_sub_pipeline_loads(input, &all, out);
 
-    for (rank, plan) in input.alloc.per_rank.iter().enumerate() {
-        let n_tbs = plan.tbs.len() as u32;
+    for rank in 0..input.alloc.table.n_ranks() {
+        let n_tbs = input.alloc.table.rank_tbs(rank).len() as u32;
         if n_tbs > config.tb_budget_per_rank {
             out.push(Diagnostic {
                 code: LintCode::RA003,
@@ -603,21 +604,9 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
     // derives its cut-through gates from the same slots).
     let mut fused = vec![false; n];
     let mut feeder: Vec<u32> = vec![u32::MAX; n];
-    for rp in &input.program.ranks {
-        for tb in &rp.tbs {
-            let mut prev: Option<rescc_ir::TaskId> = None;
-            for slot in &tb.slots {
-                if slot.fused_with_prev {
-                    fused[slot.task.index()] = true;
-                    if let Some(p) = prev {
-                        if p != slot.task {
-                            feeder[slot.task.index()] = p.0;
-                        }
-                    }
-                }
-                prev = Some(slot.task);
-            }
-        }
+    for (a, b) in input.program.fused_pairs() {
+        fused[b.index()] = true;
+        feeder[b.index()] = a.0;
     }
 
     // Per-task startup α: the engine charges the max α over the task's

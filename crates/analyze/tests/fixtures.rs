@@ -12,18 +12,19 @@
 //! reaches the seed sweep. A final fixture pins the `--json` rendering
 //! to be byte-deterministic across independent analysis runs.
 
-use rescc_alloc::TbAllocation;
+use rescc_alloc::{Direction, Slot, SlotTable, Tb, TbAllocation};
 use rescc_analyze::{
     analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental, LintCode, ResidualContext,
     Severity,
 };
 use rescc_ir::DepDag;
-use rescc_kernel::{ExecMode, KernelProgram, KernelSlot, LoopOrder, Primitive, TbProgram};
+use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::{AlgoBuilder, AlgoSpec, CommType, OpType, TransferRec};
 use rescc_sched::{hpds, Schedule};
 use rescc_topology::{
     ChunkId, ClusterSpec, FabricParams, NicId, Rank, Step, Topology, TopologyHealth,
 };
+use std::sync::Arc;
 
 fn full_stack(spec: &AlgoSpec, topo: &Topology) -> (DepDag, Schedule, TbAllocation, KernelProgram) {
     let dag = DepDag::build(spec, topo).expect("dag");
@@ -94,16 +95,22 @@ fn ra001_fixture_tb_order_against_dag_edge() {
     let chain = dag.chunk_tasks(ChunkId::new(0));
     let (x, y) = (chain[0], chain[1]);
     assert!(dag.succs(x).contains(&y), "fixture precondition: x -> y");
-    let slot = |t: rescc_ir::TaskId| KernelSlot {
-        task: t,
-        primitive: Primitive::Recv,
-        fused_with_prev: false,
-    };
-    program.ranks[0].tbs.push(TbProgram {
-        slots: vec![slot(y), slot(x)],
+    // The program's table plus one more TB on rank 0, after its others.
+    let table = &program.table;
+    let mut slots = table.slots().to_vec();
+    let mut tbs = table.tbs().to_vec();
+    let at = table.rank_tbs(0).len();
+    let first = slots.len() as u32;
+    slots.extend([Slot::new(y, Direction::Recv), Slot::new(x, Direction::Recv)]);
+    let extra = Tb {
+        rank: 0,
+        first,
+        len: 2,
         mb_stride: 1,
         mb_offset: 0,
-    });
+    };
+    tbs.insert(at, extra);
+    program.table = Arc::new(SlotTable::new(table.n_ranks(), slots, tbs));
 
     let report = run(
         &spec,
@@ -211,7 +218,7 @@ fn ra003_fixture_tb_budget_exceeded() {
     let topo = Topology::a100(1, 4);
     let spec = rescc_algos::ring_allgather(4);
     let (dag, schedule, alloc, program) = full_stack(&spec, &topo);
-    assert!(alloc.per_rank.iter().all(|p| p.tbs.len() >= 2));
+    assert!((0..4).all(|r| alloc.table.rank_tbs(r).len() >= 2));
 
     let report = run(
         &spec,

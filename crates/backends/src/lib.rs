@@ -497,6 +497,29 @@ mod tests {
     }
 
     #[test]
+    fn nccl_with_no_channel_is_an_invalid_config() {
+        let topo = Topology::a100(1, 4);
+        let nccl = NcclBackend { n_channels: 0 };
+        match nccl.run(&hm_allgather(1, 4), &topo, 16 * MB, MB) {
+            Err(SimError::InvalidConfig(e)) => assert!(e.contains("one channel"), "{e}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn msccl_with_no_stage_is_an_invalid_config() {
+        let topo = Topology::a100(1, 4);
+        let msccl = MscclBackend {
+            n_stages: 0,
+            ..MscclBackend::default()
+        };
+        match msccl.run(&hm_allgather(1, 4), &topo, 16 * MB, MB) {
+            Err(SimError::InvalidConfig(e)) => assert!(e.contains("one stage"), "{e}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rank_mismatch_is_a_typed_dag_error() {
         // An 8-rank algorithm on a 4-rank cluster cannot form a DAG, on
         // every backend.

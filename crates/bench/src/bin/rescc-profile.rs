@@ -21,9 +21,10 @@
 //! ```
 
 use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather};
-use rescc_alloc::{Direction, TbAllocation};
+use rescc_alloc::{Direction, Slot, TbAllocation};
 use rescc_backends::Communicator;
 use rescc_core::Compiler;
+use rescc_ir::TaskId;
 use rescc_obs::{bubble_span, ArgValue, ChromeTrace, ObsStats, SpanCategory};
 use rescc_sim::{BubbleCause, FaultTimeline, SimConfig};
 use rescc_topology::{Rank, Topology};
@@ -91,14 +92,13 @@ fn parse_args() -> Args {
 /// The TB on `rank` that executes side `dir` of `task` for micro-batch
 /// `mb`, per the compiled allocation.
 fn tb_of(alloc: &TbAllocation, rank: u32, task: u32, dir: Direction, mb: u32) -> Option<u32> {
-    alloc.per_rank.get(rank as usize).and_then(|r| {
-        r.tbs
-            .iter()
-            .position(|tb| {
-                tb.owns_micro_batch(mb) && tb.slots.iter().any(|s| s.task.0 == task && s.dir == dir)
-            })
-            .map(|i| i as u32)
-    })
+    let table = &alloc.table;
+    let slot = Slot::new(TaskId::new(task), dir);
+    table
+        .rank_tbs(rank as usize)
+        .iter()
+        .position(|tb| tb.owns_micro_batch(mb) && table.tb_slots(tb).contains(&slot))
+        .map(|i| i as u32)
 }
 
 const MB: u64 = 1 << 20;
@@ -179,7 +179,7 @@ fn main() {
     // Rank/TB tracks: transfers on both endpoint TBs, bubbles on theirs.
     for r in 0..n_ranks {
         trace.name_process(pid_rank(r), &format!("rank {r}"));
-        for (t, _) in plan.alloc.per_rank[r as usize].tbs.iter().enumerate() {
+        for t in 0..plan.alloc.table.rank_tbs(r as usize).len() {
             trace.name_thread(pid_rank(r), t as u32, &format!("tb {t}"));
         }
     }

@@ -55,6 +55,7 @@
 //! topology, a tweaked fabric parameter — changes the key and misses.
 
 use crate::{CompiledPlan, Compiler, LintGate, Lowering, SchedulerChoice};
+use rescc_analyze::Diagnostic;
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, CommType, OpType, TransferRec};
 use rescc_sim::SimResult;
@@ -653,17 +654,30 @@ impl PlanCache {
 /// plan's layout (DESIGN.md §15): per spec transfer, its 20-byte record,
 /// which the DAG shares; per task, the DAG's route index, adjacency and
 /// chunk lists (about 1.5 edges a task) and the schedule's entry; per
-/// kernel slot, a 12-byte allocation slot and an 8-byte kernel slot; per
-/// TB, one TB header in each of the two; per route, one route-table entry.
+/// stored slot, 4 bytes of the slot table the allocation and the program
+/// share (channel TBs share their slots); per TB, its 20-byte record; per
+/// barrier-group entry, 4 bytes; per route, one route-table entry; per
+/// sanitize finding, its record, message and path.
 /// `crates/core/tests/plan_memory.rs` holds it to within ±20% of the heap
 /// a counting allocator measures.
 pub fn plan_cost_bytes(plan: &CompiledPlan) -> u64 {
     let transfers = plan.spec.transfers().len() as u64;
     let tasks = plan.dag.len() as u64;
-    let slots = plan.program.total_slots() as u64;
-    let tbs = plan.program.total_tbs() as u64;
+    let table = &plan.program.table;
+    let slots = table.slots().len() as u64;
+    let tbs = table.tbs().len() as u64;
+    let barriers = plan.program.barrier_groups.as_ref().map_or(0, Vec::len) as u64;
     let routes = plan.dag.n_routes() as u64;
-    4096 + transfers * 20 + tasks * 28 + slots * 20 + tbs * 64 + routes * 72
+    let findings: usize = (plan.diagnostics.diagnostics().iter())
+        .map(|d| size_of::<Diagnostic>() + d.message.len() + 4 * d.path.len())
+        .sum();
+    4096 + transfers * 20
+        + tasks * 28
+        + slots * 4
+        + tbs * 20
+        + barriers * 4
+        + routes * 72
+        + findings as u64
 }
 
 /// The content fingerprint keying [`PlanCache`] entries: a 64-bit

@@ -321,6 +321,19 @@ impl Compiler {
         dag: &DepDag,
         timings: &mut PhaseTimings,
     ) -> SimResult<Lowered> {
+        if let Lowering::Rigid {
+            n_channels,
+            n_stages,
+            ..
+        } = self.lowering
+        {
+            if n_channels == 0 || n_stages == 0 {
+                return Err(SimError::InvalidConfig(format!(
+                    "a rigid lowering needs at least one channel and one stage, \
+                     not {n_channels} and {n_stages}"
+                )));
+            }
+        }
         let t0 = Instant::now();
         // Rule 3 (no oversubscribed sub-pipeline) is a postcondition of
         // HPDS and RR only; by-step promises dependency order.
@@ -494,7 +507,7 @@ impl CompiledPlan {
 
     /// Emit the generated pseudo-CUDA kernels for all ranks.
     pub fn emit_kernels(&self) -> String {
-        emit_all(&self.program, &self.dag, &self.alloc)
+        emit_all(&self.program, &self.dag, &self.alloc, &self.schedule)
     }
 
     /// The α–β–γ makespan lower bound certified by the sanitize phase for
@@ -561,6 +574,19 @@ mod tests {
         assert_eq!(plan.timings.parsing, Duration::ZERO);
         assert!(plan.timings.total() > Duration::ZERO);
         assert!(plan.total_tbs() > 0);
+    }
+
+    #[test]
+    fn allocation_and_program_share_one_slot_table() {
+        let topo = Topology::a100(2, 4);
+        for compiler in [Compiler::new(), Compiler::new().with_fusion()] {
+            let plan = compiler.compile_spec(&hm_allreduce(2, 4), &topo).unwrap();
+            assert!(std::sync::Arc::ptr_eq(
+                &plan.alloc.table,
+                &plan.program.table
+            ));
+            assert_eq!(plan.alloc.table.slots().len(), 2 * plan.dag.len());
+        }
     }
 
     #[test]
@@ -715,6 +741,12 @@ mod tests {
         let delta = compiler.recompile_delta(&plan, &health).unwrap();
         assert_eq!(delta.schedule, plan.schedule, "schedule must be reused");
         assert_eq!(delta.program, plan.program, "lowering is route-independent");
+        for table in [&delta.alloc.table, &delta.program.table] {
+            assert!(
+                std::sync::Arc::ptr_eq(table, &plan.alloc.table),
+                "the splice keeps the cached plan's slot table"
+            );
+        }
         let t = delta.timings;
         assert_eq!(
             t.scheduling,

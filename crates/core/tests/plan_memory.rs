@@ -1,14 +1,17 @@
 //! What a compiled plan costs to keep resident, measured: a counting
 //! global allocator reads the live heap of each artifact of the HM 16×8
-//! plans and of two small HM-AllReduce plans. The test pins a ceiling per
-//! 16×8 plan and holds [`plan_cost_bytes`], the size model the plan cache
-//! budgets against, to within ±20% of the measured heap.
+//! plans, of two small HM-AllReduce plans and of an NCCL-lowered one. The
+//! test pins a ceiling per 16×8 plan, holds [`plan_cost_bytes`], the size
+//! model the plan cache budgets against, to within ±20% of the measured
+//! heap, and pins that a rigid plan's slots do not grow with its channels.
 //!
 //! One test in its own binary: the allocator counts every thread, so no
 //! other test may allocate while it measures.
 
 use rescc_algos::{hm_allgather, hm_allreduce, hm_reduce_scatter};
-use rescc_core::{plan_cost_bytes, CompiledPlan, Compiler};
+use rescc_alloc::Tb;
+use rescc_core::{plan_cost_bytes, CompiledPlan, Compiler, Lowering, SchedulerChoice};
+use rescc_kernel::ExecMode;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,25 +71,47 @@ struct PlanBytes {
     schedule: usize,
     alloc: usize,
     program: usize,
+    table: usize,
     rest: usize,
 }
 
 impl PlanBytes {
     fn total(&self) -> usize {
-        self.spec + self.dag + self.schedule + self.alloc + self.program + self.rest
+        self.spec + self.dag + self.schedule + self.alloc + self.program + self.table + self.rest
+    }
+}
+
+/// The NCCL baseline's compiler with `n_channels` channels.
+fn nccl(n_channels: u32) -> Compiler {
+    Compiler {
+        scheduler: SchedulerChoice::ByStep,
+        lowering: Lowering::Rigid {
+            n_channels,
+            n_stages: 1,
+            exec: ExecMode::DirectKernel,
+        },
+        ..Compiler::new()
     }
 }
 
 /// Compile `spec` for `topo` and measure the plan's heap, then the heap
 /// each artifact frees. The spec's transfer records, which the DAG
-/// shares, are counted with the spec.
-fn measure(spec: impl FnOnce() -> AlgoSpec, topo: &Topology) -> (PlanBytes, u64) {
+/// shares, are counted with the spec; the slot table, which the
+/// allocation and the program share, on its own. Also returns the plan's
+/// TB count.
+fn measure(
+    compiler: &Compiler,
+    spec: impl FnOnce() -> AlgoSpec,
+    topo: &Topology,
+) -> (PlanBytes, u64, usize) {
     let before = live();
     let spec = spec();
-    let plan = Compiler::new().compile_spec(&spec, topo).unwrap();
+    let plan = compiler.compile_spec(&spec, topo).unwrap();
     drop(spec);
     let total = (live() - before) as usize;
     let model = plan_cost_bytes(&plan);
+    let tbs = plan.total_tbs();
+    let table = std::sync::Arc::clone(&plan.program.table);
     let CompiledPlan {
         spec,
         dag,
@@ -101,10 +126,11 @@ fn measure(spec: impl FnOnce() -> AlgoSpec, topo: &Topology) -> (PlanBytes, u64)
         schedule: freed(|| drop(schedule)),
         alloc: freed(|| drop(alloc)),
         program: freed(|| drop(program)),
+        table: freed(|| drop(table)),
         rest: 0,
     };
     let rest = total - bytes.total();
-    (PlanBytes { rest, ..bytes }, model)
+    (PlanBytes { rest, ..bytes }, model, tbs)
 }
 
 /// One MiB: sizes are reported and bounded in MiB.
@@ -113,26 +139,34 @@ const MIB: f64 = (1u64 << 20) as f64;
 #[test]
 fn resident_plans_fit_their_ceilings_and_the_cost_model() {
     type Algo = fn(u32, u32) -> AlgoSpec;
-    let cases: [(&str, Algo, u32, Option<f64>); 5] = [
-        ("hm-ar-16x8", hm_allreduce, 16, Some(3.0)),
-        ("hm-ag-16x8", hm_allgather, 16, Some(1.6)),
-        ("hm-rs-16x8", hm_reduce_scatter, 16, Some(1.6)),
-        ("hm-ar-2x8", hm_allreduce, 2, None),
-        ("hm-ar-4x8", hm_allreduce, 4, None),
+    let cases: [(&str, Algo, u32, Compiler, Option<f64>); 6] = [
+        ("hm-ar-16x8", hm_allreduce, 16, Compiler::new(), Some(1.95)),
+        ("hm-ag-16x8", hm_allgather, 16, Compiler::new(), Some(1.05)),
+        (
+            "hm-rs-16x8",
+            hm_reduce_scatter,
+            16,
+            Compiler::new(),
+            Some(1.05),
+        ),
+        ("hm-ar-2x8", hm_allreduce, 2, Compiler::new(), None),
+        ("hm-ar-4x8", hm_allreduce, 4, Compiler::new(), None),
+        ("nccl-ar-4x8", hm_allreduce, 4, nccl(4), None),
     ];
     let mut failures = Vec::new();
-    for (name, algo, nodes, ceiling_mib) in cases {
-        let (bytes, model) = measure(|| algo(nodes, 8), &Topology::a100(nodes, 8));
+    for (name, algo, nodes, compiler, ceiling_mib) in cases {
+        let (bytes, model, _) = measure(&compiler, || algo(nodes, 8), &Topology::a100(nodes, 8));
         let total = bytes.total() as f64;
         println!(
-            "{name}: {:.2} MiB (spec {:.2}, DAG {:.2}, schedule {:.2}, alloc {:.2}, \
-             program {:.2}, rest {:.3}); model {:.2} MiB ({:+.1}%)",
+            "{name}: {:.2} MiB (spec {:.2}, DAG {:.2}, schedule {:.2}, alloc {:.3}, \
+             program {:.3}, slot table {:.2}, rest {:.3}); model {:.2} MiB ({:+.1}%)",
             total / MIB,
             bytes.spec as f64 / MIB,
             bytes.dag as f64 / MIB,
             bytes.schedule as f64 / MIB,
             bytes.alloc as f64 / MIB,
             bytes.program as f64 / MIB,
+            bytes.table as f64 / MIB,
             bytes.rest as f64 / MIB,
             model as f64 / MIB,
             100.0 * (model as f64 / total - 1.0),
@@ -150,6 +184,26 @@ fn resident_plans_fit_their_ceilings_and_the_cost_model() {
                 "{name}: plan_cost_bytes charges {:.2} MiB for {:.2} MiB of heap (outside ±20%)",
                 model as f64 / MIB,
                 total / MIB
+            ));
+        }
+    }
+    // A rigid plan's channel TBs share their endpoint's slots: more
+    // channels add TB records, never slots.
+    let topo = Topology::a100(4, 8);
+    let (one, _, one_tbs) = measure(&nccl(1), || hm_allreduce(4, 8), &topo);
+    for n_channels in [4, 8] {
+        let (bytes, _, tbs) = measure(&nccl(n_channels), || hm_allreduce(4, 8), &topo);
+        let records = (tbs - one_tbs) * std::mem::size_of::<Tb>();
+        println!(
+            "nccl-ar-4x8, {n_channels} channels: slot table {} B, {} B with one channel, \
+             {tbs} TBs against {one_tbs}",
+            bytes.table, one.table
+        );
+        if bytes.table != one.table + records {
+            failures.push(format!(
+                "nccl-ar-4x8: {n_channels} channels hold a {} B slot table, one channel {} B \
+                 plus {records} B of TB records",
+                bytes.table, one.table
             ));
         }
     }

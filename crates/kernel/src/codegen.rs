@@ -12,33 +12,40 @@
 use crate::program::{KernelProgram, LoopOrder, Primitive};
 use rescc_alloc::TbAllocation;
 use rescc_ir::DepDag;
+use rescc_sched::Schedule;
 use std::fmt::Write;
 
 /// Render the kernel source of one rank of `prog`, which was generated
-/// from `dag` and `alloc`: a slot's peer and chunk are its task's, and its
-/// sub-pipeline is the one its allocation slot records.
+/// from `alloc` over `dag` and `schedule`: a slot's peer and chunk are its
+/// task's, and its sub-pipeline is the one the schedule put its task in.
 ///
 /// # Panics
 ///
-/// If `prog` was not lowered from `alloc`: the rank's TBs and their slots
-/// are read from `alloc` by the program's own positions.
+/// If `prog` was not lowered from `alloc`: the two must share one slot
+/// table.
 pub fn emit_rank_kernel(
     prog: &KernelProgram,
     dag: &DepDag,
     alloc: &TbAllocation,
+    schedule: &Schedule,
     rank: usize,
 ) -> String {
-    let rp = &prog.ranks[rank];
-    let plan = &alloc.per_rank[rank];
+    assert_lowered_from(prog, alloc, rank);
+    rank_kernel(prog, dag, &schedule.sub_pipeline_of(dag.len()), rank)
+}
+
+fn assert_lowered_from(prog: &KernelProgram, alloc: &TbAllocation, rank: usize) {
     assert!(
-        plan.tbs.len() == rp.tbs.len()
-            && plan
-                .tbs
-                .iter()
-                .zip(&rp.tbs)
-                .all(|(a, p)| a.slots.len() == p.slots.len()),
+        prog.table == alloc.table,
         "rank {rank}'s program was not lowered from this allocation"
     );
+}
+
+/// [`emit_rank_kernel`] with each task's sub-pipeline at hand.
+fn rank_kernel(prog: &KernelProgram, dag: &DepDag, sp_of: &[u32], rank: usize) -> String {
+    let table = &*prog.table;
+    let tbs = table.rank_tbs(rank);
+    let slot_major = prog.loop_order == LoopOrder::SlotMajor;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -48,8 +55,8 @@ pub fn emit_rank_kernel(
     let _ = writeln!(
         out,
         "// {} thread block(s), {} pipeline slot(s), {:?} iteration",
-        rp.tbs.len(),
-        rp.tbs.iter().map(|t| t.slots.len()).sum::<usize>(),
+        tbs.len(),
+        tbs.iter().map(|t| t.len as usize).sum::<usize>(),
         prog.loop_order
     );
     let _ = writeln!(
@@ -57,96 +64,65 @@ pub fn emit_rank_kernel(
         "__global__ void resccl_kernel_r{rank}(ResCCLArgs* args) {{"
     );
     let _ = writeln!(out, "    switch (blockIdx.x) {{");
-    for (tb_idx, tb) in rp.tbs.iter().enumerate() {
+    for (tb_idx, tb) in tbs.iter().enumerate() {
         let _ = writeln!(out, "    case {tb_idx}: {{ // TB {tb_idx}");
-        if tb.slots.is_empty() {
+        let mb_loop = format!(
+            "        for (int mb = {}; mb < args->n_micro_batches; mb += {}) {{",
+            tb.mb_offset,
+            tb.mb_stride.max(1)
+        );
+        if tb.len == 0 {
             let _ = writeln!(
                 out,
                 "        // (idle channel TB — occupies an SM, does nothing)"
             );
-        } else {
-            match prog.loop_order {
-                LoopOrder::SlotMajor => {
-                    let prim_slots = &plan.tbs[tb_idx].slots;
-                    for (si, slot) in tb.slots.iter().enumerate() {
-                        let _ = writeln!(
-                            out,
-                            "        for (int mb = {}; mb < args->n_micro_batches; mb += {}) {{",
-                            tb.mb_offset,
-                            tb.mb_stride.max(1)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "            wait_deps(args->flags, /*task=*/{}, mb);",
-                            slot.task.0
-                        );
-                        let prim_name = if slot.fused_with_prev {
-                            match tb.slots[si - 1].primitive {
-                                Primitive::RecvReduceCopy => "prim_recv_reduce_send",
-                                _ => "prim_recv_copy_send",
-                            }
-                        } else {
-                            slot.primitive.runtime_name()
-                        };
-                        let _ = writeln!(
-                            out,
-                            "            {}(args, /*peer=*/{}, /*chunk=*/{}, mb); // sub-pipeline {}{}",
-                            prim_name,
-                            slot.peer(dag).0,
-                            slot.chunk(dag).0,
-                            prim_slots[si].sub_pipeline,
-                            if slot.fused_with_prev { ", fused" } else { "" }
-                        );
-                        let _ = writeln!(
-                            out,
-                            "            post_done(args->flags, /*task=*/{}, mb);",
-                            slot.task.0
-                        );
-                        let _ = writeln!(out, "        }}");
-                    }
-                }
-                LoopOrder::MicroBatchMajor => {
-                    let _ = writeln!(
-                        out,
-                        "        for (int mb = {}; mb < args->n_micro_batches; mb += {}) {{",
-                        tb.mb_offset,
-                        tb.mb_stride.max(1)
-                    );
-                    for (si, slot) in tb.slots.iter().enumerate() {
-                        let _ = writeln!(
-                            out,
-                            "            wait_deps(args->flags, /*task=*/{}, mb);",
-                            slot.task.0
-                        );
-                        let prim_name = if slot.fused_with_prev {
-                            match tb.slots[si - 1].primitive {
-                                Primitive::RecvReduceCopy => "prim_recv_reduce_send",
-                                _ => "prim_recv_copy_send",
-                            }
-                        } else {
-                            slot.primitive.runtime_name()
-                        };
-                        let _ = writeln!(
-                            out,
-                            "            {}(args, /*peer=*/{}, /*chunk=*/{}, mb);{}",
-                            prim_name,
-                            slot.peer(dag).0,
-                            slot.chunk(dag).0,
-                            if slot.fused_with_prev {
-                                " // fused"
-                            } else {
-                                ""
-                            }
-                        );
-                        let _ = writeln!(
-                            out,
-                            "            post_done(args->flags, /*task=*/{}, mb);",
-                            slot.task.0
-                        );
-                    }
-                    let _ = writeln!(out, "        }}");
-                }
+        }
+        // Slot-major: one micro-batch loop per slot; micro-batch-major: one
+        // loop around all of the TB's slots.
+        let wrap_tb = !slot_major && tb.len > 0;
+        if wrap_tb {
+            let _ = writeln!(out, "{mb_loop}");
+        }
+        for i in tb.slots() {
+            let slot = table.slots()[i];
+            let (task, t) = (slot.task(), dag.transfer(slot.task()));
+            let peer = if slot.is_send() { t.dst } else { t.src };
+            let fused = prog.is_fused(i);
+            let name = match fused.then(|| Primitive::of(table.slots()[i - 1], dag)) {
+                None => Primitive::of(slot, dag).runtime_name(),
+                Some(Primitive::RecvReduceCopy) => "prim_recv_reduce_send",
+                Some(_) => "prim_recv_copy_send",
+            };
+            let note = match (slot_major, fused) {
+                (true, false) => format!(" // sub-pipeline {}", sp_of[task.index()]),
+                (true, true) => format!(" // sub-pipeline {}, fused", sp_of[task.index()]),
+                (false, true) => " // fused".to_string(),
+                (false, false) => String::new(),
+            };
+            if slot_major {
+                let _ = writeln!(out, "{mb_loop}");
             }
+            let _ = writeln!(
+                out,
+                "            wait_deps(args->flags, /*task=*/{}, mb);",
+                task.0
+            );
+            let _ = writeln!(
+                out,
+                "            {name}(args, /*peer=*/{}, /*chunk=*/{}, mb);{note}",
+                peer.0, t.chunk.0
+            );
+            let _ = writeln!(
+                out,
+                "            post_done(args->flags, /*task=*/{}, mb);",
+                task.0
+            );
+            if slot_major {
+                let _ = writeln!(out, "        }}");
+            }
+        }
+        if wrap_tb {
+            let _ = writeln!(out, "        }}");
         }
         let _ = writeln!(out, "        break;");
         let _ = writeln!(out, "    }}");
@@ -198,7 +174,14 @@ __device__ void prim_recv_reduce_send(ResCCLArgs* args, int peer, int chunk, int
 
 /// Render all ranks' kernels into one translation unit (see
 /// [`emit_rank_kernel`], whose panics this shares).
-pub fn emit_all(prog: &KernelProgram, dag: &DepDag, alloc: &TbAllocation) -> String {
+pub fn emit_all(
+    prog: &KernelProgram,
+    dag: &DepDag,
+    alloc: &TbAllocation,
+    schedule: &Schedule,
+) -> String {
+    assert_lowered_from(prog, alloc, 0);
+    let sp_of = schedule.sub_pipeline_of(dag.len());
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -207,8 +190,8 @@ pub fn emit_all(prog: &KernelProgram, dag: &DepDag, alloc: &TbAllocation) -> Str
     );
     let _ = writeln!(out, "#include \"resccl_runtime.cuh\"");
     let _ = writeln!(out);
-    for rank in 0..prog.ranks.len() {
-        out.push_str(&emit_rank_kernel(prog, dag, alloc, rank));
+    for rank in 0..prog.table.n_ranks() {
+        out.push_str(&rank_kernel(prog, dag, &sp_of, rank));
         out.push('\n');
     }
     out
@@ -218,11 +201,13 @@ pub fn emit_all(prog: &KernelProgram, dag: &DepDag, alloc: &TbAllocation) -> Str
 mod tests {
     use super::*;
     use crate::program::{ExecMode, KernelProgram, LoopOrder};
+    use rescc_alloc::SlotTable;
     use rescc_lang::{AlgoBuilder, OpType};
     use rescc_sched::hpds;
     use rescc_topology::Topology;
+    use std::sync::Arc;
 
-    fn program(order: LoopOrder) -> (KernelProgram, DepDag, TbAllocation) {
+    fn program(order: LoopOrder) -> (KernelProgram, DepDag, TbAllocation, Schedule) {
         let mut b = AlgoBuilder::new("Ring", OpType::AllGather, 4);
         for r in 0..4u32 {
             for step in 0..3u32 {
@@ -233,13 +218,13 @@ mod tests {
         let s = hpds(&dag);
         let alloc = TbAllocation::state_based(&dag, &s);
         let p = KernelProgram::generate("Ring", &dag, &alloc, order, ExecMode::DirectKernel);
-        (p, dag, alloc)
+        (p, dag, alloc, s)
     }
 
     #[test]
     fn emits_one_kernel_per_rank() {
-        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
-        let src = emit_all(&p, &dag, &alloc);
+        let (p, dag, alloc, s) = program(LoopOrder::SlotMajor);
+        let src = emit_all(&p, &dag, &alloc, &s);
         for r in 0..4 {
             assert!(src.contains(&format!("resccl_kernel_r{r}")));
         }
@@ -247,8 +232,8 @@ mod tests {
 
     #[test]
     fn slot_major_has_loop_per_slot() {
-        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
-        let src = emit_rank_kernel(&p, &dag, &alloc, 0);
+        let (p, dag, alloc, s) = program(LoopOrder::SlotMajor);
+        let src = emit_rank_kernel(&p, &dag, &alloc, &s, 0);
         let loops = src.matches("for (int mb").count();
         let prims = src.matches("prim_").count();
         assert_eq!(loops, prims, "one micro-batch loop per primitive slot");
@@ -256,23 +241,23 @@ mod tests {
 
     #[test]
     fn micro_batch_major_has_one_loop_per_tb() {
-        let (p, dag, alloc) = program(LoopOrder::MicroBatchMajor);
-        let src = emit_rank_kernel(&p, &dag, &alloc, 0);
+        let (p, dag, alloc, s) = program(LoopOrder::MicroBatchMajor);
+        let src = emit_rank_kernel(&p, &dag, &alloc, &s, 0);
         let loops = src.matches("for (int mb").count();
-        let tbs = p.ranks[0]
-            .tbs
-            .iter()
-            .filter(|t| !t.slots.is_empty())
-            .count();
+        let tbs = p.table.rank_tbs(0).iter().filter(|t| t.len > 0).count();
         assert_eq!(loops, tbs);
     }
 
     #[test]
     #[should_panic(expected = "not lowered from this allocation")]
     fn emitting_against_another_allocation_panics() {
-        let (p, dag, mut alloc) = program(LoopOrder::SlotMajor);
-        alloc.per_rank[0].tbs[0].slots.pop();
-        emit_rank_kernel(&p, &dag, &alloc, 0);
+        let (p, dag, mut alloc, s) = program(LoopOrder::SlotMajor);
+        // The allocation's table with rank 0's first TB one slot shorter.
+        let mut tbs = alloc.table.tbs().to_vec();
+        tbs[0].len -= 1;
+        let n_ranks = alloc.table.n_ranks();
+        alloc.table = Arc::new(SlotTable::new(n_ranks, alloc.table.slots().to_vec(), tbs));
+        emit_rank_kernel(&p, &dag, &alloc, &s, 0);
     }
 
     #[test]
@@ -313,7 +298,7 @@ mod tests {
         );
         let stats = fuse(&mut prog, &dag);
         assert!(stats.total() > 0, "ring transits must fuse");
-        let src = emit_all(&prog, &dag, &alloc);
+        let src = emit_all(&prog, &dag, &alloc, &s);
         assert!(
             src.contains("prim_recv_copy_send"),
             "fused codegen missing:\n{src}"
@@ -323,8 +308,8 @@ mod tests {
 
     #[test]
     fn every_slot_waits_and_posts() {
-        let (p, dag, alloc) = program(LoopOrder::SlotMajor);
-        let src = emit_all(&p, &dag, &alloc);
+        let (p, dag, alloc, s) = program(LoopOrder::SlotMajor);
+        let src = emit_all(&p, &dag, &alloc, &s);
         assert_eq!(
             src.matches("wait_deps").count(),
             src.matches("post_done").count()

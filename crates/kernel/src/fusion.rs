@@ -16,9 +16,9 @@
 //! kernels can apply it wherever the schedule places a chain's receive and
 //! forward on one TB.
 //!
-//! The pass is purely a program transformation: it marks the send slot as
-//! [`KernelSlot::fused_with_prev`], updates codegen, and reports what it
-//! found. The simulator honors the mark by skipping the fused invocation's
+//! The pass is purely a program transformation: it sets the send slot's
+//! bit in [`KernelProgram::fused`], which codegen renders, and reports
+//! what it found. The simulator honors the mark by skipping the fused invocation's
 //! α (the transfer itself still pays bandwidth and contention).
 
 use crate::program::{KernelProgram, Primitive};
@@ -54,32 +54,29 @@ pub fn fuse(program: &mut KernelProgram, dag: &DepDag) -> FusionStats {
     // consistent global order, which is what makes rendezvous deadlocks
     // impossible; the chained allocation is responsible for placing
     // transit pairs adjacently (it keys a forward just after its feeder in
-    // the adjusted global order).
-    for rank_prog in &mut program.ranks {
-        for tb in &mut rank_prog.tbs {
-            for i in 1..tb.slots.len() {
-                let (head, tail) = tb.slots.split_at_mut(i);
-                let prev = &head[i - 1];
-                let cur = &mut tail[0];
-                if cur.primitive != Primitive::Send || cur.fused_with_prev {
-                    continue;
-                }
-                let prev_is_recv =
-                    matches!(prev.primitive, Primitive::Recv | Primitive::RecvReduceCopy);
-                let (a, b) = (dag.transfer(prev.task), dag.transfer(cur.task));
-                if !prev_is_recv
-                    || a.chunk != b.chunk
-                    || a.dst != b.src
-                    || !dag.preds(cur.task).contains(&prev.task)
-                {
-                    continue;
-                }
-                cur.fused_with_prev = true;
-                match prev.primitive {
-                    Primitive::Recv => stats.copy_send += 1,
-                    Primitive::RecvReduceCopy => stats.reduce_send += 1,
-                    Primitive::Send => unreachable!("matched a receive"),
-                }
+    // the adjusted global order). Channel TBs share their slots, and so
+    // their marks.
+    let table = &*program.table;
+    let slots = table.slots();
+    for tb in table.tbs() {
+        for i in tb.slots().skip(1) {
+            let (prev, cur) = (slots[i - 1], slots[i]);
+            if !cur.is_send() || prev.is_send() || program.is_fused(i) {
+                continue;
+            }
+            let (a, b) = (dag.transfer(prev.task()), dag.transfer(cur.task()));
+            if a.chunk != b.chunk || a.dst != b.src || !dag.preds(cur.task()).contains(&prev.task())
+            {
+                continue;
+            }
+            if program.fused.is_empty() {
+                program.fused = vec![0; slots.len().div_ceil(64)];
+            }
+            program.fused[i / 64] |= 1 << (i % 64);
+            match Primitive::of(prev, dag) {
+                Primitive::Recv => stats.copy_send += 1,
+                Primitive::RecvReduceCopy => stats.reduce_send += 1,
+                Primitive::Send => unreachable!("matched a receive"),
             }
         }
     }
@@ -125,14 +122,11 @@ mod tests {
         // Whether they land on one TB depends on endpoint merging; count
         // whatever the allocation exposes and check consistency.
         let stats = fuse(&mut prog, &dag);
-        let marked: u32 = prog
-            .ranks
-            .iter()
-            .flat_map(|r| r.tbs.iter())
-            .flat_map(|t| t.slots.iter())
-            .filter(|s| s.fused_with_prev)
+        let marked = (0..prog.table.slots().len())
+            .filter(|&i| prog.is_fused(i))
             .count() as u32;
         assert_eq!(stats.total(), marked);
+        assert_eq!(prog.fused_pairs().count() as u32, marked);
     }
 
     #[test]
@@ -150,14 +144,9 @@ mod tests {
     fn fused_flag_only_on_sends() {
         let (dag, mut prog) = chain_program();
         fuse(&mut prog, &dag);
-        for slot in prog
-            .ranks
-            .iter()
-            .flat_map(|r| r.tbs.iter())
-            .flat_map(|t| t.slots.iter())
-        {
-            if slot.fused_with_prev {
-                assert_eq!(slot.primitive, Primitive::Send);
+        for (i, slot) in prog.table.slots().iter().enumerate() {
+            if prog.is_fused(i) {
+                assert!(slot.is_send());
             }
         }
     }

@@ -1,8 +1,8 @@
 //! # rescc-kernel
 //!
 //! Lightweight kernel generation (§4.5): the three-dimensional kernel
-//! paradigm (rank → TB → pipeline slot), generation from a scheduled and
-//! TB-allocated algorithm, pseudo-CUDA codegen, and the execution-mode
+//! paradigm (rank → TB → pipeline slot, the allocation's shared slot
+//! table), generation from a scheduled and TB-allocated algorithm, pseudo-CUDA codegen, and the execution-mode
 //! model that distinguishes directly-generated kernels from MSCCL-style
 //! runtime interpretation (Fig. 3).
 //!
@@ -26,7 +26,7 @@
 //! let prog = KernelProgram::generate("Ring", &dag, &alloc,
 //!     LoopOrder::SlotMajor, ExecMode::DirectKernel);
 //! prog.validate(&dag).unwrap();
-//! let cuda = emit_rank_kernel(&prog, &dag, &alloc, 0);
+//! let cuda = emit_rank_kernel(&prog, &dag, &alloc, &sched, 0);
 //! assert!(cuda.contains("__global__ void resccl_kernel_r0"));
 //! ```
 
@@ -39,6 +39,4 @@ mod program;
 
 pub use codegen::{emit_all, emit_rank_kernel, emit_runtime_header};
 pub use fusion::{fuse, FusionStats};
-pub use program::{
-    ExecMode, KernelProgram, KernelSlot, LoopOrder, Primitive, RankProgram, TbProgram,
-};
+pub use program::{ExecMode, KernelProgram, LoopOrder, Primitive};

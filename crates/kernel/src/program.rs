@@ -2,13 +2,14 @@
 //!
 //! The generation paradigm is defined across three dimensions:
 //!
-//! 1. **Rank dimension** — the complete set of primitives each GPU executes
-//!    ([`RankProgram`]),
-//! 2. **TB dimension** — the primitives assigned to each thread block
-//!    ([`TbProgram`]),
+//! 1. **Rank dimension** — the complete set of primitives each GPU executes,
+//! 2. **TB dimension** — the primitives assigned to each thread block,
 //! 3. **Pipeline dimension** — the per-TB ordering of primitives by
 //!    sub-pipeline index; each slot cycles through all of its micro-batch
-//!    invocations ([`KernelSlot`]).
+//!    invocations.
+//!
+//! All three are the allocation's [`SlotTable`], which the program shares
+//! rather than copies; a slot's primitive, peer and chunk are its task's.
 //!
 //! The same structure also expresses the baseline execution models: the
 //! [`LoopOrder`] distinguishes ResCCL's task-level execution (slot-major:
@@ -18,10 +19,10 @@
 //! runtime-interpreter overhead that direct kernel generation eliminates
 //! (Fig. 3).
 
-use rescc_alloc::{Direction, TbAllocation};
+use rescc_alloc::{Direction, Slot, SlotTable, TbAllocation};
 use rescc_ir::{DepDag, IrError, TaskId};
 use rescc_lang::CommType;
-use rescc_topology::{ChunkId, Rank};
+use std::sync::Arc;
 
 /// A communication primitive, NCCL-style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -36,6 +37,11 @@ pub enum Primitive {
 }
 
 impl Primitive {
+    /// The primitive of `slot`, a side of one of `dag`'s tasks.
+    pub fn of(slot: Slot, dag: &DepDag) -> Self {
+        Self::for_side(slot.dir(), dag.transfer(slot.task()).comm)
+    }
+
     /// Derive the primitive for a task side.
     pub fn for_side(dir: Direction, comm: CommType) -> Self {
         match (dir, comm) {
@@ -101,103 +107,18 @@ impl ExecMode {
     }
 }
 
-/// One pipeline slot of a TB: a primitive and the task it implements one
-/// side of. Everything else about the slot is the task's: [`Self::peer`]
-/// and [`Self::chunk`] read it from the DAG, and the sub-pipeline is the
-/// one its allocation slot records ([`PrimSlot::sub_pipeline`](rescc_alloc::PrimSlot)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelSlot {
-    /// The transmission task this slot implements one side of.
-    pub task: TaskId,
-    /// The primitive executed.
-    pub primitive: Primitive,
-    /// Set by the fusion pass: this send executes fused with the previous
-    /// receive slot (`recvCopySend` / `recvReduceSend`), eliding its
-    /// startup latency.
-    pub fused_with_prev: bool,
-}
-
-impl KernelSlot {
-    /// Whether this is the sending side of its task.
-    pub fn is_send(&self) -> bool {
-        self.primitive == Primitive::Send
-    }
-
-    /// The remote rank: the task's receiver for a send, its sender for a
-    /// receive.
-    pub fn peer(&self, dag: &DepDag) -> Rank {
-        let t = dag.transfer(self.task);
-        if self.is_send() {
-            t.dst
-        } else {
-            t.src
-        }
-    }
-
-    /// The chunk operated on.
-    pub fn chunk(&self, dag: &DepDag) -> ChunkId {
-        dag.transfer(self.task).chunk
-    }
-}
-
-/// Lower one rank's TB plan into its [`RankProgram`].
-fn lower_rank(dag: &DepDag, r: usize, plan: &rescc_alloc::RankTbPlan) -> RankProgram {
-    RankProgram {
-        rank: Rank::new(r as u32),
-        tbs: plan
-            .tbs
-            .iter()
-            .map(|tb| TbProgram {
-                slots: tb
-                    .slots
-                    .iter()
-                    .map(|slot| KernelSlot {
-                        task: slot.task,
-                        primitive: Primitive::for_side(slot.dir, dag.transfer(slot.task).comm),
-                        fused_with_prev: false,
-                    })
-                    .collect(),
-                mb_stride: tb.mb_stride,
-                mb_offset: tb.mb_offset,
-            })
-            .collect(),
-    }
-}
-
-/// The program of one TB.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TbProgram {
-    /// Ordered pipeline slots.
-    pub slots: Vec<KernelSlot>,
-    /// Micro-batch stride (1 = the TB executes every micro-batch).
-    pub mb_stride: u32,
-    /// Micro-batch offset within the stride (channel index).
-    pub mb_offset: u32,
-}
-
-impl TbProgram {
-    /// Does this TB execute micro-batch `mb`?
-    pub fn owns_micro_batch(&self, mb: u32) -> bool {
-        mb % self.mb_stride.max(1) == self.mb_offset
-    }
-}
-
-/// The program of one rank: all of its TBs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RankProgram {
-    /// The rank this program runs on.
-    pub rank: Rank,
-    /// One program per TB launched on this rank.
-    pub tbs: Vec<TbProgram>,
-}
-
 /// A complete generated kernel program for the whole collective.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelProgram {
     /// Algorithm name (for reports and codegen headers).
     pub algo_name: String,
-    /// Per-rank programs, indexed by rank.
-    pub ranks: Vec<RankProgram>,
+    /// Every rank's TBs and their slots: the allocation's table, shared.
+    pub table: Arc<SlotTable>,
+    /// Fusion marks, one bit per table slot: a set bit means the slot, a
+    /// send, executes fused with the slot before it on its TB
+    /// (`recvCopySend` / `recvReduceSend`), eliding its startup latency.
+    /// Empty unless [`fuse`](crate::fuse) marked a pair.
+    pub fused: Vec<u64>,
     /// Slot iteration order.
     pub loop_order: LoopOrder,
     /// Execution engine.
@@ -221,23 +142,20 @@ pub struct KernelProgram {
 }
 
 impl KernelProgram {
-    /// Lower a scheduled, TB-allocated algorithm into a kernel program.
+    /// Lower a scheduled, TB-allocated algorithm into a kernel program: the
+    /// program shares the allocation's slot table. `_dag` is the DAG both
+    /// were built from; the program reads its tasks at use.
     pub fn generate(
         algo_name: impl Into<String>,
-        dag: &DepDag,
+        _dag: &DepDag,
         alloc: &TbAllocation,
         loop_order: LoopOrder,
         exec: ExecMode,
     ) -> Self {
-        let ranks = alloc
-            .per_rank
-            .iter()
-            .enumerate()
-            .map(|(r, plan)| lower_rank(dag, r, plan))
-            .collect();
         Self {
             algo_name: algo_name.into(),
-            ranks,
+            table: Arc::clone(&alloc.table),
+            fused: Vec::new(),
             loop_order,
             exec,
             barrier_groups: None,
@@ -282,22 +200,36 @@ impl KernelProgram {
     /// Total TBs launched (including empty channel TBs, which still occupy
     /// SM resources).
     pub fn total_tbs(&self) -> usize {
-        self.ranks.iter().map(|r| r.tbs.len()).sum()
+        self.table.tbs().len()
     }
 
     /// Total primitive slots across all TBs.
     pub fn total_slots(&self) -> usize {
-        self.ranks
-            .iter()
-            .flat_map(|r| r.tbs.iter())
-            .map(|tb| tb.slots.len())
-            .sum()
+        self.table.total_slots()
+    }
+
+    /// Whether table slot `i` executes fused with the slot before it.
+    pub fn is_fused(&self, i: usize) -> bool {
+        self.fused
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Every fused pair `(feeder, forward)`, TB after TB in table order: a
+    /// marked slot and the slot before it on its TB.
+    pub fn fused_pairs(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
+        let slots = self.table.slots();
+        self.table.tbs().iter().flat_map(move |tb| {
+            tb.slots()
+                .skip(1)
+                .filter(|&i| self.is_fused(i))
+                .map(move |i| (slots[i - 1].task(), slots[i].task()))
+        })
     }
 
     /// Validate structural invariants: every task has as many Send slots
     /// (on its src rank) as receive-side slots (on its dst rank), at least
-    /// one each, with the primitive matching the task's comm type, and
-    /// barrier groups, if any, name one group per task.
+    /// one each, and barrier groups, if any, name one group per task.
     pub fn validate(&self, dag: &DepDag) -> Result<(), IrError> {
         if let Some(groups) = &self.barrier_groups {
             if groups.len() != dag.len() {
@@ -310,38 +242,21 @@ impl KernelProgram {
         }
         let mut send = vec![0u32; dag.len()];
         let mut recv = vec![0u32; dag.len()];
-        for rp in &self.ranks {
-            for tb in &rp.tbs {
-                for slot in &tb.slots {
-                    let t = dag.transfer(slot.task);
-                    match slot.primitive {
-                        Primitive::Send => {
-                            if rp.rank != t.src {
-                                return Err(IrError::new(format!(
-                                    "send slot of {} misplaced (rank {}, peer {})",
-                                    slot.task, rp.rank, t.dst
-                                )));
-                            }
-                            send[slot.task.index()] += 1;
-                        }
-                        Primitive::Recv | Primitive::RecvReduceCopy => {
-                            let want = Primitive::for_side(Direction::Recv, t.comm);
-                            if slot.primitive != want {
-                                return Err(IrError::new(format!(
-                                    "receive slot of {} uses {:?}, expected {want:?}",
-                                    slot.task, slot.primitive
-                                )));
-                            }
-                            if rp.rank != t.dst {
-                                return Err(IrError::new(format!(
-                                    "recv slot of {} misplaced (rank {}, peer {})",
-                                    slot.task, rp.rank, t.src
-                                )));
-                            }
-                            recv[slot.task.index()] += 1;
-                        }
-                    }
+        for tb in self.table.tbs() {
+            for &slot in self.table.tb_slots(tb) {
+                let (task, t) = (slot.task(), dag.transfer(slot.task()));
+                let (side, rank, peer, count) = if slot.is_send() {
+                    ("send", t.src, t.dst, &mut send)
+                } else {
+                    ("recv", t.dst, t.src, &mut recv)
+                };
+                if rank.0 != tb.rank {
+                    return Err(IrError::new(format!(
+                        "{side} slot of {task} misplaced (rank r{}, peer {peer})",
+                        tb.rank
+                    )));
                 }
+                count[task.index()] += 1;
             }
         }
         for i in 0..dag.len() {

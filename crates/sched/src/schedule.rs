@@ -34,6 +34,18 @@ impl Schedule {
         self.sub_pipelines.iter().flatten().copied().collect()
     }
 
+    /// The sub-pipeline of each of `n_tasks` tasks, `u32::MAX` for a task
+    /// the schedule does not list.
+    pub fn sub_pipeline_of(&self, n_tasks: usize) -> Vec<u32> {
+        let mut sp_of = vec![u32::MAX; n_tasks];
+        for (i, sp) in self.sub_pipelines.iter().enumerate() {
+            for &t in sp {
+                sp_of[t.index()] = i as u32;
+            }
+        }
+        sp_of
+    }
+
     /// Total number of scheduled tasks.
     pub fn n_tasks(&self) -> usize {
         self.sub_pipelines.iter().map(Vec::len).sum()
@@ -65,12 +77,7 @@ impl Schedule {
         dag.validate_order(&order)?;
 
         // Rule 2b: predecessors in same-or-earlier sub-pipeline.
-        let mut sp_of = vec![usize::MAX; dag.len()];
-        for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            for &t in sp {
-                sp_of[t.index()] = i;
-            }
-        }
+        let sp_of = self.sub_pipeline_of(dag.len());
         for id in (0..dag.len() as u32).map(TaskId::new) {
             for &p in dag.preds(id) {
                 if sp_of[p.index()] > sp_of[id.index()] {

@@ -48,8 +48,9 @@ use crate::obs::{
 use crate::trace::{FaultRecord, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
-use rescc_kernel::{KernelProgram, KernelSlot, LoopOrder};
+use rescc_alloc::Slot;
+use rescc_ir::{Csr, DepDag, MicroBatchPlan, TaskId};
+use rescc_kernel::{KernelProgram, LoopOrder, Primitive};
 use rescc_lang::provenance::{Counts, Move, Runs, Slots};
 use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
@@ -666,10 +667,10 @@ impl EventQueue {
 }
 
 /// One issue group of a TB: `len` slots starting at `first_slot` (an index
-/// into the engine's flat slot table), all issued together for
-/// micro-batch `mb`. A fused `recv -> send` pair forms a 2-slot group
-/// (cut-through: both transfers in flight concurrently); unfused slots are
-/// singleton groups.
+/// into the program's slot table), all issued together for micro-batch
+/// `mb`. A fused `recv -> send` pair forms a 2-slot group (cut-through:
+/// both transfers in flight concurrently); unfused slots are singleton
+/// groups.
 #[derive(Clone, Copy)]
 struct IssueGroup {
     first_slot: u32,
@@ -677,27 +678,23 @@ struct IssueGroup {
     mb: u32,
 }
 
-/// One issue segment of a TB: a run of slots issued together, `len` slots
-/// from `first_slot` in the flat slot table. Fused slots glue to their
-/// predecessor; every other slot starts a segment.
-#[derive(Clone, Copy)]
-struct Segment {
-    first_slot: u32,
-    len: u32,
-}
-
 struct TbState {
     rank: u32,
     tb: u32,
-    /// The TB's segments: `segments[first_segment..][..n_segments]`.
-    first_segment: u32,
+    /// The TB's slots in the program's table: `first..first + len`.
+    first: u32,
+    len: u32,
+    /// The TB's issue segments: runs of slots issued together. Fused slots
+    /// glue to their predecessor; every other slot starts a segment.
     n_segments: u32,
+    /// The first slot of the current issue group's segment.
+    cursor: u32,
     /// Micro-batches the TB owns: `offset + k * stride` for `k < window`.
     window: u32,
     stride: u32,
     offset: u32,
     /// The next of the TB's `n_segments * window` issue groups, which it
-    /// walks in index order; [`Engine::group`] gives group `i`.
+    /// walks in index order; [`Engine::group`] gives it.
     group_idx: u32,
     group_remaining: u32,
     /// Fused forwards issued but not yet drained. They never gate
@@ -833,10 +830,8 @@ struct Engine<'a> {
     n_mb: u32,
     now: f64,
     tbs: Vec<TbState>,
-    /// Every TB's slots, TB after TB, in program order.
-    slots: Vec<KernelSlot>,
-    /// Every TB's issue segments, TB after TB.
-    segments: Vec<Segment>,
+    /// The program's slot table, read in place.
+    slots: &'a [Slot],
     invs: Vec<InvState>,
     /// In-flight transfers. A slot is freed when its invocation completes
     /// and reused by the next start, so the table is as long as the most
@@ -867,13 +862,12 @@ struct Engine<'a> {
     barrier_members: Vec<Vec<TaskId>>,
     barrier_remaining: Vec<Vec<u32>>,
     trace: Vec<TraceEvent>,
-    /// Tasks whose send slot is fused with the preceding receive
-    /// (`recvCopySend` — startup latency elided).
-    fused_task: Vec<bool>,
-    /// For a fused forward B: the feeding receive task A (or NONE).
+    /// For a fused forward B (`recvCopySend` — startup latency elided):
+    /// the feeding receive task A, else NONE. Empty for an unfused program.
     fused_pred: Vec<u32>,
-    /// For a receive A: the fused forwards gated on it.
-    fused_next: Vec<Vec<TaskId>>,
+    /// For a receive A: the fused forwards gated on it, one row per task.
+    /// Empty for an unfused program.
+    fused_next: Csr<TaskId>,
     /// Fault schedule, stably sorted by timestamp.
     fault_sched: Vec<FaultEvent>,
     /// Transitions applied so far (reported for post-mortems).
@@ -935,36 +929,26 @@ impl<'a> Engine<'a> {
             p.tb_bw_bytes_per_ns *= factor;
         }
 
-        // TB states, over one flat slot table and one flat segment table.
-        let mut tbs = Vec::new();
-        let mut slots: Vec<KernelSlot> = Vec::with_capacity(program.total_slots());
-        let mut segments: Vec<Segment> = Vec::new();
-        for rank_prog in &program.ranks {
-            for (pt, tb_prog) in rank_prog.tbs.iter().enumerate() {
-                let stride = tb_prog.mb_stride.max(1);
-                let offset = tb_prog.mb_offset;
+        // TB states, over the program's slot table.
+        let table = &*program.table;
+        let mut tbs = Vec::with_capacity(table.tbs().len());
+        for rank in 0..table.n_ranks() {
+            for (pt, tb) in table.rank_tbs(rank).iter().enumerate() {
+                let stride = tb.mb_stride.max(1);
+                let offset = tb.mb_offset;
                 let window = if offset >= n_mb {
                     0
                 } else {
                     (n_mb - offset - 1) / stride + 1
                 };
-                let first_segment = segments.len() as u32;
-                for (si, slot) in tb_prog.slots.iter().enumerate() {
-                    match segments.last_mut() {
-                        Some(last) if slot.fused_with_prev && si > 0 => last.len += 1,
-                        _ => segments.push(Segment {
-                            first_slot: slots.len() as u32,
-                            len: 1,
-                        }),
-                    }
-                    slots.push(*slot);
-                }
-                let n_segments = segments.len() as u32 - first_segment;
+                let fused = tb.slots().skip(1).filter(|&i| program.is_fused(i));
                 tbs.push(TbState {
-                    rank: rank_prog.rank.0,
+                    rank: tb.rank,
                     tb: pt as u32,
-                    first_segment,
-                    n_segments,
+                    first: tb.first,
+                    len: tb.len,
+                    n_segments: tb.len - fused.count() as u32,
+                    cursor: tb.first,
                     window,
                     stride,
                     offset,
@@ -979,20 +963,19 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Fusion marks (per task) and the feeder relation. A fused slot
-        // never starts a segment, so its predecessor in the flat table is
-        // its predecessor on its TB.
-        let mut fused_task = vec![false; n_tasks];
-        let mut fused_pred = vec![NONE; n_tasks];
-        let mut fused_next: Vec<Vec<TaskId>> = vec![Vec::new(); n_tasks];
-        for (si, slot) in slots.iter().enumerate() {
-            if slot.fused_with_prev {
-                fused_task[slot.task.index()] = true;
-                let feeder = slots[si - 1].task;
-                fused_pred[slot.task.index()] = feeder.0;
-                fused_next[feeder.index()].push(slot.task);
+        // The feeder relation of the fused pairs.
+        let (fused_pred, fused_next) = if program.fused.is_empty() {
+            (Vec::new(), Csr::new())
+        } else {
+            let pairs: Vec<(TaskId, TaskId)> = program.fused_pairs().collect();
+            let mut pred = vec![NONE; n_tasks];
+            for &(a, b) in &pairs {
+                pred[b.index()] = a.0;
             }
-        }
+            let next = Csr::from_pairs(n_tasks, pairs.iter().map(|&(a, b)| (a.0, b)));
+            (pred, next)
+        };
+        let feeder = |t: usize| fused_pred.get(t).copied().unwrap_or(NONE);
 
         // Invocation states.
         let mut invs = vec![
@@ -1012,10 +995,10 @@ impl<'a> Engine<'a> {
             let mut preds = dag.preds(TaskId::new(t as u32)).len() as u32;
             // A fused forward's dependency on its feeder is replaced by the
             // cut-through start gate.
-            if fused_pred[t] != NONE
+            if feeder(t) != NONE
                 && dag
                     .preds(TaskId::new(t as u32))
-                    .contains(&TaskId::new(fused_pred[t]))
+                    .contains(&TaskId::new(feeder(t)))
             {
                 preds -= 1;
             }
@@ -1073,7 +1056,7 @@ impl<'a> Engine<'a> {
                     for &s in dag.succs(TaskId::new(t as u32)) {
                         // The fused forward's dependency on its feeder was
                         // lifted at initialization, mirroring completion.
-                        if fused_pred[s.index()] == t as u32 {
+                        if feeder(s.index()) == t as u32 {
                             continue;
                         }
                         invs[s.index() * n_mb as usize + mb as usize].deps_remaining -= 1;
@@ -1098,8 +1081,7 @@ impl<'a> Engine<'a> {
             n_mb,
             now: 0.0,
             tbs,
-            slots,
-            segments,
+            slots: table.slots(),
             invs,
             transfers: Vec::with_capacity(first_guess),
             free_transfers: Vec::new(),
@@ -1117,7 +1099,6 @@ impl<'a> Engine<'a> {
             barrier_members,
             barrier_remaining,
             trace: Vec::new(),
-            fused_task,
             fused_pred,
             fused_next,
             fault_sched: Vec::new(),
@@ -1135,21 +1116,60 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Issue group `i` of `tb`. Slot-major programs walk each segment over
-    /// the TB's micro-batch window, then the next segment; micro-batch-major
-    /// programs walk every segment once per micro-batch (each micro-batch
-    /// walks the pipeline, fused pairs issuing together as one
-    /// recvCopySend).
-    fn group(&self, tb: &TbState, i: u32) -> IssueGroup {
-        let (segment, k) = match self.program.loop_order {
-            LoopOrder::SlotMajor => (i / tb.window, i % tb.window),
-            LoopOrder::MicroBatchMajor => (i % tb.n_segments, i / tb.n_segments),
+    /// The current issue group of `tb`. Slot-major programs walk each
+    /// segment over the TB's micro-batch window, then the next segment;
+    /// micro-batch-major programs walk every segment once per micro-batch
+    /// (each micro-batch walks the pipeline, fused pairs issuing together
+    /// as one recvCopySend).
+    fn group(&self, tb: &TbState) -> IssueGroup {
+        let k = match self.program.loop_order {
+            LoopOrder::SlotMajor => tb.group_idx % tb.window,
+            LoopOrder::MicroBatchMajor => tb.group_idx / tb.n_segments,
         };
-        let s = self.segments[(tb.first_segment + segment) as usize];
         IssueGroup {
-            first_slot: s.first_slot,
-            len: s.len,
+            first_slot: tb.cursor,
+            len: self.segment_len(tb, tb.cursor),
             mb: tb.offset + k * tb.stride,
+        }
+    }
+
+    /// Slots of `tb`'s segment that starts at slot `at`: it and the fused
+    /// slots right behind it.
+    fn segment_len(&self, tb: &TbState, at: u32) -> u32 {
+        let end = tb.first + tb.len;
+        let mut len = 1;
+        while at + len < end && self.program.is_fused((at + len) as usize) {
+            len += 1;
+        }
+        len
+    }
+
+    /// Move `tb` to its next issue group, and its cursor to that group's
+    /// segment.
+    fn advance(&mut self, tb_id: u32) {
+        let tb = &self.tbs[tb_id as usize];
+        let next = tb.group_idx + 1;
+        let cursor = match self.program.loop_order {
+            LoopOrder::SlotMajor if !next.is_multiple_of(tb.window) => tb.cursor,
+            LoopOrder::MicroBatchMajor if next.is_multiple_of(tb.n_segments) => tb.first,
+            _ => tb.cursor + self.segment_len(tb, tb.cursor),
+        };
+        let tb = &mut self.tbs[tb_id as usize];
+        tb.group_idx = next;
+        tb.cursor = cursor;
+    }
+
+    /// The fused receive feeding `task`, or NONE.
+    fn feeder(&self, task: TaskId) -> u32 {
+        self.fused_pred.get(task.index()).copied().unwrap_or(NONE)
+    }
+
+    /// The fused forwards gated on the receive `task`.
+    fn forwards(&self, task: TaskId) -> &[TaskId] {
+        if task.index() < self.fused_next.n_rows() {
+            self.fused_next.row(task.index())
+        } else {
+            &[]
         }
     }
 
@@ -1525,7 +1545,7 @@ impl<'a> Engine<'a> {
                 }
                 return;
             }
-            let group = self.group(tb, tb.group_idx);
+            let group = self.group(tb);
             let slots = group.first_slot as usize..(group.first_slot + group.len) as usize;
             // Fused forwards are issued asynchronously: they register their
             // sender side now but do not gate the group, so the TB moves on
@@ -1536,10 +1556,10 @@ impl<'a> Engine<'a> {
             let mut gating = 0;
             let mut live_gating = 0;
             let mut live_fused = 0;
-            for slot in &self.slots[slots.clone()] {
-                let done =
-                    self.invs[slot.task.index() * self.n_mb as usize + group.mb as usize].done;
-                if slot.fused_with_prev {
+            for si in slots.clone() {
+                let task = self.slots[si].task();
+                let done = self.invs[task.index() * self.n_mb as usize + group.mb as usize].done;
+                if self.program.is_fused(si) {
                     if !done {
                         live_fused += 1;
                     }
@@ -1556,7 +1576,7 @@ impl<'a> Engine<'a> {
             tb.async_outstanding += live_fused;
             for si in slots {
                 let slot = self.slots[si];
-                let idx = slot.task.index() * self.n_mb as usize + group.mb as usize;
+                let idx = slot.task().index() * self.n_mb as usize + group.mb as usize;
                 let inv = &mut self.invs[idx];
                 if inv.done {
                     continue; // already complete before this attempt
@@ -1570,14 +1590,14 @@ impl<'a> Engine<'a> {
                     inv.recv_tb = tb_id;
                     inv.recv_arrival = now;
                 }
-                self.try_start(slot.task, group.mb);
+                self.try_start(slot.task(), group.mb);
             }
             if live_gating > 0 {
                 return;
             }
             // Every gating slot had completed before this attempt: the
             // group is already retired — advance and look at the next.
-            self.tbs[tb_id as usize].group_idx += 1;
+            self.advance(tb_id);
         }
     }
 
@@ -1597,7 +1617,7 @@ impl<'a> Engine<'a> {
         }
         // Cut-through gate: a fused forward starts once its feeding receive
         // is in flight (the feeder's completion dependency was lifted).
-        let fp = self.fused_pred[task.index()];
+        let fp = self.feeder(task);
         if fp != NONE {
             let fidx = fp as usize * self.n_mb as usize + mb as usize;
             if !self.invs[fidx].started {
@@ -1644,7 +1664,7 @@ impl<'a> Engine<'a> {
 
         // Startup latency: α of the slowest conflict resource + extra path
         // latency + interpreter overhead + optional jitter.
-        let alpha = if self.fused_task[task.index()] {
+        let alpha = if fp != NONE {
             // Fused recvCopySend: the forward starts inside the previous
             // primitive's epilogue — no fresh startup latency.
             0.0
@@ -1691,8 +1711,8 @@ impl<'a> Engine<'a> {
         self.events.schedule(self.transfer_event(x), now + latency);
 
         // Wake fused followers gated on this start.
-        for k in 0..self.fused_next[task.index()].len() {
-            self.try_start(self.fused_next[task.index()][k], mb);
+        for k in 0..self.forwards(task).len() {
+            self.try_start(self.forwards(task)[k], mb);
         }
     }
 
@@ -1826,7 +1846,7 @@ impl<'a> Engine<'a> {
 
         // Cut-through causality: a fused forward cannot complete before the
         // receive that feeds it.
-        let fp = self.fused_pred[task.index()];
+        let fp = self.feeder(task);
         if fp != NONE {
             let fidx = fp as usize * self.n_mb as usize + mb as usize;
             if !self.invs[fidx].done {
@@ -1913,7 +1933,7 @@ impl<'a> Engine<'a> {
         for &s in dag.succs(task) {
             // The fused forward's dependency on this feeder was lifted at
             // initialization; everything else decrements normally.
-            if self.fused_pred[s.index()] == task.0 {
+            if self.feeder(s) == task.0 {
                 continue;
             }
             let sidx = s.index() * self.n_mb as usize + mb as usize;
@@ -1935,8 +1955,8 @@ impl<'a> Engine<'a> {
         }
 
         // Release fused forwards that drained before this feeder finished.
-        for k in 0..self.fused_next[task.index()].len() {
-            let b = self.fused_next[task.index()][k];
+        for k in 0..self.forwards(task).len() {
+            let b = self.forwards(task)[k];
             let bidx = b.index() * self.n_mb as usize + mb as usize;
             let bx = self.invs[bidx].transfer;
             if bx != NONE && self.transfers[bx as usize].pending_complete {
@@ -1951,7 +1971,7 @@ impl<'a> Engine<'a> {
         // time, once the TB has walked off its groups). A gating side
         // retires one invocation of its current group; when the group
         // drains, the next one is entered.
-        let send_is_fused = self.fused_task[task.index()];
+        let send_is_fused = self.feeder(task) != NONE;
         for (tb_id, is_async) in [(send_tb, send_is_fused), (recv_tb, false)] {
             let tb = &mut self.tbs[tb_id as usize];
             if is_async {
@@ -1964,7 +1984,7 @@ impl<'a> Engine<'a> {
                 debug_assert!(tb.group_remaining > 0, "TB retired with no open group");
                 tb.group_remaining -= 1;
                 if tb.group_remaining == 0 {
-                    tb.group_idx += 1;
+                    self.advance(tb_id);
                     self.tb_arrive(tb_id);
                 }
             }
@@ -2074,16 +2094,20 @@ impl<'a> Engine<'a> {
             if tb.done() {
                 continue;
             }
-            let g = self.group(tb, tb.group_idx);
+            let g = self.group(tb);
             let slots: Vec<String> = self.slots
                 [g.first_slot as usize..(g.first_slot + g.len) as usize]
                 .iter()
-                .map(|slot| {
-                    let idx = slot.task.index() * self.n_mb as usize + g.mb as usize;
+                .map(|&slot| {
+                    let idx = slot.task().index() * self.n_mb as usize + g.mb as usize;
                     let inv = &self.invs[idx];
                     format!(
                         "{}({:?},started={},done={},deps={})",
-                        slot.task, slot.primitive, inv.started, inv.done, inv.deps_remaining
+                        slot.task(),
+                        Primitive::of(slot, self.dag),
+                        inv.started,
+                        inv.done,
+                        inv.deps_remaining
                     )
                 })
                 .collect();

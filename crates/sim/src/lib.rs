@@ -674,7 +674,11 @@ mod tests {
         let topo = Topology::a100(1, 4);
         let spec = ring_ag(4);
         let (dag, mut prog) = build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
-        prog.ranks[0].tbs[0].slots.pop();
+        // The program's table with rank 0's first TB one slot shorter.
+        let mut tbs = prog.table.tbs().to_vec();
+        tbs[0].len -= 1;
+        let (n_ranks, slots) = (prog.table.n_ranks(), prog.table.slots().to_vec());
+        prog.table = std::sync::Arc::new(rescc_alloc::SlotTable::new(n_ranks, slots, tbs));
         let plan = MicroBatchPlan::plan(4 << 20, 4, 1 << 20);
         let cfg = SimConfig::default();
         let err = simulate(&topo, &dag, &prog, &plan, OpType::AllGather, &cfg).unwrap_err();
