@@ -39,7 +39,7 @@ pub enum Direction {
 
 /// One slot of a [`SlotTable`]: a task id with the slot's side in its top
 /// bit (set for the Send side), 4 bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot(u32);
 
 impl Slot {
@@ -114,7 +114,7 @@ impl Tb {
 /// table and one record per TB, in rank order. A TB's sub-pipelines are
 /// its tasks' in the schedule. The allocation and the kernel program
 /// lowered from it share one table behind an `Arc`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotTable {
     n_ranks: u32,
     slots: Vec<Slot>,
