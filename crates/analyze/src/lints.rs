@@ -9,10 +9,11 @@ use crate::diag::{CostCertificate, Diagnostic, LintCode, Severity, Site};
 use crate::graph::CombinedOrder;
 use crate::oracle::HbOracle;
 use crate::{AnalysisConfig, AnalysisInput, ResidualContext};
-use rescc_ir::{ConflictLoads, Csr, DepDag, Task, TaskId};
+use rescc_ir::{ConflictLoads, Csr, DepDag, DepIndex, Task, TaskId};
 use rescc_lang::provenance::{required, step_groups, Move, Provenance, Slots};
-use rescc_lang::CommType;
+use rescc_lang::{CommType, Derivation, OpType};
 use rescc_topology::{ChunkId, LinkParams};
+use std::sync::Arc;
 
 /// RA001 — deadlock: a cycle in the combined order (DAG edges ∪ per-TB
 /// serialization ∪ fusion cut-through gates). Every invocation needs both
@@ -295,9 +296,19 @@ pub fn ra003_sub_pipeline_loads(
 /// operator's postcondition reads — e.g. it was overwritten before anyone
 /// forwarded it — moves bytes for nothing. This is RA008's replay with an
 /// empty fault frontier.
+///
+/// The dead set depends on the spec alone, so it is memoized in the spec
+/// ([`Derivation::DeadTasks`]) whenever the DAG under analysis carries
+/// the spec's own [`DepIndex`]; another DAG is replayed afresh.
 pub fn ra004_dead_transfer(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
-    let nothing_completed = vec![false; input.dag.len()];
-    dead_transfers(input, input.dag, &nothing_completed, out, |t, task| {
+    let (spec, dag) = (input.spec, input.dag);
+    let replay = || dead_tasks(spec.op(), spec.n_ranks(), dag, &vec![false; dag.len()]);
+    let dead = if Arc::ptr_eq(dag.index(), &DepIndex::of(spec)) {
+        spec.derived(Derivation::DeadTasks, |_| replay())
+    } else {
+        Arc::new(replay())
+    };
+    report_dead(dag, &dead, out, |t, task| {
         let message = format!(
             "dead transfer: task t{} ({} -> {} chunk c{}) never \
              contributes to the operator's postcondition — its delivery \
@@ -312,18 +323,12 @@ pub fn ra004_dead_transfer(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
 /// replay task provenance over the ranks' slots: first the `completed`
 /// tasks one at a time in per-chunk order (exactly the resume-state
 /// replay the residual compiler hands the engine), then the other tasks
-/// step group by step group. Every other task whose bit reaches no slot
-/// the operator's postcondition reads is reported, in chunk order, as the
-/// `(code, site task, message)` that `describe` gives it.
-fn dead_transfers(
-    input: &AnalysisInput,
-    dag: &DepDag,
-    completed: &[bool],
-    out: &mut Vec<Diagnostic>,
-    describe: impl Fn(TaskId, &Task) -> (LintCode, Option<u32>, String),
-) {
-    let n_ranks = input.spec.n_ranks() as usize;
+/// step group by step group. Returns, in chunk order, every other task
+/// whose bit reaches no slot the postcondition of `op` reads.
+fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag, completed: &[bool]) -> Vec<TaskId> {
+    let n_ranks = n_ranks as usize;
     let mut prov = Slots::<Provenance>::new(n_ranks);
+    let mut dead = Vec::new();
     for chunk in 0..dag.n_chunks() {
         let tasks = dag.chunk_tasks(ChunkId::new(chunk));
         if tasks.is_empty() {
@@ -357,31 +362,44 @@ fn dead_transfers(
 
         // Union the provenance of every slot the postcondition reads.
         let mut useful = vec![0u64; words];
-        for r in (0..n_ranks).filter(|&r| required(input.spec.op(), r as u32, chunk)) {
+        for r in (0..n_ranks).filter(|&r| required(op, r as u32, chunk)) {
             for (u, s) in useful.iter_mut().zip(prov.slot(r)) {
                 *u |= s;
             }
         }
-        for (li, &t) in tasks.iter().enumerate() {
-            if done(li) || useful[li / 64] & (1 << (li % 64)) != 0 {
-                continue;
-            }
-            let task = dag.task(t);
-            let (code, site_task, message) = describe(t, &task);
-            out.push(Diagnostic {
-                code,
-                severity: Severity::Warn,
-                message,
-                site: Site {
-                    task: site_task,
-                    rank: Some(task.dst.0),
-                    step: Some(task.step.0),
-                    chunk: Some(chunk),
-                    ..Site::default()
-                },
-                path: Vec::new(),
-            });
-        }
+        dead.extend(
+            (tasks.iter().enumerate())
+                .filter(|&(li, _)| !done(li) && useful[li / 64] & (1 << (li % 64)) == 0)
+                .map(|(_, &t)| t),
+        );
+    }
+    dead
+}
+
+/// Report each of the `dead` tasks of `dag` as the `(code, site task,
+/// message)` that `describe` gives it.
+fn report_dead(
+    dag: &DepDag,
+    dead: &[TaskId],
+    out: &mut Vec<Diagnostic>,
+    describe: impl Fn(TaskId, &Task) -> (LintCode, Option<u32>, String),
+) {
+    for &t in dead {
+        let task = dag.task(t);
+        let (code, site_task, message) = describe(t, &task);
+        out.push(Diagnostic {
+            code,
+            severity: Severity::Warn,
+            message,
+            site: Site {
+                task: site_task,
+                rank: Some(task.dst.0),
+                step: Some(task.step.0),
+                chunk: Some(task.chunk.0),
+                ..Site::default()
+            },
+            path: Vec::new(),
+        });
     }
 }
 
@@ -774,7 +792,9 @@ pub fn ra008_residual_dead_transfer(
     for (ri, &oid) in ctx.orig_ids.iter().enumerate() {
         residual_of[oid.index()] = ri as u32;
     }
-    dead_transfers(input, orig, ctx.completed, out, |t, task| {
+    let spec = input.spec;
+    let dead = dead_tasks(spec.op(), spec.n_ranks(), orig, ctx.completed);
+    report_dead(orig, &dead, out, |t, task| {
         let rid = residual_of[t.index()];
         let message = format!(
             "dead transfer in residual: task t{rid} (original t{}, \

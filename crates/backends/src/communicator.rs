@@ -16,13 +16,12 @@ use crate::{RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYTES};
 use rescc_algos::{
     hm_allgather, hm_allreduce, hm_reduce_scatter, recursive_halving_doubling_allreduce,
 };
-use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, ResidualPlan};
+use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, ResidualPlan, SpecKey};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, OpType};
 use rescc_obs::{DispatchEvent, ObsStats, RecoveryTrigger};
 use rescc_sim::{FaultFrontier, FaultTimeline, SimConfig, SimError, SimResult};
 use rescc_topology::{ResourceId, Topology, TopologyHealth};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Transient-fault retries per call before the watchdog gives up.
@@ -67,11 +66,14 @@ pub struct Communicator {
     /// passed the sanitize phase. The fingerprint covers the gate, so a
     /// shared cache never hands over another tenant's warn-gated plan.
     compiler: Compiler,
+    /// The plan cache, and through it the spec table
+    /// ([`PlanCache::spec`]). Building a spec is not cheap (a 128-rank HM
+    /// AllGather takes about 0.5 ms on a 2-vCPU host, some 4% of a cold
+    /// dispatch), and each spec memoizes its topology-independent compile
+    /// work, so tenants that share the cache select one shared spec per
+    /// operator, bucket and cluster shape. A private cache is an unshared
+    /// table.
     cache: Arc<PlanCache>,
-    /// Cached specs per (op, small) bucket — algorithm construction is
-    /// cheap but deterministic reuse keeps behaviour predictable. Shared,
-    /// so a warm dispatch takes a pointer instead of copying the spec.
-    specs: HashMap<(OpType, bool), Arc<AlgoSpec>>,
     /// Fault schedule injected into every collective issued through this
     /// communicator (sim-time timestamps relative to each call's start).
     faults: FaultTimeline,
@@ -95,7 +97,6 @@ impl Communicator {
             topo,
             compiler: Compiler::new(),
             cache: Arc::new(PlanCache::new()),
-            specs: HashMap::new(),
             faults: FaultTimeline::new(),
             deadline_ns: None,
             health: TopologyHealth::healthy(),
@@ -158,7 +159,9 @@ impl Communicator {
     }
 
     /// Share a plan cache with other communicators (multi-tenant
-    /// dispatch). All tenants must agree on compiler configuration for
+    /// dispatch). Tenants of one cluster shape then share their specs too
+    /// ([`PlanCache::spec`]), so a new tenant skips the spec-only compile
+    /// work. All tenants must agree on compiler configuration for
     /// sharing to pay off — the fingerprint covers compiler options, so a
     /// mismatched tenant simply misses into its own entries. Concurrent
     /// tenants are safe: warm dispatches take only a shared per-shard
@@ -181,17 +184,21 @@ impl Communicator {
         self.cache.stats()
     }
 
-    /// Pick the algorithm for an operator and buffer size.
-    fn select(&mut self, op: OpType, buffer_bytes: u64) -> Arc<AlgoSpec> {
+    /// Pick the algorithm for an operator and buffer size, from the spec
+    /// table of the plan cache.
+    fn select(&self, op: OpType, buffer_bytes: u64) -> Arc<AlgoSpec> {
         let nodes = self.topo.n_nodes();
         let g = self.topo.gpus_per_node();
         let n = self.topo.n_ranks();
         // "Small" = latency-dominated: few micro-batches to pipeline.
         let small = buffer_bytes <= (n as u64) * DEFAULT_CHUNK_BYTES * 2;
-        if let Some(spec) = self.specs.get(&(op, small)) {
-            return Arc::clone(spec);
-        }
-        let spec = Arc::new(match op {
+        let key = SpecKey {
+            op,
+            small,
+            nodes,
+            gpus_per_node: g,
+        };
+        self.cache.spec(key, || match op {
             OpType::AllGather => hm_allgather(nodes, g),
             OpType::ReduceScatter => hm_reduce_scatter(nodes, g),
             OpType::AllReduce => {
@@ -202,9 +209,7 @@ impl Communicator {
                     hm_allreduce(nodes, g)
                 }
             }
-        });
-        self.specs.insert((op, small), Arc::clone(&spec));
-        spec
+        })
     }
 
     /// AllReduce `buffer_bytes` per rank.

@@ -247,10 +247,31 @@ impl Shard {
     }
 }
 
+/// What a dispatcher's algorithm choice depends on: the operator, whether
+/// the buffer is small (latency-bound), and the cluster shape. The key of
+/// [`PlanCache::spec`]'s table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SpecKey {
+    /// The collective operator.
+    pub op: OpType,
+    /// Whether the buffer falls in the small-buffer bucket.
+    pub small: bool,
+    /// Nodes of the cluster.
+    pub nodes: u32,
+    /// GPUs per node.
+    pub gpus_per_node: u32,
+}
+
 /// A thread-safe, sharded memo table from plan fingerprints to compiled
 /// plans, with singleflight compile dedup and optional cost-bounded LRU
 /// eviction across all shards. Designed to be shared: wrap it in an `Arc`
 /// and hand it to any number of dispatching threads or `Communicator`s.
+///
+/// Next to the plans, the cache holds one spec table ([`Self::spec`]):
+/// dispatchers that share the cache share each algorithm they select,
+/// and with it everything memoized in the spec (its verdict, its
+/// dependency index, its dead transfers), so a new tenant derives only
+/// the topology-dependent part of its plan.
 ///
 /// ```
 /// use rescc_core::{Compiler, PlanCache};
@@ -282,6 +303,10 @@ pub struct PlanCache {
     /// Held while enforcing the budget, so one publish at a time searches
     /// the shards for victims.
     evicting: Mutex<()>,
+    /// The spec table: one spec per [`SpecKey`], never evicted. Its keys
+    /// are few (three operators, two buckets, the cluster shapes served).
+    /// Its lock is never held with another lock of the cache.
+    specs: RwLock<HashMap<SpecKey, Arc<AlgoSpec>>>,
 }
 
 impl Default for PlanCache {
@@ -292,6 +317,7 @@ impl Default for PlanCache {
             clock: AtomicU64::new(0),
             byte_budget: None,
             evicting: Mutex::new(()),
+            specs: RwLock::default(),
         }
     }
 }
@@ -314,6 +340,20 @@ impl PlanCache {
     pub fn with_byte_budget(mut self, bytes: u64) -> Self {
         self.byte_budget = Some(bytes);
         self
+    }
+
+    /// The spec the table holds under `key`; on the key's first use,
+    /// `build` makes it. Concurrent first uses may each build one, but
+    /// all of them get the one the table keeps.
+    pub fn spec(&self, key: SpecKey, build: impl FnOnce() -> AlgoSpec) -> Arc<AlgoSpec> {
+        let resident = self.specs.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(spec) = resident.get(&key) {
+            return Arc::clone(spec);
+        }
+        drop(resident);
+        let spec = Arc::new(build());
+        let mut specs = self.specs.write().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(specs.entry(key).or_insert(spec))
     }
 
     fn shard(&self, fingerprint: u64) -> &Shard {
@@ -652,14 +692,20 @@ impl PlanCache {
 /// model rather than an allocator measurement, so budgets behave
 /// identically across platforms and replays. Its coefficients are the
 /// plan's layout (DESIGN.md §15): per spec transfer, its 20-byte record,
-/// which the DAG shares; per task, the DAG's route index, adjacency and
-/// chunk lists (about 1.5 edges a task) and the schedule's entry; per
+/// which the DAG shares; per task, the DAG's route index, its dependency
+/// index's adjacency and chunk lists (about 1.5 edges a task) and the
+/// schedule's entry; per
 /// stored slot, 4 bytes of the slot table the allocation and the program
 /// share (channel TBs share their slots); per TB, its 20-byte record; per
 /// barrier-group entry, 4 bytes; per route, one route-table entry; per
 /// sanitize finding, its record, message and path.
 /// `crates/core/tests/plan_memory.rs` holds it to within ±20% of the heap
-/// a counting allocator measures.
+/// a counting allocator measures for a plan that shares nothing.
+///
+/// The spec's records and the dependency index belong to the spec, which
+/// every plan of it shares ([`PlanCache::spec`]), yet they are charged
+/// to every plan that holds them: for plans of one spec the charge is an
+/// upper bound.
 pub fn plan_cost_bytes(plan: &CompiledPlan) -> u64 {
     let transfers = plan.spec.transfers().len() as u64;
     let tasks = plan.dag.len() as u64;

@@ -39,7 +39,7 @@ mod cache;
 mod residual;
 
 pub use cache::{
-    plan_cost_bytes, plan_fingerprint, CacheEvent, CacheEventKind, CacheStats, PlanCache,
+    plan_cost_bytes, plan_fingerprint, CacheEvent, CacheEventKind, CacheStats, PlanCache, SpecKey,
     DEFAULT_JOURNAL_CAPACITY, SHARD_COUNT,
 };
 pub use residual::ResidualPlan;
@@ -48,7 +48,7 @@ use rescc_alloc::TbAllocation;
 use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
-use rescc_lang::{eval, parse, verify_collective, AlgoSpec, OpType};
+use rescc_lang::{eval, parse, AlgoSpec, OpType};
 use rescc_sched::{by_step, hpds, round_robin, Schedule, StagePartition};
 use rescc_sim::{simulate, LintRefusal, SimConfig, SimError, SimReport, SimResult};
 use rescc_topology::{Topology, TopologyHealth};
@@ -152,7 +152,10 @@ pub struct Compiler {
     /// during the Analysis phase, at every group size. On by default.
     /// Verification replays one chunk at a time over sparse contribution
     /// counts, so its time follows the number of transfers, not transfers
-    /// × ranks. Tests turn it off to run specs that fail verification.
+    /// × ranks, and its verdict is memoized in the spec
+    /// ([`AlgoSpec::verified`]): later compiles of the spec reuse it, and
+    /// a failed verdict fails each of them. Tests turn it off to run specs
+    /// that fail verification.
     pub verify: bool,
     /// What to do with the sanitize phase's findings (deny by default).
     pub lint_gate: LintGate,
@@ -212,9 +215,11 @@ impl Compiler {
     pub fn compile_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
         let mut timings = PhaseTimings::default();
 
+        // The verdict and the DAG's dependency index are memoized in the
+        // spec: only its first compile, for any topology, derives them.
         let t0 = Instant::now();
         if self.verify {
-            verify_collective(spec)?;
+            spec.verified()?;
         }
         let dag = DepDag::build(spec, topo)?;
         timings.analysis = t0.elapsed();

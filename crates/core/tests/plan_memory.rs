@@ -3,7 +3,11 @@
 //! plans, of two small HM-AllReduce plans and of an NCCL-lowered one. The
 //! test pins a ceiling per 16×8 plan, holds [`plan_cost_bytes`], the size
 //! model the plan cache budgets against, to within ±20% of the measured
-//! heap, and pins that a rigid plan's slots do not grow with its channels.
+//! heap of each of these plans, which share nothing, and pins that a
+//! rigid plan's slots do not grow with its channels. It also pins the
+//! ceiling of a second HM-AllGather 16×8 plan whose spec is already
+//! resident: one spec, many plans, so the second plan adds only its
+//! topology-dependent artifacts.
 //!
 //! One test in its own binary: the allocator counts every thread, so no
 //! other test may allocate while it measures.
@@ -95,10 +99,10 @@ fn nccl(n_channels: u32) -> Compiler {
 }
 
 /// Compile `spec` for `topo` and measure the plan's heap, then the heap
-/// each artifact frees. The spec's transfer records, which the DAG
-/// shares, are counted with the spec; the slot table, which the
-/// allocation and the program share, on its own. Also returns the plan's
-/// TB count.
+/// each artifact frees. The spec's transfer records and its memos (the
+/// dependency index among them), which the DAG shares, are counted with
+/// the spec; the slot table, which the allocation and the program share,
+/// on its own. Also returns the plan's TB count.
 fn measure(
     compiler: &Compiler,
     spec: impl FnOnce() -> AlgoSpec,
@@ -135,6 +139,9 @@ fn measure(
 
 /// One MiB: sizes are reported and bounded in MiB.
 const MIB: f64 = (1u64 << 20) as f64;
+
+/// The ceiling of a second HM-AllGather 16×8 plan whose spec is resident.
+const SECOND_PLAN_CEILING_MIB: f64 = 0.40;
 
 #[test]
 fn resident_plans_fit_their_ceilings_and_the_cost_model() {
@@ -187,6 +194,32 @@ fn resident_plans_fit_their_ceilings_and_the_cost_model() {
             ));
         }
     }
+    // One spec, many plans: a second tenant of the shape, under another
+    // topology name, holds only its topology-dependent artifacts.
+    let shape = Topology::a100(16, 8);
+    let other = Topology::new("second-tenant", shape.spec(), *shape.fabric());
+    let before = live();
+    let spec = hm_allgather(16, 8);
+    let first = Compiler::new().compile_spec(&spec, &shape).unwrap();
+    let alone = (live() - before) as f64;
+    let before = live();
+    let second = Compiler::new().compile_spec(&spec, &other).unwrap();
+    let marginal = (live() - before) as f64;
+    println!(
+        "hm-ag-16x8, second plan of a resident spec: {:.2} MiB, against {:.2} MiB for the \
+         first plan and its spec",
+        marginal / MIB,
+        alone / MIB
+    );
+    if marginal > SECOND_PLAN_CEILING_MIB * MIB {
+        failures.push(format!(
+            "hm-ag-16x8: a second plan of a resident spec adds {:.2} MiB, above its \
+             {SECOND_PLAN_CEILING_MIB} MiB ceiling",
+            marginal / MIB
+        ));
+    }
+    drop((first, second, spec));
+
     // A rigid plan's channel TBs share their endpoint's slots: more
     // channels add TB records, never slots.
     let topo = Topology::a100(4, 8);

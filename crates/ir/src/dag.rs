@@ -22,12 +22,17 @@
 //! (preds, succs, per-chunk task lists) in CSR arrays. Every conflict
 //! resource is assigned a **dense index** so the scheduler's hot loops can
 //! track per-resource load in plain vectors instead of hash maps.
+//!
+//! The records and the adjacency depend on the algorithm alone: they form
+//! the [`DepIndex`], derived once per spec and shared by every DAG built
+//! from it, whatever the topology. Routes, the resource index and the
+//! cycle check are per topology.
 
 use crate::dense::Csr;
 use crate::error::{IrError, Result};
 use crate::task::{Task, TaskId};
 use rescc_lang::provenance::step_groups;
-use rescc_lang::{AlgoSpec, TransferRec};
+use rescc_lang::{AlgoSpec, Derivation, TransferRec};
 use rescc_topology::{ChunkId, Rank, ResourceId, ResourceSet, Topology, MAX_PATH_RESOURCES};
 use std::sync::Arc;
 
@@ -67,21 +72,19 @@ struct Route {
     dense: DenseResSet,
 }
 
-/// The dependency DAG for one algorithm on one topology.
+/// The spec-only half of a [`DepDag`]: the task table, the tasks of each
+/// chunk in step order and the data-dependency adjacency.
 ///
-/// Each per-task fact is stored once. Task `i` is transfer `i` of the
-/// spec, whose records the DAG shares rather than copies, and its route
-/// is an index into a table with one entry per distinct `(src, dst)` pair.
-/// [`DepDag::task`] assembles a [`Task`] from the two.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DepDag {
+/// [`DepIndex::of`] derives it once per spec and memoizes it in the spec
+/// ([`AlgoSpec::derived`]), so every DAG of one spec shares one index: a
+/// DAG built for another topology and a [rerouted](DepDag::reroute) DAG
+/// point at the same one. A [residual](DepDag::residual) DAG builds its
+/// own.
+#[derive(Debug, PartialEq)]
+pub struct DepIndex {
     /// The spec's transfer records, task `i` being record `i`. A residual
-    /// DAG owns the subset it kept.
+    /// index owns the subset it kept.
     transfers: Arc<[TransferRec]>,
-    /// Each task's entry in `routes`.
-    route_of: Vec<u32>,
-    /// One route per distinct `(src, dst)` pair, in order of first use.
-    routes: Vec<Route>,
     /// Data-dependency predecessors of each task (CSR).
     preds: Csr<TaskId>,
     /// Data-dependency successors of each task (CSR).
@@ -89,40 +92,18 @@ pub struct DepDag {
     /// Tasks of each chunk, sorted by step (the per-chunk DAG `G[C]` of
     /// Algorithm 1), CSR over chunks.
     by_chunk: Csr<TaskId>,
-    /// Every conflict resource any task occupies, ascending. A resource's
-    /// position here is its **dense index**.
-    resource_ids: Vec<ResourceId>,
-    /// Concurrency limit of each conflict resource (indexed densely): how
-    /// many tasks can drive it before a communication dependency (Eq. 1
-    /// contention) arises — the resource's `saturation_tbs`.
-    conflict_limit: Vec<u32>,
     n_chunks: u32,
 }
 
-impl DepDag {
-    /// Build the DAG from a validated algorithm spec and a topology.
-    ///
-    /// Fails if the spec's rank count does not match the topology, or if
-    /// (defensively) a dependency cycle is detected.
-    pub fn build(spec: &AlgoSpec, topo: &Topology) -> Result<Self> {
-        if spec.n_ranks() != topo.n_ranks() {
-            return Err(IrError::new(format!(
-                "algorithm `{}` is for {} ranks but topology `{}` has {}",
-                spec.name(),
-                spec.n_ranks(),
-                topo.name(),
-                topo.n_ranks()
-            )));
-        }
+impl DepIndex {
+    /// The index of `spec`, derived on the first call on any clone of the
+    /// spec and shared from then on.
+    pub fn of(spec: &AlgoSpec) -> Arc<Self> {
+        spec.derived(Derivation::DepIndex, Self::derive)
+    }
 
-        // Tasks are the spec's transfers in declaration order; each
-        // distinct pair's route is resolved once.
+    fn derive(spec: &AlgoSpec) -> Self {
         let transfers = spec.shared_transfers();
-        let (route_of, routes) = intern_routes(&transfers, |t| {
-            let conn = topo.connection(transfers[t].src, transfers[t].dst);
-            (conn.conflict, conn.path)
-        });
-
         let n_chunks = spec.n_chunks();
         // Tasks of each chunk in (step, id) order: a counting sort by step
         // (ids ascending within a step), then a stable one by chunk.
@@ -153,37 +134,83 @@ impl DepDag {
         let edges = data_edges(&transfers, &by_chunk, spec.n_ranks() as usize);
         let preds = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (to.0, from)));
         let succs = Csr::from_pairs(n, edges.iter().map(|&(from, to)| (from.0, to)));
-
-        Self::assemble(
+        Self {
             transfers,
-            (route_of, routes),
-            [preds, succs, by_chunk],
+            preds,
+            succs,
+            by_chunk,
             n_chunks,
-            topo,
-        )
+        }
+    }
+}
+
+/// The dependency DAG for one algorithm on one topology.
+///
+/// Each per-task fact is stored once. Task `i` is transfer `i` of the
+/// spec, whose records and adjacency the DAG shares with every other DAG
+/// of the spec through its [`DepIndex`], and its route is an index into a
+/// table with one entry per distinct `(src, dst)` pair. [`DepDag::task`]
+/// assembles a [`Task`] from the two.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DepDag {
+    /// The spec-only records and adjacency.
+    index: Arc<DepIndex>,
+    /// Each task's entry in `routes`.
+    route_of: Vec<u32>,
+    /// One route per distinct `(src, dst)` pair, in order of first use.
+    routes: Vec<Route>,
+    /// Every conflict resource any task occupies, ascending. A resource's
+    /// position here is its **dense index**.
+    resource_ids: Vec<ResourceId>,
+    /// Concurrency limit of each conflict resource (indexed densely): how
+    /// many tasks can drive it before a communication dependency (Eq. 1
+    /// contention) arises — the resource's `saturation_tbs`.
+    conflict_limit: Vec<u32>,
+}
+
+impl DepDag {
+    /// Build the DAG from a validated algorithm spec and a topology.
+    ///
+    /// The spec's [`DepIndex`] is derived on the first build of the spec
+    /// and reused by every later one; only the routes, the resource index
+    /// and the cycle check are done per build.
+    ///
+    /// Fails if the spec's rank count does not match the topology, or if
+    /// (defensively) a dependency cycle is detected.
+    pub fn build(spec: &AlgoSpec, topo: &Topology) -> Result<Self> {
+        if spec.n_ranks() != topo.n_ranks() {
+            return Err(IrError::new(format!(
+                "algorithm `{}` is for {} ranks but topology `{}` has {}",
+                spec.name(),
+                spec.n_ranks(),
+                topo.name(),
+                topo.n_ranks()
+            )));
+        }
+        let index = DepIndex::of(spec);
+        // Each distinct pair's route is resolved once.
+        let transfers = &index.transfers;
+        let routes = intern_routes(transfers, |t| {
+            let conn = topo.connection(transfers[t].src, transfers[t].dst);
+            (conn.conflict, conn.path)
+        });
+        Self::assemble(index, routes, topo)
     }
 
-    /// Finish a DAG from its task table, route table and adjacency
-    /// (`[preds, succs, by_chunk]`): index the conflict resources against
-    /// `topo` and check for cycles.
+    /// Finish a DAG from its index and route table: index the conflict
+    /// resources against `topo` and check for cycles.
     fn assemble(
-        transfers: Arc<[TransferRec]>,
+        index: Arc<DepIndex>,
         (route_of, mut routes): (Vec<u32>, Vec<Route>),
-        [preds, succs, by_chunk]: [Csr<TaskId>; 3],
-        n_chunks: u32,
         topo: &Topology,
     ) -> Result<Self> {
         let (resource_ids, conflict_limit) = index_resources(&mut routes, topo)?;
         let dag = Self {
-            transfers,
+            index,
             route_of,
             routes,
-            preds,
-            succs,
-            by_chunk,
             resource_ids,
             conflict_limit,
-            n_chunks,
         };
         // Steps strictly increase along edges, so cycles are impossible by
         // construction — but validate anyway (defence in depth).
@@ -204,9 +231,9 @@ impl DepDag {
     /// actually changed, ascending.
     ///
     /// Data-dependency edges are topology-independent (they follow the
-    /// algorithm's `(rank, chunk, step)` structure), so the adjacency
-    /// arenas and the task table are reused as-is; only the route table
-    /// and the resource index are rebuilt. This is the analysis step of
+    /// algorithm's `(rank, chunk, step)` structure), so the patched DAG
+    /// shares this one's [`DepIndex`]; only the route table and the
+    /// resource index are rebuilt. This is the analysis step of
     /// delta recompilation: one route resolution per distinct pair and
     /// one pass over the tasks, with no edge re-derivation.
     pub fn reroute(&self, topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
@@ -267,11 +294,8 @@ impl DepDag {
                 "residual DAG would be empty — nothing left to execute",
             ));
         }
-        let transfers: Arc<[TransferRec]> = orig_ids
-            .iter()
-            .map(|id| self.transfers[id.index()])
-            .collect();
-        let (route_of, routes) = intern_routes(&transfers, |t| {
+        let transfers: Arc<[TransferRec]> = orig_ids.iter().map(|id| *self.transfer(*id)).collect();
+        let routes = intern_routes(&transfers, |t| {
             let kept = self.route(orig_ids[t]);
             (kept.conflict, kept.path)
         });
@@ -288,27 +312,32 @@ impl DepDag {
             });
             Csr::from_pairs(n_rows, pairs)
         };
-        let preds = remap(&self.preds, orig_ids.len(), &|row| orig_ids[row].index());
-        let succs = remap(&self.succs, orig_ids.len(), &|row| orig_ids[row].index());
-        let by_chunk = remap(&self.by_chunk, self.n_chunks as usize, &|c| c);
-        let dag = Self::assemble(
+        let old = &self.index;
+        let index = DepIndex {
             transfers,
-            (route_of, routes),
-            [preds, succs, by_chunk],
-            self.n_chunks,
-            topo,
-        )?;
+            preds: remap(&old.preds, orig_ids.len(), &|row| orig_ids[row].index()),
+            succs: remap(&old.succs, orig_ids.len(), &|row| orig_ids[row].index()),
+            by_chunk: remap(&old.by_chunk, old.n_chunks as usize, &|c| c),
+            n_chunks: old.n_chunks,
+        };
+        let dag = Self::assemble(Arc::new(index), routes, topo)?;
         Ok((dag, orig_ids))
     }
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.transfers.len()
+        self.index.transfers.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.transfers.is_empty()
+        self.index.transfers.is_empty()
+    }
+
+    /// The spec-only records and adjacency this DAG shares with every
+    /// other DAG of its spec.
+    pub fn index(&self) -> &Arc<DepIndex> {
+        &self.index
     }
 
     /// All tasks, in id order.
@@ -319,7 +348,7 @@ impl DepDag {
     /// Look up a task, assembled from its transfer record and its route.
     #[inline]
     pub fn task(&self, id: TaskId) -> Task {
-        let rec = &self.transfers[id.index()];
+        let rec = self.transfer(id);
         let route = self.route(id);
         Task {
             id,
@@ -337,7 +366,7 @@ impl DepDag {
     /// receive semantics, without the route.
     #[inline]
     pub fn transfer(&self, id: TaskId) -> &TransferRec {
-        &self.transfers[id.index()]
+        &self.index.transfers[id.index()]
     }
 
     #[inline]
@@ -353,22 +382,22 @@ impl DepDag {
 
     /// Data-dependency predecessors of `id`.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        self.preds.row(id.index())
+        self.index.preds.row(id.index())
     }
 
     /// Data-dependency successors of `id`.
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        self.succs.row(id.index())
+        self.index.succs.row(id.index())
     }
 
     /// Number of chunks (== ranks).
     pub fn n_chunks(&self) -> u32 {
-        self.n_chunks
+        self.index.n_chunks
     }
 
     /// The per-chunk DAG `G[C]`: tasks of `chunk` sorted by step.
     pub fn chunk_tasks(&self, chunk: ChunkId) -> &[TaskId] {
-        self.by_chunk.row(chunk.index())
+        self.index.by_chunk.row(chunk.index())
     }
 
     /// How many distinct conflict resources the DAG's tasks occupy. Dense
@@ -411,7 +440,9 @@ impl DepDag {
     /// Returns an error when a cycle exists.
     pub fn topo_order(&self) -> Result<Vec<TaskId>> {
         let n = self.len();
-        let mut indeg: Vec<u32> = (0..n).map(|i| self.preds.row(i).len() as u32).collect();
+        let mut indeg: Vec<u32> = (0..n)
+            .map(|i| self.index.preds.row(i).len() as u32)
+            .collect();
         let mut queue: Vec<TaskId> = (0..n as u32)
             .map(TaskId::new)
             .filter(|id| indeg[id.index()] == 0)
@@ -419,7 +450,7 @@ impl DepDag {
         let mut order = Vec::with_capacity(n);
         while let Some(id) = queue.pop() {
             order.push(id);
-            for &s in self.succs.row(id.index()) {
+            for &s in self.index.succs.row(id.index()) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);
@@ -459,7 +490,7 @@ impl DepDag {
             pos[id.index()] = i;
         }
         for i in 0..n {
-            for dep in self.preds.row(i) {
+            for dep in self.index.preds.row(i) {
                 if pos[dep.index()] > pos[i] {
                     return Err(IrError::new(format!(
                         "task t{i} scheduled before its dependency {dep}"

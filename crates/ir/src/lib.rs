@@ -32,7 +32,7 @@ mod loads;
 mod microbatch;
 mod task;
 
-pub use dag::{DepDag, TaskIter, Tasks};
+pub use dag::{DepDag, DepIndex, TaskIter, Tasks};
 pub use dense::Csr;
 pub use error::{IrError, Result};
 pub use loads::ConflictLoads;

@@ -54,6 +54,6 @@ pub use eval::{eval, eval_source, MAX_ITERATIONS, MAX_TRANSFERS};
 pub use lexer::lex;
 pub use parser::parse;
 pub use pretty::pretty;
-pub use spec::{AlgoSpec, TransferRec};
+pub use spec::{AlgoSpec, Derivation, TransferRec};
 pub use token::{Tok, Token};
 pub use verify::{verify_collective, verify_collective_with_threads};

@@ -9,7 +9,9 @@
 use crate::ast::{CommType, OpType};
 use crate::error::{LangError, Result};
 use rescc_topology::{ChunkId, Rank, Step};
-use std::sync::Arc;
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One transmission task declared by the algorithm: move `chunk` from
 /// `src` to `dst` at logical time `step`, applying `comm` at the receiver.
@@ -30,14 +32,63 @@ pub struct TransferRec {
 /// A validated collective algorithm specification.
 ///
 /// The transfers live in one shared allocation: clones of the spec, and
-/// the dependency DAG built from it, point at the same records.
-#[derive(Clone, Debug, PartialEq)]
+/// the dependency DAG built from it, point at the same records. So do
+/// the spec's memos: everything derived from the algorithm alone (its
+/// verification verdict, its dependency index, its dead transfers) is
+/// computed on first use and shared by every clone, however many
+/// topologies the spec is lowered for. `Debug` and `PartialEq` ignore
+/// the memos.
+#[derive(Clone)]
 pub struct AlgoSpec {
     name: String,
     op: OpType,
     n_ranks: u32,
     n_chunks: u32,
     transfers: Arc<[TransferRec]>,
+    memos: Arc<Memos>,
+}
+
+/// A spec-only derivation that a downstream crate memoizes in the spec
+/// ([`AlgoSpec::derived`]). Each names one memo slot, which holds one
+/// type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Derivation {
+    /// The dependency index of `rescc_ir::DepDag`: per-chunk step order
+    /// and the data-dependency adjacency.
+    DepIndex,
+    /// The tasks RA004 of `rescc_analyze` finds dead.
+    DeadTasks,
+}
+
+/// The memo slots of one spec and its clones.
+#[derive(Default)]
+struct Memos {
+    /// [`verify_collective`](crate::verify_collective)'s verdict.
+    verdict: OnceLock<Result<()>>,
+    /// One slot per [`Derivation`], in declaration order.
+    derived: [OnceLock<Arc<dyn Any + Send + Sync>>; 2],
+}
+
+impl fmt::Debug for AlgoSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AlgoSpec")
+            .field("name", &self.name)
+            .field("op", &self.op)
+            .field("n_ranks", &self.n_ranks)
+            .field("n_chunks", &self.n_chunks)
+            .field("transfers", &self.transfers)
+            .finish()
+    }
+}
+
+impl PartialEq for AlgoSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.op == other.op
+            && self.n_ranks == other.n_ranks
+            && self.n_chunks == other.n_chunks
+            && self.transfers == other.transfers
+    }
 }
 
 impl AlgoSpec {
@@ -105,6 +156,7 @@ impl AlgoSpec {
             n_ranks,
             n_chunks,
             transfers: transfers.into(),
+            memos: Arc::default(),
         })
     }
 
@@ -165,10 +217,46 @@ impl AlgoSpec {
             .collect()
     }
 
-    /// Rename the algorithm (used when deriving variants).
+    /// Rename the algorithm (used when deriving variants). The renamed
+    /// spec starts with empty memos: a verdict's message names the spec.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
+        self.memos = Arc::default();
         self
+    }
+
+    /// [`verify_collective`](crate::verify_collective) of this spec, run
+    /// on the first call and memoized: every later call, on any clone,
+    /// returns the same verdict without replaying the transfers.
+    pub fn verified(&self) -> Result<()> {
+        self.memos
+            .verdict
+            .get_or_init(|| crate::verify_collective(self))
+            .clone()
+    }
+
+    /// The memoized verdict of [`Self::verified`], or `None` when no call
+    /// has computed it yet.
+    pub fn verdict(&self) -> Option<&Result<()>> {
+        self.memos.verdict.get()
+    }
+
+    /// The spec-only derivation in `slot`, computed by `derive` on the
+    /// first call on any clone of the spec and shared from then on.
+    /// Concurrent first calls run `derive` once and share its result.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` already holds a value of another type than `T`.
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        slot: Derivation,
+        derive: impl FnOnce(&Self) -> T,
+    ) -> Arc<T> {
+        let memo = self.memos.derived[slot as usize].get_or_init(|| Arc::new(derive(self)));
+        Arc::clone(memo)
+            .downcast()
+            .unwrap_or_else(|_| panic!("the {slot:?} memo slot holds another type"))
     }
 }
 
@@ -348,6 +436,29 @@ mod tests {
         .unwrap();
         let pairs: Vec<(u32, u32)> = s.connections().iter().map(|(a, b)| (a.0, b.0)).collect();
         assert_eq!(pairs, [(0, 1), (0, 2), (2, 0)]);
+    }
+
+    #[test]
+    fn clones_share_memos_that_equality_and_debug_ignore() {
+        let fresh = || {
+            AlgoSpec::new(
+                "t",
+                OpType::AllGather,
+                2,
+                vec![rec(0, 1, 0, 0), rec(1, 0, 0, 1)],
+            )
+            .unwrap()
+        };
+        let spec = fresh();
+        let clone = spec.clone();
+        assert_eq!(clone.verified(), Ok(()));
+        assert_eq!(spec.verdict(), Some(&Ok(())));
+        let a = spec.derived(Derivation::DeadTasks, |s| s.transfers().len());
+        let b = clone.derived(Derivation::DeadTasks, |_| unreachable!());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(spec, fresh());
+        assert_eq!(format!("{spec:?}"), format!("{:?}", fresh()));
+        assert!(spec.with_name("u").verdict().is_none());
     }
 
     #[test]
