@@ -57,8 +57,8 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// in a [`TopologyHealth`] overlay and recompile against the degraded
 /// topology, at most 4 times per call.
 ///
-/// A collective of zero bytes fails with [`SimError::InvalidConfig`]
-/// before any algorithm is selected.
+/// A collective of zero bytes, or on a topology of fewer than two ranks,
+/// fails with [`SimError::InvalidConfig`] before any algorithm is selected.
 pub struct Communicator {
     topo: Topology,
     /// Always `Compiler::new()`, whose gate is deny: every plan this
@@ -164,9 +164,10 @@ impl Communicator {
     /// work. All tenants must agree on compiler configuration for
     /// sharing to pay off — the fingerprint covers compiler options, so a
     /// mismatched tenant simply misses into its own entries. Concurrent
-    /// tenants are safe: warm dispatches take only a shared per-shard
-    /// lock, and cold dispatches of the same fingerprint are coalesced
-    /// into one compile.
+    /// tenants are safe: a warm dispatch looks its plan up under a shared
+    /// per-shard lock, then counts the hit under the shard's short `state`
+    /// mutex and bumps two cache-wide atomics, and cold dispatches of the
+    /// same fingerprint are coalesced into one compile.
     pub fn with_shared_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = cache;
         self
@@ -229,10 +230,16 @@ impl Communicator {
 
     fn run(&mut self, op: OpType, buffer_bytes: u64) -> SimResult<RunReport> {
         // Checked before selection: the micro-batch planner asserts a
-        // non-empty buffer.
+        // non-empty buffer, and algorithm construction at least two ranks.
         if buffer_bytes == 0 {
             return Err(SimError::InvalidConfig(format!(
                 "{op:?} of an empty buffer: a collective moves at least one byte"
+            )));
+        }
+        if self.topo.n_ranks() < 2 {
+            return Err(SimError::InvalidConfig(format!(
+                "{op:?} on {} rank(s): a collective needs at least two ranks",
+                self.topo.n_ranks()
             )));
         }
         let spec = self.select(op, buffer_bytes);
@@ -496,6 +503,19 @@ mod tests {
             .all_reduce(64 * MB)
             .expect("the communicator still works");
         assert!(rep.algbw_gbps() > 0.0);
+    }
+
+    #[test]
+    fn single_rank_topology_is_an_invalid_config() {
+        let mut comm = Communicator::new(Topology::a100(1, 1));
+        for err in [
+            comm.all_reduce(64 * MB).unwrap_err(),
+            comm.all_gather(64 * MB).unwrap_err(),
+            comm.reduce_scatter(64 * MB).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
+        assert_eq!(comm.cache_stats().misses, 0);
     }
 
     #[test]

@@ -335,7 +335,7 @@ pub fn run() {
 
 /// CI smoke gate: [`run`]'s NVLink drill on a 256 MB AllReduce with the
 /// kill at 60% of the healthy run, where resuming must cost under
-/// [`LATE_RESUME_BUDGET`] of a restart, then the heal.
+/// `LATE_RESUME_BUDGET` (half) of a restart, then the heal.
 pub fn smoke() {
     let (buffer, kill_frac) = (256 * MB, 0.6);
     let topo = Topology::a100(2, 4);

@@ -4,12 +4,12 @@
 //! a single-iteration benchmark, so scheduler noise could (and did, for
 //! the `table3-2x8` and `table3-4x4` scenarios) make the *warm* path —
 //! which skips compilation entirely — look slower than the cold path.
-//! This generator takes [`ITERS`] samples per configuration and reports
+//! This generator takes `ITERS` (9) samples per configuration and reports
 //! the **median with min/max spread**, making the committed numbers
 //! robust to single-run outliers. It also asserts the sane ordering the
 //! old file violated: warm runs are no slower than cold ones. A sample
 //! interleaves cold and warm runs one by one, alternating which goes
-//! first, until its warm runs last [`MIN_SAMPLE_S`], and reports each
+//! first, until its warm runs last `MIN_SAMPLE_S` (5 ms), and reports each
 //! side's mean run time. Both sides of a sample thus see the same moments
 //! of host load, a scenario that runs in microseconds (`fig4-oversub`,
 //! whose compile takes about ten) is timed above timer and scheduler

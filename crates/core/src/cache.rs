@@ -16,10 +16,13 @@
 //!   selected by a mixed fingerprint, so dispatches of distinct plans
 //!   touch distinct locks.
 //! * **Read-mostly hit path** — each shard's map sits behind an
-//!   `RwLock`; a hit takes only the *shared* lock (never exclusive), so
-//!   concurrent warm dispatches of any number of threads proceed in
-//!   parallel. Recency for eviction is stamped through an atomic on the
-//!   entry, not by mutating the map.
+//!   `RwLock`; a hit looks the plan up under the *shared* lock (never
+//!   exclusive), so concurrent warm lookups of any number of threads
+//!   proceed in parallel. Recency for eviction is stamped through an
+//!   atomic on the entry, not by mutating the map. The hit is then
+//!   counted and journaled under the shard's `state` mutex, a short
+//!   critical section, and bumps two cache-wide atomics: the recency
+//!   `clock` and the journal's `next_seq`.
 //! * **Singleflight** — concurrent cold dispatches of the *same*
 //!   fingerprint are deduplicated: the first thread compiles, the rest
 //!   block on a shard-local in-flight table and are handed the leader's

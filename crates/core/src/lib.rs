@@ -499,13 +499,20 @@ impl CompiledPlan {
         self.run_with(buffer_bytes, chunk_bytes, &SimConfig::default())
     }
 
-    /// Run with a custom simulator configuration.
+    /// Run with a custom simulator configuration. A zero `buffer_bytes` or
+    /// `chunk_bytes` fails with [`SimError::InvalidConfig`].
     pub fn run_with(
         &self,
         buffer_bytes: u64,
         chunk_bytes: u64,
         config: &SimConfig,
     ) -> SimResult<SimReport> {
+        // Checked here: the micro-batch planner asserts both are positive.
+        if buffer_bytes == 0 || chunk_bytes == 0 {
+            return Err(SimError::InvalidConfig(format!(
+                "run of {buffer_bytes} B in {chunk_bytes} B chunks: both must be positive"
+            )));
+        }
         let plan = MicroBatchPlan::plan(buffer_bytes, self.n_chunks, chunk_bytes);
         simulate(&self.topo, &self.dag, &self.program, &plan, self.op, config)
     }
@@ -568,6 +575,19 @@ mod tests {
         assert_eq!(plan.dag.len(), 56);
         let rep = plan.run(64 << 20, 1 << 20).unwrap();
         assert_eq!(rep.data_valid, Some(true));
+    }
+
+    #[test]
+    fn zero_buffer_or_chunk_is_an_invalid_config() {
+        let topo = Topology::a100(2, 4);
+        let plan = Compiler::new()
+            .compile_spec(&hm_allreduce(2, 4), &topo)
+            .unwrap();
+        for (buffer, chunk) in [(0, 1 << 20), (64 << 20, 0), (0, 0)] {
+            let err = plan.run(buffer, chunk).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
+        assert!(plan.run(64 << 20, 1 << 20).is_ok());
     }
 
     #[test]

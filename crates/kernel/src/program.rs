@@ -39,12 +39,7 @@ pub enum Primitive {
 impl Primitive {
     /// The primitive of `slot`, a side of one of `dag`'s tasks.
     pub fn of(slot: Slot, dag: &DepDag) -> Self {
-        Self::for_side(slot.dir(), dag.transfer(slot.task()).comm)
-    }
-
-    /// Derive the primitive for a task side.
-    pub fn for_side(dir: Direction, comm: CommType) -> Self {
-        match (dir, comm) {
+        match (slot.dir(), dag.transfer(slot.task()).comm) {
             (Direction::Send, _) => Primitive::Send,
             (Direction::Recv, CommType::Recv) => Primitive::Recv,
             (Direction::Recv, CommType::Rrc) => Primitive::RecvReduceCopy,

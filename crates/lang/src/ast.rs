@@ -26,20 +26,16 @@ impl OpType {
             ))),
         }
     }
+}
 
-    /// The DSL spelling.
-    pub fn dsl_name(self) -> &'static str {
-        match self {
+/// The DSL spelling.
+impl fmt::Display for OpType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             OpType::AllGather => "Allgather",
             OpType::AllReduce => "Allreduce",
             OpType::ReduceScatter => "Reducescatter",
-        }
-    }
-}
-
-impl fmt::Display for OpType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.dsl_name())
+        })
     }
 }
 
@@ -54,19 +50,13 @@ pub enum CommType {
     Rrc,
 }
 
-impl CommType {
-    /// The DSL spelling (`recv` / `rrc`).
-    pub fn dsl_name(self) -> &'static str {
-        match self {
-            CommType::Recv => "recv",
-            CommType::Rrc => "rrc",
-        }
-    }
-}
-
+/// The DSL spelling (`recv` / `rrc`).
 impl fmt::Display for CommType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.dsl_name())
+        f.write_str(match self {
+            CommType::Recv => "recv",
+            CommType::Rrc => "rrc",
+        })
     }
 }
 
@@ -193,7 +183,7 @@ pub struct Program {
 
 impl Program {
     /// Look up an integer header parameter.
-    pub fn int_param(&self, name: &str) -> Option<i64> {
+    fn int_param(&self, name: &str) -> Option<i64> {
         self.params.iter().find(|p| p.name == name).and_then(|p| {
             if let ParamValue::Int(v) = p.value {
                 Some(v)
@@ -204,7 +194,7 @@ impl Program {
     }
 
     /// Look up a string header parameter.
-    pub fn str_param(&self, name: &str) -> Option<&str> {
+    fn str_param(&self, name: &str) -> Option<&str> {
         self.params.iter().find(|p| p.name == name).and_then(|p| {
             if let ParamValue::Str(ref s) = p.value {
                 Some(s.as_str())

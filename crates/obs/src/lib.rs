@@ -7,7 +7,7 @@
 //! attempts — the spans and counters folded from it ([`ObsStats`]), and a Chrome
 //! trace-event exporter ([`ChromeTrace`]) that merges those spans with
 //! the simulator's own [`TraceEvent`](rescc_sim::TraceEvent) timeline
-//! and [`BubbleInterval`](rescc_sim::BubbleInterval) attribution into a
+//! and [`BubbleInterval`] attribution into a
 //! single `chrome://tracing` / Perfetto-loadable JSON file.
 //!
 //! Two time domains coexist on one timeline:

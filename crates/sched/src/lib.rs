@@ -2,9 +2,8 @@
 //!
 //! Primitive-level execution scheduling (§4.3): the **HPDS** scheduler
 //! (Algorithm 1), the round-robin baseline of Fig. 10(b), the by-step
-//! order the NCCL and MSCCL baselines run, stage partitioning for
-//! MSCCL-style stage-level execution, and the analytic cost model of §3
-//! (Eq. 3–6).
+//! order the NCCL and MSCCL baselines run, and stage partitioning for
+//! MSCCL-style stage-level execution.
 //!
 //! ```
 //! use rescc_lang::{AlgoBuilder, OpType};
@@ -26,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analytic;
 mod by_step;
 mod flat;
 mod hpds;
@@ -34,10 +32,6 @@ mod rr;
 mod schedule;
 mod stage;
 
-pub use analytic::{
-    algorithm_level_time_ns, asymptotic_overheads, stage_level_time_ns, task_level_time_ns,
-    LinkLoad,
-};
 pub use by_step::by_step;
 pub use hpds::{hpds, hpds_with_threads};
 pub use rr::round_robin;

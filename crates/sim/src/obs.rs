@@ -54,7 +54,7 @@ impl BubbleCause {
 
     /// Hard bubbles are blocked-while-occupying time (accounted in
     /// `sync_ns`); soft bubbles live inside `busy_ns`.
-    pub fn is_hard(&self) -> bool {
+    fn is_hard(&self) -> bool {
         matches!(self, BubbleCause::RendezvousWait | BubbleCause::DepWait)
     }
 

@@ -292,18 +292,18 @@ impl Topology {
     }
 
     /// Node hosting `rank`.
-    pub fn node_of(&self, rank: Rank) -> NodeId {
+    fn node_of(&self, rank: Rank) -> NodeId {
         debug_assert!(rank.0 < self.n_ranks());
         NodeId::new(rank.0 / self.spec.gpus_per_node)
     }
 
     /// Rank's index within its node.
-    pub fn local_index(&self, rank: Rank) -> u32 {
+    fn local_index(&self, rank: Rank) -> u32 {
         rank.0 % self.spec.gpus_per_node
     }
 
     /// The ranks hosted on `node`, in ascending order.
-    pub fn ranks_on_node(&self, node: NodeId) -> impl Iterator<Item = Rank> {
+    fn ranks_on_node(&self, node: NodeId) -> impl Iterator<Item = Rank> {
         let base = node.0 * self.spec.gpus_per_node;
         (base..base + self.spec.gpus_per_node).map(Rank::new)
     }
@@ -327,12 +327,12 @@ impl Topology {
     }
 
     /// Rack (ToR switch) of a node.
-    pub fn rack_of(&self, node: NodeId) -> u32 {
+    fn rack_of(&self, node: NodeId) -> u32 {
         node.0 / self.fabric.servers_per_rack
     }
 
     /// Does traffic between the two ranks cross the aggregation tier?
-    pub fn is_cross_rack(&self, a: Rank, b: Rank) -> bool {
+    fn is_cross_rack(&self, a: Rank, b: Rank) -> bool {
         self.rack_of(self.node_of(a)) != self.rack_of(self.node_of(b))
     }
 
@@ -349,12 +349,12 @@ impl Topology {
     }
 
     /// NVLink egress port of a GPU (capacity resource).
-    pub fn gpu_tx(&self, rank: Rank) -> ResourceId {
+    fn gpu_tx(&self, rank: Rank) -> ResourceId {
         ResourceId::new(rank.0)
     }
 
     /// NVLink ingress port of a GPU (capacity resource).
-    pub fn gpu_rx(&self, rank: Rank) -> ResourceId {
+    fn gpu_rx(&self, rank: Rank) -> ResourceId {
         ResourceId::new(self.n_ranks() + rank.0)
     }
 

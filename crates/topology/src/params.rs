@@ -12,7 +12,7 @@
 //! * `z` — the factor by which aggregate thread-level transmission
 //!   capability exceeds the link bandwidth,
 //! * `L(z)` — the penalty term for performance loss caused by additional
-//!   thread-block contention (implemented in [`LinkParams::contention_penalty`]).
+//!   thread-block contention (applied in [`LinkParams::effective_bandwidth`]).
 //!
 //! A single thread block (TB) cannot saturate a fast link on its own: its
 //! copy capability is bounded by `tb_bw` bytes/ns. Bandwidth therefore grows
@@ -96,7 +96,7 @@ impl LinkParams {
     /// fixed contention cost, the additive `L(z)·γ` reading of Eq. 1).
     /// `z` is the number of TBs concurrently driving transfers on this
     /// resource.
-    pub fn contention_penalty(&self, z: u32) -> f64 {
+    fn contention_penalty(&self, z: u32) -> f64 {
         if z <= self.saturation_tbs {
             0.0
         } else {

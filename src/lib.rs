@@ -47,7 +47,7 @@ pub mod ir {
     pub use rescc_ir::*;
 }
 
-/// Schedulers: HPDS, round-robin, stage partitioning, the §3 cost model.
+/// Schedulers: HPDS, round-robin, by-step, stage partitioning.
 pub mod sched {
     pub use rescc_sched::*;
 }
