@@ -7,7 +7,7 @@
 //! fallback:
 //!
 //! 1. **Topological positions** (Kahn order): `pos[a] ≥ pos[b]` refutes
-//!    `a ⊑ b` immediately — and doubles as cycle detection at build time.
+//!    `a ⊑ b` immediately. The same pass is RA001's cycle check.
 //! 2. **Chain labels**: a greedy path decomposition biased toward
 //!    same-chunk successors. Two nodes on one chain are ordered by their
 //!    chain positions; ring-style per-chunk pipelines collapse onto single
@@ -23,6 +23,7 @@
 //! can prove the certificates actually absorb the load.
 
 use crate::graph::CombinedOrder;
+use rescc_ir::Csr;
 
 const UNSET: u32 = u32::MAX;
 
@@ -44,7 +45,6 @@ pub struct OracleStats {
 /// indices stuck on a cycle (the combined relation is not a partial
 /// order, which is lint RA001's domain).
 pub struct HbOracle {
-    topo: Vec<u32>,
     pos: Vec<u32>,
     chain: Vec<u32>,
     post: Vec<u32>,
@@ -54,9 +54,9 @@ pub struct HbOracle {
     visited: Vec<u32>,
     stamp: u32,
     stack: Vec<u32>,
-    // Lazily-built reverse adjacency (CSR), only materialized when a
-    // diagnostic needs divergence evidence.
-    preds: Option<(Vec<u32>, Vec<u32>)>,
+    // Lazily-built reverse adjacency, only materialized when a diagnostic
+    // needs divergence evidence.
+    preds: Option<Csr<u32>>,
     stats: OracleStats,
 }
 
@@ -65,7 +65,7 @@ impl HbOracle {
     /// bias the chain decomposition so per-chunk pipelines stay on one
     /// chain.
     pub fn build(order: &CombinedOrder, chunk_of: &[u32]) -> Result<Self, Vec<u32>> {
-        let topo = order.topo_or_cycle()?;
+        let (topo, roots) = order.topo_or_cycle()?;
         let n = order.len();
         debug_assert_eq!(chunk_of.len(), n);
 
@@ -79,21 +79,7 @@ impl HbOracle {
         let mut post = vec![UNSET; n];
         let mut counter = 0u32;
         let mut frame: Vec<(u32, u32)> = Vec::new();
-        let mut indeg_zero: Vec<u32> = Vec::new();
-        {
-            let mut indeg = vec![0u32; n];
-            for u in 0..n as u32 {
-                for &s in order.succs(u) {
-                    indeg[s as usize] += 1;
-                }
-            }
-            for u in 0..n as u32 {
-                if indeg[u as usize] == 0 {
-                    indeg_zero.push(u);
-                }
-            }
-        }
-        for &root in &indeg_zero {
+        for root in roots {
             if post[root as usize] != UNSET {
                 continue;
             }
@@ -159,7 +145,6 @@ impl HbOracle {
         }
 
         Ok(Self {
-            topo,
             pos,
             chain,
             post,
@@ -174,11 +159,6 @@ impl HbOracle {
                 n_chains,
             },
         })
-    }
-
-    /// The topological order the oracle was built over.
-    pub fn topo_order(&self) -> &[u32] {
-        &self.topo
     }
 
     /// Topological position of task `t` (smaller runs earlier).
@@ -261,8 +241,11 @@ impl HbOracle {
     /// Only called when emitting a diagnostic, so it allocates freely and
     /// lazily materializes the reverse adjacency on first use.
     pub fn divergence(&mut self, order: &CombinedOrder, a: u32, b: u32) -> Option<u32> {
-        self.ensure_preds(order);
-        let (offsets, targets) = self.preds.as_ref().expect("preds just built");
+        let preds = self.preds.get_or_insert_with(|| {
+            let n = order.len() as u32;
+            let reversed = (0..n).flat_map(|u| order.succs(u).iter().map(move |&v| (v, u)));
+            Csr::from_pairs(n as usize, reversed)
+        });
         let n = self.pos.len();
         let mut anc_a = vec![false; n];
         let mut stack = vec![a];
@@ -271,9 +254,7 @@ impl HbOracle {
                 continue;
             }
             anc_a[u as usize] = true;
-            let lo = offsets[u as usize] as usize;
-            let hi = offsets[u as usize + 1] as usize;
-            stack.extend_from_slice(&targets[lo..hi]);
+            stack.extend_from_slice(preds.row(u as usize));
         }
         let mut best: Option<u32> = None;
         let mut seen_b = vec![false; n];
@@ -292,36 +273,8 @@ impl HbOracle {
                     best = Some(u);
                 }
             }
-            let lo = offsets[u as usize] as usize;
-            let hi = offsets[u as usize + 1] as usize;
-            stack.extend_from_slice(&targets[lo..hi]);
+            stack.extend_from_slice(preds.row(u as usize));
         }
         best
-    }
-
-    fn ensure_preds(&mut self, order: &CombinedOrder) {
-        if self.preds.is_some() {
-            return;
-        }
-        let n = order.len();
-        let mut counts = vec![0u32; n + 1];
-        for u in 0..n as u32 {
-            for &v in order.succs(u) {
-                counts[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut fill = counts;
-        let mut targets = vec![0u32; order.n_edges()];
-        for u in 0..n as u32 {
-            for &v in order.succs(u) {
-                targets[fill[v as usize] as usize] = u;
-                fill[v as usize] += 1;
-            }
-        }
-        self.preds = Some((offsets, targets));
     }
 }

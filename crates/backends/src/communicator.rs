@@ -40,7 +40,7 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// (operator, algorithm, micro-batch shape) configuration compiles, every
 /// repeat is a fingerprint lookup — none of the compile phases run again
 /// (the dispatch's [`CacheEvent`](rescc_core::CacheEvent) reports a hit).
-/// Each [`RunReport`] carries the cache counters at the time of the call.
+/// [`cache_stats`](Self::cache_stats) reads the cache's counters.
 ///
 /// The cache is held through an `Arc`: by default each communicator owns a
 /// private one (today's behavior), and
@@ -344,7 +344,6 @@ impl Communicator {
                                 .is_some_and(|floor| sim.undercuts_floor(floor))
                         });
                     return Ok(RunReport {
-                        cache: Some(self.cache.stats()),
                         recovery,
                         certificate_undercut,
                         obs: self.observe.then(|| ObsStats::from_events(&events)),

@@ -117,10 +117,6 @@ pub struct RunReport {
     pub max_rank_tbs: usize,
     /// The underlying simulation report.
     pub sim: SimReport,
-    /// Plan-cache counters at the time of this run, when the call went
-    /// through a caching dispatcher ([`Communicator`]); `None` for direct
-    /// backend calls, which always compile.
-    pub cache: Option<rescc_core::CacheStats>,
     /// Watchdog/recovery accounting when the call went through the
     /// [`Communicator`] with faults injected, a deadline set
     /// ([`Communicator::with_deadline_ns`]) or a resource masked dead;
@@ -153,7 +149,6 @@ impl RunReport {
             total_tbs: plan.total_tbs(),
             max_rank_tbs: plan.alloc.max_rank_tbs(),
             sim,
-            cache: None,
             recovery: None,
             certificate_undercut: None,
             obs: None,

@@ -18,11 +18,11 @@ fn warm_dispatch_skips_all_compile_phases() {
     let mut comm = Communicator::new(Topology::a100(2, 4));
 
     let cold = comm.all_reduce(64 * MB).unwrap();
-    let cold_stats = cold.cache.expect("communicator reports cache stats");
+    let cold_stats = comm.cache_stats();
     assert_eq!((cold_stats.hits, cold_stats.misses), (0, 1));
 
     let warm = comm.all_reduce(64 * MB).unwrap();
-    let warm_stats = warm.cache.unwrap();
+    let warm_stats = comm.cache_stats();
     assert_eq!(
         (warm_stats.hits, warm_stats.misses),
         (1, 1),
@@ -36,10 +36,9 @@ fn distinct_configurations_miss_repeats_hit() {
     let mut comm = Communicator::new(Topology::a100(2, 4));
     comm.all_reduce(256 * MB).unwrap();
     comm.all_gather(256 * MB).unwrap();
-    let rep = comm.all_reduce(256 * MB).unwrap();
-    let stats = rep.cache.unwrap();
+    comm.all_reduce(256 * MB).unwrap();
+    let stats = comm.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
-    assert_eq!(comm.cache_stats(), stats);
 }
 
 /// Multi-tenant dispatch: a plan compiled by one communicator serves

@@ -7,7 +7,7 @@
 //! slightly slower than MSCCL only for small buffers (few micro-batches —
 //! fewer scheduling opportunities).
 
-use crate::{backend_panel, print_table, MB};
+use crate::backend_panel;
 use rescc_algos::{hm_allgather, hm_allreduce, nccl_rings_allgather, nccl_rings_allreduce};
 use rescc_topology::Topology;
 
@@ -15,7 +15,6 @@ use rescc_topology::Topology;
 pub fn run() {
     let t16 = Topology::a100(2, 8);
     let t32 = Topology::a100(4, 8);
-    let _ = (&print_table, MB); // re-exported helpers used by backend_panel
     backend_panel(
         "Figure 6 (a) expert AllGather, 16 GPUs",
         &nccl_rings_allgather(2, 8, 4),

@@ -9,11 +9,12 @@
 //! `*-smoke` CI gate forwards to a small run of its experiment's own
 //! measurement code.
 //!
-//! Shared here: the buffer-size grids, table formatting, the sweep
-//! drivers (parallelized across topologies with scoped threads), and the
-//! pass/fail gate, sample statistics and `BENCH_*.json` writer the
-//! experiments share. [`mod@reference`] holds the seed schedulers that the
-//! library's flat HPDS and round-robin are measured and tested against.
+//! Shared here: the buffer-size grids, table formatting, the backend
+//! comparison panel (parallelized across buffer sizes with scoped
+//! threads), and the pass/fail gate, sample statistics and `BENCH_*.json`
+//! writer the experiments share. [`mod@reference`] holds the seed
+//! schedulers that the library's flat HPDS and round-robin are measured
+//! and tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,9 +22,8 @@
 pub mod experiments;
 pub mod reference;
 
-use rescc_backends::{Backend, MscclBackend, NcclBackend, RescclBackend, RunReport};
+use rescc_backends::Backend;
 use rescc_lang::AlgoSpec;
-use rescc_sim::SimResult;
 use rescc_topology::Topology;
 
 /// 1 MiB.
@@ -149,29 +149,6 @@ pub(crate) fn write_bench_json(file: &str, json: &str) {
     }
 }
 
-/// The three backends under test, boxed for uniform iteration.
-pub fn all_backends() -> Vec<Box<dyn Backend + Send + Sync>> {
-    vec![
-        Box::new(NcclBackend::default()),
-        Box::new(MscclBackend::default()),
-        Box::new(RescclBackend::default()),
-    ]
-}
-
-/// Run `spec` on every backend for one buffer size (validation off — these
-/// are bandwidth sweeps; correctness is covered by the test suite).
-pub fn run_all(
-    spec: &AlgoSpec,
-    topo: &Topology,
-    buffer: u64,
-    chunk: u64,
-) -> SimResult<Vec<RunReport>> {
-    all_backends()
-        .iter()
-        .map(|b| b.run_unchecked(spec, topo, buffer, chunk))
-        .collect()
-}
-
 /// A standard comparison panel: NCCL runs its own standard algorithm
 /// (`nccl_spec` — real NCCL cannot execute custom algorithms), while MSCCL
 /// and ResCCL execute the custom `custom_spec`, swept over the paper's
@@ -226,26 +203,6 @@ pub fn backend_panel_with(
     );
 }
 
-/// Sweep one (spec, topo) pair over buffer sizes on all backends, in
-/// parallel over buffer sizes. Returns `results[size_idx][backend_idx]`.
-pub fn sweep(spec: &AlgoSpec, topo: &Topology, buffers: &[u64], chunk: u64) -> Vec<Vec<RunReport>> {
-    let mut out: Vec<Option<Vec<RunReport>>> = vec![None; buffers.len()];
-    std::thread::scope(|s| {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let buffer = buffers[i];
-            s.spawn(move || {
-                *slot = Some(
-                    run_all(spec, topo, buffer, chunk)
-                        .unwrap_or_else(|e| panic!("sweep {} failed: {e}", fmt_bytes(buffer))),
-                );
-            });
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,15 +238,5 @@ mod tests {
     #[should_panic(expected = "BENCH_nan.json is not valid JSON")]
     fn write_bench_json_rejects_nan() {
         write_bench_json("BENCH_nan.json", &format!("{{\"x\": {}}}", f64::NAN));
-    }
-
-    #[test]
-    fn run_all_produces_three_reports() {
-        let spec = rescc_algos::ring_allgather(8);
-        let topo = Topology::a100(1, 8);
-        let reps = run_all(&spec, &topo, 16 * MB, MB).unwrap();
-        assert_eq!(reps.len(), 3);
-        assert_eq!(reps[0].backend, "nccl");
-        assert_eq!(reps[2].backend, "resccl");
     }
 }

@@ -25,8 +25,12 @@
 //!
 //! The records and the adjacency depend on the algorithm alone: they form
 //! the [`DepIndex`], derived once per spec and shared by every DAG built
-//! from it, whatever the topology. Routes, the resource index and the
-//! cycle check are per topology.
+//! from it, whatever the topology. Routes and the resource index are per
+//! topology.
+//!
+//! Every edge joins two tasks of one chunk at increasing steps, so the DAG
+//! is acyclic by construction and its chunks' step-ordered task lists, one
+//! after another, are a topological order ([`DepDag::topo_order`]).
 
 use crate::dense::Csr;
 use crate::error::{IrError, Result};
@@ -172,11 +176,11 @@ impl DepDag {
     /// Build the DAG from a validated algorithm spec and a topology.
     ///
     /// The spec's [`DepIndex`] is derived on the first build of the spec
-    /// and reused by every later one; only the routes, the resource index
-    /// and the cycle check are done per build.
+    /// and reused by every later one; only the routes and the resource
+    /// index are done per build.
     ///
-    /// Fails if the spec's rank count does not match the topology, or if
-    /// (defensively) a dependency cycle is detected.
+    /// Fails if the spec's rank count does not match the topology, or if a
+    /// route crosses a resource the topology does not describe.
     pub fn build(spec: &AlgoSpec, topo: &Topology) -> Result<Self> {
         if spec.n_ranks() != topo.n_ranks() {
             return Err(IrError::new(format!(
@@ -198,24 +202,20 @@ impl DepDag {
     }
 
     /// Finish a DAG from its index and route table: index the conflict
-    /// resources against `topo` and check for cycles.
+    /// resources against `topo`.
     fn assemble(
         index: Arc<DepIndex>,
         (route_of, mut routes): (Vec<u32>, Vec<Route>),
         topo: &Topology,
     ) -> Result<Self> {
         let (resource_ids, conflict_limit) = index_resources(&mut routes, topo)?;
-        let dag = Self {
+        Ok(Self {
             index,
             route_of,
             routes,
             resource_ids,
             conflict_limit,
-        };
-        // Steps strictly increase along edges, so cycles are impossible by
-        // construction — but validate anyway (defence in depth).
-        dag.topo_order()?;
-        Ok(dag)
+        })
     }
 
     /// [`DepDag::build`]; `threads` is ignored. Kept only because the
@@ -271,8 +271,7 @@ impl DepDag {
     /// original [`TaskId`] (`orig_ids[residual.index()]`), so callers can
     /// translate frontiers and schedules between the two id spaces.
     ///
-    /// Fails when the mask's length mismatches, when nothing is kept, or
-    /// (defensively) when the residual adjacency has a cycle.
+    /// Fails when the mask's length mismatches or when nothing is kept.
     pub fn residual(&self, keep: &[bool], topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
         if keep.len() != self.len() {
             return Err(IrError::new(format!(
@@ -436,35 +435,11 @@ impl DepDag {
         self.conflict_limit[dense as usize]
     }
 
-    /// A topological order of the data-dependency DAG (Kahn's algorithm).
-    /// Returns an error when a cycle exists.
-    pub fn topo_order(&self) -> Result<Vec<TaskId>> {
-        let n = self.len();
-        let mut indeg: Vec<u32> = (0..n)
-            .map(|i| self.index.preds.row(i).len() as u32)
-            .collect();
-        let mut queue: Vec<TaskId> = (0..n as u32)
-            .map(TaskId::new)
-            .filter(|id| indeg[id.index()] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(id) = queue.pop() {
-            order.push(id);
-            for &s in self.index.succs.row(id.index()) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(IrError::new(format!(
-                "dependency cycle: only {}/{} tasks orderable",
-                order.len(),
-                n
-            )));
-        }
-        Ok(order)
+    /// A topological order of the data-dependency DAG: each chunk's tasks
+    /// in step order, chunk after chunk. Every edge joins two tasks of one
+    /// chunk at increasing steps, so no sort is needed.
+    pub fn topo_order(&self) -> Vec<TaskId> {
+        self.index.by_chunk.items().to_vec()
     }
 
     /// Verify that `order` is a valid execution order (every task appears
@@ -674,6 +649,10 @@ fn data_edges(
                     while w != NONE {
                         let edge = (TaskId::new(w), tid);
                         if w != tid.0 && !edges[row_start..].contains(&edge) {
+                            debug_assert!(
+                                tasks[w as usize].step < t.step,
+                                "edge against step order"
+                            );
                             edges.push(edge);
                         }
                         w = next[w as usize];
@@ -739,10 +718,18 @@ mod tests {
 
     #[test]
     fn topo_order_valid() {
-        let topo = Topology::a100(2, 4);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        let order = dag.topo_order().unwrap();
-        dag.validate_order(&order).unwrap();
+        for i in 1..=4 {
+            let topo = Topology::table3_topo(i).unwrap();
+            let nodes = topo.n_nodes();
+            for spec in rescc_algos::seed_suite(nodes, topo.n_ranks() / nodes) {
+                let dag = DepDag::build(&spec, &topo).unwrap();
+                dag.validate_order(&dag.topo_order()).unwrap();
+                // A residual that drops every third task, roots included.
+                let keep: Vec<bool> = (0..dag.len()).map(|i| i % 3 != 0).collect();
+                let (res, _) = dag.residual(&keep, &topo).unwrap();
+                res.validate_order(&res.topo_order()).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -864,7 +851,7 @@ mod tests {
                 assert_eq!(res.preds(w[1]), &[w[0]]);
             }
         }
-        res.topo_order().unwrap();
+        res.validate_order(&res.topo_order()).unwrap();
     }
 
     #[test]
@@ -882,7 +869,7 @@ mod tests {
     fn validate_order_catches_violations() {
         let topo = Topology::a100(1, 4);
         let dag = DepDag::build(&ring_ag(4), &topo).unwrap();
-        let mut order = dag.topo_order().unwrap();
+        let mut order = dag.topo_order();
         // Find an edge and swap its endpoints' positions.
         let victim = (0..dag.len() as u32)
             .map(TaskId::new)
@@ -899,7 +886,7 @@ mod tests {
     fn validate_order_rejects_duplicates_and_short_orders() {
         let topo = Topology::a100(1, 4);
         let dag = DepDag::build(&ring_ag(4), &topo).unwrap();
-        let order = dag.topo_order().unwrap();
+        let order = dag.topo_order();
         assert!(dag.validate_order(&order[..order.len() - 1]).is_err());
         let mut dup = order.clone();
         dup[0] = dup[1];

@@ -84,6 +84,26 @@ impl<T: Copy> Csr<T> {
     pub fn items(&self) -> &[T] {
         &self.items
     }
+
+    /// Keep only the items for which `keep(row, item)` holds, compacting
+    /// in place. Rows keep their order and their items' order; a row that
+    /// loses every item stays, empty.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, T) -> bool) {
+        let (mut write, mut start) = (0, 0);
+        for row in 0..self.n_rows() {
+            let end = self.offsets[row + 1] as usize;
+            for read in start..end {
+                let item = self.items[read];
+                if keep(row, item) {
+                    self.items[write] = item;
+                    write += 1;
+                }
+            }
+            start = end;
+            self.offsets[row + 1] = write as u32;
+        }
+        self.items.truncate(write);
+    }
 }
 
 impl<T: Copy> Default for Csr<T> {
@@ -108,6 +128,27 @@ mod tests {
         assert_eq!(csr.items(), &['b', 'd', 'a', 'c', 'e']);
         let empty = Csr::<u32>::from_pairs(3, std::iter::empty());
         assert!((0..3).all(|i| empty.row(i).is_empty()));
+    }
+
+    #[test]
+    fn retain_keeps_row_order_and_first_occurrences() {
+        let pairs = [(0u32, 5u32), (0, 7), (0, 5), (1, 4), (2, 9), (2, 9), (2, 1)];
+        let mut csr = Csr::from_pairs(4, pairs.iter().copied());
+        // Drop repeated items within a row, keeping first occurrences, and
+        // every item of row 1.
+        let mut seen = Vec::new();
+        csr.retain(|row, v| {
+            if row == 1 || seen.contains(&(row, v)) {
+                return false;
+            }
+            seen.push((row, v));
+            true
+        });
+        assert_eq!(csr.n_rows(), 4);
+        assert_eq!(csr.row(0), &[5, 7]);
+        assert!(csr.row(1).is_empty() && csr.row(3).is_empty());
+        assert_eq!(csr.row(2), &[9, 1]);
+        assert_eq!(csr.items(), &[5, 7, 9, 1]);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! let spec = b.build().unwrap();
 //! let dag = DepDag::build(&spec, &Topology::a100(1, 8)).unwrap();
 //! assert_eq!(dag.len(), 56);
-//! assert!(dag.topo_order().is_ok());
+//! // Each chunk's tasks in step order, chunk after chunk.
+//! let order = dag.topo_order();
+//! assert!(dag.validate_order(&order).is_ok());
 //! ```
 
 #![forbid(unsafe_code)]

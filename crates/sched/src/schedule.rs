@@ -54,8 +54,9 @@ impl Schedule {
     /// Validate the schedule against its DAG:
     ///
     /// 1. every task appears exactly once,
-    /// 2. the linear order respects data dependencies, **and** no task's
-    ///    predecessor lives in a *later* sub-pipeline,
+    /// 2. the linear order respects data dependencies — so no task's
+    ///    predecessor lives in a *later* sub-pipeline, the linear order
+    ///    being the sub-pipelines concatenated,
     /// 3. no two tasks inside one sub-pipeline share a contention resource
     ///    (the communication-dependency constraint
     ///    `∀ t_i, t_j ∈ P_k: comm(t_i, t_j) ≠ ∅ ⇒ l_i ≠ l_j` of §4.3),
@@ -73,25 +74,7 @@ impl Schedule {
 
     /// Rules 1–2 of [`Self::validate`]: dependency order only.
     pub fn validate_order(&self, dag: &DepDag) -> Result<(), IrError> {
-        let order = self.linear_order();
-        dag.validate_order(&order)?;
-
-        // Rule 2b: predecessors in same-or-earlier sub-pipeline.
-        let sp_of = self.sub_pipeline_of(dag.len());
-        for id in (0..dag.len() as u32).map(TaskId::new) {
-            for &p in dag.preds(id) {
-                if sp_of[p.index()] > sp_of[id.index()] {
-                    return Err(IrError::new(format!(
-                        "task {} in sub-pipeline {} depends on {} in later sub-pipeline {}",
-                        id,
-                        sp_of[id.index()],
-                        p,
-                        sp_of[p.index()]
-                    )));
-                }
-            }
-        }
-        Ok(())
+        dag.validate_order(&self.linear_order())
     }
 
     /// Targeted feasibility recheck after a reroute changed the conflict
