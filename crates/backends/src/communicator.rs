@@ -49,8 +49,7 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// plan compiled by any tenant serves all of them.
 ///
 /// A watchdog completes collectives on a faulty fabric. Transient failures
-/// (a flapping link, an expired [deadline](Self::with_deadline_ns)) are
-/// retried up to 8 times; each failed attempt burns its failure time plus
+/// (a link down now but scheduled to come back) are retried up to 8 times; each failed attempt burns its failure time plus
 /// a backoff of *sim* time, 200 µs doubling per retry, and the fault
 /// timeline is replayed shifted by the total elapsed time — a flap that
 /// already passed stays passed. Permanent failures mask the dead resource
@@ -77,8 +76,6 @@ pub struct Communicator {
     /// Fault schedule injected into every collective issued through this
     /// communicator (sim-time timestamps relative to each call's start).
     faults: FaultTimeline,
-    /// Per-attempt sim-time deadline (ns); `None` disables it.
-    deadline_ns: Option<f64>,
     /// Resources masked dead by permanent-fault recovery; sticky across
     /// calls, the way a real communicator remembers a dead link.
     health: TopologyHealth,
@@ -98,7 +95,6 @@ impl Communicator {
             compiler: Compiler::new(),
             cache: Arc::new(PlanCache::new()),
             faults: FaultTimeline::new(),
-            deadline_ns: None,
             health: TopologyHealth::healthy(),
             validate: false,
             observe: false,
@@ -118,15 +114,6 @@ impl Communicator {
     /// permanently dead is un-masked at the next collective boundary.
     pub fn set_faults(&mut self, faults: FaultTimeline) {
         self.faults = faults;
-    }
-
-    /// Fail any attempt still running `deadline_ns` of sim time after it
-    /// started, with [`SimError::DeadlineExceeded`]. The watchdog treats
-    /// the expiry as transient and retries it like a flap. A non-finite
-    /// or non-positive deadline is rejected when the first attempt starts.
-    pub fn with_deadline_ns(mut self, deadline_ns: f64) -> Self {
-        self.deadline_ns = Some(deadline_ns);
-        self
     }
 
     /// Enable machine-checked data validation on every collective.
@@ -248,8 +235,7 @@ impl Communicator {
         // The watchdog only reports recovery accounting when it could have
         // done something — otherwise the report stays byte-compatible with
         // a plain healthy dispatch.
-        let engaged =
-            !self.faults.is_empty() || self.deadline_ns.is_some() || !self.health.is_empty();
+        let engaged = !self.faults.is_empty() || !self.health.is_empty();
         // The dispatch record: every heal, cache event, compile, resume and
         // failed attempt of this call, once each and in order. The budgets
         // count it, and the report's `recovery` and `obs` are folds of it.
@@ -298,7 +284,6 @@ impl Communicator {
             let cfg = SimConfig {
                 validate_data: self.validate,
                 faults: self.faults.advanced(elapsed),
-                deadline_ns: self.deadline_ns,
                 record_trace: self.observe,
                 attribute_bubbles: self.observe,
                 ..SimConfig::default()
@@ -366,7 +351,6 @@ impl Communicator {
                             SimError::ResourceDown { resource, .. } => {
                                 format!("transient r{resource} down")
                             }
-                            SimError::DeadlineExceeded { .. } => "deadline".to_string(),
                             _ => "transient".to_string(),
                         },
                         failed_ns: err.at_ns().unwrap_or(0) as f64,
@@ -605,26 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_bounds_each_attempt() {
-        let mut healthy = Communicator::new(Topology::a100(2, 4));
-        let base = healthy.all_reduce(64 * MB).unwrap().sim.completion_ns;
-        // A deadline below the healthy completion can never be met, and an
-        // expiry carries no frontier to resume from: the watchdog restarts
-        // the run 8 times, then gives up. Each attempt looks its plan up
-        // once, so the private cache counts the 9 attempts.
-        let mut comm = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(base * 0.5);
-        let err = comm.all_reduce(64 * MB).unwrap_err();
-        assert!(matches!(err, SimError::DeadlineExceeded { .. }), "{err}");
-        let stats = comm.cache_stats();
-        assert_eq!((stats.misses, stats.hits), (1, 8), "{stats:?}");
-        // A generous deadline passes and reports zero retries.
-        let mut comm = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(base * 2.0);
-        let rep = comm.all_reduce(64 * MB).unwrap();
-        let rec = rep.recovery.expect("deadline engages the watchdog");
-        assert_eq!(rec.retries, 0);
-    }
-
-    #[test]
     fn recompile_budget_bounds_permanent_faults() {
         use rescc_topology::Rank;
         let topo = Topology::a100(1, 8);
@@ -823,9 +787,10 @@ mod tests {
         let topo = Topology::a100(2, 4);
         let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
         let healthy_fp = {
-            // A generous deadline engages the watchdog on a healthy twin,
+            // A no-op straggler engages the watchdog on a healthy twin,
             // exposing the healthy plan's fingerprint.
-            let mut h = Communicator::new(Topology::a100(2, 4)).with_deadline_ns(1e12);
+            let mut h = Communicator::new(Topology::a100(2, 4))
+                .with_faults(FaultTimeline::new().straggler(0, 0.0, 1.0, 1.0));
             h.all_reduce(64 * MB)
                 .unwrap()
                 .recovery

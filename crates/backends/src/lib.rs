@@ -8,7 +8,7 @@
 //! | backend | scheduler | [`Lowering`] | execution granularity | TB allocation | runtime | release |
 //! |---|---|---|---|---|---|---|
 //! | [`NcclBackend`] | by-step | `Rigid`, 1 stage | algorithm-level (lazy, barrier per micro-batch) | connection-based × channels | direct kernel | rigid |
-//! | [`MscclBackend`] | by-step | `Rigid`, `n_stages` stages | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid |
+//! | [`MscclBackend`] | by-step | `Rigid`, 2 stages | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid |
 //! | [`RescclBackend`] | HPDS | `StateBased` | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early release |
 //!
 //! A backend builds no plan itself: it names its [`Compiler`]
@@ -37,6 +37,9 @@ use rescc_topology::Topology;
 
 /// The paper's default chunk (primitive transfer unit) size: 1 MB.
 pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
+
+/// Stages the MSCCL model manually divides every algorithm into.
+const MSCCL_STAGES: u32 = 2;
 
 /// What the [`Communicator`]'s watchdog/recovery layer did to complete a
 /// collective on a faulty fabric.
@@ -118,8 +121,7 @@ pub struct RunReport {
     /// The underlying simulation report.
     pub sim: SimReport,
     /// Watchdog/recovery accounting when the call went through the
-    /// [`Communicator`] with faults injected, a deadline set
-    /// ([`Communicator::with_deadline_ns`]) or a resource masked dead;
+    /// [`Communicator`] with faults injected or a resource masked dead;
     /// `None` for plain healthy-fabric runs.
     pub recovery: Option<RecoveryStats>,
     /// Whether the simulated completion undercut the plan's certified
@@ -259,14 +261,13 @@ impl Backend for NcclBackend {
     }
 }
 
-/// The MSCCL-model backend: stage-level execution (manual stage division),
-/// per-stage channels, runtime interpreter, rigid release.
+/// The MSCCL-model backend: stage-level execution (the algorithm manually
+/// divided into two stages), per-stage channels, runtime interpreter,
+/// rigid release.
 #[derive(Clone, Debug)]
 pub struct MscclBackend {
     /// Channels per connection.
     pub n_channels: u32,
-    /// Number of stages the algorithm is manually divided into.
-    pub n_stages: u32,
     /// Interpreter overhead per primitive invocation (ns).
     pub interpreter_overhead_ns: f64,
 }
@@ -275,7 +276,6 @@ impl Default for MscclBackend {
     fn default() -> Self {
         Self {
             n_channels: 4,
-            n_stages: 2,
             interpreter_overhead_ns: 9_000.0,
         }
     }
@@ -289,7 +289,7 @@ impl Backend for MscclBackend {
     fn compiler(&self) -> Compiler {
         rigid_compiler(
             self.n_channels,
-            self.n_stages,
+            MSCCL_STAGES,
             ExecMode::Interpreter {
                 per_invocation_overhead_ns: self.interpreter_overhead_ns,
             },
@@ -504,11 +504,8 @@ mod tests {
     #[test]
     fn msccl_with_no_stage_is_an_invalid_config() {
         let topo = Topology::a100(1, 4);
-        let msccl = MscclBackend {
-            n_stages: 0,
-            ..MscclBackend::default()
-        };
-        match msccl.run(&hm_allgather(1, 4), &topo, 16 * MB, MB) {
+        let no_stage = rigid_compiler(4, 0, ExecMode::DirectKernel);
+        match no_stage.compile_spec(&hm_allgather(1, 4), &topo) {
             Err(SimError::InvalidConfig(e)) => assert!(e.contains("one stage"), "{e}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

@@ -13,16 +13,17 @@
 //! resume exists for: a permanent NVLink kill late in an AllReduce is
 //! recovered twice — once resuming from the fault frontier (what the
 //! watchdog actually does) and once as the restart-from-zero
-//! counterfactual (a full run of the same degraded plan) — and resuming
-//! must be cheaper on every topology. Machine-readable results go to
+//! counterfactual (a full run of the same degraded plan), both by the
+//! recovery experiment's drill — and resuming must be cheaper on every
+//! topology. Machine-readable results go to
 //! `BENCH_chaos.json`.
 
+use super::recovery;
 use crate::{print_table, write_bench_json};
 use rescc_backends::{Communicator, RunReport};
-use rescc_core::Compiler;
 use rescc_lang::OpType;
-use rescc_sim::{FaultTimeline, SimConfig, SimResult};
-use rescc_topology::{Rank, Topology};
+use rescc_sim::{FaultTimeline, SimResult};
+use rescc_topology::Topology;
 
 const MB: u64 = 1 << 20;
 /// Seeds per (topology, operator) cell.
@@ -121,34 +122,16 @@ pub fn run() {
         let healthy = Communicator::new(topo.clone())
             .all_reduce(buffer)
             .unwrap_or_else(|e| panic!("econ healthy on {}: {e}", topo.name()));
-        let chan = topo.pair_chan(Rank::new(0), Rank::new(1));
-        let kill_at = 0.6 * healthy.sim.completion_ns;
-        let mut comm = Communicator::new(topo.clone())
-            .with_validation()
-            .with_faults(FaultTimeline::new().kill(chan, kill_at));
-        let rep = comm
-            .all_reduce(buffer)
-            .unwrap_or_else(|e| panic!("econ kill on {}: {e}", topo.name()));
-        assert_eq!(rep.sim.data_valid, Some(true));
-        let rec = rep.recovery.clone().expect("kill engages the watchdog");
+        let nvlink = recovery::scenarios(&topo, 0.6 * healthy.sim.completion_ns).swap_remove(0);
+        let drill = recovery::Drill::run(&topo, buffer, nvlink);
+        assert_eq!(drill.data_valid, Some(true));
         assert!(
-            rec.resumes >= 1,
+            drill.rec.resumes >= 1,
             "{}: late kill must resume from the frontier, not restart",
             topo.name()
         );
-        let resume_ns = rep.sim.completion_ns;
-
-        // Counterfactual: the degraded plan the watchdog recompiled to,
-        // run from zero.
-        let spec = rescc_algos::hm_allreduce(topo.n_nodes(), topo.gpus_per_node());
-        let degraded = topo.clone().with_health(comm.health().clone());
-        let restart_ns = Compiler::new()
-            .compile_spec(&spec, &degraded)
-            .unwrap_or_else(|e| panic!("econ degraded compile on {}: {e}", topo.name()))
-            .run_with(buffer, MB, &SimConfig::default().without_validation())
-            .unwrap_or_else(|e| panic!("econ restart run on {}: {e}", topo.name()))
-            .completion_ns;
-        let ratio = resume_ns / restart_ns;
+        let (resume_ns, restart_ns) = (drill.resume_ns, drill.restart_ns);
+        let ratio = drill.resume_ratio();
         assert!(
             ratio < 1.0,
             "{}: resuming ({resume_ns:.0}ns) must beat restarting ({restart_ns:.0}ns)",

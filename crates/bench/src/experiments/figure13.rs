@@ -6,12 +6,10 @@
 //! MSCCL variant); 11–20% over native and 7.5–29.3% over MSCCL on GPT-3.
 
 use crate::print_table;
-use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};
+use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
 
 /// Regenerate Figure 13.
 pub fn run() {
-    let cfg = TrainConfig::default();
-
     // (a) GPT-3, tensor parallel: <13B on 2 servers (batch 16), larger on
     // 4 servers (batch 32) — the §5.5 deployment rule.
     let mut rows = Vec::new();
@@ -22,9 +20,9 @@ pub fn run() {
         } else {
             ParallelConfig::gpt3(4, 32)
         };
-        let n = train_throughput(&model, &par, CclChoice::Nccl, &cfg).expect("figure13 nccl");
-        let m = train_throughput(&model, &par, CclChoice::Msccl, &cfg).expect("figure13 msccl");
-        let r = train_throughput(&model, &par, CclChoice::Resccl, &cfg).expect("figure13 resccl");
+        let n = train_throughput(&model, &par, CclChoice::Nccl).expect("figure13 nccl");
+        let m = train_throughput(&model, &par, CclChoice::Msccl).expect("figure13 msccl");
+        let r = train_throughput(&model, &par, CclChoice::Resccl).expect("figure13 resccl");
         rows.push(vec![
             model.name.clone(),
             format!("{}x{}", par.dp, par.tp),
@@ -48,9 +46,9 @@ pub fn run() {
     for size in ["220M", "770M", "3B"] {
         let model = ModelConfig::t5(size).expect("figure13 preset");
         let par = ParallelConfig::t5(16, 16);
-        let n = train_throughput(&model, &par, CclChoice::Nccl, &cfg).expect("figure13 nccl");
-        let m = train_throughput(&model, &par, CclChoice::Msccl, &cfg).expect("figure13 msccl");
-        let r = train_throughput(&model, &par, CclChoice::Resccl, &cfg).expect("figure13 resccl");
+        let n = train_throughput(&model, &par, CclChoice::Nccl).expect("figure13 nccl");
+        let m = train_throughput(&model, &par, CclChoice::Msccl).expect("figure13 msccl");
+        let r = train_throughput(&model, &par, CclChoice::Resccl).expect("figure13 resccl");
         rows.push(vec![
             model.name.clone(),
             "16 (DP)".to_string(),

@@ -21,7 +21,6 @@ pub fn run() {
     let direct = MscclBackend {
         n_channels: 1,
         interpreter_overhead_ns: 0.0,
-        ..MscclBackend::default()
     };
     let cases = [
         ("HM-AllGather", hm_allgather(2, 8)),

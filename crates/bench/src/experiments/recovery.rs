@@ -67,14 +67,14 @@ impl Healthy {
 }
 
 /// One fault scenario: a label plus the timeline to inject.
-struct Scenario {
+pub(super) struct Scenario {
     name: &'static str,
     faults: FaultTimeline,
 }
 
 /// Permanent kills at `kill_at` ns: an NVLink pair channel (the first
 /// scenario, which [`Drill::heal`] restores), then a NIC TX direction.
-fn scenarios(topo: &Topology, kill_at: f64) -> Vec<Scenario> {
+pub(super) fn scenarios(topo: &Topology, kill_at: f64) -> Vec<Scenario> {
     vec![
         Scenario {
             name: "NVLink chan 0->1 down",
@@ -90,20 +90,20 @@ fn scenarios(topo: &Topology, kill_at: f64) -> Vec<Scenario> {
 /// A scenario's AllReduce through a validating communicator, recovered by
 /// the watchdog, with the restart-from-zero counterfactual: the degraded
 /// plan the watchdog recompiled to, run in full.
-struct Drill {
+pub(super) struct Drill {
     name: &'static str,
     comm: Communicator,
-    data_valid: Option<bool>,
-    rec: RecoveryStats,
+    pub(super) data_valid: Option<bool>,
+    pub(super) rec: RecoveryStats,
     /// The resumed attempt alone.
-    resume_ns: f64,
+    pub(super) resume_ns: f64,
     /// Every attempt plus backoff.
     total_ns: f64,
-    restart_ns: f64,
+    pub(super) restart_ns: f64,
 }
 
 impl Drill {
-    fn run(topo: &Topology, buffer: u64, sc: Scenario) -> Self {
+    pub(super) fn run(topo: &Topology, buffer: u64, sc: Scenario) -> Self {
         let mut comm = Communicator::new(topo.clone())
             .with_validation()
             .with_faults(sc.faults);
@@ -112,7 +112,10 @@ impl Drill {
             .unwrap_or_else(|e| panic!("scenario '{}' failed: {e}", sc.name));
         let degraded = topo.clone().with_health(comm.health().clone());
         let restart_ns = Compiler::new()
-            .compile_spec(&rescc_algos::hm_allreduce(2, 4), &degraded)
+            .compile_spec(
+                &rescc_algos::hm_allreduce(topo.n_nodes(), topo.gpus_per_node()),
+                &degraded,
+            )
             .unwrap_or_else(|e| panic!("scenario '{}': degraded compile: {e}", sc.name))
             .run_with(buffer, MB, &SimConfig::default().without_validation())
             .unwrap_or_else(|e| panic!("scenario '{}': restart run: {e}", sc.name))
@@ -131,7 +134,7 @@ impl Drill {
     }
 
     /// The resumed attempt over the restart counterfactual.
-    fn resume_ratio(&self) -> f64 {
+    pub(super) fn resume_ratio(&self) -> f64 {
         self.resume_ns / self.restart_ns
     }
 

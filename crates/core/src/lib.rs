@@ -527,9 +527,13 @@ impl CompiledPlan {
     /// `max(critical-path α-chain, bottleneck-link bytes·β)`. No run of
     /// this plan — degraded, jittered, or contended — can legitimately
     /// finish faster; a [`SimReport`] undercutting it indicates a cost
-    /// model or engine bug. `None` only for a plan whose report carries no
-    /// certificate; every plan the compiler returns has one.
+    /// model or engine bug. `None` for a zero buffer or chunk, which
+    /// [`run_with`](Self::run_with) refuses, and for a plan whose report
+    /// carries no certificate; every plan the compiler returns has one.
     pub fn makespan_floor_ns(&self, buffer_bytes: u64, chunk_bytes: u64) -> Option<f64> {
+        if buffer_bytes == 0 || chunk_bytes == 0 {
+            return None;
+        }
         let mb = MicroBatchPlan::plan(buffer_bytes, self.n_chunks, chunk_bytes);
         self.diagnostics
             .certificate()
@@ -586,8 +590,10 @@ mod tests {
         for (buffer, chunk) in [(0, 1 << 20), (64 << 20, 0), (0, 0)] {
             let err = plan.run(buffer, chunk).unwrap_err();
             assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+            assert_eq!(plan.makespan_floor_ns(buffer, chunk), None);
         }
         assert!(plan.run(64 << 20, 1 << 20).is_ok());
+        assert!(plan.makespan_floor_ns(64 << 20, 1 << 20).is_some());
     }
 
     #[test]

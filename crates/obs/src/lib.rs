@@ -170,7 +170,7 @@ pub struct RecoveryEvent {
     /// which happens before the first attempt).
     pub attempt: u32,
     /// Short human-readable cause (e.g. `"transient r12 down"`,
-    /// `"deadline"`, `"r7 dead"`, `"res7 restored"`).
+    /// `"r7 dead"`, `"res7 restored"`).
     pub cause: String,
     /// Sim time of the trigger, ns since the call started (failed-attempt
     /// time already elapsed included).

@@ -3,7 +3,6 @@
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultTimeline;
 use crate::frontier::ResumeState;
-use rescc_topology::ResourceId;
 
 /// Configuration of one simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,17 +21,10 @@ pub struct SimConfig {
     pub jitter_frac: f64,
     /// RNG seed for jitter (runs are deterministic for a given seed).
     pub seed: u64,
-    /// Fault injection: per-resource capacity multipliers in `(0, 1]`
-    /// (e.g. a flapping NIC at 0.5 of nominal bandwidth), applied for the
-    /// whole run. Checked at run time.
-    pub degraded: Vec<(ResourceId, f64)>,
-    /// Fault injection: scheduled mid-run transitions (death, flapping,
-    /// brownouts, stragglers). Empty by default.
+    /// Fault injection: scheduled transitions (death, flapping,
+    /// brownouts, stragglers). A link slow for the whole run is a
+    /// brownout from t = 0 that outlasts it. Empty by default.
     pub faults: FaultTimeline,
-    /// Watchdog: abort with
-    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
-    /// if the collective has not completed by this sim time (ns).
-    pub deadline_ns: Option<f64>,
     /// Record a per-transfer [`TraceEvent`](crate::TraceEvent) timeline in
     /// the report (costs memory proportional to invocations).
     pub record_trace: bool,
@@ -55,9 +47,7 @@ impl Default for SimConfig {
             early_release: true,
             jitter_frac: 0.0,
             seed: 0,
-            degraded: Vec::new(),
             faults: FaultTimeline::new(),
-            deadline_ns: None,
             record_trace: false,
             attribute_bubbles: false,
             resume: None,
@@ -89,24 +79,9 @@ impl SimConfig {
         self
     }
 
-    /// Degrade a resource's capacity for the whole run. The factor must
-    /// lie in `(0, 1]`; violations surface as
-    /// [`SimError::InvalidConfig`](crate::SimError::InvalidConfig) when
-    /// the run starts.
-    pub fn with_degraded(mut self, res: ResourceId, factor: f64) -> Self {
-        self.degraded.push((res, factor));
-        self
-    }
-
     /// Install a mid-run fault schedule.
     pub fn with_faults(mut self, faults: FaultTimeline) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Set the watchdog deadline (sim time, ns).
-    pub fn with_deadline_ns(mut self, deadline_ns: f64) -> Self {
-        self.deadline_ns = Some(deadline_ns);
         self
     }
 
@@ -142,25 +117,6 @@ impl SimConfig {
                 self.jitter_frac
             )));
         }
-        for (res, factor) in &self.degraded {
-            if res.0 >= n_resources {
-                return Err(SimError::InvalidConfig(format!(
-                    "degraded resource {res} out of range (topology has {n_resources})"
-                )));
-            }
-            if !(factor.is_finite() && *factor > 0.0 && *factor <= 1.0) {
-                return Err(SimError::InvalidConfig(format!(
-                    "degradation factor {factor} for {res} outside (0, 1]"
-                )));
-            }
-        }
-        if let Some(d) = self.deadline_ns {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(SimError::InvalidConfig(format!(
-                    "deadline {d}ns is not a positive time"
-                )));
-            }
-        }
         self.faults
             .validate(n_resources, n_ranks)
             .map_err(SimError::InvalidConfig)
@@ -187,34 +143,6 @@ mod tests {
         }
         assert!(SimConfig::default()
             .with_jitter(1.0, 0)
-            .validate(8, 4)
-            .is_ok());
-    }
-
-    #[test]
-    fn degraded_factor_outside_unit_interval_is_rejected() {
-        for bad in [0.0, -1.0, 1.01, f64::NAN] {
-            let err = SimConfig::default()
-                .with_degraded(ResourceId::new(0), bad)
-                .validate(8, 4)
-                .unwrap_err();
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{bad}: {err}");
-        }
-        let oor = SimConfig::default()
-            .with_degraded(ResourceId::new(9), 0.5)
-            .validate(8, 4)
-            .unwrap_err();
-        assert!(matches!(oor, SimError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn deadline_must_be_positive() {
-        assert!(SimConfig::default()
-            .with_deadline_ns(-5.0)
-            .validate(8, 4)
-            .is_err());
-        assert!(SimConfig::default()
-            .with_deadline_ns(1e9)
             .validate(8, 4)
             .is_ok());
     }

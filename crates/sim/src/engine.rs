@@ -842,8 +842,8 @@ struct Engine<'a> {
     /// Bytes moved by every transfer started so far.
     total_bytes: u64,
     resources: Vec<ResState>,
-    /// Event ids: fault transition `i` is `i`, the deadline is
-    /// `fault_sched.len()`, transfer slot `x` is `fault_sched.len() + 1 + x`.
+    /// Event ids: fault transition `i` is `i`, transfer slot `x` is
+    /// `fault_sched.len() + x`.
     events: EventQueue,
     /// Transfers whose rate a load change touched, in first-seen order
     /// (that order assigns their `seq`); reused across events.
@@ -904,8 +904,7 @@ impl<'a> Engine<'a> {
             )));
         }
 
-        // Resources with degradation applied.
-        let mut resources: Vec<ResState> = (0..topo.n_resources())
+        let resources: Vec<ResState> = (0..topo.n_resources())
             .map(|r| {
                 Ok(ResState {
                     params: topo
@@ -922,12 +921,6 @@ impl<'a> Engine<'a> {
                 })
             })
             .collect::<SimResult<_>>()?;
-        for (res, factor) in &config.degraded {
-            let p = &mut resources[res.index()].params;
-            // Degrade capacity: stretch β and shrink the per-TB rate.
-            p.beta_ns_per_byte /= factor;
-            p.tb_bw_bytes_per_ns *= factor;
-        }
 
         // TB states, over the program's slot table.
         let table = &*program.table;
@@ -1069,8 +1062,8 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Each in-flight transfer owns one event id after the faults and
-        // the deadline; the queue grows its table past the first guess.
+        // Each in-flight transfer owns one event id after the faults; the
+        // queue grows its table past the first guess.
         let first_guess = tbs.len();
         Ok(Self {
             dag,
@@ -1201,17 +1194,14 @@ impl<'a> Engine<'a> {
         let mut sched = self.config.faults.events().to_vec();
         sched.sort_by(|a, b| a.at_ns.total_cmp(&b.at_ns));
         self.fault_sched = sched;
-        let deadline_event = self.fault_sched.len() as u32;
-        for i in 0..deadline_event {
+        let first_transfer = self.transfer_event(0);
+        for i in 0..first_transfer {
             let at = self.fault_sched[i as usize].at_ns;
             if at <= 0.0 {
                 self.apply_fault(i);
             } else {
                 self.events.schedule(i, at);
             }
-        }
-        if let Some(d) = self.config.deadline_ns {
-            self.events.schedule(deadline_event, d);
         }
 
         // Kernel launch: every TB arrives at its first invocation at t = 0.
@@ -1222,7 +1212,6 @@ impl<'a> Engine<'a> {
             return Err(err);
         }
 
-        let first_transfer = self.transfer_event(0);
         while let Some(ev) = self.events.pop(|id| {
             let x = (id - first_transfer) as usize;
             #[cfg(test)]
@@ -1243,24 +1232,14 @@ impl<'a> Engine<'a> {
                 self.now
             );
             self.now = ev.t.max(self.now);
-            match ev.id.cmp(&deadline_event) {
-                Ordering::Less => self.apply_fault(ev.id),
-                Ordering::Equal => {
-                    if self.inv_done < self.inv_total {
-                        self.fatal.get_or_insert(SimError::DeadlineExceeded {
-                            deadline_ns: self.config.deadline_ns.unwrap_or(self.now).round() as u64,
-                            completed: self.inv_done,
-                            total: self.inv_total,
-                        });
-                    }
-                }
-                Ordering::Greater => {
-                    let x = ev.id - deadline_event - 1;
-                    if self.transfers[x as usize].draining {
-                        self.on_drain_done(x);
-                    } else {
-                        self.on_latency_done(x);
-                    }
+            if ev.id < first_transfer {
+                self.apply_fault(ev.id);
+            } else {
+                let x = ev.id - first_transfer;
+                if self.transfers[x as usize].draining {
+                    self.on_drain_done(x);
+                } else {
+                    self.on_latency_done(x);
                 }
             }
             if let Some(err) = self.fatal.take() {
@@ -1485,7 +1464,7 @@ impl<'a> Engine<'a> {
 
     /// The event id of transfer `x`.
     fn transfer_event(&self, x: u32) -> u32 {
-        self.fault_sched.len() as u32 + 1 + x
+        self.fault_sched.len() as u32 + x
     }
 
     /// Record a typed [`SimError::ResourceDown`] for `task` hitting dead

@@ -76,17 +76,8 @@ pub enum SimError {
         /// of restarting. Boxed to keep the error small on the happy path.
         frontier: Option<Box<FaultFrontier>>,
     },
-    /// The watchdog deadline elapsed before the collective completed.
-    DeadlineExceeded {
-        /// The configured deadline, ns.
-        deadline_ns: u64,
-        /// Invocations completed when the deadline fired.
-        completed: u64,
-        /// Invocations the run needed.
-        total: u64,
-    },
     /// The [`SimConfig`](crate::SimConfig) itself is invalid (jitter
-    /// fraction outside `[0, 1]`, degradation factor outside `(0, 1]`,
+    /// fraction outside `[0, 1]`, brownout factor outside `(0, 1]`,
     /// fault event out of range, …).
     InvalidConfig(String),
     /// Static analysis found `Error`-severity diagnostics in a plan and a
@@ -127,28 +118,26 @@ impl SimError {
     }
 
     /// Is this failure worth retrying as-is (exponential backoff), rather
-    /// than recompiling or giving up? Transient faults are a resource that
-    /// is down now but scheduled to come back, and an expired watchdog
-    /// deadline.
+    /// than recompiling or giving up? A transient fault is a resource that
+    /// is down now but scheduled to come back.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
             Self::ResourceDown {
                 permanent: false,
                 ..
-            } | Self::DeadlineExceeded { .. }
+            }
         )
     }
 
-    /// The sim time (ns) at which the failure occurred, for every variant
-    /// that carries one: the fault instant for [`SimError::ResourceDown`],
-    /// the expired deadline for [`SimError::DeadlineExceeded`]. The
-    /// watchdog charges this — not zero — to its elapsed-time accounting,
-    /// so backoff and `recovery_ns` stay accurate for every retried error.
+    /// The sim time (ns) at which the failure occurred: the fault instant
+    /// for [`SimError::ResourceDown`], the one variant that carries one.
+    /// The watchdog charges this — not zero — to its elapsed-time
+    /// accounting, so backoff and `recovery_ns` stay accurate for every
+    /// retried error.
     pub fn at_ns(&self) -> Option<u64> {
         match self {
             Self::ResourceDown { at_ns, .. } => Some(*at_ns),
-            Self::DeadlineExceeded { deadline_ns, .. } => Some(*deadline_ns),
             _ => None,
         }
     }
@@ -205,15 +194,6 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            Self::DeadlineExceeded {
-                deadline_ns,
-                completed,
-                total,
-            } => write!(
-                f,
-                "deadline of {deadline_ns}ns exceeded with {completed}/{total} \
-                 invocations complete"
-            ),
             Self::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             Self::LintRejected { refusal, report } => write!(f, "{refusal}\n{report}"),
         }
@@ -265,11 +245,6 @@ mod tests {
                 at_ns: 1000,
                 permanent: true,
                 frontier: Some(Box::new(FaultFrontier::new(4, 2, 1000))),
-            },
-            SimError::DeadlineExceeded {
-                deadline_ns: 500,
-                completed: 1,
-                total: 8,
             },
             SimError::InvalidConfig("jitter 2".into()),
             SimError::InvalidAlgorithm(LangError::Eval {
@@ -323,12 +298,6 @@ mod tests {
             at_ns: 0,
             permanent: false,
             frontier: None
-        }
-        .is_transient());
-        assert!(SimError::DeadlineExceeded {
-            deadline_ns: 1,
-            completed: 0,
-            total: 1
         }
         .is_transient());
         assert!(!SimError::ResourceDown {
@@ -388,13 +357,6 @@ mod tests {
         };
         assert_eq!(down.at_ns(), Some(77));
         assert_eq!(down.frontier(), Some(&f));
-        let deadline = SimError::DeadlineExceeded {
-            deadline_ns: 500,
-            completed: 1,
-            total: 8,
-        };
-        assert_eq!(deadline.at_ns(), Some(500));
-        assert_eq!(deadline.frontier(), None);
         assert_eq!(SimError::new("x").at_ns(), None);
         assert_eq!(SimError::new("x").frontier(), None);
     }

@@ -1,10 +1,9 @@
 //! Fault injection: a seeded, deterministic timeline of scheduled fabric
 //! events the engine applies **mid-run**.
 //!
-//! [`SimConfig::with_degraded`](crate::SimConfig::with_degraded) models a
-//! link that was already slow when the kernel launched; a [`FaultTimeline`]
-//! models the cluster *changing underneath a running collective* — the
-//! regime NCCL's watchdog and channel fallback exist for:
+//! A [`FaultTimeline`] models the cluster *changing underneath a running
+//! collective* — the regime NCCL's watchdog and channel fallback exist
+//! for:
 //!
 //! * **permanent death** ([`FaultTimeline::kill`]) — a link or NIC
 //!   direction goes down at time *t* and never returns; any transfer
@@ -344,8 +343,13 @@ mod tests {
         let tl = FaultTimeline::new().kill(ResourceId::new(99), 1.0);
         assert!(tl.validate(10, 4).is_err());
         assert!(tl.validate(100, 4).is_ok());
-        let bad = FaultTimeline::new().brownout(ResourceId::new(0), 1.0, 1.5, 10.0);
-        assert!(bad.validate(10, 4).is_err());
+        for f in [1.5, 0.0, -1.0, 1.01, f64::NAN] {
+            let bad = FaultTimeline::new().brownout(ResourceId::new(0), 1.0, f, 10.0);
+            assert!(bad.validate(10, 4).is_err(), "{f}");
+        }
+        let whole_run = FaultTimeline::new().brownout(ResourceId::new(9), 0.0, 0.5, f64::MAX);
+        assert!(whole_run.validate(8, 4).is_err());
+        assert!(whole_run.validate(10, 4).is_ok());
         let lazy = FaultTimeline::new().straggler(9, 1.0, 2.0, 10.0);
         assert!(lazy.validate(10, 4).is_err());
         assert!(lazy.validate(10, 16).is_ok());

@@ -212,20 +212,6 @@ impl Topology {
         )
     }
 
-    /// A DGX-H100-class cluster: 400 Gb/s NIC per GPU (extension beyond the
-    /// paper's testbeds, for forward-looking experiments).
-    pub fn h100(n_nodes: u32, gpus_per_node: u32) -> Self {
-        Self::new(
-            format!("h100-{n_nodes}x{gpus_per_node}"),
-            ClusterSpec {
-                n_nodes,
-                gpus_per_node,
-                nics_per_node: gpus_per_node,
-            },
-            FabricParams::h100(),
-        )
-    }
-
     /// The V100 cluster of §5.2 (100 Gb/s RoCE).
     pub fn v100(n_nodes: u32, gpus_per_node: u32) -> Self {
         let nics = (gpus_per_node / 2).max(1);

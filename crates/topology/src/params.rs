@@ -186,18 +186,6 @@ impl FabricParams {
         }
     }
 
-    /// A DGX-H100-class fabric (beyond the paper's testbeds): 900 GB/s
-    /// NVLink4 per GPU, 400 Gb/s (50 GB/s) NICs, one NIC per GPU.
-    pub fn h100() -> Self {
-        Self {
-            intra: LinkParams::new(900.0, 3.0, 6),
-            port: LinkParams::shared(900.0, 3.0),
-            inter: LinkParams::new(50.0, 8.0, 1),
-            cross_rack_extra_ns: 2_500.0,
-            servers_per_rack: 4,
-        }
-    }
-
     /// The heterogeneous V100 cluster of §5.2: slower NVLink (150 GB/s) and
     /// 100 Gb/s (12.5 GB/s) RoCE.
     pub fn v100() -> Self {

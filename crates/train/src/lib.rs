@@ -10,13 +10,12 @@
 //! the model keeps no state between calls.
 //!
 //! ```no_run
-//! use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};
+//! use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
 //!
 //! let report = train_throughput(
 //!     &ModelConfig::gpt3("6.7B").unwrap(),
 //!     &ParallelConfig::gpt3(2, 16),
 //!     CclChoice::Resccl,
-//!     &TrainConfig::default(),
 //! ).unwrap();
 //! println!("{:.1} samples/s", report.samples_per_s);
 //! ```
@@ -28,4 +27,4 @@ mod model;
 mod sim;
 
 pub use model::{Family, ModelConfig, ParallelConfig, UnknownModelSize};
-pub use sim::{train_throughput, CclChoice, TrainConfig, TrainReport};
+pub use sim::{train_throughput, CclChoice, TrainReport};

@@ -117,15 +117,10 @@ impl ModelConfig {
 pub struct ParallelConfig {
     /// Tensor-parallel group size (GPUs inside one node).
     pub tp: u32,
-    /// Pipeline-parallel stage count (an extension beyond the paper's
-    /// TP/DP evaluation; 1 = disabled).
-    pub pp: u32,
     /// Data-parallel replica count.
     pub dp: u32,
     /// Global batch size (samples per iteration).
     pub global_batch: u32,
-    /// Pipeline micro-batches per iteration (only meaningful with pp > 1).
-    pub pipeline_micro_batches: u32,
 }
 
 impl ParallelConfig {
@@ -133,10 +128,8 @@ impl ParallelConfig {
     pub fn gpt3(n_nodes: u32, global_batch: u32) -> Self {
         Self {
             tp: 8,
-            pp: 1,
             dp: n_nodes,
             global_batch,
-            pipeline_micro_batches: 1,
         }
     }
 
@@ -144,29 +137,14 @@ impl ParallelConfig {
     pub fn t5(n_gpus: u32, global_batch: u32) -> Self {
         Self {
             tp: 1,
-            pp: 1,
             dp: n_gpus,
             global_batch,
-            pipeline_micro_batches: 1,
-        }
-    }
-
-    /// A 3D-parallel setting (TP × PP × DP) with `m` pipeline micro-batches
-    /// — the standard Megatron extension beyond the paper's evaluation.
-    pub fn three_d(tp: u32, pp: u32, dp: u32, global_batch: u32, m: u32) -> Self {
-        assert!(tp >= 1 && pp >= 1 && dp >= 1 && m >= 1);
-        Self {
-            tp,
-            pp,
-            dp,
-            global_batch,
-            pipeline_micro_batches: m,
         }
     }
 
     /// Total GPUs in the job.
     pub fn n_gpus(&self) -> u32 {
-        self.tp * self.pp * self.dp
+        self.tp * self.dp
     }
 }
 

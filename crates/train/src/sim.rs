@@ -41,55 +41,15 @@ impl CclChoice {
     }
 }
 
-/// Hardware and overlap assumptions.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TrainConfig {
-    /// Effective per-GPU compute throughput (FLOP/s) after kernel
-    /// efficiency — A100 bf16 peak 312 TFLOP/s at ≈45% MFU.
-    pub gpu_flops: f64,
-    /// SMs per GPU (A100: 108).
-    pub sms_per_gpu: u32,
-    /// Fraction of the backward pass usable to hide DP communication.
-    pub overlap_window_frac: f64,
-    /// Chunk size for the simulated collectives (bytes).
-    pub chunk_bytes: u64,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            gpu_flops: 140e12,
-            sms_per_gpu: 108,
-            overlap_window_frac: 0.5,
-            chunk_bytes: 4 << 20,
-        }
-    }
-}
-
-/// Pipeline-parallel timing: the classic 1F1B schedule fills and drains
-/// `pp − 1` stage slots around `m` micro-batches, and every stage boundary
-/// forwards activations point-to-point each micro-batch (and gradients on
-/// the way back).
-fn pipeline_terms(model: &ModelConfig, par: &ParallelConfig, compute_s: f64) -> (f64, f64) {
-    if par.pp <= 1 {
-        return (compute_s, 0.0);
-    }
-    let m = par.pipeline_micro_batches.max(1) as f64;
-    let pp = par.pp as f64;
-    // Per-stage compute of one micro-batch, then fill/drain bubble.
-    let stage_micro = compute_s / (pp * m);
-    let pipelined_compute = (m + pp - 1.0) * stage_micro * pp / pp; // (m+pp-1) slots
-                                                                    // Activation P2P per boundary per micro-batch, forward + backward,
-                                                                    // over the inter-node fabric.
-    let topo = Topology::a100(2.max(par.pp), 1);
-    let conn = topo.connection(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
-    let batch_per_replica = (par.global_batch / par.dp).max(1) as u64;
-    let act_bytes =
-        (batch_per_replica as f64 / m) as u64 * model.seq_len as u64 * model.hidden as u64 * 2;
-    let p2p_s = conn.serial_cost_ns(act_bytes.max(1)) * 1e-9;
-    let p2p_total = 2.0 * (pp - 1.0) * m * p2p_s / m; // amortized per slot chain
-    (pipelined_compute, p2p_total)
-}
+/// Effective per-GPU compute throughput (FLOP/s) after kernel efficiency:
+/// A100 bf16 peak 312 TFLOP/s at ≈45% MFU.
+const GPU_FLOPS: f64 = 140e12;
+/// SMs per GPU (A100: 108).
+const SMS_PER_GPU: u32 = 108;
+/// Fraction of the backward pass usable to hide DP communication.
+const OVERLAP_WINDOW_FRAC: f64 = 0.5;
+/// Chunk size for the simulated collectives (bytes).
+const CHUNK_BYTES: u64 = 4 << 20;
 
 /// Breakdown of one training iteration.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,14 +79,13 @@ pub fn train_throughput(
     model: &ModelConfig,
     par: &ParallelConfig,
     ccl: CclChoice,
-    cfg: &TrainConfig,
 ) -> SimResult<TrainReport> {
     // ---- Compute -------------------------------------------------------
     let tokens = par.global_batch as u64 * model.seq_len as u64;
     let total_flops = model.flops_per_token() * tokens as f64;
     // Work splits over TP within a replica and DP across replicas.
     let flops_per_gpu = total_flops / par.n_gpus() as f64;
-    let compute_s = flops_per_gpu / cfg.gpu_flops;
+    let compute_s = flops_per_gpu / GPU_FLOPS;
 
     // ---- Collectives ---------------------------------------------------
     let backend: Box<dyn Backend> = match ccl {
@@ -149,8 +108,7 @@ pub fn train_throughput(
         let batch_per_replica = (par.global_batch / par.dp).max(1) as u64;
         let act_bytes = batch_per_replica * model.seq_len as u64 * model.hidden as u64 * 2;
         let spec = algo_for(1, par.tp);
-        let rep =
-            backend.run_unchecked(&spec, &tp_topo, act_bytes.max(1 << 20), cfg.chunk_bytes)?;
+        let rep = backend.run_unchecked(&spec, &tp_topo, act_bytes.max(1 << 20), CHUNK_BYTES)?;
         let per_call_s = rep.sim.completion_ns * 1e-9;
         let calls = 4.0 * model.n_layers as f64;
         (per_call_s * calls, rep.max_rank_tbs as u32)
@@ -172,26 +130,22 @@ pub fn train_throughput(
         let dp_topo = Topology::a100(nodes, gpn);
         let grad_bytes = (model.params as f64 * 2.0 / par.tp as f64) as u64;
         let spec = algo_for(nodes, gpn);
-        let rep =
-            backend.run_unchecked(&spec, &dp_topo, grad_bytes.max(1 << 20), cfg.chunk_bytes)?;
+        let rep = backend.run_unchecked(&spec, &dp_topo, grad_bytes.max(1 << 20), CHUNK_BYTES)?;
         (rep.sim.completion_ns * 1e-9, rep.max_rank_tbs as u32)
     } else {
         (0.0, 0)
     };
 
-    // ---- Pipeline parallelism (extension) -------------------------------
-    let (compute_s, pp_comm_s) = pipeline_terms(model, par, compute_s);
-
     // ---- Overlap and SM contention --------------------------------------
-    let overlap_window = cfg.overlap_window_frac * compute_s;
+    let overlap_window = OVERLAP_WINDOW_FRAC * compute_s;
     let overlapped = dp_comm_s.min(overlap_window);
     let dp_exposed_s = dp_comm_s - overlapped;
     // While communication overlaps compute, its TBs steal SMs.
     let comm_tbs = tp_tbs_per_gpu.max(dp_tbs_per_gpu) as f64;
-    let sm_frac = (comm_tbs / cfg.sms_per_gpu as f64).min(0.9);
+    let sm_frac = (comm_tbs / SMS_PER_GPU as f64).min(0.9);
     let contention_s = overlapped * sm_frac / (1.0 - sm_frac);
 
-    let iter_s = compute_s + contention_s + tp_comm_s + dp_exposed_s + pp_comm_s;
+    let iter_s = compute_s + contention_s + tp_comm_s + dp_exposed_s;
     Ok(TrainReport {
         model: model.name.clone(),
         backend: ccl.name().to_string(),
@@ -213,10 +167,9 @@ mod tests {
         // Fig. 13(a): ResCCL > native NCCL and > MSCCL variant.
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let cfg = TrainConfig::default();
-        let r = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
-        let n = train_throughput(&model, &par, CclChoice::Nccl, &cfg).unwrap();
-        let m = train_throughput(&model, &par, CclChoice::Msccl, &cfg).unwrap();
+        let r = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
+        let n = train_throughput(&model, &par, CclChoice::Nccl).unwrap();
+        let m = train_throughput(&model, &par, CclChoice::Msccl).unwrap();
         assert!(
             r.samples_per_s > n.samples_per_s,
             "resccl {} <= nccl {}",
@@ -235,9 +188,8 @@ mod tests {
     fn t5_throughput_orders_backends() {
         let model = ModelConfig::t5("770M").unwrap();
         let par = ParallelConfig::t5(16, 16);
-        let cfg = TrainConfig::default();
-        let r = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
-        let n = train_throughput(&model, &par, CclChoice::Nccl, &cfg).unwrap();
+        let r = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
+        let n = train_throughput(&model, &par, CclChoice::Nccl).unwrap();
         assert!(r.samples_per_s > n.samples_per_s);
     }
 
@@ -245,62 +197,28 @@ mod tests {
     fn iteration_time_decomposes() {
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let rep =
-            train_throughput(&model, &par, CclChoice::Resccl, &TrainConfig::default()).unwrap();
+        let rep = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
         let sum = rep.compute_s + rep.contention_s + rep.tp_comm_s + rep.dp_exposed_s;
         assert!((rep.iter_s - sum).abs() < 1e-12);
         assert!(rep.compute_s > 0.0 && rep.tp_comm_s > 0.0);
     }
 
     #[test]
-    fn pipeline_parallelism_extension() {
-        // 3D parallel: same GPU count, PP splits stages. With few pipeline
-        // micro-batches the fill/drain bubble hurts; with many it fades.
-        let model = ModelConfig::gpt3("13B").unwrap();
-        let cfg = TrainConfig::default();
-        let flat = ParallelConfig::gpt3(4, 32);
-        let deep_few = ParallelConfig::three_d(8, 2, 2, 32, 2);
-        let deep_many = ParallelConfig::three_d(8, 2, 2, 32, 16);
-        let t_flat = train_throughput(&model, &flat, CclChoice::Resccl, &cfg).unwrap();
-        let t_few = train_throughput(&model, &deep_few, CclChoice::Resccl, &cfg).unwrap();
-        let t_many = train_throughput(&model, &deep_many, CclChoice::Resccl, &cfg).unwrap();
-        assert!(
-            t_many.samples_per_s > t_few.samples_per_s,
-            "more pipeline micro-batches must shrink the bubble: {} !> {}",
-            t_many.samples_per_s,
-            t_few.samples_per_s
-        );
-        assert!(t_flat.samples_per_s > 0.0 && t_few.samples_per_s > 0.0);
-    }
-
-    #[test]
     fn repeated_iterations_are_identical() {
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let cfg = TrainConfig::default();
-        let a = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
-        let b = train_throughput(&model, &par, CclChoice::Resccl, &cfg).unwrap();
+        let a = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
+        let b = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
         assert_eq!(a, b, "two identical iterations must report the same");
     }
 
     #[test]
     fn bigger_models_are_slower() {
         let par = ParallelConfig::gpt3(4, 32);
-        let cfg = TrainConfig::default();
-        let small = train_throughput(
-            &ModelConfig::gpt3("6.7B").unwrap(),
-            &par,
-            CclChoice::Resccl,
-            &cfg,
-        )
-        .unwrap();
-        let big = train_throughput(
-            &ModelConfig::gpt3("45B").unwrap(),
-            &par,
-            CclChoice::Resccl,
-            &cfg,
-        )
-        .unwrap();
+        let small =
+            train_throughput(&ModelConfig::gpt3("6.7B").unwrap(), &par, CclChoice::Resccl).unwrap();
+        let big =
+            train_throughput(&ModelConfig::gpt3("45B").unwrap(), &par, CclChoice::Resccl).unwrap();
         assert!(small.samples_per_s > big.samples_per_s);
     }
 }

@@ -1,5 +1,5 @@
 //! Fault injection and bottleneck analysis: run the same collective on a
-//! healthy cluster, a jittery one, and one with a degraded NIC, then use
+//! healthy cluster, a jittery one, and one with a browned-out NIC, then use
 //! the execution trace to see where the time went. Finally, kill an
 //! NVLink channel mid-run and let the `Communicator` watchdog mask it,
 //! recompile against the degraded topology, and finish correctly.
@@ -41,10 +41,13 @@ fn main() {
             SimConfig::default().with_jitter(0.4, 7).with_trace(),
         ),
         (
-            "NIC of ranks 0-1 degraded to 25%",
+            "NIC of ranks 0-1 browned out to 25% for the whole run",
             SimConfig::default()
-                .with_degraded(topo.nic_tx(topo.nic_of(Rank::new(0))), 0.25)
-                .with_degraded(topo.nic_rx(topo.nic_of(Rank::new(0))), 0.25)
+                .with_faults(
+                    FaultTimeline::new()
+                        .brownout(topo.nic_tx(topo.nic_of(Rank::new(0))), 0.0, 0.25, f64::MAX)
+                        .brownout(topo.nic_rx(topo.nic_of(Rank::new(0))), 0.0, 0.25, f64::MAX),
+                )
                 .with_trace(),
         ),
     ];
@@ -69,7 +72,7 @@ fn main() {
         }
         println!("{}", render_gantt(&rep.trace, topo.n_ranks(), 56));
     }
-    println!("note how the degraded NIC becomes the bottleneck and stretches the tail.");
+    println!("note how the browned-out NIC becomes the bottleneck and stretches the tail.");
 
     // Permanent failure: kill the 0->1 NVLink channel 200 µs in. A bare
     // plan.run_with() would fail with a typed ResourceDown; the

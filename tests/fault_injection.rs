@@ -1,5 +1,5 @@
 //! Fault-injection integration tests: the pipeline must stay *correct*
-//! under adverse conditions (latency jitter, degraded links, mid-run
+//! under adverse conditions (latency jitter, browned-out links, mid-run
 //! resource death) and the timing must respond the way a real cluster
 //! would. The property tests at the bottom drive the full watchdog
 //! (retry + mask + recompile) path with seeded random fault timelines.
@@ -9,9 +9,15 @@ use rescc::algos::{hm_allgather, hm_allreduce};
 use rescc::backends::Communicator;
 use rescc::core::Compiler;
 use rescc::sim::{FaultTimeline, SimConfig, SimError};
-use rescc::topology::{Rank, Topology};
+use rescc::topology::{Rank, ResourceId, Topology};
 
 const MB: u64 = 1 << 20;
+
+/// `res` at `factor` of its bandwidth from launch to past the end of any
+/// run: a link that was already slow when the kernel launched.
+fn whole_run_brownout(res: ResourceId, factor: f64) -> FaultTimeline {
+    FaultTimeline::new().brownout(res, 0.0, factor, f64::MAX)
+}
 
 #[test]
 fn jitter_never_breaks_correctness() {
@@ -52,18 +58,18 @@ fn degrading_a_bottleneck_nic_slows_more_than_an_nvlink() {
         .run_with(128 * MB, MB, &SimConfig::default().without_validation())
         .unwrap();
 
-    // Degrade one NIC to 25%.
+    // Brown one NIC out to 25% for the whole run.
     let nic = topo.nic_tx(topo.nic_of(Rank::new(0)));
     let cfg_nic = SimConfig::default()
         .without_validation()
-        .with_degraded(nic, 0.25);
+        .with_faults(whole_run_brownout(nic, 0.25));
     let slow_nic = plan.run_with(128 * MB, MB, &cfg_nic).unwrap();
 
-    // Degrade one NVLink pair channel to 25%.
+    // Brown one NVLink pair channel out to 25% for the whole run.
     let chan = topo.pair_chan(Rank::new(0), Rank::new(1));
     let cfg_chan = SimConfig::default()
         .without_validation()
-        .with_degraded(chan, 0.25);
+        .with_faults(whole_run_brownout(chan, 0.25));
     let slow_chan = plan.run_with(128 * MB, MB, &cfg_chan).unwrap();
 
     assert!(slow_nic.completion_ns > base.completion_ns * 1.2);
@@ -84,7 +90,7 @@ fn degraded_runs_stay_correct() {
         .compile_spec(&hm_allreduce(2, 4), &topo)
         .unwrap();
     let nic = topo.nic_rx(topo.nic_of(Rank::new(5)));
-    let cfg = SimConfig::default().with_degraded(nic, 0.1);
+    let cfg = SimConfig::default().with_faults(whole_run_brownout(nic, 0.1));
     let rep = plan.run_with(16 * MB, MB, &cfg).unwrap();
     assert_eq!(rep.data_valid, Some(true));
 }
@@ -98,7 +104,7 @@ fn combined_faults() {
     let nic = topo.nic_tx(topo.nic_of(Rank::new(2)));
     let cfg = SimConfig::default()
         .with_jitter(0.4, 99)
-        .with_degraded(nic, 0.5);
+        .with_faults(whole_run_brownout(nic, 0.5));
     let rep = plan.run_with(32 * MB, MB, &cfg).unwrap();
     assert_eq!(rep.data_valid, Some(true));
 }

@@ -15,7 +15,7 @@ use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
 use rescc::core::{Compiler, LintGate};
 use rescc::sim::{FaultTimeline, SimConfig, SimResult};
 use rescc::topology::{ClusterSpec, FabricParams, LinkParams, Rank, Topology};
-use rescc::train::{train_throughput, CclChoice, ModelConfig, ParallelConfig, TrainConfig};
+use rescc::train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
 use std::fmt::Debug;
 
 const MB: u64 = 1 << 20;
@@ -178,7 +178,7 @@ fn backends() {
     check(&got, GOLDEN_BACKENDS);
 }
 
-/// Attribution, the trace, jitter and a whole-run degradation.
+/// Attribution, the trace and jitter.
 #[test]
 fn instrumentation() {
     let topo = Topology::a100(2, 4);
@@ -186,12 +186,10 @@ fn instrumentation() {
         .compile_spec(&hm_allreduce(2, 4), &topo)
         .expect("compile");
     let buffer = 32 * MB;
-    let nic = topo.nic_tx(topo.nic_of(Rank::new(0)));
     let cases = [
         ("observability", SimConfig::default().with_observability()),
         ("trace", SimConfig::default().with_trace()),
         ("jitter", SimConfig::default().with_jitter(0.5, 7)),
-        ("degraded", SimConfig::default().with_degraded(nic, 0.25)),
     ];
     let got: Vec<(String, u64)> = cases
         .into_iter()
@@ -202,7 +200,7 @@ fn instrumentation() {
 
 /// Mid-run fault timelines: brownout with a straggler, a permanent link
 /// death aborting with its frontier, the resume from that frontier, a
-/// flap, a link already down at launch, and a missed deadline.
+/// flap and a link already down at launch.
 #[test]
 fn fault_timelines() {
     let topo = Topology::a100(2, 4);
@@ -266,12 +264,6 @@ fn fault_timelines() {
     got.push((
         "advanced-kill".into(),
         digest(&plan.run_with(buffer, MB, &past)),
-    ));
-
-    let deadline = SimConfig::default().with_deadline_ns(0.5 * horizon);
-    got.push((
-        "deadline".into(),
-        digest(&plan.run_with(buffer, MB, &deadline)),
     ));
     check(&got, GOLDEN_FAULTS);
 }
@@ -340,7 +332,6 @@ fn instant_stress() {
 /// throughput model.
 #[test]
 fn train() {
-    let cfg = TrainConfig::default();
     let cells = [
         (
             ModelConfig::gpt3("6.7B").expect("preset"),
@@ -356,7 +347,7 @@ fn train() {
         for ccl in [CclChoice::Nccl, CclChoice::Msccl, CclChoice::Resccl] {
             got.push((
                 format!("{}/{}", model.name, ccl.name()),
-                digest(&train_throughput(model, par, ccl, &cfg)),
+                digest(&train_throughput(model, par, ccl)),
             ));
         }
     }
@@ -498,7 +489,6 @@ const GOLDEN_INSTRUMENTATION: &[(&str, u64)] = &[
     ("observability", 0xdda44392efbee32f),
     ("trace", 0xd7af8f5aa482ada5),
     ("jitter", 0xce96c73d1906e54c),
-    ("degraded", 0x906b32a97f4712bd),
 ];
 const GOLDEN_FAULTS: &[(&str, u64)] = &[
     ("healthy", 0xa4ebcdab910299a5),
@@ -507,7 +497,6 @@ const GOLDEN_FAULTS: &[(&str, u64)] = &[
     ("resume", 0xdf54d534baf66086),
     ("flap", 0xb61de03b6e42d872),
     ("advanced-kill", 0x1fb0cce158fc3a15),
-    ("deadline", 0x614ba2a9b0060aaf),
 ];
 const GOLDEN_INSTANT: &[(&str, u64)] = &[
     ("brownout-at-burst", 0x44128f4f26fb322d),
