@@ -28,7 +28,11 @@
 //! `table3-16x8` is the dispatch benchmark's cold-start shape: a
 //! single-micro-batch HM AllGather over 128 ranks. `table3-32x8` is the
 //! largest row that runs by default: a 256-rank lockstep HM AllReduce
-//! whose replays must stay identical. The `-jitter` rows
+//! whose replays must stay identical. The `train-` rows are the HM
+//! collectives of the dispatch benchmark's `train-step` at its largest
+//! buffer per shape: the tensor-parallel AllReduce on 1×8 at 64 MB, and
+//! the data-parallel ReduceScatter and AllGather on 4×8 at 128 MB. The
+//! `-jitter` rows
 //! rerun two shapes with a random startup latency per transfer, so nearly
 //! every event has a time of its own instead of sharing it with the
 //! lockstep burst of its step.
@@ -38,7 +42,7 @@
 //! silently skipped.
 
 use crate::{median_min_max, print_table, time, write_bench_json, MB};
-use rescc_algos::{hm_allgather, hm_allreduce, ring_allgather};
+use rescc_algos::{hm_allgather, hm_allreduce, hm_reduce_scatter, ring_allgather};
 use rescc_core::Compiler;
 use rescc_lang::AlgoSpec;
 use rescc_sim::SimConfig;
@@ -123,6 +127,27 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             topo: Topology::a100(32, 8),
             spec: hm_allreduce(32, 8),
             buffer: 32 * MB,
+            jitter: 0.0,
+        },
+        Scenario {
+            name: "train-ar-1x8",
+            topo: Topology::a100(1, 8),
+            spec: hm_allreduce(1, 8),
+            buffer: 64 * MB,
+            jitter: 0.0,
+        },
+        Scenario {
+            name: "train-rs-4x8",
+            topo: Topology::a100(4, 8),
+            spec: hm_reduce_scatter(4, 8),
+            buffer: 128 * MB,
+            jitter: 0.0,
+        },
+        Scenario {
+            name: "train-ag-4x8",
+            topo: Topology::a100(4, 8),
+            spec: hm_allgather(4, 8),
+            buffer: 128 * MB,
             jitter: 0.0,
         },
         Scenario {

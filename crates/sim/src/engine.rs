@@ -33,6 +33,9 @@
 //!   to the back of the instant's FIFO unprojected, and the queue projects
 //!   it when it is next in line, so k load changes in one lockstep burst
 //!   cost one projection;
+//! * in an open instant a start or finish defers each peer as it finds
+//!   it, and re-deferring an id already deferred at the instant only
+//!   draws its `seq` and moves it to the FIFO's tail;
 //! * a projection to a later time waits for the instant's end;
 //! * later events sit in runs of one time ordered by a heap, so a pop
 //!   inside a lockstep burst costs one compare rather than a full sift.
@@ -238,6 +241,9 @@ struct EventQueue {
     /// while it is its id's `pending` event. A deferred re-key enters when
     /// it is projected, behind events with larger `seq`.
     buffer: Vec<Event>,
+    /// Calls of [`EventQueue::defer`] on an id already deferred.
+    #[cfg(test)]
+    redefers: u64,
 }
 
 impl Default for EventQueue {
@@ -261,6 +267,8 @@ impl EventQueue {
             fifo_head: NONE,
             fifo_tail: NONE,
             buffer: Vec::new(),
+            #[cfg(test)]
+            redefers: 0,
         }
     }
 
@@ -323,6 +331,26 @@ impl EventQueue {
     /// for its time once it is next in line. The time must not change
     /// between the two calls unless `id` is re-keyed again.
     fn defer(&mut self, id: u32) {
+        if self
+            .places
+            .get(id as usize)
+            .is_some_and(|s| s.fifo && s.deferred)
+        {
+            // Already deferred at this instant: its run entry, if any, is
+            // at a later time, since nothing is inserted while the FIFO is
+            // non-empty. Only the `seq` and the FIFO position move.
+            #[cfg(test)]
+            {
+                self.redefers += 1;
+            }
+            self.seq += 1;
+            self.places[id as usize].pending = self.seq;
+            if self.fifo_tail != id {
+                self.unlink(id);
+                self.push_back(id, true);
+            }
+            return;
+        }
         let seq = self.next_seq(id);
         if self.places[id as usize].fifo {
             self.unlink(id);
@@ -737,9 +765,6 @@ struct Transfer {
     remaining: f64,
     rate: f64,
     last_update: f64,
-    /// The last `Engine::epoch` that collected this transfer into
-    /// `Engine::affected`.
-    seen: u64,
     /// Latency done, bytes draining: the queued event is the drain finish,
     /// not the startup latency.
     draining: bool,
@@ -799,6 +824,10 @@ struct ObsAcc {
 
 struct ResState {
     params: LinkParams,
+    /// `params.bandwidth()` and `params.reference_chunk_ns()`, the two
+    /// per-link constants of `refresh_share`.
+    bandwidth: f64,
+    reference_chunk_ns: f64,
     load: u32,
     active_since: f64,
     active_ns: f64,
@@ -816,8 +845,80 @@ struct ResState {
 }
 
 impl ResState {
+    fn new(params: LinkParams) -> Self {
+        Self {
+            params,
+            bandwidth: params.bandwidth(),
+            reference_chunk_ns: params.reference_chunk_ns(),
+            load: 0,
+            active_since: 0.0,
+            active_ns: 0.0,
+            bytes: 0,
+            draining: Vec::new(),
+            up: true,
+            factor: 1.0,
+            share: 0.0,
+        }
+    }
+
+    /// `share = effective_bandwidth(load) * factor / load`, over the
+    /// cached constants.
     fn refresh_share(&mut self) {
-        self.share = self.params.effective_bandwidth(self.load) * self.factor / self.load as f64;
+        let (p, z) = (&self.params, self.load);
+        let effective = p.effective_bandwidth_over(z, self.bandwidth, self.reference_chunk_ns);
+        self.share = effective * self.factor / z as f64;
+    }
+}
+
+/// The peers a load change re-keys, each once per event, in first-seen
+/// order (that order assigns their `seq`).
+#[derive(Default)]
+struct Rekeys {
+    /// Stamp of the current event.
+    epoch: u64,
+    /// The instant had other events when the current event began, so
+    /// every re-key is a deferral and is made as the peer is found.
+    open: bool,
+    /// In a closed instant, the peers found, projected once every load
+    /// on the path has changed; reused across events.
+    found: Vec<u32>,
+    /// The last epoch that re-keyed each transfer slot. It sits apart from
+    /// the transfer table, so a visit reads 8 bytes, not a transfer.
+    seen: Vec<u64>,
+    /// Peers deferred as they were found.
+    #[cfg(test)]
+    deferred: u64,
+}
+
+impl Rekeys {
+    /// Start the re-keys of one event; `open` is the queue's
+    /// [`EventQueue::instant_open`].
+    fn begin(&mut self, open: bool) {
+        self.epoch += 1;
+        self.open = open;
+        self.found.clear();
+    }
+
+    /// Re-key each transfer of `draining` not yet seen in this event:
+    /// defer it at once in an open instant, else collect it. Transfer
+    /// slot `x` is event `first_transfer + x`.
+    fn visit(&mut self, draining: &[u32], events: &mut EventQueue, first_transfer: u32) {
+        for &other in draining {
+            let seen = &mut self.seen[other as usize];
+            if *seen == self.epoch {
+                continue;
+            }
+            *seen = self.epoch;
+            if self.open {
+                #[cfg(test)]
+                {
+                    self.deferred += 1;
+                }
+                events.defer(first_transfer + other);
+            } else {
+                self.found.push(other);
+            }
+        }
     }
 }
 
@@ -845,11 +946,8 @@ struct Engine<'a> {
     /// Event ids: fault transition `i` is `i`, transfer slot `x` is
     /// `fault_sched.len() + x`.
     events: EventQueue,
-    /// Transfers whose rate a load change touched, in first-seen order
-    /// (that order assigns their `seq`); reused across events.
-    affected: Vec<u32>,
-    /// Stamp of the current `affected` collection.
-    epoch: u64,
+    /// The transfers the current load change re-keys.
+    rekeys: Rekeys,
     /// Buffer values per micro-batch, slot `rank * n_chunks + chunk`.
     buffers: Vec<Slots<Counts>>,
     rng: StdRng,
@@ -874,6 +972,8 @@ struct Engine<'a> {
     fault_log: Vec<FaultRecord>,
     /// Per-rank issue-latency multiplier (straggler state).
     straggle: Vec<f64>,
+    /// Has a `LinkDown` applied? Until one has, no path is dead.
+    any_down: bool,
     /// A fault the run cannot survive; the event loop aborts on it.
     fatal: Option<SimError>,
     /// Bubble attribution (None unless `config.attribute_bubbles`).
@@ -906,19 +1006,9 @@ impl<'a> Engine<'a> {
 
         let resources: Vec<ResState> = (0..topo.n_resources())
             .map(|r| {
-                Ok(ResState {
-                    params: topo
-                        .resource_params(ResourceId::new(r))
-                        .map_err(SimError::Topology)?,
-                    load: 0,
-                    active_since: 0.0,
-                    active_ns: 0.0,
-                    bytes: 0,
-                    draining: Vec::new(),
-                    up: true,
-                    factor: 1.0,
-                    share: 0.0,
-                })
+                topo.resource_params(ResourceId::new(r))
+                    .map(ResState::new)
+                    .map_err(SimError::Topology)
             })
             .collect::<SimResult<_>>()?;
 
@@ -1080,9 +1170,8 @@ impl<'a> Engine<'a> {
             free_transfers: Vec::new(),
             total_bytes: 0,
             resources,
-            events: EventQueue::with_ids(config.faults.events().len() + 1 + first_guess),
-            affected: Vec::new(),
-            epoch: 0,
+            events: EventQueue::with_ids(config.faults.events().len() + first_guess),
+            rekeys: Rekeys::default(),
             buffers,
             rng: StdRng::seed_from_u64(config.seed),
             inv_done: inv_done_init,
@@ -1097,6 +1186,7 @@ impl<'a> Engine<'a> {
             fault_sched: Vec::new(),
             fault_log: Vec::new(),
             straggle: vec![1.0; n_ranks as usize],
+            any_down: false,
             fatal: None,
             obs: config.attribute_bubbles.then(|| {
                 Box::new(ObsAcc {
@@ -1131,7 +1221,7 @@ impl<'a> Engine<'a> {
     fn segment_len(&self, tb: &TbState, at: u32) -> u32 {
         let end = tb.first + tb.len;
         let mut len = 1;
-        while at + len < end && self.program.is_fused((at + len) as usize) {
+        while at + len < end && self.is_fused((at + len) as usize) {
             len += 1;
         }
         len
@@ -1150,6 +1240,12 @@ impl<'a> Engine<'a> {
         let tb = &mut self.tbs[tb_id as usize];
         tb.group_idx = next;
         tb.cursor = cursor;
+    }
+
+    /// Is slot `si` fused to the slot before it? An unfused program,
+    /// which has no feeder table, answers without reading its bitset.
+    fn is_fused(&self, si: usize) -> bool {
+        !self.fused_pred.is_empty() && self.program.is_fused(si)
     }
 
     /// The fused receive feeding `task`, or NONE.
@@ -1431,6 +1527,7 @@ impl<'a> Engine<'a> {
         self.fault_log.push(FaultRecord { at_ns, fault });
         match fault {
             Fault::LinkDown(r) => {
+                self.any_down = true;
                 self.resources[r.index()].up = false;
                 if let Some(&x) = self.resources[r.index()].draining.first() {
                     let task = self.transfers[x as usize].task;
@@ -1459,6 +1556,9 @@ impl<'a> Engine<'a> {
 
     /// The first dead resource on `path`, if any.
     fn dead_on(&self, path: ResourceSet) -> Option<ResourceId> {
+        if !self.any_down {
+            return None;
+        }
         path.iter().find(|r| !self.resources[r.index()].up)
     }
 
@@ -1538,7 +1638,7 @@ impl<'a> Engine<'a> {
             for si in slots.clone() {
                 let task = self.slots[si].task();
                 let done = self.invs[task.index() * self.n_mb as usize + group.mb as usize].done;
-                if self.program.is_fused(si) {
+                if self.is_fused(si) {
                     if !done {
                         live_fused += 1;
                     }
@@ -1666,7 +1766,6 @@ impl<'a> Engine<'a> {
             remaining: bytes as f64,
             rate: 0.0,
             last_update: now,
-            seen: 0,
             draining: false,
             send_tb: inv.send_tb,
             recv_tb: inv.recv_tb,
@@ -1683,6 +1782,7 @@ impl<'a> Engine<'a> {
             }
             None => {
                 self.transfers.push(transfer);
+                self.rekeys.seen.push(0);
                 self.transfers.len() as u32 - 1
             }
         };
@@ -1715,7 +1815,11 @@ impl<'a> Engine<'a> {
         t.draining = true;
         t.last_update = now;
         t.drain_start = now;
-        self.start_affected();
+        let first_transfer = self.transfer_event(0);
+        self.rekeys.begin(self.events.instant_open());
+        if self.rekeys.open {
+            self.events.defer(first_transfer + x);
+        }
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             if rs.load == 0 {
@@ -1723,32 +1827,24 @@ impl<'a> Engine<'a> {
             }
             rs.load += 1;
             rs.refresh_share();
-            for &other in &rs.draining {
-                let seen = &mut self.transfers[other as usize].seen;
-                if *seen != self.epoch {
-                    *seen = self.epoch;
-                    self.affected.push(other);
-                }
-            }
+            self.rekeys
+                .visit(&rs.draining, &mut self.events, first_transfer);
             rs.draining.push(x);
         }
-        self.reproject(x);
-        self.reproject_affected();
+        if !self.rekeys.open {
+            self.reproject(x);
+            self.reproject_found();
+        }
     }
 
-    /// Begin collecting a fresh `affected` set.
-    fn start_affected(&mut self) {
-        self.epoch += 1;
-        self.affected.clear();
-    }
-
-    /// Re-project every collected transfer, in first-seen order.
-    fn reproject_affected(&mut self) {
-        let affected = std::mem::take(&mut self.affected);
-        for &x in &affected {
+    /// Re-project every peer a closed instant's load change found, in
+    /// first-seen order.
+    fn reproject_found(&mut self) {
+        let found = std::mem::take(&mut self.rekeys.found);
+        for &x in &found {
             self.reproject(x);
         }
-        self.affected = affected;
+        self.rekeys.found = found;
     }
 
     /// Re-key a draining transfer after a share on its path changed. While
@@ -1759,7 +1855,9 @@ impl<'a> Engine<'a> {
     /// in one instant moves nothing, and any later share change on its
     /// path re-keys it again. A closed instant, the common case under
     /// jitter, has no burst to merge, so there the transfer is projected
-    /// and placed at once, skipping the FIFO round trip.
+    /// and placed at once, skipping the FIFO round trip. A start or finish
+    /// that begins in an open instant skips this call and defers each
+    /// peer as [`Rekeys::visit`] finds it.
     fn reproject(&mut self, x: u32) {
         let id = self.transfer_event(x);
         let t = &mut self.transfers[x as usize];
@@ -1783,7 +1881,8 @@ impl<'a> Engine<'a> {
         };
 
         // Free resources and settle peers.
-        self.start_affected();
+        let first_transfer = self.transfer_event(0);
+        self.rekeys.begin(self.events.instant_open());
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             rs.load -= 1;
@@ -1812,16 +1911,13 @@ impl<'a> Engine<'a> {
                     return;
                 }
             }
-            for &other in &rs.draining {
-                let seen = &mut self.transfers[other as usize].seen;
-                if *seen != self.epoch {
-                    *seen = self.epoch;
-                    self.affected.push(other);
-                }
-            }
+            self.rekeys
+                .visit(&rs.draining, &mut self.events, first_transfer);
         }
         self.transfers[x as usize].draining = false;
-        self.reproject_affected();
+        if !self.rekeys.open {
+            self.reproject_found();
+        }
 
         // Cut-through causality: a fused forward cannot complete before the
         // receive that feeds it.
@@ -2220,19 +2316,29 @@ mod tests {
         over_later_entry: u32,
         /// Projecting onto a later time (the buffer).
         later: u32,
+        /// Re-deferring an id already deferred at the instant, which sits
+        /// at the FIFO's tail.
+        again_at_tail: u32,
+        /// The same, with the id elsewhere in the FIFO.
+        again_inside: u32,
     }
 
     impl Defers {
         fn note(&mut self, queue: &EventQueue, id: u32, t: f64) {
             let now = queue.now;
             self.closed += u32::from(!queue.instant_open());
+            let s = queue
+                .places
+                .get(id as usize)
+                .copied()
+                .unwrap_or(Place::EMPTY);
+            if s.fifo && s.deferred && queue.fifo_tail == id {
+                self.again_at_tail += 1;
+            } else if s.fifo && s.deferred {
+                self.again_inside += 1;
+            }
             if t == now {
                 self.onto_now += 1;
-                let s = queue
-                    .places
-                    .get(id as usize)
-                    .copied()
-                    .unwrap_or(Place::EMPTY);
                 self.over_later_entry +=
                     u32::from(s.queued != 0 && queue.runs[s.run as usize].t > now);
             } else {
@@ -2245,6 +2351,8 @@ mod tests {
             assert!(self.onto_now > 0, "no defer onto the instant");
             assert!(self.over_later_entry > 0, "no defer over a later entry");
             assert!(self.later > 0, "no defer to a later time");
+            assert!(self.again_at_tail > 0, "no re-defer at the FIFO's tail");
+            assert!(self.again_inside > 0, "no re-defer inside the FIFO");
         }
     }
 
@@ -2357,12 +2465,12 @@ mod tests {
         defers.assert_covered();
     }
 
-    #[test]
-    fn lockstep_transfers_are_projected_about_once_per_invocation() {
-        // A one-step direct AllGather: every rank sends its chunk to its 7
-        // peers at once, so each port carries several drains that start
-        // and finish in the same instants, and each of their load changes
-        // re-keys the others.
+    /// Drive a one-step direct AllGather on a100 1×8, 32 MB in 4
+    /// micro-batches, and hand the finished engine to `check`. Every rank
+    /// sends its chunk to its 7 peers at once, so each port carries
+    /// several drains that start and finish in the same instants, and each
+    /// of their load changes re-keys the others.
+    fn drive_lockstep_allgather(check: impl FnOnce(Engine)) {
         let n = 8;
         let mut b = AlgoBuilder::new("direct", OpType::AllGather, n);
         for src in 0..n {
@@ -2380,18 +2488,63 @@ mod tests {
         let mut engine =
             Engine::new(&topo, &dag, &prog, &plan, OpType::AllGather, &config).unwrap();
         engine.drive().unwrap();
-        let projections = engine.projections;
-        let per_invocation = projections as f64 / engine.inv_done as f64;
-        assert!(
-            per_invocation <= 2.0,
-            "{projections} projections for {} invocations",
-            engine.inv_done
-        );
-        // 1.86 per invocation. Transfer slots are reused, so the count is
-        // the engine's, not a sum over the transfer table.
-        assert_eq!((projections, engine.inv_done), (416, 224));
-        assert!(engine.transfers.len() < engine.inv_done as usize);
-        assert_eq!(engine.report().unwrap().data_valid, Some(true));
+        check(engine);
+    }
+
+    #[test]
+    fn lockstep_transfers_are_projected_about_once_per_invocation() {
+        drive_lockstep_allgather(|engine| {
+            let projections = engine.projections;
+            let per_invocation = projections as f64 / engine.inv_done as f64;
+            assert!(
+                per_invocation <= 2.0,
+                "{projections} projections for {} invocations",
+                engine.inv_done
+            );
+            // 1.86 per invocation. Transfer slots are reused, so the count
+            // is the engine's, not a sum over the transfer table.
+            assert_eq!((projections, engine.inv_done), (416, 224));
+            assert!(engine.transfers.len() < engine.inv_done as usize);
+            assert_eq!(engine.report().unwrap().data_valid, Some(true));
+        });
+    }
+
+    #[test]
+    fn lockstep_rekeys_are_deferred_as_found_and_moved_in_place() {
+        drive_lockstep_allgather(|engine| {
+            assert_eq!((engine.projections, engine.inv_done), (416, 224));
+            // Every start and every re-key draws one `seq`: 224 startup
+            // latencies, 224 drain starts and 2,688 peer re-keys. Each
+            // peer re-key lands in an open instant and is deferred as it
+            // is found, and 2,496 of all the defers move an id that was
+            // already deferred at its instant.
+            assert_eq!(engine.events.seq, 3_136);
+            assert_eq!(
+                (engine.rekeys.deferred, engine.events.redefers),
+                (2_688, 2_496)
+            );
+        });
+    }
+
+    #[test]
+    fn cached_share_is_the_effective_bandwidth_share() {
+        // Every resource kind of a two-node a100, plus an oversubscribed
+        // NIC whose γ·L(z) penalty engages past 4 drains.
+        let topo = Topology::a100(2, 8);
+        let params = (0..topo.n_resources())
+            .map(|r| topo.resource_params(ResourceId::new(r)).unwrap())
+            .chain([LinkParams::new(25.0, 10.0, 4)]);
+        for p in params {
+            let mut rs = ResState::new(p);
+            for load in 1..=64 {
+                for factor in [1.0, 0.3] {
+                    (rs.load, rs.factor) = (load, factor);
+                    rs.refresh_share();
+                    let want = p.effective_bandwidth(load) * factor / load as f64;
+                    assert_eq!(rs.share.to_bits(), want.to_bits(), "{p:?} at load {load}");
+                }
+            }
+        }
     }
 
     #[test]

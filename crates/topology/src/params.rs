@@ -113,17 +113,30 @@ impl LinkParams {
     ///   γ·L(z) penalty amortized over the mean task, reproducing the
     ///   downward slope of Fig. 4.
     pub fn effective_bandwidth(&self, z: u32) -> f64 {
+        self.effective_bandwidth_over(z, self.bandwidth(), self.reference_chunk_ns())
+    }
+
+    /// The serial cost of a 1 MiB reference chunk, which the γ·L(z)
+    /// penalty of [`Self::effective_bandwidth`] is relative to.
+    pub fn reference_chunk_ns(&self) -> f64 {
+        self.serial_cost_ns(1 << 20)
+    }
+
+    /// [`Self::effective_bandwidth`] over `bandwidth()` and
+    /// [`Self::reference_chunk_ns`] passed in, for a caller that
+    /// evaluates the curve at many loads and keeps both.
+    #[inline]
+    pub fn effective_bandwidth_over(&self, z: u32, bandwidth: f64, reference_chunk_ns: f64) -> f64 {
         if z == 0 {
             return 0.0;
         }
-        let aggregate = (z as f64 * self.tb_bw_bytes_per_ns).min(self.bandwidth());
+        let aggregate = (z as f64 * self.tb_bw_bytes_per_ns).min(bandwidth);
         let penalty = self.contention_penalty(z);
         if penalty == 0.0 {
             aggregate
         } else {
             // Each unit of penalty costs γ ns per "slot"; convert to a
-            // multiplicative slowdown relative to a 1 MiB reference chunk.
-            let reference_chunk_ns = self.serial_cost_ns(1 << 20);
+            // multiplicative slowdown relative to the reference chunk.
             aggregate / (1.0 + penalty * self.gamma_ns / reference_chunk_ns)
         }
     }
