@@ -3,22 +3,23 @@
 //! The three collective-communication backends the paper compares. They
 //! run the same algorithm on the same simulated cluster and differ only in
 //! how [`Compiler`] schedules and lowers it, so differences come purely
-//! from backend design:
+//! from backend design. [`Backend`] is one enum whose variants carry the
+//! parameters of their lowering:
 //!
-//! | backend | scheduler | [`Lowering`] | execution granularity | TB allocation | runtime | release |
+//! | backend | scheduler | [`Lowering`] | execution granularity | TB allocation | runtime | release (follows the lowering) |
 //! |---|---|---|---|---|---|---|
-//! | [`NcclBackend`] | by-step | `Rigid`, 1 stage | algorithm-level (lazy, barrier per micro-batch) | connection-based × channels | direct kernel | rigid |
-//! | [`MscclBackend`] | by-step | `Rigid`, 2 stages | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid |
-//! | [`RescclBackend`] | HPDS | `StateBased` | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early release |
+//! | [`Backend::Nccl`] | by-step | `Rigid`, 1 stage | algorithm-level (lazy, barrier per micro-batch) | connection-based × channels | direct kernel | rigid: barrier groups hold every TB to the end |
+//! | [`Backend::Msccl`] | by-step | `Rigid`, 2 stages | stage-level (barrier per stage per micro-batch) | connection-based × channels | **interpreter** | rigid: barrier groups hold every TB to the end |
+//! | [`Backend::Resccl`] | HPDS | `StateBased` | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early: a TB frees its SM after its last invocation |
 //!
 //! A backend builds no plan itself: it names its [`Compiler`]
-//! ([`Backend::compiler`]), and the shared [`Backend::run_with`] compiles
-//! through it, runs the plan and produces a [`RunReport`] with identical
-//! metrics for every backend, which the benchmark harness turns into the
-//! paper's tables and figures. The [`Communicator`] compiles through the
-//! same [`Compiler`]. Either way every plan is verified and passes the
-//! deny gate before it runs; a by-step baseline's over-subscription is
-//! an RA003 warning, not a refusal, since the simulator prices it.
+//! ([`Backend::compiler`]), and [`Backend::run_with`] compiles through
+//! it, runs the plan and produces a [`RunReport`] with identical metrics
+//! for every backend, which the benchmark harness turns into the paper's
+//! tables and figures. The [`Communicator`] compiles through the same
+//! [`Compiler`]. Either way every plan is verified and passes the deny
+//! gate before it runs; a by-step baseline's over-subscription is an
+//! RA003 warning, not a refusal, since the simulator prices it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +41,9 @@ pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
 
 /// Stages the MSCCL model manually divides every algorithm into.
 const MSCCL_STAGES: u32 = 2;
+
+/// Channels per connection of the NCCL and MSCCL models by default.
+const DEFAULT_CHANNELS: u32 = 4;
 
 /// What the [`Communicator`]'s watchdog/recovery layer did to complete a
 /// collective on a faulty fabric.
@@ -170,14 +174,97 @@ impl RunReport {
 }
 
 /// A collective communication backend: a [`Compiler`] configuration whose
-/// plans run on the simulated cluster.
-pub trait Backend {
+/// plans run on the simulated cluster. The three backends differ only in
+/// how a plan is scheduled, lowered and released (§2.1), so each variant
+/// is the parameters of its lowering.
+#[derive(Clone, Debug)]
+pub enum Backend {
+    /// The NCCL model: lazy algorithm-level execution with
+    /// connection-based TB allocation and rigid release.
+    Nccl {
+        /// Parallel channels per connection (NCCL's nChannels).
+        n_channels: u32,
+    },
+    /// The MSCCL model: stage-level execution (the algorithm manually
+    /// divided into two stages), per-stage channels, runtime interpreter,
+    /// rigid release.
+    Msccl {
+        /// Channels per connection.
+        n_channels: u32,
+        /// Interpreter overhead per primitive invocation (ns).
+        interpreter_overhead_ns: f64,
+    },
+    /// ResCCL: the given compiler, HPDS and state-based TB allocation by
+    /// default ([`Compiler::with_round_robin`] and
+    /// [`Compiler::with_fusion`] give the ablation variants), generated
+    /// lightweight kernels, early release.
+    Resccl(Compiler),
+}
+
+impl Backend {
+    /// NCCL with its default four channels.
+    pub fn nccl() -> Self {
+        Backend::Nccl {
+            n_channels: DEFAULT_CHANNELS,
+        }
+    }
+
+    /// MSCCL with four channels and the calibrated interpreter overhead
+    /// ([`ExecMode::default_interpreter`]).
+    pub fn msccl() -> Self {
+        Backend::Msccl {
+            n_channels: DEFAULT_CHANNELS,
+            interpreter_overhead_ns: ExecMode::default_interpreter().overhead_ns(),
+        }
+    }
+
+    /// ResCCL with the default (HPDS, state-based) compiler.
+    pub fn resccl() -> Self {
+        Backend::Resccl(Compiler::new())
+    }
+
     /// Backend name for reports.
-    fn name(&self) -> &str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Backend::Nccl { .. } => "nccl",
+            Backend::Msccl { .. } => "msccl",
+            Backend::Resccl(compiler) => match compiler.scheduler {
+                SchedulerChoice::Hpds => "resccl",
+                SchedulerChoice::RoundRobin => "resccl-rr",
+                SchedulerChoice::ByStep => "resccl-by-step",
+            },
+        }
+    }
 
     /// The compiler this backend lowers every plan through: its scheduler
     /// and [`Lowering`].
-    fn compiler(&self) -> Compiler;
+    pub fn compiler(&self) -> Compiler {
+        let (n_channels, n_stages, exec) = match *self {
+            // One stage, so one global barrier: algorithm-level execution.
+            Backend::Nccl { n_channels } => (n_channels, 1, ExecMode::DirectKernel),
+            Backend::Msccl {
+                n_channels,
+                interpreter_overhead_ns,
+            } => (
+                n_channels,
+                MSCCL_STAGES,
+                ExecMode::Interpreter {
+                    per_invocation_overhead_ns: interpreter_overhead_ns,
+                },
+            ),
+            Backend::Resccl(ref compiler) => return compiler.clone(),
+        };
+        // The baselines: a by-step schedule and the rigid lowering.
+        Compiler {
+            scheduler: SchedulerChoice::ByStep,
+            lowering: Lowering::Rigid {
+                n_channels,
+                n_stages,
+                exec,
+            },
+            ..Compiler::new()
+        }
+    }
 
     /// Run one collective call of `buffer_bytes` per rank, moving
     /// `chunk_bytes` per primitive invocation, checking the data the
@@ -185,10 +272,11 @@ pub trait Backend {
     ///
     /// The plan is compiled by [`compiler`](Self::compiler) as is:
     /// verified and deny-gated, like every plan the [`Communicator`]
-    /// dispatches. A [`Lowering::Rigid`] plan runs without early release
-    /// ([`SimConfig::rigid`]). The run is fresh and fault-free, so the
-    /// report checks it against the plan's certified makespan floor.
-    fn run_with(
+    /// dispatches. TB release follows the plan: a [`Lowering::Rigid`]
+    /// plan holds every TB to the end of the run. The run is fresh and
+    /// fault-free, so the report checks it against the plan's certified
+    /// makespan floor.
+    pub fn run_with(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
@@ -196,13 +284,11 @@ pub trait Backend {
         chunk_bytes: u64,
         validate: bool,
     ) -> SimResult<RunReport> {
-        let compiler = self.compiler();
-        let plan = compiler.compile_spec(spec, topo)?;
-        let mut cfg = match compiler.lowering {
-            Lowering::Rigid { .. } => SimConfig::rigid(),
-            Lowering::StateBased | Lowering::Fused => SimConfig::default(),
+        let plan = self.compiler().compile_spec(spec, topo)?;
+        let cfg = SimConfig {
+            validate_data: validate,
+            ..SimConfig::default()
         };
-        cfg.validate_data = validate;
         let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
         let certificate_undercut = plan
             .makespan_floor_ns(buffer_bytes, chunk_bytes)
@@ -214,7 +300,7 @@ pub trait Backend {
     }
 
     /// Run with data validation.
-    fn run(
+    pub fn run(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
@@ -225,7 +311,7 @@ pub trait Backend {
     }
 
     /// Run with data validation disabled (large sweeps).
-    fn run_unchecked(
+    pub fn run_unchecked(
         &self,
         spec: &AlgoSpec,
         topo: &Topology,
@@ -233,117 +319,6 @@ pub trait Backend {
         chunk_bytes: u64,
     ) -> SimResult<RunReport> {
         self.run_with(spec, topo, buffer_bytes, chunk_bytes, false)
-    }
-}
-
-/// The NCCL-model backend: lazy algorithm-level execution with
-/// connection-based TB allocation and rigid release.
-#[derive(Clone, Debug)]
-pub struct NcclBackend {
-    /// Parallel channels per connection (NCCL's nChannels).
-    pub n_channels: u32,
-}
-
-impl Default for NcclBackend {
-    fn default() -> Self {
-        Self { n_channels: 4 }
-    }
-}
-
-impl Backend for NcclBackend {
-    fn name(&self) -> &str {
-        "nccl"
-    }
-
-    fn compiler(&self) -> Compiler {
-        // One stage, so one global barrier: algorithm-level execution.
-        rigid_compiler(self.n_channels, 1, ExecMode::DirectKernel)
-    }
-}
-
-/// The MSCCL-model backend: stage-level execution (the algorithm manually
-/// divided into two stages), per-stage channels, runtime interpreter,
-/// rigid release.
-#[derive(Clone, Debug)]
-pub struct MscclBackend {
-    /// Channels per connection.
-    pub n_channels: u32,
-    /// Interpreter overhead per primitive invocation (ns).
-    pub interpreter_overhead_ns: f64,
-}
-
-impl Default for MscclBackend {
-    fn default() -> Self {
-        Self {
-            n_channels: 4,
-            interpreter_overhead_ns: 9_000.0,
-        }
-    }
-}
-
-impl Backend for MscclBackend {
-    fn name(&self) -> &str {
-        "msccl"
-    }
-
-    fn compiler(&self) -> Compiler {
-        rigid_compiler(
-            self.n_channels,
-            MSCCL_STAGES,
-            ExecMode::Interpreter {
-                per_invocation_overhead_ns: self.interpreter_overhead_ns,
-            },
-        )
-    }
-}
-
-/// The baselines' compiler: a by-step schedule and the rigid lowering.
-fn rigid_compiler(n_channels: u32, n_stages: u32, exec: ExecMode) -> Compiler {
-    Compiler {
-        scheduler: SchedulerChoice::ByStep,
-        lowering: Lowering::Rigid {
-            n_channels,
-            n_stages,
-            exec,
-        },
-        ..Compiler::new()
-    }
-}
-
-/// The ResCCL backend: primitive-level scheduling (HPDS), state-based TB
-/// allocation, generated lightweight kernels, early release.
-#[derive(Clone, Debug, Default)]
-pub struct RescclBackend {
-    compiler: Compiler,
-}
-
-impl RescclBackend {
-    /// The round-robin ablation variant (Fig. 10b).
-    pub fn round_robin() -> Self {
-        Self {
-            compiler: Compiler::new().with_round_robin(),
-        }
-    }
-
-    /// Enable primitive fusion ([`Compiler::with_fusion`]).
-    pub fn with_fusion() -> Self {
-        Self {
-            compiler: Compiler::new().with_fusion(),
-        }
-    }
-}
-
-impl Backend for RescclBackend {
-    fn name(&self) -> &str {
-        match self.compiler.scheduler {
-            SchedulerChoice::Hpds => "resccl",
-            SchedulerChoice::RoundRobin => "resccl-rr",
-            SchedulerChoice::ByStep => "resccl-by-step",
-        }
-    }
-
-    fn compiler(&self) -> Compiler {
-        self.compiler.clone()
     }
 }
 
@@ -359,11 +334,7 @@ mod tests {
     fn all_backends_run_correct_collectives() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allgather(2, 4);
-        for backend in [
-            &NcclBackend::default() as &dyn Backend,
-            &MscclBackend::default(),
-            &RescclBackend::default(),
-        ] {
+        for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
             let rep = backend
                 .run(&spec, &topo, 64 * MB, MB)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", backend.name()));
@@ -380,13 +351,13 @@ mod tests {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
         let buffer = 512 * MB;
-        let r = RescclBackend::default()
+        let r = Backend::resccl()
             .run_unchecked(&spec, &topo, buffer, MB)
             .unwrap();
-        let m = MscclBackend::default()
+        let m = Backend::msccl()
             .run_unchecked(&spec, &topo, buffer, MB)
             .unwrap();
-        let n = NcclBackend::default()
+        let n = Backend::nccl()
             .run_unchecked(&spec, &topo, buffer, MB)
             .unwrap();
         assert!(
@@ -407,10 +378,10 @@ mod tests {
     fn resccl_uses_fewer_tbs() {
         let topo = Topology::a100(2, 8);
         let spec = hm_allreduce(2, 8);
-        let r = RescclBackend::default()
+        let r = Backend::resccl()
             .run_unchecked(&spec, &topo, 32 * MB, MB)
             .unwrap();
-        let m = MscclBackend::default()
+        let m = Backend::msccl()
             .run_unchecked(&spec, &topo, 32 * MB, MB)
             .unwrap();
         assert!(
@@ -425,10 +396,10 @@ mod tests {
     fn resccl_has_higher_tb_utilization() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
-        let r = RescclBackend::default()
+        let r = Backend::resccl()
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
-        let m = MscclBackend::default()
+        let m = Backend::msccl()
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
         assert!(
@@ -443,10 +414,10 @@ mod tests {
     fn hpds_not_worse_than_round_robin() {
         let topo = Topology::a100(2, 4);
         let spec = taccl_like_allgather(2, 4);
-        let h = RescclBackend::default()
+        let h = Backend::resccl()
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
-        let rr = RescclBackend::round_robin()
+        let rr = Backend::Resccl(Compiler::new().with_round_robin())
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
         assert!(h.sim.completion_ns <= rr.sim.completion_ns * 1.001);
@@ -461,10 +432,10 @@ mod tests {
         // from sharing one TB must stay within 20% of the plain run.
         let topo = Topology::a100(2, 8);
         let spec = rescc_algos::nccl_rings_allgather(2, 8, 4);
-        let plain = RescclBackend::default()
+        let plain = Backend::resccl()
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
-        let fused = RescclBackend::with_fusion()
+        let fused = Backend::Resccl(Compiler::new().with_fusion())
             .run_unchecked(&spec, &topo, 256 * MB, MB)
             .unwrap();
         assert!(
@@ -485,7 +456,7 @@ mod tests {
     fn fusion_preserves_correctness() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
-        let rep = RescclBackend::with_fusion()
+        let rep = Backend::Resccl(Compiler::new().with_fusion())
             .run(&spec, &topo, 32 * MB, MB)
             .unwrap();
         assert_eq!(rep.sim.data_valid, Some(true));
@@ -494,7 +465,7 @@ mod tests {
     #[test]
     fn nccl_with_no_channel_is_an_invalid_config() {
         let topo = Topology::a100(1, 4);
-        let nccl = NcclBackend { n_channels: 0 };
+        let nccl = Backend::Nccl { n_channels: 0 };
         match nccl.run(&hm_allgather(1, 4), &topo, 16 * MB, MB) {
             Err(SimError::InvalidConfig(e)) => assert!(e.contains("one channel"), "{e}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -504,7 +475,14 @@ mod tests {
     #[test]
     fn msccl_with_no_stage_is_an_invalid_config() {
         let topo = Topology::a100(1, 4);
-        let no_stage = rigid_compiler(4, 0, ExecMode::DirectKernel);
+        let no_stage = Compiler {
+            lowering: Lowering::Rigid {
+                n_channels: 4,
+                n_stages: 0,
+                exec: ExecMode::DirectKernel,
+            },
+            ..Compiler::new()
+        };
         match no_stage.compile_spec(&hm_allgather(1, 4), &topo) {
             Err(SimError::InvalidConfig(e)) => assert!(e.contains("one stage"), "{e}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -517,11 +495,7 @@ mod tests {
         // every backend.
         let topo = Topology::a100(1, 4);
         let spec = hm_allgather(2, 4);
-        for backend in [
-            &NcclBackend::default() as &dyn Backend,
-            &MscclBackend::default(),
-            &RescclBackend::default(),
-        ] {
+        for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
             match backend.run(&spec, &topo, 16 * MB, MB) {
                 Err(SimError::InvalidDag(e)) => {
                     assert!(e.to_string().contains("8 ranks"), "{e}")

@@ -5,7 +5,7 @@
 //! the plan keys of every backend's compiler.
 
 use rescc_algos::hm_allreduce;
-use rescc_backends::{Backend, Communicator, MscclBackend, NcclBackend};
+use rescc_backends::{Backend, Communicator};
 use rescc_core::{plan_fingerprint, Compiler, PlanCache};
 use rescc_ir::MicroBatchPlan;
 use rescc_topology::Topology;
@@ -115,22 +115,21 @@ fn lowerings_fingerprint_distinctly() {
     assert_eq!(plain, 0x350f_1495_27d8_33bb, "{plain:#018x}");
     let fused = key(&Compiler::new().with_fusion());
     assert_eq!(fused, 0x2b5c_1bda_8442_e135, "{fused:#018x}");
-    let msccl = MscclBackend::default();
     let keys = [
         plain,
         fused,
         key(&Compiler::new().with_round_robin()),
-        key(&NcclBackend::default().compiler()),
-        key(&NcclBackend { n_channels: 12 }.compiler()),
-        key(&msccl.compiler()),
-        key(&MscclBackend {
+        key(&Backend::nccl().compiler()),
+        key(&Backend::Nccl { n_channels: 12 }.compiler()),
+        key(&Backend::msccl().compiler()),
+        key(&Backend::Msccl {
             n_channels: 1,
-            ..msccl.clone()
+            interpreter_overhead_ns: 9_000.0,
         }
         .compiler()),
-        key(&MscclBackend {
+        key(&Backend::Msccl {
+            n_channels: 4,
             interpreter_overhead_ns: 0.0,
-            ..msccl
         }
         .compiler()),
     ];

@@ -16,7 +16,7 @@
 
 use crate::{print_table, MB};
 use rescc_algos::hm_allgather;
-use rescc_backends::{Backend, NcclBackend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_lang::AlgoSpec;
 use rescc_sim::SimConfig;
 use rescc_topology::{ResourceId, Topology};
@@ -41,7 +41,7 @@ fn affine_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
 /// Eq. 5 at `n` micro-batches of 1 MiB chunks: the predicted and the
 /// simulated ResCCL completion, ns. Panics on an error above 10%.
 fn eq5_check(spec: &AlgoSpec, topo: &Topology, n: u64) -> (f64, f64) {
-    let plan = RescclBackend::default().compiler().compile_spec(spec, topo);
+    let plan = Backend::resccl().compiler().compile_spec(spec, topo);
     let plan = plan.expect("resccl compile");
     let cert = plan.diagnostics.certificate().expect("RA007 certificate");
     let link = topo.resource_params(ResourceId::new(cert.bottleneck_resource));
@@ -61,7 +61,7 @@ pub fn run() {
     let spec = hm_allgather(2, 4);
     let n_chunks = spec.n_chunks() as u64;
 
-    let nccl = NcclBackend::default();
+    let nccl = Backend::nccl();
 
     let ns: Vec<u64> = vec![8, 16, 32, 64, 128];
     let mut xs = Vec::new();

@@ -13,7 +13,7 @@ use rescc_algos::{
     hm_allreduce, hm_allreduce_source, nccl_rings_allgather, taccl_like_allgather,
     taccl_like_allreduce,
 };
-use rescc_backends::{Backend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_sched::hpds;
@@ -359,8 +359,8 @@ pub fn smoke() {
 /// Regenerate Figure 10(b): HPDS vs round-robin.
 pub fn run_b() {
     let topo = Topology::a100(2, 4);
-    let hpds = RescclBackend::default();
-    let rr = RescclBackend::round_robin();
+    let hpds = Backend::resccl();
+    let rr = Backend::Resccl(Compiler::new().with_round_robin());
     let cases = [
         ("expert HM-AR", hm_allreduce(2, 4)),
         ("synth TACCL-AG", taccl_like_allgather(2, 4)),

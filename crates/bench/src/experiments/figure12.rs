@@ -8,13 +8,13 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allreduce, taccl_like_allreduce};
-use rescc_backends::{Backend, MscclBackend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, spec: &AlgoSpec, topo: &Topology) {
-    let msccl = MscclBackend::default();
-    let resccl = RescclBackend::default();
+    let msccl = Backend::msccl();
+    let resccl = Backend::resccl();
     let m = msccl
         .run_unchecked(spec, topo, 256 * MB, MB)
         .expect("figure12 msccl");

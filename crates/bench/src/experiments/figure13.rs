@@ -6,7 +6,8 @@
 //! MSCCL variant); 11–20% over native and 7.5–29.3% over MSCCL on GPT-3.
 
 use crate::print_table;
-use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
+use rescc_backends::Backend;
+use rescc_train::{train_throughput, ModelConfig, ParallelConfig};
 
 /// Regenerate Figure 13.
 pub fn run() {
@@ -20,9 +21,9 @@ pub fn run() {
         } else {
             ParallelConfig::gpt3(4, 32)
         };
-        let n = train_throughput(&model, &par, CclChoice::Nccl).expect("figure13 nccl");
-        let m = train_throughput(&model, &par, CclChoice::Msccl).expect("figure13 msccl");
-        let r = train_throughput(&model, &par, CclChoice::Resccl).expect("figure13 resccl");
+        let n = train_throughput(&model, &par, &Backend::nccl()).expect("figure13 nccl");
+        let m = train_throughput(&model, &par, &Backend::msccl()).expect("figure13 msccl");
+        let r = train_throughput(&model, &par, &Backend::resccl()).expect("figure13 resccl");
         rows.push(vec![
             model.name.clone(),
             format!("{}x{}", par.dp, par.tp),
@@ -46,9 +47,9 @@ pub fn run() {
     for size in ["220M", "770M", "3B"] {
         let model = ModelConfig::t5(size).expect("figure13 preset");
         let par = ParallelConfig::t5(16, 16);
-        let n = train_throughput(&model, &par, CclChoice::Nccl).expect("figure13 nccl");
-        let m = train_throughput(&model, &par, CclChoice::Msccl).expect("figure13 msccl");
-        let r = train_throughput(&model, &par, CclChoice::Resccl).expect("figure13 resccl");
+        let n = train_throughput(&model, &par, &Backend::nccl()).expect("figure13 nccl");
+        let m = train_throughput(&model, &par, &Backend::msccl()).expect("figure13 msccl");
+        let r = train_throughput(&model, &par, &Backend::resccl()).expect("figure13 resccl");
         rows.push(vec![
             model.name.clone(),
             "16 (DP)".to_string(),

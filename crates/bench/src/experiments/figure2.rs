@@ -8,13 +8,13 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allreduce, taccl_like_allreduce};
-use rescc_backends::{Backend, MscclBackend};
+use rescc_backends::Backend;
 use rescc_topology::Topology;
 
 /// Regenerate Figure 2.
 pub fn run() {
     let topo = Topology::a100(1, 8);
-    let backend = MscclBackend::default();
+    let backend = Backend::msccl();
     for (label, spec) in [
         ("(a) custom (HM) AllReduce", hm_allreduce(1, 8)),
         (

@@ -5,7 +5,8 @@
 
 use crate::{fmt_bytes, print_table, MB};
 use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather};
-use rescc_backends::{Backend, MscclBackend};
+use rescc_backends::Backend;
+use rescc_kernel::ExecMode;
 use rescc_topology::Topology;
 
 /// Regenerate Figure 3.
@@ -14,11 +15,11 @@ pub fn run() {
     // The Fig. 3 experiment isolates runtime overhead on the minimal
     // (single-channel) instance, where per-invocation interpretation sits
     // on the critical path instead of hiding behind channel parallelism.
-    let interpreted = MscclBackend {
+    let interpreted = Backend::Msccl {
         n_channels: 1,
-        ..MscclBackend::default()
+        interpreter_overhead_ns: ExecMode::default_interpreter().overhead_ns(),
     };
-    let direct = MscclBackend {
+    let direct = Backend::Msccl {
         n_channels: 1,
         interpreter_overhead_ns: 0.0,
     };

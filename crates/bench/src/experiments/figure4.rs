@@ -9,7 +9,7 @@
 
 use crate::{print_table, MB};
 use rescc_algos::ring_allgather;
-use rescc_backends::{Backend, NcclBackend};
+use rescc_backends::Backend;
 use rescc_topology::{ClusterSpec, FabricParams, LinkParams, Topology};
 
 /// Regenerate Figure 4.
@@ -35,7 +35,7 @@ pub fn run() {
     let mut rows = Vec::new();
     let mut best = (0u32, 0.0f64);
     for tbs in 1..=12u32 {
-        let backend = NcclBackend { n_channels: tbs };
+        let backend = Backend::Nccl { n_channels: tbs };
         let rep = backend
             .run_unchecked(&spec, &topo, buffer, MB)
             .expect("figure4 run");

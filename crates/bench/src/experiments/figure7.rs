@@ -9,14 +9,14 @@ use crate::{buffer_sweep, fmt_bytes, print_table, MB};
 use rescc_algos::{
     taccl_like_allgather, taccl_like_allreduce, teccl_like_allgather, teccl_like_allreduce,
 };
-use rescc_backends::{Backend, MscclBackend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, cases: &[(&str, AlgoSpec)], topo: &Topology) {
     let buffers = buffer_sweep();
-    let msccl = MscclBackend::default();
-    let resccl = RescclBackend::default();
+    let msccl = Backend::msccl();
+    let resccl = Backend::resccl();
     let mut rows = Vec::new();
     for buffer in &buffers {
         let mut row = vec![fmt_bytes(*buffer)];

@@ -7,14 +7,14 @@
 
 use crate::{buffer_sweep, fmt_bytes, print_table, MB};
 use rescc_algos::{taccl_like_allgather, taccl_like_allreduce};
-use rescc_backends::{Backend, MscclBackend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, spec: &AlgoSpec, topo: &Topology) {
     let buffers = buffer_sweep();
-    let msccl = MscclBackend::default();
-    let resccl = RescclBackend::default();
+    let msccl = Backend::msccl();
+    let resccl = Backend::resccl();
     let rows: Vec<Vec<String>> = buffers
         .iter()
         .map(|buffer| {

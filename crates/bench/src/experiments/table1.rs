@@ -9,13 +9,13 @@ use crate::{fmt_bytes, pct, print_table, MB};
 use rescc_algos::{
     hm_allgather, hm_allreduce, taccl_like_allgather, taccl_like_allreduce, teccl_like_allgather,
 };
-use rescc_backends::{Backend, MscclBackend};
+use rescc_backends::Backend;
 use rescc_topology::Topology;
 
 /// Regenerate Table 1.
 pub fn run() {
     let buffer = 256 * MB;
-    let backend = MscclBackend::default();
+    let backend = Backend::msccl();
     let mut rows = Vec::new();
     for nodes in [1u32, 2, 4] {
         let g = 8;

@@ -9,7 +9,7 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather, taccl_like_allreduce};
-use rescc_backends::{Backend, MscclBackend, RescclBackend, RunReport};
+use rescc_backends::{Backend, RunReport};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
@@ -43,12 +43,12 @@ pub fn run() {
         ("Synth AllReduce", taccl_like_allreduce),
         ("Synth AllGather", taccl_like_allgather),
     ];
-    let msccl = MscclBackend::default();
-    let resccl = RescclBackend::default();
+    let msccl = Backend::msccl();
+    let resccl = Backend::resccl();
 
     for (algo_name, make) in algos {
         let mut rows = Vec::new();
-        for (backend_name, backend) in [("MSCCL", &msccl as &dyn Backend), ("ResCCL", &resccl)] {
+        for (backend_name, backend) in [("MSCCL", &msccl), ("ResCCL", &resccl)] {
             for metric in 0..4usize {
                 let metric_name = ["# TB", "Comm Time", "Avg Idle", "Max Idle"][metric];
                 let mut row = vec![backend_name.to_string(), metric_name.to_string()];

@@ -165,10 +165,9 @@ pub fn backend_panel_with(
     topo: &Topology,
     buffers: &[u64],
 ) {
-    use rescc_backends::{MscclBackend, NcclBackend, RescclBackend};
-    let nccl = NcclBackend::default();
-    let msccl = MscclBackend::default();
-    let resccl = RescclBackend::default();
+    let nccl = Backend::nccl();
+    let msccl = Backend::msccl();
+    let resccl = Backend::resccl();
     let mut rows: Vec<Option<Vec<String>>> = vec![None; buffers.len()];
     std::thread::scope(|scope| {
         for (i, slot) in rows.iter_mut().enumerate() {

@@ -79,8 +79,8 @@ pub enum Lowering {
     Fused,
     /// NCCL/MSCCL: connection-based TBs and a micro-batch-major kernel with
     /// one barrier group per stage of step bands ([`StagePartition`]); each
-    /// stage iterates its micro-batches lazily. Rigid plans run without
-    /// early release ([`SimConfig::rigid`]).
+    /// stage iterates its micro-batches lazily. The barrier groups make the
+    /// simulator hold every TB of a rigid plan until the kernel finishes.
     Rigid {
         /// Parallel channels per connection.
         n_channels: u32,

@@ -5,7 +5,7 @@
 //! lives with that reference, in the plan-service experiment.
 
 use rescc_algos::{hm_allreduce, seed_suite};
-use rescc_backends::{Backend, MscclBackend, NcclBackend};
+use rescc_backends::Backend;
 use rescc_core::{
     plan_cost_bytes, plan_fingerprint, CacheEventKind, Compiler, LintGate, Lowering, PlanCache,
     SchedulerChoice, SHARD_COUNT,
@@ -513,22 +513,21 @@ fn in_flight_compile_publishes_despite_eviction_pressure() {
 /// default, fused, round-robin, NCCL at 4 and 12 channels, and MSCCL as
 /// shipped, with one channel, and without interpreter overhead.
 fn eight_compilers() -> Vec<Compiler> {
-    let msccl = MscclBackend::default();
     vec![
         Compiler::new(),
         Compiler::new().with_fusion(),
         Compiler::new().with_round_robin(),
-        NcclBackend::default().compiler(),
-        NcclBackend { n_channels: 12 }.compiler(),
-        msccl.compiler(),
-        MscclBackend {
+        Backend::nccl().compiler(),
+        Backend::Nccl { n_channels: 12 }.compiler(),
+        Backend::msccl().compiler(),
+        Backend::Msccl {
             n_channels: 1,
-            ..msccl.clone()
+            interpreter_overhead_ns: 9_000.0,
         }
         .compiler(),
-        MscclBackend {
+        Backend::Msccl {
+            n_channels: 4,
             interpreter_overhead_ns: 0.0,
-            ..msccl
         }
         .compiler(),
     ]

@@ -11,10 +11,6 @@ pub struct SimConfig {
     /// (machine-checked correctness). Costs memory proportional to
     /// `micro_batches × ranks × chunks`.
     pub validate_data: bool,
-    /// Flexible TB release (ResCCL): a TB stops occupying its SM when its
-    /// last invocation completes. When false (rigid NCCL/MSCCL model), all
-    /// TBs occupy SMs until the whole kernel finishes.
-    pub early_release: bool,
     /// Fault injection: multiply each transfer's startup latency by
     /// `1 + jitter_frac · U[0,1)`. Zero disables jitter. Must lie in
     /// `[0, 1]` (checked at run time).
@@ -44,7 +40,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             validate_data: true,
-            early_release: true,
             jitter_frac: 0.0,
             seed: 0,
             faults: FaultTimeline::new(),
@@ -56,15 +51,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The rigid-baseline configuration (NCCL/MSCCL-style): no early
-    /// release.
-    pub fn rigid() -> Self {
-        Self {
-            early_release: false,
-            ..Self::default()
-        }
-    }
-
     /// Disable data validation (for large-scale bandwidth sweeps where the
     /// value tracking memory would dominate).
     pub fn without_validation(mut self) -> Self {

@@ -4,7 +4,8 @@
 //! (processor-sharing) bandwidth arbitration implementing Eq. (1):
 //!
 //! * every transfer first spends its startup latency `α` (plus interpreter
-//!   overhead and cross-rack hops) without occupying link capacity,
+//!   overhead; cross-rack and relay hops are not charged) without
+//!   occupying link capacity,
 //! * it then *drains* its bytes at a dynamic rate — the minimum, over all
 //!   capacity resources on its path, of that resource's effective bandwidth
 //!   divided by the number of concurrent drains (`effective_bandwidth(z)`
@@ -1367,10 +1368,12 @@ impl<'a> Engine<'a> {
                 busy_ns: tb.busy,
                 sync_ns: tb.sync,
                 release_ns: tb.release,
-                occupancy_ns: if self.config.early_release {
-                    tb.release
-                } else {
+                // Barrier groups mark a rigid (NCCL/MSCCL) kernel, whose
+                // TBs hold their SMs until the whole kernel finishes.
+                occupancy_ns: if self.program.barrier_groups.is_some() {
                     completion
+                } else {
+                    tb.release
                 },
                 n_invocations: tb.n_inv,
             })
@@ -1741,8 +1744,10 @@ impl<'a> Engine<'a> {
             None
         };
 
-        // Startup latency: α of the slowest conflict resource + extra path
-        // latency + interpreter overhead + optional jitter.
+        // Startup latency: α of the slowest conflict resource + interpreter
+        // overhead + optional jitter. A route's own extra latency (a
+        // cross-rack hop, an NVSwitch relay) is not in the DAG and is not
+        // charged.
         let alpha = if fp != NONE {
             // Fused recvCopySend: the forward starts inside the previous
             // primitive's epilogue — no fresh startup latency.

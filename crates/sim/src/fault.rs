@@ -225,43 +225,9 @@ impl FaultTimeline {
         Ok(())
     }
 
-    /// A seeded random timeline whose resources **all recover**: flaps with
-    /// short down windows, brownouts, and bounded straggler windows — never
-    /// a permanent kill. The same seed always yields the same timeline;
-    /// with a retrying dispatcher on top, any such timeline must end in a
-    /// correct collective (the recovery property the test suite asserts).
-    pub fn seeded_recovering(seed: u64, n_resources: u32, n_ranks: u32, horizon_ns: f64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tl = Self::new();
-        let n_events = 1 + rng.gen_range(0..3);
-        for _ in 0..n_events {
-            let at = 0.05 * horizon_ns + 0.5 * horizon_ns * rng.gen::<f64>();
-            match rng.gen_range(0..3) {
-                0 => {
-                    let res = ResourceId::new(rng.gen_range(0..n_resources as u64) as u32);
-                    let down = 50_000.0 + 100_000.0 * rng.gen::<f64>(); // 50–150 µs
-                    let up = 200_000.0 + 200_000.0 * rng.gen::<f64>();
-                    let cycles = 1 + rng.gen_range(0..2) as u32;
-                    tl = tl.flap(res, at, down, up, cycles);
-                }
-                1 => {
-                    let res = ResourceId::new(rng.gen_range(0..n_resources as u64) as u32);
-                    let factor = 0.2 + 0.6 * rng.gen::<f64>();
-                    tl = tl.brownout(res, at, factor, 0.3 * horizon_ns);
-                }
-                _ => {
-                    let rank = rng.gen_range(0..n_ranks as u64) as u32;
-                    let mult = 1.5 + 2.0 * rng.gen::<f64>();
-                    tl = tl.straggler(rank, at, mult, 0.2 * horizon_ns);
-                }
-            }
-        }
-        tl
-    }
-
-    /// A seeded random *chaos* timeline: like
-    /// [`seeded_recovering`](Self::seeded_recovering) but with permanent
-    /// kills and killed-then-restored outages in the mix — the full fault
+    /// A seeded random *chaos* timeline: flaps, brownouts and straggler
+    /// windows with permanent kills and killed-then-restored outages in
+    /// the mix — the full fault
     /// vocabulary a recovery stack must survive (retry, frontier resume,
     /// mask + recompile, heal). Deterministic per seed. Kills target
     /// resources below `n_resources`; a chaos campaign composes this with
@@ -383,21 +349,5 @@ mod tests {
                 .filter_map(|e| e.fault.resource())
                 .any(|r| tl.is_permanent_down(r))
         }));
-    }
-
-    #[test]
-    fn seeded_timeline_is_deterministic_and_recovering() {
-        let a = FaultTimeline::seeded_recovering(7, 40, 8, 1e6);
-        let b = FaultTimeline::seeded_recovering(7, 40, 8, 1e6);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        assert!(a.validate(40, 8).is_ok());
-        for e in a.events() {
-            if let Some(r) = e.fault.resource() {
-                assert!(!a.is_permanent_down(r), "resource {r} never recovers");
-            }
-        }
-        let c = FaultTimeline::seeded_recovering(8, 40, 8, 1e6);
-        assert_ne!(a, c);
     }
 }

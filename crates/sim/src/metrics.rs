@@ -22,7 +22,7 @@ pub struct TbStat {
     pub release_ns: f64,
     /// The window during which the TB occupied an SM, ns. Equals
     /// `release_ns` under flexible (early) release, or the whole kernel
-    /// duration under rigid allocation.
+    /// duration for a rigid program (one with barrier groups).
     pub occupancy_ns: f64,
     /// Number of primitive invocations executed.
     pub n_invocations: u64,

@@ -115,7 +115,9 @@ pub struct Connection {
     pub path: ResourceSet,
     /// Cost parameters of the bottleneck link on this path.
     pub params: LinkParams,
-    /// Extra one-way latency beyond `params.alpha_ns` (cross-rack hops).
+    /// Extra one-way latency beyond `params.alpha_ns` (cross-rack hops,
+    /// NVSwitch relays). The DAG keeps only the resource sets, so neither
+    /// the simulator nor RA007 charges it yet.
     pub extra_latency_ns: f64,
 }
 

@@ -4,18 +4,19 @@
 //! Megatron-style GPT-3 (tensor parallel) and T5 (data parallel) training
 //! whose collective times come from the simulated CCL backends, including
 //! the SM-contention coupling between communication TB footprint and
-//! compute throughput. Each collective runs on the chosen CCL's backend
-//! (`NcclBackend`, `MscclBackend` or `RescclBackend` from `rescc-backends`),
-//! compiled per call, verified and deny-gated like every backend plan;
-//! the model keeps no state between calls.
+//! compute throughput. Each collective runs on the given
+//! [`Backend`](rescc_backends::Backend), compiled per call, verified and
+//! deny-gated like every backend plan; the model keeps no state between
+//! calls.
 //!
 //! ```no_run
-//! use rescc_train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
+//! use rescc_backends::Backend;
+//! use rescc_train::{train_throughput, ModelConfig, ParallelConfig};
 //!
 //! let report = train_throughput(
 //!     &ModelConfig::gpt3("6.7B").unwrap(),
 //!     &ParallelConfig::gpt3(2, 16),
-//!     CclChoice::Resccl,
+//!     &Backend::resccl(),
 //! ).unwrap();
 //! println!("{:.1} samples/s", report.samples_per_s);
 //! ```
@@ -27,4 +28,4 @@ mod model;
 mod sim;
 
 pub use model::{Family, ModelConfig, ParallelConfig, UnknownModelSize};
-pub use sim::{train_throughput, CclChoice, TrainReport};
+pub use sim::{train_throughput, TrainReport};

@@ -15,31 +15,9 @@
 
 use crate::model::{ModelConfig, ParallelConfig};
 use rescc_algos::{hm_allreduce, nccl_rings_allreduce};
-use rescc_backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc_backends::Backend;
 use rescc_sim::SimResult;
 use rescc_topology::Topology;
-
-/// Which CCL backend Megatron links against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CclChoice {
-    /// Native Megatron: NCCL with ring algorithms.
-    Nccl,
-    /// Megatron + MSCCL running the custom HM algorithms.
-    Msccl,
-    /// Megatron + ResCCL running the custom HM algorithms.
-    Resccl,
-}
-
-impl CclChoice {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CclChoice::Nccl => "nccl",
-            CclChoice::Msccl => "msccl",
-            CclChoice::Resccl => "resccl",
-        }
-    }
-}
 
 /// Effective per-GPU compute throughput (FLOP/s) after kernel efficiency:
 /// A100 bf16 peak 312 TFLOP/s at ≈45% MFU.
@@ -74,11 +52,11 @@ pub struct TrainReport {
 }
 
 /// Simulate the throughput of one (model, parallelism, backend) cell of
-/// Fig. 13.
+/// Fig. 13: Megatron linked against `backend`.
 pub fn train_throughput(
     model: &ModelConfig,
     par: &ParallelConfig,
-    ccl: CclChoice,
+    backend: &Backend,
 ) -> SimResult<TrainReport> {
     // ---- Compute -------------------------------------------------------
     let tokens = par.global_batch as u64 * model.seq_len as u64;
@@ -88,17 +66,12 @@ pub fn train_throughput(
     let compute_s = flops_per_gpu / GPU_FLOPS;
 
     // ---- Collectives ---------------------------------------------------
-    let backend: Box<dyn Backend> = match ccl {
-        CclChoice::Nccl => Box::new(NcclBackend::default()),
-        CclChoice::Msccl => Box::new(MscclBackend::default()),
-        CclChoice::Resccl => Box::new(RescclBackend::default()),
-    };
-    let algo_for = |n_nodes: u32, gpn: u32| match ccl {
+    let algo_for = |n_nodes: u32, gpn: u32| match backend {
         // Native Megatron/NCCL runs its standard multi-ring AllReduce (one
         // ring per NIC); the custom-algorithm backends run the HM AllReduce
         // of Appendix A.
-        CclChoice::Nccl => nccl_rings_allreduce(n_nodes, gpn, (gpn / 2).max(1)),
-        CclChoice::Msccl | CclChoice::Resccl => hm_allreduce(n_nodes, gpn),
+        Backend::Nccl { .. } => nccl_rings_allreduce(n_nodes, gpn, (gpn / 2).max(1)),
+        Backend::Msccl { .. } | Backend::Resccl(_) => hm_allreduce(n_nodes, gpn),
     };
 
     // Tensor-parallel activation AllReduce: 4 per layer per iteration
@@ -148,7 +121,7 @@ pub fn train_throughput(
     let iter_s = compute_s + contention_s + tp_comm_s + dp_exposed_s;
     Ok(TrainReport {
         model: model.name.clone(),
-        backend: ccl.name().to_string(),
+        backend: backend.name().to_string(),
         compute_s,
         tp_comm_s,
         dp_exposed_s,
@@ -167,9 +140,9 @@ mod tests {
         // Fig. 13(a): ResCCL > native NCCL and > MSCCL variant.
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let r = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
-        let n = train_throughput(&model, &par, CclChoice::Nccl).unwrap();
-        let m = train_throughput(&model, &par, CclChoice::Msccl).unwrap();
+        let r = train_throughput(&model, &par, &Backend::resccl()).unwrap();
+        let n = train_throughput(&model, &par, &Backend::nccl()).unwrap();
+        let m = train_throughput(&model, &par, &Backend::msccl()).unwrap();
         assert!(
             r.samples_per_s > n.samples_per_s,
             "resccl {} <= nccl {}",
@@ -188,8 +161,8 @@ mod tests {
     fn t5_throughput_orders_backends() {
         let model = ModelConfig::t5("770M").unwrap();
         let par = ParallelConfig::t5(16, 16);
-        let r = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
-        let n = train_throughput(&model, &par, CclChoice::Nccl).unwrap();
+        let r = train_throughput(&model, &par, &Backend::resccl()).unwrap();
+        let n = train_throughput(&model, &par, &Backend::nccl()).unwrap();
         assert!(r.samples_per_s > n.samples_per_s);
     }
 
@@ -197,7 +170,7 @@ mod tests {
     fn iteration_time_decomposes() {
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let rep = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
+        let rep = train_throughput(&model, &par, &Backend::resccl()).unwrap();
         let sum = rep.compute_s + rep.contention_s + rep.tp_comm_s + rep.dp_exposed_s;
         assert!((rep.iter_s - sum).abs() < 1e-12);
         assert!(rep.compute_s > 0.0 && rep.tp_comm_s > 0.0);
@@ -207,18 +180,17 @@ mod tests {
     fn repeated_iterations_are_identical() {
         let model = ModelConfig::gpt3("6.7B").unwrap();
         let par = ParallelConfig::gpt3(2, 16);
-        let a = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
-        let b = train_throughput(&model, &par, CclChoice::Resccl).unwrap();
+        let a = train_throughput(&model, &par, &Backend::resccl()).unwrap();
+        let b = train_throughput(&model, &par, &Backend::resccl()).unwrap();
         assert_eq!(a, b, "two identical iterations must report the same");
     }
 
     #[test]
     fn bigger_models_are_slower() {
         let par = ParallelConfig::gpt3(4, 32);
-        let small =
-            train_throughput(&ModelConfig::gpt3("6.7B").unwrap(), &par, CclChoice::Resccl).unwrap();
-        let big =
-            train_throughput(&ModelConfig::gpt3("45B").unwrap(), &par, CclChoice::Resccl).unwrap();
+        let resccl = Backend::resccl();
+        let small = train_throughput(&ModelConfig::gpt3("6.7B").unwrap(), &par, &resccl).unwrap();
+        let big = train_throughput(&ModelConfig::gpt3("45B").unwrap(), &par, &resccl).unwrap();
         assert!(small.samples_per_s > big.samples_per_s);
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use rescc::algos::{hm_allgather, hm_allreduce, taccl_like_allreduce};
-use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::backends::Backend;
 use rescc::topology::Topology;
 
 fn main() {
@@ -15,11 +15,7 @@ fn main() {
     let buffer = 512u64 << 20;
     let chunk = 1u64 << 20;
 
-    let backends: Vec<Box<dyn Backend>> = vec![
-        Box::new(NcclBackend::default()),
-        Box::new(MscclBackend::default()),
-        Box::new(RescclBackend::default()),
-    ];
+    let backends = [Backend::nccl(), Backend::msccl(), Backend::resccl()];
 
     for (label, spec) in [
         ("expert HM-AllGather", hm_allgather(2, 8)),

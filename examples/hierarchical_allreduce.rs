@@ -8,7 +8,7 @@
 //! ```
 
 use rescc::algos::hm_allreduce;
-use rescc::backends::{Backend, NcclBackend};
+use rescc::backends::Backend;
 use rescc::core::Compiler;
 use rescc::topology::Topology;
 
@@ -49,7 +49,7 @@ fn main() {
     // State-based TB merging vs the rigid connection-based scheme.
     // NCCL's by-step schedule oversubscribes links by design, which RA003
     // reports as a warning, so the plan passes the deny gate.
-    let rigid = NcclBackend::default()
+    let rigid = Backend::nccl()
         .compiler()
         .compile_spec(&algo, &topo)
         .expect("compiles");

@@ -6,7 +6,8 @@
 //! cargo run --release --example megatron_training
 //! ```
 
-use rescc::train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
+use rescc::backends::Backend;
+use rescc::train::{train_throughput, ModelConfig, ParallelConfig};
 
 fn main() {
     println!("=== GPT-3 (tensor parallel, TP=8) ===");
@@ -21,17 +22,17 @@ fn main() {
         } else {
             ParallelConfig::gpt3(4, 32)
         };
-        let cell = |ccl| {
-            let r = train_throughput(&model, &par, ccl).expect("train sim");
+        let cell = |backend| {
+            let r = train_throughput(&model, &par, &backend).expect("train sim");
             format!("{:.2} samp/s ({:.0}ms it)", r.samples_per_s, r.iter_s * 1e3)
         };
         println!(
             "{:<12} {:>8} {:>22} {:>22} {:>22}",
             model.name,
             par.n_gpus(),
-            cell(CclChoice::Nccl),
-            cell(CclChoice::Msccl),
-            cell(CclChoice::Resccl)
+            cell(Backend::nccl()),
+            cell(Backend::msccl()),
+            cell(Backend::resccl())
         );
     }
 
@@ -39,8 +40,8 @@ fn main() {
     for size in ["220M", "770M", "3B"] {
         let model = ModelConfig::t5(size).expect("known preset");
         let par = ParallelConfig::t5(16, 16);
-        let n = train_throughput(&model, &par, CclChoice::Nccl).expect("train sim");
-        let r = train_throughput(&model, &par, CclChoice::Resccl).expect("train sim");
+        let n = train_throughput(&model, &par, &Backend::nccl()).expect("train sim");
+        let r = train_throughput(&model, &par, &Backend::resccl()).expect("train sim");
         println!(
             "{:<8} NCCL {:>7.2} samp/s -> ResCCL {:>7.2} samp/s ({:+.1}%); \
              breakdown: compute {:.0}ms, exposed DP comm {:.0}ms -> {:.0}ms",

@@ -4,7 +4,7 @@
 use rescc::algos::{
     hm_allgather, hm_allreduce, nccl_rings_allreduce, taccl_like_allgather, taccl_like_allreduce,
 };
-use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::backends::Backend;
 use rescc::core::Compiler;
 use rescc::topology::Topology;
 
@@ -14,8 +14,8 @@ const MB: u64 = 1 << 20;
 fn resccl_wins_at_large_buffers_across_shapes() {
     // Figs. 6/8: for every tested shape, large-buffer HM collectives run
     // faster on ResCCL than on the MSCCL model.
-    let resccl = RescclBackend::default();
-    let msccl = MscclBackend::default();
+    let resccl = Backend::resccl();
+    let msccl = Backend::msccl();
     for (nodes, g) in [(2u32, 4u32), (2, 8), (4, 4)] {
         let topo = Topology::a100(nodes, g);
         for spec in [hm_allgather(nodes, g), hm_allreduce(nodes, g)] {
@@ -37,8 +37,8 @@ fn resccl_wins_at_large_buffers_across_shapes() {
 fn resccl_tb_budget_always_smaller() {
     // Table 3: state-based allocation always launches fewer TBs than the
     // 4-channel connection-based allocation running the same algorithm.
-    let resccl = RescclBackend::default();
-    let msccl = MscclBackend::default();
+    let resccl = Backend::resccl();
+    let msccl = Backend::msccl();
     for (nodes, g) in [(2u32, 4u32), (2, 8), (4, 4), (4, 8)] {
         let topo = Topology::a100(nodes, g);
         for spec in [
@@ -62,8 +62,8 @@ fn resccl_tb_budget_always_smaller() {
 
 #[test]
 fn resccl_avg_idle_always_lower_on_expert_algorithms() {
-    let resccl = RescclBackend::default();
-    let msccl = MscclBackend::default();
+    let resccl = Backend::resccl();
+    let msccl = Backend::msccl();
     for (nodes, g) in [(2u32, 4u32), (2, 8), (4, 4)] {
         let topo = Topology::a100(nodes, g);
         let spec = hm_allreduce(nodes, g);
@@ -83,10 +83,10 @@ fn interpreter_overhead_is_in_paper_range() {
     // Fig. 3: the interpreter costs a double-digit percentage, not 2x.
     let topo = Topology::a100(2, 8);
     let spec = hm_allgather(2, 8);
-    let interpreted = MscclBackend::default();
-    let direct = MscclBackend {
+    let interpreted = Backend::msccl();
+    let direct = Backend::Msccl {
+        n_channels: 4,
         interpreter_overhead_ns: 0.0,
-        ..MscclBackend::default()
     };
     let ti = interpreted
         .run_unchecked(&spec, &topo, 256 * MB, MB)
@@ -109,11 +109,7 @@ fn interpreter_overhead_is_in_paper_range() {
 fn backends_are_deterministic() {
     let topo = Topology::a100(2, 4);
     let spec = hm_allreduce(2, 4);
-    for backend in [
-        &NcclBackend::default() as &dyn Backend,
-        &MscclBackend::default(),
-        &RescclBackend::default(),
-    ] {
+    for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
         let a = backend.run_unchecked(&spec, &topo, 64 * MB, MB).unwrap();
         let b = backend.run_unchecked(&spec, &topo, 64 * MB, MB).unwrap();
         assert_eq!(a.sim, b.sim, "{} is nondeterministic", backend.name());
@@ -126,7 +122,7 @@ fn nccl_multiring_beats_flat_ring_across_nodes() {
     // per NIC) must beat a single flat ring that funnels all inter-node
     // traffic through one NIC pair.
     let topo = Topology::a100(2, 8);
-    let nccl = NcclBackend::default();
+    let nccl = Backend::nccl();
     let multi = nccl_rings_allreduce(2, 8, 4);
     let flat = nccl_rings_allreduce(2, 8, 1);
     let tm = nccl.run_unchecked(&multi, &topo, 512 * MB, MB).unwrap();
@@ -146,8 +142,8 @@ fn small_buffers_shrink_resccl_advantage() {
     // at 8 MB.
     let topo = Topology::a100(2, 8);
     let spec = hm_allreduce(2, 8);
-    let resccl = RescclBackend::default();
-    let msccl = MscclBackend::default();
+    let resccl = Backend::resccl();
+    let msccl = Backend::msccl();
     let speedup = |buffer: u64| {
         let r = resccl.run_unchecked(&spec, &topo, buffer, MB).unwrap();
         let m = msccl.run_unchecked(&spec, &topo, buffer, MB).unwrap();

@@ -8,15 +8,12 @@
 
 use rescc::algos::{seed_suite, taccl_like_allgather, taccl_like_allreduce};
 use rescc::analyze::{LintCode, Severity};
-use rescc::backends::{Backend, MscclBackend, NcclBackend, DEFAULT_CHUNK_BYTES};
+use rescc::backends::{Backend, DEFAULT_CHUNK_BYTES};
 use rescc::topology::Topology;
 
 #[test]
 fn baseline_plans_are_correct_and_only_oversubscribe() {
-    let backends: [(&str, &dyn Backend); 2] = [
-        ("nccl", &NcclBackend::default()),
-        ("msccl", &MscclBackend::default()),
-    ];
+    let backends = [("nccl", Backend::nccl()), ("msccl", Backend::msccl())];
     let topos = [
         Topology::a100(1, 4),
         Topology::a100(1, 8),
@@ -35,7 +32,7 @@ fn baseline_plans_are_correct_and_only_oversubscribe() {
         for spec in suite {
             specs += 1;
             let mut rejected = None;
-            for (name, backend) in backends {
+            for (name, backend) in &backends {
                 let case = format!("{name}/{}/{}", topo.name(), spec.name());
                 // The default compiler: verified, deny-gated.
                 let plan = backend

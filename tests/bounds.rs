@@ -7,7 +7,7 @@
 
 use metrics::{bottleneck_resource_ns, critical_path_ns, lower_bound_ns};
 use rescc::algos::{hm_allgather, hm_allreduce, ring_allgather, taccl_like_allgather};
-use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::backends::Backend;
 use rescc::ir::DepDag;
 use rescc::lang::{AlgoBuilder, AlgoSpec, OpType};
 use rescc::topology::Topology;
@@ -104,11 +104,11 @@ fn check_bounds(spec: &AlgoSpec, topo: &Topology) {
         * n_mb as f64;
 
     for backend in [
-        &RescclBackend::default() as &dyn Backend,
-        &NcclBackend::default(),
-        &MscclBackend {
+        Backend::resccl(),
+        Backend::nccl(),
+        Backend::Msccl {
+            n_channels: 4,
             interpreter_overhead_ns: 0.0,
-            ..MscclBackend::default()
         },
     ] {
         let rep = backend.run_unchecked(spec, topo, buffer, chunk).unwrap();

@@ -4,9 +4,9 @@
 //! collective on every topology it fits.
 
 use rescc::algos::*;
+use rescc::backends::Backend;
 use rescc::core::Compiler;
 use rescc::lang::AlgoSpec;
-use rescc::sim::SimConfig;
 use rescc::topology::Topology;
 
 const MB: u64 = 1 << 20;
@@ -111,16 +111,34 @@ fn compiled_plan_is_reusable_across_buffer_sizes() {
 }
 
 #[test]
-fn rigid_and_flexible_runs_agree_on_completion() {
-    // Early release changes occupancy accounting, never timing.
+fn rigid_plan_holds_every_tb_to_the_end() {
+    // TB release follows the plan: a rigid (NCCL) plan holds every TB's SM
+    // until the kernel finishes, however it is run; a ResCCL plan releases
+    // each TB after its last invocation.
     let topo = Topology::a100(2, 4);
-    let plan = Compiler::new()
-        .compile_spec(&hm_allgather(2, 4), &topo)
+    let spec = hm_allgather(2, 4);
+    let rigid = Backend::nccl()
+        .compiler()
+        .compile_spec(&spec, &topo)
+        .unwrap()
+        .run(64 * MB, MB)
         .unwrap();
-    let flex = plan.run_with(64 * MB, MB, &SimConfig::default()).unwrap();
-    let rigid = plan.run_with(64 * MB, MB, &SimConfig::rigid()).unwrap();
-    assert_eq!(flex.completion_ns, rigid.completion_ns);
-    let occ_flex: f64 = flex.tb_stats.iter().map(|t| t.occupancy_ns).sum();
-    let occ_rigid: f64 = rigid.tb_stats.iter().map(|t| t.occupancy_ns).sum();
-    assert!(occ_flex < occ_rigid);
+    for tb in rigid.tb_stats.iter().filter(|tb| tb.n_invocations > 0) {
+        assert_eq!(
+            tb.occupancy_ns, rigid.completion_ns,
+            "r{}tb{}",
+            tb.rank, tb.tb
+        );
+    }
+    let via_backend = Backend::nccl().run(&spec, &topo, 64 * MB, MB).unwrap();
+    assert_eq!(via_backend.sim, rigid);
+
+    let flexible = Compiler::new()
+        .compile_spec(&spec, &topo)
+        .unwrap()
+        .run(64 * MB, MB)
+        .unwrap();
+    for tb in &flexible.tb_stats {
+        assert_eq!(tb.occupancy_ns, tb.release_ns, "r{}tb{}", tb.rank, tb.tb);
+    }
 }

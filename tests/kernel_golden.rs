@@ -12,7 +12,7 @@
 //! prints the table the current code produces.
 
 use rescc::algos::seed_suite;
-use rescc::backends::{Backend, MscclBackend, NcclBackend};
+use rescc::backends::Backend;
 use rescc::core::{Compiler, LintGate};
 use rescc::topology::Topology;
 
@@ -29,8 +29,8 @@ fn lowerings() -> [(&'static str, Compiler); 4] {
     [
         ("state", warn(Compiler::new())),
         ("fused", warn(Compiler::new().with_fusion())),
-        ("nccl", warn(NcclBackend::default().compiler())),
-        ("msccl", warn(MscclBackend::default().compiler())),
+        ("nccl", warn(Backend::nccl().compiler())),
+        ("msccl", warn(Backend::msccl().compiler())),
     ]
 }
 

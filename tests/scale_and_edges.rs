@@ -4,7 +4,7 @@
 //! rings.
 
 use rescc::algos::{hm_allreduce, nccl_rings_allreduce, ring_allgather};
-use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::backends::Backend;
 use rescc::core::Compiler;
 use rescc::topology::Topology;
 
@@ -16,11 +16,7 @@ fn single_micro_batch_everywhere() {
     // all; everything must still be correct.
     let topo = Topology::a100(2, 4);
     let spec = hm_allreduce(2, 4);
-    for backend in [
-        &NcclBackend::default() as &dyn Backend,
-        &MscclBackend::default(),
-        &RescclBackend::default(),
-    ] {
+    for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
         let rep = backend.run(&spec, &topo, 4 * MB, MB).unwrap();
         assert_eq!(rep.sim.n_micro_batches, 1, "{}", backend.name());
         assert_eq!(rep.sim.data_valid, Some(true), "{}", backend.name());
@@ -33,7 +29,7 @@ fn more_channels_than_micro_batches() {
     // (their micro-batch window is empty) and must not deadlock the run.
     let topo = Topology::a100(2, 4);
     let spec = hm_allreduce(2, 4);
-    let backend = NcclBackend { n_channels: 8 };
+    let backend = Backend::Nccl { n_channels: 8 };
     let rep = backend.run(&spec, &topo, 16 * MB, MB).unwrap();
     assert_eq!(rep.sim.data_valid, Some(true));
     // Idle channel TBs still occupy SMs under the rigid model.
@@ -46,7 +42,7 @@ fn tiny_chunk_many_micro_batches() {
     // dominated regime.
     let topo = Topology::a100(1, 4);
     let spec = ring_allgather(4);
-    let rep = RescclBackend::default()
+    let rep = Backend::resccl()
         .run(&spec, &topo, 8 * MB, 64 << 10)
         .unwrap();
     assert_eq!(rep.sim.n_micro_batches, 32);
@@ -71,7 +67,7 @@ fn fused_execution_on_multinode_rings() {
     // Fusion + chain merging across NIC boundaries, with validation.
     let topo = Topology::a100(2, 8);
     let spec = nccl_rings_allreduce(2, 8, 4);
-    let rep = RescclBackend::with_fusion()
+    let rep = Backend::Resccl(Compiler::new().with_fusion())
         .run(&spec, &topo, 64 * MB, MB)
         .unwrap();
     assert_eq!(rep.sim.data_valid, Some(true));
@@ -83,9 +79,7 @@ fn odd_buffer_sizes_with_ragged_tails() {
     let topo = Topology::a100(1, 8);
     let spec = ring_allgather(8);
     for buffer in [17 * MB, 100 * MB + 12345, 3 * MB] {
-        let rep = RescclBackend::default()
-            .run(&spec, &topo, buffer, MB)
-            .unwrap();
+        let rep = Backend::resccl().run(&spec, &topo, buffer, MB).unwrap();
         assert_eq!(rep.sim.data_valid, Some(true), "buffer {buffer}");
     }
 }
@@ -94,8 +88,6 @@ fn odd_buffer_sizes_with_ragged_tails() {
 fn two_rank_minimum() {
     let topo = Topology::a100(1, 2);
     let spec = ring_allgather(2);
-    let rep = RescclBackend::default()
-        .run(&spec, &topo, 8 * MB, MB)
-        .unwrap();
+    let rep = Backend::resccl().run(&spec, &topo, 8 * MB, MB).unwrap();
     assert_eq!(rep.sim.data_valid, Some(true));
 }

@@ -11,11 +11,11 @@
 //! produces.
 
 use rescc::algos::{hm_allreduce, ring_allgather, seed_suite};
-use rescc::backends::{Backend, MscclBackend, NcclBackend, RescclBackend};
+use rescc::backends::Backend;
 use rescc::core::{Compiler, LintGate};
 use rescc::sim::{FaultTimeline, SimConfig, SimResult};
 use rescc::topology::{ClusterSpec, FabricParams, LinkParams, Rank, Topology};
-use rescc::train::{train_throughput, CclChoice, ModelConfig, ParallelConfig};
+use rescc::train::{train_throughput, ModelConfig, ParallelConfig};
 use std::fmt::Debug;
 
 const MB: u64 = 1 << 20;
@@ -129,25 +129,25 @@ fn oversubscribed_p2p() -> Topology {
 #[test]
 fn backends() {
     let topo = Topology::a100(2, 4);
-    let msccl_1ch = MscclBackend {
+    let msccl_1ch = |interpreter_overhead_ns| Backend::Msccl {
         n_channels: 1,
-        ..MscclBackend::default()
+        interpreter_overhead_ns,
     };
-    let backends: [(&str, Box<dyn Backend>); 8] = [
-        ("nccl", Box::new(NcclBackend::default())),
-        ("msccl", Box::new(MscclBackend::default())),
-        ("resccl-fused", Box::new(RescclBackend::with_fusion())),
-        ("resccl-rr", Box::new(RescclBackend::round_robin())),
-        ("msccl-1ch", Box::new(msccl_1ch.clone())),
+    let backends = [
+        ("nccl", Backend::nccl()),
+        ("msccl", Backend::msccl()),
         (
-            "msccl-1ch-direct",
-            Box::new(MscclBackend {
-                interpreter_overhead_ns: 0.0,
-                ..msccl_1ch
-            }),
+            "resccl-fused",
+            Backend::Resccl(Compiler::new().with_fusion()),
         ),
-        ("nccl-1ch", Box::new(NcclBackend { n_channels: 1 })),
-        ("nccl-12ch", Box::new(NcclBackend { n_channels: 12 })),
+        (
+            "resccl-rr",
+            Backend::Resccl(Compiler::new().with_round_robin()),
+        ),
+        ("msccl-1ch", msccl_1ch(9_000.0)),
+        ("msccl-1ch-direct", msccl_1ch(0.0)),
+        ("nccl-1ch", Backend::Nccl { n_channels: 1 }),
+        ("nccl-12ch", Backend::Nccl { n_channels: 12 }),
     ];
     let mut got = Vec::new();
     for (name, backend) in &backends {
@@ -344,10 +344,10 @@ fn train() {
     ];
     let mut got = Vec::new();
     for (model, par) in &cells {
-        for ccl in [CclChoice::Nccl, CclChoice::Msccl, CclChoice::Resccl] {
+        for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
             got.push((
-                format!("{}/{}", model.name, ccl.name()),
-                digest(&train_throughput(model, par, ccl)),
+                format!("{}/{}", model.name, backend.name()),
+                digest(&train_throughput(model, par, &backend)),
             ));
         }
     }
