@@ -1,7 +1,8 @@
-//! A NCCL-style convenience API: create a [`Communicator`] for a cluster
-//! once, then issue collectives by operator and size — algorithm selection,
-//! compilation and plan caching happen inside, the way a downstream user
-//! would actually consume the library.
+//! The one dispatch path, NCCL-style: create a [`Communicator`] for a
+//! cluster and a [`Backend`] once, then issue collectives by operator and
+//! size, or by spec and chunk size ([`Communicator::run_spec`]) for sweeps
+//! that pick their own algorithm. Compilation, plan caching, the watchdog
+//! and the dispatch record happen inside, for every backend.
 //!
 //! Algorithm selection policy (mirroring how vendor libraries pick):
 //!
@@ -12,7 +13,7 @@
 //!   intra-mesh + inter-ring) — the paper's expert choice for Clos
 //!   clusters.
 
-use crate::{RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYTES};
+use crate::{Backend, RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYTES};
 use rescc_algos::{
     hm_allgather, hm_allreduce, hm_reduce_scatter, recursive_halving_doubling_allreduce,
 };
@@ -56,15 +57,20 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// in a [`TopologyHealth`] overlay and recompile against the degraded
 /// topology, at most 4 times per call.
 ///
-/// A collective of zero bytes, or on a topology of fewer than two ranks,
-/// fails with [`SimError::InvalidConfig`] before any algorithm is selected.
+/// A collective on a topology of fewer than two ranks, of zero bytes or in
+/// zero-byte chunks fails with [`SimError::InvalidConfig`] before anything
+/// is planned.
 pub struct Communicator {
     topo: Topology,
-    /// Always `Compiler::new()`, whose gate is deny: every plan this
-    /// communicator dispatches, cached, delta-spliced or recompiled, has
-    /// passed the sanitize phase. The fingerprint covers the gate, so a
-    /// shared cache never hands over another tenant's warn-gated plan.
+    /// The backend's [`Backend::compiler`]. Every `Backend` constructor
+    /// gates deny, so every plan this communicator dispatches, cached,
+    /// delta-spliced or recompiled, has passed the sanitize phase. The
+    /// fingerprint covers the compiler options, so a shared cache never
+    /// hands one backend's plan to another, nor a warn-gated plan to a
+    /// deny-gated tenant.
     compiler: Compiler,
+    /// The backend's [`Backend::name`], for reports.
+    backend: &'static str,
     /// The plan cache, and through it the spec table
     /// ([`PlanCache::spec`]). Building a spec is not cheap (a 128-rank HM
     /// AllGather takes about 0.5 ms on a 2-vCPU host, some 4% of a cold
@@ -79,8 +85,9 @@ pub struct Communicator {
     /// Resources masked dead by permanent-fault recovery; sticky across
     /// calls, the way a real communicator remembers a dead link.
     health: TopologyHealth,
-    /// Validate collective data in the simulator (off by default, matching
-    /// the dispatch path's large-sweep configuration).
+    /// Validate collective data in the simulator. Off by default: it never
+    /// changes simulated times, and it would add about a fifth to the
+    /// event loop of every warm dispatch.
     validate: bool,
     /// Collect cross-layer observability: compile-phase and watchdog
     /// spans on [`RunReport::obs`], bubble attribution on the sim report.
@@ -90,15 +97,25 @@ pub struct Communicator {
 impl Communicator {
     /// Create a communicator over `topo` with the default ResCCL backend.
     pub fn new(topo: Topology) -> Self {
+        let backend = Backend::resccl();
         Self {
             topo,
-            compiler: Compiler::new(),
+            compiler: backend.compiler(),
+            backend: backend.name(),
             cache: Arc::new(PlanCache::new()),
             faults: FaultTimeline::new(),
             health: TopologyHealth::healthy(),
             validate: false,
             observe: false,
         }
+    }
+
+    /// Dispatch every collective through `backend`'s compiler, and name it
+    /// in every report.
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.compiler = backend.compiler();
+        self.backend = backend.name();
+        self
     }
 
     /// Inject a fault schedule into every collective issued through this
@@ -216,13 +233,8 @@ impl Communicator {
     }
 
     fn run(&mut self, op: OpType, buffer_bytes: u64) -> SimResult<RunReport> {
-        // Checked before selection: the micro-batch planner asserts a
-        // non-empty buffer, and algorithm construction at least two ranks.
-        if buffer_bytes == 0 {
-            return Err(SimError::InvalidConfig(format!(
-                "{op:?} of an empty buffer: a collective moves at least one byte"
-            )));
-        }
+        // Checked before selection: algorithm construction needs at least
+        // two ranks.
         if self.topo.n_ranks() < 2 {
             return Err(SimError::InvalidConfig(format!(
                 "{op:?} on {} rank(s): a collective needs at least two ranks",
@@ -230,8 +242,26 @@ impl Communicator {
             )));
         }
         let spec = self.select(op, buffer_bytes);
-        let chunk = DEFAULT_CHUNK_BYTES;
-        let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk);
+        self.run_spec(&spec, buffer_bytes, DEFAULT_CHUNK_BYTES)
+    }
+
+    /// Run `spec` over `buffer_bytes` per rank, moving `chunk_bytes` per
+    /// primitive invocation: the collectives above with the algorithm and
+    /// chunk size chosen by the caller.
+    pub fn run_spec(
+        &mut self,
+        spec: &AlgoSpec,
+        buffer_bytes: u64,
+        chunk_bytes: u64,
+    ) -> SimResult<RunReport> {
+        // Checked here: the micro-batch planner asserts both are positive.
+        if buffer_bytes == 0 || chunk_bytes == 0 {
+            return Err(SimError::InvalidConfig(format!(
+                "{} of {buffer_bytes} B in {chunk_bytes} B chunks: both must be positive",
+                spec.name()
+            )));
+        }
+        let mb = MicroBatchPlan::plan(buffer_bytes, spec.n_chunks(), chunk_bytes);
         // The watchdog only reports recovery accounting when it could have
         // done something — otherwise the report stays byte-compatible with
         // a plain healthy dispatch.
@@ -273,7 +303,7 @@ impl Communicator {
             // across threads.
             let (plan, ev) = self
                 .cache
-                .get_or_compile_traced(&self.compiler, &spec, &topo, &mb)?;
+                .get_or_compile_traced(&self.compiler, spec, &topo, &mb)?;
             events.push(DispatchEvent::Cache(ev));
             if !ev.is_hit() {
                 events.push(DispatchEvent::Compile {
@@ -302,9 +332,9 @@ impl Communicator {
                 Some(r) => {
                     events.push(DispatchEvent::Resume);
                     let cfg = cfg.clone().with_resume(r.resume.clone());
-                    r.plan.run_with(buffer_bytes, chunk, &cfg)
+                    r.plan.run_with(buffer_bytes, chunk_bytes, &cfg)
                 }
-                None => plan.run_with(buffer_bytes, chunk, &cfg),
+                None => plan.run_with(buffer_bytes, chunk_bytes, &cfg),
             };
             match attempt {
                 Ok(sim) => {
@@ -325,14 +355,19 @@ impl Communicator {
                         && self.health.is_empty()
                         && elapsed == 0.0)
                         .then(|| {
-                            plan.makespan_floor_ns(buffer_bytes, chunk)
+                            plan.makespan_floor_ns(buffer_bytes, chunk_bytes)
                                 .is_some_and(|floor| sim.undercuts_floor(floor))
                         });
                     return Ok(RunReport {
+                        backend: self.backend.to_string(),
+                        algo: spec.name().to_string(),
+                        buffer_bytes,
+                        total_tbs: exec_plan.total_tbs(),
+                        max_rank_tbs: exec_plan.alloc.max_rank_tbs(),
+                        sim,
                         recovery,
                         certificate_undercut,
                         obs: self.observe.then(|| ObsStats::from_events(&events)),
-                        ..RunReport::new("resccl", spec.name(), buffer_bytes, exec_plan, sim)
                     });
                 }
                 Err(err) if err.is_transient() => {
@@ -402,7 +437,7 @@ impl Communicator {
                     let mut action = RecoveryAction::FullRecompile;
                     if let Ok(spliced) = self.compiler.recompile_delta(&plan, &self.health) {
                         let degraded = self.topo.clone().with_health(self.health.clone());
-                        let fp = plan_fingerprint(&self.compiler, &spec, &degraded, &mb);
+                        let fp = plan_fingerprint(&self.compiler, spec, &degraded, &mb);
                         events.push(DispatchEvent::Compile {
                             timings: spliced.timings,
                             delta: true,
@@ -477,15 +512,51 @@ mod tests {
             comm.all_reduce(0).unwrap_err(),
             comm.all_gather(0).unwrap_err(),
             comm.reduce_scatter(0).unwrap_err(),
+            comm.run_spec(&hm_allgather(2, 4), 64 * MB, 0).unwrap_err(),
         ] {
             assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
         }
-        // Refused before selection: nothing compiled, nothing cached.
+        // Refused before planning: nothing compiled, nothing cached.
         assert_eq!(comm.cache_stats().misses, 0);
         let rep = comm
             .all_reduce(64 * MB)
             .expect("the communicator still works");
         assert!(rep.algbw_gbps() > 0.0);
+    }
+
+    #[test]
+    fn baselines_dispatch_through_the_cache_and_record() {
+        for backend in [Backend::nccl(), Backend::msccl()] {
+            let name = backend.name();
+            let mut comm = Communicator::new(Topology::a100(2, 4))
+                .with_backend(backend)
+                .with_observability();
+            let first = comm.all_gather(64 * MB).unwrap();
+            let second = comm.all_gather(64 * MB).unwrap();
+            assert_eq!(first.backend, name);
+            assert_eq!(first.obs.as_ref().unwrap().cache_misses, 1, "{name}");
+            let obs = second.obs.as_ref().unwrap();
+            assert_eq!((obs.cache_hits, obs.cache_misses), (1, 0), "{name}");
+            assert_eq!(second.certificate_undercut, Some(false), "{name}");
+        }
+    }
+
+    #[test]
+    fn baselines_recover_from_permanent_link_death() {
+        let topo = Topology::a100(2, 4);
+        let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
+        for backend in [Backend::nccl(), Backend::msccl()] {
+            let name = backend.name();
+            let mut comm = Communicator::new(topo.clone())
+                .with_backend(backend)
+                .with_validation()
+                .with_faults(FaultTimeline::new().kill(chan, 100_000.0));
+            let rep = comm.all_reduce(64 * MB).unwrap();
+            assert_eq!(rep.sim.data_valid, Some(true), "{name}");
+            let rec = rep.recovery.expect("watchdog engaged");
+            assert!(rec.recompiles >= 1, "{name}: {rec:?}");
+            assert_eq!(rec.delta_recompiles, rec.recompiles, "{name}: {rec:?}");
+        }
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! | [`Backend::Resccl`] | HPDS | `StateBased` | task-level (HPDS sub-pipelines, no barrier) | state-based (merged) | generated lightweight kernel | early: a TB frees its SM after its last invocation |
 //!
 //! A backend builds no plan itself: it names its [`Compiler`]
-//! ([`Backend::compiler`]), and [`Backend::run_with`] compiles through
-//! it, runs the plan and produces a [`RunReport`] with identical metrics
-//! for every backend, which the benchmark harness turns into the paper's
-//! tables and figures. The [`Communicator`] compiles through the same
-//! [`Compiler`]. Either way every plan is verified and passes the deny
-//! gate before it runs; a by-step baseline's over-subscription is an
-//! RA003 warning, not a refusal, since the simulator prices it.
+//! ([`Backend::compiler`]), and the [`Communicator`] is the one path that
+//! runs it. `Communicator::new(topo).with_backend(backend)` compiles
+//! through that compiler, caches the plan, runs it under the watchdog and
+//! produces a [`RunReport`] with identical metrics for every backend,
+//! which the benchmark harness turns into the paper's tables and figures.
+//! Every plan is verified and passes the deny gate before it runs; a
+//! by-step baseline's over-subscription is an RA003 warning, not a
+//! refusal, since the simulator prices it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,12 +30,10 @@ mod communicator;
 pub use communicator::Communicator;
 pub use rescc_obs::{RecoveryAction, RecoveryEvent};
 
-use rescc_core::{CompiledPlan, Compiler, Lowering, SchedulerChoice};
+use rescc_core::{Compiler, Lowering, SchedulerChoice};
 use rescc_kernel::ExecMode;
-use rescc_lang::AlgoSpec;
 use rescc_obs::DispatchEvent;
-use rescc_sim::{SimConfig, SimReport, SimResult};
-use rescc_topology::Topology;
+use rescc_sim::SimReport;
 
 /// The paper's default chunk (primitive transfer unit) size: 1 MB.
 pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
@@ -124,21 +123,19 @@ pub struct RunReport {
     pub max_rank_tbs: usize,
     /// The underlying simulation report.
     pub sim: SimReport,
-    /// Watchdog/recovery accounting when the call went through the
-    /// [`Communicator`] with faults injected or a resource masked dead;
-    /// `None` for plain healthy-fabric runs.
+    /// Watchdog/recovery accounting when the [`Communicator`] had faults
+    /// injected or a resource masked dead; `None` for plain healthy-fabric
+    /// runs.
     pub recovery: Option<RecoveryStats>,
     /// Whether the simulated completion undercut the plan's certified
     /// α–β–γ makespan lower bound — `Some(true)` flags a cost-model/engine
     /// disagreement that the bench harness escalates to a warning.
-    /// Populated for every [`Backend`] run and for fresh, fault-free,
-    /// non-resumed [`Communicator`] dispatches (the certificate is
-    /// computed against the healthy plan's routes and full task set);
-    /// `None` for degraded, faulted or resumed dispatches.
+    /// `Some(_)` for fresh, fault-free, non-resumed dispatches (the
+    /// certificate is computed against the healthy plan's routes and full
+    /// task set); `None` for degraded, faulted or resumed ones.
     pub certificate_undercut: Option<bool>,
     /// Cross-layer spans and counters (compiler phases, cache traffic,
-    /// watchdog activity) when the call went through the
-    /// [`Communicator`] with
+    /// watchdog activity) when the [`Communicator`] was built
     /// [`with_observability`](Communicator::with_observability); `None`
     /// otherwise. Wall-time spans make this field nondeterministic, so
     /// replay-stable consumers must leave observability off.
@@ -146,21 +143,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// A report of `sim` on `plan` with no dispatcher fields set.
-    fn new(backend: &str, algo: &str, bytes: u64, plan: &CompiledPlan, sim: SimReport) -> Self {
-        Self {
-            backend: backend.to_string(),
-            algo: algo.to_string(),
-            buffer_bytes: bytes,
-            total_tbs: plan.total_tbs(),
-            max_rank_tbs: plan.alloc.max_rank_tbs(),
-            sim,
-            recovery: None,
-            certificate_undercut: None,
-            obs: None,
-        }
-    }
-
     /// Algorithm bandwidth in GB/s (buffer size / completion time).
     pub fn algbw_gbps(&self) -> f64 {
         self.sim.algo_bandwidth_gbps(self.buffer_bytes)
@@ -174,7 +156,8 @@ impl RunReport {
 }
 
 /// A collective communication backend: a [`Compiler`] configuration whose
-/// plans run on the simulated cluster. The three backends differ only in
+/// plans run on the simulated cluster through a [`Communicator`]
+/// ([`Communicator::with_backend`]). The three backends differ only in
 /// how a plan is scheduled, lowered and released (§2.1), so each variant
 /// is the parameters of its lowering.
 #[derive(Clone, Debug)]
@@ -265,61 +248,6 @@ impl Backend {
             ..Compiler::new()
         }
     }
-
-    /// Run one collective call of `buffer_bytes` per rank, moving
-    /// `chunk_bytes` per primitive invocation, checking the data the
-    /// collective produces when `validate` is set.
-    ///
-    /// The plan is compiled by [`compiler`](Self::compiler) as is:
-    /// verified and deny-gated, like every plan the [`Communicator`]
-    /// dispatches. TB release follows the plan: a [`Lowering::Rigid`]
-    /// plan holds every TB to the end of the run. The run is fresh and
-    /// fault-free, so the report checks it against the plan's certified
-    /// makespan floor.
-    pub fn run_with(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-        validate: bool,
-    ) -> SimResult<RunReport> {
-        let plan = self.compiler().compile_spec(spec, topo)?;
-        let cfg = SimConfig {
-            validate_data: validate,
-            ..SimConfig::default()
-        };
-        let sim = plan.run_with(buffer_bytes, chunk_bytes, &cfg)?;
-        let certificate_undercut = plan
-            .makespan_floor_ns(buffer_bytes, chunk_bytes)
-            .map(|floor| sim.undercuts_floor(floor));
-        Ok(RunReport {
-            certificate_undercut,
-            ..RunReport::new(self.name(), spec.name(), buffer_bytes, &plan, sim)
-        })
-    }
-
-    /// Run with data validation.
-    pub fn run(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_with(spec, topo, buffer_bytes, chunk_bytes, true)
-    }
-
-    /// Run with data validation disabled (large sweeps).
-    pub fn run_unchecked(
-        &self,
-        spec: &AlgoSpec,
-        topo: &Topology,
-        buffer_bytes: u64,
-        chunk_bytes: u64,
-    ) -> SimResult<RunReport> {
-        self.run_with(spec, topo, buffer_bytes, chunk_bytes, false)
-    }
 }
 
 #[cfg(test)]
@@ -327,16 +255,23 @@ mod tests {
     use super::*;
     use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather};
     use rescc_sim::SimError;
+    use rescc_topology::Topology;
 
     const MB: u64 = 1 << 20;
+
+    /// A communicator over `topo` dispatching through `backend`.
+    fn comm(backend: &Backend, topo: &Topology) -> Communicator {
+        Communicator::new(topo.clone()).with_backend(backend.clone())
+    }
 
     #[test]
     fn all_backends_run_correct_collectives() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allgather(2, 4);
         for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
-            let rep = backend
-                .run(&spec, &topo, 64 * MB, MB)
+            let rep = comm(&backend, &topo)
+                .with_validation()
+                .run_spec(&spec, 64 * MB, MB)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", backend.name()));
             assert_eq!(rep.sim.data_valid, Some(true), "{}", backend.name());
             assert!(rep.algbw_gbps() > 0.0);
@@ -351,14 +286,14 @@ mod tests {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
         let buffer = 512 * MB;
-        let r = Backend::resccl()
-            .run_unchecked(&spec, &topo, buffer, MB)
+        let r = comm(&Backend::resccl(), &topo)
+            .run_spec(&spec, buffer, MB)
             .unwrap();
-        let m = Backend::msccl()
-            .run_unchecked(&spec, &topo, buffer, MB)
+        let m = comm(&Backend::msccl(), &topo)
+            .run_spec(&spec, buffer, MB)
             .unwrap();
-        let n = Backend::nccl()
-            .run_unchecked(&spec, &topo, buffer, MB)
+        let n = comm(&Backend::nccl(), &topo)
+            .run_spec(&spec, buffer, MB)
             .unwrap();
         assert!(
             r.algbw_gbps() > m.algbw_gbps(),
@@ -378,11 +313,11 @@ mod tests {
     fn resccl_uses_fewer_tbs() {
         let topo = Topology::a100(2, 8);
         let spec = hm_allreduce(2, 8);
-        let r = Backend::resccl()
-            .run_unchecked(&spec, &topo, 32 * MB, MB)
+        let r = comm(&Backend::resccl(), &topo)
+            .run_spec(&spec, 32 * MB, MB)
             .unwrap();
-        let m = Backend::msccl()
-            .run_unchecked(&spec, &topo, 32 * MB, MB)
+        let m = comm(&Backend::msccl(), &topo)
+            .run_spec(&spec, 32 * MB, MB)
             .unwrap();
         assert!(
             r.total_tbs * 2 <= m.total_tbs,
@@ -396,11 +331,11 @@ mod tests {
     fn resccl_has_higher_tb_utilization() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
-        let r = Backend::resccl()
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let r = comm(&Backend::resccl(), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
-        let m = Backend::msccl()
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let m = comm(&Backend::msccl(), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
         assert!(
             r.sim.avg_idle_ratio() < m.sim.avg_idle_ratio(),
@@ -414,11 +349,11 @@ mod tests {
     fn hpds_not_worse_than_round_robin() {
         let topo = Topology::a100(2, 4);
         let spec = taccl_like_allgather(2, 4);
-        let h = Backend::resccl()
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let h = comm(&Backend::resccl(), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
-        let rr = Backend::Resccl(Compiler::new().with_round_robin())
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let rr = comm(&Backend::Resccl(Compiler::new().with_round_robin()), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
         assert!(h.sim.completion_ns <= rr.sim.completion_ns * 1.001);
     }
@@ -432,11 +367,11 @@ mod tests {
         // from sharing one TB must stay within 20% of the plain run.
         let topo = Topology::a100(2, 8);
         let spec = rescc_algos::nccl_rings_allgather(2, 8, 4);
-        let plain = Backend::resccl()
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let plain = comm(&Backend::resccl(), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
-        let fused = Backend::Resccl(Compiler::new().with_fusion())
-            .run_unchecked(&spec, &topo, 256 * MB, MB)
+        let fused = comm(&Backend::Resccl(Compiler::new().with_fusion()), &topo)
+            .run_spec(&spec, 256 * MB, MB)
             .unwrap();
         assert!(
             fused.total_tbs < plain.total_tbs,
@@ -456,8 +391,9 @@ mod tests {
     fn fusion_preserves_correctness() {
         let topo = Topology::a100(2, 4);
         let spec = hm_allreduce(2, 4);
-        let rep = Backend::Resccl(Compiler::new().with_fusion())
-            .run(&spec, &topo, 32 * MB, MB)
+        let rep = comm(&Backend::Resccl(Compiler::new().with_fusion()), &topo)
+            .with_validation()
+            .run_spec(&spec, 32 * MB, MB)
             .unwrap();
         assert_eq!(rep.sim.data_valid, Some(true));
     }
@@ -466,7 +402,7 @@ mod tests {
     fn nccl_with_no_channel_is_an_invalid_config() {
         let topo = Topology::a100(1, 4);
         let nccl = Backend::Nccl { n_channels: 0 };
-        match nccl.run(&hm_allgather(1, 4), &topo, 16 * MB, MB) {
+        match comm(&nccl, &topo).run_spec(&hm_allgather(1, 4), 16 * MB, MB) {
             Err(SimError::InvalidConfig(e)) => assert!(e.contains("one channel"), "{e}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -496,7 +432,10 @@ mod tests {
         let topo = Topology::a100(1, 4);
         let spec = hm_allgather(2, 4);
         for backend in [Backend::nccl(), Backend::msccl(), Backend::resccl()] {
-            match backend.run(&spec, &topo, 16 * MB, MB) {
+            match comm(&backend, &topo)
+                .with_validation()
+                .run_spec(&spec, 16 * MB, MB)
+            {
                 Err(SimError::InvalidDag(e)) => {
                     assert!(e.to_string().contains("8 ranks"), "{e}")
                 }

@@ -16,7 +16,7 @@
 
 use crate::{print_table, MB};
 use rescc_algos::hm_allgather;
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_lang::AlgoSpec;
 use rescc_sim::SimConfig;
 use rescc_topology::{ResourceId, Topology};
@@ -61,7 +61,7 @@ pub fn run() {
     let spec = hm_allgather(2, 4);
     let n_chunks = spec.n_chunks() as u64;
 
-    let nccl = Backend::nccl();
+    let mut nccl = Communicator::new(topo.clone()).with_backend(Backend::nccl());
 
     let ns: Vec<u64> = vec![8, 16, 32, 64, 128];
     let mut xs = Vec::new();
@@ -73,7 +73,7 @@ pub fn run() {
         let buffer = n * n_chunks * MB;
         let (predicted, tr) = eq5_check(&spec, &topo, n);
         let ta = nccl
-            .run_unchecked(&spec, &topo, buffer, MB)
+            .run_spec(&spec, buffer, MB)
             .expect("nccl run")
             .sim
             .completion_ns;

@@ -13,7 +13,7 @@ use rescc_algos::{
     hm_allreduce, hm_allreduce_source, nccl_rings_allgather, taccl_like_allgather,
     taccl_like_allreduce,
 };
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_sched::hpds;
@@ -359,8 +359,9 @@ pub fn smoke() {
 /// Regenerate Figure 10(b): HPDS vs round-robin.
 pub fn run_b() {
     let topo = Topology::a100(2, 4);
-    let hpds = Backend::resccl();
-    let rr = Backend::Resccl(Compiler::new().with_round_robin());
+    let mut hpds = Communicator::new(topo.clone());
+    let mut rr =
+        Communicator::new(topo).with_backend(Backend::Resccl(Compiler::new().with_round_robin()));
     let cases = [
         ("expert HM-AR", hm_allreduce(2, 4)),
         ("synth TACCL-AG", taccl_like_allgather(2, 4)),
@@ -370,12 +371,12 @@ pub fn run_b() {
     for (name, spec) in &cases {
         for buffer in [64 * MB, 512 * MB] {
             let th = hpds
-                .run_unchecked(spec, &topo, buffer, MB)
+                .run_spec(spec, buffer, MB)
                 .expect("figure10b hpds")
                 .sim
                 .completion_ns;
             let tr = rr
-                .run_unchecked(spec, &topo, buffer, MB)
+                .run_spec(spec, buffer, MB)
                 .expect("figure10b rr")
                 .sim
                 .completion_ns;

@@ -8,18 +8,17 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allreduce, taccl_like_allreduce};
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, spec: &AlgoSpec, topo: &Topology) {
-    let msccl = Backend::msccl();
-    let resccl = Backend::resccl();
-    let m = msccl
-        .run_unchecked(spec, topo, 256 * MB, MB)
+    let m = Communicator::new(topo.clone())
+        .with_backend(Backend::msccl())
+        .run_spec(spec, 256 * MB, MB)
         .expect("figure12 msccl");
-    let r = resccl
-        .run_unchecked(spec, topo, 256 * MB, MB)
+    let r = Communicator::new(topo.clone())
+        .run_spec(spec, 256 * MB, MB)
         .expect("figure12 resccl");
 
     // Rank-0 worker TBs, side by side (MSCCL has more TBs than ResCCL —

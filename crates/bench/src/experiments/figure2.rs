@@ -8,13 +8,12 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allreduce, taccl_like_allreduce};
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_topology::Topology;
 
 /// Regenerate Figure 2.
 pub fn run() {
-    let topo = Topology::a100(1, 8);
-    let backend = Backend::msccl();
+    let mut comm = Communicator::new(Topology::a100(1, 8)).with_backend(Backend::msccl());
     for (label, spec) in [
         ("(a) custom (HM) AllReduce", hm_allreduce(1, 8)),
         (
@@ -26,9 +25,7 @@ pub fn run() {
         // so half of the four channel TBs opened per connection get no
         // work at all — exactly the over-provisioned extra channels the
         // paper measured at 98.2% idle.
-        let rep = backend
-            .run_unchecked(&spec, &topo, 16 * MB, MB)
-            .expect("figure2 run");
+        let rep = comm.run_spec(&spec, 16 * MB, MB).expect("figure2 run");
         // Per-TB breakdown on rank 0 (all ranks are symmetric for (a)).
         let rank0: Vec<_> = rep.sim.tb_stats.iter().filter(|t| t.rank == 0).collect();
         let rows: Vec<Vec<String>> = rank0

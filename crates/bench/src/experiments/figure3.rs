@@ -5,7 +5,7 @@
 
 use crate::{fmt_bytes, print_table, MB};
 use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather};
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_kernel::ExecMode;
 use rescc_topology::Topology;
 
@@ -15,14 +15,14 @@ pub fn run() {
     // The Fig. 3 experiment isolates runtime overhead on the minimal
     // (single-channel) instance, where per-invocation interpretation sits
     // on the critical path instead of hiding behind channel parallelism.
-    let interpreted = Backend::Msccl {
-        n_channels: 1,
-        interpreter_overhead_ns: ExecMode::default_interpreter().overhead_ns(),
+    let msccl = |interpreter_overhead_ns| {
+        Communicator::new(topo.clone()).with_backend(Backend::Msccl {
+            n_channels: 1,
+            interpreter_overhead_ns,
+        })
     };
-    let direct = Backend::Msccl {
-        n_channels: 1,
-        interpreter_overhead_ns: 0.0,
-    };
+    let mut interpreted = msccl(ExecMode::default_interpreter().overhead_ns());
+    let mut direct = msccl(0.0);
     let cases = [
         ("HM-AllGather", hm_allgather(2, 8)),
         ("HM-AllReduce", hm_allreduce(2, 8)),
@@ -33,12 +33,12 @@ pub fn run() {
     for (name, spec) in &cases {
         for buffer in [64 * MB, 256 * MB] {
             let ti = interpreted
-                .run_unchecked(spec, &topo, buffer, MB)
+                .run_spec(spec, buffer, MB)
                 .expect("figure3 interpreted")
                 .sim
                 .completion_ns;
             let td = direct
-                .run_unchecked(spec, &topo, buffer, MB)
+                .run_spec(spec, buffer, MB)
                 .expect("figure3 direct")
                 .sim
                 .completion_ns;

@@ -9,7 +9,7 @@
 
 use crate::{print_table, MB};
 use rescc_algos::ring_allgather;
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_topology::{ClusterSpec, FabricParams, LinkParams, Topology};
 
 /// Regenerate Figure 4.
@@ -35,9 +35,9 @@ pub fn run() {
     let mut rows = Vec::new();
     let mut best = (0u32, 0.0f64);
     for tbs in 1..=12u32 {
-        let backend = Backend::Nccl { n_channels: tbs };
-        let rep = backend
-            .run_unchecked(&spec, &topo, buffer, MB)
+        let rep = Communicator::new(topo.clone())
+            .with_backend(Backend::Nccl { n_channels: tbs })
+            .run_spec(&spec, buffer, MB)
             .expect("figure4 run");
         let bw = rep.algbw_gbps();
         if bw > best.1 {

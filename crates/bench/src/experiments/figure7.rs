@@ -9,25 +9,25 @@ use crate::{buffer_sweep, fmt_bytes, print_table, MB};
 use rescc_algos::{
     taccl_like_allgather, taccl_like_allreduce, teccl_like_allgather, teccl_like_allreduce,
 };
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, cases: &[(&str, AlgoSpec)], topo: &Topology) {
     let buffers = buffer_sweep();
-    let msccl = Backend::msccl();
-    let resccl = Backend::resccl();
+    let mut msccl = Communicator::new(topo.clone()).with_backend(Backend::msccl());
+    let mut resccl = Communicator::new(topo.clone());
     let mut rows = Vec::new();
     for buffer in &buffers {
         let mut row = vec![fmt_bytes(*buffer)];
         for (_, spec) in cases {
             let tm = msccl
-                .run_unchecked(spec, topo, *buffer, MB)
+                .run_spec(spec, *buffer, MB)
                 .expect("figure7 msccl")
                 .sim
                 .completion_ns;
             let tr = resccl
-                .run_unchecked(spec, topo, *buffer, MB)
+                .run_spec(spec, *buffer, MB)
                 .expect("figure7 resccl")
                 .sim
                 .completion_ns;

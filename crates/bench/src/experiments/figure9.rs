@@ -7,23 +7,19 @@
 
 use crate::{buffer_sweep, fmt_bytes, print_table, MB};
 use rescc_algos::{taccl_like_allgather, taccl_like_allreduce};
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
 fn panel(label: &str, spec: &AlgoSpec, topo: &Topology) {
     let buffers = buffer_sweep();
-    let msccl = Backend::msccl();
-    let resccl = Backend::resccl();
+    let mut msccl = Communicator::new(topo.clone()).with_backend(Backend::msccl());
+    let mut resccl = Communicator::new(topo.clone());
     let rows: Vec<Vec<String>> = buffers
         .iter()
         .map(|buffer| {
-            let m = msccl
-                .run_unchecked(spec, topo, *buffer, MB)
-                .expect("figure9 msccl");
-            let r = resccl
-                .run_unchecked(spec, topo, *buffer, MB)
-                .expect("figure9 resccl");
+            let m = msccl.run_spec(spec, *buffer, MB).expect("figure9 msccl");
+            let r = resccl.run_spec(spec, *buffer, MB).expect("figure9 resccl");
             vec![
                 fmt_bytes(*buffer),
                 format!("{:.2}", m.algbw_gbps()),

@@ -9,13 +9,12 @@ use crate::{fmt_bytes, pct, print_table, MB};
 use rescc_algos::{
     hm_allgather, hm_allreduce, taccl_like_allgather, taccl_like_allreduce, teccl_like_allgather,
 };
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_topology::Topology;
 
 /// Regenerate Table 1.
 pub fn run() {
     let buffer = 256 * MB;
-    let backend = Backend::msccl();
     let mut rows = Vec::new();
     for nodes in [1u32, 2, 4] {
         let g = 8;
@@ -28,11 +27,10 @@ pub fn run() {
             ("TA-AR", taccl_like_allreduce(nodes, g)),
             ("TE-AG", teccl_like_allgather(nodes * g)),
         ];
+        let mut comm = Communicator::new(topo).with_backend(Backend::msccl());
         let mut row = vec![scale];
         for (_, spec) in &algos {
-            let rep = backend
-                .run_unchecked(spec, &topo, buffer, MB)
-                .expect("table1 run");
+            let rep = comm.run_spec(spec, buffer, MB).expect("table1 run");
             row.push(pct(rep.sim.global_link_utilization()));
         }
         rows.push(row);

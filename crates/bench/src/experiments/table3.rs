@@ -9,19 +9,12 @@
 
 use crate::{pct, print_table, MB};
 use rescc_algos::{hm_allgather, hm_allreduce, taccl_like_allgather, taccl_like_allreduce};
-use rescc_backends::{Backend, RunReport};
+use rescc_backends::{Backend, Communicator, RunReport};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
-fn topo_shape(i: usize) -> (u32, u32) {
-    match i {
-        1 => (2, 4),
-        2 => (2, 8),
-        3 => (4, 4),
-        4 => (4, 8),
-        _ => unreachable!(),
-    }
-}
+/// Topo1–Topo4 as (nodes, gpus-per-node).
+const TOPOS: [(u32, u32); 4] = [(2, 4), (2, 8), (4, 4), (4, 8)];
 
 fn cells(rep: &RunReport) -> [String; 4] {
     [
@@ -43,23 +36,31 @@ pub fn run() {
         ("Synth AllReduce", taccl_like_allreduce),
         ("Synth AllGather", taccl_like_allgather),
     ];
-    let msccl = Backend::msccl();
-    let resccl = Backend::resccl();
+    // One communicator per (backend, topology), reused by every algorithm.
+    let mut backends =
+        [("MSCCL", Backend::msccl()), ("ResCCL", Backend::resccl())].map(|(name, backend)| {
+            let comms = TOPOS.map(|(nodes, g)| {
+                Communicator::new(Topology::a100(nodes, g)).with_backend(backend.clone())
+            });
+            (name, comms)
+        });
 
     for (algo_name, make) in algos {
         let mut rows = Vec::new();
-        for (backend_name, backend) in [("MSCCL", &msccl), ("ResCCL", &resccl)] {
-            for metric in 0..4usize {
-                let metric_name = ["# TB", "Comm Time", "Avg Idle", "Max Idle"][metric];
+        for (backend_name, comms) in &mut backends {
+            let mut per_topo = Vec::new();
+            for (comm, (nodes, g)) in comms.iter_mut().zip(TOPOS) {
+                let rep = comm
+                    .run_spec(&make(nodes, g), 128 * MB, MB)
+                    .expect("table3 run");
+                per_topo.push(cells(&rep));
+            }
+            for (metric, metric_name) in ["# TB", "Comm Time", "Avg Idle", "Max Idle"]
+                .into_iter()
+                .enumerate()
+            {
                 let mut row = vec![backend_name.to_string(), metric_name.to_string()];
-                for topo_i in 1..=4 {
-                    let (nodes, g) = topo_shape(topo_i);
-                    let spec = make(nodes, g);
-                    let rep = backend
-                        .run_unchecked(&spec, &Topology::a100(nodes, g), 128 * MB, MB)
-                        .expect("table3 run");
-                    row.push(cells(&rep)[metric].clone());
-                }
+                row.extend(per_topo.iter().map(|c| c[metric].clone()));
                 rows.push(row);
             }
         }

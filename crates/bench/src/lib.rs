@@ -22,7 +22,7 @@
 pub mod experiments;
 pub mod reference;
 
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 
@@ -165,36 +165,30 @@ pub fn backend_panel_with(
     topo: &Topology,
     buffers: &[u64],
 ) {
-    let nccl = Backend::nccl();
-    let msccl = Backend::msccl();
-    let resccl = Backend::resccl();
-    let mut rows: Vec<Option<Vec<String>>> = vec![None; buffers.len()];
-    std::thread::scope(|scope| {
-        for (i, slot) in rows.iter_mut().enumerate() {
-            let buffer = buffers[i];
-            let (nccl, msccl, resccl) = (&nccl, &msccl, &resccl);
-            scope.spawn(move || {
-                let n = nccl
-                    .run_unchecked(nccl_spec, topo, buffer, MB)
-                    .unwrap_or_else(|e| panic!("nccl {}: {e}", fmt_bytes(buffer)));
-                let m = msccl
-                    .run_unchecked(custom_spec, topo, buffer, MB)
-                    .unwrap_or_else(|e| panic!("msccl {}: {e}", fmt_bytes(buffer)));
-                let r = resccl
-                    .run_unchecked(custom_spec, topo, buffer, MB)
-                    .unwrap_or_else(|e| panic!("resccl {}: {e}", fmt_bytes(buffer)));
-                *slot = Some(vec![
-                    fmt_bytes(buffer),
-                    format!("{:.2}", n.algbw_gbps()),
-                    format!("{:.2}", m.algbw_gbps()),
-                    format!("{:.2}", r.algbw_gbps()),
-                    format!("{:.2}x", r.algbw_gbps() / n.algbw_gbps()),
-                    format!("{:.2}x", r.algbw_gbps() / m.algbw_gbps()),
-                ]);
-            });
-        }
-    });
-    let rows: Vec<Vec<String>> = rows.into_iter().map(|r| r.expect("filled")).collect();
+    let comm = |backend| Communicator::new(topo.clone()).with_backend(backend);
+    let mut nccl = comm(Backend::nccl());
+    let mut msccl = comm(Backend::msccl());
+    let mut resccl = comm(Backend::resccl());
+    let mut rows = Vec::new();
+    for &buffer in buffers {
+        let n = nccl
+            .run_spec(nccl_spec, buffer, MB)
+            .unwrap_or_else(|e| panic!("nccl {}: {e}", fmt_bytes(buffer)));
+        let m = msccl
+            .run_spec(custom_spec, buffer, MB)
+            .unwrap_or_else(|e| panic!("msccl {}: {e}", fmt_bytes(buffer)));
+        let r = resccl
+            .run_spec(custom_spec, buffer, MB)
+            .unwrap_or_else(|e| panic!("resccl {}: {e}", fmt_bytes(buffer)));
+        rows.push(vec![
+            fmt_bytes(buffer),
+            format!("{:.2}", n.algbw_gbps()),
+            format!("{:.2}", m.algbw_gbps()),
+            format!("{:.2}", r.algbw_gbps()),
+            format!("{:.2}x", r.algbw_gbps() / n.algbw_gbps()),
+            format!("{:.2}x", r.algbw_gbps() / m.algbw_gbps()),
+        ]);
+    }
     print_table(
         &format!("{title}: algorithm bandwidth (GB/s)"),
         &["buffer", "NCCL", "MSCCL", "ResCCL", "vs NCCL", "vs MSCCL"],

@@ -4,10 +4,10 @@
 //! Megatron-style GPT-3 (tensor parallel) and T5 (data parallel) training
 //! whose collective times come from the simulated CCL backends, including
 //! the SM-contention coupling between communication TB footprint and
-//! compute throughput. Each collective runs on the given
-//! [`Backend`](rescc_backends::Backend), compiled per call, verified and
-//! deny-gated like every backend plan; the model keeps no state between
-//! calls.
+//! compute throughput. Each collective runs through a
+//! [`Communicator`](rescc_backends::Communicator) over the given
+//! [`Backend`](rescc_backends::Backend), verified and deny-gated like every
+//! dispatch; the model keeps no state between calls.
 //!
 //! ```no_run
 //! use rescc_backends::Backend;

@@ -15,7 +15,7 @@
 
 use crate::model::{ModelConfig, ParallelConfig};
 use rescc_algos::{hm_allreduce, nccl_rings_allreduce};
-use rescc_backends::Backend;
+use rescc_backends::{Backend, Communicator};
 use rescc_sim::SimResult;
 use rescc_topology::Topology;
 
@@ -73,15 +73,19 @@ pub fn train_throughput(
         Backend::Nccl { .. } => nccl_rings_allreduce(n_nodes, gpn, (gpn / 2).max(1)),
         Backend::Msccl { .. } | Backend::Resccl(_) => hm_allreduce(n_nodes, gpn),
     };
+    // One AllReduce of at least 1 MB per rank on an `n_nodes`×`gpn` group.
+    let all_reduce = |n_nodes: u32, gpn: u32, bytes: u64| {
+        Communicator::new(Topology::a100(n_nodes, gpn))
+            .with_backend(backend.clone())
+            .run_spec(&algo_for(n_nodes, gpn), bytes.max(1 << 20), CHUNK_BYTES)
+    };
 
     // Tensor-parallel activation AllReduce: 4 per layer per iteration
     // (2 forward + 2 backward), over the intra-node TP group.
     let (tp_comm_s, tp_tbs_per_gpu) = if par.tp > 1 {
-        let tp_topo = Topology::a100(1, par.tp);
         let batch_per_replica = (par.global_batch / par.dp).max(1) as u64;
         let act_bytes = batch_per_replica * model.seq_len as u64 * model.hidden as u64 * 2;
-        let spec = algo_for(1, par.tp);
-        let rep = backend.run_unchecked(&spec, &tp_topo, act_bytes.max(1 << 20), CHUNK_BYTES)?;
+        let rep = all_reduce(1, par.tp, act_bytes)?;
         let per_call_s = rep.sim.completion_ns * 1e-9;
         let calls = 4.0 * model.n_layers as f64;
         (per_call_s * calls, rep.max_rank_tbs as u32)
@@ -100,10 +104,8 @@ pub fn train_throughput(
         } else {
             (par.dp.div_ceil(8).max(1), par.dp.min(8))
         };
-        let dp_topo = Topology::a100(nodes, gpn);
         let grad_bytes = (model.params as f64 * 2.0 / par.tp as f64) as u64;
-        let spec = algo_for(nodes, gpn);
-        let rep = backend.run_unchecked(&spec, &dp_topo, grad_bytes.max(1 << 20), CHUNK_BYTES)?;
+        let rep = all_reduce(nodes, gpn, grad_bytes)?;
         (rep.sim.completion_ns * 1e-9, rep.max_rank_tbs as u32)
     } else {
         (0.0, 0)

@@ -7,7 +7,7 @@
 //! ```
 
 use rescc::algos::{hm_allgather, hm_allreduce, taccl_like_allreduce};
-use rescc::backends::Backend;
+use rescc::backends::{Backend, Communicator};
 use rescc::topology::Topology;
 
 fn main() {
@@ -15,7 +15,9 @@ fn main() {
     let buffer = 512u64 << 20;
     let chunk = 1u64 << 20;
 
-    let backends = [Backend::nccl(), Backend::msccl(), Backend::resccl()];
+    // One communicator per backend, reused by every algorithm.
+    let mut comms = [Backend::nccl(), Backend::msccl(), Backend::resccl()]
+        .map(|b| Communicator::new(topo.clone()).with_backend(b));
 
     for (label, spec) in [
         ("expert HM-AllGather", hm_allgather(2, 8)),
@@ -34,10 +36,10 @@ fn main() {
             "{:<8} {:>10} {:>8} {:>12} {:>10} {:>10}",
             "backend", "algbw", "TBs", "avg idle", "max idle", "link util"
         );
-        for b in &backends {
-            let rep = b
-                .run_unchecked(&spec, &topo, buffer, chunk)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", b.name()));
+        for comm in &mut comms {
+            let rep = comm
+                .run_spec(&spec, buffer, chunk)
+                .unwrap_or_else(|e| panic!("{label} failed: {e}"));
             println!(
                 "{:<8} {:>7.1} GB/s {:>7} {:>11.1}% {:>9.1}% {:>9.1}%",
                 rep.backend,

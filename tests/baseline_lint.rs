@@ -8,7 +8,7 @@
 
 use rescc::algos::{seed_suite, taccl_like_allgather, taccl_like_allreduce};
 use rescc::analyze::{LintCode, Severity};
-use rescc::backends::{Backend, DEFAULT_CHUNK_BYTES};
+use rescc::backends::{Backend, Communicator, DEFAULT_CHUNK_BYTES};
 use rescc::topology::Topology;
 
 #[test]
@@ -29,10 +29,14 @@ fn baseline_plans_are_correct_and_only_oversubscribe() {
         let mut suite = seed_suite(shape.n_nodes, shape.gpus_per_node);
         suite.push(taccl_like_allgather(shape.n_nodes, shape.gpus_per_node));
         suite.push(taccl_like_allreduce(shape.n_nodes, shape.gpus_per_node));
+        // One communicator per backend on this topology.
+        let mut comms = backends
+            .clone()
+            .map(|(_, backend)| Communicator::new(topo.clone()).with_backend(backend));
         for spec in suite {
             specs += 1;
             let mut rejected = None;
-            for (name, backend) in &backends {
+            for ((name, backend), comm) in backends.iter().zip(&mut comms) {
                 let case = format!("{name}/{}/{}", topo.name(), spec.name());
                 // The default compiler: verified, deny-gated.
                 let plan = backend
@@ -53,8 +57,8 @@ fn baseline_plans_are_correct_and_only_oversubscribe() {
                 );
                 for chunks_per_rank in [1, 8] {
                     let buffer = u64::from(spec.n_chunks()) * chunks_per_rank * DEFAULT_CHUNK_BYTES;
-                    let report = backend
-                        .run_unchecked(&spec, topo, buffer, DEFAULT_CHUNK_BYTES)
+                    let report = comm
+                        .run_spec(&spec, buffer, DEFAULT_CHUNK_BYTES)
                         .unwrap_or_else(|e| panic!("{case} at {buffer} B: {e}"));
                     assert_eq!(
                         report.certificate_undercut,

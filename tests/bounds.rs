@@ -7,7 +7,7 @@
 
 use metrics::{bottleneck_resource_ns, critical_path_ns, lower_bound_ns};
 use rescc::algos::{hm_allgather, hm_allreduce, ring_allgather, taccl_like_allgather};
-use rescc::backends::Backend;
+use rescc::backends::{Backend, Communicator};
 use rescc::ir::DepDag;
 use rescc::lang::{AlgoBuilder, AlgoSpec, OpType};
 use rescc::topology::Topology;
@@ -111,11 +111,15 @@ fn check_bounds(spec: &AlgoSpec, topo: &Topology) {
             interpreter_overhead_ns: 0.0,
         },
     ] {
-        let rep = backend.run_unchecked(spec, topo, buffer, chunk).unwrap();
+        let name = backend.name();
+        let rep = Communicator::new(topo.clone())
+            .with_backend(backend)
+            .run_spec(spec, buffer, chunk)
+            .unwrap();
         assert!(
             rep.sim.completion_ns >= lower * 0.999,
             "{} on {} finished in {:.1}us, below the lower bound {:.1}us",
-            backend.name(),
+            name,
             spec.name(),
             rep.sim.completion_ns / 1e3,
             lower / 1e3
@@ -123,7 +127,7 @@ fn check_bounds(spec: &AlgoSpec, topo: &Topology) {
         assert!(
             rep.sim.completion_ns <= serial_all * 1.5,
             "{} on {} took {:.1}us, above even the serial bound {:.1}us",
-            backend.name(),
+            name,
             spec.name(),
             rep.sim.completion_ns / 1e3,
             serial_all / 1e3

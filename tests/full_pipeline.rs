@@ -4,7 +4,7 @@
 //! collective on every topology it fits.
 
 use rescc::algos::*;
-use rescc::backends::Backend;
+use rescc::backends::{Backend, Communicator};
 use rescc::core::Compiler;
 use rescc::lang::AlgoSpec;
 use rescc::topology::Topology;
@@ -130,8 +130,12 @@ fn rigid_plan_holds_every_tb_to_the_end() {
             tb.rank, tb.tb
         );
     }
-    let via_backend = Backend::nccl().run(&spec, &topo, 64 * MB, MB).unwrap();
-    assert_eq!(via_backend.sim, rigid);
+    let dispatched = Communicator::new(topo.clone())
+        .with_backend(Backend::nccl())
+        .with_validation()
+        .run_spec(&spec, 64 * MB, MB)
+        .unwrap();
+    assert_eq!(dispatched.sim, rigid);
 
     let flexible = Compiler::new()
         .compile_spec(&spec, &topo)

@@ -11,7 +11,7 @@
 //! produces.
 
 use rescc::algos::{hm_allreduce, ring_allgather, seed_suite};
-use rescc::backends::Backend;
+use rescc::backends::{Backend, Communicator};
 use rescc::core::{Compiler, LintGate};
 use rescc::sim::{FaultTimeline, SimConfig, SimResult};
 use rescc::topology::{ClusterSpec, FabricParams, LinkParams, Rank, Topology};
@@ -153,10 +153,12 @@ fn backends() {
     for (name, backend) in &backends {
         for spec in [hm_allreduce(2, 4), ring_allgather(8)] {
             let buffer = spec.n_chunks() as u64 * CHUNK_LEN;
-            let checked = backend.run(&spec, &topo, buffer, MB).map(|r| r.sim);
-            let unchecked = backend
-                .run_unchecked(&spec, &topo, buffer, MB)
+            let comm = || Communicator::new(topo.clone()).with_backend(backend.clone());
+            let checked = comm()
+                .with_validation()
+                .run_spec(&spec, buffer, MB)
                 .map(|r| r.sim);
+            let unchecked = comm().run_spec(&spec, buffer, MB).map(|r| r.sim);
             got.push((
                 format!("{name}/{}/validated", spec.name()),
                 digest(&checked),
