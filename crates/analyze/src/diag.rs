@@ -39,7 +39,9 @@ impl fmt::Display for Severity {
 }
 
 /// Stable lint codes. Codes are append-only: a code's meaning never
-/// changes once released, and retired codes are never reused.
+/// changes once released, and retired codes are never reused. RA008
+/// (dead transfers of a pruned residual plan) is retired: a faulted run
+/// now resumes its own plan, whose transfers RA004 already covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintCode {
     /// Deadlock: a cycle in the combined order induced by DAG data edges,
@@ -66,10 +68,6 @@ pub enum LintCode {
     /// exceeds its capacity under the α–β–γ model (the plan cannot meet
     /// its own makespan certificate).
     RA007,
-    /// Residual dead transfer: a surviving task in a fault-frontier
-    /// residual plan that never contributes to the postcondition once
-    /// provenance is replayed from the frontier.
-    RA008,
 }
 
 impl LintCode {
@@ -83,7 +81,6 @@ impl LintCode {
             LintCode::RA005 => "RA005",
             LintCode::RA006 => "RA006",
             LintCode::RA007 => "RA007",
-            LintCode::RA008 => "RA008",
         }
     }
 
@@ -97,12 +94,11 @@ impl LintCode {
             LintCode::RA005 => "task routed over a resource masked dead",
             LintCode::RA006 => "slot reuse overlaps the previous write's read lifetime",
             LintCode::RA007 => "scheduled demand exceeds link capacity (alpha-beta-gamma)",
-            LintCode::RA008 => "residual transfer dead after fault-frontier provenance replay",
         }
     }
 
     /// Every code, ascending.
-    pub fn all() -> [LintCode; 8] {
+    pub fn all() -> [LintCode; 7] {
         [
             LintCode::RA001,
             LintCode::RA002,
@@ -111,7 +107,6 @@ impl LintCode {
             LintCode::RA005,
             LintCode::RA006,
             LintCode::RA007,
-            LintCode::RA008,
         ]
     }
 }

@@ -18,7 +18,6 @@
 //! | RA005 | error    | degraded-plan soundness: task routed over a health-masked resource |
 //! | RA006 | error    | buffer-lifetime overlap: slot reuse unordered with a reader of the previous write |
 //! | RA007 | error    | cost infeasibility: windowed demand above link capacity (α–β–γ) |
-//! | RA008 | warn     | residual dead transfer: no contribution after fault-frontier replay |
 //!
 //! Order-sensitive lints (RA001, RA002, RA006) share one happens-before
 //! oracle ([`HbOracle`]) built over the combined order per `analyze`
@@ -33,8 +32,8 @@
 //! via [`AnalysisReport::to_json`].
 //!
 //! The pass is wired into two places: the compiler's *sanitize* phase
-//! after lowering (gate deny or warn), which every compile, delta splice
-//! and residual plan goes through, and the `rescc-lint` CLI.
+//! after lowering (gate deny or warn), which every compile and delta
+//! splice goes through, and the `rescc-lint` CLI.
 //!
 //! [`path`]: Diagnostic::path
 
@@ -53,7 +52,7 @@ pub use graph::CombinedOrder;
 pub use oracle::{HbOracle, OracleStats};
 
 use rescc_alloc::TbAllocation;
-use rescc_ir::{DepDag, TaskId};
+use rescc_ir::DepDag;
 use rescc_kernel::KernelProgram;
 use rescc_lang::AlgoSpec;
 use rescc_sched::Schedule;
@@ -93,23 +92,6 @@ pub struct AnalysisInput<'a> {
     pub topo: &'a Topology,
 }
 
-/// What a residual plan was carved out of: the context
-/// [`Incremental::Residual`] analysis needs to replay provenance from the
-/// fault frontier (lint RA008).
-#[derive(Clone, Copy)]
-pub struct ResidualContext<'a> {
-    /// The original (pre-fault) dependency DAG the residual was pruned
-    /// from.
-    pub orig_dag: &'a DepDag,
-    /// Map from residual task id to original task id
-    /// (`orig_ids[residual.index()]`), as returned by
-    /// [`DepDag::residual`].
-    pub orig_ids: &'a [TaskId],
-    /// Per-*original*-task completion mask: `true` for tasks whose every
-    /// invocation finished before the fault (the pruned prefix).
-    pub completed: &'a [bool],
-}
-
 /// What the caller already knows about the plan under analysis, which
 /// decides the lints [`analyze`] runs.
 #[derive(Clone, Copy)]
@@ -139,18 +121,6 @@ pub enum Incremental<'a> {
         /// Sub-pipelines that contain a rerouted task.
         dirty: &'a [u32],
     },
-    /// A *residual* plan — the pruned remainder a partial-progress
-    /// recovery compiles from a fault frontier.
-    ///
-    /// The completed prefix's transfers are gone but their buffer
-    /// contributions already landed. Every structural, routing and cost
-    /// lint applies to the remainder as to a fresh plan. Dead-transfer
-    /// coverage comes from RA008 instead of RA004: RA004's replay assumes
-    /// each chunk starts from the spec's precondition, which the completed
-    /// prefix has already advanced past, so RA008 replays provenance
-    /// *from the fault frontier* and flags surviving tasks that no longer
-    /// contribute to the postcondition.
-    Residual(ResidualContext<'a>),
 }
 
 /// Run the lints over one compiled plan and collect the diagnostics.
@@ -177,9 +147,8 @@ pub fn analyze(
                     // superseded by the re-run below. Budget warnings
                     // carry no sub-pipeline site.
                     LintCode::RA003 => !d.site.sub_pipeline.is_some_and(|sp| dirty.contains(&sp)),
-                    // RA005 and RA007 re-run in full; RA008 only ever
-                    // appears on residual plans.
-                    LintCode::RA005 | LintCode::RA007 | LintCode::RA008 => false,
+                    // RA005 and RA007 re-run in full.
+                    LintCode::RA005 | LintCode::RA007 => false,
                 })
                 .cloned(),
         );
@@ -197,14 +166,9 @@ pub fn analyze(
             }
         }
         lints::ra003_oversubscription(input, config, &mut out);
-        if let Incremental::Fresh = incremental {
-            lints::ra004_dead_transfer(input, &mut out);
-        }
+        lints::ra004_dead_transfer(input, &mut out);
     }
     lints::ra005_degraded_soundness(input, &mut out);
-    if let Incremental::Residual(ctx) = &incremental {
-        lints::ra008_residual_dead_transfer(input, ctx, &mut out);
-    }
     let certificate = lints::ra007_cost_feasibility(input, &mut out);
     AnalysisReport::new(out).with_certificate(certificate)
 }

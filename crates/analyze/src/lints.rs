@@ -1,4 +1,4 @@
-//! The lint passes RA001–RA008.
+//! The lint passes RA001–RA007.
 //!
 //! Order-sensitive passes (RA001, RA002, RA006) share one happens-before
 //! oracle ([`HbOracle`]) built over the combined order; cost-side passes
@@ -8,8 +8,8 @@
 use crate::diag::{CostCertificate, Diagnostic, LintCode, Severity, Site};
 use crate::graph::CombinedOrder;
 use crate::oracle::HbOracle;
-use crate::{AnalysisConfig, AnalysisInput, ResidualContext};
-use rescc_ir::{ConflictLoads, Csr, DepDag, DepIndex, Task, TaskId};
+use crate::{AnalysisConfig, AnalysisInput};
+use rescc_ir::{ConflictLoads, Csr, DepDag, DepIndex, TaskId};
 use rescc_lang::provenance::{required, step_groups, Move, Provenance, Slots};
 use rescc_lang::{CommType, Derivation, OpType};
 use rescc_topology::{ChunkId, LinkParams};
@@ -294,38 +294,47 @@ pub fn ra003_sub_pipeline_loads(
 /// verifier's step semantics: reads observe the pre-step state, writes
 /// commit per step). A task whose contribution reaches no slot the
 /// operator's postcondition reads — e.g. it was overwritten before anyone
-/// forwarded it — moves bytes for nothing. This is RA008's replay with an
-/// empty fault frontier.
+/// forwarded it — moves bytes for nothing.
 ///
 /// The dead set depends on the spec alone, so it is memoized in the spec
 /// ([`Derivation::DeadTasks`]) whenever the DAG under analysis carries
 /// the spec's own [`DepIndex`]; another DAG is replayed afresh.
 pub fn ra004_dead_transfer(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
     let (spec, dag) = (input.spec, input.dag);
-    let replay = || dead_tasks(spec.op(), spec.n_ranks(), dag, &vec![false; dag.len()]);
+    let replay = || dead_tasks(spec.op(), spec.n_ranks(), dag);
     let dead = if Arc::ptr_eq(dag.index(), &DepIndex::of(spec)) {
         spec.derived(Derivation::DeadTasks, |_| replay())
     } else {
         Arc::new(replay())
     };
-    report_dead(dag, &dead, out, |t, task| {
-        let message = format!(
-            "dead transfer: task t{} ({} -> {} chunk c{}) never \
-             contributes to the operator's postcondition — its delivery \
-             is overwritten before any required slot reads it",
-            t.0, task.src, task.dst, task.chunk.0
-        );
-        (LintCode::RA004, Some(t.0), message)
-    });
+    for &t in dead.iter() {
+        let task = dag.task(t);
+        out.push(Diagnostic {
+            code: LintCode::RA004,
+            severity: Severity::Warn,
+            message: format!(
+                "dead transfer: task t{} ({} -> {} chunk c{}) never \
+                 contributes to the operator's postcondition — its delivery \
+                 is overwritten before any required slot reads it",
+                t.0, task.src, task.dst, task.chunk.0
+            ),
+            site: Site {
+                task: Some(t.0),
+                rank: Some(task.dst.0),
+                step: Some(task.step.0),
+                chunk: Some(task.chunk.0),
+                ..Site::default()
+            },
+            path: Vec::new(),
+        });
+    }
 }
 
-/// The dead-transfer replay behind RA004 and RA008. Per chunk of `dag`,
-/// replay task provenance over the ranks' slots: first the `completed`
-/// tasks one at a time in per-chunk order (exactly the resume-state
-/// replay the residual compiler hands the engine), then the other tasks
-/// step group by step group. Returns, in chunk order, every other task
-/// whose bit reaches no slot the postcondition of `op` reads.
-fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag, completed: &[bool]) -> Vec<TaskId> {
+/// The dead-transfer replay behind RA004. Per chunk of `dag`, replay task
+/// provenance over the ranks' slots step group by step group. Returns, in
+/// chunk order, every task whose bit reaches no slot the postcondition of
+/// `op` reads.
+fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag) -> Vec<TaskId> {
     let n_ranks = n_ranks as usize;
     let mut prov = Slots::<Provenance>::new(n_ranks);
     let mut dead = Vec::new();
@@ -340,7 +349,6 @@ fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag, completed: &[bool]) -> Vec
         // footprint. Slot `r` is rank `r`'s copy of the chunk.
         let words = tasks.len().div_ceil(64);
         prov.clear(n_ranks);
-        let done = |li: usize| completed[tasks[li].index()];
         let mv = |li: usize| {
             let t = dag.transfer(tasks[li]);
             Move {
@@ -350,14 +358,11 @@ fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag, completed: &[bool]) -> Vec
                 writer: li,
             }
         };
-        for li in (0..tasks.len()).filter(|&li| done(li)) {
-            prov.apply(mv(li));
-        }
         let mut start = 0;
         for group in step_groups(tasks, |t| dag.transfer(*t).step) {
             let range = start..start + group.len();
             start = range.end;
-            prov.apply_group(range.filter(|&li| !done(li)).map(mv));
+            prov.apply_group(range.map(mv));
         }
 
         // Union the provenance of every slot the postcondition reads.
@@ -369,38 +374,11 @@ fn dead_tasks(op: OpType, n_ranks: u32, dag: &DepDag, completed: &[bool]) -> Vec
         }
         dead.extend(
             (tasks.iter().enumerate())
-                .filter(|&(li, _)| !done(li) && useful[li / 64] & (1 << (li % 64)) == 0)
+                .filter(|&(li, _)| useful[li / 64] & (1 << (li % 64)) == 0)
                 .map(|(_, &t)| t),
         );
     }
     dead
-}
-
-/// Report each of the `dead` tasks of `dag` as the `(code, site task,
-/// message)` that `describe` gives it.
-fn report_dead(
-    dag: &DepDag,
-    dead: &[TaskId],
-    out: &mut Vec<Diagnostic>,
-    describe: impl Fn(TaskId, &Task) -> (LintCode, Option<u32>, String),
-) {
-    for &t in dead {
-        let task = dag.task(t);
-        let (code, site_task, message) = describe(t, &task);
-        out.push(Diagnostic {
-            code,
-            severity: Severity::Warn,
-            message,
-            site: Site {
-                task: site_task,
-                rank: Some(task.dst.0),
-                step: Some(task.step.0),
-                chunk: Some(task.chunk.0),
-                ..Site::default()
-            },
-            path: Vec::new(),
-        });
-    }
 }
 
 /// RA005 — degraded-plan soundness: no task may traverse a resource the
@@ -768,42 +746,4 @@ pub fn ra007_cost_feasibility(input: &AnalysisInput, out: &mut Vec<Diagnostic>) 
         bottleneck_tasks: bottleneck.1,
         bottleneck_beta_ns_per_byte: bottleneck.2,
     }
-}
-
-/// RA008 — frontier-aware residual provenance.
-///
-/// RA004's replay assumes every chunk's history starts from the spec's
-/// precondition, which is false for a residual plan: the completed prefix
-/// already moved data. Replaying the *original* pattern — completed tasks
-/// first, in per-chunk step order (exactly the resume-state replay the
-/// residual compiler performs), then the surviving tasks under RA004's
-/// step-group semantics — recovers full dead-transfer coverage: a
-/// surviving task whose contribution reaches no required slot moves bytes
-/// for nothing in the resumed run.
-pub fn ra008_residual_dead_transfer(
-    input: &AnalysisInput,
-    ctx: &ResidualContext,
-    out: &mut Vec<Diagnostic>,
-) {
-    let orig = ctx.orig_dag;
-    // Map original → residual id to anchor diagnostics on the plan under
-    // analysis.
-    let mut residual_of: Vec<u32> = vec![u32::MAX; orig.len()];
-    for (ri, &oid) in ctx.orig_ids.iter().enumerate() {
-        residual_of[oid.index()] = ri as u32;
-    }
-    let spec = input.spec;
-    let dead = dead_tasks(spec.op(), spec.n_ranks(), orig, ctx.completed);
-    report_dead(orig, &dead, out, |t, task| {
-        let rid = residual_of[t.index()];
-        let message = format!(
-            "dead transfer in residual: task t{rid} (original t{}, \
-             {} -> {} chunk c{}) never contributes to the \
-             operator's postcondition once provenance is replayed from \
-             the fault frontier — the resumed run moves its bytes for \
-             nothing",
-            t.0, task.src, task.dst, task.chunk.0
-        );
-        (LintCode::RA008, (rid != u32::MAX).then_some(rid), message)
-    });
 }

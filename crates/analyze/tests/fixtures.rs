@@ -6,16 +6,14 @@
 //! RA001, a racy spec for RA002, a degenerate schedule / tiny TB budget
 //! for RA003, a provenance-dead transfer for RA004, a health-masked
 //! topology for RA005, an unordered slot reuse for RA006, a zero-rate
-//! link for RA007, a frontier-dead residual transfer for RA008. The
-//! assertions pin both the code *and* the absence of every other code,
-//! so a lint that starts over- or under-firing fails here before it
-//! reaches the seed sweep. A final fixture pins the `--json` rendering
+//! link for RA007. The assertions pin both the code *and* the absence
+//! of every other code, so a lint that starts over- or under-firing
+//! fails here before it reaches the seed sweep. A final fixture pins the `--json` rendering
 //! to be byte-deterministic across independent analysis runs.
 
 use rescc_alloc::{Direction, Slot, SlotTable, Tb, TbAllocation};
 use rescc_analyze::{
-    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental, LintCode, ResidualContext,
-    Severity,
+    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental, LintCode, Severity,
 };
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
@@ -430,70 +428,6 @@ fn ra007_fixture_zero_bandwidth_link() {
         "certificate prices only deliverable links"
     );
     assert!(cert.lower_bound_ns(1 << 20).is_finite());
-}
-
-/// RA008 (the regression the old RA004 skip admitted): the ring-plus-dead
-/// plan from the RA004 fixture, resumed from a frontier where the whole
-/// ring completed and only the two extras survive. Replaying provenance
-/// from that frontier shows task A's delivery overwritten by B before
-/// any read — a dead transfer in the residual that pre-RA008
-/// residual analysis (which skipped dead-transfer analysis entirely)
-/// silently admitted.
-#[test]
-fn ra008_fixture_residual_dead_transfer() {
-    let topo = Topology::a100(1, 4);
-    let ring = rescc_algos::ring_allgather(4);
-    let last = ring.max_step().0;
-    let mut transfers = ring.transfers().to_vec();
-    let extra = |step: u32| TransferRec {
-        src: Rank::new(2),
-        dst: Rank::new(1),
-        step: Step::new(step),
-        chunk: ChunkId::new(0),
-        comm: CommType::Recv,
-    };
-    transfers.push(extra(last + 1)); // task A — dead after the frontier
-    transfers.push(extra(last + 2)); // task B — overwrites A
-    let spec =
-        AlgoSpec::new("ring-plus-dead", OpType::AllGather, 4, transfers).expect("valid spec");
-    let orig_dag = DepDag::build(&spec, &topo).expect("dag");
-
-    // Fault frontier: every ring task completed, only the extras survive.
-    let keep: Vec<bool> = orig_dag.tasks().iter().map(|t| t.step.0 > last).collect();
-    assert_eq!(keep.iter().filter(|&&k| k).count(), 2);
-    let completed: Vec<bool> = keep.iter().map(|&k| !k).collect();
-    let (dag, orig_ids) = orig_dag.residual(&keep, &topo).expect("residual");
-
-    let schedule = hpds(&dag);
-    let alloc = TbAllocation::connection_based(&dag, &schedule, 1);
-    let program = KernelProgram::generate(
-        spec.name(),
-        &dag,
-        &alloc,
-        LoopOrder::SlotMajor,
-        ExecMode::DirectKernel,
-    );
-    let report = analyze(
-        &AnalysisInput {
-            spec: &spec,
-            dag: &dag,
-            schedule: &schedule,
-            alloc: &alloc,
-            program: &program,
-            topo: &topo,
-        },
-        &AnalysisConfig::default(),
-        Incremental::Residual(ResidualContext {
-            orig_dag: &orig_dag,
-            orig_ids: &orig_ids,
-            completed: &completed,
-        }),
-    );
-    assert_only(&report, LintCode::RA008, Severity::Warn);
-    assert_eq!(report.diagnostics().len(), 1, "only A is dead, B survives");
-    let site = &report.diagnostics()[0].site;
-    assert_eq!(site.step, Some(last + 1), "the dead task is A, not B");
-    assert_eq!(site.chunk, Some(0));
 }
 
 /// The `rescc-lint --json` schema promises byte-identical output for

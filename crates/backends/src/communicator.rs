@@ -17,7 +17,7 @@ use crate::{Backend, RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYT
 use rescc_algos::{
     hm_allgather, hm_allreduce, hm_reduce_scatter, recursive_halving_doubling_allreduce,
 };
-use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, ResidualPlan, SpecKey};
+use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, SpecKey};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, OpType};
 use rescc_obs::{DispatchEvent, ObsStats, RecoveryTrigger};
@@ -286,10 +286,11 @@ impl Communicator {
             }
         }
         // Completed invocations accumulated across aborted attempts, in
-        // the id space of the full (non-residual) plan — stable across
-        // delta recompiles (reroutes preserve task ids) and across full
-        // recompiles (the DAG is rebuilt deterministically from the same
-        // spec). While non-empty, each attempt resumes from it.
+        // the cached plan's task-id space — stable across resumes (a
+        // resumed attempt runs the same plan), across delta recompiles
+        // (reroutes preserve task ids) and across full recompiles (the DAG
+        // is rebuilt deterministically from the same spec). While
+        // non-empty, each attempt resumes from it.
         let mut acc: Option<FaultFrontier> = None;
         loop {
             // The recovery so far, for the budgets. Each retry replays the
@@ -311,7 +312,7 @@ impl Communicator {
                     delta: false,
                 });
             }
-            let cfg = SimConfig {
+            let mut cfg = SimConfig {
                 validate_data: self.validate,
                 faults: self.faults.advanced(elapsed),
                 record_trace: self.observe,
@@ -319,26 +320,22 @@ impl Communicator {
                 ..SimConfig::default()
             };
             // Partial-progress resume: while the accumulated frontier is
-            // non-empty, compile the residual plan (pruned + re-rooted,
-            // sanitize re-run, provenance verified) and run only the
-            // remainder. A frontier the residual compiler refuses falls
-            // back to a plain restart — correctness never depends on the
-            // resume succeeding.
-            let residual: Option<ResidualPlan> = match &acc {
-                Some(f) if !f.is_empty() => self.compiler.residual_plan(&plan, f).ok(),
-                _ => None,
-            };
-            let attempt = match &residual {
-                Some(r) => {
+            // non-empty, run the cached plan with the frontier's completed
+            // invocations pre-marked, so only the remainder executes. A
+            // frontier the resume check refuses (wrong dimensions, or a
+            // provenance violation under verify) falls back to a plain
+            // restart — correctness never depends on the resume succeeding.
+            let resumed = match &acc {
+                Some(f) if !f.is_empty() && self.compiler.residual_plan(&plan, f).is_ok() => {
                     events.push(DispatchEvent::Resume);
-                    let cfg = cfg.clone().with_resume(r.resume.clone());
-                    r.plan.run_with(buffer_bytes, chunk_bytes, &cfg)
+                    cfg = cfg.with_resume(f.clone());
+                    true
                 }
-                None => plan.run_with(buffer_bytes, chunk_bytes, &cfg),
+                _ => false,
             };
+            let attempt = plan.run_with(buffer_bytes, chunk_bytes, &cfg);
             match attempt {
                 Ok(sim) => {
-                    let exec_plan = residual.as_ref().map_or(&*plan, |r| &r.plan);
                     let recovery = engaged.then(|| RecoveryStats {
                         dead_resources: self.health.dead().iter().map(|r| r.0).collect(),
                         plan_fingerprint: ev.fingerprint,
@@ -350,7 +347,7 @@ impl Communicator {
                     // degraded/faulted one runs against parameters the
                     // certificate was not computed for, so neither bounds
                     // from below.
-                    let certificate_undercut = (residual.is_none()
+                    let certificate_undercut = (!resumed
                         && self.faults.is_empty()
                         && self.health.is_empty()
                         && elapsed == 0.0)
@@ -362,8 +359,8 @@ impl Communicator {
                         backend: self.backend.to_string(),
                         algo: spec.name().to_string(),
                         buffer_bytes,
-                        total_tbs: exec_plan.total_tbs(),
-                        max_rank_tbs: exec_plan.alloc.max_rank_tbs(),
+                        total_tbs: plan.total_tbs(),
+                        max_rank_tbs: plan.alloc.max_rank_tbs(),
                         sim,
                         recovery,
                         certificate_undercut,
@@ -374,8 +371,7 @@ impl Communicator {
                     if so_far.retries >= MAX_RETRIES {
                         return Err(err);
                     }
-                    let resumable =
-                        absorb_frontier(err.frontier(), &residual, plan.dag.len() as u32, &mut acc);
+                    let resumable = absorb_frontier(err.frontier(), &mut acc);
                     events.push(DispatchEvent::Trigger(RecoveryTrigger {
                         action: if resumable {
                             RecoveryAction::Resume
@@ -417,23 +413,17 @@ impl Communicator {
                     // Fold the aborted attempt's completed work in before
                     // the plan changes under us — the post-recompile
                     // dispatch resumes from it instead of restarting.
-                    absorb_frontier(
-                        frontier.as_deref(),
-                        &residual,
-                        plan.dag.len() as u32,
-                        &mut acc,
-                    );
+                    absorb_frontier(frontier.as_deref(), &mut acc);
                     // Incremental recompile: reroute the just-failed plan
                     // around the freshly-masked resource and splice
                     // (`Compiler::recompile_delta`), caching the result
                     // under the degraded fingerprint so the dispatch at the
                     // top of the loop hits instead of compiling the whole
-                    // pipeline again. Residual plans never go through the
-                    // delta path — the recompile always starts from the
-                    // full cached plan, and the next dispatch re-prunes.
-                    // If the splice is denied (no healthy route — the deny
-                    // gate fires), fall through: the full compile at the
-                    // top of the loop reports the identical lint error.
+                    // pipeline again; that dispatch resumes the spliced
+                    // plan from the accumulated frontier. If the splice is
+                    // denied (no healthy route — the deny gate fires), fall
+                    // through: the full compile at the top of the loop
+                    // reports the identical lint error.
                     let mut action = RecoveryAction::FullRecompile;
                     if let Ok(spliced) = self.compiler.recompile_delta(&plan, &self.health) {
                         let degraded = self.topo.clone().with_health(self.health.clone());
@@ -461,26 +451,16 @@ impl Communicator {
     }
 }
 
-/// Fold a just-aborted attempt's frontier into the accumulated one, mapping
-/// residual-space task ids back to the full plan's id space when the
-/// attempt ran a residual plan. Returns whether the accumulated frontier is
-/// now non-empty (i.e. the next attempt can resume).
-fn absorb_frontier(
-    frontier: Option<&FaultFrontier>,
-    residual: &Option<ResidualPlan>,
-    full_n_tasks: u32,
-    acc: &mut Option<FaultFrontier>,
-) -> bool {
+/// Fold a just-aborted attempt's frontier into the accumulated one.
+/// Returns whether the accumulated frontier is now non-empty (i.e. the
+/// next attempt can resume).
+fn absorb_frontier(frontier: Option<&FaultFrontier>, acc: &mut Option<FaultFrontier>) -> bool {
     if let Some(f) = frontier {
-        let mapped = match residual {
-            Some(r) => r.frontier_to_original(f, full_n_tasks),
-            None => f.clone(),
-        };
         match acc {
             Some(a) => {
-                a.union(&mapped);
+                a.union(f);
             }
-            None => *acc = Some(mapped),
+            None => *acc = Some(f.clone()),
         }
     }
     acc.as_ref().is_some_and(|a| !a.is_empty())
@@ -808,15 +788,28 @@ mod tests {
             .with_faults(FaultTimeline::new().kill(chan, healthy_ns * 0.6));
         let rep = comm.all_reduce(64 * MB).unwrap();
         assert_eq!(rep.sim.data_valid, Some(true));
-        let rec = rep.recovery.expect("watchdog engaged");
+        let rec = rep.recovery.clone().expect("watchdog engaged");
         assert!(rec.recompiles >= 1);
         assert!(
             rec.resumes >= 1,
             "late fault must resume from the frontier: {rec:?}"
         );
+        // The resumed attempt ran the plan the cache holds under the
+        // reported fingerprint: the report's TB counts are that kernel's.
+        let (plan, ev) = comm
+            .cache_handle()
+            .get_or_compile_keyed(rec.plan_fingerprint, || {
+                panic!("the dispatched plan must be cached")
+            })
+            .unwrap();
+        assert!(ev.is_hit());
+        assert_eq!(
+            (rep.total_tbs, rep.max_rank_tbs),
+            (plan.total_tbs(), plan.alloc.max_rank_tbs())
+        );
         assert!(
             rep.sim.completion_ns < healthy_ns,
-            "residual attempt {} must be shorter than a full run {healthy_ns}",
+            "resumed attempt {} must be shorter than a full run {healthy_ns}",
             rep.sim.completion_ns
         );
         assert!(!rec.journal.is_empty());

@@ -56,8 +56,8 @@ pub struct RecoveryStats {
     /// by rerouting and splicing the cached plan
     /// (`Compiler::recompile_delta`) instead of compiling from scratch.
     pub delta_recompiles: u32,
-    /// Attempts that resumed from an accumulated fault frontier (residual
-    /// plan) instead of restarting from scratch.
+    /// Attempts that resumed the cached plan from an accumulated fault
+    /// frontier instead of restarting from scratch.
     pub resumes: u32,
     /// Masked resources un-masked because their fault schedule no longer
     /// declares them permanently dead (fail-back to the healthier plan).
@@ -117,9 +117,11 @@ pub struct RunReport {
     pub algo: String,
     /// Per-rank buffer size synchronized.
     pub buffer_bytes: u64,
-    /// Total TBs launched across the cluster.
+    /// Total TBs launched across the cluster by the kernel that ran: the
+    /// dispatched plan's, resumed or not.
     pub total_tbs: usize,
-    /// TBs on the busiest rank (the `#TB` metric of Table 3).
+    /// TBs on the busiest rank of the kernel that ran (the `#TB` metric of
+    /// Table 3).
     pub max_rank_tbs: usize,
     /// The underlying simulation report.
     pub sim: SimReport,

@@ -1,7 +1,7 @@
-//! **Analyze** — cost of the certification pass (RA001–RA008) at scale.
+//! **Analyze** — cost of the certification pass (RA001–RA007) at scale.
 //!
 //! Not a paper figure: this experiment prices the static-analysis layer
-//! so the 8-lint sweep stays an always-on compile phase rather than an
+//! so the 7-lint sweep stays an always-on compile phase rather than an
 //! opt-in tool. For 256 / 1,024 / 4,096 emulated GPUs (hm AllReduce,
 //! the largest seed workload) it measures, per scale:
 //!
@@ -12,7 +12,7 @@
 //! * each lint's standalone wall time against the shared oracle, each
 //!   sample on a spec of its own: RA004 replays as in a spec's first
 //!   compile, and the sweeps below read its memoized dead set;
-//! * the full 8-lint `analyze()` sweep vs the pre-certification 5-lint
+//! * the full 7-lint `analyze()` sweep vs the pre-certification 5-lint
 //!   subset (RA001–RA005 under today's implementations). The sweep must
 //!   stay within **2×** of the subset at 1,024 ranks — the acceptance
 //!   bound that keeps the oracle honest: RA006/RA007 ride on shared
@@ -76,7 +76,7 @@ fn measure(input: &AnalysisInput, config: &AnalysisConfig) -> Sample {
     let stats = oracle.stats();
 
     // The pre-certification subset: everything the pass ran before
-    // RA006–RA008 existed, under today's implementations (shared order +
+    // RA006 and RA007 existed, under today's implementations (shared order +
     // oracle + RA001 path included — they were already paid for).
     let (subset_s, ()) = time(|| {
         let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
@@ -168,12 +168,12 @@ impl ScaleRun {
         self.full.0 / self.subset_med
     }
 
-    /// The 8-lint sweep must stay within [`SWEEP_BUDGET`] of the subset.
+    /// The 7-lint sweep must stay within [`SWEEP_BUDGET`] of the subset.
     fn check(&self, gate: &mut Gate) {
         let ratio = self.ratio();
         gate.check(ratio <= SWEEP_BUDGET, || {
             format!(
-                "8-lint sweep is {ratio:.2}x the 5-lint subset at {} ranks \
+                "7-lint sweep is {ratio:.2}x the 5-lint subset at {} ranks \
                  (budget {SWEEP_BUDGET}x)",
                 self.ranks
             )
@@ -298,12 +298,12 @@ pub fn run() {
     }
 
     print_table(
-        "Static analysis cost: shared-oracle 8-lint sweep (hm AllReduce)",
+        "Static analysis cost: shared-oracle 7-lint sweep (hm AllReduce)",
         &[
             "ranks",
             "tasks",
             "oracle",
-            "8-lint sweep",
+            "7-lint sweep",
             "5-lint subset",
             "ratio",
             "hb queries",
@@ -384,7 +384,7 @@ pub fn smoke() {
         &AnalysisConfig::default(),
     );
     println!(
-        "lint sweep ({} ranks, {} tasks): 8-lint {:.2}ms, 5-lint subset {:.2}ms, ratio {:.2}x",
+        "lint sweep ({} ranks, {} tasks): 7-lint {:.2}ms, 5-lint subset {:.2}ms, ratio {:.2}x",
         run.ranks,
         run.tasks,
         run.full.0 * 1e3,

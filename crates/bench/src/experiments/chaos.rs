@@ -155,8 +155,9 @@ pub fn run() {
         &econ_rows,
     );
     println!(
-        "frontier resume re-runs only the residual schedule, so recovering a \
-         late fault costs a fraction of restarting the collective from zero."
+        "frontier resume runs the cached plan with its completed invocations \
+         pre-marked, so recovering a late fault costs a fraction of \
+         restarting the collective from zero."
     );
 
     let json = format!(

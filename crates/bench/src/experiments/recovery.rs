@@ -237,8 +237,8 @@ pub fn run() {
     let mut drills = Vec::new();
     for sc in scenarios(&topo, 0.35 * healthy.ns) {
         let drill = Drill::run(&topo, buffer, sc);
-        // The resumed attempt only ran the residual schedule, so it must
-        // be strictly cheaper than restarting.
+        // The resumed attempt ran only the invocations its frontier left
+        // undone, so it must be strictly cheaper than restarting.
         drill.check(&healthy, 1.0, &mut gate);
         let rec = &drill.rec;
         let (resume_ns, restart_ns, total) = (drill.resume_ns, drill.restart_ns, drill.total_ns);

@@ -1,4 +1,4 @@
-//! `rescc-lint` — run the cross-phase static analysis (lints RA001–RA008)
+//! `rescc-lint` — run the cross-phase static analysis (lints RA001–RA007)
 //! over compiled plans, without executing anything.
 //!
 //! ```text

@@ -15,7 +15,7 @@
 //!    three [`Lowering`]s: ResCCL's state-based lowering, its fused
 //!    variant, or the rigid lowering of the NCCL and MSCCL baselines,
 //! 5. **Sanitize** — cross-phase static analysis (`rescc-analyze` lints
-//!    RA001–RA008) over the finished artifact stack, gated by
+//!    RA001–RA007) over the finished artifact stack, gated by
 //!    [`LintGate`] (deny by default: `Error`-severity findings fail the
 //!    compile).
 //!
@@ -36,13 +36,12 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod residual;
+mod resume;
 
 pub use cache::{
     plan_cost_bytes, plan_fingerprint, CacheEvent, CacheEventKind, CacheStats, PlanCache, SpecKey,
     DEFAULT_JOURNAL_CAPACITY, SHARD_COUNT,
 };
-pub use residual::ResidualPlan;
 
 use rescc_alloc::TbAllocation;
 use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental};
@@ -50,7 +49,7 @@ use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::{eval, parse, AlgoSpec, OpType};
 use rescc_sched::{by_step, hpds, round_robin, Schedule, StagePartition};
-use rescc_sim::{simulate, LintRefusal, SimConfig, SimError, SimReport, SimResult};
+use rescc_sim::{simulate, SimConfig, SimError, SimReport, SimResult};
 use rescc_topology::{Topology, TopologyHealth};
 use std::time::{Duration, Instant};
 
@@ -103,7 +102,7 @@ pub struct PhaseTimings {
     /// DSL text → AST → validated spec.
     pub parsing: Duration,
     /// Spec → dependency DAG (for a delta recompile: the reroute and the
-    /// dirty-set revalidation; for a residual: the pruning).
+    /// dirty-set revalidation).
     pub analysis: Duration,
     /// DAG → task pipeline (HPDS / RR).
     pub scheduling: Duration,
@@ -423,12 +422,7 @@ impl Compiler {
         );
         plan.timings.sanitize = t0.elapsed();
         if self.lint_gate == LintGate::Deny && report.has_errors() {
-            let refusal = match incremental {
-                Incremental::Residual(_) => LintRefusal::ResidualPlan,
-                _ => LintRefusal::Plan,
-            };
             return Err(SimError::LintRejected {
-                refusal,
                 report: report.render_human(),
             });
         }
@@ -717,10 +711,7 @@ mod tests {
     /// outcome.
     fn lint_refusal(result: SimResult<CompiledPlan>) -> String {
         match result {
-            Err(SimError::LintRejected {
-                refusal: LintRefusal::Plan,
-                report,
-            }) => report,
+            Err(SimError::LintRejected { report }) => report,
             other => panic!("expected a lint-gate refusal, got {other:?}"),
         }
     }

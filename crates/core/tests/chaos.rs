@@ -82,7 +82,7 @@ fn check_accounting(ctx: &str, rec: &RecoveryStats) {
 /// A give-up must be a *typed*, explained error — never a panic, never a
 /// silent wrong answer. The legitimate shapes: a permanent `ResourceDown`
 /// the routing could not mask around (budget exhausted or already
-/// masked), or the sanitize gate denying the degraded/residual plan.
+/// masked), or the sanitize gate denying the degraded plan.
 fn check_give_up(ctx: &str, err: &SimError) {
     match err {
         SimError::ResourceDown { permanent, .. } => {
@@ -144,7 +144,7 @@ fn chaos_timelines_validate_or_give_up_typed_across_grid() {
 
 #[test]
 fn chaos_replays_byte_identically() {
-    // The whole recovery path — frontier capture, residual compile,
+    // The whole recovery path — frontier capture, the resume check,
     // resume, mask + recompile — is deterministic: identical seeds must
     // produce identical reports (or identical give-ups).
     let topo = Topology::a100(2, 4);

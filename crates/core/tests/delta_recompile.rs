@@ -9,7 +9,7 @@
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
 use rescc_lang::AlgoSpec;
-use rescc_sim::{LintRefusal, SimError};
+use rescc_sim::SimError;
 use rescc_topology::{NicId, Rank, Topology, TopologyHealth};
 use std::time::Duration;
 
@@ -56,10 +56,7 @@ fn fault_sites(topo: &Topology) -> Vec<(String, TopologyHealth)> {
 /// finding in its report.
 fn is_ra005_refusal(err: &SimError) -> bool {
     match err {
-        SimError::LintRejected {
-            refusal: LintRefusal::Plan,
-            report,
-        } => report.contains("RA005"),
+        SimError::LintRejected { report } => report.contains("RA005"),
         _ => false,
     }
 }

@@ -82,12 +82,10 @@ struct Route {
 /// [`DepIndex::of`] derives it once per spec and memoizes it in the spec
 /// ([`AlgoSpec::derived`]), so every DAG of one spec shares one index: a
 /// DAG built for another topology and a [rerouted](DepDag::reroute) DAG
-/// point at the same one. A [residual](DepDag::residual) DAG builds its
-/// own.
+/// point at the same one.
 #[derive(Debug, PartialEq)]
 pub struct DepIndex {
-    /// The spec's transfer records, task `i` being record `i`. A residual
-    /// index owns the subset it kept.
+    /// The spec's transfer records, task `i` being record `i`.
     transfers: Arc<[TransferRec]>,
     /// Data-dependency predecessors of each task (CSR).
     preds: Csr<TaskId>,
@@ -192,22 +190,7 @@ impl DepDag {
             )));
         }
         let index = DepIndex::of(spec);
-        // Each distinct pair's route is resolved once.
-        let transfers = &index.transfers;
-        let routes = intern_routes(transfers, |t| {
-            let conn = topo.connection(transfers[t].src, transfers[t].dst);
-            (conn.conflict, conn.path)
-        });
-        Self::assemble(index, routes, topo)
-    }
-
-    /// Finish a DAG from its index and route table: index the conflict
-    /// resources against `topo`.
-    fn assemble(
-        index: Arc<DepIndex>,
-        (route_of, mut routes): (Vec<u32>, Vec<Route>),
-        topo: &Topology,
-    ) -> Result<Self> {
+        let (route_of, mut routes) = intern_routes(&index.transfers, topo);
         let (resource_ids, conflict_limit) = index_resources(&mut routes, topo)?;
         Ok(Self {
             index,
@@ -257,70 +240,6 @@ impl DepDag {
             patched.conflict_limit = limits;
         }
         Ok((patched, dirty))
-    }
-
-    /// The residual DAG: keep exactly the tasks flagged in `keep`,
-    /// renumbering them contiguously, and drop every edge touching a
-    /// pruned task — a kept task whose predecessors all completed becomes
-    /// a new root, which is precisely the re-rooting partial-progress
-    /// recovery needs. Kept tasks keep their routes. Per-chunk lists and
-    /// the dense resource index are rebuilt against `topo`; chunk ids are
-    /// preserved.
-    ///
-    /// Returns the residual DAG plus the map from residual task id to the
-    /// original [`TaskId`] (`orig_ids[residual.index()]`), so callers can
-    /// translate frontiers and schedules between the two id spaces.
-    ///
-    /// Fails when the mask's length mismatches or when nothing is kept.
-    pub fn residual(&self, keep: &[bool], topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
-        if keep.len() != self.len() {
-            return Err(IrError::new(format!(
-                "keep mask covers {} tasks, DAG has {}",
-                keep.len(),
-                self.len()
-            )));
-        }
-        let mut new_id = vec![u32::MAX; self.len()];
-        let mut orig_ids: Vec<TaskId> = Vec::new();
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                new_id[i] = orig_ids.len() as u32;
-                orig_ids.push(TaskId::new(i as u32));
-            }
-        }
-        if orig_ids.is_empty() {
-            return Err(IrError::new(
-                "residual DAG would be empty — nothing left to execute",
-            ));
-        }
-        let transfers: Arc<[TransferRec]> = orig_ids.iter().map(|id| *self.transfer(*id)).collect();
-        let routes = intern_routes(&transfers, |t| {
-            let kept = self.route(orig_ids[t]);
-            (kept.conflict, kept.path)
-        });
-        // Surviving edges, remapped. New ids are monotone in original ids,
-        // so filtered rows (including the (step, id)-sorted chunk chains)
-        // keep their order.
-        let new_id = &new_id;
-        let remap = |csr: &Csr<TaskId>, n_rows: usize, source_row: &dyn Fn(usize) -> usize| {
-            let pairs = (0..n_rows).flat_map(|row| {
-                csr.row(source_row(row))
-                    .iter()
-                    .filter(|id| keep[id.index()])
-                    .map(move |id| (row as u32, TaskId::new(new_id[id.index()])))
-            });
-            Csr::from_pairs(n_rows, pairs)
-        };
-        let old = &self.index;
-        let index = DepIndex {
-            transfers,
-            preds: remap(&old.preds, orig_ids.len(), &|row| orig_ids[row].index()),
-            succs: remap(&old.succs, orig_ids.len(), &|row| orig_ids[row].index()),
-            by_chunk: remap(&old.by_chunk, old.n_chunks as usize, &|c| c),
-            n_chunks: old.n_chunks,
-        };
-        let dag = Self::assemble(Arc::new(index), routes, topo)?;
-        Ok((dag, orig_ids))
     }
 
     /// Number of tasks.
@@ -526,13 +445,10 @@ impl ExactSizeIterator for TaskIter<'_> {}
 
 /// Intern the routes of `transfers`: each task's index into a table with
 /// one entry per distinct `(src, dst)` pair, numbered in order of first
-/// use, and that table. `resolve(i)` gives the conflict and path sets of
-/// transfer `i`'s pair; it runs once per pair, at the pair's first
-/// transfer. Dense indices are filled in by [`index_resources`].
-fn intern_routes(
-    transfers: &[TransferRec],
-    mut resolve: impl FnMut(usize) -> (ResourceSet, ResourceSet),
-) -> (Vec<u32>, Vec<Route>) {
+/// use, and that table. Each distinct pair's route is resolved against
+/// `topo` once, at the pair's first transfer. Dense indices are filled in
+/// by [`index_resources`].
+fn intern_routes(transfers: &[TransferRec], topo: &Topology) -> (Vec<u32>, Vec<Route>) {
     const UNSEEN: u32 = u32::MAX;
     // The pair table spans the ranks the transfers name.
     let n = transfers
@@ -544,17 +460,16 @@ fn intern_routes(
     let mut routes = Vec::new();
     let route_of = transfers
         .iter()
-        .enumerate()
-        .map(|(i, t)| {
+        .map(|t| {
             let r = &mut route_of_pair[t.src.index() * n + t.dst.index()];
             if *r == UNSEEN {
                 *r = routes.len() as u32;
-                let (conflict, path) = resolve(i);
+                let conn = topo.connection(t.src, t.dst);
                 routes.push(Route {
                     src: t.src,
                     dst: t.dst,
-                    conflict,
-                    path,
+                    conflict: conn.conflict,
+                    path: conn.path,
                     dense: DenseResSet::default(),
                 });
             }
@@ -724,10 +639,6 @@ mod tests {
             for spec in rescc_algos::seed_suite(nodes, topo.n_ranks() / nodes) {
                 let dag = DepDag::build(&spec, &topo).unwrap();
                 dag.validate_order(&dag.topo_order()).unwrap();
-                // A residual that drops every third task, roots included.
-                let keep: Vec<bool> = (0..dag.len()).map(|i| i % 3 != 0).collect();
-                let (res, _) = dag.residual(&keep, &topo).unwrap();
-                res.validate_order(&res.topo_order()).unwrap();
             }
         }
     }
@@ -820,49 +731,6 @@ mod tests {
         // The patched DAG matches a from-scratch build on the degraded topo.
         let fresh = DepDag::build(&ring_ag(8), &degraded).unwrap();
         assert_eq!(patched, fresh);
-    }
-
-    #[test]
-    fn residual_prunes_renumbers_and_reroots() {
-        let topo = Topology::a100(1, 8);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        // Prune the first task of every chunk chain (as if it completed).
-        let mut keep = vec![true; dag.len()];
-        for c in 0..8u32 {
-            keep[dag.chunk_tasks(ChunkId::new(c))[0].index()] = false;
-        }
-        let (res, orig) = dag.residual(&keep, &topo).unwrap();
-        assert_eq!(res.len(), dag.len() - 8);
-        assert_eq!(orig.len(), res.len());
-        for (ri, t) in res.tasks().iter().enumerate() {
-            assert_eq!(t.id.index(), ri, "residual ids must be contiguous");
-            let o = dag.task(orig[ri]);
-            assert_eq!(
-                (t.src, t.dst, t.step, t.chunk, t.comm),
-                (o.src, o.dst, o.step, o.chunk, o.comm)
-            );
-        }
-        // Chains re-rooted: the former second task is now a root.
-        for c in 0..8u32 {
-            let chain = res.chunk_tasks(ChunkId::new(c));
-            assert_eq!(chain.len(), 6);
-            assert!(res.preds(chain[0]).is_empty());
-            for w in chain.windows(2) {
-                assert_eq!(res.preds(w[1]), &[w[0]]);
-            }
-        }
-        res.validate_order(&res.topo_order()).unwrap();
-    }
-
-    #[test]
-    fn residual_keep_all_is_identity_and_keep_none_rejected() {
-        let topo = Topology::a100(2, 4);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        let (all, ids) = dag.residual(&vec![true; dag.len()], &topo).unwrap();
-        assert_eq!(all, dag);
-        assert_eq!(ids.len(), dag.len());
-        assert!(dag.residual(&vec![false; dag.len()], &topo).is_err());
-        assert!(dag.residual(&[true], &topo).is_err(), "mask length");
     }
 
     #[test]

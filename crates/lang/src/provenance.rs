@@ -1,9 +1,9 @@
 //! The provenance kernel: the collective contract and the per-chunk
 //! replay, each defined once.
 //!
-//! The static verifier, the simulator's data check and the residual
-//! compiler's provenance proof replay contribution counts ([`Counts`]);
-//! the dead-transfer lints RA004/RA008 replay task provenance
+//! The static verifier, the simulator's data check and the resume
+//! check's provenance proof replay contribution counts ([`Counts`]);
+//! the dead-transfer lint RA004 replays task provenance
 //! ([`Provenance`]). All of them replay over `(rank, chunk)` slots
 //! ([`Slots`]) against one contract ([`Slots::initial`],
 //! [`Slots::contract_violation`], [`required`]). In a step group every

@@ -143,7 +143,7 @@ pub enum RecoveryAction {
     /// compiled from scratch at the next dispatch.
     FullRecompile,
     /// The attempt's fault frontier was folded in; the next attempt
-    /// resumed from it (residual plan) instead of restarting.
+    /// resumed the cached plan from it instead of restarting.
     Resume,
     /// A masked resource was restored: the watchdog un-masked it and
     /// failed back to the healthier plan at the collective boundary.

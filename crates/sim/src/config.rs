@@ -2,7 +2,7 @@
 
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultTimeline;
-use crate::frontier::ResumeState;
+use crate::frontier::FaultFrontier;
 
 /// Configuration of one simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,11 +29,11 @@ pub struct SimConfig {
     /// report. Attribution is read-only instrumentation: all other report
     /// fields are bit-identical to a run without it.
     pub attribute_bubbles: bool,
-    /// Partial-progress resume: invocations already completed by an
-    /// aborted attempt (plus the buffer replay reconstructing their
-    /// effects). `None` — the default — runs from scratch and is
-    /// byte-identical to configurations predating this field.
-    pub resume: Option<ResumeState>,
+    /// Partial-progress resume: the fault frontier of an aborted attempt
+    /// of the same plan, whose completed invocations the run starts with.
+    /// `None` — the default — runs from scratch and is byte-identical to
+    /// configurations predating this field.
+    pub resume: Option<FaultFrontier>,
 }
 
 impl Default for SimConfig {
@@ -85,9 +85,9 @@ impl SimConfig {
     }
 
     /// Resume from an aborted attempt's partial progress instead of
-    /// starting from scratch. The state's dimensions are checked against
-    /// the plan when the run starts.
-    pub fn with_resume(mut self, resume: ResumeState) -> Self {
+    /// starting from scratch. The frontier must come from a run of the
+    /// same plan; its dimensions are checked when the run starts.
+    pub fn with_resume(mut self, resume: FaultFrontier) -> Self {
         self.resume = Some(resume);
         self
     }

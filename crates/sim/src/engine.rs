@@ -1123,10 +1123,14 @@ impl<'a> Engine<'a> {
         // without re-running any (non-idempotent) reduction.
         let mut inv_done_init = 0u64;
         if let Some(rs) = &config.resume {
-            rs.validate(n_tasks as u32, n_mb, n_ranks, n_chunks)
-                .map_err(SimError::InvalidConfig)?;
+            if rs.n_tasks != n_tasks as u32 || rs.n_mb != n_mb {
+                return Err(SimError::InvalidConfig(format!(
+                    "resume frontier covers {} tasks x {} micro-batches, run has {n_tasks} x {n_mb}",
+                    rs.n_tasks, rs.n_mb
+                )));
+            }
             if config.validate_data {
-                rs.replay_into(0..n_mb, &mut buffers, n_chunks);
+                rs.replay_into(dag, 0..n_mb, &mut buffers);
             }
             for t in 0..n_tasks {
                 for mb in 0..n_mb {

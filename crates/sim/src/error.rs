@@ -80,34 +80,13 @@ pub enum SimError {
     /// fraction outside `[0, 1]`, brownout factor outside `(0, 1]`,
     /// fault event out of range, …).
     InvalidConfig(String),
-    /// Static analysis found `Error`-severity diagnostics in a plan and a
-    /// gate refused it.
+    /// Static analysis found `Error`-severity diagnostics in a compiled or
+    /// recompiled plan and the compiler's sanitize gate refused it.
     LintRejected {
-        /// Which gate refused the plan.
-        refusal: LintRefusal,
         /// The analysis report, rendered human-readable: one line per
         /// diagnostic, each naming its lint code (e.g. `RA005`).
         report: String,
     },
-}
-
-/// The gate that refused a plan on static-analysis grounds
-/// ([`SimError::LintRejected`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LintRefusal {
-    /// The compiler's sanitize phase denied a compiled or recompiled plan.
-    Plan,
-    /// The compiler's sanitize phase denied a residual (resume) plan.
-    ResidualPlan,
-}
-
-impl fmt::Display for LintRefusal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Plan => "sanitize: plan rejected by lint gate",
-            Self::ResidualPlan => "sanitize: residual plan rejected by lint gate",
-        })
-    }
 }
 
 impl SimError {
@@ -195,7 +174,9 @@ impl fmt::Display for SimError {
                 Ok(())
             }
             Self::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
-            Self::LintRejected { refusal, report } => write!(f, "{refusal}\n{report}"),
+            Self::LintRejected { report } => {
+                write!(f, "sanitize: plan rejected by lint gate\n{report}")
+            }
         }
     }
 }
@@ -255,7 +236,6 @@ mod tests {
             SimError::AllocationBug(IrError::new("slot missing")),
             SimError::LoweringBug(IrError::new("bad rendezvous")),
             SimError::LintRejected {
-                refusal: LintRefusal::Plan,
                 report: "error[RA005] at t0: routed over a masked resource".into(),
             },
             SimError::Topology(TopologyError::ResourceOutOfRange {

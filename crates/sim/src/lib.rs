@@ -52,9 +52,9 @@ mod trace;
 
 pub use config::SimConfig;
 pub use engine::simulate;
-pub use error::{LintRefusal, SimError, SimResult};
+pub use error::{SimError, SimResult};
 pub use fault::{Fault, FaultEvent, FaultTimeline};
-pub use frontier::{FaultFrontier, ReplayOp, ResumeState};
+pub use frontier::FaultFrontier;
 pub use metrics::{ResourceStat, SimReport, TbStat};
 pub use obs::{BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTimeline};
 pub use trace::{render_gantt, BottleneckReport, FaultRecord, TraceEvent};
@@ -452,32 +452,6 @@ mod tests {
         assert!(!err.is_transient());
     }
 
-    /// A no-prune resume state built straight from a frontier: every
-    /// completed invocation marked done, with its buffer effect replayed
-    /// in per-chunk dependency order.
-    fn resume_from(dag: &DepDag, n_mb: u32, frontier: &FaultFrontier) -> ResumeState {
-        use rescc_topology::ChunkId;
-        let mut rs = ResumeState::new(dag.len() as u32, n_mb);
-        for c in 0..dag.n_chunks() {
-            for &t in dag.chunk_tasks(ChunkId::new(c)) {
-                for mb in 0..n_mb {
-                    if frontier.is_done(t.0, mb) {
-                        rs.mark_done(t.0, mb);
-                        let task = dag.task(t);
-                        rs.replay.push(ReplayOp {
-                            src: task.src.0,
-                            dst: task.dst.0,
-                            chunk: c,
-                            mb,
-                            comm: task.comm,
-                        });
-                    }
-                }
-            }
-        }
-        rs
-    }
-
     #[test]
     fn resume_from_frontier_finishes_with_valid_data_in_residual_time() {
         let topo = Topology::a100(1, 4);
@@ -504,17 +478,17 @@ mod tests {
             frontier.completed() < base.n_invocations,
             "aborted run cannot have finished"
         );
-        // Resume on a healthy fabric (the link was restored): only the
-        // residual work runs, data still validates, and the residual run
-        // is strictly cheaper than restarting from byte zero.
-        let resume = resume_from(&dag, plan.n_micro_batches, &frontier);
-        let rcfg = SimConfig::default().with_resume(resume);
+        // Resume the same plan from the frontier on a healthy fabric (the
+        // link was restored): only the remaining work runs, data still
+        // validates, and the resumed run is strictly cheaper than
+        // restarting from byte zero.
+        let rcfg = SimConfig::default().with_resume(frontier);
         let rep = simulate(&topo, &dag, &prog, &plan, OpType::AllGather, &rcfg).unwrap();
         assert_eq!(rep.data_valid, Some(true));
         assert_eq!(rep.n_invocations, base.n_invocations);
         assert!(
             rep.completion_ns < base.completion_ns,
-            "residual {} must be cheaper than a full run {}",
+            "resumed run {} must be cheaper than a full run {}",
             rep.completion_ns,
             base.completion_ns
         );
@@ -526,7 +500,7 @@ mod tests {
         let spec = ring_ag(4);
         let (dag, prog) = build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
         let plan = MicroBatchPlan::plan(16 << 20, 4, 1 << 20);
-        let cfg = SimConfig::default().with_resume(ResumeState::new(3, 99));
+        let cfg = SimConfig::default().with_resume(FaultFrontier::new(3, 99, 0));
         let err = simulate(&topo, &dag, &prog, &plan, OpType::AllGather, &cfg).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }

@@ -62,7 +62,7 @@ pub mod kernel {
     pub use rescc_kernel::*;
 }
 
-/// Cross-phase static analysis (lints RA001–RA008) over compiled plans.
+/// Cross-phase static analysis (lints RA001–RA007) over compiled plans.
 pub mod analyze {
     pub use rescc_analyze::*;
 }

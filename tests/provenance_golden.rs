@@ -1,20 +1,20 @@
 //! Golden oracle for the per-chunk provenance replays.
 //!
-//! Four passes replay a chunk's transfer history against the collective's
-//! contract: the static verifier (`verify_collective`), the dead-transfer
-//! lints RA004 and RA008, and the residual compiler's provenance proof
+//! Three passes replay a chunk's transfer history against the
+//! collective's contract: the static verifier (`verify_collective`), the
+//! dead-transfer lint RA004, and the resume check's provenance proof
 //! (`residual_plan`). Each case keeps the FNV-1a digest of one pass's
 //! verdict, rendered as text:
 //!
 //! * `verify/…` — `verify_collective`'s `Ok`, or its error's `Display`;
 //! * `ra004/…` — RA004's report as `AnalysisReport::to_json()`;
-//! * `residual/…` — `residual_plan`'s error `Display`, or the residual
-//!   plan's full sanitize report (RA008 included) as JSON.
+//! * `residual/…` — `ok` when the plan may resume from the frontier, or
+//!   the resume check's error `Display`.
 //!
 //! The corpus is the seed suite on the Table-3 topologies, plus seeded
 //! corruptions of every spec (a dropped transfer, a duplicated reduction,
 //! a transfer moved one step later), plus seeded downward-closed fault
-//! frontiers for the residual cases. A change to how any of these passes
+//! frontiers for the resume cases. A change to how any of these passes
 //! replays a chunk must leave every digest alone; on a mismatch the
 //! failure message prints the table the current code produces.
 
@@ -209,12 +209,12 @@ fn seeded_frontier(plan: &CompiledPlan, n_mb: u32, seed: &str) -> FaultFrontier 
 
 fn residual_verdict(compiler: &Compiler, plan: &CompiledPlan, frontier: &FaultFrontier) -> String {
     match compiler.residual_plan(plan, frontier) {
-        Ok(r) => format!("ok {:?}\n{}", r.orig_ids, r.plan.diagnostics.to_json()),
+        Ok(()) => "ok".to_string(),
         Err(e) => e.to_string(),
     }
 }
 
-/// `residual_plan` (RA008 and the provenance proof) over seeded frontiers
+/// `residual_plan` (the resume provenance proof) over seeded frontiers
 /// of the seed suite and of its corruptions on Table-3 topology `i`.
 fn residual_digests(i: usize) -> Vec<(String, u64)> {
     const N_MB: u32 = 3;
@@ -282,8 +282,8 @@ fn residuals_topo2() {
 }
 
 /// The RA004 fixture's ring-plus-dead plan: a ring AllGather plus two
-/// late copies into one slot, the first overwritten by the second. Its
-/// frontiers are the fixture's (every ring task complete) and seeded ones.
+/// late copies into one slot, the first overwritten by the second, with
+/// seeded frontiers.
 #[test]
 fn residuals_ring_plus_dead() {
     let topo = Topology::a100(1, 4);
@@ -307,19 +307,10 @@ fn residuals_ring_plus_dead() {
         "ra004/ring-plus-dead".to_string(),
         fnv1a(ra004_report(&spec, &topo).as_bytes()),
     )];
-    let mut ring_done = FaultFrontier::new(plan.dag.len() as u32, 2, 1_000_000);
-    for t in plan.dag.tasks().iter().filter(|t| t.step.0 <= last) {
-        ring_done.mark(t.id.0, 0);
-        ring_done.mark(t.id.0, 1);
-    }
-    let mut frontiers = vec![("ring-done".to_string(), ring_done)];
     for k in 0..4 {
         let seed = format!("ring-plus-dead/frontier{k}");
-        frontiers.push((seed.clone(), seeded_frontier(&plan, 2, &seed)));
-    }
-    for (name, frontier) in frontiers {
-        let verdict = residual_verdict(&compiler, &plan, &frontier);
-        got.push((format!("residual/{name}"), fnv1a(verdict.as_bytes())));
+        let verdict = residual_verdict(&compiler, &plan, &seeded_frontier(&plan, 2, &seed));
+        got.push((format!("residual/{seed}"), fnv1a(verdict.as_bytes())));
     }
     check(&got, GOLDEN_RING_PLUS_DEAD);
 }
@@ -713,594 +704,593 @@ const GOLDEN_CONTRACT_TOPO4: &[(&str, u64)] = &[
 ];
 
 const GOLDEN_RESIDUAL_TOPO1: &[(&str, u64)] = &[
-    ("residual/a100-2x4/hm-ag-2x4/frontier0", 0x0557699aab9a50e4),
-    ("residual/a100-2x4/hm-ag-2x4/frontier1", 0x1fa08b92850a80d6),
+    ("residual/a100-2x4/hm-ag-2x4/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/hm-ag-2x4/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/hm-ag-2x4/drop/frontier0",
-        0xa8fe3f08a7a950a5,
+        0xa3f30ad2a0de6db7,
     ),
     (
         "residual/a100-2x4/hm-ag-2x4/drop/frontier1",
-        0xa8fe3f08a7a950a5,
+        0xa3f30ad2a0de6db7,
     ),
     (
         "residual/a100-2x4/hm-ag-2x4/late/frontier0",
-        0x2c7900f8be502ae2,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/hm-ag-2x4/late/frontier1",
-        0x925889e153d484a8,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/hm-rs-2x4/frontier0", 0x7ad1755b9e4d743a),
-    ("residual/a100-2x4/hm-rs-2x4/frontier1", 0xaab8a7bc3a6ed5b4),
+    ("residual/a100-2x4/hm-rs-2x4/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/hm-rs-2x4/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/hm-rs-2x4/drop/frontier0",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x4/hm-rs-2x4/drop/frontier1",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x4/hm-rs-2x4/dup-rrc/frontier0",
-        0x2ede8f4cb1d337fc,
+        0xdcc79b31e1118886,
     ),
     (
         "residual/a100-2x4/hm-rs-2x4/dup-rrc/frontier1",
-        0x2ede8f4cb1d337fc,
+        0xdcc79b31e1118886,
     ),
     (
         "residual/a100-2x4/hm-rs-2x4/late/frontier0",
-        0xdc22be4c374e1005,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/hm-rs-2x4/late/frontier1",
-        0xb5399c0fdf0ecad1,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/hm-ar-2x4/frontier0", 0xe530d4e1585f4abd),
-    ("residual/a100-2x4/hm-ar-2x4/frontier1", 0x59e7f29d6d16860a),
+    ("residual/a100-2x4/hm-ar-2x4/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/hm-ar-2x4/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/hm-ar-2x4/drop/frontier0",
-        0x2827c084e04dc8c0,
+        0x8f69cfc4dc8ca33a,
     ),
     (
         "residual/a100-2x4/hm-ar-2x4/drop/frontier1",
-        0x2827c084e04dc8c0,
+        0x8f69cfc4dc8ca33a,
     ),
     (
         "residual/a100-2x4/hm-ar-2x4/dup-rrc/frontier0",
-        0xf615bd244ad927e3,
+        0xc44f6d378208d8e9,
     ),
     (
         "residual/a100-2x4/hm-ar-2x4/dup-rrc/frontier1",
-        0xf615bd244ad927e3,
+        0xc44f6d378208d8e9,
     ),
     (
         "residual/a100-2x4/hm-ar-2x4/late/frontier0",
-        0x008f7541af62a5bd,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/hm-ar-2x4/late/frontier1",
-        0xa43626c18b651fc1,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/ring-ag-8/frontier0", 0x57042ff17b9759f3),
-    ("residual/a100-2x4/ring-ag-8/frontier1", 0x5fc20850dc7031e3),
+    ("residual/a100-2x4/ring-ag-8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/ring-ag-8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/ring-ag-8/drop/frontier0",
-        0x491c7a3e182884e7,
+        0xcebddcb5d3af13cd,
     ),
     (
         "residual/a100-2x4/ring-ag-8/drop/frontier1",
-        0x491c7a3e182884e7,
+        0xcebddcb5d3af13cd,
     ),
     (
         "residual/a100-2x4/ring-ag-8/late/frontier0",
-        0x4ef86f73134ed644,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-ag-8/late/frontier1",
-        0x551b35a6ec6d7b4e,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/ring-rs-8/frontier0", 0xd9b3502f0abe1190),
-    ("residual/a100-2x4/ring-rs-8/frontier1", 0xc95b242e1223f070),
+    ("residual/a100-2x4/ring-rs-8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/ring-rs-8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/ring-rs-8/drop/frontier0",
-        0x977bfdcb1e6d3790,
+        0x960e5d636c3e43ea,
     ),
     (
         "residual/a100-2x4/ring-rs-8/drop/frontier1",
-        0x977bfdcb1e6d3790,
+        0x960e5d636c3e43ea,
     ),
     (
         "residual/a100-2x4/ring-rs-8/dup-rrc/frontier0",
-        0xb4ab07520e863dff,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-rs-8/dup-rrc/frontier1",
-        0xf024545cc8583156,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-rs-8/late/frontier0",
-        0xdd01d04cdeaddc0d,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-rs-8/late/frontier1",
-        0x07de69125d2e1a80,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/ring-ar-8/frontier0", 0xc3a4baff12913af7),
-    ("residual/a100-2x4/ring-ar-8/frontier1", 0xbadadb33350e226a),
+    ("residual/a100-2x4/ring-ar-8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/ring-ar-8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/ring-ar-8/drop/frontier0",
-        0x749c492aa9343462,
+        0x4c2ba0fca4cab548,
     ),
     (
         "residual/a100-2x4/ring-ar-8/drop/frontier1",
-        0x749c492aa9343462,
+        0x4c2ba0fca4cab548,
     ),
     (
         "residual/a100-2x4/ring-ar-8/dup-rrc/frontier0",
-        0x6e537fd112f899dc,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-ar-8/dup-rrc/frontier1",
-        0x9a6fa4b22968262c,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-ar-8/late/frontier0",
-        0xb2e08047299948f4,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/ring-ar-8/late/frontier1",
-        0x2572cae43df4d95a,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/frontier0",
-        0xa39d9ebce02e9383,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/frontier1",
-        0x646c957e3d021faa,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/drop/frontier0",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/drop/frontier1",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/dup-rrc/frontier0",
-        0x9a32cc38dc5c9ca0,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/dup-rrc/frontier1",
-        0x104895f3f1b0fbba,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/late/frontier0",
-        0xdada0e91bf875dff,
+        0xdc9afee806cb732d,
     ),
     (
         "residual/a100-2x4/nccl-rings2-ar-2x4/late/frontier1",
-        0xdada0e91bf875dff,
+        0xdc9afee806cb732d,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/frontier0",
-        0x1a0a9d13ca271289,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/frontier1",
-        0xc2fd7c65a9995ef0,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/drop/frontier0",
-        0x6b352dac25f5c0c1,
+        0x0751d96ce22e9fdb,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/drop/frontier1",
-        0x6b352dac25f5c0c1,
+        0x0751d96ce22e9fdb,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/late/frontier0",
-        0x03431d9f1d3710a0,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/recdbl-ag-8/late/frontier1",
-        0xaea23d738f0d8a71,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/frontier0",
-        0xd79e6cdf8f0709df,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/frontier1",
-        0x56588981e05664b7,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/drop/frontier0",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/drop/frontier1",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/dup-rrc/frontier0",
-        0x1bfd19150a1a673c,
+        0x4fe9c812fa7034f6,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/dup-rrc/frontier1",
-        0x1bfd19150a1a673c,
+        0x4fe9c812fa7034f6,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/late/frontier0",
-        0x3b7882a6846c14ad,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/rechlv-rs-8/late/frontier1",
-        0x02562e39dad585bc,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x4/rechd-ar-8/frontier0", 0xf75af20eee6f12e4),
-    ("residual/a100-2x4/rechd-ar-8/frontier1", 0x38786c2e387e3cb2),
+    ("residual/a100-2x4/rechd-ar-8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x4/rechd-ar-8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x4/rechd-ar-8/drop/frontier0",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x4/rechd-ar-8/drop/frontier1",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x4/rechd-ar-8/dup-rrc/frontier0",
-        0x2827c084e04dc8c0,
+        0x8f69cfc4dc8ca33a,
     ),
     (
         "residual/a100-2x4/rechd-ar-8/dup-rrc/frontier1",
-        0x2827c084e04dc8c0,
+        0x8f69cfc4dc8ca33a,
     ),
     (
         "residual/a100-2x4/rechd-ar-8/late/frontier0",
-        0xbddce04d3d20deed,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/rechd-ar-8/late/frontier1",
-        0x828d1475323a2863,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/frontier0",
-        0x5013637d513faf87,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/frontier1",
-        0xa9c4a1947400a247,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/drop/frontier0",
-        0xa82d50ead9633f95,
+        0x774f8da9a2d92ec7,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/drop/frontier1",
-        0xa82d50ead9633f95,
+        0x774f8da9a2d92ec7,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/dup-rrc/frontier0",
-        0xd8c98f979bdd2b4c,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/dup-rrc/frontier1",
-        0x4cc7a39043649a78,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/late/frontier0",
-        0x2637a344a5771400,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x4/dbtree-ar-8/late/frontier1",
-        0x46e47ec0710da21b,
+        0x08b05d07b5566bef,
     ),
 ];
 
 const GOLDEN_RESIDUAL_TOPO2: &[(&str, u64)] = &[
-    ("residual/a100-2x8/hm-ag-2x8/frontier0", 0xa7f8b02d30b8af94),
-    ("residual/a100-2x8/hm-ag-2x8/frontier1", 0x4bbd823a202b542f),
+    ("residual/a100-2x8/hm-ag-2x8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/hm-ag-2x8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/hm-ag-2x8/drop/frontier0",
-        0x415a8cc8a2293c3b,
+        0x5769144aaf48dd31,
     ),
     (
         "residual/a100-2x8/hm-ag-2x8/drop/frontier1",
-        0x415a8cc8a2293c3b,
+        0x5769144aaf48dd31,
     ),
     (
         "residual/a100-2x8/hm-ag-2x8/late/frontier0",
-        0x7ae49159205bbe93,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/hm-ag-2x8/late/frontier1",
-        0xf07241b6991a59fa,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x8/hm-rs-2x8/frontier0", 0xf8a21caee8858afe),
-    ("residual/a100-2x8/hm-rs-2x8/frontier1", 0x870cd87bb2d8caf5),
+    ("residual/a100-2x8/hm-rs-2x8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/hm-rs-2x8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/hm-rs-2x8/drop/frontier0",
-        0xc1d6b3a432405bfc,
+        0xa90f017240bdf2b6,
     ),
     (
         "residual/a100-2x8/hm-rs-2x8/drop/frontier1",
-        0xc1d6b3a432405bfc,
+        0xa90f017240bdf2b6,
     ),
     (
         "residual/a100-2x8/hm-rs-2x8/dup-rrc/frontier0",
-        0x2ede8f4cb1d337fc,
+        0xdcc79b31e1118886,
     ),
     (
         "residual/a100-2x8/hm-rs-2x8/dup-rrc/frontier1",
-        0x2ede8f4cb1d337fc,
+        0xdcc79b31e1118886,
     ),
     (
         "residual/a100-2x8/hm-rs-2x8/late/frontier0",
-        0xccb9143e8301561a,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/hm-rs-2x8/late/frontier1",
-        0x1c740394189bda2b,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x8/hm-ar-2x8/frontier0", 0xf17ca4d5f911643b),
-    ("residual/a100-2x8/hm-ar-2x8/frontier1", 0xef965d57b430f470),
+    ("residual/a100-2x8/hm-ar-2x8/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/hm-ar-2x8/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/hm-ar-2x8/drop/frontier0",
-        0x353ab112d1c44244,
+        0x21a87c3d42092256,
     ),
     (
         "residual/a100-2x8/hm-ar-2x8/drop/frontier1",
-        0x353ab112d1c44244,
+        0x21a87c3d42092256,
     ),
     (
         "residual/a100-2x8/hm-ar-2x8/dup-rrc/frontier0",
-        0x6138f1652e49d827,
+        0x046769e1911e9c85,
     ),
     (
         "residual/a100-2x8/hm-ar-2x8/dup-rrc/frontier1",
-        0x6138f1652e49d827,
+        0x046769e1911e9c85,
     ),
     (
         "residual/a100-2x8/hm-ar-2x8/late/frontier0",
-        0x5d48209ef515e474,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/hm-ar-2x8/late/frontier1",
-        0x4a589223268da7e5,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x8/ring-ag-16/frontier0", 0x2d7b6622958bb4f2),
-    ("residual/a100-2x8/ring-ag-16/frontier1", 0x06bc6de432817caf),
+    ("residual/a100-2x8/ring-ag-16/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/ring-ag-16/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/ring-ag-16/drop/frontier0",
-        0x2d57f67bb9c45614,
+        0x1c334af5adda7a26,
     ),
     (
         "residual/a100-2x8/ring-ag-16/drop/frontier1",
-        0x2d57f67bb9c45614,
+        0x1c334af5adda7a26,
     ),
     (
         "residual/a100-2x8/ring-ag-16/late/frontier0",
-        0xb17bc2d314f6d750,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-ag-16/late/frontier1",
-        0xd33698e832a7ade1,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x8/ring-rs-16/frontier0", 0xbaa7242ecf98811e),
-    ("residual/a100-2x8/ring-rs-16/frontier1", 0x9a405ee1665c6a09),
+    ("residual/a100-2x8/ring-rs-16/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/ring-rs-16/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/ring-rs-16/drop/frontier0",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x8/ring-rs-16/drop/frontier1",
-        0x985cd0635a68cdcc,
+        0xa82bf8ba9ab252f6,
     ),
     (
         "residual/a100-2x8/ring-rs-16/dup-rrc/frontier0",
-        0x41cf1567af1a7b51,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-rs-16/dup-rrc/frontier1",
-        0xf65751a7c82b80e2,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-rs-16/late/frontier0",
-        0xdd2bfafe8ed392eb,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-rs-16/late/frontier1",
-        0x1500b217b5e2bdd1,
+        0x08b05d07b5566bef,
     ),
-    ("residual/a100-2x8/ring-ar-16/frontier0", 0x64c7599233e4af71),
-    ("residual/a100-2x8/ring-ar-16/frontier1", 0x4a0c6838c70d1ec6),
+    ("residual/a100-2x8/ring-ar-16/frontier0", 0x08b05d07b5566bef),
+    ("residual/a100-2x8/ring-ar-16/frontier1", 0x08b05d07b5566bef),
     (
         "residual/a100-2x8/ring-ar-16/drop/frontier0",
-        0xa82d50ead9633f95,
+        0x774f8da9a2d92ec7,
     ),
     (
         "residual/a100-2x8/ring-ar-16/drop/frontier1",
-        0xa82d50ead9633f95,
+        0x774f8da9a2d92ec7,
     ),
     (
         "residual/a100-2x8/ring-ar-16/dup-rrc/frontier0",
-        0x3fd83291a44f3659,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-ar-16/dup-rrc/frontier1",
-        0xfb6c684a1aa7dab0,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-ar-16/late/frontier0",
-        0x32b145fd2ab9122b,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/ring-ar-16/late/frontier1",
-        0xc7bfba68cc4f1559,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/frontier0",
-        0x269e32f6565007ff,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/frontier1",
-        0xcf252901716d2bd2,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/drop/frontier0",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/drop/frontier1",
-        0x89a90cdde6ad5119,
+        0x4fc5146f7568ba43,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/dup-rrc/frontier0",
-        0xf1a8f1fbdac92dc9,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/dup-rrc/frontier1",
-        0xc8889906034c7c09,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/late/frontier0",
-        0xbba46d4377c38266,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/nccl-rings2-ar-2x8/late/frontier1",
-        0x87626bf8a6573702,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/frontier0",
-        0xf41832a45aa9f452,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/frontier1",
-        0x1b81c72b75dd5e76,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/drop/frontier0",
-        0x9605f5d17cc2bc94,
+        0x2597bfcf42794f36,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/drop/frontier1",
-        0x9605f5d17cc2bc94,
+        0x2597bfcf42794f36,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/late/frontier0",
-        0x90495954d1a1e326,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/recdbl-ag-16/late/frontier1",
-        0xd3d13796da8216a3,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/frontier0",
-        0x446b75ee01c2b0dd,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/frontier1",
-        0xb736c748071fcbe9,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/drop/frontier0",
-        0x977bfdcb1e6d3790,
+        0x960e5d636c3e43ea,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/drop/frontier1",
-        0x977bfdcb1e6d3790,
+        0x960e5d636c3e43ea,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/dup-rrc/frontier0",
-        0xb753ecfd372ba248,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/dup-rrc/frontier1",
-        0x9aedb98058808b60,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/late/frontier0",
-        0x68fda3f4599e60be,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechlv-rs-16/late/frontier1",
-        0xdcad189d05116684,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/frontier0",
-        0x68f64a2b50fd43a8,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/frontier1",
-        0x772cccde8fececa1,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/drop/frontier0",
-        0xb76076c0480a89bc,
+        0x9ef8eee01b4308a6,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/drop/frontier1",
-        0xb76076c0480a89bc,
+        0x9ef8eee01b4308a6,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/dup-rrc/frontier0",
-        0xb76076c0480a89bc,
+        0x9ef8eee01b4308a6,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/dup-rrc/frontier1",
-        0xb76076c0480a89bc,
+        0x9ef8eee01b4308a6,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/late/frontier0",
-        0x701b70e8570903d0,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/rechd-ar-16/late/frontier1",
-        0xc7db8f1b4970d3b1,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/frontier0",
-        0x09d1fcc9dab20ef1,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/frontier1",
-        0xeef23f0efa50c515,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/drop/frontier0",
-        0xe94e3ea2bc20d41e,
+        0x942bf3fff83a8d6c,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/drop/frontier1",
-        0xe94e3ea2bc20d41e,
+        0x942bf3fff83a8d6c,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/dup-rrc/frontier0",
-        0xfdc50525fd86a26e,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/dup-rrc/frontier1",
-        0x8b7d1884962d8667,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/late/frontier0",
-        0xa03f9fb4e222d44f,
+        0x08b05d07b5566bef,
     ),
     (
         "residual/a100-2x8/dbtree-ar-16/late/frontier1",
-        0x76438d655745330d,
+        0x08b05d07b5566bef,
     ),
 ];
 
 const GOLDEN_RING_PLUS_DEAD: &[(&str, u64)] = &[
     ("ra004/ring-plus-dead", 0x87a9c9e88b3d2e57),
-    ("residual/ring-done", 0xa4e1d3867b1bfd3a),
-    ("residual/ring-plus-dead/frontier0", 0xb41412e00c08fa9c),
-    ("residual/ring-plus-dead/frontier1", 0x672268cd8a42d11a),
-    ("residual/ring-plus-dead/frontier2", 0x8b862107cd580603),
-    ("residual/ring-plus-dead/frontier3", 0xbf17aee91dc56864),
+    ("residual/ring-plus-dead/frontier0", 0x08b05d07b5566bef),
+    ("residual/ring-plus-dead/frontier1", 0x08b05d07b5566bef),
+    ("residual/ring-plus-dead/frontier2", 0x08b05d07b5566bef),
+    ("residual/ring-plus-dead/frontier3", 0x08b05d07b5566bef),
 ];

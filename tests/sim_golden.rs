@@ -238,13 +238,13 @@ fn fault_timelines() {
         .expect_err("a permanent kill mid-run aborts")
         .frontier()
         .expect("the abort carries a frontier");
-    let residual = compiler
+    compiler
         .residual_plan(&plan, frontier)
-        .expect("residual plan");
-    let resumed = residual.plan.run_with(
+        .expect("the plan resumes from its own frontier");
+    let resumed = plan.run_with(
         buffer,
         MB,
-        &SimConfig::default().with_resume(residual.resume.clone()),
+        &SimConfig::default().with_resume(frontier.clone()),
     );
     got.push(("resume".into(), digest(&resumed)));
 
@@ -496,7 +496,7 @@ const GOLDEN_FAULTS: &[(&str, u64)] = &[
     ("healthy", 0xa4ebcdab910299a5),
     ("brownout+straggler", 0xcb4c60c594b8f047),
     ("link-down", 0x27681b66d488a03d),
-    ("resume", 0xdf54d534baf66086),
+    ("resume", 0xe4013e191df8c569),
     ("flap", 0xb61de03b6e42d872),
     ("advanced-kill", 0x1fb0cce158fc3a15),
 ];
