@@ -26,20 +26,27 @@
 //! contract are the shared provenance kernel's (`rescc_lang::provenance`).
 //!
 //! Events run in `(t, seq)` order, `seq` counting scheduled events and
-//! re-keys. Each in-flight transfer owns exactly one live event — its
+//! re-keys, except that a transfer already deferred at the instant keeps
+//! its `seq`. Each in-flight transfer owns exactly one live event — its
 //! startup latency, then its projected drain finish. The engine and the
 //! queue pay once per transfer per simulated instant (DESIGN.md §14):
 //!
-//! * a re-key made while the instant has other events moves the transfer
-//!   to the back of the instant's FIFO unprojected, and the queue projects
+//! * a re-key made while the instant has other events puts the transfer
+//!   at the back of the instant's FIFO unprojected, and the queue projects
 //!   it when it is next in line, so k load changes in one lockstep burst
 //!   cost one projection;
-//! * in an open instant a start or finish defers each peer as it finds
-//!   it, and re-deferring an id already deferred at the instant only
-//!   draws its `seq` and moves it to the FIFO's tail;
+//! * a re-key of a transfer already deferred at the instant keeps its
+//!   `seq` and its FIFO place, and a load change on a resource whose
+//!   draining transfers are all deferred skips the scan of its peers, so
+//!   k lockstep finishes on a link cost O(k) peer visits, not O(k²);
 //! * a projection to a later time waits for the instant's end;
 //! * later events sit in runs of one time ordered by a heap, so a pop
 //!   inside a lockstep burst costs one compare rather than a full sift.
+//!
+//! Completion times do not depend on the order of events within one
+//! instant: a share depends only on loads, progress settles only across
+//! time, and a transfer is projected from the shares in force when it
+//! pops.
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -212,8 +219,9 @@ fn cache_slot(t: f64) -> usize {
 /// has events waits in a buffer, keeping the `seq` it drew, until the
 /// instant is over; the last one per id wins. A deferred re-key joins the
 /// FIFO before its time is known, and `pop` projects it when it is next
-/// in line, so only an id's last re-key of the instant is projected.
-/// Later events sit in runs,
+/// in line; re-deferring it before then keeps its `seq` and its place, so
+/// it is projected once, from the state at its turn. Later events sit in
+/// runs,
 /// one time each, appended in `seq` order, and an indexed 4-ary min-heap
 /// orders the runs by `(t, head seq)`, so popping the next event of a run
 /// costs one compare against the root's children rather than a full sift.
@@ -242,9 +250,6 @@ struct EventQueue {
     /// while it is its id's `pending` event. A deferred re-key enters when
     /// it is projected, behind events with larger `seq`.
     buffer: Vec<Event>,
-    /// Calls of [`EventQueue::defer`] on an id already deferred.
-    #[cfg(test)]
-    redefers: u64,
 }
 
 impl Default for EventQueue {
@@ -268,8 +273,6 @@ impl EventQueue {
             fifo_head: NONE,
             fifo_tail: NONE,
             buffer: Vec::new(),
-            #[cfg(test)]
-            redefers: 0,
         }
     }
 
@@ -329,27 +332,11 @@ impl EventQueue {
 
     /// Re-key `id` with the next sequence number to a time not yet known,
     /// at or after `now`: it joins the back of the FIFO, and `pop` asks
-    /// for its time once it is next in line. The time must not change
-    /// between the two calls unless `id` is re-keyed again.
+    /// for its time once it is next in line. An id already deferred at
+    /// this instant keeps its `seq` and its place: `pop` has not asked for
+    /// its time yet, and will ask from the state at its turn.
     fn defer(&mut self, id: u32) {
-        if self
-            .places
-            .get(id as usize)
-            .is_some_and(|s| s.fifo && s.deferred)
-        {
-            // Already deferred at this instant: its run entry, if any, is
-            // at a later time, since nothing is inserted while the FIFO is
-            // non-empty. Only the `seq` and the FIFO position move.
-            #[cfg(test)]
-            {
-                self.redefers += 1;
-            }
-            self.seq += 1;
-            self.places[id as usize].pending = self.seq;
-            if self.fifo_tail != id {
-                self.unlink(id);
-                self.push_back(id, true);
-            }
+        if self.is_deferred(id) {
             return;
         }
         let seq = self.next_seq(id);
@@ -359,6 +346,13 @@ impl EventQueue {
         self.unqueue_due(id);
         self.places[id as usize].pending = seq;
         self.push_back(id, true);
+    }
+
+    /// Is `id` in the FIFO, deferred at this instant and not yet projected?
+    fn is_deferred(&self, id: u32) -> bool {
+        self.places
+            .get(id as usize)
+            .is_some_and(|s| s.fifo && s.deferred)
     }
 
     /// Does the current instant still have events: in the FIFO, buffered,
@@ -823,12 +817,51 @@ struct ObsAcc {
     res_intervals: Vec<Vec<(f64, f64)>>,
 }
 
+/// Loads whose share at factor 1.0 a [`ShareTables`] row holds: `1..=64`.
+const TABLED_LOADS: usize = 64;
+
+/// The row of a resource whose shares are always computed.
+const UNTABLED: u16 = u16::MAX;
+
+/// One row per distinct [`LinkParams`] of a run: the share of each load
+/// in `1..=TABLED_LOADS` at factor 1.0, `effective_bandwidth(z) * 1.0 / z`
+/// over the same cached constants, so a tabled share is the `f64`
+/// [`ResState::refresh_share`] would compute.
+#[derive(Default)]
+struct ShareTables {
+    params: Vec<LinkParams>,
+    rows: Vec<[f64; TABLED_LOADS]>,
+}
+
+impl ShareTables {
+    /// The row of `params`, added on first sight; [`UNTABLED`] once the
+    /// rows run out of 16-bit indices.
+    fn row(&mut self, params: LinkParams) -> u16 {
+        if let Some(i) = self.params.iter().position(|&p| p == params) {
+            return i as u16;
+        }
+        if self.params.len() >= UNTABLED as usize {
+            return UNTABLED;
+        }
+        let (bandwidth, reference_chunk_ns) = (params.bandwidth(), params.reference_chunk_ns());
+        self.params.push(params);
+        self.rows.push(std::array::from_fn(|i| {
+            let z = i as u32 + 1;
+            params.effective_bandwidth_over(z, bandwidth, reference_chunk_ns) * 1.0 / z as f64
+        }));
+        self.params.len() as u16 - 1
+    }
+}
+
 struct ResState {
     params: LinkParams,
     /// `params.bandwidth()` and `params.reference_chunk_ns()`, the two
     /// per-link constants of `refresh_share`.
     bandwidth: f64,
     reference_chunk_ns: f64,
+    /// The [`ShareTables`] row of `params`. 16 bits, so that it packs
+    /// next to `load` and `up` without growing the record.
+    row: u16,
     load: u32,
     active_since: f64,
     active_ns: f64,
@@ -846,11 +879,12 @@ struct ResState {
 }
 
 impl ResState {
-    fn new(params: LinkParams) -> Self {
+    fn new(params: LinkParams, tables: &mut ShareTables) -> Self {
         Self {
             params,
             bandwidth: params.bandwidth(),
             reference_chunk_ns: params.reference_chunk_ns(),
+            row: tables.row(params),
             load: 0,
             active_since: 0.0,
             active_ns: 0.0,
@@ -863,16 +897,23 @@ impl ResState {
     }
 
     /// `share = effective_bandwidth(load) * factor / load`, over the
-    /// cached constants.
-    fn refresh_share(&mut self) {
+    /// cached constants: read from the table at factor 1.0 and a tabled
+    /// load, else computed.
+    fn refresh_share(&mut self, tables: &ShareTables) {
         let (p, z) = (&self.params, self.load);
+        if let Some(row) = tables.rows.get(self.row as usize) {
+            if self.factor == 1.0 && (1..=TABLED_LOADS as u32).contains(&z) {
+                self.share = row[z as usize - 1];
+                return;
+            }
+        }
         let effective = p.effective_bandwidth_over(z, self.bandwidth, self.reference_chunk_ns);
         self.share = effective * self.factor / z as f64;
     }
 }
 
-/// The peers a load change re-keys, each once per event, in first-seen
-/// order (that order assigns their `seq`).
+/// The peers a load change re-keys, in first-seen order (that order
+/// assigns their `seq`).
 #[derive(Default)]
 struct Rekeys {
     /// Stamp of the current event.
@@ -883,42 +924,97 @@ struct Rekeys {
     /// In a closed instant, the peers found, projected once every load
     /// on the path has changed; reused across events.
     found: Vec<u32>,
-    /// The last epoch that re-keyed each transfer slot. It sits apart from
-    /// the transfer table, so a visit reads 8 bytes, not a transfer.
+    /// The last epoch that collected each transfer slot. It sits apart
+    /// from the transfer table, so a visit reads 8 bytes, not a transfer.
     seen: Vec<u64>,
-    /// Peers deferred as they were found.
+    /// Stamp of the current open stretch of an instant; a handler that
+    /// begins in a closed instant starts the next one.
+    stretch: u64,
+    /// Per resource, the stretch in which every transfer draining on it
+    /// was deferred, so a scan of its peers would defer nothing new. The
+    /// mark holds while each of them waits in the FIFO: it drops when one
+    /// projects to a later time, or when the stretch ends.
+    covered: Vec<u64>,
+    /// Peers an open scan deferred or found deferred already.
     #[cfg(test)]
     deferred: u64,
+    /// Scans skipped on a covered resource.
+    #[cfg(test)]
+    skipped: u64,
 }
 
 impl Rekeys {
+    /// The re-key state of a run over `n_resources` resources.
+    fn new(n_resources: usize) -> Self {
+        Self {
+            stretch: 1,
+            covered: vec![0; n_resources],
+            ..Self::default()
+        }
+    }
+
     /// Start the re-keys of one event; `open` is the queue's
     /// [`EventQueue::instant_open`].
     fn begin(&mut self, open: bool) {
         self.epoch += 1;
         self.open = open;
+        self.stretch += u64::from(!open);
         self.found.clear();
     }
 
-    /// Re-key each transfer of `draining` not yet seen in this event:
-    /// defer it at once in an open instant, else collect it. Transfer
-    /// slot `x` is event `first_transfer + x`.
-    fn visit(&mut self, draining: &[u32], events: &mut EventQueue, first_transfer: u32) {
-        for &other in draining {
-            let seen = &mut self.seen[other as usize];
-            if *seen == self.epoch {
-                continue;
-            }
-            *seen = self.epoch;
-            if self.open {
-                #[cfg(test)]
-                {
-                    self.deferred += 1;
+    /// Drop the covered marks of `path`: a transfer draining on it has
+    /// left the FIFO for a later time.
+    fn uncover(&mut self, path: ResourceSet) {
+        for r in path.iter() {
+            self.covered[r.index()] = 0;
+        }
+    }
+
+    /// Re-key the transfers of `draining`, the drains of resource `r`. In
+    /// a closed instant collect each one not yet seen in this event. In an
+    /// open instant defer each one at once, which keeps the place of one
+    /// deferred already, and cover `r`; if `r` is covered already, every
+    /// one of them is deferred and the scan is skipped. Transfer slot `x`
+    /// is event `first_transfer + x`.
+    #[inline]
+    fn visit(
+        &mut self,
+        r: ResourceId,
+        draining: &[u32],
+        events: &mut EventQueue,
+        first_transfer: u32,
+    ) {
+        if !self.open {
+            for &other in draining {
+                let seen = &mut self.seen[other as usize];
+                if *seen != self.epoch {
+                    *seen = self.epoch;
+                    self.found.push(other);
                 }
-                events.defer(first_transfer + other);
-            } else {
-                self.found.push(other);
             }
+            return;
+        }
+        let covered = &mut self.covered[r.index()];
+        if *covered == self.stretch {
+            debug_assert!(
+                draining
+                    .iter()
+                    .all(|&other| events.is_deferred(first_transfer + other)),
+                "resource {r:?} is covered but a transfer draining on it is not deferred"
+            );
+            #[cfg(test)]
+            {
+                self.skipped += 1;
+            }
+            return;
+        }
+        *covered = self.stretch;
+        for &other in draining {
+            #[cfg(test)]
+            {
+                self.deferred += 1;
+            }
+            events.defer(first_transfer + other);
         }
     }
 }
@@ -935,6 +1031,8 @@ struct Engine<'a> {
     /// The program's slot table, read in place.
     slots: &'a [Slot],
     invs: Vec<InvState>,
+    /// Share rows of the run's distinct link parameters.
+    shares: ShareTables,
     /// In-flight transfers. A slot is freed when its invocation completes
     /// and reused by the next start, so the table is as long as the most
     /// transfers ever in flight at once.
@@ -1005,10 +1103,11 @@ impl<'a> Engine<'a> {
             )));
         }
 
+        let mut shares = ShareTables::default();
         let resources: Vec<ResState> = (0..topo.n_resources())
             .map(|r| {
                 topo.resource_params(ResourceId::new(r))
-                    .map(ResState::new)
+                    .map(|p| ResState::new(p, &mut shares))
                     .map_err(SimError::Topology)
             })
             .collect::<SimResult<_>>()?;
@@ -1171,12 +1270,13 @@ impl<'a> Engine<'a> {
             tbs,
             slots: table.slots(),
             invs,
+            shares,
             transfers: Vec::with_capacity(first_guess),
             free_transfers: Vec::new(),
             total_bytes: 0,
             resources,
             events: EventQueue::with_ids(config.faults.events().len() + first_guess),
-            rekeys: Rekeys::default(),
+            rekeys: Rekeys::new(topo.n_resources() as usize),
             buffers,
             rng: StdRng::seed_from_u64(config.seed),
             inv_done: inv_done_init,
@@ -1319,7 +1419,11 @@ impl<'a> Engine<'a> {
             {
                 self.projections += 1;
             }
-            project(&mut self.transfers[x], &self.resources, self.now)
+            let t = project(&mut self.transfers[x], &self.resources, self.now);
+            if t.to_bits() != self.now.to_bits() {
+                self.rekeys.uncover(self.transfers[x].path);
+            }
+            t
         }) {
             // Monotonicity tolerance must scale with the clock: at f64 ns
             // magnitudes a second-long run sits near 1e9, where rounding
@@ -1553,7 +1657,7 @@ impl<'a> Engine<'a> {
     fn set_factor(&mut self, r: ResourceId, factor: f64) {
         let rs = &mut self.resources[r.index()];
         rs.factor = factor;
-        rs.refresh_share();
+        rs.refresh_share(&self.shares);
         // Re-projection never changes a drain list.
         for i in 0..self.resources[r.index()].draining.len() {
             let x = self.resources[r.index()].draining[i];
@@ -1596,6 +1700,8 @@ impl<'a> Engine<'a> {
     /// the same `done` flags data validation tracks, so the frontier is
     /// deterministic for a deterministic run. `try_start` refuses to issue
     /// new transfers once `fatal` is set, so the set is stable at capture.
+    /// A capture in the middle of an instant holds the completions handled
+    /// so far in it, so it depends on the order of the instant's events.
     fn capture_frontier(&self) -> FaultFrontier {
         let mut f = FaultFrontier::new(
             self.dag.len() as u32,
@@ -1835,9 +1941,9 @@ impl<'a> Engine<'a> {
                 rs.active_since = now;
             }
             rs.load += 1;
-            rs.refresh_share();
+            rs.refresh_share(&self.shares);
             self.rekeys
-                .visit(&rs.draining, &mut self.events, first_transfer);
+                .visit(r, &rs.draining, &mut self.events, first_transfer);
             rs.draining.push(x);
         }
         if !self.rekeys.open {
@@ -1895,7 +2001,7 @@ impl<'a> Engine<'a> {
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             rs.load -= 1;
-            rs.refresh_share();
+            rs.refresh_share(&self.shares);
             rs.bytes += bytes;
             if rs.load == 0 {
                 rs.active_ns += now - rs.active_since;
@@ -1921,7 +2027,7 @@ impl<'a> Engine<'a> {
                 }
             }
             self.rekeys
-                .visit(&rs.draining, &mut self.events, first_transfer);
+                .visit(r, &rs.draining, &mut self.events, first_transfer);
         }
         self.transfers[x as usize].draining = false;
         if !self.rekeys.open {
@@ -2223,11 +2329,18 @@ mod tests {
     /// A `BinaryHeap` with generation-based lazy deletion: every
     /// scheduling pushes a fresh entry stamped with its id's new
     /// generation, and pops skip entries a later scheduling superseded.
+    /// A re-key of an id deferred at the current instant keeps its `seq`.
     #[derive(Default)]
     struct LazyHeap {
         heap: BinaryHeap<Reverse<Stamped>>,
         generation: Vec<u64>,
         seq: u64,
+        /// The current instant: the latest time popped.
+        now: f64,
+        /// Ids deferred at `now` and not yet projected, each with the
+        /// `seq` it drew. The queue projects a deferred id once no event
+        /// sorts before `(now, seq)`, so a pop past that key ends it.
+        deferred: Vec<(u32, u64)>,
     }
 
     struct Stamped {
@@ -2256,28 +2369,49 @@ mod tests {
     }
 
     impl LazyHeap {
-        fn schedule(&mut self, id: u32, t: f64) {
-            self.seq += 1;
+        /// Push `id`'s event at `(t, seq)`, superseding its last one.
+        fn push(&mut self, id: u32, t: f64, seq: u64) {
             if id as usize >= self.generation.len() {
                 self.generation.resize(id as usize + 1, 0);
             }
             self.generation[id as usize] += 1;
             self.heap.push(Reverse(Stamped {
-                ev: Event {
-                    t,
-                    seq: self.seq,
-                    id,
-                },
+                ev: Event { t, seq, id },
                 generation: self.generation[id as usize],
             }));
+        }
+
+        fn schedule(&mut self, id: u32, t: f64) {
+            self.deferred.retain(|&(d, _)| d != id);
+            self.seq += 1;
+            self.push(id, t, self.seq);
+        }
+
+        /// Re-key `id` to `t` as [`EventQueue::defer`] does: with the next
+        /// `seq`, or with the one it drew if it is deferred at `now`.
+        fn defer(&mut self, id: u32, t: f64) {
+            let seq = match self.deferred.iter().find(|&&(d, _)| d == id) {
+                Some(&(_, seq)) => seq,
+                None => {
+                    self.seq += 1;
+                    self.deferred.push((id, self.seq));
+                    self.seq
+                }
+            };
+            self.push(id, t, seq);
         }
 
         fn pop(&mut self) -> Option<Event> {
             while let Some(Reverse(s)) = self.heap.pop() {
                 if s.generation == self.generation[s.ev.id as usize] {
-                    return Some(s.ev);
+                    let (ev, instant) = (s.ev, self.now);
+                    self.deferred
+                        .retain(|&(_, seq)| ev.t == instant && seq > ev.seq);
+                    self.now = ev.t;
+                    return Some(ev);
                 }
             }
+            self.deferred.clear();
             None
         }
     }
@@ -2325,11 +2459,9 @@ mod tests {
         over_later_entry: u32,
         /// Projecting onto a later time (the buffer).
         later: u32,
-        /// Re-deferring an id already deferred at the instant, which sits
-        /// at the FIFO's tail.
-        again_at_tail: u32,
-        /// The same, with the id elsewhere in the FIFO.
-        again_inside: u32,
+        /// Re-deferring an id already deferred at the instant, which keeps
+        /// its `seq` and its FIFO place.
+        again: u32,
     }
 
     impl Defers {
@@ -2341,11 +2473,7 @@ mod tests {
                 .get(id as usize)
                 .copied()
                 .unwrap_or(Place::EMPTY);
-            if s.fifo && s.deferred && queue.fifo_tail == id {
-                self.again_at_tail += 1;
-            } else if s.fifo && s.deferred {
-                self.again_inside += 1;
-            }
+            self.again += u32::from(s.fifo && s.deferred);
             if t == now {
                 self.onto_now += 1;
                 self.over_later_entry +=
@@ -2360,8 +2488,10 @@ mod tests {
             assert!(self.onto_now > 0, "no defer onto the instant");
             assert!(self.over_later_entry > 0, "no defer over a later entry");
             assert!(self.later > 0, "no defer to a later time");
-            assert!(self.again_at_tail > 0, "no re-defer at the FIFO's tail");
-            assert!(self.again_inside > 0, "no re-defer inside the FIFO");
+            assert!(
+                self.again > 0,
+                "no re-defer of an id deferred at the instant"
+            );
         }
     }
 
@@ -2369,9 +2499,10 @@ mod tests {
     /// mix of schedules, re-keys and pops and require identical pop
     /// sequences, the way the engine does: the clock is the last popped
     /// time and `time` picks each new event's time from it. The oracle
-    /// schedules a re-key at once, from a per-id finish table; the queue
-    /// takes it through `reschedule`, as the engine does, or through
-    /// `defer`, projects it from the same table, and notes it in `defers`.
+    /// places a re-key at once, from a per-id finish table, keeping the
+    /// `seq` of an id deferred at the instant; the queue takes it through
+    /// `reschedule`, as the engine does, or through `defer`, projects it
+    /// from the same table, and notes it in `defers`.
     fn pops_like_oracle(seed: u64, defers: &mut Defers, time: impl Fn(&mut StdRng, f64) -> f64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_ids = 1 + rng.gen_range(0..64);
@@ -2395,11 +2526,13 @@ mod tests {
                     };
                     assert!(t >= now);
                     finish[id as usize] = t;
-                    reference.schedule(id, t);
                     // Half the re-keys defer even in a closed instant.
                     let always = rng.gen();
                     if always || queue.instant_open() {
                         defers.note(&queue, id, t);
+                        reference.defer(id, t);
+                    } else {
+                        reference.schedule(id, t);
                     }
                     if always {
                         queue.defer(id);
@@ -2519,19 +2652,44 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_rekeys_are_deferred_as_found_and_moved_in_place() {
+    fn lockstep_rekeys_are_deferred_once_and_keep_their_place() {
         drive_lockstep_allgather(|engine| {
+            // Each transfer is still projected once per instant that
+            // re-keys it, at its turn in the FIFO: unchanged from the rule
+            // that moved a re-deferred transfer to the FIFO's tail.
             assert_eq!((engine.projections, engine.inv_done), (416, 224));
-            // Every start and every re-key draws one `seq`: 224 startup
-            // latencies, 224 drain starts and 2,688 peer re-keys. Each
-            // peer re-key lands in an open instant and is deferred as it
-            // is found, and 2,496 of all the defers move an id that was
-            // already deferred at its instant.
-            assert_eq!(engine.events.seq, 3_136);
+            // 224 startup latencies and 224 drain starts draw a `seq`
+            // each, and so does the first deferral of a peer at an
+            // instant: 192. Before, each of the 2,496 re-defers of a peer
+            // already deferred at its instant drew one too (3,136 in all);
+            // now it keeps its `seq` and its place.
+            //
+            // Before, every load change scanned its resource's peers:
+            // 2,688 peer visits, each deferring. Now 982 load changes land
+            // on a resource whose drains are all deferred already and skip
+            // the scan, and the other scans visit 384 peers: the 192
+            // first deferrals, and 192 peers deferred earlier in the
+            // instant, which keep their place.
             assert_eq!(
-                (engine.rekeys.deferred, engine.events.redefers),
-                (2_688, 2_496)
+                (
+                    engine.events.seq,
+                    engine.rekeys.deferred,
+                    engine.rekeys.skipped
+                ),
+                (640, 384, 982)
             );
+        });
+    }
+
+    #[test]
+    fn covered_resources_skip_scans_of_deferred_peers_only() {
+        // Every port of the lockstep AllGather carries drains that finish
+        // together, so most load changes land on a covered resource. In a
+        // debug build each skipped scan first asserts that every transfer
+        // draining on the resource waits deferred in the FIFO.
+        drive_lockstep_allgather(|engine| {
+            assert!(engine.rekeys.skipped > 0, "no scan was skipped");
+            assert_eq!(engine.report().unwrap().data_valid, Some(true));
         });
     }
 
@@ -2543,17 +2701,28 @@ mod tests {
         let params = (0..topo.n_resources())
             .map(|r| topo.resource_params(ResourceId::new(r)).unwrap())
             .chain([LinkParams::new(25.0, 10.0, 4)]);
+        let mut tables = ShareTables::default();
         for p in params {
-            let mut rs = ResState::new(p);
-            for load in 1..=64 {
+            let mut rs = ResState::new(p, &mut tables);
+            let row = tables.rows[rs.row as usize];
+            // Every tabled load, and one load past the table.
+            for load in 1..=TABLED_LOADS as u32 + 1 {
+                let tabled = load as usize <= TABLED_LOADS;
                 for factor in [1.0, 0.3] {
                     (rs.load, rs.factor) = (load, factor);
-                    rs.refresh_share();
+                    rs.refresh_share(&tables);
                     let want = p.effective_bandwidth(load) * factor / load as f64;
                     assert_eq!(rs.share.to_bits(), want.to_bits(), "{p:?} at load {load}");
+                    if tabled && factor == 1.0 {
+                        let cell = row[load as usize - 1];
+                        assert_eq!(cell.to_bits(), want.to_bits(), "{p:?} row at load {load}");
+                    }
                 }
             }
         }
+        // The a100 fabric's three link kinds and the NIC above, one row
+        // each.
+        assert_eq!(tables.rows.len(), 4);
     }
 
     #[test]
