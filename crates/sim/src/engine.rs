@@ -46,7 +46,8 @@
 //! Completion times do not depend on the order of events within one
 //! instant: a share depends only on loads, progress settles only across
 //! time, and a transfer is projected from the shares in force when it
-//! pops.
+//! pops. The frontier of an abort that a start finds mid-instant does:
+//! it holds the completions handled before that start.
 
 use crate::config::SimConfig;
 use crate::error::{SimError, SimResult};
@@ -817,51 +818,12 @@ struct ObsAcc {
     res_intervals: Vec<Vec<(f64, f64)>>,
 }
 
-/// Loads whose share at factor 1.0 a [`ShareTables`] row holds: `1..=64`.
-const TABLED_LOADS: usize = 64;
-
-/// The row of a resource whose shares are always computed.
-const UNTABLED: u16 = u16::MAX;
-
-/// One row per distinct [`LinkParams`] of a run: the share of each load
-/// in `1..=TABLED_LOADS` at factor 1.0, `effective_bandwidth(z) * 1.0 / z`
-/// over the same cached constants, so a tabled share is the `f64`
-/// [`ResState::refresh_share`] would compute.
-#[derive(Default)]
-struct ShareTables {
-    params: Vec<LinkParams>,
-    rows: Vec<[f64; TABLED_LOADS]>,
-}
-
-impl ShareTables {
-    /// The row of `params`, added on first sight; [`UNTABLED`] once the
-    /// rows run out of 16-bit indices.
-    fn row(&mut self, params: LinkParams) -> u16 {
-        if let Some(i) = self.params.iter().position(|&p| p == params) {
-            return i as u16;
-        }
-        if self.params.len() >= UNTABLED as usize {
-            return UNTABLED;
-        }
-        let (bandwidth, reference_chunk_ns) = (params.bandwidth(), params.reference_chunk_ns());
-        self.params.push(params);
-        self.rows.push(std::array::from_fn(|i| {
-            let z = i as u32 + 1;
-            params.effective_bandwidth_over(z, bandwidth, reference_chunk_ns) * 1.0 / z as f64
-        }));
-        self.params.len() as u16 - 1
-    }
-}
-
 struct ResState {
     params: LinkParams,
     /// `params.bandwidth()` and `params.reference_chunk_ns()`, the two
     /// per-link constants of `refresh_share`.
     bandwidth: f64,
     reference_chunk_ns: f64,
-    /// The [`ShareTables`] row of `params`. 16 bits, so that it packs
-    /// next to `load` and `up` without growing the record.
-    row: u16,
     load: u32,
     active_since: f64,
     active_ns: f64,
@@ -879,12 +841,11 @@ struct ResState {
 }
 
 impl ResState {
-    fn new(params: LinkParams, tables: &mut ShareTables) -> Self {
+    fn new(params: LinkParams) -> Self {
         Self {
             params,
             bandwidth: params.bandwidth(),
             reference_chunk_ns: params.reference_chunk_ns(),
-            row: tables.row(params),
             load: 0,
             active_since: 0.0,
             active_ns: 0.0,
@@ -897,16 +858,9 @@ impl ResState {
     }
 
     /// `share = effective_bandwidth(load) * factor / load`, over the
-    /// cached constants: read from the table at factor 1.0 and a tabled
-    /// load, else computed.
-    fn refresh_share(&mut self, tables: &ShareTables) {
+    /// cached constants.
+    fn refresh_share(&mut self) {
         let (p, z) = (&self.params, self.load);
-        if let Some(row) = tables.rows.get(self.row as usize) {
-            if self.factor == 1.0 && (1..=TABLED_LOADS as u32).contains(&z) {
-                self.share = row[z as usize - 1];
-                return;
-            }
-        }
         let effective = p.effective_bandwidth_over(z, self.bandwidth, self.reference_chunk_ns);
         self.share = effective * self.factor / z as f64;
     }
@@ -1031,8 +985,6 @@ struct Engine<'a> {
     /// The program's slot table, read in place.
     slots: &'a [Slot],
     invs: Vec<InvState>,
-    /// Share rows of the run's distinct link parameters.
-    shares: ShareTables,
     /// In-flight transfers. A slot is freed when its invocation completes
     /// and reused by the next start, so the table is as long as the most
     /// transfers ever in flight at once.
@@ -1103,11 +1055,10 @@ impl<'a> Engine<'a> {
             )));
         }
 
-        let mut shares = ShareTables::default();
         let resources: Vec<ResState> = (0..topo.n_resources())
             .map(|r| {
                 topo.resource_params(ResourceId::new(r))
-                    .map(|p| ResState::new(p, &mut shares))
+                    .map(ResState::new)
                     .map_err(SimError::Topology)
             })
             .collect::<SimResult<_>>()?;
@@ -1270,7 +1221,6 @@ impl<'a> Engine<'a> {
             tbs,
             slots: table.slots(),
             invs,
-            shares,
             transfers: Vec::with_capacity(first_guess),
             free_transfers: Vec::new(),
             total_bytes: 0,
@@ -1657,7 +1607,7 @@ impl<'a> Engine<'a> {
     fn set_factor(&mut self, r: ResourceId, factor: f64) {
         let rs = &mut self.resources[r.index()];
         rs.factor = factor;
-        rs.refresh_share(&self.shares);
+        rs.refresh_share();
         // Re-projection never changes a drain list.
         for i in 0..self.resources[r.index()].draining.len() {
             let x = self.resources[r.index()].draining[i];
@@ -1941,7 +1891,7 @@ impl<'a> Engine<'a> {
                 rs.active_since = now;
             }
             rs.load += 1;
-            rs.refresh_share(&self.shares);
+            rs.refresh_share();
             self.rekeys
                 .visit(r, &rs.draining, &mut self.events, first_transfer);
             rs.draining.push(x);
@@ -2001,7 +1951,7 @@ impl<'a> Engine<'a> {
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             rs.load -= 1;
-            rs.refresh_share(&self.shares);
+            rs.refresh_share();
             rs.bytes += bytes;
             if rs.load == 0 {
                 rs.active_ns += now - rs.active_since;
@@ -2669,7 +2619,9 @@ mod tests {
             // on a resource whose drains are all deferred already and skip
             // the scan, and the other scans visit 384 peers: the 192
             // first deferrals, and 192 peers deferred earlier in the
-            // instant, which keep their place.
+            // instant, which keep their place. In a debug build each
+            // skipped scan first asserts that every transfer draining on
+            // its resource waits deferred in the FIFO.
             assert_eq!(
                 (
                     engine.events.seq,
@@ -2678,17 +2630,6 @@ mod tests {
                 ),
                 (640, 384, 982)
             );
-        });
-    }
-
-    #[test]
-    fn covered_resources_skip_scans_of_deferred_peers_only() {
-        // Every port of the lockstep AllGather carries drains that finish
-        // together, so most load changes land on a covered resource. In a
-        // debug build each skipped scan first asserts that every transfer
-        // draining on the resource waits deferred in the FIFO.
-        drive_lockstep_allgather(|engine| {
-            assert!(engine.rekeys.skipped > 0, "no scan was skipped");
             assert_eq!(engine.report().unwrap().data_valid, Some(true));
         });
     }
@@ -2701,28 +2642,17 @@ mod tests {
         let params = (0..topo.n_resources())
             .map(|r| topo.resource_params(ResourceId::new(r)).unwrap())
             .chain([LinkParams::new(25.0, 10.0, 4)]);
-        let mut tables = ShareTables::default();
         for p in params {
-            let mut rs = ResState::new(p, &mut tables);
-            let row = tables.rows[rs.row as usize];
-            // Every tabled load, and one load past the table.
-            for load in 1..=TABLED_LOADS as u32 + 1 {
-                let tabled = load as usize <= TABLED_LOADS;
+            let mut rs = ResState::new(p);
+            for load in 1..=64 {
                 for factor in [1.0, 0.3] {
                     (rs.load, rs.factor) = (load, factor);
-                    rs.refresh_share(&tables);
+                    rs.refresh_share();
                     let want = p.effective_bandwidth(load) * factor / load as f64;
                     assert_eq!(rs.share.to_bits(), want.to_bits(), "{p:?} at load {load}");
-                    if tabled && factor == 1.0 {
-                        let cell = row[load as usize - 1];
-                        assert_eq!(cell.to_bits(), want.to_bits(), "{p:?} row at load {load}");
-                    }
                 }
             }
         }
-        // The a100 fabric's three link kinds and the NIC above, one row
-        // each.
-        assert_eq!(tables.rows.len(), 4);
     }
 
     #[test]
