@@ -17,7 +17,11 @@
 //! were generated before the engine stopped moving a re-keyed transfer to
 //! the back of its instant, and pin that on these runs completion times,
 //! TB and link statistics, fault logs and abort frontiers did not move
-//! with it.
+//! with it. The jittered rows with trace or observability on, and the
+//! jittered brownout-plus-straggler timeline, were pinned, in both tables,
+//! on the engine that still projected a re-key at once when its instant
+//! held no other event; jitter makes that the common case. They pin that
+//! making every re-key a deferral moved no output.
 
 use rescc::algos::{hm_allreduce, ring_allgather, seed_suite};
 use rescc::backends::{Backend, Communicator};
@@ -264,6 +268,23 @@ fn instrumentation() {
         ("observability", SimConfig::default().with_observability()),
         ("trace", SimConfig::default().with_trace()),
         ("jitter", SimConfig::default().with_jitter(0.5, 7)),
+        (
+            "jitter+trace",
+            SimConfig::default().with_jitter(0.5, 7).with_trace(),
+        ),
+        (
+            "jitter+observability",
+            SimConfig::default()
+                .with_jitter(1.0, 11)
+                .with_observability(),
+        ),
+        (
+            "light-jitter+trace+observability",
+            SimConfig::default()
+                .with_jitter(0.1, 3)
+                .with_trace()
+                .with_observability(),
+        ),
     ];
     let runs: Vec<_> = cases
         .into_iter()
@@ -300,6 +321,15 @@ fn fault_timelines() {
     runs.push((
         "brownout+straggler".into(),
         plan.run_with(buffer, MB, &brown),
+    ));
+    let jittered = brown
+        .clone()
+        .with_jitter(0.5, 5)
+        .with_trace()
+        .with_observability();
+    runs.push((
+        "jitter+brownout+straggler".into(),
+        plan.run_with(buffer, MB, &jittered),
     ));
 
     let kill = SimConfig::default().with_faults(FaultTimeline::new().kill(nic, 0.4 * horizon));
@@ -562,10 +592,14 @@ const PHYSICS_INSTRUMENTATION: &[(&str, u64)] = &[
     ("observability", 0x98f1218c1c7f61ef),
     ("trace", 0xaa94868f9159df29),
     ("jitter", 0xc47b033f48619208),
+    ("jitter+trace", 0xa159da3b0cd970ad),
+    ("jitter+observability", 0xd86789744f8c32cd),
+    ("light-jitter+trace+observability", 0x7dd5366db0948ddf),
 ];
 const PHYSICS_FAULTS: &[(&str, u64)] = &[
     ("healthy", 0xa4b27336c9576507),
     ("brownout+straggler", 0x2dfeb10e104dbf89),
+    ("jitter+brownout+straggler", 0xff872f01273bee3f),
     ("link-down", 0x19a373d2ddd4495c),
     ("resume", 0x1bb16d3639008551),
     ("flap", 0x6164f60ec398b9ee),
@@ -579,10 +613,14 @@ const GOLDEN_INSTRUMENTATION: &[(&str, u64)] = &[
     ("observability", 0xb40630a449fdfbc5),
     ("trace", 0x6427892107c25763),
     ("jitter", 0xce96c73d1906e54c),
+    ("jitter+trace", 0x8d0baec2af5a87f9),
+    ("jitter+observability", 0xef1853bc8d3e67ff),
+    ("light-jitter+trace+observability", 0x4cc80cdf88dac48f),
 ];
 const GOLDEN_FAULTS: &[(&str, u64)] = &[
     ("healthy", 0xa4ebcdab910299a5),
     ("brownout+straggler", 0xcb4c60c594b8f047),
+    ("jitter+brownout+straggler", 0xd8fd4014546a6bbf),
     ("link-down", 0x27681b66d488a03d),
     ("resume", 0xe4013e191df8c569),
     ("flap", 0x88c2b66f06fd5241),
