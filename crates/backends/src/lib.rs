@@ -411,6 +411,23 @@ mod tests {
     }
 
     #[test]
+    fn msccl_with_a_negative_or_non_finite_overhead_is_an_invalid_config() {
+        let topo = Topology::a100(1, 4);
+        for interpreter_overhead_ns in [-1e6, f64::NAN, f64::INFINITY] {
+            let msccl = Backend::Msccl {
+                n_channels: 4,
+                interpreter_overhead_ns,
+            };
+            match comm(&msccl, &topo).run_spec(&hm_allgather(1, 4), 16 * MB, MB) {
+                Err(SimError::InvalidConfig(e)) => assert!(e.contains("overhead"), "{e}"),
+                other => {
+                    panic!("{interpreter_overhead_ns} ns: expected InvalidConfig, got {other:?}")
+                }
+            }
+        }
+    }
+
+    #[test]
     fn msccl_with_no_stage_is_an_invalid_config() {
         let topo = Topology::a100(1, 4);
         let no_stage = Compiler {

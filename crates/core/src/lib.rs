@@ -328,13 +328,19 @@ impl Compiler {
         if let Lowering::Rigid {
             n_channels,
             n_stages,
-            ..
+            exec,
         } = self.lowering
         {
             if n_channels == 0 || n_stages == 0 {
                 return Err(SimError::InvalidConfig(format!(
                     "a rigid lowering needs at least one channel and one stage, \
                      not {n_channels} and {n_stages}"
+                )));
+            }
+            let overhead = exec.overhead_ns();
+            if !(overhead.is_finite() && overhead >= 0.0) {
+                return Err(SimError::InvalidConfig(format!(
+                    "an interpreter overhead must be finite and not negative, not {overhead} ns"
                 )));
             }
         }

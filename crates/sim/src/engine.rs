@@ -40,8 +40,10 @@
 //!   draining transfers are all deferred skips the scan of its peers, so
 //!   k lockstep finishes on a link cost O(k) peer visits, not O(k²);
 //! * a projection to a later time waits for the instant's end;
-//! * later events sit in runs of one time ordered by a heap, so a pop
-//!   inside a lockstep burst costs one compare rather than a full sift.
+//! * an instant's events for later times become one batch sorted by
+//!   `(t, seq)` when it ends, and a heap merges the batches by their
+//!   heads, so a pop inside a lockstep burst takes the top batch's next
+//!   event.
 //!
 //! Deferral is exact: nothing reads a deferred transfer's progress before
 //! its turn, a second settle in one instant moves nothing, and any later
@@ -71,6 +73,8 @@ use rescc_lang::provenance::{Counts, Move, Runs, Slots};
 use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Run one collective call end to end.
 pub fn simulate(
@@ -103,136 +107,97 @@ struct Event {
     id: u32,
 }
 
-/// One scheduling of an id inside a run. It is live while it is the id's
-/// newest scheduling and has not been popped.
-#[derive(Clone, Copy)]
-struct Entry {
-    seq: u64,
-    id: u32,
-}
-
-/// The events of one exact time, in `seq` order: each scheduling takes
-/// the largest `seq` so far, so appending keeps the order.
-struct Run {
-    t: f64,
-    /// The first entry not yet popped or skipped.
-    head: u32,
-    /// Live entries at or after `head`; a run in the heap has at least one.
-    live: u32,
-    entries: Vec<Entry>,
-}
-
-impl Run {
-    /// The heap key of this run, number `r`, headed by `e`.
-    fn key(&self, r: u32, e: Entry) -> Head {
-        Head {
-            t: self.t,
-            seq: e.seq,
-            id: e.id,
-            run: r,
-        }
+impl Event {
+    /// The `(t, seq)` order as integers: a queued time is finite and not
+    /// negative, so its bit pattern orders as its value does.
+    fn key(&self) -> (u64, u64) {
+        (self.t.to_bits(), self.seq)
     }
 }
 
-/// A run's heap key: its time and its head entry. A re-key can leave the
-/// head stale, which only under-states the key of the run's live events.
-#[derive(Clone, Copy)]
-struct Head {
-    t: f64,
-    seq: u64,
-    id: u32,
-    run: u32,
+/// The later events of one ended instant, sorted by `(t, seq)` from the
+/// back: the last is the earliest, the batch's head. A batch in the heap
+/// is never empty.
+struct Batch {
+    /// A copy of the last event, so that a sift or a peek reads no vector.
+    head: Event,
+    events: Vec<Event>,
 }
 
-impl Head {
-    fn before(&self, other: &Self) -> bool {
-        match self.t.total_cmp(&other.t) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
+impl Batch {
+    fn new(events: Vec<Event>) -> Self {
+        Self {
+            head: events[events.len() - 1],
+            events,
         }
+    }
+
+    /// Drop the head and the dead events behind it, given each id's live
+    /// `seq`; false once the batch is empty.
+    fn advance(&mut self, live: &[u64]) -> bool {
+        self.events.pop();
+        while let Some(&e) = self.events.last() {
+            if live[e.id as usize] == e.seq {
+                self.head = e;
+                return true;
+            }
+            self.events.pop();
+        }
+        false
     }
 }
 
-/// One id's place in the queue: a run entry, the instant FIFO or the
-/// buffer. A buffered or deferred re-key leaves a run entry at a later
-/// time live; the flush replaces it, or a projection onto the instant
-/// kills it.
-#[derive(Clone, Copy)]
-struct Place {
-    /// `seq` of the id's live run entry, 0 while it has none.
-    queued: u64,
-    /// The run holding that entry.
-    run: u32,
-    /// `seq` of the id's FIFO or buffered event, 0 while it has none.
-    pending: u64,
-    /// In the FIFO, between `prev` and `next` (`NONE` at the ends).
-    fifo: bool,
-    /// In the FIFO by [`EventQueue::defer`]: its time is not known yet.
-    deferred: bool,
-    prev: u32,
-    next: u32,
+/// Batches order by their heads, reversed, so that `BinaryHeap`'s top is
+/// the earliest head.
+impl Ord for Batch {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.head.key().cmp(&self.head.key())
+    }
 }
 
-impl Place {
-    const EMPTY: Self = Self {
-        queued: 0,
-        run: NONE,
-        pending: 0,
-        fifo: false,
-        deferred: false,
-        prev: NONE,
-        next: NONE,
-    };
+impl PartialOrd for Batch {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Direct-mapped slots of [`EventQueue::cache`].
-const CACHE_SLOTS: usize = 64;
-
-/// The cache slot of time `t`, from the top bits of a multiplicative hash
-/// of its bit pattern.
-fn cache_slot(t: f64) -> usize {
-    (t.to_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_SLOTS.trailing_zeros()))
-        as usize
+impl PartialEq for Batch {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
+
+impl Eq for Batch {}
 
 /// Min-queue of events in `(t, seq)` order, holding at most one live event
-/// per id. The current instant, the time of the last pop, owns a FIFO of
-/// the events scheduled for it, so a re-key to the instant moves its id
-/// to the back in O(1). A re-key to a later time while the instant still
-/// has events waits in a buffer, keeping the `seq` it drew, until the
-/// instant is over; the last one per id wins. A deferred re-key joins the
-/// FIFO before its time is known, and `pop` projects it when it is next
-/// in line; re-deferring it before then keeps its `seq` and its place, so
-/// it is projected once, from the state at its turn. Later events sit in
-/// runs, one time each, appended in `seq` order, and an indexed 4-ary
-/// min-heap orders the runs by `(t, head seq)`, so popping the next event
-/// of a run costs one compare against the root's children rather than a
-/// full sift. A run entry that loses its id stays behind stale until its
-/// run empties; pops skip it.
+/// per id: the one with the id's `live` sequence number. Every other entry
+/// is dead, and pops skip it. The current instant, the time of the last
+/// pop, owns a FIFO of the events scheduled for it, in `seq` order. An
+/// event for a later time waits in the instant's buffer, keeping the `seq`
+/// it drew, until the instant ends; then the buffer's live events, sorted
+/// by `(t, seq)`, become one batch, and a binary heap merges the batches
+/// by their heads. In a lockstep burst most pops take the next event of
+/// the top batch. A deferred re-key joins the FIFO before its time is
+/// known, and `pop` projects it when it is next in line; re-deferring it
+/// before then keeps its `seq` and its place, so it is projected once,
+/// from the state at its turn.
 struct EventQueue {
-    heap: Vec<Head>,
-    runs: Vec<Run>,
-    /// Heap slot of each run, `NONE` while the run is free.
-    pos: Vec<u32>,
-    free: Vec<u32>,
-    /// Each id's place in the queue.
-    places: Vec<Place>,
-    /// A run of the time hashing to each slot. A miss opens another run,
-    /// so one time may own several; the `(t, head seq)` key keeps their
-    /// merge exact.
-    cache: [u32; CACHE_SLOTS],
+    /// `(seq, id)` of the events at `now`, in `seq` order.
+    fifo: VecDeque<(u64, u32)>,
+    /// Events for later times scheduled during the instant.
+    buffer: Vec<Event>,
+    batches: BinaryHeap<Batch>,
+    /// Emptied batch vectors, for the next flush to reuse.
+    spare: Vec<Vec<Event>>,
+    /// `seq` of each id's live event, 0 while it has none.
+    live: Vec<u64>,
+    /// Each id's live event waits in the FIFO by [`EventQueue::defer`]:
+    /// its time is not known yet.
+    deferred: Vec<bool>,
     /// Events scheduled so far; the next one gets `seq + 1`.
     seq: u64,
     /// The current instant: the latest time popped.
     now: f64,
-    /// Ends of the FIFO of events at `now`, in `seq` order.
-    fifo_head: u32,
-    fifo_tail: u32,
-    /// Re-keys to later times made during the instant. An entry is live
-    /// while it is its id's `pending` event. A deferred re-key enters when
-    /// it is projected, behind events with larger `seq`.
-    buffer: Vec<Event>,
 }
 
 impl Default for EventQueue {
@@ -245,26 +210,28 @@ impl EventQueue {
     /// An empty queue with room for ids `0..n` without growing.
     fn with_ids(n: usize) -> Self {
         Self {
-            heap: Vec::new(),
-            runs: Vec::new(),
-            pos: Vec::new(),
-            free: Vec::new(),
-            places: vec![Place::EMPTY; n],
-            cache: [NONE; CACHE_SLOTS],
+            fifo: VecDeque::new(),
+            buffer: Vec::new(),
+            batches: BinaryHeap::new(),
+            spare: Vec::new(),
+            live: vec![0; n],
+            deferred: vec![false; n],
             seq: 0,
             now: 0.0,
-            fifo_head: NONE,
-            fifo_tail: NONE,
-            buffer: Vec::new(),
         }
     }
 
-    /// Draw the next sequence number for `id`.
-    fn next_seq(&mut self, id: u32) -> u64 {
+    /// Draw the next sequence number for a new live event of `id`, which
+    /// kills its last one.
+    fn next_seq(&mut self, id: u32, deferred: bool) -> u64 {
         self.seq += 1;
-        if id as usize >= self.places.len() {
-            self.places.resize(id as usize + 1, Place::EMPTY);
+        let i = id as usize;
+        if i >= self.live.len() {
+            self.live.resize(i + 1, 0);
+            self.deferred.resize(i + 1, false);
         }
+        self.live[i] = self.seq;
+        self.deferred[i] = deferred;
         self.seq
     }
 
@@ -272,23 +239,11 @@ impl EventQueue {
     /// sequence number, replacing its queued event if it has one.
     fn schedule(&mut self, id: u32, t: f64) {
         debug_assert!(t >= self.now, "scheduled behind the clock");
-        let seq = self.next_seq(id);
-        let i = id as usize;
-        if t > self.now && !self.instant_open() {
-            // Nothing else is due at `now`, so no FIFO or buffer holds `id`.
-            self.insert(id, t, seq);
-            return;
-        }
-        if self.places[i].fifo {
-            self.unlink(id);
-        }
+        debug_assert!(t.is_sign_positive(), "scheduled at a negative time");
+        let seq = self.next_seq(id, false);
         if t.to_bits() == self.now.to_bits() {
-            self.unqueue(id);
-            self.places[i].pending = seq;
-            self.push_back(id, false);
+            self.fifo.push_back((seq, id));
         } else {
-            self.unqueue_due(id);
-            self.places[i].pending = seq;
             self.buffer.push(Event { t, seq, id });
         }
     }
@@ -302,286 +257,100 @@ impl EventQueue {
         if self.is_deferred(id) {
             return;
         }
-        let seq = self.next_seq(id);
-        if self.places[id as usize].fifo {
-            self.unlink(id);
-        }
-        self.unqueue_due(id);
-        self.places[id as usize].pending = seq;
-        self.push_back(id, true);
+        let seq = self.next_seq(id, true);
+        self.fifo.push_back((seq, id));
     }
 
     /// Is `id` in the FIFO, deferred at this instant and not yet projected?
     fn is_deferred(&self, id: u32) -> bool {
-        self.places
-            .get(id as usize)
-            .is_some_and(|s| s.fifo && s.deferred)
-    }
-
-    /// Does the current instant still have events: in the FIFO, buffered,
-    /// or in a run at or before `now`?
-    fn instant_open(&self) -> bool {
-        self.fifo_head != NONE
-            || !self.buffer.is_empty()
-            || self.heap.first().is_some_and(|top| top.t <= self.now)
+        self.deferred.get(id as usize).copied().unwrap_or(false)
     }
 
     /// Remove and return the earliest live event. `project` gives the time
     /// of a deferred id, at or after `now`, when it is next in line.
     fn pop(&mut self, mut project: impl FnMut(u32) -> f64) -> Option<Event> {
         loop {
-            let top = self.heap.first().copied();
-            if self.fifo_head != NONE {
-                let id = self.fifo_head;
-                let s = self.places[id as usize];
-                let head = Head {
-                    t: self.now,
-                    seq: s.pending,
-                    id,
-                    run: NONE,
-                };
-                if !top.is_some_and(|top| top.before(&head)) {
-                    self.unlink(id);
-                    if s.deferred {
+            while let Some(&(seq, id)) = self.fifo.front() {
+                if self.live[id as usize] == seq {
+                    break;
+                }
+                self.fifo.pop_front();
+            }
+            self.skip_dead_heads();
+            let top = self.batches.peek().map(|b| b.head);
+            if let Some(&(seq, id)) = self.fifo.front() {
+                if top.is_none_or(|top| top.key() >= (self.now.to_bits(), seq)) {
+                    self.fifo.pop_front();
+                    if std::mem::take(&mut self.deferred[id as usize]) {
                         let t = project(id);
                         debug_assert!(t >= self.now, "projected behind the clock");
                         if t.to_bits() != self.now.to_bits() {
-                            self.buffer.push(Event {
-                                t,
-                                seq: s.pending,
-                                id,
-                            });
+                            self.buffer.push(Event { t, seq, id });
                             continue;
                         }
-                        self.unqueue(id);
                     }
-                    self.places[id as usize].pending = 0;
+                    self.live[id as usize] = 0;
                     return Some(Event {
                         t: self.now,
-                        seq: s.pending,
+                        seq,
                         id,
                     });
                 }
-            } else if !self.buffer.is_empty() && !top.is_some_and(|top| top.t <= self.now) {
-                // The instant is over: its buffered re-keys enter the runs
+            } else if !self.buffer.is_empty() && top.is_none_or(|top| top.t > self.now) {
+                // The instant is over: its buffered events become a batch
                 // before anything later pops.
                 self.flush();
                 continue;
             }
             let top = top?;
-            let q = &mut self.places[top.id as usize];
-            let live = q.queued == top.seq;
-            let r = &mut self.runs[top.run as usize];
-            if live {
-                q.queued = 0;
-                r.live -= 1;
-            }
-            if r.live == 0 {
-                self.remove(top.run);
-            } else {
-                r.head += 1;
-                self.rehead(top.run);
-            }
-            if live {
-                self.now = self.now.max(top.t);
-                return Some(Event {
-                    t: top.t,
-                    seq: top.seq,
-                    id: top.id,
-                });
-            }
+            self.advance_top();
+            self.live[top.id as usize] = 0;
+            self.now = top.t;
+            return Some(top);
         }
     }
 
-    /// End the instant: place its live buffered events into the runs, in
-    /// `seq` order, each with the `seq` it drew.
+    /// Drop the dead events heading the top batch, and the batch if that
+    /// empties it, until the top batch's head is live. A live head costs
+    /// no sift, and a run of dead ones costs one.
+    fn skip_dead_heads(&mut self) {
+        while let Some(head) = self.batches.peek().map(|b| b.head) {
+            if self.live[head.id as usize] == head.seq {
+                return;
+            }
+            self.advance_top();
+        }
+    }
+
+    /// Drop the top batch's head and the dead events behind it, and the
+    /// batch once it is empty, keeping its vector for the next flush.
+    fn advance_top(&mut self) {
+        let mut batch = self.batches.peek_mut().expect("a batch is queued");
+        if !batch.advance(&self.live) {
+            self.spare.push(PeekMut::pop(batch).events);
+        }
+    }
+
+    /// End the instant: the live events of its buffer, sorted by `(t, seq)`,
+    /// become one batch.
     fn flush(&mut self) {
-        let mut buffer = std::mem::take(&mut self.buffer);
-        buffer.sort_unstable_by_key(|e| e.seq);
-        for e in buffer.drain(..) {
-            let s = &mut self.places[e.id as usize];
-            if s.pending == e.seq {
-                s.pending = 0;
-                self.insert(e.id, e.t, e.seq);
-            }
-        }
-        self.buffer = buffer;
-    }
-
-    /// Append `id` to the FIFO, `deferred` if its time is not known yet.
-    fn push_back(&mut self, id: u32, deferred: bool) {
-        let tail = self.fifo_tail;
-        let s = &mut self.places[id as usize];
-        s.fifo = true;
-        s.deferred = deferred;
-        s.prev = tail;
-        s.next = NONE;
-        match tail {
-            NONE => self.fifo_head = id,
-            _ => self.places[tail as usize].next = id,
-        }
-        self.fifo_tail = id;
-    }
-
-    /// Take `id` out of the FIFO.
-    fn unlink(&mut self, id: u32) {
-        let s = &mut self.places[id as usize];
-        s.fifo = false;
-        let (prev, next) = (s.prev, s.next);
-        match prev {
-            NONE => self.fifo_head = next,
-            _ => self.places[prev as usize].next = next,
-        }
-        match next {
-            NONE => self.fifo_tail = prev,
-            _ => self.places[next as usize].prev = prev,
-        }
-    }
-
-    /// Kill `id`'s run entry, if it has one.
-    fn unqueue(&mut self, id: u32) {
-        let s = &mut self.places[id as usize];
-        if s.queued == 0 {
-            return;
-        }
-        s.queued = 0;
-        let r = s.run;
-        let run = &mut self.runs[r as usize];
-        run.live -= 1;
-        if run.live == 0 {
-            self.remove(r);
-        }
-    }
-
-    /// Kill `id`'s run entry if it is due at the instant. A run entry at a
-    /// later time cannot pop before the flush, which replaces it.
-    fn unqueue_due(&mut self, id: u32) {
-        let s = self.places[id as usize];
-        if s.queued != 0 && self.runs[s.run as usize].t <= self.now {
-            self.unqueue(id);
-        }
-    }
-
-    /// Put `id`'s event at time `t` into a run, with `seq` larger than
-    /// every `seq` in the runs of that time, replacing its run entry.
-    fn insert(&mut self, id: u32, t: f64, seq: u64) {
-        self.unqueue(id);
-        let e = Entry { seq, id };
-        let slot = cache_slot(t);
-        let hit = self.cache[slot];
-        let run = if hit != NONE
-            && self.pos[hit as usize] != NONE
-            && self.runs[hit as usize].t.to_bits() == t.to_bits()
-        {
-            let b = &mut self.runs[hit as usize];
-            b.entries.push(e);
-            b.live += 1;
-            hit
+        let mut batch = self.spare.pop().unwrap_or_default();
+        let live = &self.live;
+        batch.extend(
+            self.buffer
+                .drain(..)
+                .filter(|e| live[e.id as usize] == e.seq),
+        );
+        if batch.is_empty() {
+            self.spare.push(batch);
         } else {
-            let r = self.free.pop().unwrap_or_else(|| {
-                self.runs.push(Run {
-                    t,
-                    head: 0,
-                    live: 0,
-                    entries: Vec::new(),
-                });
-                self.pos.push(NONE);
-                self.runs.len() as u32 - 1
-            });
-            let run = &mut self.runs[r as usize];
-            run.t = t;
-            run.head = 0;
-            run.live = 1;
-            run.entries.clear();
-            run.entries.push(e);
-            let head = run.key(r, e);
-            self.heap.push(head);
-            self.sift_up(self.heap.len() - 1, head);
-            self.cache[slot] = r;
-            r
-        };
-        let s = &mut self.places[id as usize];
-        s.queued = seq;
-        s.run = run;
-    }
-
-    fn is_live(&self, e: Entry) -> bool {
-        self.places[e.id as usize].queued == e.seq
-    }
-
-    /// Advance run `r`'s head to its first live entry and settle its key,
-    /// which can only grow.
-    fn rehead(&mut self, r: u32) {
-        let run = &self.runs[r as usize];
-        let mut h = run.head as usize;
-        while !self.is_live(run.entries[h]) {
-            h += 1;
+            // The buffer is mostly in `seq` order already, over few distinct
+            // times, and each stable sort finds that order in about one pass.
+            batch.sort_by_key(|e| e.seq);
+            batch.sort_by_key(|e| e.t.to_bits());
+            batch.reverse();
+            self.batches.push(Batch::new(batch));
         }
-        let head = run.key(r, run.entries[h]);
-        self.runs[r as usize].head = h as u32;
-        self.sift_down(self.pos[r as usize] as usize, head);
-    }
-
-    /// Take run `r`, which holds no live entry, out of the heap and free it.
-    fn remove(&mut self, r: u32) {
-        let p = self.pos[r as usize] as usize;
-        let was = self.heap[p];
-        self.pos[r as usize] = NONE;
-        self.free.push(r);
-        let last = self.heap.pop().expect("run is in the heap");
-        if p < self.heap.len() {
-            self.rekey(p, was, last);
-        }
-    }
-
-    /// Replace the key `was` in slot `i` with `head`.
-    fn rekey(&mut self, i: usize, was: Head, head: Head) {
-        if head.before(&was) {
-            self.sift_up(i, head);
-        } else {
-            self.sift_down(i, head);
-        }
-    }
-
-    fn place(&mut self, i: usize, head: Head) {
-        self.heap[i] = head;
-        self.pos[head.run as usize] = i as u32;
-    }
-
-    /// Settle `head` into slot `i` or above.
-    fn sift_up(&mut self, mut i: usize, head: Head) {
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if !head.before(&self.heap[parent]) {
-                break;
-            }
-            self.place(i, self.heap[parent]);
-            i = parent;
-        }
-        self.place(i, head);
-    }
-
-    /// Settle `head` into slot `i` or below.
-    fn sift_down(&mut self, mut i: usize, head: Head) {
-        let n = self.heap.len();
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let mut child = first;
-            for c in first + 1..(first + 4).min(n) {
-                if self.heap[c].before(&self.heap[child]) {
-                    child = c;
-                }
-            }
-            if !self.heap[child].before(&head) {
-                break;
-            }
-            self.place(i, self.heap[child]);
-            i = child;
-        }
-        self.place(i, head);
     }
 }
 
@@ -2183,6 +1952,21 @@ mod tests {
         unreachable!("id {id} was never deferred")
     }
 
+    /// Is a live event still due at the current instant, in the FIFO or
+    /// in a batch?
+    fn instant_open(queue: &EventQueue) -> bool {
+        let live = |e: &Event| queue.live[e.id as usize] == e.seq;
+        queue
+            .fifo
+            .iter()
+            .any(|&(seq, id)| queue.live[id as usize] == seq)
+            || queue
+                .batches
+                .iter()
+                .flat_map(|b| &b.events)
+                .any(|e| live(e) && e.t <= queue.now)
+    }
+
     #[test]
     fn indexed_queue_pops_like_lazy_deletion() {
         for seed in 0..32u64 {
@@ -2217,8 +2001,8 @@ mod tests {
         closed: u32,
         /// Projecting onto the instant (the FIFO path).
         onto_now: u32,
-        /// Projecting onto the instant while the id has a live run entry
-        /// at a later time, which the projection must kill.
+        /// Projecting onto the instant while the id's live event is in the
+        /// buffer or a batch at a later time, which the deferral kills.
         over_later_entry: u32,
         /// Projecting onto a later time (the buffer).
         later: u32,
@@ -2230,17 +2014,19 @@ mod tests {
     impl Defers {
         fn note(&mut self, queue: &EventQueue, id: u32, t: f64) {
             let now = queue.now;
-            self.closed += u32::from(!queue.instant_open());
-            let s = queue
-                .places
-                .get(id as usize)
-                .copied()
-                .unwrap_or(Place::EMPTY);
-            self.again += u32::from(s.fifo && s.deferred);
+            self.closed += u32::from(!instant_open(queue));
+            self.again += u32::from(queue.is_deferred(id));
             if t == now {
                 self.onto_now += 1;
-                self.over_later_entry +=
-                    u32::from(s.queued != 0 && queue.runs[s.run as usize].t > now);
+                let seq = queue.live.get(id as usize).copied().unwrap_or(0);
+                self.over_later_entry += u32::from(
+                    seq != 0
+                        && queue
+                            .buffer
+                            .iter()
+                            .chain(queue.batches.iter().flat_map(|b| &b.events))
+                            .any(|e| e.id == id && e.seq == seq && e.t > now),
+                );
             } else {
                 self.later += 1;
             }
@@ -2291,7 +2077,7 @@ mod tests {
                     assert!(t >= now);
                     finish[id as usize] = t;
                     // Half the re-keys defer even in a closed instant.
-                    if rng.gen() || queue.instant_open() {
+                    if rng.gen() || instant_open(&queue) {
                         defers.note(&queue, id, t);
                         reference.defer(id, t);
                         queue.defer(id);
@@ -2316,26 +2102,21 @@ mod tests {
     #[test]
     fn run_queue_pops_like_lazy_deletion_in_lockstep() {
         // At most 8 distinct future times and three schedules per pop:
-        // ids keep moving between runs, so heads go stale and emptied runs
-        // are freed and reused.
+        // ids keep moving between batches, so heads die and emptied
+        // batches are dropped and their vectors reused.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
             pops_like_oracle(seed, &mut defers, |rng, now| {
                 now + rng.gen_range(0..8) as f64
             });
         }
-        // The same on times that all share one cache slot: each new time
-        // evicts the last, so a time that comes back opens a second run.
-        let slot = cache_slot(0.0);
-        let grid: Vec<f64> = (0..1_000_000)
-            .map(|k| k as f64)
-            .filter(|&t| cache_slot(t) == slot)
-            .take(20_000)
-            .collect();
+        // The same with future times from only two values, one and two
+        // past the clock: each time collects events from the batches of
+        // the two instants before it, so the merge orders one time across
+        // batches.
         for seed in 0..32u64 {
             pops_like_oracle(seed, &mut defers, |rng, now| {
-                let k = grid.partition_point(|&t| t < now);
-                grid[k + rng.gen_range(0..8) as usize]
+                now + rng.gen_range(1..3) as f64
             });
         }
         defers.assert_covered();
@@ -2343,8 +2124,8 @@ mod tests {
 
     #[test]
     fn run_queue_pops_like_lazy_deletion_on_distinct_times() {
-        // Jitter: every event gets a time of its own, so every run holds
-        // one event.
+        // Jitter: every event gets a time of its own, so a batch holds
+        // one event per time.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
             pops_like_oracle(seed, &mut defers, |rng, now| now + 100.0 * rng.gen::<f64>());
@@ -2480,7 +2261,8 @@ mod tests {
         for k in 1..=8 {
             queue.schedule(1, k as f64);
         }
-        assert!(queue.runs.is_empty(), "no run before the instant ends");
+        assert!(queue.batches.is_empty(), "no batch before the instant ends");
+        assert_eq!(queue.buffer.len(), 8);
         assert_eq!(
             queue.pop(no_defers),
             Some(Event {
@@ -2489,15 +2271,58 @@ mod tests {
                 id: 0
             })
         );
+        queue.flush();
+        assert!(queue.buffer.is_empty());
+        let batch: Vec<Event> = queue
+            .batches
+            .iter()
+            .flat_map(|b| b.events.clone())
+            .collect();
         assert_eq!(
-            queue.pop(no_defers),
-            Some(Event {
+            batch,
+            [Event {
                 t: 8.0,
                 seq: 9,
                 id: 1
-            })
+            }],
+            "one batch of one event, with the last seq"
         );
-        assert_eq!(queue.runs.len(), 1, "one placement, with the last seq");
+        assert_eq!(queue.pop(no_defers), Some(batch[0]));
+        assert!(queue.batches.is_empty());
+        assert_eq!(queue.spare.len(), 1, "the emptied batch's vector is kept");
+        assert_eq!(queue.pop(no_defers), None);
+    }
+
+    #[test]
+    fn batches_merge_by_head_and_skip_dead_runs() {
+        let ev = |t: f64, seq: u64, id: u32| Some(Event { t, seq, id });
+        let mut queue = EventQueue::default();
+        // Instant 0 buffers ids 0..4 at t = 2 (seqs 1..=4) and id 4 at
+        // t = 1 (seq 5): one batch.
+        for id in 0..4 {
+            queue.schedule(id, 2.0);
+        }
+        queue.schedule(4, 1.0);
+        assert_eq!(queue.pop(no_defers), ev(1.0, 5, 4));
+        // Instant 1 buffers ids 5 and 6 at t = 2 and moves ids 0 and 1,
+        // the first batch's next two heads, to t = 3: a second batch.
+        queue.schedule(5, 2.0);
+        queue.schedule(6, 2.0);
+        queue.schedule(0, 3.0);
+        queue.schedule(1, 3.0);
+        // The flush makes the second batch; the first batch's dead run of
+        // two heads goes in one skip, and its live head stays on top of
+        // the second batch's head at the same time.
+        assert_eq!(queue.pop(no_defers), ev(2.0, 3, 2));
+        let mut lens: Vec<usize> = queue.batches.iter().map(|b| b.events.len()).collect();
+        lens.sort_unstable();
+        assert_eq!(lens, [1, 4]);
+        // Time 2 spans both batches and pops in `seq` order.
+        assert_eq!(queue.pop(no_defers), ev(2.0, 4, 3));
+        assert_eq!(queue.pop(no_defers), ev(2.0, 6, 5));
+        assert_eq!(queue.pop(no_defers), ev(2.0, 7, 6));
+        assert_eq!(queue.pop(no_defers), ev(3.0, 8, 0));
+        assert_eq!(queue.pop(no_defers), ev(3.0, 9, 1));
         assert_eq!(queue.pop(no_defers), None);
     }
 }
