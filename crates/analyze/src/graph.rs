@@ -64,17 +64,15 @@ impl CombinedOrder {
 
     /// Kahn's algorithm over the combined relation: the one cycle check of
     /// a compile, since the combined order contains every data edge. `Ok`
-    /// is a valid execution order together with the in-degree-0 roots in
-    /// index order; `Err` is the set of task indices stuck on a cycle
-    /// (ascending).
-    pub fn topo_or_cycle(&self) -> Result<(Vec<u32>, Vec<u32>), Vec<u32>> {
+    /// is a valid execution order; `Err` is the set of task indices stuck
+    /// on a cycle (ascending).
+    pub fn topo_or_cycle(&self) -> Result<Vec<u32>, Vec<u32>> {
         let n = self.len();
         let mut indeg = vec![0u32; n];
         for &s in self.succs.items() {
             indeg[s as usize] += 1;
         }
-        let roots: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-        let mut queue = roots.clone();
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(t) = queue.pop() {
             order.push(t);
@@ -86,7 +84,7 @@ impl CombinedOrder {
             }
         }
         if order.len() == n {
-            Ok((order, roots))
+            Ok(order)
         } else {
             let mut seen = vec![false; n];
             for &t in &order {

@@ -155,8 +155,13 @@ pub fn analyze(
         lints::ra003_sub_pipeline_loads(input, dirty, &mut out);
     } else {
         let order = CombinedOrder::build(input.dag, input.program);
-        let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
-        match HbOracle::build(&order, &chunk_of) {
+        // The oracle keeps its own copy of the chunks until a query needs
+        // them, so this one goes before the lints run.
+        let oracle = {
+            let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
+            HbOracle::build(&order, &chunk_of)
+        };
+        match oracle {
             // A cycle poisons reachability queries; report only the
             // deadlock and let the user re-run once it is fixed.
             Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),

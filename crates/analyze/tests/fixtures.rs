@@ -13,7 +13,8 @@
 
 use rescc_alloc::{Direction, Slot, SlotTable, Tb, TbAllocation};
 use rescc_analyze::{
-    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental, LintCode, Severity,
+    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, CombinedOrder, HbOracle, Incremental,
+    LintCode, Severity,
 };
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
@@ -59,6 +60,41 @@ fn run(
         config,
         Incremental::Fresh,
     )
+}
+
+/// RA002's racy spec: a same-step copy and reduction into rank 0's chunk 0.
+fn copy_vs_reduce() -> AlgoSpec {
+    let mut b = AlgoBuilder::new("race", OpType::AllReduce, 4);
+    b.recv(1, 0, 0, 0);
+    b.rrc(2, 0, 0, 0);
+    b.build().expect("racy spec is syntactically valid")
+}
+
+/// [`copy_vs_reduce`] with two reductions, which commute.
+fn two_reductions() -> AlgoSpec {
+    let mut b = AlgoBuilder::new("commute", OpType::AllReduce, 4);
+    b.rrc(1, 0, 0, 0);
+    b.rrc(2, 0, 0, 0);
+    b.build().expect("spec")
+}
+
+/// RA006's spec: rank 1's chunk 0 is rewritten unordered with its reader.
+fn unordered_reuse() -> AlgoSpec {
+    let mut b = AlgoBuilder::new("reuse", OpType::AllGather, 4);
+    b.recv(0, 1, 0, 0); // w1: first write of rank1/c0
+    b.recv(0, 3, 0, 0); // seeds rank 3 so the reuse reads a live slot
+    b.recv(1, 2, 1, 0); // r: reader of w1's value
+    b.recv(3, 1, 2, 0); // w2: slot reuse, unordered with r
+    b.build().expect("spec")
+}
+
+/// [`unordered_reuse`] with the reuse ordered after the read.
+fn ordered_reuse() -> AlgoSpec {
+    let mut b = AlgoBuilder::new("reuse-ok", OpType::AllGather, 4);
+    b.recv(0, 1, 0, 0);
+    b.recv(1, 2, 1, 0);
+    b.recv(2, 1, 2, 0); // reads rank2/c0, written by the forward
+    b.build().expect("spec")
 }
 
 /// Every diagnostic carries `code` with `severity`, and there is at least
@@ -128,6 +164,56 @@ fn ra001_fixture_tb_order_against_dag_edge() {
     );
 }
 
+/// The happens-before oracle builds its labels on the first query that
+/// its positions cannot refute: a build that answers nothing reports no
+/// chains, and on every fixture's plan each answer equals a plain search
+/// of the combined order.
+#[test]
+fn oracle_labels_are_lazy_and_answers_are_exact() {
+    let topo = Topology::a100(1, 4);
+    let specs = [
+        copy_vs_reduce(),
+        two_reductions(),
+        unordered_reuse(),
+        ordered_reuse(),
+        rescc_algos::ring_allgather(4),
+        rescc_algos::hm_allreduce(1, 4),
+    ];
+    for spec in &specs {
+        let (dag, _, _, program) = full_stack(spec, &topo);
+        let order = CombinedOrder::build(&dag, &program);
+        let chunk_of: Vec<u32> = dag.tasks().iter().map(|t| t.chunk.0).collect();
+        let mut oracle = HbOracle::build(&order, &chunk_of).expect("acyclic");
+        assert_eq!(oracle.stats().n_chains, 0, "{}: built eagerly", spec.name());
+        let n = order.len() as u32;
+        for from in 0..n {
+            // Everything `from` reaches, by a plain search.
+            let mut seen = vec![false; n as usize];
+            let mut stack = vec![from];
+            while let Some(u) = stack.pop() {
+                if !std::mem::replace(&mut seen[u as usize], true) {
+                    stack.extend_from_slice(order.succs(u));
+                }
+            }
+            for to in 0..n {
+                assert_eq!(
+                    oracle.reaches(&order, from, to),
+                    seen[to as usize],
+                    "{}: t{from} -> t{to}",
+                    spec.name()
+                );
+            }
+        }
+        let stats = oracle.stats();
+        assert_eq!(stats.queries, u64::from(n * n));
+        assert!(
+            stats.n_chains > 0,
+            "{}: a query built the labels",
+            spec.name()
+        );
+    }
+}
+
 /// RA002: a same-step copy + reduction racing into one `(rank, chunk)`
 /// slot. The spec validator accepts it (the tuples are distinct), the DAG
 /// draws no edge (same step), and the two receives land in different TBs
@@ -136,10 +222,7 @@ fn ra001_fixture_tb_order_against_dag_edge() {
 #[test]
 fn ra002_fixture_unordered_copy_vs_reduce() {
     let topo = Topology::a100(1, 4);
-    let mut b = AlgoBuilder::new("race", OpType::AllReduce, 4);
-    b.recv(1, 0, 0, 0);
-    b.rrc(2, 0, 0, 0);
-    let spec = b.build().expect("racy spec is syntactically valid");
+    let spec = copy_vs_reduce();
     let (dag, schedule, alloc, program) = full_stack(&spec, &topo);
 
     let report = run(
@@ -163,10 +246,7 @@ fn ra002_fixture_unordered_copy_vs_reduce() {
 #[test]
 fn ra002_two_reductions_commute() {
     let topo = Topology::a100(1, 4);
-    let mut b = AlgoBuilder::new("commute", OpType::AllReduce, 4);
-    b.rrc(1, 0, 0, 0);
-    b.rrc(2, 0, 0, 0);
-    let spec = b.build().expect("spec");
+    let spec = two_reductions();
     let (dag, schedule, alloc, program) = full_stack(&spec, &topo);
 
     let report = run(
@@ -318,12 +398,7 @@ fn ra005_fixture_plan_over_dead_nic() {
 #[test]
 fn ra006_fixture_unordered_slot_reuse() {
     let topo = Topology::a100(1, 4);
-    let mut b = AlgoBuilder::new("reuse", OpType::AllGather, 4);
-    b.recv(0, 1, 0, 0); // w1: first write of rank1/c0
-    b.recv(0, 3, 0, 0); // seeds rank 3 so the reuse reads a live slot
-    b.recv(1, 2, 1, 0); // r: reader of w1's value
-    b.recv(3, 1, 2, 0); // w2: slot reuse, unordered with r
-    let spec = b.build().expect("spec");
+    let spec = unordered_reuse();
     let (dag, schedule, alloc, program) = full_stack(&spec, &topo);
 
     let find = |src: u32, dst: u32, step: u32| -> u32 {
@@ -358,11 +433,7 @@ fn ra006_fixture_unordered_slot_reuse() {
 #[test]
 fn ra006_ordered_reuse_is_clean() {
     let topo = Topology::a100(1, 4);
-    let mut b = AlgoBuilder::new("reuse-ok", OpType::AllGather, 4);
-    b.recv(0, 1, 0, 0);
-    b.recv(1, 2, 1, 0);
-    b.recv(2, 1, 2, 0); // reads rank2/c0, written by the forward
-    let spec = b.build().expect("spec");
+    let spec = ordered_reuse();
     let (dag, schedule, alloc, program) = full_stack(&spec, &topo);
 
     let report = run(

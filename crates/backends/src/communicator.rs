@@ -17,7 +17,7 @@ use crate::{Backend, RecoveryAction, RecoveryStats, RunReport, DEFAULT_CHUNK_BYT
 use rescc_algos::{
     hm_allgather, hm_allreduce, hm_reduce_scatter, recursive_halving_doubling_allreduce,
 };
-use rescc_core::{plan_fingerprint, CacheStats, Compiler, PlanCache, SpecKey};
+use rescc_core::{plan_fingerprint, CacheStats, CompiledPlan, Compiler, PlanCache, SpecKey};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::{AlgoSpec, OpType};
 use rescc_obs::{DispatchEvent, ObsStats, RecoveryTrigger};
@@ -299,12 +299,45 @@ impl Communicator {
             let so_far = RecoveryStats::from_events(&events);
             let elapsed = so_far.recovery_ns;
             let topo = self.topo.clone().with_health(self.health.clone());
-            // The traced dispatch hands back the CacheEvent for *this*
-            // call, so attribution is exact even when the cache is shared
-            // across threads.
-            let (plan, ev) = self
-                .cache
-                .get_or_compile_traced(&self.compiler, spec, &topo, &mb)?;
+            // One attempt: the resume check, the simulator configuration
+            // and the run. While the accumulated frontier is non-empty the
+            // attempt resumes from it, so only the remainder executes; a
+            // frontier the resume check refuses (wrong dimensions, or a
+            // provenance violation under verify) falls back to a restart.
+            let run = |plan: &CompiledPlan| {
+                let mut cfg = SimConfig {
+                    validate_data: self.validate,
+                    faults: self.faults.advanced(elapsed),
+                    record_trace: self.observe,
+                    attribute_bubbles: self.observe,
+                    ..SimConfig::default()
+                };
+                let resumed = match &acc {
+                    Some(f) if !f.is_empty() && self.compiler.residual_plan(plan, f).is_ok() => {
+                        cfg = cfg.with_resume(f.clone());
+                        true
+                    }
+                    _ => false,
+                };
+                (plan.run_with(buffer_bytes, chunk_bytes, &cfg), resumed)
+            };
+            // On a miss, the first attempt runs the plan while its lints
+            // run; the deny gate still decides before the plan is cached
+            // or its run reported. A miss after a fault (the full compile
+            // after a denied delta) is where the gate refuses plans, so it
+            // stays serial. The dispatch's own `CacheEvent` keeps
+            // attribution exact under a shared cache.
+            let overlap = so_far.retries + so_far.recompiles == 0;
+            let mut first_run = None;
+            let fp = plan_fingerprint(&self.compiler, spec, &topo, &mb);
+            let (plan, ev) = self.cache.get_or_compile_keyed(fp, || {
+                if !overlap {
+                    return self.compiler.compile_spec(spec, &topo);
+                }
+                let (plan, out) = self.compiler.compile_spec_then(spec, &topo, run)?;
+                first_run = Some(out);
+                Ok(plan)
+            })?;
             events.push(DispatchEvent::Cache(ev));
             if !ev.is_hit() {
                 events.push(DispatchEvent::Compile {
@@ -312,28 +345,10 @@ impl Communicator {
                     delta: false,
                 });
             }
-            let mut cfg = SimConfig {
-                validate_data: self.validate,
-                faults: self.faults.advanced(elapsed),
-                record_trace: self.observe,
-                attribute_bubbles: self.observe,
-                ..SimConfig::default()
-            };
-            // Partial-progress resume: while the accumulated frontier is
-            // non-empty, run the cached plan with the frontier's completed
-            // invocations pre-marked, so only the remainder executes. A
-            // frontier the resume check refuses (wrong dimensions, or a
-            // provenance violation under verify) falls back to a plain
-            // restart — correctness never depends on the resume succeeding.
-            let resumed = match &acc {
-                Some(f) if !f.is_empty() && self.compiler.residual_plan(&plan, f).is_ok() => {
-                    events.push(DispatchEvent::Resume);
-                    cfg = cfg.with_resume(f.clone());
-                    true
-                }
-                _ => false,
-            };
-            let attempt = plan.run_with(buffer_bytes, chunk_bytes, &cfg);
+            let (attempt, resumed) = first_run.unwrap_or_else(|| run(&plan));
+            if resumed {
+                events.push(DispatchEvent::Resume);
+            }
             match attempt {
                 Ok(sim) => {
                     let recovery = engaged.then(|| RecoveryStats {

@@ -97,6 +97,10 @@ pub enum Lowering {
 /// [`Compiler::recompile_delta`] splices the cached artifacts, and every
 /// phase on an identity delta. These timings are the per-plan record of
 /// which phases ran.
+///
+/// Each phase time measures the phase's work, not the caller's wait.
+/// [`Compiler::compile_spec_then`] runs sanitize beside other work, so a
+/// cold dispatch's wall time is less than its compile total plus its run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// DSL text → AST → validated spec.
@@ -212,6 +216,38 @@ impl Compiler {
 
     /// Compile a validated algorithm spec for `topo`.
     pub fn compile_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
+        self.sanitize(self.lower_spec(spec, topo)?, Incremental::Fresh)
+    }
+
+    /// [`compile_spec`](Self::compile_spec), with `then` overlapping the
+    /// sanitize phase: the lints run on a scoped thread while `then` reads
+    /// the lowered plan on the caller's thread, and the thread is joined
+    /// before this returns. Both only read the plan, and `then` sees it
+    /// without its diagnostics. The gate then applies as in `compile_spec`:
+    /// a refused plan fails with the same [`SimError::LintRejected`], and
+    /// `then`'s result is dropped.
+    ///
+    /// A dispatch passes its first run as `then`, so a cold dispatch
+    /// waits for the longer of the lints and the run, not their sum.
+    pub fn compile_spec_then<R>(
+        &self,
+        spec: &AlgoSpec,
+        topo: &Topology,
+        then: impl FnOnce(&CompiledPlan) -> R,
+    ) -> SimResult<(CompiledPlan, R)> {
+        let plan = self.lower_spec(spec, topo)?;
+        let ((report, took), out) = std::thread::scope(|s| {
+            let lints = s.spawn(|| self.lint(&plan, Incremental::Fresh));
+            let out = then(&plan);
+            let lints = lints.join();
+            (lints.unwrap_or_else(|p| std::panic::resume_unwind(p)), out)
+        });
+        Ok((self.gate(plan, report, took)?, out))
+    }
+
+    /// The phases of a compile before sanitize: verify, build the DAG,
+    /// schedule and lower. The plan carries no diagnostics yet.
+    fn lower_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
         let mut timings = PhaseTimings::default();
 
         // The verdict and the DAG's dependency index are memoized in the
@@ -225,7 +261,7 @@ impl Compiler {
 
         let lowered = self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
         let plan = CompiledPlan::unsanitized(topo.clone(), spec.clone(), dag, lowered, timings);
-        self.sanitize(plan, Incremental::Fresh)
+        Ok(plan)
     }
 
     /// Incrementally recompile a cached plan for a changed topology health
@@ -405,14 +441,15 @@ impl Compiler {
     }
 
     /// The sanitize phase every compile path shares: run the analysis
-    /// `incremental` calls for over `plan`, attach the report and record
-    /// `timings.sanitize`. Under [`LintGate::Deny`] a report with errors
-    /// refuses the plan.
-    fn sanitize(
-        &self,
-        mut plan: CompiledPlan,
-        incremental: Incremental,
-    ) -> SimResult<CompiledPlan> {
+    /// `incremental` calls for over `plan`, then [`gate`](Self::gate) it.
+    fn sanitize(&self, plan: CompiledPlan, incremental: Incremental) -> SimResult<CompiledPlan> {
+        let (report, took) = self.lint(&plan, incremental);
+        self.gate(plan, report, took)
+    }
+
+    /// The analysis `incremental` calls for over `plan`, and how long it
+    /// took.
+    fn lint(&self, plan: &CompiledPlan, incremental: Incremental) -> (AnalysisReport, Duration) {
         let t0 = Instant::now();
         let report = analyze(
             &AnalysisInput {
@@ -426,7 +463,18 @@ impl Compiler {
             &self.lint_config,
             incremental,
         );
-        plan.timings.sanitize = t0.elapsed();
+        (report, t0.elapsed())
+    }
+
+    /// Attach `report` to `plan` and record `took` as its sanitize time.
+    /// Under [`LintGate::Deny`] a report with errors refuses the plan.
+    fn gate(
+        &self,
+        mut plan: CompiledPlan,
+        report: AnalysisReport,
+        took: Duration,
+    ) -> SimResult<CompiledPlan> {
+        plan.timings.sanitize = took;
         if self.lint_gate == LintGate::Deny && report.has_errors() {
             return Err(SimError::LintRejected {
                 report: report.render_human(),
@@ -742,6 +790,38 @@ mod tests {
             .compile_spec(&spec, &degraded)
             .unwrap();
         assert!(plan.diagnostics.has_errors());
+    }
+
+    #[test]
+    fn compile_spec_then_overlaps_the_lints_and_keeps_the_gate() {
+        use rescc_topology::{NicId, TopologyHealth};
+        let compiler = Compiler::new();
+        let topo = Topology::a100(2, 4);
+        let spec = hm_allreduce(2, 4);
+        let serial = compiler.compile_spec(&spec, &topo).unwrap();
+        let (plan, ran) = compiler
+            .compile_spec_then(&spec, &topo, |p| {
+                assert!(p.diagnostics.certificate().is_none(), "not sanitized yet");
+                p.run(16 << 20, 1 << 20)
+            })
+            .unwrap();
+        assert!(plan.semantic_eq(&serial));
+        assert_eq!(plan.diagnostics, serial.diagnostics);
+        assert!(plan.timings.sanitize > Duration::ZERO);
+        assert_eq!(ran.unwrap(), serial.run(16 << 20, 1 << 20).unwrap());
+
+        // A refused plan fails as `compile_spec` does, though `then` ran.
+        let mut mask = TopologyHealth::healthy();
+        mask.mask(Topology::a100(2, 2).nic_tx(NicId::new(0)));
+        let degraded = Topology::a100(2, 2).with_health(mask);
+        let spec = hm_allreduce(2, 2);
+        let mut ran = false;
+        let refused = compiler.compile_spec_then(&spec, &degraded, |_| ran = true);
+        assert!(ran);
+        assert_eq!(
+            lint_refusal(refused.map(|(plan, ())| plan)),
+            lint_refusal(compiler.compile_spec(&spec, &degraded))
+        );
     }
 
     #[test]

@@ -253,7 +253,10 @@ pub struct ObsStats {
 }
 
 impl ObsStats {
-    /// Total wall-clock compile time accumulated, ns.
+    /// Total wall-clock compile time accumulated, ns. Phase times
+    /// measure work: on a cache miss, sanitize overlaps the dispatch's
+    /// first run, so the dispatch takes less wall time than its compile
+    /// total plus its run.
     pub fn compile_total_ns(&self) -> f64 {
         self.parsing_ns
             + self.analysis_ns
