@@ -360,6 +360,31 @@ mod tests {
         assert!(h.sim.completion_ns <= rr.sim.completion_ns * 1.001);
     }
 
+    /// The `a100` shapes on which round-robin finishes HM-AllReduce at
+    /// 256 MB before HPDS does. The cause is not known yet: RR adds only
+    /// communication-compatible tasks, so it meets Eq. 1 as HPDS does.
+    const KNOWN_INVERSIONS: &[(u32, u32)] = &[(4, 4), (4, 8)];
+
+    #[test]
+    fn round_robin_beats_hpds_only_on_known_inversions() {
+        for (nodes, g) in [(2, 8), (4, 4), (4, 8)] {
+            let topo = Topology::a100(nodes, g);
+            let spec = hm_allreduce(nodes, g);
+            let h = comm(&Backend::resccl(), &topo)
+                .run_spec(&spec, 256 * MB, MB)
+                .unwrap();
+            let rr = comm(&Backend::Resccl(Compiler::new().with_round_robin()), &topo)
+                .run_spec(&spec, 256 * MB, MB)
+                .unwrap();
+            let (h, rr) = (h.sim.completion_ns, rr.sim.completion_ns);
+            assert_eq!(
+                rr < h,
+                KNOWN_INVERSIONS.contains(&(nodes, g)),
+                "{nodes}x{g}: HPDS {h} ns, RR {rr} ns"
+            );
+        }
+    }
+
     #[test]
     fn fusion_trades_tbs_for_bounded_slack() {
         // Chain-merged fused kernels halve the TB budget of ring transits.

@@ -298,6 +298,20 @@ impl DepDag {
         self.routes.len()
     }
 
+    /// The index of `id`'s route, `0..n_routes()`: tasks between one
+    /// `(src, dst)` pair share it.
+    #[inline]
+    pub fn route_id(&self, id: TaskId) -> u32 {
+        self.route_of[id.index()]
+    }
+
+    /// Route `route`'s source rank, conflict resources and path, as
+    /// [`DepDag::task`] reports them for each of its tasks.
+    pub fn route_at(&self, route: u32) -> (Rank, ResourceSet, ResourceSet) {
+        let r = &self.routes[route as usize];
+        (r.src, r.conflict, r.path)
+    }
+
     /// Data-dependency predecessors of `id`.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
         self.index.preds.row(id.index())

@@ -39,11 +39,9 @@
 //!   `seq` and its FIFO place, and a load change on a resource whose
 //!   draining transfers are all deferred skips the scan of its peers, so
 //!   k lockstep finishes on a link cost O(k) peer visits, not O(k²);
-//! * a projection to a later time waits for the instant's end;
-//! * an instant's events for later times become one batch sorted by
-//!   `(t, seq)` when it ends, and a heap merges the batches by their
-//!   heads, so a pop inside a lockstep burst takes the top batch's next
-//!   event.
+//! * an event for a later time joins that time's bucket when it is
+//!   scheduled, and when the clock reaches the time its buckets become
+//!   the instant's FIFO, so a lockstep burst costs one append per event.
 //!
 //! Deferral is exact: nothing reads a deferred transfer's progress before
 //! its turn, a second settle in one instant moves nothing, and any later
@@ -72,9 +70,8 @@ use rescc_kernel::{KernelProgram, LoopOrder, Primitive};
 use rescc_lang::provenance::{Counts, Move, Runs, Slots};
 use rescc_lang::OpType;
 use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Run one collective call end to end.
 pub fn simulate(
@@ -107,115 +104,70 @@ struct Event {
     id: u32,
 }
 
-impl Event {
-    /// The `(t, seq)` order as integers: a queued time is finite and not
-    /// negative, so its bit pattern orders as its value does.
-    fn key(&self) -> (u64, u64) {
-        (self.t.to_bits(), self.seq)
-    }
+/// The events of one future instant, `(seq, id)` in the order they
+/// joined it.
+#[derive(Default)]
+struct Bucket {
+    /// The instant's time bits, [`FREE`] while the bucket waits for reuse.
+    t: u64,
+    events: Vec<(u64, u32)>,
+    /// `events` is in `seq` order.
+    sorted: bool,
 }
 
-/// The later events of one ended instant, sorted by `(t, seq)` from the
-/// back: the last is the earliest, the batch's head. A batch in the heap
-/// is never empty.
-struct Batch {
-    /// A copy of the last event, so that a sift or a peek reads no vector.
-    head: Event,
-    events: Vec<Event>,
-}
-
-impl Batch {
-    fn new(events: Vec<Event>) -> Self {
-        Self {
-            head: events[events.len() - 1],
-            events,
-        }
-    }
-
-    /// Drop the head and the dead events behind it, given each id's live
-    /// `seq`; false once the batch is empty.
-    fn advance(&mut self, live: &[u64]) -> bool {
-        self.events.pop();
-        while let Some(&e) = self.events.last() {
-            if live[e.id as usize] == e.seq {
-                self.head = e;
-                return true;
-            }
-            self.events.pop();
-        }
-        false
-    }
-}
-
-/// Batches order by their heads, reversed, so that `BinaryHeap`'s top is
-/// the earliest head.
-impl Ord for Batch {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.head.key().cmp(&self.head.key())
-    }
-}
-
-impl PartialOrd for Batch {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Batch {}
+/// The time bits of a free bucket: a NaN, never a queued time.
+const FREE: u64 = u64::MAX;
 
 /// Min-queue of events in `(t, seq)` order, holding at most one live event
 /// per id: the one with the id's `live` sequence number. Every other entry
 /// is dead, and pops skip it. The current instant, the time of the last
 /// pop, owns a FIFO of the events scheduled for it, in `seq` order. An
-/// event for a later time waits in the instant's buffer, keeping the `seq`
-/// it drew, until the instant ends; then the buffer's live events, sorted
-/// by `(t, seq)`, become one batch, and a binary heap merges the batches
-/// by their heads. In a lockstep burst most pops take the next event of
-/// the top batch. A deferred re-key joins the FIFO before its time is
-/// known, and `pop` projects it when it is next in line; re-deferring it
-/// before then keeps its `seq` and its place, so it is projected once,
-/// from the state at its turn.
+/// event for a later time joins that time's bucket, keeping the `seq` it
+/// drew: the bucket its id last joined if its time matches, else one of
+/// the two buckets opened last if its time matches, else a new one, which
+/// a binary heap orders by time. When the FIFO runs dry, the buckets of the
+/// earliest time become the FIFO, sorted by `seq` only if they were two or
+/// more or joined out of order. A deferred re-key joins the FIFO before
+/// its time is known, and `pop` projects it when it is next in line;
+/// re-deferring it before then keeps its `seq` and its place, so it is
+/// projected once, from the state at its turn.
 struct EventQueue {
-    /// `(seq, id)` of the events at `now`, in `seq` order.
-    fifo: VecDeque<(u64, u32)>,
-    /// Events for later times scheduled during the instant.
-    buffer: Vec<Event>,
-    batches: BinaryHeap<Batch>,
-    /// Emptied batch vectors, for the next flush to reuse.
-    spare: Vec<Vec<Event>>,
+    /// `(seq, id)` of the events at `now`, in `seq` order, from `head` on.
+    fifo: Vec<(u64, u32)>,
+    head: usize,
+    buckets: Vec<Bucket>,
+    /// Buckets emptied into the FIFO, for later instants to reuse.
+    free: Vec<u32>,
+    /// `(time bits, bucket)` of every bucket in use, the earliest on top.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The two buckets opened last, the last first.
+    recent: [u32; 2],
     /// `seq` of each id's live event, 0 while it has none.
     live: Vec<u64>,
     /// Each id's live event waits in the FIFO by [`EventQueue::defer`]:
     /// its time is not known yet.
     deferred: Vec<bool>,
+    /// The bucket each id joined last.
+    bucket_of: Vec<u32>,
     /// Events scheduled so far; the next one gets `seq + 1`.
     seq: u64,
     /// The current instant: the latest time popped.
     now: f64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::with_ids(0)
-    }
-}
-
 impl EventQueue {
     /// An empty queue with room for ids `0..n` without growing.
     fn with_ids(n: usize) -> Self {
         Self {
-            fifo: VecDeque::new(),
-            buffer: Vec::new(),
-            batches: BinaryHeap::new(),
-            spare: Vec::new(),
+            fifo: Vec::new(),
+            head: 0,
+            buckets: Vec::new(),
+            free: Vec::new(),
+            heap: BinaryHeap::new(),
+            recent: [NONE; 2],
             live: vec![0; n],
             deferred: vec![false; n],
+            bucket_of: vec![NONE; n],
             seq: 0,
             now: 0.0,
         }
@@ -229,6 +181,7 @@ impl EventQueue {
         if i >= self.live.len() {
             self.live.resize(i + 1, 0);
             self.deferred.resize(i + 1, false);
+            self.bucket_of.resize(i + 1, NONE);
         }
         self.live[i] = self.seq;
         self.deferred[i] = deferred;
@@ -242,9 +195,9 @@ impl EventQueue {
         debug_assert!(t.is_sign_positive(), "scheduled at a negative time");
         let seq = self.next_seq(id, false);
         if t.to_bits() == self.now.to_bits() {
-            self.fifo.push_back((seq, id));
+            self.fifo.push((seq, id));
         } else {
-            self.buffer.push(Event { t, seq, id });
+            self.insert(t.to_bits(), seq, id);
         }
     }
 
@@ -258,7 +211,7 @@ impl EventQueue {
             return;
         }
         let seq = self.next_seq(id, true);
-        self.fifo.push_back((seq, id));
+        self.fifo.push((seq, id));
     }
 
     /// Is `id` in the FIFO, deferred at this instant and not yet projected?
@@ -266,104 +219,84 @@ impl EventQueue {
         self.deferred.get(id as usize).copied().unwrap_or(false)
     }
 
+    /// Put `(seq, id)` in a bucket at the later time `bits`.
+    fn insert(&mut self, bits: u64, seq: u64, id: u32) {
+        let at = |b: u32| self.buckets.get(b as usize).is_some_and(|b| b.t == bits);
+        let b = match self.bucket_of[id as usize] {
+            b if at(b) => b,
+            _ if at(self.recent[0]) => self.recent[0],
+            _ if at(self.recent[1]) => self.recent[1],
+            _ => {
+                let b = self.free.pop().unwrap_or_else(|| {
+                    self.buckets.push(Bucket::default());
+                    self.buckets.len() as u32 - 1
+                });
+                let bucket = &mut self.buckets[b as usize];
+                (bucket.t, bucket.sorted) = (bits, true);
+                self.heap.push(Reverse((bits, b)));
+                self.recent = [b, self.recent[0]];
+                b
+            }
+        };
+        let bucket = &mut self.buckets[b as usize];
+        bucket.sorted &= bucket.events.last().is_none_or(|&(last, _)| last < seq);
+        bucket.events.push((seq, id));
+        self.bucket_of[id as usize] = b;
+    }
+
     /// Remove and return the earliest live event. `project` gives the time
     /// of a deferred id, at or after `now`, when it is next in line.
     fn pop(&mut self, mut project: impl FnMut(u32) -> f64) -> Option<Event> {
+        let start = self.now;
         loop {
-            while let Some(&(seq, id)) = self.fifo.front() {
-                if self.live[id as usize] == seq {
-                    break;
+            while let Some(&(seq, id)) = self.fifo.get(self.head) {
+                self.head += 1;
+                if self.live[id as usize] != seq {
+                    continue;
                 }
-                self.fifo.pop_front();
-            }
-            self.skip_dead_heads();
-            let top = self.batches.peek().map(|b| b.head);
-            if let Some(&(seq, id)) = self.fifo.front() {
-                if top.is_none_or(|top| top.key() >= (self.now.to_bits(), seq)) {
-                    self.fifo.pop_front();
-                    if std::mem::take(&mut self.deferred[id as usize]) {
-                        let t = project(id);
-                        debug_assert!(t >= self.now, "projected behind the clock");
-                        if t.to_bits() != self.now.to_bits() {
-                            self.buffer.push(Event { t, seq, id });
-                            continue;
-                        }
+                if std::mem::take(&mut self.deferred[id as usize]) {
+                    let t = project(id);
+                    debug_assert!(t >= self.now, "projected behind the clock");
+                    if t.to_bits() != self.now.to_bits() {
+                        self.insert(t.to_bits(), seq, id);
+                        continue;
                     }
-                    self.live[id as usize] = 0;
-                    return Some(Event {
-                        t: self.now,
-                        seq,
-                        id,
-                    });
                 }
-            } else if !self.buffer.is_empty() && top.is_none_or(|top| top.t > self.now) {
-                // The instant is over: its buffered events become a batch
-                // before anything later pops.
-                self.flush();
-                continue;
+                self.live[id as usize] = 0;
+                return Some(Event {
+                    t: self.now,
+                    seq,
+                    id,
+                });
             }
-            let top = top?;
-            self.advance_top();
-            self.live[top.id as usize] = 0;
-            self.now = top.t;
-            return Some(top);
-        }
-    }
-
-    /// Drop the dead events heading the top batch, and the batch if that
-    /// empties it, until the top batch's head is live. A live head costs
-    /// no sift, and a run of dead ones costs one.
-    fn skip_dead_heads(&mut self) {
-        while let Some(head) = self.batches.peek().map(|b| b.head) {
-            if self.live[head.id as usize] == head.seq {
-                return;
+            // The instant is over: the buckets of the next time become the
+            // FIFO. A time whose events all died passes without a pop, so
+            // a queue that runs dry keeps the time of its last pop.
+            let Some(&Reverse((bits, _))) = self.heap.peek() else {
+                self.now = start;
+                return None;
+            };
+            self.fifo.clear();
+            self.head = 0;
+            let mut sorted = true;
+            while let Some(&Reverse((_, b))) = self.heap.peek().filter(|e| e.0 .0 == bits) {
+                self.heap.pop();
+                let bucket = &mut self.buckets[b as usize];
+                sorted &= self.fifo.is_empty() && bucket.sorted;
+                if self.fifo.is_empty() {
+                    std::mem::swap(&mut self.fifo, &mut bucket.events);
+                } else {
+                    self.fifo.append(&mut bucket.events);
+                }
+                bucket.t = FREE;
+                self.free.push(b);
             }
-            self.advance_top();
+            if !sorted {
+                self.fifo.sort_unstable_by_key(|&(seq, _)| seq);
+            }
+            self.now = f64::from_bits(bits);
         }
     }
-
-    /// Drop the top batch's head and the dead events behind it, and the
-    /// batch once it is empty, keeping its vector for the next flush.
-    fn advance_top(&mut self) {
-        let mut batch = self.batches.peek_mut().expect("a batch is queued");
-        if !batch.advance(&self.live) {
-            self.spare.push(PeekMut::pop(batch).events);
-        }
-    }
-
-    /// End the instant: the live events of its buffer, sorted by `(t, seq)`,
-    /// become one batch.
-    fn flush(&mut self) {
-        let mut batch = self.spare.pop().unwrap_or_default();
-        let live = &self.live;
-        batch.extend(
-            self.buffer
-                .drain(..)
-                .filter(|e| live[e.id as usize] == e.seq),
-        );
-        if batch.is_empty() {
-            self.spare.push(batch);
-        } else {
-            // The buffer is mostly in `seq` order already, over few distinct
-            // times, and each stable sort finds that order in about one pass.
-            batch.sort_by_key(|e| e.seq);
-            batch.sort_by_key(|e| e.t.to_bits());
-            batch.reverse();
-            self.batches.push(Batch::new(batch));
-        }
-    }
-}
-
-/// One issue group of a TB: `len` slots starting at `first_slot` (an index
-/// into the program's slot table), all issued together for micro-batch
-/// `mb`. A fused `recv -> send` pair forms a 2-slot group (cut-through:
-/// both transfers in flight concurrently); unfused slots are singleton
-/// groups.
-#[derive(Clone, Copy)]
-struct IssueGroup {
-    first_slot: u32,
-    len: u32,
-    mb: u32,
 }
 
 struct TbState {
@@ -372,18 +305,27 @@ struct TbState {
     /// The TB's slots in the program's table: `first..first + len`.
     first: u32,
     len: u32,
-    /// The TB's issue segments: runs of slots issued together. Fused slots
-    /// glue to their predecessor; every other slot starts a segment.
-    n_segments: u32,
-    /// The first slot of the current issue group's segment.
+    /// The current issue group: the segment of `seg_len` slots at
+    /// `cursor` (an index into the program's slot table), all issued
+    /// together for micro-batch `mb`. Fused slots glue to their
+    /// predecessor, so a fused `recv -> send` pair forms a 2-slot group
+    /// (cut-through: both transfers in flight concurrently); every other
+    /// slot starts a segment.
     cursor: u32,
+    seg_len: u32,
+    mb: u32,
     /// Micro-batches the TB owns: `offset + k * stride` for `k < window`.
-    window: u32,
     stride: u32,
     offset: u32,
-    /// The next of the TB's `n_segments * window` issue groups, which it
-    /// walks in index order; [`Engine::group`] gives it.
+    /// Groups of the inner loop, the window for a slot-major program and
+    /// the segment count for a micro-batch-major one, and how many of
+    /// them are left from the current one on.
+    inner: u32,
+    inner_left: u32,
+    /// The current issue group's index, and the TB's `segments * window`
+    /// groups, which it walks in index order.
     group_idx: u32,
+    n_groups: u32,
     group_remaining: u32,
     /// Fused forwards issued but not yet drained. They never gate
     /// `group_remaining` — the TB advances to its next micro-batch as soon
@@ -398,7 +340,7 @@ struct TbState {
 
 impl TbState {
     fn done(&self) -> bool {
-        self.group_idx >= self.n_segments * self.window
+        self.group_idx >= self.n_groups
     }
 }
 
@@ -414,6 +356,19 @@ struct InvState {
     /// Transfer slot while in flight, `NONE` before the start and after
     /// the completion.
     transfer: u32,
+}
+
+/// What a start reads of its task's route, one record per route of the
+/// DAG.
+#[derive(Clone, Copy)]
+struct Start {
+    /// The sending rank.
+    src: u32,
+    /// The capacity resources the route drains on.
+    path: ResourceSet,
+    /// An unfused start's latency before straggling and jitter: α of the
+    /// slowest conflict resource plus the interpreter overhead.
+    latency: f64,
 }
 
 struct Transfer {
@@ -432,7 +387,6 @@ struct Transfer {
     recv_tb: u32,
     start: f64,
     drain_start: f64,
-    captured: Option<Runs>,
     /// A fused forward that finished draining before its feeding receive
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
@@ -455,6 +409,16 @@ fn project(t: &mut Transfer, resources: &[ResState], now: f64) -> f64 {
     debug_assert!(rate.is_finite() && rate > 0.0);
     t.rate = rate;
     now + t.remaining / rate
+}
+
+/// Slots of the segment that starts at slot `at`, in a TB whose slots end
+/// at `end`: it and the fused slots right behind it.
+fn segment_len(program: &KernelProgram, end: u32, at: u32) -> u32 {
+    let mut len = 1;
+    while at + len < end && program.is_fused((at + len) as usize) {
+        len += 1;
+    }
+    len
 }
 
 /// A classified idle interval keyed by engine TB id (resolved to
@@ -606,7 +570,6 @@ impl Rekeys {
 struct Engine<'a> {
     dag: &'a DepDag,
     program: &'a KernelProgram,
-    plan: &'a MicroBatchPlan,
     op: OpType,
     config: &'a SimConfig,
     n_mb: u32,
@@ -621,6 +584,17 @@ struct Engine<'a> {
     transfers: Vec<Transfer>,
     /// Free slots of `transfers`.
     free_transfers: Vec<u32>,
+    /// Under data validation, the source values each transfer slot
+    /// captured at its start; None for a fused forward, which reads its
+    /// source at completion. Empty otherwise.
+    captured: Vec<Option<Runs>>,
+    /// Each route's start record, by [`DepDag::route_id`].
+    starts: Vec<Start>,
+    /// The interpreter overhead, a fused forward's whole startup latency.
+    overhead: f64,
+    /// Bytes of an invocation of every micro-batch but the last, and of
+    /// the last.
+    mb_bytes: (u64, u64),
     /// Bytes moved by every transfer started so far.
     total_bytes: u64,
     resources: Vec<ResState>,
@@ -669,7 +643,7 @@ impl<'a> Engine<'a> {
         topo: &Topology,
         dag: &'a DepDag,
         program: &'a KernelProgram,
-        plan: &'a MicroBatchPlan,
+        plan: &MicroBatchPlan,
         op: OpType,
         config: &'a SimConfig,
     ) -> SimResult<Self> {
@@ -693,6 +667,26 @@ impl<'a> Engine<'a> {
             })
             .collect::<SimResult<_>>()?;
 
+        let overhead = program.exec.overhead_ns();
+        let starts = (0..dag.n_routes() as u32)
+            .map(|route| {
+                let (src, conflict, path) = dag.route_at(route);
+                let alpha = conflict
+                    .iter()
+                    .map(|r| resources[r.index()].params.alpha_ns)
+                    .fold(0.0, f64::max);
+                Start {
+                    src: src.0,
+                    path,
+                    latency: alpha + overhead,
+                }
+            })
+            .collect();
+        let last_bytes = match n_mb {
+            0 => 0,
+            n => plan.invocation_bytes(n - 1),
+        };
+
         // TB states, over the program's slot table.
         let table = &*program.table;
         let mut tbs = Vec::with_capacity(table.tbs().len());
@@ -706,17 +700,25 @@ impl<'a> Engine<'a> {
                     (n_mb - offset - 1) / stride + 1
                 };
                 let fused = tb.slots().skip(1).filter(|&i| program.is_fused(i));
+                let n_segments = tb.len - fused.count() as u32;
+                let inner = match program.loop_order {
+                    LoopOrder::SlotMajor => window,
+                    LoopOrder::MicroBatchMajor => n_segments,
+                };
                 tbs.push(TbState {
                     rank: tb.rank,
                     tb: pt as u32,
                     first: tb.first,
                     len: tb.len,
-                    n_segments: tb.len - fused.count() as u32,
                     cursor: tb.first,
-                    window,
+                    seg_len: segment_len(program, tb.first + tb.len, tb.first),
+                    mb: offset,
                     stride,
                     offset,
+                    inner,
+                    inner_left: inner,
                     group_idx: 0,
+                    n_groups: n_segments * window,
                     group_remaining: 0,
                     async_outstanding: 0,
                     busy: 0.0,
@@ -843,7 +845,6 @@ impl<'a> Engine<'a> {
         Ok(Self {
             dag,
             program,
-            plan,
             op,
             config,
             n_mb,
@@ -853,6 +854,10 @@ impl<'a> Engine<'a> {
             invs,
             transfers: Vec::with_capacity(first_guess),
             free_transfers: Vec::new(),
+            captured: Vec::new(),
+            starts,
+            overhead,
+            mb_bytes: (plan.chunk_bytes, last_bytes),
             total_bytes: 0,
             resources,
             events: EventQueue::with_ids(config.faults.events().len() + first_guess),
@@ -884,53 +889,33 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// The current issue group of `tb`. Slot-major programs walk each
+    /// Move `tb` to its next issue group. Slot-major programs walk each
     /// segment over the TB's micro-batch window, then the next segment;
     /// micro-batch-major programs walk every segment once per micro-batch
     /// (each micro-batch walks the pipeline, fused pairs issuing together
     /// as one recvCopySend).
-    fn group(&self, tb: &TbState) -> IssueGroup {
-        let k = match self.program.loop_order {
-            LoopOrder::SlotMajor => tb.group_idx % tb.window,
-            LoopOrder::MicroBatchMajor => tb.group_idx / tb.n_segments,
-        };
-        IssueGroup {
-            first_slot: tb.cursor,
-            len: self.segment_len(tb, tb.cursor),
-            mb: tb.offset + k * tb.stride,
-        }
-    }
-
-    /// Slots of `tb`'s segment that starts at slot `at`: it and the fused
-    /// slots right behind it.
-    fn segment_len(&self, tb: &TbState, at: u32) -> u32 {
-        let end = tb.first + tb.len;
-        let mut len = 1;
-        while at + len < end && self.is_fused((at + len) as usize) {
-            len += 1;
-        }
-        len
-    }
-
-    /// Move `tb` to its next issue group, and its cursor to that group's
-    /// segment.
     fn advance(&mut self, tb_id: u32) {
-        let tb = &self.tbs[tb_id as usize];
-        let next = tb.group_idx + 1;
-        let cursor = match self.program.loop_order {
-            LoopOrder::SlotMajor if !next.is_multiple_of(tb.window) => tb.cursor,
-            LoopOrder::MicroBatchMajor if next.is_multiple_of(tb.n_segments) => tb.first,
-            _ => tb.cursor + self.segment_len(tb, tb.cursor),
-        };
+        let slot_major = self.program.loop_order == LoopOrder::SlotMajor;
         let tb = &mut self.tbs[tb_id as usize];
-        tb.group_idx = next;
-        tb.cursor = cursor;
-    }
-
-    /// Is slot `si` fused to the slot before it? An unfused program,
-    /// which has no feeder table, answers without reading its bitset.
-    fn is_fused(&self, si: usize) -> bool {
-        !self.fused_pred.is_empty() && self.program.is_fused(si)
+        tb.group_idx += 1;
+        if tb.inner_left > 1 {
+            tb.inner_left -= 1;
+            if slot_major {
+                tb.mb += tb.stride;
+                return;
+            }
+            tb.cursor += tb.seg_len;
+        } else {
+            tb.inner_left = tb.inner;
+            if slot_major {
+                tb.mb = tb.offset;
+                tb.cursor += tb.seg_len;
+            } else {
+                tb.mb += tb.stride;
+                tb.cursor = tb.first;
+            }
+        }
+        tb.seg_len = segment_len(self.program, tb.first + tb.len, tb.cursor);
     }
 
     /// The fused receive feeding `task`, or NONE.
@@ -1316,38 +1301,24 @@ impl<'a> Engine<'a> {
                 }
                 return;
             }
-            let group = self.group(tb);
-            let slots = group.first_slot as usize..(group.first_slot + group.len) as usize;
+            let (mb, slots) = (tb.mb, tb.cursor as usize..(tb.cursor + tb.seg_len) as usize);
             // Fused forwards are issued asynchronously: they register their
             // sender side now but do not gate the group, so the TB moves on
             // to the next micro-batch as soon as its gating slots retire —
             // the cut-through pipelining real fused kernels get from
-            // sub-chunk FIFO slices. Segments always start with an unfused
-            // slot, so every group keeps at least one gating member.
-            let mut gating = 0;
-            let mut live_gating = 0;
-            let mut live_fused = 0;
-            for si in slots.clone() {
-                let task = self.slots[si].task();
-                let done = self.invs[task.index() * self.n_mb as usize + group.mb as usize].done;
-                if self.is_fused(si) {
-                    if !done {
-                        live_fused += 1;
-                    }
-                } else {
-                    gating += 1;
-                    if !done {
-                        live_gating += 1;
-                    }
-                }
-            }
-            debug_assert!(gating > 0, "issue group with no gating slot");
+            // sub-chunk FIFO slices. A segment's first slot is its one
+            // unfused slot, so every group has exactly one gating member.
+            let live = |si: usize| {
+                !self.invs[self.slots[si].task().index() * self.n_mb as usize + mb as usize].done
+            };
+            let live_gating = u32::from(live(slots.start));
+            let live_fused = slots.clone().skip(1).filter(|&si| live(si)).count() as u32;
             let tb = &mut self.tbs[tb_id as usize];
             tb.group_remaining = live_gating;
             tb.async_outstanding += live_fused;
             for si in slots {
                 let slot = self.slots[si];
-                let idx = slot.task().index() * self.n_mb as usize + group.mb as usize;
+                let idx = slot.task().index() * self.n_mb as usize + mb as usize;
                 let inv = &mut self.invs[idx];
                 if inv.done {
                     continue; // already complete before this attempt
@@ -1361,7 +1332,7 @@ impl<'a> Engine<'a> {
                     inv.recv_tb = tb_id;
                     inv.recv_arrival = now;
                 }
-                self.try_start(slot.task(), group.mb);
+                self.try_start(slot.task(), mb);
             }
             if live_gating > 0 {
                 return;
@@ -1377,7 +1348,7 @@ impl<'a> Engine<'a> {
             return; // aborting — don't issue new transfers
         }
         let idx = task.index() * self.n_mb as usize + mb as usize;
-        let inv = self.invs[idx];
+        let inv = &self.invs[idx];
         if inv.started
             || inv.send_tb == NONE
             || inv.recv_tb == NONE
@@ -1386,6 +1357,8 @@ impl<'a> Engine<'a> {
         {
             return;
         }
+        let (send_tb, send_arrival, recv_tb, recv_arrival) =
+            (inv.send_tb, inv.send_arrival, inv.recv_tb, inv.recv_arrival);
         // Cut-through gate: a fused forward starts once its feeding receive
         // is in flight (the feeder's completion dependency was lifted).
         let fp = self.feeder(task);
@@ -1397,8 +1370,8 @@ impl<'a> Engine<'a> {
         }
         // A transfer cannot cross a dead resource: surface the typed
         // failure so the Communicator's watchdog can retry or recompile.
-        let t = self.dag.task(task);
-        if let Some(r) = self.dead_on(t.path) {
+        let start = self.starts[self.dag.route_id(task) as usize];
+        if let Some(r) = self.dead_on(start.path) {
             self.fail_on_dead(task, r);
             return;
         }
@@ -1408,64 +1381,51 @@ impl<'a> Engine<'a> {
         // Sync (blocked) time for both sides. A fused forward's sender side
         // is asynchronous — its TB was never actually blocked on it.
         if fp == NONE {
-            self.tbs[inv.send_tb as usize].sync += now - inv.send_arrival;
+            self.tbs[send_tb as usize].sync += now - send_arrival;
         }
-        self.tbs[inv.recv_tb as usize].sync += now - inv.recv_arrival;
+        self.tbs[recv_tb as usize].sync += now - recv_arrival;
         if self.obs.is_some() {
             // Attribute exactly the intervals the sync accounting above
             // charged, split by which gate resolved last.
             if fp == NONE {
-                self.record_wait(inv.send_tb, inv.send_arrival, inv.recv_arrival, task, mb);
+                self.record_wait(send_tb, send_arrival, recv_arrival, task, mb);
             }
-            self.record_wait(inv.recv_tb, inv.recv_arrival, inv.send_arrival, task, mb);
+            self.record_wait(recv_tb, recv_arrival, send_arrival, task, mb);
         }
 
-        let bytes = self.plan.invocation_bytes(mb);
-        // Fused forwards capture at completion instead (their payload is
-        // the feeder's freshly-delivered value, applied by then).
-        let captured = if self.config.validate_data && fp == NONE {
-            Some(
-                self.buffers[mb as usize]
-                    .slot(self.buffer_idx(t.src.0, t.chunk.0))
-                    .clone(),
-            )
+        let bytes = if mb + 1 < self.n_mb {
+            self.mb_bytes.0
         } else {
-            None
+            self.mb_bytes.1
         };
-
         // Startup latency: α of the slowest conflict resource + interpreter
         // overhead + optional jitter. A route's own extra latency (a
         // cross-rack hop, an NVSwitch relay) is not in the DAG and is not
-        // charged.
-        let alpha = if fp != NONE {
-            // Fused recvCopySend: the forward starts inside the previous
-            // primitive's epilogue — no fresh startup latency.
-            0.0
+        // charged. A fused recvCopySend forward starts inside the previous
+        // primitive's epilogue: no fresh α.
+        let base = if fp != NONE {
+            self.overhead
         } else {
-            t.conflict
-                .iter()
-                .map(|r| self.resources[r.index()].params.alpha_ns)
-                .fold(0.0, f64::max)
+            start.latency
         };
-        let mut latency = (alpha + self.program.exec.overhead_ns()) * self.straggle[t.src.index()];
+        let mut latency = base * self.straggle[start.src as usize];
         if self.config.jitter_frac > 0.0 {
             latency *= 1.0 + self.config.jitter_frac * self.rng.gen::<f64>();
         }
 
         let transfer = Transfer {
             task,
-            path: t.path,
+            path: start.path,
             mb,
             bytes,
             remaining: bytes as f64,
             rate: 0.0,
             last_update: now,
             draining: false,
-            send_tb: inv.send_tb,
-            recv_tb: inv.recv_tb,
+            send_tb,
+            recv_tb,
             start: now,
             drain_start: now,
-            captured,
             pending_complete: false,
         };
         self.total_bytes += bytes;
@@ -1480,6 +1440,18 @@ impl<'a> Engine<'a> {
             }
         };
         self.invs[idx].transfer = x;
+        if self.config.validate_data {
+            // Fused forwards capture at completion instead (their payload
+            // is the feeder's freshly-delivered value, applied by then).
+            let captured = (fp == NONE).then(|| {
+                let t = self.dag.transfer(task);
+                self.buffers[mb as usize]
+                    .slot(self.buffer_idx(t.src.0, t.chunk.0))
+                    .clone()
+            });
+            self.captured.resize(self.transfers.len(), None);
+            self.captured[x as usize] = captured;
+        }
         self.events.schedule(self.transfer_event(x), now + latency);
 
         // Wake fused followers gated on this start.
@@ -1596,7 +1568,7 @@ impl<'a> Engine<'a> {
                 self.buffer_idx(t.src.0, t.chunk.0),
                 self.buffer_idx(t.dst.0, t.chunk.0),
             );
-            let captured = self.transfers[x as usize].captured.take();
+            let captured = self.captured[x as usize].take();
             let buf = &mut self.buffers[mb as usize];
             match captured {
                 Some(v) => buf.write(di, &v, t.comm, 0),
@@ -1815,12 +1787,11 @@ impl<'a> Engine<'a> {
             if tb.done() {
                 continue;
             }
-            let g = self.group(tb);
             let slots: Vec<String> = self.slots
-                [g.first_slot as usize..(g.first_slot + g.len) as usize]
+                [tb.cursor as usize..(tb.cursor + tb.seg_len) as usize]
                 .iter()
                 .map(|&slot| {
-                    let idx = slot.task().index() * self.n_mb as usize + g.mb as usize;
+                    let idx = slot.task().index() * self.n_mb as usize + tb.mb as usize;
                     let inv = &self.invs[idx];
                     format!(
                         "{}({:?},started={},done={},deps={})",
@@ -1837,7 +1808,7 @@ impl<'a> Engine<'a> {
                 tb.rank,
                 tb.tb,
                 tb.group_idx,
-                g.mb,
+                tb.mb,
                 tb.group_remaining,
                 slots.join(", ")
             ));
@@ -1854,8 +1825,8 @@ mod tests {
     use super::*;
     use rescc_kernel::ExecMode;
     use rescc_lang::AlgoBuilder;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use rescc_topology::{Rank, TopologyHealth};
+    use std::cmp::Ordering;
 
     /// A `BinaryHeap` with generation-based lazy deletion: every
     /// scheduling pushes a fresh entry stamped with its id's new
@@ -1952,19 +1923,29 @@ mod tests {
         unreachable!("id {id} was never deferred")
     }
 
-    /// Is a live event still due at the current instant, in the FIFO or
-    /// in a batch?
+    /// Is a live event still due at the current instant? Every event at
+    /// `now` waits in the FIFO.
     fn instant_open(queue: &EventQueue) -> bool {
-        let live = |e: &Event| queue.live[e.id as usize] == e.seq;
-        queue
-            .fifo
+        queue.fifo[queue.head..]
             .iter()
             .any(|&(seq, id)| queue.live[id as usize] == seq)
-            || queue
-                .batches
-                .iter()
-                .flat_map(|b| &b.events)
-                .any(|e| live(e) && e.t <= queue.now)
+    }
+
+    impl Default for EventQueue {
+        fn default() -> Self {
+            Self::with_ids(0)
+        }
+    }
+
+    /// The time of `id`'s live event if it waits in a bucket.
+    fn bucketed_time(queue: &EventQueue, id: u32) -> Option<f64> {
+        let seq = queue.live.get(id as usize).copied().unwrap_or(0);
+        queue
+            .buckets
+            .iter()
+            .filter(|b| b.t != FREE)
+            .find(|b| b.events.contains(&(seq, id)))
+            .map(|b| f64::from_bits(b.t))
     }
 
     #[test]
@@ -1994,21 +1975,30 @@ mod tests {
         }
     }
 
-    /// The deferred re-keys an oracle run made, by kind.
+    /// The deferred re-keys an oracle run made, by kind, and the bucket
+    /// regimes it reached.
     #[derive(Default)]
     struct Defers {
         /// Made while the instant was closed.
         closed: u32,
         /// Projecting onto the instant (the FIFO path).
         onto_now: u32,
-        /// Projecting onto the instant while the id's live event is in the
-        /// buffer or a batch at a later time, which the deferral kills.
+        /// Projecting onto the instant while the id's live event waits in
+        /// a bucket at a later time, which the deferral kills.
         over_later_entry: u32,
-        /// Projecting onto a later time (the buffer).
+        /// Projecting onto a later time (a bucket).
         later: u32,
+        /// Projecting onto the time of the id's live event in a bucket,
+        /// which the deferral kills: it joins the bucket of its dead event.
+        onto_dead_twin: u32,
         /// Re-deferring an id already deferred at the instant, which keeps
         /// its `seq` and its FIFO place.
         again: u32,
+        /// Pops after which a bucket held a deferred id behind later
+        /// `seq`s, so that the FIFO it becomes is sorted.
+        behind_later_seqs: u32,
+        /// The most buckets waiting at once.
+        peak_buckets: usize,
     }
 
     impl Defers {
@@ -2016,20 +2006,21 @@ mod tests {
             let now = queue.now;
             self.closed += u32::from(!instant_open(queue));
             self.again += u32::from(queue.is_deferred(id));
+            let bucketed = bucketed_time(queue, id);
             if t == now {
                 self.onto_now += 1;
-                let seq = queue.live.get(id as usize).copied().unwrap_or(0);
-                self.over_later_entry += u32::from(
-                    seq != 0
-                        && queue
-                            .buffer
-                            .iter()
-                            .chain(queue.batches.iter().flat_map(|b| &b.events))
-                            .any(|e| e.id == id && e.seq == seq && e.t > now),
-                );
+                self.over_later_entry += u32::from(bucketed.is_some_and(|b| b > now));
             } else {
                 self.later += 1;
+                self.onto_dead_twin += u32::from(bucketed == Some(t));
             }
+        }
+
+        /// Note the buckets after a pop.
+        fn popped(&mut self, queue: &EventQueue) {
+            let waiting = queue.buckets.iter().filter(|b| b.t != FREE);
+            self.behind_later_seqs += u32::from(waiting.clone().any(|b| !b.sorted));
+            self.peak_buckets = self.peak_buckets.max(waiting.count());
         }
 
         fn assert_covered(&self) {
@@ -2038,8 +2029,22 @@ mod tests {
             assert!(self.over_later_entry > 0, "no defer over a later entry");
             assert!(self.later > 0, "no defer to a later time");
             assert!(
+                self.onto_dead_twin > 0,
+                "no defer onto its dead event's time"
+            );
+            assert!(
                 self.again > 0,
                 "no re-defer of an id deferred at the instant"
+            );
+        }
+
+        /// [`Defers::assert_covered`], and a bucket sorted for a deferred
+        /// id behind later `seq`s: times shared by several events.
+        fn assert_covered_shared(&self) {
+            self.assert_covered();
+            assert!(
+                self.behind_later_seqs > 0,
+                "no deferred id projected behind later seqs"
             );
         }
     }
@@ -2052,10 +2057,15 @@ mod tests {
     /// `seq` of an id deferred at the instant; the queue takes it through
     /// `defer`, as the engine does, and projects it from the same table,
     /// noting it in `defers`. Half the re-keys `schedule` the id instead
-    /// while the instant is closed.
-    fn pops_like_oracle(seed: u64, defers: &mut Defers, time: impl Fn(&mut StdRng, f64) -> f64) {
+    /// while the instant is closed. Ids number up to `max_ids`.
+    fn pops_like_oracle(
+        seed: u64,
+        max_ids: u64,
+        defers: &mut Defers,
+        time: impl Fn(&mut StdRng, f64) -> f64,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n_ids = 1 + rng.gen_range(0..64);
+        let n_ids = 1 + rng.gen_range(0..max_ids);
         let mut queue = EventQueue::default();
         let mut reference = LazyHeap::default();
         let mut finish = vec![0.0; n_ids as usize];
@@ -2070,8 +2080,10 @@ mod tests {
                     reference.schedule(id, t);
                 }
                 3..=5 => {
-                    let t = match rng.gen_range(0..3) {
+                    let t = match rng.gen_range(0..4) {
                         0 => now,
+                        // The time of its live event, if that is later.
+                        1 => bucketed_time(&queue, id).unwrap_or(now),
                         _ => time(&mut rng, now),
                     };
                     assert!(t >= now);
@@ -2089,6 +2101,7 @@ mod tests {
                 _ => {
                     let ev = reference.pop();
                     assert_eq!(queue.pop(|id| finish[id as usize]), ev, "seed {seed}");
+                    defers.popped(&queue);
                     now = ev.map_or(now, |ev| ev.t);
                 }
             }
@@ -2102,35 +2115,49 @@ mod tests {
     #[test]
     fn run_queue_pops_like_lazy_deletion_in_lockstep() {
         // At most 8 distinct future times and three schedules per pop:
-        // ids keep moving between batches, so heads die and emptied
-        // batches are dropped and their vectors reused.
+        // ids keep moving between buckets, so buckets hold dead entries,
+        // and emptied ones are reused.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, &mut defers, |rng, now| {
+            pops_like_oracle(seed, 64, &mut defers, |rng, now| {
                 now + rng.gen_range(0..8) as f64
             });
         }
         // The same with future times from only two values, one and two
-        // past the clock: each time collects events from the batches of
-        // the two instants before it, so the merge orders one time across
-        // batches.
+        // past the clock: each time collects events from the two instants
+        // before it, in one bucket or in several that merge.
         for seed in 0..32u64 {
-            pops_like_oracle(seed, &mut defers, |rng, now| {
+            pops_like_oracle(seed, 64, &mut defers, |rng, now| {
                 now + rng.gen_range(1..3) as f64
             });
         }
-        defers.assert_covered();
+        defers.assert_covered_shared();
     }
 
     #[test]
     fn run_queue_pops_like_lazy_deletion_on_distinct_times() {
-        // Jitter: every event gets a time of its own, so a batch holds
-        // one event per time.
+        // Jitter: every event gets a time of its own, so a bucket holds
+        // one time's live event and the dead ones that share its time.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, &mut defers, |rng, now| now + 100.0 * rng.gen::<f64>());
+            pops_like_oracle(seed, 64, &mut defers, |rng, now| {
+                now + 100.0 * rng.gen::<f64>()
+            });
         }
         defers.assert_covered();
+        // Up to 4,096 ids over a long horizon: over a thousand distinct
+        // times wait at once, each in a bucket of its own.
+        let mut defers = Defers::default();
+        for seed in 0..4u64 {
+            pops_like_oracle(seed + 1_000, 4_096, &mut defers, |rng, now| {
+                now + 1e4 * rng.gen::<f64>()
+            });
+        }
+        assert!(
+            defers.peak_buckets >= 1_000,
+            "{} buckets at most",
+            defers.peak_buckets
+        );
     }
 
     #[test]
@@ -2140,12 +2167,14 @@ mod tests {
         // instant still has events.
         let mut defers = Defers::default();
         for seed in 0..32u64 {
-            pops_like_oracle(seed, &mut defers, |rng, now| match rng.gen_range(0..8) {
-                0..=4 => now,
-                _ => now + rng.gen_range(1..8) as f64,
+            pops_like_oracle(seed, 64, &mut defers, |rng, now| {
+                match rng.gen_range(0..8) {
+                    0..=4 => now,
+                    _ => now + rng.gen_range(1..8) as f64,
+                }
             });
         }
-        defers.assert_covered();
+        defers.assert_covered_shared();
     }
 
     /// Drive a one-step direct AllGather on a100 1×8, 32 MB in 4
@@ -2232,6 +2261,63 @@ mod tests {
     }
 
     #[test]
+    fn start_records_match_the_per_task_fold() {
+        // Every task of the seed suite on every Table 3 topology, under the
+        // interpreter and fused where fusion applies: healthy, and with
+        // the NVLink channel r0 -> r1 masked, so that route relays.
+        let (mut fused, mut relayed) = (0, 0);
+        for i in 1..=4 {
+            let healthy = Topology::table3_topo(i).unwrap();
+            let chan = healthy.pair_chan(Rank::new(0), Rank::new(1));
+            let mut health = TopologyHealth::healthy();
+            health.mask(chan);
+            let masked = healthy.clone().with_health(health);
+            let shape = healthy.spec();
+            for topo in [&healthy, &masked] {
+                for spec in rescc_algos::seed_suite(shape.n_nodes, shape.gpus_per_node) {
+                    let (dag, mut prog) = crate::tests::build_all(
+                        &spec,
+                        topo,
+                        LoopOrder::SlotMajor,
+                        ExecMode::default_interpreter(),
+                    );
+                    rescc_kernel::fuse(&mut prog, &dag);
+                    let plan = MicroBatchPlan::plan(64 << 20, dag.n_chunks(), 1 << 20);
+                    let config = SimConfig::default().without_validation();
+                    let engine = Engine::new(topo, &dag, &prog, &plan, spec.op(), &config).unwrap();
+                    for t in dag.tasks() {
+                        // The fold each start made before the records.
+                        let is_fused = engine.feeder(t.id) != NONE;
+                        let alpha = if is_fused {
+                            0.0
+                        } else {
+                            t.conflict
+                                .iter()
+                                .map(|r| topo.resource_params(r).unwrap().alpha_ns)
+                                .fold(0.0, f64::max)
+                        };
+                        let want = alpha + prog.exec.overhead_ns();
+                        let start = engine.starts[dag.route_id(t.id) as usize];
+                        let got = if is_fused {
+                            engine.overhead
+                        } else {
+                            start.latency
+                        };
+                        assert_eq!(got.to_bits(), want.to_bits(), "{} {}", spec.name(), t.id);
+                        assert_eq!((start.src, start.path), (t.src.0, t.path));
+                        fused += u32::from(is_fused);
+                        relayed += u32::from(
+                            (t.src, t.dst) == (Rank::new(0), Rank::new(1))
+                                && !t.path.contains(chan),
+                        );
+                    }
+                }
+            }
+        }
+        assert!(fused > 0 && relayed > 0, "{fused} fused, {relayed} relayed");
+    }
+
+    #[test]
     fn cached_share_is_the_effective_bandwidth_share() {
         // Every resource kind of a two-node a100, plus an oversubscribed
         // NIC whose γ·L(z) penalty engages past 4 drains.
@@ -2253,76 +2339,79 @@ mod tests {
     }
 
     #[test]
-    fn future_rekeys_in_one_instant_place_once() {
+    fn rekeys_of_one_id_to_new_times_leave_dead_buckets() {
         let mut queue = EventQueue::default();
-        // Id 0 is due at the current instant, so re-keys of id 1 to later
-        // times wait for its end.
+        // Id 0 is due at the current instant; id 1 is re-keyed to eight
+        // later times, each a bucket of its own.
         queue.schedule(0, 0.0);
         for k in 1..=8 {
             queue.schedule(1, k as f64);
         }
-        assert!(queue.batches.is_empty(), "no batch before the instant ends");
-        assert_eq!(queue.buffer.len(), 8);
-        assert_eq!(
-            queue.pop(no_defers),
-            Some(Event {
-                t: 0.0,
-                seq: 1,
-                id: 0
-            })
-        );
-        queue.flush();
-        assert!(queue.buffer.is_empty());
-        let batch: Vec<Event> = queue
-            .batches
-            .iter()
-            .flat_map(|b| b.events.clone())
-            .collect();
-        assert_eq!(
-            batch,
-            [Event {
-                t: 8.0,
-                seq: 9,
-                id: 1
-            }],
-            "one batch of one event, with the last seq"
-        );
-        assert_eq!(queue.pop(no_defers), Some(batch[0]));
-        assert!(queue.batches.is_empty());
-        assert_eq!(queue.spare.len(), 1, "the emptied batch's vector is kept");
+        assert_eq!((queue.buckets.len(), queue.heap.len()), (8, 8));
+        let ev = |t: f64, seq: u64, id: u32| Some(Event { t, seq, id });
+        assert_eq!(queue.pop(no_defers), ev(0.0, 1, 0));
+        // Seven times hold only dead events and pass without a pop.
+        assert_eq!(queue.pop(no_defers), ev(8.0, 9, 1));
+        assert!(queue.heap.is_empty());
+        assert_eq!(queue.free.len(), 8, "every bucket is kept for reuse");
         assert_eq!(queue.pop(no_defers), None);
+        assert_eq!(queue.now, 8.0, "a dry queue keeps the time of its last pop");
     }
 
     #[test]
-    fn batches_merge_by_head_and_skip_dead_runs() {
+    fn buckets_of_one_time_merge_and_late_seqs_sort() {
         let ev = |t: f64, seq: u64, id: u32| Some(Event { t, seq, id });
         let mut queue = EventQueue::default();
-        // Instant 0 buffers ids 0..4 at t = 2 (seqs 1..=4) and id 4 at
-        // t = 1 (seq 5): one batch.
+        // Ids 0..4 at t = 2 share a bucket (seqs 1..=4); id 4 at t = 1 and
+        // id 7 at t = 4 open two more (seqs 5 and 6). Id 5 at t = 2 (seq
+        // 7) finds neither its own bucket nor one of the two opened last
+        // at t = 2, and opens a fourth.
         for id in 0..4 {
             queue.schedule(id, 2.0);
         }
         queue.schedule(4, 1.0);
-        assert_eq!(queue.pop(no_defers), ev(1.0, 5, 4));
-        // Instant 1 buffers ids 5 and 6 at t = 2 and moves ids 0 and 1,
-        // the first batch's next two heads, to t = 3: a second batch.
+        queue.schedule(7, 4.0);
         queue.schedule(5, 2.0);
-        queue.schedule(6, 2.0);
-        queue.schedule(0, 3.0);
-        queue.schedule(1, 3.0);
-        // The flush makes the second batch; the first batch's dead run of
-        // two heads goes in one skip, and its live head stays on top of
-        // the second batch's head at the same time.
+        assert_eq!(queue.buckets.len(), 4);
+        assert_eq!(queue.pop(no_defers), ev(1.0, 5, 4));
+        // At t = 1, id 4 is deferred (seq 8) before id 6 is scheduled at
+        // t = 3 (seq 9), and projected to t = 3: it joins id 6's bucket
+        // behind a later seq.
+        queue.defer(4);
+        queue.schedule(6, 3.0);
+        let popped = queue.pop(|id| {
+            assert_eq!(id, 4);
+            3.0
+        });
+        assert!(!queue.buckets[queue.bucket_of[4] as usize].sorted);
+        // Time 2 spans two buckets and pops in `seq` order, and so does
+        // time 3 once sorted.
+        assert_eq!(popped, ev(2.0, 1, 0));
+        assert_eq!(queue.pop(no_defers), ev(2.0, 2, 1));
         assert_eq!(queue.pop(no_defers), ev(2.0, 3, 2));
-        let mut lens: Vec<usize> = queue.batches.iter().map(|b| b.events.len()).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, [1, 4]);
-        // Time 2 spans both batches and pops in `seq` order.
         assert_eq!(queue.pop(no_defers), ev(2.0, 4, 3));
-        assert_eq!(queue.pop(no_defers), ev(2.0, 6, 5));
-        assert_eq!(queue.pop(no_defers), ev(2.0, 7, 6));
-        assert_eq!(queue.pop(no_defers), ev(3.0, 8, 0));
-        assert_eq!(queue.pop(no_defers), ev(3.0, 9, 1));
+        assert_eq!(queue.pop(no_defers), ev(2.0, 7, 5));
+        assert_eq!(queue.pop(no_defers), ev(3.0, 8, 4));
+        assert_eq!(queue.pop(no_defers), ev(3.0, 9, 6));
+        assert_eq!(queue.pop(no_defers), ev(4.0, 6, 7));
+        assert_eq!(queue.pop(no_defers), None);
+    }
+
+    #[test]
+    fn a_rekey_to_its_dead_events_time_joins_its_bucket() {
+        let ev = |t: f64, seq: u64, id: u32| Some(Event { t, seq, id });
+        let mut queue = EventQueue::default();
+        queue.schedule(0, 5.0);
+        queue.schedule(1, 6.0);
+        queue.schedule(2, 7.0);
+        // Id 0 again at t = 5: the two buckets opened last are at t = 6
+        // and t = 7, but id 0's own bucket is at t = 5.
+        queue.schedule(0, 5.0);
+        assert_eq!((queue.buckets.len(), queue.heap.len()), (3, 3));
+        assert_eq!(queue.buckets[0].events, [(1, 0), (4, 0)]);
+        assert_eq!(queue.pop(no_defers), ev(5.0, 4, 0));
+        assert_eq!(queue.pop(no_defers), ev(6.0, 2, 1));
+        assert_eq!(queue.pop(no_defers), ev(7.0, 3, 2));
         assert_eq!(queue.pop(no_defers), None);
     }
 }
