@@ -32,8 +32,8 @@
 //! via [`AnalysisReport::to_json`].
 //!
 //! The pass is wired into two places: the compiler's *sanitize* phase
-//! after lowering (gate deny or warn), which every compile and delta
-//! splice goes through, and the `rescc-lint` CLI.
+//! after lowering (gate deny or warn), which every compile goes through,
+//! and the `rescc-lint` CLI.
 //!
 //! [`path`]: Diagnostic::path
 
@@ -92,87 +92,33 @@ pub struct AnalysisInput<'a> {
     pub topo: &'a Topology,
 }
 
-/// What the caller already knows about the plan under analysis, which
-/// decides the lints [`analyze`] runs.
-#[derive(Clone, Copy)]
-pub enum Incremental<'a> {
-    /// A fresh plan: every lint runs (RA001–RA007).
-    Fresh,
-    /// A plan whose *routing* changed but whose structure did not — the
-    /// incremental-recompile splice path.
-    ///
-    /// The caller asserts that relative to the plan `cached` was produced
-    /// from, the DAG adjacency, every task's `(src, dst, chunk, step,
-    /// comm)` tuple, the schedule, and the kernel program are all
-    /// identical; only the per-task `path`/`conflict` resource sets and
-    /// the topology health overlay differ. Routing is not among the
-    /// inputs of RA001 (combined order), RA002 (combined order plus
-    /// `(dst, chunk, comm)`), RA004 (the transfer tuples) or RA006
-    /// (combined order plus `(src, dst, chunk)`), so their diagnostics
-    /// splice through from `cached`. RA003's load check re-runs only over
-    /// `dirty`, the sub-pipelines that contain a rerouted task; its
-    /// cached verdicts elsewhere splice through, as do the TB-budget
-    /// warnings (the allocation is untouched). RA005 and RA007 re-run in
-    /// full, with a fresh certificate: both read routes, and both are
-    /// linear scans that never touch the combined order.
-    Rerouted {
-        /// The report of the plan that was rerouted.
-        cached: &'a AnalysisReport,
-        /// Sub-pipelines that contain a rerouted task.
-        dirty: &'a [u32],
-    },
-}
-
 /// Run the lints over one compiled plan and collect the diagnostics.
 ///
-/// `incremental` says which lints must run ([`Incremental`]); the
-/// order-sensitive ones share one [`HbOracle`]. The report is
+/// Every lint runs (RA001–RA007); the order-sensitive ones share one
+/// [`HbOracle`]. The report is
 /// deterministic: diagnostics are sorted by `(code, site, message)`
 /// regardless of discovery order, and it carries the RA007 makespan
 /// certificate.
-pub fn analyze(
-    input: &AnalysisInput,
-    config: &AnalysisConfig,
-    incremental: Incremental,
-) -> AnalysisReport {
+pub fn analyze(input: &AnalysisInput, config: &AnalysisConfig) -> AnalysisReport {
     let mut out = Vec::new();
-    if let Incremental::Rerouted { cached, dirty } = incremental {
-        out.extend(
-            cached
-                .diagnostics()
-                .iter()
-                .filter(|d| match d.code {
-                    LintCode::RA001 | LintCode::RA002 | LintCode::RA004 | LintCode::RA006 => true,
-                    // Load findings inside a dirty sub-pipeline are
-                    // superseded by the re-run below. Budget warnings
-                    // carry no sub-pipeline site.
-                    LintCode::RA003 => !d.site.sub_pipeline.is_some_and(|sp| dirty.contains(&sp)),
-                    // RA005 and RA007 re-run in full.
-                    LintCode::RA005 | LintCode::RA007 => false,
-                })
-                .cloned(),
-        );
-        lints::ra003_sub_pipeline_loads(input, dirty, &mut out);
-    } else {
-        let order = CombinedOrder::build(input.dag, input.program);
-        // The oracle keeps its own copy of the chunks until a query needs
-        // them, so this one goes before the lints run.
-        let oracle = {
-            let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
-            HbOracle::build(&order, &chunk_of)
-        };
-        match oracle {
-            // A cycle poisons reachability queries; report only the
-            // deadlock and let the user re-run once it is fixed.
-            Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),
-            Ok(mut oracle) => {
-                lints::ra002_buffer_race(input, &order, &mut oracle, &mut out);
-                lints::ra006_lifetime_overlap(input, &order, &mut oracle, &mut out);
-            }
+    let order = CombinedOrder::build(input.dag, input.program);
+    // The oracle keeps its own copy of the chunks until a query needs
+    // them, so this one goes before the lints run.
+    let oracle = {
+        let chunk_of: Vec<u32> = input.dag.tasks().iter().map(|t| t.chunk.0).collect();
+        HbOracle::build(&order, &chunk_of)
+    };
+    match oracle {
+        // A cycle poisons reachability queries; report only the
+        // deadlock and let the user re-run once it is fixed.
+        Err(stuck) => lints::ra001_deadlock(input, &order, &stuck, &mut out),
+        Ok(mut oracle) => {
+            lints::ra002_buffer_race(input, &order, &mut oracle, &mut out);
+            lints::ra006_lifetime_overlap(input, &order, &mut oracle, &mut out);
         }
-        lints::ra003_oversubscription(input, config, &mut out);
-        lints::ra004_dead_transfer(input, &mut out);
     }
+    lints::ra003_oversubscription(input, config, &mut out);
+    lints::ra004_dead_transfer(input, &mut out);
     lints::ra005_degraded_soundness(input, &mut out);
     let certificate = lints::ra007_cost_feasibility(input, &mut out);
     AnalysisReport::new(out).with_certificate(certificate)
@@ -216,7 +162,6 @@ mod tests {
                 topo: &topo,
             },
             &AnalysisConfig::default(),
-            Incremental::Fresh,
         );
         assert!(report.is_clean(), "unexpected: {}", report.render_human());
         let cert = report.certificate().expect("certificate attached");
@@ -240,7 +185,6 @@ mod tests {
                 topo: &topo,
             },
             &AnalysisConfig::default(),
-            Incremental::Fresh,
         );
         assert!(report.is_clean(), "unexpected: {}", report.render_human());
         assert!(report.certificate().is_some());

@@ -227,43 +227,10 @@ pub fn ra003_oversubscription(
     config: &AnalysisConfig,
     out: &mut Vec<Diagnostic>,
 ) {
-    let all: Vec<u32> = (0..input.schedule.sub_pipelines.len() as u32).collect();
-    ra003_sub_pipeline_loads(input, &all, out);
-
-    for rank in 0..input.alloc.table.n_ranks() {
-        let n_tbs = input.alloc.table.rank_tbs(rank).len() as u32;
-        if n_tbs > config.tb_budget_per_rank {
-            out.push(Diagnostic {
-                code: LintCode::RA003,
-                severity: Severity::Warn,
-                message: format!(
-                    "TB budget: rank r{rank} launches {n_tbs} TBs, above the \
-                     per-rank budget of {} (Eq. 7) — communication TBs crowd out \
-                     compute kernels",
-                    config.tb_budget_per_rank
-                ),
-                site: Site {
-                    rank: Some(rank as u32),
-                    ..Site::default()
-                },
-                path: Vec::new(),
-            });
-        }
-    }
-}
-
-/// RA003 part (a) — the per-sub-pipeline contention-load check — restricted
-/// to the listed sub-pipelines. The incremental re-analysis path uses this
-/// to re-lint only the sub-pipelines whose conflict sets a reroute touched.
-pub fn ra003_sub_pipeline_loads(
-    input: &AnalysisInput,
-    sub_pipelines: &[u32],
-    out: &mut Vec<Diagnostic>,
-) {
     let dag = input.dag;
     let mut loads = ConflictLoads::new(dag);
-    for &sp_idx in sub_pipelines {
-        loads.count(dag, &input.schedule.sub_pipelines[sp_idx as usize]);
+    for (sp_idx, sp) in input.schedule.sub_pipelines.iter().enumerate() {
+        loads.count(dag, sp);
         // Each oversubscribed resource, ascending, with the latest task to
         // push it over.
         for (d, load, task) in loads.over_limit(dag) {
@@ -280,7 +247,28 @@ pub fn ra003_sub_pipeline_loads(
                 site: Site {
                     task: Some(task.0),
                     resource: Some(res),
-                    sub_pipeline: Some(sp_idx),
+                    sub_pipeline: Some(sp_idx as u32),
+                    ..Site::default()
+                },
+                path: Vec::new(),
+            });
+        }
+    }
+
+    for rank in 0..input.alloc.table.n_ranks() {
+        let n_tbs = input.alloc.table.rank_tbs(rank).len() as u32;
+        if n_tbs > config.tb_budget_per_rank {
+            out.push(Diagnostic {
+                code: LintCode::RA003,
+                severity: Severity::Warn,
+                message: format!(
+                    "TB budget: rank r{rank} launches {n_tbs} TBs, above the \
+                     per-rank budget of {} (Eq. 7) — communication TBs crowd out \
+                     compute kernels",
+                    config.tb_budget_per_rank
+                ),
+                site: Site {
+                    rank: Some(rank as u32),
                     ..Site::default()
                 },
                 path: Vec::new(),

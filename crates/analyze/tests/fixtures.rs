@@ -13,8 +13,8 @@
 
 use rescc_alloc::{Direction, Slot, SlotTable, Tb, TbAllocation};
 use rescc_analyze::{
-    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, CombinedOrder, HbOracle, Incremental,
-    LintCode, Severity,
+    analyze, AnalysisConfig, AnalysisInput, AnalysisReport, CombinedOrder, HbOracle, LintCode,
+    Severity,
 };
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
@@ -58,7 +58,6 @@ fn run(
             topo,
         },
         config,
-        Incremental::Fresh,
     )
 }
 

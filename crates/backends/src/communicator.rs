@@ -54,8 +54,9 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// a backoff of *sim* time, 200 µs doubling per retry, and the fault
 /// timeline is replayed shifted by the total elapsed time — a flap that
 /// already passed stays passed. Permanent failures mask the dead resource
-/// in a [`TopologyHealth`] overlay and recompile against the degraded
-/// topology, at most 4 times per call.
+/// in a [`TopologyHealth`] overlay and dispatch again against the degraded
+/// topology, through the plan cache like any dispatch, at most 4 times per
+/// call.
 ///
 /// A collective on a topology of fewer than two ranks, of zero bytes or in
 /// zero-byte chunks fails with [`SimError::InvalidConfig`] before anything
@@ -63,11 +64,10 @@ const BACKOFF_FACTOR: f64 = 2.0;
 pub struct Communicator {
     topo: Topology,
     /// The backend's [`Backend::compiler`]. Every `Backend` constructor
-    /// gates deny, so every plan this communicator dispatches, cached,
-    /// delta-spliced or recompiled, has passed the sanitize phase. The
-    /// fingerprint covers the compiler options, so a shared cache never
-    /// hands one backend's plan to another, nor a warn-gated plan to a
-    /// deny-gated tenant.
+    /// gates deny, so every plan this communicator dispatches, cached or
+    /// compiled, has passed the sanitize phase. The fingerprint covers the
+    /// compiler options, so a shared cache never hands one backend's plan
+    /// to another, nor a warn-gated plan to a deny-gated tenant.
     compiler: Compiler,
     /// The backend's [`Backend::name`], for reports.
     backend: &'static str,
@@ -286,11 +286,10 @@ impl Communicator {
             }
         }
         // Completed invocations accumulated across aborted attempts, in
-        // the cached plan's task-id space — stable across resumes (a
-        // resumed attempt runs the same plan), across delta recompiles
-        // (reroutes preserve task ids) and across full recompiles (the DAG
-        // is rebuilt deterministically from the same spec). While
-        // non-empty, each attempt resumes from it.
+        // the plan's task-id space — stable across resumes (a resumed
+        // attempt runs the same plan) and across recompiles (task `i` is
+        // transfer `i` of the spec on every topology). While non-empty,
+        // each attempt resumes from it.
         let mut acc: Option<FaultFrontier> = None;
         loop {
             // The recovery so far, for the budgets. Each retry replays the
@@ -323,10 +322,10 @@ impl Communicator {
             };
             // On a miss, the first attempt runs the plan while its lints
             // run; the deny gate still decides before the plan is cached
-            // or its run reported. A miss after a fault (the full compile
-            // after a denied delta) is where the gate refuses plans, so it
-            // stays serial. The dispatch's own `CacheEvent` keeps
-            // attribution exact under a shared cache.
+            // or its run reported. A miss after a fault (a degraded
+            // topology) is where the gate refuses plans, so it stays
+            // serial. The dispatch's own `CacheEvent` keeps attribution
+            // exact under a shared cache.
             let overlap = so_far.retries + so_far.recompiles == 0;
             let mut first_run = None;
             let fp = plan_fingerprint(&self.compiler, spec, &topo, &mb);
@@ -340,10 +339,7 @@ impl Communicator {
             })?;
             events.push(DispatchEvent::Cache(ev));
             if !ev.is_hit() {
-                events.push(DispatchEvent::Compile {
-                    timings: plan.timings,
-                    delta: false,
-                });
+                events.push(DispatchEvent::Compile(plan.timings));
             }
             let (attempt, resumed) = first_run.unwrap_or_else(|| run(&plan));
             if resumed {
@@ -426,33 +422,13 @@ impl Communicator {
                         });
                     }
                     // Fold the aborted attempt's completed work in before
-                    // the plan changes under us — the post-recompile
-                    // dispatch resumes from it instead of restarting.
+                    // the plan changes under us: the dispatch at the top of
+                    // the loop serves the degraded plan from the cache or
+                    // compiles it (its deny gate refusing a plan with no
+                    // healthy route), and resumes from the frontier.
                     absorb_frontier(frontier.as_deref(), &mut acc);
-                    // Incremental recompile: reroute the just-failed plan
-                    // around the freshly-masked resource and splice
-                    // (`Compiler::recompile_delta`), caching the result
-                    // under the degraded fingerprint so the dispatch at the
-                    // top of the loop hits instead of compiling the whole
-                    // pipeline again; that dispatch resumes the spliced
-                    // plan from the accumulated frontier. If the splice is
-                    // denied (no healthy route — the deny gate fires), fall
-                    // through: the full compile at the top of the loop
-                    // reports the identical lint error.
-                    let mut action = RecoveryAction::FullRecompile;
-                    if let Ok(spliced) = self.compiler.recompile_delta(&plan, &self.health) {
-                        let degraded = self.topo.clone().with_health(self.health.clone());
-                        let fp = plan_fingerprint(&self.compiler, spec, &degraded, &mb);
-                        events.push(DispatchEvent::Compile {
-                            timings: spliced.timings,
-                            delta: true,
-                        });
-                        let ev = self.cache.insert(fp, Arc::new(spliced));
-                        events.push(DispatchEvent::Cache(ev));
-                        action = RecoveryAction::DeltaRecompile;
-                    }
                     events.push(DispatchEvent::Trigger(RecoveryTrigger {
-                        action,
+                        action: RecoveryAction::FullRecompile,
                         cause: format!("r{resource} dead"),
                         failed_ns: at_ns as f64,
                         wait_ns: BACKOFF_BASE_NS,
@@ -550,7 +526,12 @@ mod tests {
             assert_eq!(rep.sim.data_valid, Some(true), "{name}");
             let rec = rep.recovery.expect("watchdog engaged");
             assert!(rec.recompiles >= 1, "{name}: {rec:?}");
-            assert_eq!(rec.delta_recompiles, rec.recompiles, "{name}: {rec:?}");
+            assert!(
+                (rec.journal.iter()).all(|e| e.action == RecoveryAction::FullRecompile),
+                "{name}: {rec:?}"
+            );
+            // The healthy plan and each degraded one compiled once.
+            assert_eq!(comm.cache_stats().misses, 1 + u64::from(rec.recompiles));
         }
     }
 
@@ -634,11 +615,11 @@ mod tests {
         let rep = comm.all_reduce(64 * MB).unwrap();
         assert_eq!(rep.sim.data_valid, Some(true));
         let rec = rep.recovery.expect("watchdog engaged");
-        assert!(rec.recompiles >= 1, "link death must recompile");
-        assert_eq!(
-            rec.delta_recompiles, rec.recompiles,
-            "a surviving intra-node reroute must be served incrementally"
-        );
+        assert_eq!(rec.recompiles, 1, "link death must recompile once");
+        assert_eq!(rec.journal[0].action, RecoveryAction::FullRecompile);
+        // The post-fault dispatch missed and compiled the degraded plan.
+        let stats = comm.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (2, 0));
         assert_eq!(rec.dead_resources, vec![chan.0]);
         // The degraded plan was re-analyzed (deny gate) and came out clean.
         assert_eq!(rec.lint_diagnostics, 0);
@@ -652,6 +633,30 @@ mod tests {
         let again = comm.all_reduce(64 * MB).unwrap();
         assert_eq!(again.sim.data_valid, Some(true));
         assert_eq!(again.recovery.expect("engaged").recompiles, 0);
+        let stats = comm.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (2, 1), "the degraded plan hits");
+    }
+
+    #[test]
+    fn repeated_permanent_fault_compiles_nothing() {
+        let topo = Topology::a100(2, 4);
+        let chan = topo.pair_chan(rescc_topology::Rank::new(0), rescc_topology::Rank::new(1));
+        let kill = FaultTimeline::new().kill(chan, 100_000.0);
+        let mut comm = Communicator::new(topo)
+            .with_observability()
+            .with_faults(kill.clone());
+        // Kill the channel, heal it with a fault-free dispatch, kill it
+        // again: the third dispatch finds both plans cached.
+        comm.all_reduce(64 * MB).unwrap();
+        comm.set_faults(FaultTimeline::new());
+        comm.all_reduce(64 * MB).unwrap();
+        assert!(comm.health().is_empty());
+        comm.set_faults(kill);
+        let rep = comm.all_reduce(64 * MB).unwrap();
+        let obs = rep.obs.as_ref().unwrap();
+        assert_eq!(obs.compile_total_ns(), 0.0);
+        assert_eq!(obs.cache_misses, 0);
+        assert_eq!(rep.recovery.expect("engaged").recompiles, 1);
     }
 
     #[test]
@@ -755,27 +760,13 @@ mod tests {
         assert!(rec.recompiles >= 1);
         let spans = |name: &str| obs.spans.iter().filter(|s| s.name == name).count() as u32;
         assert_eq!(spans("mask+recompile"), rec.recompiles);
-        assert_eq!(spans("splice-delta"), rec.delta_recompiles);
-        // Each spliced plan is inserted into the cache, and the insert is
-        // part of the dispatch record.
-        let inserts = obs
-            .spans
-            .iter()
-            .filter(|s| s.category == SpanCategory::Cache && s.name.starts_with("insert "));
-        assert_eq!(inserts.count() as u32, rec.delta_recompiles);
-        // The degraded plan was spliced incrementally and inserted into the
-        // cache, so only the healthy plan ever missed; the post-fault
-        // dispatch hits.
-        assert_eq!(obs.cache_misses, 1);
-        assert!(obs.cache_hits >= 1);
+        // The healthy plan and each degraded one missed and compiled.
+        assert_eq!(obs.cache_misses, 1 + u64::from(rec.recompiles));
+        assert_eq!(obs.cache_hits, 0);
         assert!(obs
             .spans
             .iter()
             .any(|s| s.category == SpanCategory::Recovery && s.name == "mask+recompile"));
-        assert!(obs
-            .spans
-            .iter()
-            .any(|s| s.category == SpanCategory::Recovery && s.name == "splice-delta"));
         // Compile spans from the two compiles stack without overlap.
         let mut compile_spans: Vec<_> = obs
             .spans
@@ -828,7 +819,7 @@ mod tests {
             rep.sim.completion_ns
         );
         assert!(!rec.journal.is_empty());
-        assert_eq!(rec.journal[0].action, crate::RecoveryAction::DeltaRecompile);
+        assert_eq!(rec.journal[0].action, crate::RecoveryAction::FullRecompile);
         assert!(rec.journal[0].cause.contains("dead"), "{rec:?}");
         assert!(rec.journal[0].at_ns > 0.0);
     }

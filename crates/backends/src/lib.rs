@@ -50,12 +50,9 @@ const DEFAULT_CHANNELS: u32 = 4;
 pub struct RecoveryStats {
     /// Attempts replayed after transient faults (backoff in sim time).
     pub retries: u32,
-    /// Recompiles against a degraded topology after permanent faults.
+    /// Permanent faults masked, each followed by a dispatch against the
+    /// degraded topology, served from the plan cache or compiled.
     pub recompiles: u32,
-    /// The subset of [`recompiles`](Self::recompiles) served incrementally
-    /// by rerouting and splicing the cached plan
-    /// (`Compiler::recompile_delta`) instead of compiling from scratch.
-    pub delta_recompiles: u32,
     /// Attempts that resumed the cached plan from an accumulated fault
     /// frontier instead of restarting from scratch.
     pub resumes: u32,
@@ -95,7 +92,6 @@ impl RecoveryStats {
                 RecoveryAction::Heal => stats.heals += 1,
                 _ => stats.recompiles += 1,
             }
-            stats.delta_recompiles += u32::from(t.action == RecoveryAction::DeltaRecompile);
             stats.journal.push(RecoveryEvent {
                 attempt: stats.retries + stats.recompiles,
                 cause: t.cause.clone(),

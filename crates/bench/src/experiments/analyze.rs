@@ -16,9 +16,7 @@
 //!   subset (RA001–RA005 under today's implementations). The sweep must
 //!   stay within **2×** of the subset at 1,024 ranks — the acceptance
 //!   bound that keeps the oracle honest: RA006/RA007 ride on shared
-//!   structures instead of rebuilding their own;
-//! * the incremental path: a post-fault delta recompile's sanitize phase
-//!   (`Incremental::Rerouted` splice) vs the full compile's sanitize phase.
+//!   structures instead of rebuilding their own.
 //!
 //! It also cross-checks the RA007 cost certificate against the engine on
 //! Table-3 seed plans: no simulated run may finish below its plan's
@@ -29,15 +27,14 @@ use crate::{median_min_max, print_table, time, write_bench_json, Gate, MB};
 use rescc_algos::{dbtree_allreduce, hm_allgather, hm_allreduce, ring_allgather, ring_allreduce};
 use rescc_alloc::TbAllocation;
 use rescc_analyze::{
-    analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, Incremental,
-    OracleStats,
+    analyze, lints, AnalysisConfig, AnalysisInput, CombinedOrder, HbOracle, OracleStats,
 };
 use rescc_core::Compiler;
 use rescc_ir::DepDag;
 use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::AlgoSpec;
 use rescc_sched::hpds;
-use rescc_topology::{Rank, Topology, TopologyHealth};
+use rescc_topology::Topology;
 
 /// Full-sweep-to-subset budget, gated at 1,024 ranks and in the smoke gate.
 const SWEEP_BUDGET: f64 = 2.0;
@@ -89,7 +86,7 @@ fn measure(input: &AnalysisInput, config: &AnalysisConfig) -> Sample {
         lints::ra005_degraded_soundness(input, &mut out);
         assert!(out.is_empty());
     });
-    let (full_s, report) = time(|| analyze(input, config, Incremental::Fresh));
+    let (full_s, report) = time(|| analyze(input, config));
     assert!(report.is_clean() && report.certificate().is_some());
 
     Sample {
@@ -312,35 +309,6 @@ pub fn run() {
         &rows,
     );
 
-    // Incremental path: sanitize cost of a post-fault delta recompile
-    // (rerouted splice) vs the full compile's sanitize phase.
-    let (nodes, g) = (128u32, 8u32);
-    let topo = Topology::a100(nodes, g);
-    let compiler = Compiler::new();
-    let plan = compiler
-        .compile_spec(&rescc_algos::nccl_rings_allgather(nodes, g, 2), &topo)
-        .expect("incremental base compile");
-    let mut health = TopologyHealth::default();
-    health.mask(topo.pair_chan(Rank::new(8), Rank::new(9)));
-    let delta = compiler
-        .recompile_delta(&plan, &health)
-        .expect("delta recompile");
-    let full_sanitize_s = plan.timings.sanitize.as_secs_f64();
-    let delta_sanitize_s = delta.timings.sanitize.as_secs_f64();
-    let incr_ratio = delta_sanitize_s / full_sanitize_s.max(1e-12);
-    println!(
-        "incremental sanitize ({}x{} ranks, 1 dead channel): full {:.1}ms, \
-         spliced {:.1}ms ({:.2}x)",
-        nodes,
-        g,
-        full_sanitize_s * 1e3,
-        delta_sanitize_s * 1e3,
-        incr_ratio,
-    );
-    gate.check(delta_sanitize_s <= full_sanitize_s, || {
-        "splice re-analysis must not cost more than a full sweep".into()
-    });
-
     let undercut_checks = check_certificate_floors(
         &[
             (hm_allreduce(2, 4), Topology::a100(2, 4)),
@@ -357,14 +325,9 @@ pub fn run() {
     let json = format!(
         "{{\n  \"workload\": \"hm_allreduce\",\n  \"scales\": [\n{}\n  ],\n  \
          \"sweep_budget\": {SWEEP_BUDGET},\n  \
-         \"incremental\": {{\"ranks\": {}, \"full_sanitize_ms\": {:.3}, \
-         \"delta_sanitize_ms\": {:.3}, \"ratio\": {incr_ratio:.4}}},\n  \
          \"certificate_undercut_checks\": {undercut_checks},\n  \
          \"certificate_undercuts\": 0\n}}\n",
         json_scales.join(",\n"),
-        nodes * g,
-        full_sanitize_s * 1e3,
-        delta_sanitize_s * 1e3,
     );
     write_bench_json("BENCH_analyze.json", &json);
     gate.finish("analyze-bench");

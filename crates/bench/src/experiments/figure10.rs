@@ -9,20 +9,15 @@
 
 use crate::reference::hpds_reference;
 use crate::{print_table, time, write_bench_json, Gate, MB};
-use rescc_algos::{
-    hm_allreduce, hm_allreduce_source, nccl_rings_allgather, taccl_like_allgather,
-    taccl_like_allreduce,
-};
+use rescc_algos::{hm_allreduce, hm_allreduce_source, taccl_like_allgather, taccl_like_allreduce};
 use rescc_backends::{Backend, Communicator};
 use rescc_core::{Compiler, PlanCache};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_sched::hpds;
-use rescc_topology::{Rank, Topology, TopologyHealth};
+use rescc_topology::Topology;
 
 /// Least flat-over-reference scheduler speedup the smoke gate accepts.
 const MIN_SCHED_SPEEDUP: f64 = 1.0;
-/// Least full-over-delta recompile speedup the smoke gate accepts.
-const MIN_DELTA_SPEEDUP: f64 = 1.0;
 
 /// Best-of-N wall times of the flat scheduler and the reference
 /// (pre-rearchitecture) scheduler on one DAG.
@@ -68,85 +63,11 @@ impl SchedSample {
     }
 }
 
-/// A delta recompile after one masked NVLink pair channel against a full
-/// recompile for the degraded topology, best-of-N each, on a 2-ring
-/// AllGather. The rings leave routing slack, so the relayed routes fit
-/// the cached schedule and the splice path must engage.
-struct DeltaSample {
-    full_s: f64,
-    delta_s: f64,
-    spliced: bool,
-    /// An unchanged-mask delta returned the cached plan byte-for-byte.
-    identity: bool,
-}
-
-impl DeltaSample {
-    fn measure(compiler: &Compiler, nodes: u32, g: u32, chan: (u32, u32), iters: usize) -> Self {
-        let topo = Topology::a100(nodes, g);
-        let spec = nccl_rings_allgather(nodes, g, 2);
-        let plan = compiler
-            .compile_spec(&spec, &topo)
-            .expect("delta base compile");
-        let mut health = TopologyHealth::default();
-        health.mask(topo.pair_chan(Rank::new(chan.0), Rank::new(chan.1)));
-
-        let mut s = DeltaSample {
-            full_s: f64::MAX,
-            delta_s: f64::MAX,
-            spliced: true,
-            identity: false,
-        };
-        for _ in 0..iters {
-            let (delta_s, delta) = time(|| compiler.recompile_delta(&plan, &health));
-            s.delta_s = s.delta_s.min(delta_s);
-            s.spliced &= delta.expect("delta recompile").timings.lowering.is_zero();
-        }
-        let degraded = topo.with_health(health);
-        for _ in 0..iters {
-            // A spec of its own: the full recompile derives the spec-only
-            // work too, which the base compile memoized in `spec`.
-            let spec = nccl_rings_allgather(nodes, g, 2);
-            let (full_s, full) = time(|| compiler.compile_spec(&spec, &degraded));
-            s.full_s = s.full_s.min(full_s);
-            full.expect("full degraded compile");
-        }
-        s.identity = compiler
-            .recompile_delta(&plan, plan.topo.health())
-            .expect("identity recompile")
-            .semantic_eq(&plan);
-        s
-    }
-
-    fn speedup(&self) -> f64 {
-        self.full_s / self.delta_s
-    }
-
-    /// The delta must splice and the identity path must return the cached
-    /// plan; with `timed`, the delta must also beat the full recompile.
-    fn check(&self, gate: &mut Gate, timed: bool) {
-        gate.check(self.spliced, || {
-            "delta recompile fell back to a full reschedule".into()
-        });
-        gate.check(self.identity, || {
-            "unchanged-mask delta recompile is not byte-equivalent".into()
-        });
-        let speedup = self.speedup();
-        gate.check(!timed || speedup > MIN_DELTA_SPEEDUP, || {
-            format!(
-                "delta recompile is not faster than a full recompile \
-                 (delta_speedup {speedup:.3} <= {MIN_DELTA_SPEEDUP})"
-            )
-        });
-    }
-}
-
 /// Regenerate Figure 10(a): compile-phase breakdown vs scale, the
 /// scheduler-rearchitecture speedup and cold/warm comparison at 1,024
-/// emulated GPUs, the incremental (delta) recompile comparison, and
-/// a 4,096-GPU compile point. Writes machine-readable results to
-/// `BENCH_compile.json`, and exits non-zero if the flat schedule diverges
-/// from the reference or the delta recompile misses its splice or
-/// identity path.
+/// emulated GPUs, and a 4,096-GPU compile point. Writes machine-readable
+/// results to `BENCH_compile.json`, and exits non-zero if the flat
+/// schedule diverges from the reference.
 pub fn run_a() {
     let mut rows = Vec::new();
     for nodes in [1u32, 2, 4, 8, 16, 32, 64, 128] {
@@ -244,36 +165,6 @@ pub fn run_a() {
          warm dispatch skips all five compile phases via the plan cache."
     );
 
-    // Incremental (delta) recompile after a single intra-node link fault.
-    // The full recompile is what the watchdog previously did: recompile
-    // the spec from scratch against the degraded topology. Best-of-3 on
-    // both sides: these are sub-second wall times on a shared box, and a
-    // single stray scheduler preemption can halve the ratio.
-    let delta = DeltaSample::measure(&compiler, nodes, g, (40, 41), 3);
-    let (full_s, delta_s, delta_speedup) = (delta.full_s, delta.delta_s, delta.speedup());
-    let (delta_spliced, delta_identity) = (delta.spliced, delta.identity);
-
-    print_table(
-        &format!("Post-fault recompile at {ranks} GPUs (2-ring AllGather, 1 dead NVLink channel)"),
-        &["mode", "wall time", "speedup"],
-        &[
-            vec![
-                "full recompile".into(),
-                format!("{full_s:.3}s"),
-                "1.0x".into(),
-            ],
-            vec![
-                "delta recompile (splice)".into(),
-                format!("{delta_s:.3}s"),
-                format!("{delta_speedup:.2}x"),
-            ],
-        ],
-    );
-    println!(
-        "delta took the splice path: {delta_spliced}; \
-         unchanged-mask delta is byte-equivalent to the cached plan: {delta_identity}."
-    );
-
     // 4,096-GPU compile point (spec-based: the DSL source at this scale
     // is dominated by text generation, which is not what this figure
     // measures).
@@ -305,10 +196,6 @@ pub fn run_a() {
          \"warm_cache_s\": {warm:.9},\n  \
          \"phases_serial_ms\": {{\"parsing\": {p:.3}, \"analysis\": {a:.3}, \
          \"scheduling\": {s:.3}, \"lowering\": {l:.3}, \"sanitize\": {sa:.3}}},\n  \
-         \"delta\": {{\"workload\": \"nccl_rings_allgather\", \
-         \"full_recompile_s\": {full_s:.6}, \"delta_recompile_s\": {delta_s:.6}, \
-         \"delta_speedup\": {delta_speedup:.3}, \"spliced\": {delta_spliced}, \
-         \"identity_byte_equivalent\": {delta_identity}}},\n  \
          \"scale_4k\": {{\"ranks\": 4096, \"tasks\": {tasks_4k}, \
          \"total_s\": {total_4k:.3}}}\n}}\n",
         tasks = serial_plan.dag.len(),
@@ -322,12 +209,11 @@ pub fn run_a() {
 
     let mut gate = Gate::default();
     sched.check(&mut gate, false);
-    delta.check(&mut gate, false);
     gate.finish("figure10a");
 }
 
-/// CI smoke gate at 128 emulated GPUs: [`run_a`]'s scheduler and delta
-/// measurements, best-of-3 scheduling, with their wall-time guards on.
+/// CI smoke gate at 128 emulated GPUs: [`run_a`]'s scheduler
+/// measurement, best-of-3, with its wall-time guard on.
 pub fn smoke() {
     let (nodes, g) = (16u32, 8u32);
     let dag = DepDag::build(&hm_allreduce(nodes, g), &Topology::a100(nodes, g)).expect("smoke dag");
@@ -340,19 +226,8 @@ pub fn smoke() {
         sched.speedup(),
         sched.identical,
     );
-    let delta = DeltaSample::measure(&Compiler::new(), nodes, g, (8, 9), 1);
-    println!(
-        "delta recompile: full {:.2}ms, delta {:.2}ms, \
-         delta_speedup {:.2}x, spliced {}, identity byte-equivalent {}",
-        delta.full_s * 1e3,
-        delta.delta_s * 1e3,
-        delta.speedup(),
-        delta.spliced,
-        delta.identity,
-    );
     let mut gate = Gate::default();
     sched.check(&mut gate, true);
-    delta.check(&mut gate, true);
     gate.finish("compile-smoke");
 }
 
@@ -425,37 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_check_reports_missed_splice_identity_and_slowness() {
-        let sample = DeltaSample {
-            full_s: 1.0,
-            delta_s: 1.0,
-            spliced: false,
-            identity: false,
-        };
-        let mut gate = Gate::default();
-        sample.check(&mut gate, false);
-        assert_eq!(gate.failures.len(), 2);
-        assert!(gate.failures[0].contains("full reschedule"));
-        assert!(gate.failures[1].contains("byte-equivalent"));
-        let mut gate = Gate::default();
-        sample.check(&mut gate, true);
-        assert!(gate.failures[2].contains("delta_speedup 1.000"));
-    }
-
-    #[test]
     fn passing_samples_pass() {
         let mut gate = Gate::default();
         SchedSample {
             reference_s: 2.0,
             flat_s: 1.0,
             identical: true,
-        }
-        .check(&mut gate, true);
-        DeltaSample {
-            full_s: 2.0,
-            delta_s: 1.0,
-            spliced: true,
-            identity: true,
         }
         .check(&mut gate, true);
         assert!(gate.failures.is_empty());

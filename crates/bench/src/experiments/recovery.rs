@@ -173,8 +173,7 @@ impl Drill {
             || format!("'{name}': journal length does not match its counters"),
         );
         gate.check(
-            count(RecoveryAction::DeltaRecompile) + count(RecoveryAction::FullRecompile)
-                == rec.recompiles,
+            count(RecoveryAction::FullRecompile) == rec.recompiles,
             || format!("'{name}': journal recompile entries do not match the counter"),
         );
         gate.check(
@@ -392,7 +391,7 @@ mod tests {
                 attempt: 1,
                 cause: "r24 dead".into(),
                 at_ns: 6.0,
-                action: RecoveryAction::DeltaRecompile,
+                action: RecoveryAction::FullRecompile,
             }],
             ..RecoveryStats::default()
         };

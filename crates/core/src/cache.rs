@@ -34,8 +34,7 @@
 //!   globally least-recently-used entries are evicted until the total
 //!   fits. Plans are charged by task / program size ([`plan_cost_bytes`]);
 //!   the entry being published is never its own victim, so a
-//!   just-inserted degraded plan survives for the watchdog that produced
-//!   it.
+//!   just-compiled plan survives for the dispatch that compiled it.
 //! * **Per-shard journal rings** — dispatch-order journaling is a
 //!   bounded ring per shard; [`journal`](PlanCache::journal) merges the
 //!   rings by globally-assigned `seq`, so concurrent dispatches stay
@@ -82,9 +81,8 @@ pub const SHARD_COUNT: usize = 16;
 ///
 /// Each shard updates its counters and its entry/byte accounting inside
 /// one critical section, so a snapshot is **coherent per shard**: the
-/// identity `entries == misses + inserts − evictions` holds exactly for
-/// every shard's contribution (eviction counts cover budget evictions and
-/// replacements). Across shards the snapshot is a sum of per-shard
+/// identity `entries == misses − evictions` holds exactly for every
+/// shard's contribution. Across shards the snapshot is a sum of per-shard
 /// snapshots taken in shard order — each internally consistent, mutually
 /// skewed by at most the dispatches that landed between the reads.
 /// Because the identity is linear, it holds for the summed snapshot too.
@@ -99,13 +97,9 @@ pub struct CacheStats {
     /// The subset of `hits` that were served by waiting on another
     /// thread's in-flight compile of the same fingerprint.
     pub coalesced: u64,
-    /// Plans installed via [`PlanCache::insert`] (degraded-plan inserts
-    /// from watchdog recovery; includes replacements of existing keys).
-    pub inserts: u64,
     /// Distinct plans currently cached.
     pub entries: usize,
-    /// Entries removed: cost-budget LRU evictions and replacements of an
-    /// existing key.
+    /// Entries removed by cost-budget LRU eviction.
     pub evictions: u64,
     /// Estimated bytes currently charged to resident plans
     /// ([`plan_cost_bytes`]).
@@ -122,17 +116,13 @@ pub enum CacheEventKind {
     /// Served by waiting on another dispatch's in-flight compile of the
     /// same fingerprint (singleflight).
     Coalesced,
-    /// A plan was installed or replaced via [`PlanCache::insert`] —
-    /// e.g. a degraded plan from watchdog recovery. Not a dispatch.
-    Insert,
 }
 
 /// One recorded cache event, in dispatch order.
 ///
 /// The journal is the cache's event log for observability consumers: a
-/// deterministic record of which fingerprints were dispatched (or
-/// explicitly inserted) and whether each dispatch compiled, independent
-/// of wall-clock timing.
+/// deterministic record of which fingerprints were dispatched and whether
+/// each dispatch compiled, independent of wall-clock timing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheEvent {
     /// Position in global dispatch order (0-based; assigned from one
@@ -140,7 +130,7 @@ pub struct CacheEvent {
     /// concurrent dispatches get distinct numbers and each shard's ring
     /// is seq-sorted).
     pub seq: u64,
-    /// The plan fingerprint that was looked up or inserted.
+    /// The plan fingerprint that was looked up.
     pub fingerprint: u64,
     /// How the event was served.
     pub kind: CacheEventKind,
@@ -195,7 +185,6 @@ struct ShardState {
     hits: u64,
     misses: u64,
     coalesced: u64,
-    inserts: u64,
     evictions: u64,
     entries: usize,
     resident_bytes: u64,
@@ -215,7 +204,6 @@ impl ShardState {
             hits: self.hits,
             misses: self.misses,
             coalesced: self.coalesced,
-            inserts: self.inserts,
             entries: self.entries,
             evictions: self.evictions,
             resident_bytes: self.resident_bytes,
@@ -298,7 +286,7 @@ pub struct PlanCache {
     shards: Vec<Shard>,
     /// Global dispatch-order sequence, shared by every shard's journal.
     next_seq: AtomicU64,
-    /// Global recency clock for LRU stamps (bumped on every hit/insert).
+    /// Global recency clock for LRU stamps (bumped on every hit/publish).
     clock: AtomicU64,
     /// Byte budget on the resident bytes of all shards together;
     /// `None` = unbounded.
@@ -337,8 +325,7 @@ impl PlanCache {
     /// [`plan_cost_bytes`], summed over every shard). After each publish,
     /// the least-recently-used entries of the whole cache are evicted
     /// until the total fits — never the entry just published, so a
-    /// just-published plan (e.g. a degraded plan a resuming watchdog is
-    /// about to dispatch) always survives its own insert even if it alone
+    /// just-compiled plan always survives its own publish even if it alone
     /// exceeds the budget.
     pub fn with_byte_budget(mut self, bytes: u64) -> Self {
         self.byte_budget = Some(bytes);
@@ -389,9 +376,7 @@ impl PlanCache {
                 st.hits += 1;
                 st.coalesced += 1;
             }
-            CacheEventKind::Miss | CacheEventKind::Insert => {
-                unreachable!("publishes go through publish()")
-            }
+            CacheEventKind::Miss => unreachable!("publishes go through publish()"),
         }
         let ev = CacheEvent {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
@@ -402,17 +387,11 @@ impl PlanCache {
         ev
     }
 
-    /// Install `plan` under `fingerprint` and update counters + journal
-    /// in one coherent critical section, then evict over budget with the
-    /// shard's locks released. `kind` is [`CacheEventKind::Miss`] for a
-    /// compile publish, [`CacheEventKind::Insert`] for an explicit insert.
-    fn publish(
-        &self,
-        shard: &Shard,
-        fingerprint: u64,
-        plan: Arc<CompiledPlan>,
-        kind: CacheEventKind,
-    ) -> CacheEvent {
+    /// Install a just-compiled `plan` under `fingerprint` and count its
+    /// miss and journal it in one coherent critical section, then evict
+    /// over budget with the shard's locks released. Only the in-flight
+    /// leader of `fingerprint` publishes, and only an absent one.
+    fn publish(&self, shard: &Shard, fingerprint: u64, plan: Arc<CompiledPlan>) -> CacheEvent {
         let cost = plan_cost_bytes(&plan);
         let mut map = shard.write_map();
         let replaced = map.insert(
@@ -423,26 +402,18 @@ impl PlanCache {
                 last_used: AtomicU64::new(self.stamp()),
             },
         );
+        debug_assert!(replaced.is_none(), "a published fingerprint is absent");
         // State updates while still holding the map write lock: entry
         // count, byte charge, and counters move together.
         let mut st = shard.state();
-        match kind {
-            CacheEventKind::Miss => st.misses += 1,
-            CacheEventKind::Insert => st.inserts += 1,
-            _ => unreachable!("serves go through record_served()"),
-        }
-        if let Some(old) = replaced {
-            st.evictions += 1;
-            st.resident_bytes -= old.cost;
-        } else {
-            st.entries += 1;
-        }
+        st.misses += 1;
+        st.entries += 1;
         st.resident_bytes += cost;
         debug_assert_eq!(st.entries, map.len());
         let ev = CacheEvent {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             fingerprint,
-            kind,
+            kind: CacheEventKind::Miss,
         };
         st.record(ev);
         drop(st);
@@ -614,12 +585,7 @@ impl PlanCache {
                 match compile() {
                     Ok(plan) => {
                         let plan = Arc::new(plan);
-                        let ev = self.publish(
-                            shard,
-                            fingerprint,
-                            Arc::clone(&plan),
-                            CacheEventKind::Miss,
-                        );
+                        let ev = self.publish(shard, fingerprint, Arc::clone(&plan));
                         unpark.result = Some(Ok(Arc::clone(&plan)));
                         drop(unpark);
                         Ok((plan, ev))
@@ -634,19 +600,6 @@ impl PlanCache {
         }
     }
 
-    /// Insert a plan compiled outside the cache — e.g. a delta-recompiled
-    /// plan for a degraded topology (see `Compiler::recompile_delta`) —
-    /// under its [`plan_fingerprint`] key, so later dispatches against the
-    /// same degraded configuration hit. Replaces any existing entry, and
-    /// journals a [`CacheEventKind::Insert`] event: explicit inserts are
-    /// part of the deterministic record of which fingerprints were made
-    /// dispatchable, exactly like misses. Returns that event, for the
-    /// caller's own dispatch record.
-    pub fn insert(&self, fingerprint: u64, plan: Arc<CompiledPlan>) -> CacheEvent {
-        let shard = self.shard(fingerprint);
-        self.publish(shard, fingerprint, plan, CacheEventKind::Insert)
-    }
-
     /// Whether a plan is currently resident for `fingerprint` (no journal
     /// event, no recency bump — a diagnostic peek).
     pub fn contains(&self, fingerprint: u64) -> bool {
@@ -657,8 +610,7 @@ impl PlanCache {
 
     /// Snapshot of the *retained* dispatch journal, merged across shards
     /// and sorted by global `seq` (one [`CacheEvent`] per
-    /// [`get_or_compile`](Self::get_or_compile) call or
-    /// [`insert`](Self::insert)). Each shard keeps a ring of its own
+    /// [`get_or_compile`](Self::get_or_compile) call). Each shard keeps a ring of its own
     /// [`DEFAULT_JOURNAL_CAPACITY`] most recent events; when more than that
     /// landed on one shard, that shard's oldest events are gone — `seq`
     /// numbers stay globally unique and ordered, so drops appear as gaps.
@@ -681,7 +633,6 @@ impl PlanCache {
             total.hits += s.hits;
             total.misses += s.misses;
             total.coalesced += s.coalesced;
-            total.inserts += s.inserts;
             total.entries += s.entries;
             total.evictions += s.evictions;
             total.resident_bytes += s.resident_bytes;
@@ -818,7 +769,7 @@ const SECRET: [u64; 4] = [
     0x5899_65cc_7537_4cc3,
 ];
 
-/// Incremental word-at-a-time 64-bit hash. Each step folds two words into
+/// Streaming word-at-a-time 64-bit hash. Each step folds two words into
 /// the one accumulator with a single 64×64→128-bit multiply whose halves
 /// are xored (wyhash's "mum" fold), so a transfer costs one multiply
 /// instead of FNV-1a's twenty byte steps. Deliberately not a std
@@ -917,7 +868,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!((stats.coalesced, stats.inserts, stats.evictions), (0, 0, 0));
+        assert_eq!((stats.coalesced, stats.evictions), (0, 0));
         assert_eq!(stats.resident_bytes, plan_cost_bytes(&a));
     }
 
@@ -1055,44 +1006,9 @@ mod tests {
     }
 
     #[test]
-    fn inserted_plan_is_served_on_next_dispatch_and_journaled() {
-        let cache = PlanCache::new();
-        let compiler = Compiler::new();
-        let topo = Topology::a100(2, 4);
-        let spec = hm_allreduce(2, 4);
-        let plan = mb(64 << 20, spec.n_chunks());
-        let compiled = Arc::new(compiler.compile_spec(&spec, &topo).unwrap());
-        let fp = plan_fingerprint(&compiler, &spec, &topo, &plan);
-        let inserted = cache.insert(fp, Arc::clone(&compiled));
-        let served = cache
-            .get_or_compile(&compiler, &spec, &topo, &plan)
-            .unwrap();
-        assert!(Arc::ptr_eq(&served, &compiled));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 0, 1));
-        // The explicit insert is part of the dispatch record (the old
-        // cache silently bypassed the journal here).
-        let journal = cache.journal();
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal[0], inserted, "insert returns its journal event");
-        assert_eq!(journal[0].kind, CacheEventKind::Insert);
-        assert_eq!(journal[0].fingerprint, fp);
-        assert_eq!(journal[1].kind, CacheEventKind::Hit);
-        // Replacing the entry journals another insert and counts the
-        // displaced entry as evicted, keeping the stats identity.
-        cache.insert(fp, Arc::clone(&compiled));
-        let stats = cache.stats();
-        assert_eq!((stats.inserts, stats.evictions, stats.entries), (2, 1, 1));
-        assert_eq!(
-            stats.entries as u64,
-            stats.misses + stats.inserts - stats.evictions
-        );
-    }
-
-    #[test]
     fn byte_budget_evicts_lru_but_never_the_newest_entry() {
         // A 1-byte budget is below any plan's cost, so each publish
-        // evicts everything except the entry being inserted.
+        // evicts everything except the entry being published.
         let cache = PlanCache::new().with_byte_budget(1);
         let compiler = Compiler::new();
         let topo = Topology::a100(1, 4);
@@ -1107,7 +1023,7 @@ mod tests {
                 plan_fingerprint(&compiler, &spec, &topo, &plan),
                 plan_cost_bytes(&compiled),
             );
-            // The just-inserted plan always survives its own insert.
+            // The just-published plan always survives its own publish.
             assert!(cache.contains(last.0));
         }
         let stats = cache.stats();
@@ -1117,10 +1033,7 @@ mod tests {
             (1, 5),
             "a 1-byte budget keeps only the newest entry: {stats:?}"
         );
-        assert_eq!(
-            stats.entries as u64,
-            stats.misses + stats.inserts - stats.evictions
-        );
+        assert_eq!(stats.entries as u64, stats.misses - stats.evictions);
         assert_eq!(stats.resident_bytes, last.1);
         // An evicted configuration recompiles (counts a fresh miss).
         let first = MicroBatchPlan::plan(16 << 20, spec.n_chunks(), 1 << 20);

@@ -44,7 +44,7 @@ pub use cache::{
 };
 
 use rescc_alloc::TbAllocation;
-use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport, Incremental};
+use rescc_analyze::{analyze, AnalysisConfig, AnalysisInput, AnalysisReport};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::{eval, parse, AlgoSpec, OpType};
@@ -93,10 +93,7 @@ pub enum Lowering {
 /// Wall-clock duration of each compiler phase (Fig. 10(a)).
 ///
 /// A phase that did not run reads exactly [`Duration::ZERO`]: parsing
-/// when compiling from a spec, scheduling and lowering when
-/// [`Compiler::recompile_delta`] splices the cached artifacts, and every
-/// phase on an identity delta. These timings are the per-plan record of
-/// which phases ran.
+/// when compiling from a spec.
 ///
 /// Each phase time measures the phase's work, not the caller's wait.
 /// [`Compiler::compile_spec_then`] runs sanitize beside other work, so a
@@ -105,8 +102,7 @@ pub enum Lowering {
 pub struct PhaseTimings {
     /// DSL text → AST → validated spec.
     pub parsing: Duration,
-    /// Spec → dependency DAG (for a delta recompile: the reroute and the
-    /// dirty-set revalidation).
+    /// Spec → dependency DAG.
     pub analysis: Duration,
     /// DAG → task pipeline (HPDS / RR).
     pub scheduling: Duration,
@@ -216,7 +212,9 @@ impl Compiler {
 
     /// Compile a validated algorithm spec for `topo`.
     pub fn compile_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
-        self.sanitize(self.lower_spec(spec, topo)?, Incremental::Fresh)
+        let plan = self.lower_spec(spec, topo)?;
+        let (report, took) = self.lint(&plan);
+        self.gate(plan, report, took)
     }
 
     /// [`compile_spec`](Self::compile_spec), with `then` overlapping the
@@ -237,7 +235,7 @@ impl Compiler {
     ) -> SimResult<(CompiledPlan, R)> {
         let plan = self.lower_spec(spec, topo)?;
         let ((report, took), out) = std::thread::scope(|s| {
-            let lints = s.spawn(|| self.lint(&plan, Incremental::Fresh));
+            let lints = s.spawn(|| self.lint(&plan));
             let out = then(&plan);
             let lints = lints.join();
             (lints.unwrap_or_else(|p| std::panic::resume_unwind(p)), out)
@@ -259,108 +257,46 @@ impl Compiler {
         let dag = DepDag::build(spec, topo)?;
         timings.analysis = t0.elapsed();
 
-        let lowered = self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
-        let plan = CompiledPlan::unsanitized(topo.clone(), spec.clone(), dag, lowered, timings);
-        Ok(plan)
+        let (schedule, alloc, program) =
+            self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
+        Ok(CompiledPlan {
+            topo: topo.clone(),
+            spec: spec.clone(),
+            op: spec.op(),
+            n_chunks: spec.n_chunks(),
+            dag,
+            schedule,
+            alloc,
+            program,
+            timings,
+            diagnostics: AnalysisReport::default(),
+        })
     }
 
-    /// Incrementally recompile a cached plan for a changed topology health
-    /// mask — the fault-recovery fast path.
-    ///
-    /// A full [`compile_spec`](Self::compile_spec) after a fault repeats
-    /// every phase even though the algorithm, the topology shape, and
-    /// almost every route are unchanged. This entry point reuses the cached
-    /// artifacts instead:
-    ///
-    /// 1. **Identity** — if `health` equals the cached plan's mask, the
-    ///    cached plan *is* the answer (returned as a clone, no phase
-    ///    re-runs).
-    /// 2. **Reroute** — [`DepDag::reroute`] re-resolves each task's route
-    ///    against the masked topology and reports the *dirty* set: tasks
-    ///    whose contention resources actually changed. Dependency edges are
-    ///    topology-independent, so the DAG's adjacency is reused outright.
-    /// 3. **Splice (fast path)** — if no task went dirty, or the cached
-    ///    schedule still validates with the rerouted conflict sets (loads
-    ///    under saturation in every sub-pipeline), the schedule is kept.
-    ///    TB allocation and kernel generation read only each task's
-    ///    endpoints and chunk — never its route — so the cached allocation
-    ///    and program are byte-valid as-is and are spliced unchanged.
-    /// 4. **Reschedule (slow path)** — otherwise scheduling and lowering
-    ///    re-run on the rerouted DAG.
-    ///
-    /// The sanitize phase re-runs in **every** non-identity case: splicing
-    /// must not skip the lints, or a spliced plan routing over a masked
-    /// resource would sail through where a full compile would be denied. On the splice path the re-run
-    /// is itself incremental ([`Incremental::Rerouted`]): the DAG
-    /// adjacency, task tuples, schedule, and program are identical to the
-    /// cached plan's, so the routing-insensitive lints (RA001, RA002,
-    /// RA004, RA006) splice their cached diagnostics through and only the
-    /// route-reading ones — RA003 on the dirtied sub-pipelines, RA005,
-    /// and RA007 (whose α–β–γ certificate depends on per-route
-    /// parameters) — re-run.
-    ///
-    /// The returned [`PhaseTimings`] say what ran: the reroute and the
-    /// dirty-set revalidation count as `analysis`, `scheduling` and
-    /// `lowering` are nonzero only on the slow path, `sanitize` on every
-    /// non-identity call, and `parsing` never.
+    /// [`compile_spec`](Self::compile_spec) of `cached`'s spec for its
+    /// topology under `health`. Kept only because the dispatch benchmark's
+    /// fault replay calls this signature.
+    #[doc(hidden)]
     pub fn recompile_delta(
         &self,
         cached: &CompiledPlan,
         health: &TopologyHealth,
     ) -> SimResult<CompiledPlan> {
-        if cached.topo.health() == health {
-            let mut plan = cached.clone();
-            plan.timings = PhaseTimings::default();
-            return Ok(plan);
-        }
-        let mut timings = PhaseTimings::default();
-
-        let t0 = Instant::now();
-        let degraded = cached.topo.clone().with_health(health.clone());
-        let (dag, dirty) = cached.dag.reroute(&degraded)?;
-        // `keep` carries the dirty sub-pipeline indices when the cached
-        // schedule stays feasible (rule 3 rechecked only where conflict
-        // sets moved — structure cannot break under a reroute), `None`
-        // when the reroute oversubscribed one and a real reschedule is due.
-        let keep: Option<Vec<u32>> = if dirty.is_empty() {
-            Some(Vec::new())
-        } else {
-            cached.schedule.revalidate_dirty(&dag, &dirty).ok()
-        };
-        timings.analysis = t0.elapsed();
-
-        let lowered = match &keep {
-            // Lowering is route-independent: `lower_rank` and the TB
-            // allocator read only task endpoints, chunks, and schedule
-            // positions, all unchanged — the cached artifacts stay valid.
-            Some(_) => (
-                cached.schedule.clone(),
-                cached.alloc.clone(),
-                cached.program.clone(),
-            ),
-            None => self.schedule_and_lower(cached.spec.name(), &dag, &mut timings)?,
-        };
-        let plan = CompiledPlan::unsanitized(degraded, cached.spec.clone(), dag, lowered, timings);
-        let incremental = match &keep {
-            Some(dirty) => Incremental::Rerouted {
-                cached: &cached.diagnostics,
-                dirty,
-            },
-            None => Incremental::Fresh,
-        };
-        self.sanitize(plan, incremental)
+        self.compile_spec(
+            &cached.spec,
+            &cached.topo.clone().with_health(health.clone()),
+        )
     }
 
-    /// The scheduling and lowering phases every compile path shares:
-    /// schedule `dag`, allocate its TBs and generate the kernel program,
-    /// validating each artifact. Records `scheduling` and `lowering` in
-    /// `timings`.
+    /// The scheduling and lowering phases: schedule `dag`, allocate its
+    /// TBs and generate the kernel program, validating each artifact.
+    /// Records `scheduling` and `lowering` in `timings`.
     fn schedule_and_lower(
         &self,
         name: &str,
         dag: &DepDag,
         timings: &mut PhaseTimings,
-    ) -> SimResult<Lowered> {
+    ) -> SimResult<(Schedule, TbAllocation, KernelProgram)> {
         if let Lowering::Rigid {
             n_channels,
             n_stages,
@@ -440,16 +376,8 @@ impl Compiler {
         Ok((schedule, alloc, program))
     }
 
-    /// The sanitize phase every compile path shares: run the analysis
-    /// `incremental` calls for over `plan`, then [`gate`](Self::gate) it.
-    fn sanitize(&self, plan: CompiledPlan, incremental: Incremental) -> SimResult<CompiledPlan> {
-        let (report, took) = self.lint(&plan, incremental);
-        self.gate(plan, report, took)
-    }
-
-    /// The analysis `incremental` calls for over `plan`, and how long it
-    /// took.
-    fn lint(&self, plan: &CompiledPlan, incremental: Incremental) -> (AnalysisReport, Duration) {
+    /// The sanitize phase's analysis of `plan`, and how long it took.
+    fn lint(&self, plan: &CompiledPlan) -> (AnalysisReport, Duration) {
         let t0 = Instant::now();
         let report = analyze(
             &AnalysisInput {
@@ -461,7 +389,6 @@ impl Compiler {
                 topo: &plan.topo,
             },
             &self.lint_config,
-            incremental,
         );
         (report, t0.elapsed())
     }
@@ -485,17 +412,13 @@ impl Compiler {
     }
 }
 
-/// What [`Compiler::schedule_and_lower`] produces.
-type Lowered = (Schedule, TbAllocation, KernelProgram);
-
 /// A fully-compiled, executable collective plan.
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
     /// The topology the plan was compiled for.
     pub topo: Topology,
-    /// The validated algorithm the plan implements. Kept so incremental
-    /// recompiles ([`Compiler::recompile_delta`]) can re-run the sanitize
-    /// phase without the caller having to retain the spec separately.
+    /// The validated algorithm the plan implements, for the sanitize
+    /// phase's lints and the plan's cache key.
     pub spec: AlgoSpec,
     /// The collective operator implemented.
     pub op: OpType,
@@ -519,28 +442,6 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// A plan whose sanitize phase has not run yet: no diagnostics.
-    fn unsanitized(
-        topo: Topology,
-        spec: AlgoSpec,
-        dag: DepDag,
-        (schedule, alloc, program): Lowered,
-        timings: PhaseTimings,
-    ) -> Self {
-        Self {
-            topo,
-            op: spec.op(),
-            n_chunks: spec.n_chunks(),
-            spec,
-            dag,
-            schedule,
-            alloc,
-            program,
-            timings,
-            diagnostics: AnalysisReport::default(),
-        }
-    }
-
     /// Run the plan: synchronize `buffer_bytes` per rank moving
     /// `chunk_bytes` per invocation, with data validation on.
     pub fn run(&self, buffer_bytes: u64, chunk_bytes: u64) -> SimResult<SimReport> {
@@ -597,8 +498,8 @@ impl CompiledPlan {
     /// schedule, TB allocation and kernel program for the same operator,
     /// chunking, and topology shape. Phase timings are deliberately
     /// ignored — they are measurement metadata, not part of the artifact.
-    /// Used to assert that cached, delta and replayed compiles reproduce a
-    /// fresh one.
+    /// Used to assert that cached and replayed compiles reproduce a fresh
+    /// one.
     pub fn semantic_eq(&self, other: &Self) -> bool {
         self.op == other.op
             && self.n_chunks == other.n_chunks
@@ -822,75 +723,6 @@ mod tests {
             lint_refusal(refused.map(|(plan, ())| plan)),
             lint_refusal(compiler.compile_spec(&spec, &degraded))
         );
-    }
-
-    #[test]
-    fn recompile_delta_with_unchanged_health_is_byte_equivalent() {
-        let topo = Topology::a100(2, 4);
-        let compiler = Compiler::new();
-        let plan = compiler.compile_spec(&hm_allreduce(2, 4), &topo).unwrap();
-        let delta = compiler.recompile_delta(&plan, plan.topo.health()).unwrap();
-        assert!(delta.semantic_eq(&plan));
-        // Identity path: no phase re-ran, not even sanitize.
-        assert_eq!(delta.timings.total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn recompile_delta_splices_schedule_for_survivable_intra_fault() {
-        use rescc_topology::{Rank, TopologyHealth};
-        let topo = Topology::a100(1, 8);
-        let compiler = Compiler::new();
-        let plan = compiler.compile_spec(&hm_allreduce(1, 8), &topo).unwrap();
-        // Mask one intra-node pair channel: the router relays through a
-        // third rank, and the extra load fits under the NVLink saturation,
-        // so the cached schedule must be spliced, not rebuilt.
-        let mut health = TopologyHealth::healthy();
-        health.mask(topo.pair_chan(Rank::new(0), Rank::new(1)));
-        let delta = compiler.recompile_delta(&plan, &health).unwrap();
-        assert_eq!(delta.schedule, plan.schedule, "schedule must be reused");
-        assert_eq!(delta.program, plan.program, "lowering is route-independent");
-        for table in [&delta.alloc.table, &delta.program.table] {
-            assert!(
-                std::sync::Arc::ptr_eq(table, &plan.alloc.table),
-                "the splice keeps the cached plan's slot table"
-            );
-        }
-        let t = delta.timings;
-        assert_eq!(
-            t.scheduling,
-            Duration::ZERO,
-            "fast path must not reschedule"
-        );
-        assert_eq!(t.lowering, Duration::ZERO, "fast path must not re-lower");
-        assert!(
-            t.sanitize > Duration::ZERO,
-            "sanitize must re-run on the splice"
-        );
-        assert!(delta.diagnostics.certificate().is_some());
-        assert_eq!(delta.topo.health(), &health);
-        assert!(
-            delta.diagnostics.is_clean(),
-            "{}",
-            delta.diagnostics.render_human()
-        );
-        // The spliced plan still runs and validates its data.
-        let rep = delta.run(16 << 20, 1 << 20).unwrap();
-        assert_eq!(rep.data_valid, Some(true));
-    }
-
-    #[test]
-    fn recompile_delta_denies_unroutable_fault() {
-        use rescc_topology::{NicId, TopologyHealth};
-        // Single NIC per node: masking its TX leaves no healthy route, the
-        // reroute falls back to the dead resource, and the spliced plan
-        // must be rejected by the same RA005 deny gate a full compile hits.
-        let topo = Topology::a100(2, 2);
-        let compiler = Compiler::new();
-        let plan = compiler.compile_spec(&hm_allreduce(2, 2), &topo).unwrap();
-        let mut health = TopologyHealth::healthy();
-        health.mask(topo.nic_tx(NicId::new(0)));
-        let report = lint_refusal(compiler.recompile_delta(&plan, &health));
-        assert!(report.contains("RA005"), "{report}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn check_accounting(ctx: &str, rec: &RecoveryStats) {
         "{ctx}: every transient failure journals a retry or a resume"
     );
     assert_eq!(
-        count(RecoveryAction::DeltaRecompile) + count(RecoveryAction::FullRecompile),
+        count(RecoveryAction::FullRecompile),
         rec.recompiles,
         "{ctx}: every permanent failure journals a recompile"
     );
@@ -52,11 +52,6 @@ fn check_accounting(ctx: &str, rec: &RecoveryStats) {
         count(RecoveryAction::Heal),
         rec.heals,
         "{ctx}: every heal journals"
-    );
-    assert_eq!(
-        count(RecoveryAction::DeltaRecompile),
-        rec.delta_recompiles,
-        "{ctx}: delta-recompile tally"
     );
     assert!(
         rec.resumes <= rec.retries + rec.recompiles,
@@ -296,24 +291,24 @@ fn observed_digests(result: &SimResult<RunReport>, plans: &mut PlanOrdinals) -> 
 fn observed_recovery_matches_golden() {
     #[rustfmt::skip]
     const GOLDEN: &[(&str, u64, u64)] = &[
-        ("chaos/AllReduce/seed0", 0x0df6c2281d04b1d8, 0x3c4521ab4ce74b1e),
-        ("chaos/AllReduce/seed1", 0x1f0906b6dc415a52, 0x568ae46618ca1071),
-        ("chaos/AllReduce/seed2", 0x1f9c6c1f2cff6abe, 0x3cb629d0cc7007be),
+        ("chaos/AllReduce/seed0", 0x09739aea382682a0, 0x3c4521ab4ce74b1e),
+        ("chaos/AllReduce/seed1", 0x965f6b00e4e5a2ca, 0xcc563eb83145920f),
+        ("chaos/AllReduce/seed2", 0xc8e8650b8f11ec5c, 0x3cb629d0cc7007be),
         ("chaos/AllReduce/seed3", 0x28f83d02ec991e9a, 0x28f83d02ec991e9a),
-        ("chaos/AllGather/seed0", 0x0d3447b1bd1fd2de, 0x674eb5abcfbebe84),
-        ("chaos/AllGather/seed1", 0x1dd6d7726396e933, 0xef8961e17d90e0ce),
-        ("chaos/AllGather/seed2", 0xaba4ee94f316a6a8, 0x87e9cb4373018eb4),
+        ("chaos/AllGather/seed0", 0x9be9041bedc0a976, 0x674eb5abcfbebe84),
+        ("chaos/AllGather/seed1", 0x6d8fc4db540f5fc7, 0x527b2d9b66ef1d2e),
+        ("chaos/AllGather/seed2", 0xf1adc05c2a72a5b2, 0x87e9cb4373018eb4),
         ("chaos/AllGather/seed3", 0x7c0ac78a6dd2af60, 0x7c0ac78a6dd2af60),
-        ("chaos/ReduceScatter/seed0", 0x248e64848774e893, 0xc6fa855c7fda9d82),
-        ("chaos/ReduceScatter/seed1", 0x3d252c437d6fae9b, 0xbf8e76dbf63d91ce),
-        ("chaos/ReduceScatter/seed2", 0xe7ea1addef8e2662, 0xf69aea466c4d0b86),
-        ("chaos/ReduceScatter/seed3", 0x41a856022191a2a4, 0xd8bf1966f3533562),
-        ("flap", 0x4a1710b9fa94697c, 0xa9d0ac2bc853916b),
-        ("flap/warm", 0x4a1710b9fa94697c, 0xd46e323b1408c26c),
-        ("kill", 0x28ed0af4bf2461d7, 0x5137c2c76c1adb73),
-        ("kill/masked", 0x084bb0eb088e8ce5, 0x47a91996fbb557a2),
-        ("kill/heal", 0xc7cac81a2748490f, 0x69c4edb3967f316d),
-        ("kill-restore", 0xc24656dccbbe84c4, 0x8dd570ee851fadc4),
+        ("chaos/ReduceScatter/seed0", 0xead83b333122a77b, 0xc6fa855c7fda9d82),
+        ("chaos/ReduceScatter/seed1", 0x8681bd5d4adb4d93, 0x0068ddee5bd0fe86),
+        ("chaos/ReduceScatter/seed2", 0x61e0f1276608aa70, 0xf69aea466c4d0b86),
+        ("chaos/ReduceScatter/seed3", 0xa9a19ca4f041e0a8, 0xd8bf1966f3533562),
+        ("flap", 0x29bb61acce98722e, 0xa9d0ac2bc853916b),
+        ("flap/warm", 0x29bb61acce98722e, 0xd46e323b1408c26c),
+        ("kill", 0x65b06e7a69013d75, 0xd9a62c211a9a3ea7),
+        ("kill/masked", 0x428309192fd61ba1, 0x47a91996fbb557a2),
+        ("kill/heal", 0xe04e345ffd82bfab, 0x69c4edb3967f316d),
+        ("kill-restore", 0xe8842241eba2b8c2, 0x8dd570ee851fadc4),
     ];
     let topo = Topology::a100(2, 4);
     let observed = |faults: FaultTimeline| {

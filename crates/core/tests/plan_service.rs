@@ -238,10 +238,7 @@ fn mixed_hot_cold_traffic_matches_serial_compiles() {
     assert_eq!(stats.hits + stats.misses, total);
     assert_eq!(stats.misses, DISTINCT, "one compile per distinct config");
     assert_eq!(stats.entries as u64, DISTINCT);
-    assert_eq!(
-        stats.entries as u64,
-        stats.misses + stats.inserts - stats.evictions
-    );
+    assert_eq!(stats.entries as u64, stats.misses - stats.evictions);
     let journal = cache.journal();
     assert_eq!(journal.len(), total as usize);
     let mut seqs: Vec<u64> = journal.iter().map(|e| e.seq).collect();
@@ -252,7 +249,7 @@ fn mixed_hot_cold_traffic_matches_serial_compiles() {
 }
 
 /// The tearing regression: `stats()` snapshots taken *during* concurrent
-/// dispatch must satisfy `entries == misses + inserts − evictions` —
+/// dispatch must satisfy `entries == misses − evictions` —
 /// each shard updates counters and entry accounting in one critical
 /// section, and the identity is linear, so it survives summation. The
 /// pre-PR cache bumped `misses` before inserting into the map under a
@@ -288,7 +285,7 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
                 let st = cache.stats();
                 assert_eq!(
                     st.entries as u64,
-                    st.misses + st.inserts - st.evictions,
+                    st.misses - st.evictions,
                     "torn snapshot: {st:?}"
                 );
                 samples += 1;
@@ -307,12 +304,11 @@ fn stats_snapshots_stay_coherent_during_dispatch() {
 }
 
 /// Bounded memory: a byte budget caps residency via LRU eviction, the
-/// books count every eviction, and the entry being published — including
-/// an explicitly inserted degraded plan a resuming watchdog is about to
-/// dispatch — is never its own victim. (In-flight compiles cannot be
-/// evicted at all: they are not resident until published.)
+/// books count every eviction, and the entry being published is never its
+/// own victim. (In-flight compiles cannot be evicted at all: they are not
+/// resident until published.)
 #[test]
-fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
+fn byte_budget_evicts_lru_and_spares_the_fresh_publish() {
     let compiler = Compiler::new();
     // A 1-byte budget is below any plan's cost → maximum pressure.
     let cache = PlanCache::new().with_byte_budget(1);
@@ -325,7 +321,7 @@ fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
         assert!(!ev.is_hit());
         assert!(
             cache.contains(key),
-            "a just-published plan must survive its own insert"
+            "a just-published plan must survive its own publish"
         );
     }
     let st = cache.stats();
@@ -336,32 +332,9 @@ fn byte_budget_evicts_lru_and_spares_fresh_inserts() {
     );
     assert_eq!(
         st.entries as u64,
-        st.misses + st.inserts - st.evictions,
+        st.misses - st.evictions,
         "eviction accounting out of balance: {st:?}"
     );
-
-    // A degraded-plan insert under the same pressure: resident
-    // immediately after, and journaled as an explicit insert (the pre-PR
-    // cache silently bypassed the journal here).
-    let c = config(99);
-    let degraded = Arc::new(compiler.compile_spec(&c.spec, &c.topo).expect("compile"));
-    let key = plan_fingerprint(&compiler, &c.spec, &c.topo, &c.mb);
-    cache.insert(key, degraded);
-    assert!(
-        cache.contains(key),
-        "fresh insert evicted out from under us"
-    );
-    let (_, ev) = cache
-        .get_or_compile_traced(&compiler, &c.spec, &c.topo, &c.mb)
-        .expect("dispatch of inserted plan");
-    assert!(
-        ev.is_hit(),
-        "the inserted plan must serve the next dispatch"
-    );
-    assert!(cache
-        .journal()
-        .iter()
-        .any(|e| e.kind == CacheEventKind::Insert && e.fingerprint == key));
 }
 
 /// The cost of one `config` plan; every chunking compiles the same
@@ -458,7 +431,7 @@ fn concurrent_publishes_under_a_global_budget() {
     assert_eq!(st.misses, THREADS * PER_THREAD);
     assert_eq!(
         st.entries as u64,
-        st.misses + st.inserts - st.evictions,
+        st.misses - st.evictions,
         "eviction accounting out of balance: {st:?}"
     );
     dispatch(&cache, &compiler, &config(THREADS * PER_THREAD));

@@ -80,9 +80,8 @@ struct Route {
 /// chunk in step order and the data-dependency adjacency.
 ///
 /// [`DepIndex::of`] derives it once per spec and memoizes it in the spec
-/// ([`AlgoSpec::derived`]), so every DAG of one spec shares one index: a
-/// DAG built for another topology and a [rerouted](DepDag::reroute) DAG
-/// point at the same one.
+/// ([`AlgoSpec::derived`]), so every DAG of one spec shares one index,
+/// whatever topology or health mask it was built for.
 #[derive(Debug, PartialEq)]
 pub struct DepIndex {
     /// The spec's transfer records, task `i` being record `i`.
@@ -206,40 +205,6 @@ impl DepDag {
     #[doc(hidden)]
     pub fn build_with_threads(spec: &AlgoSpec, topo: &Topology, _threads: usize) -> Result<Self> {
         Self::build(spec, topo)
-    }
-
-    /// Re-resolve every route against `topo` (same shape, possibly
-    /// different [health mask](rescc_topology::TopologyHealth)) and return
-    /// the patched DAG together with the ids of the tasks whose route
-    /// actually changed, ascending.
-    ///
-    /// Data-dependency edges are topology-independent (they follow the
-    /// algorithm's `(rank, chunk, step)` structure), so the patched DAG
-    /// shares this one's [`DepIndex`]; only the route table and the
-    /// resource index are rebuilt. This is the analysis step of
-    /// delta recompilation: one route resolution per distinct pair and
-    /// one pass over the tasks, with no edge re-derivation.
-    pub fn reroute(&self, topo: &Topology) -> Result<(Self, Vec<TaskId>)> {
-        let mut patched = self.clone();
-        let mut moved = vec![false; patched.routes.len()];
-        for (route, moved) in patched.routes.iter_mut().zip(&mut moved) {
-            let conn = topo.connection(route.src, route.dst);
-            if route.conflict != conn.conflict || route.path != conn.path {
-                route.conflict = conn.conflict;
-                route.path = conn.path;
-                *moved = true;
-            }
-        }
-        let dirty: Vec<TaskId> = (0..patched.len() as u32)
-            .map(TaskId::new)
-            .filter(|id| moved[patched.route_of[id.index()] as usize])
-            .collect();
-        if !dirty.is_empty() {
-            let (ids, limits) = index_resources(&mut patched.routes, topo)?;
-            patched.resource_ids = ids;
-            patched.conflict_limit = limits;
-        }
-        Ok((patched, dirty))
     }
 
     /// Number of tasks.
@@ -709,42 +674,6 @@ mod tests {
                 assert!(t.conflict.contains(dag.resource_at(d)));
             }
         }
-    }
-
-    #[test]
-    fn reroute_is_identity_on_same_health() {
-        let topo = Topology::a100(2, 4);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        let (same, dirty) = dag.reroute(&topo).unwrap();
-        assert!(dirty.is_empty());
-        assert_eq!(same, dag);
-    }
-
-    #[test]
-    fn reroute_flags_only_affected_tasks() {
-        use rescc_topology::TopologyHealth;
-        let topo = Topology::a100(1, 8);
-        let dag = DepDag::build(&ring_ag(8), &topo).unwrap();
-        let chan = topo.pair_chan(Rank::new(0), Rank::new(1));
-        let mut mask = TopologyHealth::healthy();
-        mask.mask(chan);
-        let degraded = Topology::a100(1, 8).with_health(mask);
-        let (patched, dirty) = dag.reroute(&degraded).unwrap();
-        assert!(!dirty.is_empty());
-        // Exactly the tasks whose direct route used the dead channel moved.
-        for t in dag.tasks() {
-            let moved = dirty.contains(&t.id);
-            let used_chan = t.src == Rank::new(0) && t.dst == Rank::new(1);
-            assert_eq!(moved, used_chan, "task {t:?}");
-            if !moved {
-                assert_eq!(patched.task(t.id), t);
-            } else {
-                assert!(!patched.task(t.id).conflict.contains(chan));
-            }
-        }
-        // The patched DAG matches a from-scratch build on the degraded topo.
-        let fresh = DepDag::build(&ring_ag(8), &degraded).unwrap();
-        assert_eq!(patched, fresh);
     }
 
     #[test]

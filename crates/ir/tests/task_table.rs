@@ -78,28 +78,3 @@ fn the_route_table_has_one_entry_per_distinct_pair() {
         }
     }
 }
-
-#[test]
-fn reroute_matches_a_fresh_build_and_flags_exactly_the_moved_tasks() {
-    for i in 1..=4 {
-        let healthy = Topology::table3_topo(i).unwrap();
-        for spec in suite(&healthy) {
-            let dag = DepDag::build(&spec, &healthy).unwrap();
-            for masked in topologies()
-                .into_iter()
-                .filter(|t| t.spec() == healthy.spec())
-            {
-                let (patched, dirty) = dag.reroute(&masked).unwrap();
-                let fresh = DepDag::build(&spec, &masked).unwrap();
-                assert_eq!(patched, fresh, "{} on {}", spec.name(), masked.name());
-                let moved: Vec<TaskId> = (0..dag.len())
-                    .filter(|&i| {
-                        task_the_old_way(&spec, &healthy, i) != task_the_old_way(&spec, &masked, i)
-                    })
-                    .map(|i| TaskId::new(i as u32))
-                    .collect();
-                assert_eq!(dirty, moved);
-            }
-        }
-    }
-}

@@ -10,7 +10,7 @@ use crate::error::Result;
 use crate::spec::{AlgoSpec, TransferRec};
 use rescc_topology::{ChunkId, Rank, Step};
 
-/// Incremental builder for an [`AlgoSpec`].
+/// Step-by-step builder for an [`AlgoSpec`].
 #[derive(Clone, Debug)]
 pub struct AlgoBuilder {
     name: String,

@@ -136,11 +136,9 @@ impl Span {
 pub enum RecoveryAction {
     /// Transient fault: the attempt was restarted from scratch.
     Retry,
-    /// Permanent fault: the dead resource was masked and the cached plan
-    /// rerouted + spliced incrementally (`Compiler::recompile_delta`).
-    DeltaRecompile,
-    /// Permanent fault: the splice was denied and the degraded plan was
-    /// compiled from scratch at the next dispatch.
+    /// Permanent fault: the dead resource was masked, and the next
+    /// dispatch serves the degraded plan from the plan cache or compiles
+    /// it.
     FullRecompile,
     /// The attempt's fault frontier was folded in; the next attempt
     /// resumed the cached plan from it instead of restarting.
@@ -155,7 +153,6 @@ impl RecoveryAction {
     pub fn as_str(&self) -> &'static str {
         match self {
             RecoveryAction::Retry => "retry",
-            RecoveryAction::DeltaRecompile => "delta-recompile",
             RecoveryAction::FullRecompile => "full-recompile",
             RecoveryAction::Resume => "resume",
             RecoveryAction::Heal => "heal",
@@ -186,16 +183,10 @@ pub struct RecoveryEvent {
 /// of that record.
 #[derive(Clone, Debug)]
 pub enum DispatchEvent {
-    /// The plan cache served an attempt (hit, miss or coalesced) or took a
-    /// delta-recompiled plan (insert).
+    /// The plan cache served an attempt (hit, miss or coalesced).
     Cache(CacheEvent),
-    /// A compile ran: the full pipeline on a miss, or a delta splice.
-    Compile {
-        /// Wall-clock phase durations.
-        timings: PhaseTimings,
-        /// Whether this was a delta splice around a masked resource.
-        delta: bool,
-    },
+    /// A compile ran on a miss, with these wall-clock phase durations.
+    Compile(PhaseTimings),
     /// The attempt resumed from the accumulated fault frontier instead of
     /// restarting.
     Resume,
@@ -204,9 +195,9 @@ pub enum DispatchEvent {
 }
 
 /// A heal before the first attempt (no times), or a failed attempt —
-/// transient (`Retry`, `Resume`) or permanent (`DeltaRecompile`,
-/// `FullRecompile`). Each attempt starts once the `failed_ns + wait_ns` of
-/// every earlier trigger in the record has elapsed.
+/// transient (`Retry`, `Resume`) or permanent (`FullRecompile`). Each
+/// attempt starts once the `failed_ns + wait_ns` of every earlier trigger
+/// in the record has elapsed.
 #[derive(Clone, Debug)]
 pub struct RecoveryTrigger {
     /// What the watchdog did about it.
@@ -297,11 +288,11 @@ impl ObsStats {
     }
 
     /// Fold one dispatch's record into counters and spans, in event order:
-    /// compile phases stack end-to-end on a wall-clock `compiler` (or
-    /// `compiler-delta`) track, each cache event is a zero-width wall span
-    /// at the current compile offset, and the watchdog's heals, resumes,
-    /// retries, backoff waits and mask+recompile cycles are sim-time spans
-    /// on the `watchdog` track.
+    /// compile phases stack end-to-end on a wall-clock `compiler` track,
+    /// each cache event is a zero-width wall span at the current compile
+    /// offset, and the watchdog's heals, resumes, retries, backoff waits
+    /// and mask+recompile cycles are sim-time spans on the `watchdog`
+    /// track.
     pub fn from_events(events: &[DispatchEvent]) -> Self {
         let mut stats = Self::default();
         let mut compile_at = 0.0f64;
@@ -315,7 +306,6 @@ impl ObsStats {
                         CacheEventKind::Hit => "hit",
                         CacheEventKind::Miss => "miss",
                         CacheEventKind::Coalesced => "coalesced",
-                        CacheEventKind::Insert => "insert",
                     };
                     stats.cache_hits += u64::from(ev.is_hit());
                     stats.cache_misses += u64::from(ev.kind == CacheEventKind::Miss);
@@ -329,9 +319,8 @@ impl ObsStats {
                         0.0,
                     ));
                 }
-                DispatchEvent::Compile { timings, delta } => {
-                    let track = if *delta { "compiler-delta" } else { "compiler" };
-                    compile_at = stats.add_compile(timings, track, compile_at);
+                DispatchEvent::Compile(timings) => {
+                    compile_at = stats.add_compile(timings, "compiler", compile_at);
                 }
                 DispatchEvent::Resume => {
                     resumes += 1;
@@ -347,11 +336,8 @@ impl ObsStats {
                             stats.watchdog("backoff", at, t.wait_ns);
                             stats.backoff_ns += t.wait_ns;
                         }
-                        RecoveryAction::DeltaRecompile | RecoveryAction::FullRecompile => {
-                            if t.action == RecoveryAction::DeltaRecompile {
-                                stats.watchdog("splice-delta", at, 0.0);
-                            }
-                            stats.watchdog("mask+recompile", at, t.wait_ns);
+                        RecoveryAction::FullRecompile => {
+                            stats.watchdog("mask+recompile", at, t.wait_ns)
                         }
                     }
                     elapsed += t.failed_ns + t.wait_ns;
@@ -440,14 +426,11 @@ mod tests {
         let events = [
             trigger(RecoveryAction::Heal, 0.0, 0.0),
             cache(CacheEventKind::Miss),
-            DispatchEvent::Compile {
-                timings: timings(),
-                delta: false,
-            },
+            DispatchEvent::Compile(timings()),
             trigger(RecoveryAction::Resume, 50.0, 25.0),
             cache(CacheEventKind::Hit),
             DispatchEvent::Resume,
-            trigger(RecoveryAction::DeltaRecompile, 10.0, 5.0),
+            trigger(RecoveryAction::FullRecompile, 10.0, 5.0),
             cache(CacheEventKind::Coalesced),
         ];
         let stats = ObsStats::from_events(&events);
@@ -469,14 +452,13 @@ mod tests {
                 "backoff",
                 "hit 00000000000000ab",
                 "resume#1",
-                "splice-delta",
                 "mask+recompile",
                 "coalesced 00000000000000ab",
             ]
         );
         // A cache span sits at the compile offset it was dispatched at.
         assert_eq!(stats.spans[8].start_ns, 1100.0);
-        assert_eq!(stats.spans[11].start_ns, 85.0);
+        assert_eq!(stats.spans[10].start_ns, 85.0);
         assert!(stats
             .spans
             .iter()
@@ -485,30 +467,30 @@ mod tests {
     }
 
     /// Compiles on two threads, each judging only its own plans: one
-    /// keeps fresh compiles, the other replaces each with an identity
-    /// `recompile_delta`, which runs no phase at all. A plan whose
-    /// sanitize phase did not run has exactly zero sanitize time and its
-    /// compile renders no "sanitize" span; a fresh plan has both.
+    /// keeps fresh compiles, the other zeroes each plan's sanitize time,
+    /// as for a phase that did not run. A plan whose sanitize phase did
+    /// not run has exactly zero sanitize time and its compile renders no
+    /// "sanitize" span; a fresh plan has both.
     #[test]
     fn sanitize_span_appears_only_when_the_phase_ran() {
         use rescc_core::Compiler;
         use rescc_topology::Topology;
-        let compile = |identity: bool| {
+        let compile = |skipped: bool| {
             let topo = Topology::a100(2, 4);
             let spec = rescc_algos::hm_allreduce(2, 4);
             let compiler = Compiler::new();
             for _ in 0..4 {
                 let mut plan = compiler.compile_spec(&spec, &topo).unwrap();
-                if identity {
-                    plan = compiler.recompile_delta(&plan, plan.topo.health()).unwrap();
+                if skipped {
+                    plan.timings.sanitize = Duration::ZERO;
                 }
                 let mut stats = ObsStats::default();
                 stats.add_compile(&plan.timings, "compiler", 0.0);
                 let spanned = stats.spans.iter().any(|s| s.name == "sanitize");
-                let ran = !identity;
-                assert_eq!(plan.timings.sanitize > Duration::ZERO, ran, "{identity}");
-                assert_eq!(spanned, ran, "{identity}");
-                assert_eq!(stats.sanitize_ns > 0.0, ran, "{identity}");
+                let ran = !skipped;
+                assert_eq!(plan.timings.sanitize > Duration::ZERO, ran, "{skipped}");
+                assert_eq!(spanned, ran, "{skipped}");
+                assert_eq!(stats.sanitize_ns > 0.0, ran, "{skipped}");
             }
         };
         std::thread::scope(|s| {

@@ -67,7 +67,18 @@ impl Schedule {
         // resource may carry at most `saturation_tbs` concurrent tasks.
         let mut loads = ConflictLoads::new(dag);
         for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            check_sub_pipeline_loads(dag, &mut loads, i, sp)?;
+            loads.count(dag, sp);
+            // The first task, in sub-pipeline order, that pushes a load
+            // over its limit.
+            if let Some((t, d)) = loads.first_over() {
+                let limit = dag.conflict_limit_at(d);
+                return Err(IrError::new(format!(
+                    "sub-pipeline {i}: task {t} oversubscribes resource {} \
+                     (load {} > saturation {limit})",
+                    dag.resource_at(d),
+                    limit + 1
+                )));
+            }
         }
         Ok(())
     }
@@ -75,58 +86,6 @@ impl Schedule {
     /// Rules 1–2 of [`Self::validate`]: dependency order only.
     pub fn validate_order(&self, dag: &DepDag) -> Result<(), IrError> {
         dag.validate_order(&self.linear_order())
-    }
-
-    /// Targeted feasibility recheck after a reroute changed the conflict
-    /// sets of the `dirty` tasks (and of no others).
-    ///
-    /// A reroute touches neither the task set nor the dependency edges, so
-    /// rules 1 and 2 of [`Self::validate`] cannot break — and contention
-    /// loads (rule 3) can only have moved inside sub-pipelines that contain
-    /// a dirty task. This rechecks rule 3 on exactly those sub-pipelines
-    /// and returns their indices (so the caller can re-lint the same set),
-    /// at a cost proportional to the dirty region instead of the whole
-    /// pipeline. Errors match [`Self::validate`]'s rule-3 errors.
-    pub fn revalidate_dirty(&self, dag: &DepDag, dirty: &[TaskId]) -> Result<Vec<u32>, IrError> {
-        let mut is_dirty = vec![false; dag.len()];
-        for &t in dirty {
-            is_dirty[t.index()] = true;
-        }
-        let mut touched = Vec::new();
-        let mut loads = ConflictLoads::new(dag);
-        for (i, sp) in self.sub_pipelines.iter().enumerate() {
-            if !sp.iter().any(|t| is_dirty[t.index()]) {
-                continue;
-            }
-            touched.push(i as u32);
-            check_sub_pipeline_loads(dag, &mut loads, i, sp)?;
-        }
-        Ok(touched)
-    }
-}
-
-/// Rule 3 of [`Schedule::validate`] for one sub-pipeline: no conflict
-/// resource may carry more concurrent tasks than its saturation limit. The
-/// error names the first task, in sub-pipeline order, that pushes a load
-/// over its limit.
-fn check_sub_pipeline_loads(
-    dag: &DepDag,
-    loads: &mut ConflictLoads,
-    i: usize,
-    sp: &[TaskId],
-) -> Result<(), IrError> {
-    loads.count(dag, sp);
-    match loads.first_over() {
-        None => Ok(()),
-        Some((t, d)) => {
-            let limit = dag.conflict_limit_at(d);
-            Err(IrError::new(format!(
-                "sub-pipeline {i}: task {t} oversubscribes resource {} \
-                 (load {} > saturation {limit})",
-                dag.resource_at(d),
-                limit + 1
-            )))
-        }
     }
 }
 

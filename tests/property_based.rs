@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rescc::algos::{compose_allreduce, reverse_allgather, seed_suite};
 use rescc::alloc::TbAllocation;
-use rescc::analyze::{lints, AnalysisInput};
+use rescc::analyze::{lints, AnalysisConfig, AnalysisInput};
 use rescc::core::{Compiler, LintGate};
 use rescc::ir::{DepDag, IrError};
 use rescc::kernel::{ExecMode, KernelProgram, LoopOrder};
@@ -230,9 +230,12 @@ fn conflict_loads_match_hashmap_counting_on_seed_suite() {
                     program: &program,
                     topo: &topo,
                 };
-                let all: Vec<u32> = (0..s.sub_pipelines.len() as u32).collect();
+                // No TB budget: only the load findings remain.
+                let unbudgeted = AnalysisConfig {
+                    tb_budget_per_rank: u32::MAX,
+                };
                 let mut out = Vec::new();
-                lints::ra003_sub_pipeline_loads(&input, &all, &mut out);
+                lints::ra003_oversubscription(&input, &unbudgeted, &mut out);
                 let got: Vec<(u32, u32, u32, String)> = out
                     .into_iter()
                     .map(|d| {
