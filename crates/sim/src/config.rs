@@ -22,12 +22,12 @@ pub struct SimConfig {
     /// brownout from t = 0 that outlasts it. Empty by default.
     pub faults: FaultTimeline,
     /// Record a per-transfer [`TraceEvent`](crate::TraceEvent) timeline in
-    /// the report (costs memory proportional to invocations).
+    /// the report, a view of the run's event table (below).
     pub record_trace: bool,
     /// Classify every TB idle interval by cause and attach a
-    /// [`SimObservability`](crate::SimObservability) payload to the
-    /// report. Attribution is read-only instrumentation: all other report
-    /// fields are bit-identical to a run without it.
+    /// [`SimObservability`](crate::SimObservability) payload. Either flag
+    /// makes the engine write one event table, 64 bytes an invocation, for
+    /// the views; every other report field stays bit-identical.
     pub attribute_bubbles: bool,
     /// Partial-progress resume: the fault frontier of an aborted attempt
     /// of the same plan, whose completed invocations the run starts with.

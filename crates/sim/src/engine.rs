@@ -58,10 +58,8 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{Fault, FaultEvent};
 use crate::frontier::FaultFrontier;
 use crate::metrics::{ResourceStat, SimReport, TbStat};
-use crate::obs::{
-    add_interval, BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTimeline,
-};
-use crate::trace::{FaultRecord, TraceEvent};
+use crate::obs::{EventTable, Stamp};
+use crate::trace::FaultRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rescc_alloc::Slot;
@@ -90,10 +88,6 @@ const NONE: u32 = u32::MAX;
 /// Safety cap on a run's invocations (`tasks × micro-batches`): guards
 /// against runaway programs, generously above any legitimate run.
 const MAX_INVOCATIONS: u64 = 200_000_000;
-
-/// Buckets of the per-TB / per-link timelines recorded under bubble
-/// attribution.
-const OBS_BUCKETS: u32 = 64;
 
 /// One queued event: fire `id` at time `t`; `seq` breaks ties in
 /// scheduling order.
@@ -383,10 +377,7 @@ struct Transfer {
     /// Latency done, bytes draining: the queued event is the drain finish,
     /// not the startup latency.
     draining: bool,
-    send_tb: u32,
-    recv_tb: u32,
     start: f64,
-    drain_start: f64,
     /// A fused forward that finished draining before its feeding receive
     /// completed: its completion effects run when the feeder finishes
     /// (cut-through causality).
@@ -419,31 +410,6 @@ fn segment_len(program: &KernelProgram, end: u32, at: u32) -> u32 {
         len += 1;
     }
     len
-}
-
-/// A classified idle interval keyed by engine TB id (resolved to
-/// rank/tb when the report is built).
-struct RawBubble {
-    tb: u32,
-    task: u32,
-    mb: u32,
-    cause: BubbleCause,
-    start: f64,
-    end: f64,
-}
-
-/// Bubble-attribution accumulator, allocated only when
-/// [`SimConfig::attribute_bubbles`] is set so the hot path stays free of
-/// observability work otherwise. Recording is strictly read-only with
-/// respect to simulation state: enabling it cannot change any timing.
-#[derive(Default)]
-struct ObsAcc {
-    bubbles: Vec<RawBubble>,
-    /// Line-rate drain segments per TB: `(tb, drain_start, line_end)`.
-    xfer_segments: Vec<(u32, f64, f64)>,
-    /// Closed busy intervals per resource (openings mirror
-    /// `ResState::active_since`).
-    res_intervals: Vec<Vec<(f64, f64)>>,
 }
 
 struct ResState {
@@ -614,7 +580,6 @@ struct Engine<'a> {
     barrier_group_of: Vec<u32>,
     barrier_members: Vec<Vec<TaskId>>,
     barrier_remaining: Vec<Vec<u32>>,
-    trace: Vec<TraceEvent>,
     /// For a fused forward B (`recvCopySend` — startup latency elided):
     /// the feeding receive task A, else NONE. Empty for an unfused program.
     fused_pred: Vec<u32>,
@@ -631,8 +596,8 @@ struct Engine<'a> {
     any_down: bool,
     /// A fault the run cannot survive; the event loop aborts on it.
     fatal: Option<SimError>,
-    /// Bubble attribution (None unless `config.attribute_bubbles`).
-    obs: Option<Box<ObsAcc>>,
+    /// The event table of a traced or attributed run.
+    table: Option<EventTable>,
     /// Calls of [`project`].
     #[cfg(test)]
     projections: u64,
@@ -870,7 +835,6 @@ impl<'a> Engine<'a> {
             barrier_group_of,
             barrier_members,
             barrier_remaining,
-            trace: Vec::new(),
             fused_pred,
             fused_next,
             fault_sched: Vec::new(),
@@ -878,12 +842,8 @@ impl<'a> Engine<'a> {
             straggle: vec![1.0; n_ranks as usize],
             any_down: false,
             fatal: None,
-            obs: config.attribute_bubbles.then(|| {
-                Box::new(ObsAcc {
-                    res_intervals: vec![Vec::new(); topo.n_resources() as usize],
-                    ..ObsAcc::default()
-                })
-            }),
+            table: (config.record_trace || config.attribute_bubbles)
+                .then(|| EventTable::new(inv_total as usize)),
             #[cfg(test)]
             projections: 0,
         })
@@ -1063,9 +1023,7 @@ impl<'a> Engine<'a> {
                 capacity: r.params.bandwidth(),
             })
             .collect();
-        let obs = self.obs.take().map(|acc| self.build_obs(*acc, completion));
-
-        Ok(SimReport {
+        let mut report = SimReport {
             completion_ns: completion,
             total_bytes: self.total_bytes,
             tb_stats,
@@ -1073,125 +1031,20 @@ impl<'a> Engine<'a> {
             data_valid,
             n_micro_batches: self.n_mb,
             n_invocations: self.inv_done,
-            trace: self.trace,
-            faults: self.fault_log,
-            obs,
-        })
-    }
-
-    /// Resolve the raw attribution accumulator into the public payload:
-    /// map engine TB ids to (rank, tb), and bucketize the per-TB state
-    /// decomposition and per-link active intervals over the run.
-    fn build_obs(&self, acc: ObsAcc, completion: f64) -> SimObservability {
-        let bucket_ns = if completion > 0.0 {
-            completion / OBS_BUCKETS as f64
-        } else {
-            0.0
+            trace: Vec::new(),
+            faults: std::mem::take(&mut self.fault_log),
+            obs: None,
         };
-        let mut tb_timelines: Vec<TbTimeline> = self
-            .tbs
-            .iter()
-            .map(|tb| TbTimeline {
-                rank: tb.rank,
-                tb: tb.tb,
-                transfer: vec![0.0; OBS_BUCKETS as usize],
-                startup: vec![0.0; OBS_BUCKETS as usize],
-                contention: vec![0.0; OBS_BUCKETS as usize],
-                rendezvous: vec![0.0; OBS_BUCKETS as usize],
-                dep_wait: vec![0.0; OBS_BUCKETS as usize],
-            })
-            .collect();
-        for &(tb, s, e) in &acc.xfer_segments {
-            add_interval(&mut tb_timelines[tb as usize].transfer, bucket_ns, s, e);
+        if let Some(table) = &self.table {
+            let lone_bandwidth =
+                |r: ResourceId| self.resources[r.index()].params.effective_bandwidth(1);
+            let row = |i: usize, task: TaskId, mb: u32| {
+                let (inv, fused) = (&self.invs[i], self.feeder(task) != NONE);
+                (inv.send_tb, inv.recv_tb, fused, self.bytes(mb))
+            };
+            table.views(self.dag, self.config, &mut report, &lone_bandwidth, row);
         }
-        let bubbles: Vec<BubbleInterval> = acc
-            .bubbles
-            .iter()
-            .map(|b| {
-                let tl = &mut tb_timelines[b.tb as usize];
-                let buf = match b.cause {
-                    BubbleCause::RendezvousWait => &mut tl.rendezvous,
-                    BubbleCause::DepWait => &mut tl.dep_wait,
-                    BubbleCause::LinkContention => &mut tl.contention,
-                    BubbleCause::Startup => &mut tl.startup,
-                };
-                add_interval(buf, bucket_ns, b.start, b.end);
-                let tb = &self.tbs[b.tb as usize];
-                BubbleInterval {
-                    tb_index: b.tb,
-                    rank: tb.rank,
-                    tb: tb.tb,
-                    task: b.task,
-                    mb: b.mb,
-                    cause: b.cause,
-                    start_ns: b.start,
-                    end_ns: b.end,
-                }
-            })
-            .collect();
-        // Link timelines mirror the `resource_stats` population (resources
-        // that carried traffic, in index order).
-        let link_timelines = self
-            .resources
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.bytes > 0)
-            .map(|(i, _)| {
-                let mut active = vec![0.0; OBS_BUCKETS as usize];
-                for &(s, e) in &acc.res_intervals[i] {
-                    add_interval(&mut active, bucket_ns, s, e);
-                }
-                LinkTimeline {
-                    resource: i as u32,
-                    active,
-                }
-            })
-            .collect();
-        SimObservability {
-            n_buckets: OBS_BUCKETS,
-            bucket_ns,
-            bubbles,
-            tb_timelines,
-            link_timelines,
-        }
-    }
-
-    /// Classify the wait `[arrival, now)` of one gating side of a starting
-    /// invocation. The portion before the peer's arrival is a rendezvous
-    /// wait; whatever remains after both sides are present was spent on
-    /// dependencies (DAG predecessors, barrier groups, or the cut-through
-    /// gate). The two pieces tile `[arrival, now)` exactly, so per-TB hard
-    /// bubbles reconcile with `sync_ns`.
-    fn record_wait(&mut self, tb: u32, arrival: f64, peer_arrival: f64, task: TaskId, mb: u32) {
-        let now = self.now;
-        if now <= arrival {
-            return;
-        }
-        let obs = self
-            .obs
-            .as_mut()
-            .expect("record_wait only when attributing");
-        let split = peer_arrival.clamp(arrival, now);
-        if split > arrival {
-            obs.bubbles.push(RawBubble {
-                tb,
-                task: task.0,
-                mb,
-                cause: BubbleCause::RendezvousWait,
-                start: arrival,
-                end: split,
-            });
-        }
-        if now > split {
-            obs.bubbles.push(RawBubble {
-                tb,
-                task: task.0,
-                mb,
-                cause: BubbleCause::DepWait,
-                start: split,
-                end: now,
-            });
-        }
+        Ok(report)
     }
 
     /// Apply one scheduled fault transition to the live resource/rank
@@ -1384,20 +1237,11 @@ impl<'a> Engine<'a> {
             self.tbs[send_tb as usize].sync += now - send_arrival;
         }
         self.tbs[recv_tb as usize].sync += now - recv_arrival;
-        if self.obs.is_some() {
-            // Attribute exactly the intervals the sync accounting above
-            // charged, split by which gate resolved last.
-            if fp == NONE {
-                self.record_wait(send_tb, send_arrival, recv_arrival, task, mb);
-            }
-            self.record_wait(recv_tb, recv_arrival, send_arrival, task, mb);
+        if let Some(table) = &mut self.table {
+            table.start(idx, [send_arrival, recv_arrival], now);
         }
 
-        let bytes = if mb + 1 < self.n_mb {
-            self.mb_bytes.0
-        } else {
-            self.mb_bytes.1
-        };
+        let bytes = self.bytes(mb);
         // Startup latency: α of the slowest conflict resource + interpreter
         // overhead + optional jitter. A route's own extra latency (a
         // cross-rack hop, an NVSwitch relay) is not in the DAG and is not
@@ -1422,10 +1266,7 @@ impl<'a> Engine<'a> {
             rate: 0.0,
             last_update: now,
             draining: false,
-            send_tb,
-            recv_tb,
             start: now,
-            drain_start: now,
             pending_complete: false,
         };
         self.total_bytes += bytes;
@@ -1460,15 +1301,28 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Bytes of an invocation of micro-batch `mb`.
+    fn bytes(&self, mb: u32) -> u64 {
+        [self.mb_bytes.0, self.mb_bytes.1][usize::from(mb + 1 == self.n_mb)]
+    }
+
+    /// Stamp the event table, if the run keeps one.
+    fn stamp(&mut self, task: TaskId, mb: u32, stamp: Stamp) {
+        if let Some(table) = &mut self.table {
+            let row = task.index() * self.n_mb as usize + mb as usize;
+            table.stamp(row, stamp, self.now);
+        }
+    }
+
     fn buffer_idx(&self, rank: u32, chunk: u32) -> usize {
         (rank * self.dag.n_chunks() + chunk) as usize
     }
 
     fn on_latency_done(&mut self, x: u32) {
         let now = self.now;
-        let (task, path) = {
+        let (task, path, mb) = {
             let t = &self.transfers[x as usize];
-            (t.task, t.path)
+            (t.task, t.path, t.mb)
         };
         // The resource may have died during the startup latency: fail the
         // transfer before it registers on the path.
@@ -1479,7 +1333,7 @@ impl<'a> Engine<'a> {
         let t = &mut self.transfers[x as usize];
         t.draining = true;
         t.last_update = now;
-        t.drain_start = now;
+        self.stamp(task, mb, Stamp::DrainStart);
         let first_transfer = self.transfer_event(0);
         self.events.defer(first_transfer + x);
         for r in path.iter() {
@@ -1502,6 +1356,7 @@ impl<'a> Engine<'a> {
             (t.task, t.path, t.mb, t.bytes)
         };
 
+        self.stamp(task, mb, Stamp::DrainEnd);
         // Free resources and settle peers.
         let first_transfer = self.transfer_event(0);
         for r in path.iter() {
@@ -1511,9 +1366,6 @@ impl<'a> Engine<'a> {
             rs.bytes += bytes;
             if rs.load == 0 {
                 rs.active_ns += now - rs.active_since;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.res_intervals[r.index()].push((rs.active_since, now));
-                }
             }
             match rs.draining.iter().position(|&o| o == x) {
                 Some(posn) => {
@@ -1550,15 +1402,17 @@ impl<'a> Engine<'a> {
         self.complete_invocation(x);
     }
 
-    /// Completion effects of a drained transfer: data application, trace,
-    /// accounting, dependency propagation, barrier release, TB advance —
+    /// Completion effects of a drained transfer: data application, its
+    /// stamp, accounting, dependency propagation, barrier release, TB advance —
     /// possibly deferred for fused forwards.
     fn complete_invocation(&mut self, x: u32) {
         let now = self.now;
-        let (task, mb, bytes, start, send_tb, recv_tb) = {
+        let (task, mb, start) = {
             let t = &self.transfers[x as usize];
-            (t.task, t.mb, t.bytes, t.start, t.send_tb, t.recv_tb)
+            (t.task, t.mb, t.start)
         };
+        let idx = task.index() * self.n_mb as usize + mb as usize;
+        let (send_tb, recv_tb) = (self.invs[idx].send_tb, self.invs[idx].recv_tb);
 
         // Apply data semantics. Fused forwards (no capture at start) read
         // the source slot now — the feeding receive has already applied.
@@ -1581,32 +1435,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        if self.config.record_trace {
-            let t = self.dag.transfer(task);
-            let ev = TraceEvent {
-                task: task.0,
-                mb,
-                src: t.src.0,
-                dst: t.dst.0,
-                start_ns: start,
-                drain_start_ns: self.transfers[x as usize].drain_start,
-                end_ns: now,
-                bytes,
-            };
-            debug_assert!(
-                ev.start_ns <= ev.drain_start_ns && ev.drain_start_ns <= ev.end_ns,
-                "trace event phases out of order: task {task} mb {mb} \
-                 start {} drain {} end {}",
-                ev.start_ns,
-                ev.drain_start_ns,
-                ev.end_ns
-            );
-            self.trace.push(ev);
-        }
-
-        if self.obs.is_some() {
-            self.record_soft_bubbles(x, task, mb, bytes, start, send_tb, recv_tb);
-        }
+        self.stamp(task, mb, Stamp::End);
 
         // Account busy time on both TBs.
         let dur = now - start;
@@ -1616,7 +1445,6 @@ impl<'a> Engine<'a> {
         self.tbs[recv_tb as usize].n_inv += 1;
 
         // Mark done, free the transfer slot, propagate dependencies.
-        let idx = task.index() * self.n_mb as usize + mb as usize;
         self.invs[idx].done = true;
         self.invs[idx].transfer = NONE;
         self.free_transfers.push(x);
@@ -1681,62 +1509,6 @@ impl<'a> Engine<'a> {
                     self.tb_arrive(tb_id);
                 }
             }
-        }
-    }
-
-    /// Attribute the soft (in-busy) bubbles of a completed invocation:
-    /// the startup-latency phase, plus any drain time beyond the lone-TB
-    /// ideal (`bytes / min over path of effective_bandwidth(1)`) — the
-    /// slowdown fair-sharing and the γ·L(z) over-saturation penalty of
-    /// Eq. 1 imposed. Both participating TBs experience the interval, so
-    /// both timelines carry it (mirroring the busy accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn record_soft_bubbles(
-        &mut self,
-        x: u32,
-        task: TaskId,
-        mb: u32,
-        bytes: u64,
-        start: f64,
-        send_tb: u32,
-        recv_tb: u32,
-    ) {
-        let now = self.now;
-        let drain_start = self.transfers[x as usize].drain_start;
-        let rate0 = self
-            .dag
-            .task(task)
-            .path
-            .iter()
-            .map(|r| self.resources[r.index()].params.effective_bandwidth(1))
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(rate0.is_finite() && rate0 > 0.0);
-        let line_end = (drain_start + bytes as f64 / rate0).min(now);
-        let obs = self.obs.as_mut().expect("checked by caller");
-        // A fused forward's sender side never blocked, but it does spend
-        // the transfer window busy — both sides get the same soft bubbles.
-        for tb in [send_tb, recv_tb] {
-            if drain_start > start {
-                obs.bubbles.push(RawBubble {
-                    tb,
-                    task: task.0,
-                    mb,
-                    cause: BubbleCause::Startup,
-                    start,
-                    end: drain_start,
-                });
-            }
-            if now > line_end {
-                obs.bubbles.push(RawBubble {
-                    tb,
-                    task: task.0,
-                    mb,
-                    cause: BubbleCause::LinkContention,
-                    start: line_end,
-                    end: now,
-                });
-            }
-            obs.xfer_segments.push((tb, drain_start, line_end));
         }
     }
 
@@ -2183,6 +1955,10 @@ mod tests {
     /// several drains that start and finish in the same instants, and each
     /// of their load changes re-keys the others.
     fn drive_lockstep_allgather(check: impl FnOnce(Engine)) {
+        drive_lockstep_allgather_with(&SimConfig::default(), check);
+    }
+
+    fn drive_lockstep_allgather_with(config: &SimConfig, check: impl FnOnce(Engine)) {
         let n = 8;
         let mut b = AlgoBuilder::new("direct", OpType::AllGather, n);
         for src in 0..n {
@@ -2196,11 +1972,26 @@ mod tests {
             crate::tests::build_all(&spec, &topo, LoopOrder::SlotMajor, ExecMode::DirectKernel);
         let plan = MicroBatchPlan::plan(32 << 20, 8, 1 << 20);
         assert_eq!(plan.n_micro_batches, 4);
-        let config = SimConfig::default();
-        let mut engine =
-            Engine::new(&topo, &dag, &prog, &plan, OpType::AllGather, &config).unwrap();
+        let mut engine = Engine::new(&topo, &dag, &prog, &plan, OpType::AllGather, config).unwrap();
         engine.drive().unwrap();
         check(engine);
+    }
+
+    #[test]
+    fn the_event_table_is_kept_only_when_recording_and_holds_64_bytes_a_row() {
+        drive_lockstep_allgather(|engine| assert!(engine.table.is_none()));
+        let trace = SimConfig::default().with_trace();
+        let observed = SimConfig::default().with_observability();
+        for config in [trace, observed] {
+            drive_lockstep_allgather_with(&config, |engine| {
+                let table = engine
+                    .table
+                    .as_ref()
+                    .expect("a recording run keeps its table");
+                assert!(crate::obs::tests::row_bytes(table) <= 64);
+                let _ = engine.report().unwrap();
+            });
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Execution tracing: an optional per-transfer timeline the engine records
-//! when [`SimConfig::record_trace`](crate::SimConfig) is set, plus
-//! rendering and analysis helpers.
+//! Execution tracing: an optional per-transfer timeline, built from the
+//! run's event table when [`SimConfig::record_trace`](crate::SimConfig)
+//! is set, plus rendering and analysis helpers.
 //!
 //! The trace is the simulator's equivalent of an NSight timeline: one
 //! [`TraceEvent`] per transfer invocation with its rendezvous, latency and

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rescc::algos::{hm_allgather, hm_allreduce, ring_allgather};
 use rescc::core::Compiler;
-use rescc::sim::{SimConfig, SimReport};
-use rescc::topology::Topology;
+use rescc::sim::{FaultTimeline, SimConfig, SimReport};
+use rescc::topology::{Rank, Topology};
 
 const MB: u64 = 1 << 20;
 
@@ -23,7 +23,10 @@ fn run_observed(topo: &Topology, spec: &rescc::lang::AlgoSpec, buffer: u64) -> S
 /// The reconciliation contract: hard bubbles tile sync time, soft
 /// bubbles plus line-rate segments tile busy time, link buckets tile
 /// link active time — each within relative float-association error.
-fn assert_reconciles(rep: &SimReport) {
+/// Busy plus sync fits in each TB's occupancy unless the plan is `fused`:
+/// a fused forward drains beside its feeder on one TB, and busy time
+/// counts both.
+fn assert_reconciles(rep: &SimReport, fused: bool) {
     let obs = rep.obs.as_ref().expect("attribution enabled");
 
     // Every interval is well-formed and inside the run.
@@ -72,7 +75,7 @@ fn assert_reconciles(rep: &SimReport) {
         );
         // busy + sync never exceeds the SM occupancy window.
         assert!(
-            tb.busy_ns + tb.sync_ns <= tb.occupancy_ns * (1.0 + 1e-9) + 1.0,
+            fused || tb.busy_ns + tb.sync_ns <= tb.occupancy_ns * (1.0 + 1e-9) + 1.0,
             "r{}tb{}: busy {} + sync {} vs occupancy {}",
             tb.rank,
             tb.tb,
@@ -97,6 +100,62 @@ fn assert_reconciles(rep: &SimReport) {
     }
 }
 
+/// The runs the other tests do not attribute, each with attribution off
+/// and on: a fused plan, whose forwards never block their sender, and a
+/// run resumed from a fault frontier, whose table keeps the rows of the
+/// invocations done before it unstamped.
+fn fused_and_resumed() -> Vec<(&'static str, SimReport, SimReport)> {
+    let off = SimConfig::default().without_validation();
+    let on = off.clone().with_observability();
+    let topo = Topology::a100(2, 4);
+
+    // A ring's forwards start after their sender TB arrives, so the
+    // sender side a fused forward never blocks on is visible here.
+    let fused = Compiler::new()
+        .with_fusion()
+        .compile_spec(&ring_allgather(8), &topo)
+        .unwrap();
+    assert!(
+        fused.program.fused_pairs().next().is_some(),
+        "no fused pair"
+    );
+    let run = |cfg: &SimConfig| fused.run_with(64 * MB, MB, cfg).unwrap();
+    let mut runs = vec![("fused", run(&off), run(&on))];
+
+    let plan = Compiler::new()
+        .compile_spec(&hm_allreduce(2, 4), &topo)
+        .unwrap();
+    let horizon = plan.run_with(32 * MB, MB, &off).unwrap().completion_ns;
+    let nic = topo.nic_tx(topo.nic_of(Rank::new(0)));
+    let kill = off
+        .clone()
+        .with_faults(FaultTimeline::new().kill(nic, 0.4 * horizon));
+    let err = plan
+        .run_with(32 * MB, MB, &kill)
+        .expect_err("a kill mid-run aborts");
+    let frontier = err
+        .frontier()
+        .expect("the abort carries a frontier")
+        .clone();
+    assert!(!frontier.is_empty(), "nothing to resume");
+    let run = |cfg: &SimConfig| {
+        let cfg = cfg.clone().with_resume(frontier.clone());
+        plan.run_with(32 * MB, MB, &cfg).unwrap()
+    };
+    runs.push(("resumed", run(&off), run(&on)));
+    runs
+}
+
+#[test]
+fn fused_and_resumed_runs_reconcile_and_stay_read_only() {
+    for (name, off, mut on) in fused_and_resumed() {
+        assert_reconciles(&on, name == "fused");
+        assert!(!on.obs.as_ref().unwrap().bubbles.is_empty(), "{name}");
+        on.obs = None;
+        assert_eq!(on, off, "{name}: attribution changed the simulation");
+    }
+}
+
 #[test]
 fn hard_bubbles_reconcile_with_sync_time() {
     for (topo, spec, buffer) in [
@@ -105,7 +164,7 @@ fn hard_bubbles_reconcile_with_sync_time() {
         (Topology::a100(1, 4), ring_allgather(4), 32 * MB),
     ] {
         let rep = run_observed(&topo, &spec, buffer);
-        assert_reconciles(&rep);
+        assert_reconciles(&rep, false);
         assert!(
             !rep.obs.as_ref().unwrap().bubbles.is_empty(),
             "a multi-rank collective with startup latency must have bubbles"
@@ -165,7 +224,7 @@ fn timelines_have_64_buckets_and_conserve_time() {
         let rep = run_observed(&topo, &hm_allgather(2, 4), buffer);
         let obs = rep.obs.as_ref().unwrap();
         assert_eq!(obs.n_buckets, 64);
-        assert_reconciles(&rep); // conservation holds at any granularity
+        assert_reconciles(&rep, false); // conservation holds at any granularity
     }
 }
 
@@ -189,7 +248,7 @@ proptest! {
         let on = off.clone().with_observability();
         let rep_off = plan.run_with(buf_mb * MB, MB, &off).unwrap();
         let mut rep_on = plan.run_with(buf_mb * MB, MB, &on).unwrap();
-        assert_reconciles(&rep_on);
+        assert_reconciles(&rep_on, false);
         rep_on.obs = None;
         prop_assert_eq!(rep_on, rep_off);
     }
